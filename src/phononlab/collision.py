@@ -77,18 +77,21 @@ class ResonanceTable:
                 cls._cache[key] = tab
         return tab
 
-    def gather(self, values: np.ndarray, which) -> np.ndarray:
+    def gather(self, values: np.ndarray, which, rows=slice(None)) -> np.ndarray:
+        """Interpolated values at the stencil targets of `which`, for a block
+        of output rows (all rows by default); every row is computed the same
+        way whatever the block."""
         idx, wts = which
-        out = values[idx[0]] * wts[0]
+        out = values[idx[0][rows]] * wts[0][rows]
         for i, wt in zip(idx[1:], wts[1:]):
-            out += values[i] * wt
+            out += values[i[rows]] * wt[rows]
         return out
 
-    def at_p1(self, values: np.ndarray) -> np.ndarray:
-        return self.gather(values, self.i1)
+    def at_p1(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return self.gather(values, self.i1, rows)
 
-    def at_p3(self, values: np.ndarray) -> np.ndarray:
-        return self.gather(values, self.i3)
+    def at_p3(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return self.gather(values, self.i3, rows)
 
 
 def _bracket(f0, f1, f2, f3):

@@ -18,6 +18,13 @@ The quadratic component is often written as 2[fb2 fb3 g2 g3 - fb0 fb1 g0 g1]
 to leading structure; the exact component carries additional cross terms
 weighted by resonance frequency differences, and those are kept: they are
 what makes L + Q + N reproduce the full operator to rounding.
+
+Q and N are evaluated together (PerturbationTables.nonlinear), walking the
+output rows in fixed blocks: each block gathers g at p1 and p3 and forms
+the pairwise products g_k g_l once, and both channel sums are built from
+them.  The blocking is a pure re-scheduling: Q, N and the right-hand side
+(L g + Q) + N are bit for bit those of the unfused full-matrix evaluation
+(PerturbationTables.nonlinear lists the rules that keep them so).
 """
 
 from __future__ import annotations
@@ -30,13 +37,15 @@ import numpy as np
 from .collision import ResonanceTable, collision_operator, conserved_quantities, entropy
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
-from .fitting import DecayReport, fit_power_law  # noqa: F401  (re-exported)
+from .fitting import DecayReport, fit_power_law
 from .grid import Field, Grid, lp_norm, weighted_sup
-from .linearized import LinOperator, assemble, multiplier_a
+from .linearized import T_BRACKET, LinOperator, assemble, multiplier_a
 
 BLOWUP_FACTOR = 1e3
 B_NORM_DELTA = 1e-3  # delta in the <t>^{2/5-delta}, <t>^{3/5-delta} weights
-T_BRACKET = 10.0
+# values per row-block temporary of PerturbationTables.nonlinear (128 KiB of
+# float64: 64 rows at n = 256)
+_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -125,30 +134,43 @@ class PerturbationTables:
         self.G3 = W * F0 * F1 * F2
         self.inv_fb = 1.0 / fb
 
-    def gathers(self, g: np.ndarray):
-        return (g[:, None], self.tab.at_p1(g), g[None, :], self.tab.at_p3(g))
+    def nonlinear(self, g: np.ndarray):
+        """(Q[g], N[g]): the quadratic and cubic components in one pass.
+
+        Output rows are walked in blocks of _BLOCK_VALUES // n; each block
+        gathers g at p1 and p3 once and forms the six pairwise products
+        g_k g_l once, and both channel sums are built from them.  Every
+        operation is the one of the full-matrix formula on the same operands
+        in the same order, so the result is bit for bit independent of the
+        block size: e2(a, b, c) = (a b + a c) + b c, a triple product is
+        (a b) c, the channels combine as ((G0 x + G1 y) - G2 z) - G3 u, and
+        each row sum runs over one whole contiguous row.  Factoring g0 out
+        of a row sum, or turning a G g2 term into a matvec, would change the
+        rounding; so would adding Q + N before L g in the right-hand side.
+        """
+        n = g.size
+        rows = max(1, _BLOCK_VALUES // n)
+        q = np.empty(n)
+        c = np.empty(n)
+        g2 = g[None, :]
+        for r0 in range(0, n, rows):
+            s = slice(r0, r0 + rows)
+            g0, g1, g3 = g[s, None], self.tab.at_p1(g, s), self.tab.at_p3(g, s)
+            g01, g02, g03 = g0 * g1, g0 * g2, g0 * g3
+            g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
+            G0, G1, G2, G3 = self.G0[s], self.G1[s], self.G2[s], self.G3[s]
+            q[s] = np.sum(G0 * (g12 + g13 + g23) + G1 * (g02 + g03 + g23)
+                          - G2 * (g01 + g03 + g13) - G3 * (g01 + g02 + g12), axis=1)
+            c[s] = np.sum(G0 * (g12 * g3) + G1 * (g02 * g3)
+                          - G2 * (g01 * g3) - G3 * (g01 * g2), axis=1)
+        w = self.grid.weight
+        return w * q * self.inv_fb, w * c * self.inv_fb
 
     def quadratic(self, g: np.ndarray) -> np.ndarray:
-        g0, g1, g2, g3 = self.gathers(g)
-        e2 = lambda a, b, c: a * b + a * c + b * c
-        acc = self.G0 * e2(g1, g2, g3) + self.G1 * e2(g0, g2, g3) \
-            - self.G2 * e2(g0, g1, g3) - self.G3 * e2(g0, g1, g2)
-        return self.grid.weight * np.sum(acc, axis=1) * self.inv_fb
+        return self.nonlinear(g)[0]
 
     def cubic(self, g: np.ndarray) -> np.ndarray:
-        g0, g1, g2, g3 = self.gathers(g)
-        acc = self.G0 * (g1 * g2 * g3) + self.G1 * (g0 * g2 * g3) \
-            - self.G2 * (g0 * g1 * g3) - self.G3 * (g0 * g1 * g2)
-        return self.grid.weight * np.sum(acc, axis=1) * self.inv_fb
-
-    def linear(self, g: np.ndarray) -> np.ndarray:
-        """Row-form L action (channel l carries the sign of -+ g_l / fb_l).
-
-        Cross-check quantity; time stepping uses the symmetric matrix.
-        """
-        g0, g1, g2, g3 = self.gathers(g)
-        acc = -self.G0 * g0 - self.G1 * g1 + self.G2 * g2 + self.G3 * g3
-        return self.grid.weight * np.sum(acc, axis=1) * self.inv_fb
+        return self.nonlinear(g)[1]
 
 
 def quadratic_term(g: Field, params: RjParams, interp: str = "linear") -> Field:
@@ -191,7 +213,11 @@ def _record(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray):
 
 
 def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
-    """Shared fixed-step driver; f/g conversions supplied by the caller."""
+    """Shared fixed-step driver; f/g conversions supplied by the caller.
+
+    f = to_f(g) must stay finite, positive and within BLOWUP_FACTOR of its
+    initial sup norm after every step, else BlowupError names that step's t.
+    """
     rec_times = cfg.record_times()
     n_steps = int(np.ceil(cfg.t_final / cfg.dt))
     dt = cfg.t_final / n_steps
@@ -203,12 +229,13 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
     for _ in range(n_steps):
         g = _step(rhs, g, dt, cfg.integrator)
         t += dt
+        # O(n) per step: a transient between two record times is caught too
+        f_vals = to_f(g)
+        if not np.all(np.isfinite(f_vals)) or np.max(np.abs(f_vals)) > BLOWUP_FACTOR * sup0:
+            raise BlowupError(f"sup-norm left the trust region at t = {t:.3g}")
+        if np.min(f_vals) <= 0.0:
+            raise BlowupError(f"positivity failed at t = {t:.3g}")
         if ri < len(rec_times) and t >= rec_times[ri] - 1e-9:
-            f_vals = to_f(g)
-            if not np.all(np.isfinite(f_vals)) or np.max(np.abs(f_vals)) > BLOWUP_FACTOR * sup0:
-                raise BlowupError(f"sup-norm left the trust region at t = {t:.3g}")
-            if np.min(f_vals) <= 0.0:
-                raise BlowupError(f"positivity failed at t = {t:.3g}")
             rows.append((t,) + _record(grid, f_vals, to_g(g)))
             states.append((t, g.copy()))
             while ri < len(rec_times) and t >= rec_times[ri] - 1e-9:
@@ -246,7 +273,8 @@ def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
 
     g0 must be kernel-orthogonal (mass/energy of the initial perturbation
     vanish) with ||omega^-1/2 g0||_inf <= eps_max.  The linear part uses the
-    assembled matrix; quadratic and cubic parts use the tensor rule.
+    assembled matrix; quadratic and cubic parts use the tensor rule, both
+    from one row-blocked pass (PerturbationTables.nonlinear).
     """
     grid = g0.grid
     eps = float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
@@ -259,7 +287,8 @@ def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
     L = op.matrix
 
     def rhs(gv):
-        return L @ gv + tabs.quadratic(gv) + tabs.cubic(gv)
+        q, c = tabs.nonlinear(gv)
+        return L @ gv + q + c
 
     m0, e0 = conserved_quantities(Field(grid, fb * (1.0 + g0.values)))
     arr, states = _run(grid, g0.values, rhs, cfg,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phononlab.collision import collision_operator
-from phononlab.dynamics import (EvolutionConfig, PerturbationTables,
+from phononlab.dynamics import (EvolutionConfig, PerturbationTables, _run,
                                 b_norm_components, cubic_term,
                                 evolve_nonlinear_f, evolve_perturbation,
                                 quadratic_term)
@@ -29,6 +29,50 @@ def scaled_data(params, grid, eps):
     g0 = decay_initial_data(params, grid, nu=0.5)
     scale = eps / float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
     return Field(grid, scale * g0.values)
+
+
+# Full-matrix (unfused, unblocked) forms of the row quadrature, kept as the
+# reference that PerturbationTables.nonlinear must reproduce bit for bit.
+
+def full_gathers(tabs, g):
+    return g[:, None], tabs.tab.at_p1(g), g[None, :], tabs.tab.at_p3(g)
+
+
+def full_quadratic(tabs, g):
+    g0, g1, g2, g3 = full_gathers(tabs, g)
+    e2 = lambda a, b, c: a * b + a * c + b * c
+    acc = tabs.G0 * e2(g1, g2, g3) + tabs.G1 * e2(g0, g2, g3) \
+        - tabs.G2 * e2(g0, g1, g3) - tabs.G3 * e2(g0, g1, g2)
+    return tabs.grid.weight * np.sum(acc, axis=1) * tabs.inv_fb
+
+
+def full_cubic(tabs, g):
+    g0, g1, g2, g3 = full_gathers(tabs, g)
+    acc = tabs.G0 * (g1 * g2 * g3) + tabs.G1 * (g0 * g2 * g3) \
+        - tabs.G2 * (g0 * g1 * g3) - tabs.G3 * (g0 * g1 * g2)
+    return tabs.grid.weight * np.sum(acc, axis=1) * tabs.inv_fb
+
+
+def row_form_linear(tabs, g):
+    """Row-form L action (channel l carries the sign of -+ g_l / fb_l); time
+    stepping uses the symmetric matrix instead."""
+    g0, g1, g2, g3 = full_gathers(tabs, g)
+    acc = -tabs.G0 * g0 - tabs.G1 * g1 + tabs.G2 * g2 + tabs.G3 * g3
+    return tabs.grid.weight * np.sum(acc, axis=1) * tabs.inv_fb
+
+
+class TestNonlinearKernel:
+    # 48 and 100 fit in one block of fewer rows than a full one, 200 ends in
+    # a ragged block (81 + 81 + 38 rows) and 256 is four full blocks of 64
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [48, 100, 200, 256])
+    def test_bit_identical_to_full_matrix(self, interp, n):
+        tabs = PerturbationTables(PARAMS, Grid(n), interp)
+        rng = np.random.default_rng(n)
+        for g in (np.zeros(n), 1e-3 * rng.normal(size=n), 1e3 * rng.normal(size=n)):
+            q, c = tabs.nonlinear(g)
+            assert np.array_equal(q, full_quadratic(tabs, g))
+            assert np.array_equal(c, full_cubic(tabs, g))
 
 
 class TestEvolutionConfig:
@@ -101,7 +145,7 @@ class TestCubicTerm:
         v = 0.02 * sum(rng.normal() * np.cos((k + 1) * g.nodes) +
                        rng.normal() * np.sin((k + 1) * g.nodes) for k in range(6))
         fb = rj_field(PARAMS, g).values
-        lhs = tabs.linear(v) + tabs.quadratic(v) + tabs.cubic(v)
+        lhs = row_form_linear(tabs, v) + tabs.quadratic(v) + tabs.cubic(v)
         f1 = Field(g, fb * (1.0 + v))
         rhs = collision_operator(f1).values / fb
         scale = np.max(np.abs(rhs))
@@ -172,6 +216,17 @@ class TestNonlinearF:
                               record_every=5)
         with pytest.raises(BlowupError):
             evolve_nonlinear_f(f0, cfg)
+
+
+class TestRunGuards:
+    def test_positivity_checked_every_step(self):
+        # f = 1 + g with dg/dt = -0.3 crosses zero at t = 10/3, between the
+        # record times 4 and 8; the step that lands at t = 3.5 must raise
+        g = Grid(16)
+        cfg = EvolutionConfig(dt=0.5, t_final=8.0, integrator="euler", record_every=8)
+        with pytest.raises(BlowupError, match=r"positivity failed at t = 3\.5$"):
+            _run(g, np.zeros(16), lambda gv: np.full_like(gv, -0.3), cfg,
+                 to_f=lambda gv: 1.0 + gv, to_g=lambda gv: gv)
 
 
 class TestPerturbation:
