@@ -13,14 +13,21 @@ experiments  the named studies behind the command-line tool
 cli          batch harness (entry point `phononlab`)
 """
 
-from .equilibria import MatchResult, RjParams, curve_F, mass_energy, match_rj, rj_field
-from .grid import Field, Grid, evaluate, lp_norm
-from .linearized import LinOperator, assemble, semigroup_apply
-from .manifold import f_minus, f_plus, h, h_bar, omega
+from importlib import import_module
 
-__all__ = [
-    "Field", "Grid", "LinOperator", "MatchResult", "RjParams",
-    "assemble", "curve_F", "evaluate", "f_minus", "f_plus", "h", "h_bar",
-    "lp_norm", "mass_energy", "match_rj", "omega", "rj_field",
-    "semigroup_apply",
-]
+# name -> defining module; loaded on first access (PEP 562), so importing
+# phononlab.cli does not load numpy before --threads sets the BLAS variables
+_EXPORTS = {name: module for module, names in (
+    ("equilibria", "MatchResult RjParams curve_F mass_energy match_rj rj_field"),
+    ("grid", "Field Grid evaluate lp_norm"),
+    ("linearized", "LinOperator assemble semigroup_apply"),
+    ("manifold", "f_minus f_plus h h_bar omega"),
+) for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -27,40 +27,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .grid import (Field, Grid, evaluate, interp_weights,  # noqa: F401
-                   lp_norm)  # evaluate/lp_norm re-exported: part of this surface
-from .manifold import TWO_PI, canonicalize, f_plus, h, omega
+from .grid import Field, Grid, gather, interp_weights
+from .manifold import TWO_PI, h, resonant_kernel
 
-# full (n x n) tables above this size would not fit comfortably; stream instead
+# full (n x n) tables above this size would not fit comfortably; larger grids
+# are walked in row-sliced tables of _CHUNK_ROWS output nodes
 TABLE_MAX_N = 2048
 _CHUNK_ROWS = 128
-
-
-def _chunk_geometry(x: np.ndarray, z: np.ndarray):
-    """Resonant partners and kernel weight for a block of output nodes."""
-    X = x[:, None]
-    Z = z[None, :]
-    P1 = np.asarray(h(X, Z))
-    P3 = canonicalize(X + P1 - Z)
-    W = omega(X) * omega(P1) * omega(Z) * omega(P3) / np.sqrt(f_plus(X, Z))
-    return P1, P3, W
 
 
 class ResonanceTable:
     """Precomputed geometry and interpolation stencils for one grid.
 
-    Reused by the collision operator, the linearized assembly, and time
-    stepping; building it is the only O(n^2) trigonometric cost.
+    Row r of the arrays belongs to output node `rows`[r] (all nodes by
+    default); columns run over every p2 node.  The full table is reused by
+    the collision operator, the linearized assembly, and time stepping;
+    building it is the only O(n^2) trigonometric cost.
     """
 
     _cache: dict = {}
     _cache_lock = threading.Lock()
 
-    def __init__(self, grid: Grid, interp: str = "linear"):
+    def __init__(self, grid: Grid, interp: str = "linear", rows=slice(None)):
         self.grid = grid
         self.interp = interp
+        self.rows = rows
         nodes = grid.nodes
-        self.P1, self.P3, self.W = _chunk_geometry(nodes, nodes)
+        self.P1, self.P3, self.W = resonant_kernel(nodes[rows, None], nodes[None, :])
         self.i1 = interp_weights(grid, self.P1, interp)
         self.i3 = interp_weights(grid, self.P3, interp)
 
@@ -77,21 +70,15 @@ class ResonanceTable:
                 cls._cache[key] = tab
         return tab
 
-    def gather(self, values: np.ndarray, which, rows=slice(None)) -> np.ndarray:
-        """Interpolated values at the stencil targets of `which`, for a block
-        of output rows (all rows by default); every row is computed the same
-        way whatever the block."""
-        idx, wts = which
-        out = values[idx[0][rows]] * wts[0][rows]
-        for i, wt in zip(idx[1:], wts[1:]):
-            out += values[i[rows]] * wt[rows]
-        return out
 
-    def at_p1(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return self.gather(values, self.i1, rows)
-
-    def at_p3(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return self.gather(values, self.i3, rows)
+def _row_blocks(grid: Grid, interp: str):
+    """The cached full table, or for grids above TABLE_MAX_N row-sliced
+    tables of _CHUNK_ROWS output nodes, each built when it is reached."""
+    if grid.n <= TABLE_MAX_N:
+        yield ResonanceTable.cached(grid, interp)
+        return
+    for r0 in range(0, grid.n, _CHUNK_ROWS):
+        yield ResonanceTable(grid, interp, slice(r0, r0 + _CHUNK_ROWS))
 
 
 def _bracket(f0, f1, f2, f3):
@@ -103,28 +90,12 @@ def collision_operator(f: Field, interp: str = "linear",
     """Evaluate C[f] at every grid node."""
     f.require_positive(pos_floor)
     grid = f.grid
-    n = grid.n
     vals = f.values
-    w = grid.weight
-    if n <= TABLE_MAX_N:
-        tab = ResonanceTable.cached(grid, interp)
-        f1 = tab.at_p1(vals)
-        f3 = tab.at_p3(vals)
-        br = _bracket(vals[:, None], f1, vals[None, :], f3)
-        out = w * np.sum(tab.W * br, axis=1)
-        return Field(grid, out)
-    # streaming path for epsilon-family grids that resolve eps^2
-    out = np.empty(n)
-    nodes = grid.nodes
-    for i0 in range(0, n, _CHUNK_ROWS):
-        i1 = min(i0 + _CHUNK_ROWS, n)
-        P1, P3, W = _chunk_geometry(nodes[i0:i1], nodes)
-        idx1, wts1 = interp_weights(grid, P1, interp)
-        idx3, wts3 = interp_weights(grid, P3, interp)
-        fv1 = sum(vals[i] * wt for i, wt in zip(idx1, wts1))
-        fv3 = sum(vals[i] * wt for i, wt in zip(idx3, wts3))
-        br = _bracket(vals[i0:i1, None], fv1, vals[None, :], fv3)
-        out[i0:i1] = w * np.sum(W * br, axis=1)
+    out = np.empty(grid.n)
+    for tab in _row_blocks(grid, interp):
+        br = _bracket(vals[tab.rows, None], gather(vals, tab.i1), vals[None, :],
+                      gather(vals, tab.i3))
+        out[tab.rows] = grid.weight * np.sum(tab.W * br, axis=1)
     return Field(grid, out)
 
 
@@ -176,29 +147,34 @@ def blowup_points(p0: float = 2.0) -> BlowupPoints:
     return BlowupPoints(p0=p0, p1=float(h(p0, z0)), p2=z0)
 
 
-def _snap_indicator(grid: Grid, lo: float, width: float) -> np.ndarray:
-    """Indicator of [lo, lo+width) snapped to whole grid cells."""
-    return ((grid.nodes >= lo) & (grid.nodes < lo + width)).astype(float)
+def three_bumps(eps: float, p_exp: float, pts: BlowupPoints):
+    """The exact three-bump spectrum as a callable of the momentum.
+
+    Heights eps^{-2/p}, eps^{-2/p}, eps^{-1/p} on [p0, p0 + eps^2),
+    [p1 - eps^2, p1) and [p2, p2 + eps).  The eps^2 bump at the fold value
+    p1 sits below it: the parameterization sweeps values h(p0, .) <= p1
+    only, so that side is the one the resonance actually visits.
+    """
+    e2 = eps ** 2
+    amp2 = eps ** (-2.0 / p_exp)
+    amp1 = eps ** (-1.0 / p_exp)
+
+    def f(p):
+        p = np.asarray(p)
+        v = amp2 * (((p >= pts.p0) & (p < pts.p0 + e2)) |
+                    ((p >= pts.p1 - e2) & (p < pts.p1))).astype(float)
+        return v + amp1 * ((p >= pts.p2) & (p < pts.p2 + eps)).astype(float)
+
+    return f
 
 
 def epsilon_family(eps: float, grid: Grid, p_exp: float = 2.0,
                    points: BlowupPoints | None = None) -> Field:
-    """Three-bump test family with uniformly bounded L^p norm.
-
-    Heights eps^{-2/p}, eps^{-2/p}, eps^{-1/p} on intervals of widths
-    eps^2, eps^2, eps around the distinguished triple.  The eps^2 bump at
-    the fold value p1 is placed on [p1 - eps^2, p1]: the parameterization
-    sweeps values h(p0, .) <= p1 only, so that side is the one the
-    resonance actually visits.
-    """
+    """Three-bump test family with uniformly bounded L^p norm: `three_bumps`
+    sampled on the grid nodes."""
     if not (0.0 < eps <= 0.1):
         raise ValueError(f"eps must be in (0, 0.1], got {eps}")
     if grid.n < 32.0 / eps ** 2:
         raise ResolutionError(
             f"grid n={grid.n} cannot resolve eps^2; need n >= {32.0 / eps ** 2:.0f}")
-    pts = points or blowup_points()
-    e2 = eps ** 2
-    vals = eps ** (-2.0 / p_exp) * _snap_indicator(grid, pts.p0, e2)
-    vals += eps ** (-2.0 / p_exp) * _snap_indicator(grid, pts.p1 - e2, e2)
-    vals += eps ** (-1.0 / p_exp) * _snap_indicator(grid, pts.p2, eps)
-    return Field(grid, vals)
+    return Field(grid, three_bumps(eps, p_exp, points or blowup_points())(grid.nodes))

@@ -38,7 +38,7 @@ from .collision import ResonanceTable, collision_operator, conserved_quantities,
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
-from .grid import Field, Grid, lp_norm, weighted_sup
+from .grid import Field, Grid, gather, lp_norm, weighted_sup
 from .linearized import T_BRACKET, LinOperator, assemble, multiplier_a
 
 BLOWUP_FACTOR = 1e3
@@ -155,7 +155,7 @@ class PerturbationTables:
         g2 = g[None, :]
         for r0 in range(0, n, rows):
             s = slice(r0, r0 + rows)
-            g0, g1, g3 = g[s, None], self.tab.at_p1(g, s), self.tab.at_p3(g, s)
+            g0, g1, g3 = g[s, None], gather(g, self.tab.i1, s), gather(g, self.tab.i3, s)
             g01, g02, g03 = g0 * g1, g0 * g2, g0 * g3
             g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
             G0, G1, G2, G3 = self.G0[s], self.G1[s], self.G2[s], self.G3[s]

@@ -16,8 +16,8 @@ from . import equilibria as eq
 from . import linearized as lin
 from .fitting import fit_power_law
 from .grid import Field, Grid
-from .manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros, f_plus,
-                       h, omega, omega_residual, triple_product_identity)
+from .manifold import (TWO_PI, f_minus, f_minus_zeros, f_plus, h, omega,
+                       omega_residual, resonant_kernel, triple_product_identity)
 from .quadrature import graded_midpoint_nodes
 
 
@@ -173,38 +173,14 @@ def rj_match_experiment(mass: float, energy: float) -> dict:
 # ---------------------------------------------------------------------------
 # L^p unboundedness
 
-def _blowup_field_factory(eps: float, p_exp: float, pts: coll.BlowupPoints):
-    """Exact three-bump spectrum as a callable (bespoke path; the gridded
-    version is collision.epsilon_family)."""
-    e2 = eps ** 2
-    amp2 = eps ** (-2.0 / p_exp)
-    amp1 = eps ** (-1.0 / p_exp)
-
-    def f(p):
-        p = np.asarray(p)
-        v = amp2 * (((p >= pts.p0) & (p < pts.p0 + e2)) |
-                    ((p >= pts.p1 - e2) & (p < pts.p1))).astype(float)
-        v = v + amp1 * ((p >= pts.p2) & (p < pts.p2 + eps)).astype(float)
-        return v
-
-    return f
-
-
 def _collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
                   z_wts: np.ndarray) -> np.ndarray:
     """C[f](p0) for a callable spectrum on a supplied p2 quadrature."""
     out = np.empty(p0_vals.size)
     f2 = f(z_nodes)
-    om2 = omega(z_nodes)
     for k, p0 in enumerate(p0_vals):
-        p1 = np.asarray(h(p0, z_nodes))
-        p3 = canonicalize(p0 + p1 - z_nodes)
-        W = omega(p0) * omega(p1) * om2 * omega(p3) \
-            / np.sqrt(np.maximum(f_plus(p0, z_nodes), 1e-300))
-        f0 = float(f(p0))
-        f1 = f(p1)
-        f3 = f(p3)
-        br = f1 * f2 * f3 + f0 * f2 * f3 - f0 * f1 * f3 - f0 * f1 * f2
+        p1, p3, W = resonant_kernel(p0, z_nodes)
+        br = coll._bracket(float(f(p0)), f(p1), f2, f(p3))
         out[k] = float(np.sum(z_wts * W * br))
     return out
 
@@ -232,7 +208,7 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     z_nodes = np.concatenate([zc[~inside], zz])
     z_wts = np.concatenate([wc[~inside], wz])
 
-    f = _blowup_field_factory(eps, p_exp, pts)
+    f = coll.three_bumps(eps, p_exp, pts)
     windows = [
         (pts.p0 - 0.5 * e2, pts.p0 + 1.5 * e2, 48),
         (pts.p1 - 1.5 * e2, pts.p1 + 0.5 * e2, 48),

@@ -101,11 +101,21 @@ def interp_weights(grid: Grid, targets: np.ndarray, order: str = "linear"):
     raise ValueError(f"unknown interpolation order {order!r}")
 
 
+def gather(values: np.ndarray, stencil, rows=slice(None)) -> np.ndarray:
+    """Interpolated values at the targets of an `interp_weights` stencil, for
+    a block of its leading-axis rows (all by default).  The terms are summed
+    in stencil order, so each row is the same whatever the block."""
+    idx, wts = stencil
+    out = values[idx[0][rows]] * wts[0][rows]
+    for i, wt in zip(idx[1:], wts[1:]):
+        out += values[i[rows]] * wt[rows]
+    return out
+
+
 def evaluate(f: Field, p, order: str = "linear"):
     """Evaluate a field at arbitrary angles by periodic interpolation."""
-    idx, wts = interp_weights(f.grid, np.mod(p, TWO_PI), order)
-    out = sum(f.values[i] * wt for i, wt in zip(idx, wts))
-    return out if np.ndim(p) else float(out)
+    out = gather(f.values, interp_weights(f.grid, np.mod(np.atleast_1d(p), TWO_PI), order))
+    return out if np.ndim(p) else float(out[0])
 
 
 def lp_norm(f: Field, p: float) -> float:

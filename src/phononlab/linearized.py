@@ -31,8 +31,10 @@ with desingularized row quadrature for comparison against the weak form.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -42,8 +44,8 @@ from .equilibria import RjParams, rj_field
 from .errors import FitError, SpectralError
 from .fitting import DecayReport, fit_power_law
 from .grid import Field, Grid, interp_weights
-from .manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros, f_plus,
-                       h, h_inverse_pair, omega)
+from .manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
+                       h_inverse_pair, omega, resonant_kernel)
 from .quadrature import (QuadratureSpec, graded_midpoint_nodes,
                          integrate_inverse_sqrt, sqrt_substituted_nodes)
 
@@ -81,23 +83,16 @@ def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
         nodes, wts = graded_midpoint_nodes(0.0, TWO_PI, n_panels,
                                            refine_at=(peak,),
                                            min_scale=1e-14, local_order=8)
-        P1 = np.asarray(h(x, nodes))
-        P3 = canonicalize(x + P1 - nodes)
-        integ = omega(P1) * omega(nodes) * omega(P3) \
-            * params.value(P1) * params.value(nodes) * params.value(P3) \
-            / np.sqrt(np.maximum(f_plus(x, nodes), 1e-300))
-        out[k] = omega(x) / params.value(x) * float(np.sum(wts * integ))
+        P1, P3, W = resonant_kernel(x, nodes)
+        integ = W * params.value(P1) * params.value(nodes) * params.value(P3)
+        out[k] = float(np.sum(wts * integ)) / params.value(x)
     return out if np.ndim(p) else float(out[0])
 
 
 def kernel_k2(p, p2, params: RjParams):
     """Kernel of the p2-route integral operator K2."""
-    p = np.asarray(p, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    p1 = np.asarray(h(p, p2))
-    p3 = canonicalize(p + p1 - p2)
-    return omega(p) * omega(p1) * omega(p2) * omega(p3) \
-        * params.value(p1) * params.value(p3) / np.sqrt(f_plus(p, p2))
+    p1, p3, W = resonant_kernel(p, p2)
+    return W * params.value(p1) * params.value(p3)
 
 
 def _k1_smooth_factor(p, p1, params: RjParams):
@@ -370,27 +365,43 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 # binary cache
 
 _MAGIC = b"PHLNOP01"
+_HEADER_BYTES = 8 + 32 + 40  # magic tag, key (n, interp, beta, gamma), 5 diagnostics
 
 
 def save_operator(op: LinOperator, path) -> None:
-    """Binary cache: key header plus little-endian float64 payload."""
-    n = op.grid.n
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        interp_code = 0 if op.interp == "linear" else 1
-        fh.write(struct.pack("<qqdd", n, interp_code, op.params.beta, op.params.gamma))
-        fh.write(struct.pack("<ddddd", op.spectral_tol, *op.kernel_residuals,
-                             op.sym_defect, 0.0))
-        for arr in (op.a.values, op.matrix, op.eigenvalues, op.eigenvectors):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Binary cache: key header plus little-endian float64 payload.  It is
+    written to a temporary file beside `path` and renamed into place, so
+    `path` never holds a partly written file."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            interp_code = 0 if op.interp == "linear" else 1
+            fh.write(struct.pack("<qqdd", op.grid.n, interp_code,
+                                 op.params.beta, op.params.gamma))
+            fh.write(struct.pack("<ddddd", op.spectral_tol, *op.kernel_residuals,
+                                 op.sym_defect, 0.0))
+            for arr in (op.a.values, op.matrix, op.eigenvalues, op.eigenvectors):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_operator(path) -> LinOperator:
+    """Read a cache file.  Raises ValueError when the magic tag is wrong or
+    the file size is not the one its header implies (a truncated file)."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
+        head = fh.read(_HEADER_BYTES)
+        if len(head) < _HEADER_BYTES or head[:8] != _MAGIC:
             raise ValueError(f"{path} is not an operator cache file")
-        n, interp_code, beta, gamma = struct.unpack("<qqdd", fh.read(32))
-        spectral_tol, r1, r2, sym_defect, _ = struct.unpack("<ddddd", fh.read(40))
+        n, interp_code, beta, gamma, spectral_tol, r1, r2, sym_defect, _ = \
+            struct.unpack_from("<qq7d", head, 8)
+        size = os.fstat(fh.fileno()).st_size
+        want = _HEADER_BYTES + 8 * (2 * n + 2 * n * n)
+        if size != want:
+            raise ValueError(f"{path} has {size} bytes; its header (n={n}) implies {want}")
         grid = Grid(int(n))
         a = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
         matrix = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
@@ -409,15 +420,16 @@ def load_or_assemble(params: RjParams, grid: Grid, cache_dir=None,
     """Assemble L or reuse a cache file keyed by (n, beta, gamma, interp)."""
     if cache_dir is None:
         return assemble(params, grid, interp)
-    from pathlib import Path
     d = Path(cache_dir)
     d.mkdir(parents=True, exist_ok=True)
     key = f"linop_n{grid.n}_b{params.beta:.12g}_g{params.gamma:.12g}_{interp}.bin"
     path = d / key
-    if path.exists():
-        op = load_operator(path)
-        if (op.grid.n == grid.n and op.params == params and op.interp == interp):
-            return op
+    try:
+        op = load_operator(path) if path.exists() else None
+    except ValueError:  # a foreign or truncated file is a miss: overwritten below
+        op = None
+    if op is not None and (op.grid.n, op.params, op.interp) == (grid.n, params, interp):
+        return op
     op = assemble(params, grid, interp)
     save_operator(op, path)
     return op

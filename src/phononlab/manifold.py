@@ -102,6 +102,21 @@ def f_plus(x, z):
     return (np.cos(x / 2.0) + np.cos(z / 2.0)) ** 2 + 4.0 * np.sin(x / 2.0) * np.sin(z / 2.0)
 
 
+def resonant_kernel(x, z):
+    """(p1, p3, W) on the nontrivial branch for base points x and p2 = z.
+
+    p1 = h(x, z), p3 = x + p1 - z (mod 2pi) and the weight
+    W = omega0 omega1 omega2 omega3 / sqrt(F+(x, z)); inputs broadcast.
+    F+ is floored at 1e-300 so the measure-zero corners where it vanishes
+    give a finite weight.
+    """
+    p1 = np.asarray(h(x, z))
+    p3 = canonicalize(x + p1 - z)
+    w = omega(x) * omega(p1) * omega(z) * omega(p3) \
+        / np.sqrt(np.maximum(f_plus(x, z), 1e-300))
+    return p1, p3, w
+
+
 def f_minus(x, y):
     """Jacobian radicand for integration in the p1 variable (signed)."""
     x = np.asarray(x, dtype=float)

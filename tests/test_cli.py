@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +138,51 @@ class TestRuns:
         from phononlab.cli import _apply_thread_cap
         _apply_thread_cap(None)
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_thread_cap_reaches_blas(self, how, tmp_path):
+        # the cap must be in place before numpy loads: count the OS threads
+        # of a process that ran the CLI and then a BLAS matmul
+        script = (
+            "import sys\n"
+            "from phononlab import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "import numpy as np\n"
+            "a = np.ones((256, 256)); a @ a\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('Threads:'):\n"
+            "        print(code, line.split()[1])\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PHONON_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        args = ["--output-dir", str(tmp_path), "rj-match", "--mass", "3.0", "--energy", "1.0"]
+        if how == "flag":
+            args = ["--threads", "1"] + args
+        else:
+            env["PHONON_THREADS"] = "1"
+        out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split()[-2:] == ["0", "1"]
+
+
+class TestOperatorCache:
+    @pytest.mark.parametrize("damage", ["truncate", "bad_magic"])
+    def test_damaged_cache_is_rebuilt(self, damage, tmp_path):
+        out = tmp_path / "out"
+        args = ["--output-dir", out, "spectrum", "--grid-n", 128]
+        assert run_cli(args) == EXIT_OK
+        names = ["eigenvalues.csv", "spectrum.json"]
+        (cache,) = (out / "cache").glob("linop_*.bin")
+        first = {name: (out / name).read_bytes() for name in names}
+        first_cache = cache.read_bytes()
+        if damage == "truncate":
+            cache.write_bytes(first_cache[:len(first_cache) // 2])
+        else:
+            cache.write_bytes(b"XXXXXXXX" + first_cache[8:])
+        assert run_cli(args) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in names} == first
+        assert cache.read_bytes() == first_cache
+        assert sorted(p.name for p in (out / "cache").iterdir()) == [cache.name]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phononlab import collision
 from phononlab.collision import (blowup_points, collision_operator,
                                  conserved_quantities, entropy,
                                  epsilon_family)
@@ -62,6 +63,15 @@ class TestCollisionOperator:
             drifts.append(abs(e))
         assert drifts[2] < drifts[0]
         assert drifts[2] < 1e-5
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [256, 300])  # 300 = 128 + 128 + 44 rows
+    def test_row_blocks_equal_cached_table(self, monkeypatch, interp, n):
+        f = smooth_positive_field(Grid(n), seed=2)
+        full = collision_operator(f, interp).values
+        monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
+        blocked = collision_operator(f, interp).values
+        assert np.array_equal(blocked, full)
 
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):

@@ -9,7 +9,7 @@ from phononlab.dynamics import (EvolutionConfig, PerturbationTables, _run,
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import BlowupError, ConfigError, FitError
 from phononlab.fitting import fit_power_law
-from phononlab.grid import Field, Grid
+from phononlab.grid import Field, Grid, gather
 from phononlab.linearized import assemble, decay_initial_data, semigroup_apply
 
 PARAMS = RjParams(1.0, 1.0)
@@ -35,7 +35,7 @@ def scaled_data(params, grid, eps):
 # reference that PerturbationTables.nonlinear must reproduce bit for bit.
 
 def full_gathers(tabs, g):
-    return g[:, None], tabs.tab.at_p1(g), g[None, :], tabs.tab.at_p3(g)
+    return g[:, None], gather(g, tabs.tab.i1), g[None, :], gather(g, tabs.tab.i3)
 
 
 def full_quadratic(tabs, g):

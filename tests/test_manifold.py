@@ -4,7 +4,8 @@ import pytest
 from phononlab.errors import ConvergenceError, DomainError
 from phononlab.manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
                                 f_plus, h, h_bar, h_inverse_pair, omega,
-                                omega_residual, triple_product_identity)
+                                omega_residual, resonant_kernel,
+                                triple_product_identity)
 
 RNG = np.random.default_rng(20240801)
 
@@ -226,3 +227,24 @@ class TestArcsinArgumentBound:
         arg = np.abs(np.tan((Z - X) / 4.0) * np.cos((X + Z) / 4.0))
         corner = np.abs(np.abs(Z - X) - TWO_PI) < 1e-12
         assert np.max(arg[~corner]) <= 1.0 + 1e-12
+
+
+class TestResonantKernel:
+    def test_exchange_symmetry(self):
+        # swapping p0 and p2 maps (p0,p1,p2,p3) -> (p2,p3,p0,p1): P3(x,z) is
+        # P1(z,x) and W is symmetric; mass conservation of the tensor rule
+        # rests on this.  Includes points within 1e-6 of the four corners.
+        rng = np.random.default_rng(5)
+        m = 4000
+        cx = rng.choice([0.0, TWO_PI], m)
+        cz = rng.choice([0.0, TWO_PI], m)
+        x = np.concatenate([rng.uniform(0.0, TWO_PI, 20000),
+                            np.abs(cx - rng.uniform(0.0, 1e-6, m))])
+        z = np.concatenate([rng.uniform(0.0, TWO_PI, 20000),
+                            np.abs(cz - rng.uniform(0.0, 1e-6, m))])
+        _, p3, w = resonant_kernel(x, z)
+        q1, _, wt = resonant_kernel(z, x)
+        gap = np.mod(p3 - q1, TWO_PI)
+        assert np.max(np.minimum(gap, TWO_PI - gap)) <= 1e-13
+        assert np.max(np.abs(w - wt)) <= 1e-14
+        assert np.all(np.isfinite(w))
