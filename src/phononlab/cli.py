@@ -4,7 +4,8 @@ One process per run.  Each subcommand validates its configuration, runs the
 corresponding experiment, and writes its artifacts plus a manifest.json
 (config hash, package version, wall time, status) into the output
 directory; the manifest is written even when the run fails.  Exit codes:
-0 success, 2 configuration error, 3 numerical error.
+0 success, 2 configuration error, 3 numerical error, 4 I/O error (an
+artifact or cache file that cannot be read or written).
 
 A flat key=value config file can seed any run; command-line flags win over
 file values.  --threads (or the PHONON_THREADS environment variable) caps
@@ -24,6 +25,7 @@ import time
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_IO = 4
 
 SUBCOMMANDS = ("multiplier", "spectrum", "lin-decay", "nonlin", "rj-match",
                "lp-blowup", "verify")
@@ -264,6 +266,10 @@ def run(args: argparse.Namespace) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         manifest["status"] = f"config-error: {exc}"
         code = EXIT_CONFIG
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        manifest["status"] = f"io-error: {exc}"
+        code = EXIT_IO
     finally:
         manifest["wall_time_s"] = round(time.time() - t0, 3)
         _write_json(outdir / "manifest.json", manifest)

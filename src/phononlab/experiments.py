@@ -20,6 +20,10 @@ from .manifold import (TWO_PI, f_minus, f_minus_zeros, f_plus, h, omega,
                        omega_residual, resonant_kernel, triple_product_identity)
 from .quadrature import graded_midpoint_nodes
 
+# values per row-block temporary of _collision_at (512 KiB of float64: one
+# full-rule row, or about 16 rows on the three-bump support)
+_BLOCK_VALUES = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # multiplier scaling
@@ -175,13 +179,33 @@ def rj_match_experiment(mass: float, energy: float) -> dict:
 
 def _collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
                   z_wts: np.ndarray) -> np.ndarray:
-    """C[f](p0) for a callable spectrum on a supplied p2 quadrature."""
+    """C[f](p0) for a callable spectrum on a supplied p2 quadrature.
+
+    A row with f(p0) != 0 evaluates the kernel on every p2 node.  A row with
+    f(p0) = 0 has the bracket f1 f2 f3 + 0 - 0 - 0, which is exactly +0.0
+    wherever f(p2) = 0, so it evaluates the kernel only on the support
+    columns f(p2) != 0 and scatters those terms into a zero-filled row of
+    full length.  Each term on the support is the same elementwise operation
+    on the same operands as the full rule, each term off it is the same +0.0,
+    and the sum runs over the same whole row, so the result is bit for bit
+    that of the full rule.  Summing the compressed support terms instead
+    would pair them differently and change the rounding.  Rows are walked in
+    blocks of _BLOCK_VALUES kernel values.
+    """
     out = np.empty(p0_vals.size)
-    f2 = f(z_nodes)
-    for k, p0 in enumerate(p0_vals):
-        p1, p3, W = resonant_kernel(p0, z_nodes)
-        br = coll._bracket(float(f(p0)), f(p1), f2, f(p3))
-        out[k] = float(np.sum(z_wts * W * br))
+    f0, f2 = f(p0_vals), f(z_nodes)
+    for rows, cols in ((np.flatnonzero(f0 != 0.0), np.arange(z_nodes.size)),
+                       (np.flatnonzero(f0 == 0.0), np.flatnonzero(f2 != 0.0))):
+        z, wz, fz = z_nodes[cols], z_wts[cols], f2[cols]
+        row = np.zeros(z_nodes.size)
+        step = max(1, _BLOCK_VALUES // max(1, cols.size))
+        for r0 in range(0, rows.size, step):
+            blk = rows[r0:r0 + step]
+            p1, p3, W = resonant_kernel(p0_vals[blk, None], z)
+            terms = wz * W * coll._bracket(f0[blk, None], f(p1), fz, f(p3))
+            for k, t in zip(blk, terms):
+                row[cols] = t
+                out[k] = np.sum(row)
     return out
 
 
@@ -196,6 +220,10 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     by a coarse rule (its contribution is lower order, but it is measured,
     not assumed).  The p2 quadrature likewise zooms into the critical
     window around the third point, where the fold traverses the eps^2 bump.
+    Every output row is computed, coarse ones included; a row outside the
+    bumps evaluates the kernel only on the p2 nodes inside them, since every
+    other term of its integrand is exactly zero (see `_collision_at`), so the
+    norm is bit for bit that of the full rule.
     """
     pts = pts or coll.blowup_points()
     e2 = eps ** 2

@@ -186,3 +186,14 @@ class TestOperatorCache:
         assert {name: (out / name).read_bytes() for name in names} == first
         assert cache.read_bytes() == first_cache
         assert sorted(p.name for p in (out / "cache").iterdir()) == [cache.name]
+
+    def test_unreadable_cache_is_io_error(self, tmp_path, capsys):
+        # a directory where the cache file should be: IsADirectoryError on read
+        from phononlab.cli import EXIT_IO
+        out = tmp_path / "out"
+        (out / "cache" / "linop_n64_b1_g1_linear.bin").mkdir(parents=True)
+        code = run_cli(["--output-dir", out, "spectrum", "--grid-n", 64])
+        assert code == EXIT_IO
+        assert "io error:" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"].startswith("io-error: ")
