@@ -27,19 +27,29 @@ and the ratio of the equilibrium is constant), and annihilates omega*fb to
 interpolation accuracy.  The pointwise kernels above are still exposed for
 direct study; `k1_matrix` builds the product-integration realization of K1
 with desingularized row quadrature for comparison against the weak form.
+
+The quadratic form is assembled element by element, as finite-element
+matrices are in vector languages (Cuvelier, Japhet & Scarella, BIT 2016).
+Row r = (i, j) of the tensor rule has a short stencil s_r on the nodes,
++w3 at the p3 interpolation nodes, +1 at j, -1 at i and -w1 at the p1
+interpolation nodes (6 entries for linear interpolation, 10 for cubic), and
+Q = sum_r measure_r s_r s_r^T.  Blocks of table rows send the upper-triangle
+products of their stencils into one weighted bincount over the n^2 entries,
+so no (n^2 x n) matrix is formed and the memory is the dense result plus
+one block's temporaries.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
-from .collision import ResonanceTable
+from .collision import _CHUNK_ROWS, _row_blocks
 from .equilibria import RjParams, rj_field
 from .errors import FitError, SpectralError
 from .fitting import DecayReport, fit_power_law
@@ -50,6 +60,9 @@ from .quadrature import (QuadratureSpec, graded_midpoint_nodes,
                          integrate_inverse_sqrt, sqrt_substituted_nodes)
 
 T_BRACKET = 10.0  # time bracket in <t> = 10 + |t|
+# stencil-pair values per sub-block of the weak-form assembly (8 MiB of
+# float64 weights: 32 table rows at n = 1024 with linear interpolation)
+_BLOCK_VALUES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +72,15 @@ def multiplier_a(params: RjParams, grid: Grid) -> Field:
     """Collision frequency a(p) on the grid, by the nodal tensor rule.
 
     Uses the same nodes as the matrix assembly so that the diagonal and
-    integral parts of L see identical quadrature.
+    integral parts of L see identical quadrature.  Walks the row blocks of
+    the collision operator, so no full table is built above TABLE_MAX_N.
     """
-    tab = ResonanceTable.cached(grid)
-    fb1 = params.value(tab.P1)
     fb2 = params.value(grid.nodes)[None, :]
-    fb3 = params.value(tab.P3)
-    integ = tab.W * fb1 * fb2 * fb3
-    a = grid.weight * np.sum(integ, axis=1) / params.value(grid.nodes)
-    return Field(grid, a)
+    a = np.empty(grid.n)
+    for tab in _row_blocks(grid, "linear"):
+        integ = tab.W * params.value(tab.P1) * fb2 * params.value(tab.P3)
+        a[tab.rows] = np.sum(integ, axis=1)
+    return Field(grid, grid.weight * a / params.value(grid.nodes))
 
 
 def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
@@ -206,29 +219,49 @@ class LinOperator:
 
 
 def _weak_form_matrix(params: RjParams, grid: Grid, interp: str) -> np.ndarray:
+    """L from its Dirichlet form, assembled stencil by stencil (module doc).
+
+    A collects measure_r c_a c_b at (node_a, node_b) for every pair a <= b
+    of stencil entries, diagonal pairs halved, so Q = A + A^T exactly and
+    entries that share a node add up as in S^T diag(measure) S.  Sub-blocks
+    hold a power of two table rows, at most _CHUNK_ROWS, so they split the
+    cached full table and the row-sliced tables above TABLE_MAX_N at the
+    same rows and the result is the same to the bit on both paths.
+    """
     n = grid.n
-    tab = ResonanceTable.cached(grid, interp)
     fb = params.value(grid.nodes)
-    measure = tab.W * fb[:, None] * params.value(tab.P1) \
-        * fb[None, :] * params.value(tab.P3)
-
-    rows = np.arange(n * n)
-    ones = np.ones(n * n)
-    m0 = sparse.csr_matrix((ones, (rows, np.repeat(np.arange(n), n))), shape=(n * n, n))
-    m2 = sparse.csr_matrix((ones, (rows, np.tile(np.arange(n), n))), shape=(n * n, n))
-
-    def interp_sparse(which):
-        idx, wts = which
-        r = np.concatenate([rows] * len(idx))
-        c = np.concatenate([i.ravel() for i in idx])
-        v = np.concatenate([w.ravel() for w in wts])
-        return sparse.csr_matrix((v, (r, c)), shape=(n * n, n))
-
-    S = (interp_sparse(tab.i3) + m2 - m0 - interp_sparse(tab.i1)).tocsr()
-    Q = (S.T @ sparse.diags(measure.ravel()) @ S).toarray()
+    cols = np.arange(n)
+    A = np.zeros(n * n)
+    for tab in _row_blocks(grid, interp):
+        (i3, w3), (i1, w1) = tab.i3, tab.i1
+        ta, tb = np.triu_indices(2 * len(i1) + 2)
+        half = np.where(ta == tb, 0.5, 1.0)[:, None]
+        # rows per sub-block: the largest power of two that keeps its pair
+        # values within _BLOCK_VALUES (at least one row)
+        fit = max(1, _BLOCK_VALUES // (ta.size * n))
+        step = min(_CHUNK_ROWS, 1 << (fit.bit_length() - 1))
+        rows = cols[tab.rows]
+        for b0 in range(0, rows.size, step):
+            s = slice(b0, b0 + step)
+            r = rows[s, None]
+            measure = tab.W[s] * fb[r] * params.value(tab.P1[s]) \
+                * fb[None, :] * params.value(tab.P3[s])
+            idx = np.stack(np.broadcast_arrays(*(i[s] for i in i3), cols, r,
+                                               *(i[s] for i in i1)))
+            c = np.stack(np.broadcast_arrays(*(w[s] for w in w3), 1.0, -1.0,
+                                             *(-w[s] for w in w1)))
+            idx = idx.reshape(len(idx), -1)
+            c = c.reshape(len(c), -1)
+            mc = c * measure.ravel()  # (c_a measure) c_b, as S^T diag(measure) S
+            A += np.bincount((idx[ta] * n + idx[tb]).ravel(),
+                             weights=(half * mc[ta] * c[tb]).ravel(), minlength=n * n)
+    A = A.reshape(n, n)
+    L = A + A.T  # Q, scaled in place to L = -(weight / 4) Q / (fb fb^T)
     inv_fb = 1.0 / fb
-    negL = (grid.weight / 4.0) * (inv_fb[:, None] * Q * inv_fb[None, :])
-    return -negL
+    L *= inv_fb[:, None]
+    L *= inv_fb[None, :]
+    L *= -(grid.weight / 4.0)
+    return L
 
 
 def assemble(params: RjParams, grid: Grid, interp: str = "linear",
@@ -364,14 +397,20 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 # ---------------------------------------------------------------------------
 # binary cache
 
-_MAGIC = b"PHLNOP01"
-_HEADER_BYTES = 8 + 32 + 40  # magic tag, key (n, interp, beta, gamma), 5 diagnostics
+_MAGIC = b"PHLNOP02"  # 01: sparse assembly, no checksum
+# magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
+_HEADER_BYTES = 8 + 32 + 40
 
 
 def save_operator(op: LinOperator, path) -> None:
     """Binary cache: key header plus little-endian float64 payload.  It is
     written to a temporary file beside `path` and renamed into place, so
     `path` never holds a partly written file."""
+    payload = [np.ascontiguousarray(arr, dtype="<f8")
+               for arr in (op.a.values, op.matrix, op.eigenvalues, op.eigenvectors)]
+    crc = 0
+    for arr in payload:
+        crc = zlib.crc32(arr, crc)
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -379,10 +418,10 @@ def save_operator(op: LinOperator, path) -> None:
             interp_code = 0 if op.interp == "linear" else 1
             fh.write(struct.pack("<qqdd", op.grid.n, interp_code,
                                  op.params.beta, op.params.gamma))
-            fh.write(struct.pack("<ddddd", op.spectral_tol, *op.kernel_residuals,
-                                 op.sym_defect, 0.0))
-            for arr in (op.a.values, op.matrix, op.eigenvalues, op.eigenvectors):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(struct.pack("<ddddQ", op.spectral_tol, *op.kernel_residuals,
+                                 op.sym_defect, crc))
+            for arr in payload:
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -390,23 +429,28 @@ def save_operator(op: LinOperator, path) -> None:
 
 
 def load_operator(path) -> LinOperator:
-    """Read a cache file.  Raises ValueError when the magic tag is wrong or
-    the file size is not the one its header implies (a truncated file)."""
+    """Read a cache file.  Raises ValueError when the magic tag is wrong, the
+    file size is not the one its header implies (a truncated file) or the
+    payload does not match its checksum."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
         if len(head) < _HEADER_BYTES or head[:8] != _MAGIC:
             raise ValueError(f"{path} is not an operator cache file")
-        n, interp_code, beta, gamma, spectral_tol, r1, r2, sym_defect, _ = \
-            struct.unpack_from("<qq7d", head, 8)
+        n, interp_code, beta, gamma, spectral_tol, r1, r2, sym_defect, crc = \
+            struct.unpack_from("<qq6dQ", head, 8)
         size = os.fstat(fh.fileno()).st_size
         want = _HEADER_BYTES + 8 * (2 * n + 2 * n * n)
         if size != want:
             raise ValueError(f"{path} has {size} bytes; its header (n={n}) implies {want}")
-        grid = Grid(int(n))
-        a = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        matrix = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
-        evals = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        evecs = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
+        a, matrix, evals, evecs = payload = \
+            [np.empty(shape, dtype="<f8") for shape in (n, (n, n), n, (n, n))]
+        got = 0
+        for arr in payload:
+            fh.readinto(arr)
+            got = zlib.crc32(arr, got)
+    if got != crc:
+        raise ValueError(f"{path} fails its checksum")
+    grid = Grid(int(n))
     params = RjParams(beta=beta, gamma=gamma)
     return LinOperator(grid=grid, params=params, a=Field(grid, a), matrix=matrix,
                        eigenvalues=evals, eigenvectors=evecs,
@@ -426,7 +470,7 @@ def load_or_assemble(params: RjParams, grid: Grid, cache_dir=None,
     path = d / key
     try:
         op = load_operator(path) if path.exists() else None
-    except ValueError:  # a foreign or truncated file is a miss: overwritten below
+    except ValueError:  # a foreign, truncated or damaged file is a miss: overwritten below
         op = None
     if op is not None and (op.grid.n, op.params, op.interp) == (grid.n, params, interp):
         return op

@@ -184,6 +184,12 @@ def h_inverse_pair(y, x):
     Returns (z_plus, z_minus), canonical in [0, 2pi).  The pair realizes the
     p2 <-> p3 exchange: z_minus = x + y - z_plus (mod 2pi).  Only meaningful
     where F-(x, y) >= 0; the arcsin argument is clamped at the boundary.
+
+    Accuracy: each branch lies within about one ulp of 2pi of an exact
+    solution, but the round trip h(x, z) - y is that error times |dh/dz|,
+    which grows as x -> 0 while z_minus presses against 2pi.  The round
+    trip is below 1e-12 for x in [0.2, 2pi - 0.2]; at x = 1e-4, z = 2^-6 it
+    misses by 1.8e-9 (|dh/dz| ~ 5e6 there: one ulp of z moves h by 4.5e-9).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

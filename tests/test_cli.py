@@ -169,7 +169,8 @@ class TestRuns:
 
 
 class TestOperatorCache:
-    @pytest.mark.parametrize("damage", ["truncate", "bad_magic"])
+    @pytest.mark.parametrize("damage", ["truncate", "bad_magic", "flip_payload_byte",
+                                        "old_magic"])
     def test_damaged_cache_is_rebuilt(self, damage, tmp_path):
         out = tmp_path / "out"
         args = ["--output-dir", out, "spectrum", "--grid-n", 128]
@@ -180,8 +181,16 @@ class TestOperatorCache:
         first_cache = cache.read_bytes()
         if damage == "truncate":
             cache.write_bytes(first_cache[:len(first_cache) // 2])
-        else:
+        elif damage == "bad_magic":
             cache.write_bytes(b"XXXXXXXX" + first_cache[8:])
+        elif damage == "flip_payload_byte":
+            # same size and header: only the checksum can tell
+            damaged = bytearray(first_cache)
+            damaged[len(damaged) // 2] ^= 0x01
+            cache.write_bytes(bytes(damaged))
+        else:
+            # the tag of the sparse assembly's format, which had no checksum
+            cache.write_bytes(b"PHLNOP01" + first_cache[8:])
         assert run_cli(args) == EXIT_OK
         assert {name: (out / name).read_bytes() for name in names} == first
         assert cache.read_bytes() == first_cache
@@ -197,3 +206,21 @@ class TestOperatorCache:
         assert "io error:" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"].startswith("io-error: ")
+
+
+class TestImports:
+    def test_runtime_does_not_import_scipy(self):
+        # scipy is a test-only dependency: importing every module of the
+        # package, the CLI and the experiments included, must not load it
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import phononlab, phononlab.cli, phononlab.experiments\n"
+            "for mod in pkgutil.iter_modules(phononlab.__path__):\n"
+            "    importlib.import_module('phononlab.' + mod.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
+from phononlab import collision, linearized
+from phononlab.collision import ResonanceTable
 from phononlab.equilibria import RjParams
 from phononlab.errors import FitError
 from phononlab.grid import Field, Grid, lp_norm
@@ -204,6 +209,75 @@ class TestAssembly:
             assemble(PARAMS, Grid(32))
         with pytest.raises(ValueError):
             assemble(RjParams(1.0, 0.0), Grid(128))
+
+
+def sparse_weak_form(params, grid, interp):
+    """Oracle: the weak form as S^T diag(measure) S with the (n^2 x n)
+    difference matrix S = I3 + M2 - M0 - I1 formed explicitly in sparse
+    storage, row (i, j) of S being one node of the tensor rule."""
+    n = grid.n
+    tab = ResonanceTable.cached(grid, interp)
+    fb = params.value(grid.nodes)
+    measure = tab.W * fb[:, None] * params.value(tab.P1) \
+        * fb[None, :] * params.value(tab.P3)
+
+    rows = np.arange(n * n)
+    ones = np.ones(n * n)
+    m0 = sparse.csr_matrix((ones, (rows, np.repeat(np.arange(n), n))), shape=(n * n, n))
+    m2 = sparse.csr_matrix((ones, (rows, np.tile(np.arange(n), n))), shape=(n * n, n))
+
+    def interp_sparse(which):
+        idx, wts = which
+        r = np.concatenate([rows] * len(idx))
+        c = np.concatenate([i.ravel() for i in idx])
+        v = np.concatenate([w.ravel() for w in wts])
+        return sparse.csr_matrix((v, (r, c)), shape=(n * n, n))
+
+    S = (interp_sparse(tab.i3) + m2 - m0 - interp_sparse(tab.i1)).tocsr()
+    Q = (S.T @ sparse.diags(measure.ravel()) @ S).toarray()
+    inv_fb = 1.0 / fb
+    return -(grid.weight / 4.0) * (inv_fb[:, None] * Q * inv_fb[None, :])
+
+
+class TestWeakFormAssembly:
+    # 1 << 15 stencil-pair values: 8-row sub-blocks at n = 100 with linear
+    # interpolation (the last one has 4 rows) and 4-row ones with cubic
+    @pytest.mark.parametrize("block_values", [None, 1 << 15])
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [64, 100, 256])
+    def test_matches_sparse_oracle(self, monkeypatch, n, interp, block_values):
+        if block_values is not None:
+            monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
+        g = Grid(n)
+        want = sparse_weak_form(PARAMS, g, interp)
+        got = linearized._weak_form_matrix(PARAMS, g, interp)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("block_values", [None, 1])  # 1: one row per sub-block
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [256, 300])  # 300 = 128 + 128 + 44 rows
+    def test_row_blocks_equal_cached_table(self, monkeypatch, n, interp, block_values):
+        if block_values is not None:
+            monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
+        g = Grid(n)
+        full = linearized._weak_form_matrix(PARAMS, g, interp)
+        a_full = multiplier_a(PARAMS, g).values
+        monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
+        assert np.array_equal(linearized._weak_form_matrix(PARAMS, g, interp), full)
+        assert np.array_equal(multiplier_a(PARAMS, g).values, a_full)
+
+    def test_traced_peak_memory(self):
+        # the (n^2 x n) sparse route peaked at 291 MiB here; the dense result
+        # and one sub-block's temporaries must stay within 16 n^2 doubles
+        g = Grid(1024)
+        ResonanceTable.cached(g, "linear")
+        tracemalloc.start()
+        try:
+            linearized._weak_form_matrix(PARAMS, g, "linear")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * g.n ** 2
 
 
 class TestSemigroup:

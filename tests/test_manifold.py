@@ -221,6 +221,20 @@ class TestHInversePair:
             assert canonicalize(x + y - zp) == pytest.approx(zm, abs=1e-9)
         assert count > 100
 
+    def test_round_trip_near_degenerate_corner(self):
+        # x -> 0 presses z_minus against 2pi, where |dh/dz| ~ 5e6: the branch
+        # is within one ulp of the root (h - y changes sign one ulp either
+        # side), and the round trip misses by 1.8e-9, under the 4.5e-9 that
+        # one ulp of z moves h there
+        x, z = 1e-4, 2.0 ** -6
+        y = float(h(x, z))
+        zp, zm = h_inverse_pair(y, x)
+        assert abs(float(h(x, zp)) - y) < 1e-12
+        assert abs(float(h(x, zm)) - y) < 5e-9
+        below = float(h(x, np.nextafter(zm, 0.0))) - y
+        above = float(h(x, np.nextafter(zm, TWO_PI))) - y
+        assert below * above < 0.0
+
 
 class TestArcsinArgumentBound:
     def test_on_grid(self):
