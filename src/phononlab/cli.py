@@ -3,7 +3,9 @@
 One process per run.  Each subcommand validates its configuration, runs the
 corresponding experiment, and writes its artifacts plus a manifest.json
 (config hash, package version, wall time, status) into the output
-directory; the manifest is written even when the run fails.  Exit codes:
+directory; the manifest is written even when the run fails.  `nonlin`
+also records its work counts there, and only there ("counters":
+{"rhs_evals": ...}).  Exit codes:
 0 success, 2 configuration error, 3 numerical error, 4 I/O error (an
 artifact or cache file that cannot be read or written).
 
@@ -169,8 +171,9 @@ def _write_series_csv(path, header, rows) -> None:
             wr.writerow([f"{x:.17g}" for x in row])
 
 
-def _run_subcommand(sub: str, cfg: dict, outdir) -> int:
-    """Dispatch; returns the exit code. Heavy imports happen here."""
+def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
+    """Dispatch; returns the exit code and fills `counters` with the run's
+    work counts (manifest only). Heavy imports happen here."""
     from . import experiments as ex
     from .grid import write_field_csv
 
@@ -205,7 +208,9 @@ def _run_subcommand(sub: str, cfg: dict, outdir) -> int:
         res = ex.nonlinear_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
                                       cfg["eps"], cfg["t_final"], cfg["dt"],
                                       cfg["interp"], cache_dir=outdir / "cache")
-        res.pop("trajectory").write_csv(outdir / "trajectory.csv")
+        traj = res.pop("trajectory")
+        traj.write_csv(outdir / "trajectory.csv")
+        counters["rhs_evals"] = traj.rhs_evals
         _write_json(outdir / "nonlin.json", res)
         print(f"drift mass {res['mass_drift']:.2e} energy {res['energy_drift']:.2e}; "
               f"exponent {res['exponent_w12']:.3f}")
@@ -254,9 +259,10 @@ def run(args: argparse.Namespace) -> int:
         "status": "running",
         "wall_time_s": None,
     }
+    counters: dict = {}
     t0 = time.time()
     try:
-        code = _run_subcommand(args.subcommand, cfg, outdir)
+        code = _run_subcommand(args.subcommand, cfg, outdir, counters)
         manifest["status"] = "ok" if code == EXIT_OK else "check-failed"
     except PhononLabError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
@@ -272,6 +278,8 @@ def run(args: argparse.Namespace) -> int:
         code = EXIT_IO
     finally:
         manifest["wall_time_s"] = round(time.time() - t0, 3)
+        if counters:
+            manifest["counters"] = counters
         _write_json(outdir / "manifest.json", manifest)
     return code
 

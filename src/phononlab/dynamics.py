@@ -19,12 +19,16 @@ to leading structure; the exact component carries additional cross terms
 weighted by resonance frequency differences, and those are kept: they are
 what makes L + Q + N reproduce the full operator to rounding.
 
-Q and N are evaluated together (PerturbationTables.nonlinear), walking the
-output rows in fixed blocks: each block gathers g at p1 and p3 and forms
-the pairwise products g_k g_l once, and both channel sums are built from
-them.  The blocking is a pure re-scheduling: Q, N and the right-hand side
-(L g + Q) + N are bit for bit those of the unfused full-matrix evaluation
-(PerturbationTables.nonlinear lists the rules that keep them so).
+Q and N are evaluated together (PerturbationTables.nonlinear) over the
+strict upper triangle of the tensor rule.  Exchanging the p0 and p2 nodes
+maps (p0,p1,p2,p3) to (p2,p3,p0,p1); the tables take the p3 side of each
+pair from the p1 side of its exchanged pair, so the fused integrand of
+Q + N is antisymmetric under the exchange by construction.  Each pair of
+the upper triangle then adds its term to one row and subtracts it from the
+other: half the gathers and channel arithmetic of the full rule, and mass
+that cancels term by term.  Against the full-matrix evaluation, Q + N
+agrees to rounding (the summation order and the p3 stencil, read off the
+exchanged pair, differ at the last bits).
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from .linearized import T_BRACKET, LinOperator, assemble, multiplier_a
 
 BLOWUP_FACTOR = 1e3
 B_NORM_DELTA = 1e-3  # delta in the <t>^{2/5-delta}, <t>^{3/5-delta} weights
-# values per row-block temporary of PerturbationTables.nonlinear (128 KiB of
-# float64: 64 rows at n = 256)
+# packed upper-triangle entries per block of PerturbationTables.nonlinear
+# (128 KiB per float64 temporary; n = 256 has 32,640 entries)
 _BLOCK_VALUES = 1 << 14
 
 
@@ -81,7 +85,8 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded diagnostics of one run; states kept only at record times."""
+    """Recorded diagnostics of one run; states kept only at record times,
+    rhs_evals counts the right-hand-side evaluations of the whole run."""
     times: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
@@ -92,6 +97,7 @@ class Trajectory:
     states: list = field(repr=False, default_factory=list)
     mass0: float = 0.0
     energy0: float = 0.0
+    rhs_evals: int = 0
 
     def conserved_drift(self):
         dm = float(np.max(np.abs(self.mass - self.mass0)) / abs(self.mass0))
@@ -116,78 +122,66 @@ class Trajectory:
 
 
 class PerturbationTables:
-    """Channel weights W * (product of three equilibrium values) per output row."""
+    """Channel weights W * (product of three equilibrium values) over the
+    strict upper triangle j > i of the tensor rule, packed in the order of
+    np.triu_indices(n, 1).
+
+    The exchange of the p0 and p2 nodes maps (p0, p1, p2, p3) to
+    (p2, p3, p0, p1), so the p3 side of (i, j) is the p1 side of (j, i):
+    P3 := P1^T and the p3 stencil is the p1 stencil read at (j, i).  G0..G3
+    are the weights of the channels that drop f0..f3.
+    """
 
     def __init__(self, params: RjParams, grid: Grid, interp: str = "linear"):
         self.tab = ResonanceTable.cached(grid, interp)
         self.grid = grid
         self.params = params
+        i, j = np.triu_indices(grid.n, 1)
+        idx, wts = self.tab.i1
+        self.i, self.j = i, j
+        self.s1 = tuple(k[i, j] for k in idx), tuple(w[i, j] for w in wts)
+        self.s3 = tuple(k[j, i] for k in idx), tuple(w[j, i] for w in wts)
         fb = params.value(grid.nodes)
-        F0 = fb[:, None]
-        F1 = params.value(self.tab.P1)
-        F2 = fb[None, :]
-        F3 = params.value(self.tab.P3)
-        W = self.tab.W
+        F0, F2 = fb[i], fb[j]
+        F1, F3 = params.value(self.tab.P1[i, j]), params.value(self.tab.P1[j, i])
+        W = self.tab.W[i, j]
         self.G0 = W * F1 * F2 * F3
         self.G1 = W * F0 * F2 * F3
         self.G2 = W * F0 * F1 * F3
         self.G3 = W * F0 * F1 * F2
         self.inv_fb = 1.0 / fb
 
-    def nonlinear(self, g: np.ndarray):
-        """(Q[g], N[g]): the quadratic and cubic components in one pass.
+    def nonlinear(self, g: np.ndarray) -> np.ndarray:
+        """Q[g] + N[g], the quadratic and cubic components in one pass.
 
-        Output rows are walked in blocks of _BLOCK_VALUES // n; each block
-        gathers g at p1 and p3 once and forms the six pairwise products
-        g_k g_l once, and both channel sums are built from them.  Every
-        operation is the one of the full-matrix formula on the same operands
-        in the same order, so the result is bit for bit independent of the
-        block size: e2(a, b, c) = (a b + a c) + b c, a triple product is
-        (a b) c, the channels combine as ((G0 x + G1 y) - G2 z) - G3 u, and
-        each row sum runs over one whole contiguous row.  Factoring g0 out
-        of a row sum, or turning a G g2 term into a matvec, would change the
-        rounding; so would adding Q + N before L g in the right-hand side.
+        The fused integrand M = G0 A0 + G1 A1 - G2 A2 - G3 A3, where A_k is
+        e2 + e3 of the three g other than g_k, flips sign under the exchange
+        and is zero on the diagonal, which the exchange maps to itself.  So
+        the row sums of the full rule are sums over the upper triangle: M
+        adds into row i and subtracts from row j.  Blocks of _BLOCK_VALUES
+        packed entries gather g at p1 and p3 once each and scatter M with
+        two bincounts.
         """
         n = g.size
-        rows = max(1, _BLOCK_VALUES // n)
-        q = np.empty(n)
-        c = np.empty(n)
-        g2 = g[None, :]
-        for r0 in range(0, n, rows):
-            s = slice(r0, r0 + rows)
-            g0, g1, g3 = g[s, None], gather(g, self.tab.i1, s), gather(g, self.tab.i3, s)
-            g01, g02, g03 = g0 * g1, g0 * g2, g0 * g3
-            g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
-            G0, G1, G2, G3 = self.G0[s], self.G1[s], self.G2[s], self.G3[s]
-            q[s] = np.sum(G0 * (g12 + g13 + g23) + G1 * (g02 + g03 + g23)
-                          - G2 * (g01 + g03 + g13) - G3 * (g01 + g02 + g12), axis=1)
-            c[s] = np.sum(G0 * (g12 * g3) + G1 * (g02 * g3)
-                          - G2 * (g01 * g3) - G3 * (g01 * g2), axis=1)
-        w = self.grid.weight
-        return w * q * self.inv_fb, w * c * self.inv_fb
-
-    def quadratic(self, g: np.ndarray) -> np.ndarray:
-        return self.nonlinear(g)[0]
-
-    def cubic(self, g: np.ndarray) -> np.ndarray:
-        return self.nonlinear(g)[1]
+        out = np.zeros(n)
+        for b0 in range(0, self.i.size, _BLOCK_VALUES):
+            s = slice(b0, b0 + _BLOCK_VALUES)
+            i, j = self.i[s], self.j[s]
+            g0, g2 = g[i], g[j]
+            g1, g3 = gather(g, self.s1, s), gather(g, self.s3, s)
+            g01, g02, g12 = g0 * g1, g0 * g2, g1 * g2
+            s01 = g0 + g1 + g01
+            m = self.G0[s] * (g12 + g3 * (g1 + g2 + g12))
+            m += self.G1[s] * (g02 + g3 * (g0 + g2 + g02))
+            m -= self.G2[s] * (g01 + g3 * s01)
+            m -= self.G3[s] * (g01 + g2 * s01)
+            out += np.bincount(i, m, minlength=n)
+            out -= np.bincount(j, m, minlength=n)
+        return self.grid.weight * out * self.inv_fb
 
 
-def quadratic_term(g: Field, params: RjParams, interp: str = "linear") -> Field:
-    """Exact quadratic component of the perturbation equation."""
-    tabs = PerturbationTables(params, g.grid, interp)
-    return Field(g.grid, tabs.quadratic(g.values))
-
-
-def cubic_term(g: Field, params: RjParams, interp: str = "linear") -> Field:
-    """Exact cubic component; every channel drops one g factor, so no
-    division by g occurs."""
-    tabs = PerturbationTables(params, g.grid, interp)
-    return Field(g.grid, tabs.cubic(g.values))
-
-
-def _check_stability_guard(cfg: EvolutionConfig, params: RjParams, grid: Grid):
-    amax = float(np.max(multiplier_a(params, grid).values))
+def _check_stability_guard(cfg: EvolutionConfig, a: Field):
+    amax = float(np.max(a.values))
     if cfg.dt * amax > 0.5 + 1e-12:
         raise ConfigError(
             f"dt = {cfg.dt} violates the stiffness guard dt * max(a) <= 0.5 "
@@ -217,6 +211,8 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
 
     f = to_f(g) must stay finite, positive and within BLOWUP_FACTOR of its
     initial sup norm after every step, else BlowupError names that step's t.
+    Returns the recorded rows, the recorded states and the number of rhs
+    calls made.
     """
     rec_times = cfg.record_times()
     n_steps = int(np.ceil(cfg.t_final / cfg.dt))
@@ -226,8 +222,15 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
     t = 0.0
     ri = 0
     rows, states = [], []
+    calls = 0
+
+    def counted(gv):
+        nonlocal calls
+        calls += 1
+        return rhs(gv)
+
     for _ in range(n_steps):
-        g = _step(rhs, g, dt, cfg.integrator)
+        g = _step(counted, g, dt, cfg.integrator)
         t += dt
         # O(n) per step: a transient between two record times is caught too
         f_vals = to_f(g)
@@ -240,8 +243,7 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
             states.append((t, g.copy()))
             while ri < len(rec_times) and t >= rec_times[ri] - 1e-9:
                 ri += 1
-    arr = np.asarray(rows)
-    return arr, states
+    return np.asarray(rows), states, calls
 
 
 def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
@@ -251,19 +253,20 @@ def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
     m0, e0 = conserved_quantities(f0)
     res = match_rj(m0, e0)
     if res.matched:
-        _check_stability_guard(cfg, res.params, grid)
+        _check_stability_guard(cfg, multiplier_a(res.params, grid))
 
     def rhs(fv):
         try:
             return collision_operator(Field(grid, fv), cfg.interp).values
         except (PositivityError, NonFiniteError) as exc:
             raise BlowupError(f"spectrum left the admissible set mid-step: {exc}") from exc
-    arr, states = _run(grid, f0.values, rhs, cfg,
-                       to_f=lambda fv: fv,
-                       to_g=lambda fv: fv)
+    arr, states, calls = _run(grid, f0.values, rhs, cfg,
+                              to_f=lambda fv: fv,
+                              to_g=lambda fv: fv)
     return Trajectory(times=arr[:, 0], mass=arr[:, 1], energy=arr[:, 2],
                       entropy=arr[:, 3], sup_w12=arr[:, 4], sup_w16=arr[:, 5],
-                      l2=arr[:, 6], states=states, mass0=m0, energy0=e0)
+                      l2=arr[:, 6], states=states, mass0=m0, energy0=e0,
+                      rhs_evals=calls)
 
 
 def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
@@ -273,30 +276,31 @@ def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
 
     g0 must be kernel-orthogonal (mass/energy of the initial perturbation
     vanish) with ||omega^-1/2 g0||_inf <= eps_max.  The linear part uses the
-    assembled matrix; quadratic and cubic parts use the tensor rule, both
-    from one row-blocked pass (PerturbationTables.nonlinear).
+    assembled matrix, whose collision frequency `a` also sets the stiffness
+    guard; quadratic and cubic parts use the tensor rule, both from one
+    upper-triangle pass (PerturbationTables.nonlinear).
     """
     grid = g0.grid
     eps = float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
     if eps > eps_max:
         raise ConfigError(f"||omega^-1/2 g0||_inf = {eps:.3g} exceeds {eps_max}")
-    _check_stability_guard(cfg, params, grid)
     op = operator if operator is not None else assemble(params, grid, cfg.interp)
+    _check_stability_guard(cfg, op.a)
     tabs = PerturbationTables(params, grid, cfg.interp)
     fb = params.value(grid.nodes)
     L = op.matrix
 
     def rhs(gv):
-        q, c = tabs.nonlinear(gv)
-        return L @ gv + q + c
+        return L @ gv + tabs.nonlinear(gv)
 
     m0, e0 = conserved_quantities(Field(grid, fb * (1.0 + g0.values)))
-    arr, states = _run(grid, g0.values, rhs, cfg,
-                       to_f=lambda gv: fb * (1.0 + gv),
-                       to_g=lambda gv: gv)
+    arr, states, calls = _run(grid, g0.values, rhs, cfg,
+                              to_f=lambda gv: fb * (1.0 + gv),
+                              to_g=lambda gv: gv)
     return Trajectory(times=arr[:, 0], mass=arr[:, 1], energy=arr[:, 2],
                       entropy=arr[:, 3], sup_w12=arr[:, 4], sup_w16=arr[:, 5],
-                      l2=arr[:, 6], states=states, mass0=m0, energy0=e0)
+                      l2=arr[:, 6], states=states, mass0=m0, energy0=e0,
+                      rhs_evals=calls)
 
 
 def b_norm_components(traj: Trajectory, delta: float = B_NORM_DELTA):

@@ -68,19 +68,26 @@ _BLOCK_VALUES = 1 << 20
 # ---------------------------------------------------------------------------
 # multiplier and pointwise kernels
 
+def _frequency_rows(params: RjParams, tab, fb: np.ndarray) -> np.ndarray:
+    """Row sums of W fb1 fb2 fb3 over one table: a fb / weight on its rows.
+    The geometry (P1, P3, W) does not depend on the interpolation order."""
+    return np.sum(tab.W * params.value(tab.P1) * fb[None, :] * params.value(tab.P3),
+                  axis=1)
+
+
 def multiplier_a(params: RjParams, grid: Grid) -> Field:
     """Collision frequency a(p) on the grid, by the nodal tensor rule.
 
     Uses the same nodes as the matrix assembly so that the diagonal and
-    integral parts of L see identical quadrature.  Walks the row blocks of
-    the collision operator, so no full table is built above TABLE_MAX_N.
+    integral parts of L see identical quadrature (`assemble` takes a from
+    the same row sums in its own pass).  Walks the row blocks of the
+    collision operator, so no full table is built above TABLE_MAX_N.
     """
-    fb2 = params.value(grid.nodes)[None, :]
+    fb = params.value(grid.nodes)
     a = np.empty(grid.n)
     for tab in _row_blocks(grid, "linear"):
-        integ = tab.W * params.value(tab.P1) * fb2 * params.value(tab.P3)
-        a[tab.rows] = np.sum(integ, axis=1)
-    return Field(grid, grid.weight * a / params.value(grid.nodes))
+        a[tab.rows] = _frequency_rows(params, tab, fb)
+    return Field(grid, grid.weight * a / fb)
 
 
 def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
@@ -218,8 +225,10 @@ class LinOperator:
         return self.eigenvectors[:, keep]
 
 
-def _weak_form_matrix(params: RjParams, grid: Grid, interp: str) -> np.ndarray:
-    """L from its Dirichlet form, assembled stencil by stencil (module doc).
+def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
+    """(L, a): L from its Dirichlet form, assembled stencil by stencil
+    (module doc), and the collision frequency a from the same tables, bit
+    for bit that of `multiplier_a`.
 
     A collects measure_r c_a c_b at (node_a, node_b) for every pair a <= b
     of stencil entries, diagonal pairs halved, so Q = A + A^T exactly and
@@ -231,8 +240,10 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str) -> np.ndarray:
     n = grid.n
     fb = params.value(grid.nodes)
     cols = np.arange(n)
+    a = np.empty(n)
     A = np.zeros(n * n)
     for tab in _row_blocks(grid, interp):
+        a[tab.rows] = _frequency_rows(params, tab, fb)
         (i3, w3), (i1, w1) = tab.i3, tab.i1
         ta, tb = np.triu_indices(2 * len(i1) + 2)
         half = np.where(ta == tb, 0.5, 1.0)[:, None]
@@ -261,7 +272,7 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str) -> np.ndarray:
     L *= inv_fb[:, None]
     L *= inv_fb[None, :]
     L *= -(grid.weight / 4.0)
-    return L
+    return L, grid.weight * a / fb
 
 
 def assemble(params: RjParams, grid: Grid, interp: str = "linear",
@@ -276,7 +287,7 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear",
         raise ValueError("the linearized analysis requires gamma > 0")
     if grid.n < 64:
         raise ValueError("assemble needs n >= 64")
-    L = _weak_form_matrix(params, grid, interp)
+    L, a = _weak_form_matrix(params, grid, interp)
     sym_defect = float(np.max(np.abs(L - L.T)) / np.max(np.abs(L)))
     L = 0.5 * (L + L.T)
 
@@ -296,8 +307,7 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear",
         raise SpectralError(
             f"{n_null} eigenvalues within +-{spectral_tol:.3e} of zero; expected 2")
 
-    a = multiplier_a(params, grid)
-    return LinOperator(grid=grid, params=params, a=a, matrix=L,
+    return LinOperator(grid=grid, params=params, a=Field(grid, a), matrix=L,
                        eigenvalues=evals, eigenvectors=evecs,
                        spectral_tol=spectral_tol,
                        kernel_residuals=(r1, r2), sym_defect=sym_defect,

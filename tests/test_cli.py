@@ -120,6 +120,10 @@ class TestRuns:
         assert code == EXIT_OK
         payload = json.loads((out / "nonlin.json").read_text())
         assert payload["mass_drift"] < 1e-12
+        # 50 RK4 steps of four right-hand sides; the count is in the manifest only
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counters"] == {"rhs_evals": 200}
+        assert "rhs_evals" not in (out / "nonlin.json").read_text()
         head = (out / "trajectory.csv").read_text().splitlines()[0]
         assert head == "t,mass,energy,entropy,sup_w12,sup_w16,l2"
 

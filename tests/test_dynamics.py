@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from phononlab.collision import collision_operator
+from phononlab import dynamics
+from phononlab.collision import ResonanceTable, collision_operator
 from phononlab.dynamics import (EvolutionConfig, PerturbationTables, _run,
-                                b_norm_components, cubic_term,
-                                evolve_nonlinear_f, evolve_perturbation,
-                                quadratic_term)
+                                b_norm_components, evolve_nonlinear_f,
+                                evolve_perturbation)
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import BlowupError, ConfigError, FitError
 from phononlab.fitting import fit_power_law
@@ -31,48 +33,102 @@ def scaled_data(params, grid, eps):
     return Field(grid, scale * g0.values)
 
 
-# Full-matrix (unfused, unblocked) forms of the row quadrature, kept as the
-# reference that PerturbationTables.nonlinear must reproduce bit for bit.
+# Full-matrix oracle: every (p0, p2) pair of the tensor rule, both triangles,
+# with the p3 side read from the table's own P3 and i3 stencil, and Q and N
+# summed separately row by row.  PerturbationTables.nonlinear must match
+# Q + N to rounding.
 
-def full_gathers(tabs, g):
-    return g[:, None], gather(g, tabs.tab.i1), g[None, :], gather(g, tabs.tab.i3)
+def full_tables(params, grid, interp="linear"):
+    """Channel weights G0..G3 on the full (n x n) tensor rule."""
+    tab = ResonanceTable.cached(grid, interp)
+    fb = params.value(grid.nodes)
+    F0, F1, F2, F3 = fb[:, None], params.value(tab.P1), fb[None, :], params.value(tab.P3)
+    W = tab.W
+    return SimpleNamespace(tab=tab, grid=grid, inv_fb=1.0 / fb,
+                           G0=W * F1 * F2 * F3, G1=W * F0 * F2 * F3,
+                           G2=W * F0 * F1 * F3, G3=W * F0 * F1 * F2)
 
 
-def full_quadratic(tabs, g):
-    g0, g1, g2, g3 = full_gathers(tabs, g)
+def full_gathers(full, g):
+    return g[:, None], gather(g, full.tab.i1), g[None, :], gather(g, full.tab.i3)
+
+
+def full_quadratic(full, g):
+    g0, g1, g2, g3 = full_gathers(full, g)
     e2 = lambda a, b, c: a * b + a * c + b * c
-    acc = tabs.G0 * e2(g1, g2, g3) + tabs.G1 * e2(g0, g2, g3) \
-        - tabs.G2 * e2(g0, g1, g3) - tabs.G3 * e2(g0, g1, g2)
-    return tabs.grid.weight * np.sum(acc, axis=1) * tabs.inv_fb
+    acc = full.G0 * e2(g1, g2, g3) + full.G1 * e2(g0, g2, g3) \
+        - full.G2 * e2(g0, g1, g3) - full.G3 * e2(g0, g1, g2)
+    return full.grid.weight * np.sum(acc, axis=1) * full.inv_fb
 
 
-def full_cubic(tabs, g):
-    g0, g1, g2, g3 = full_gathers(tabs, g)
-    acc = tabs.G0 * (g1 * g2 * g3) + tabs.G1 * (g0 * g2 * g3) \
-        - tabs.G2 * (g0 * g1 * g3) - tabs.G3 * (g0 * g1 * g2)
-    return tabs.grid.weight * np.sum(acc, axis=1) * tabs.inv_fb
+def full_cubic(full, g):
+    g0, g1, g2, g3 = full_gathers(full, g)
+    acc = full.G0 * (g1 * g2 * g3) + full.G1 * (g0 * g2 * g3) \
+        - full.G2 * (g0 * g1 * g3) - full.G3 * (g0 * g1 * g2)
+    return full.grid.weight * np.sum(acc, axis=1) * full.inv_fb
 
 
-def row_form_linear(tabs, g):
+def row_form_linear(full, g):
     """Row-form L action (channel l carries the sign of -+ g_l / fb_l); time
     stepping uses the symmetric matrix instead."""
-    g0, g1, g2, g3 = full_gathers(tabs, g)
-    acc = -tabs.G0 * g0 - tabs.G1 * g1 + tabs.G2 * g2 + tabs.G3 * g3
-    return tabs.grid.weight * np.sum(acc, axis=1) * tabs.inv_fb
+    g0, g1, g2, g3 = full_gathers(full, g)
+    acc = -full.G0 * g0 - full.G1 * g1 + full.G2 * g2 + full.G3 * g3
+    return full.grid.weight * np.sum(acc, axis=1) * full.inv_fb
+
+
+def quadratic_term(g: Field, params, interp="linear") -> Field:
+    """Exact quadratic component of the perturbation equation."""
+    return Field(g.grid, full_quadratic(full_tables(params, g.grid, interp), g.values))
+
+
+def cubic_term(g: Field, params, interp="linear") -> Field:
+    """Exact cubic component; every channel drops one g factor, so no
+    division by g occurs."""
+    return Field(g.grid, full_cubic(full_tables(params, g.grid, interp), g.values))
+
+
+def random_data(n):
+    rng = np.random.default_rng(n)
+    return 1e-3 * rng.normal(size=n), 1e3 * rng.normal(size=n)
 
 
 class TestNonlinearKernel:
-    # 48 and 100 fit in one block of fewer rows than a full one, 200 ends in
-    # a ragged block (81 + 81 + 38 rows) and 256 is four full blocks of 64
+    # packed upper triangles: 48 and 100 fit in one block of 16384 entries,
+    # 200 (19,900) and 256 (32,640) end in a ragged second block
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [48, 100, 200, 256])
-    def test_bit_identical_to_full_matrix(self, interp, n):
+    def test_agrees_with_full_matrix(self, interp, n):
+        grid = Grid(n)
+        tabs = PerturbationTables(PARAMS, grid, interp)
+        full = full_tables(PARAMS, grid, interp)
+        assert np.all(tabs.nonlinear(np.zeros(n)) == 0.0)
+        for g in random_data(n):
+            want = full_quadratic(full, g) + full_cubic(full, g)
+            got = tabs.nonlinear(g)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [48, 100, 200, 256])
+    def test_mass_cancels(self, interp, n):
+        # each pair adds to one row what it takes from the other
+        grid = Grid(n)
+        tabs = PerturbationTables(PARAMS, grid, interp)
+        fb = PARAMS.value(grid.nodes)
+        for g in random_data(n):
+            r = fb * tabs.nonlinear(g)
+            assert abs(np.sum(r)) <= 1e-15 * np.sum(np.abs(r))
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    def test_block_size_independent(self, monkeypatch, interp):
+        # n = 100: 4,950 entries, 38 blocks of 128 and a ragged one of 86
+        n = 100
         tabs = PerturbationTables(PARAMS, Grid(n), interp)
-        rng = np.random.default_rng(n)
-        for g in (np.zeros(n), 1e-3 * rng.normal(size=n), 1e3 * rng.normal(size=n)):
-            q, c = tabs.nonlinear(g)
-            assert np.array_equal(q, full_quadratic(tabs, g))
-            assert np.array_equal(c, full_cubic(tabs, g))
+        for g in random_data(n):
+            want = tabs.nonlinear(g)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_BLOCK_VALUES", 128)
+                got = tabs.nonlinear(g)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestEvolutionConfig:
@@ -140,12 +196,12 @@ class TestCubicTerm:
         # L g + Q[g] + N[g] in the shared row quadrature reproduces the full
         # collision operator of fb (1 + g) to rounding-level accuracy
         g = Grid(256)
-        tabs = PerturbationTables(PARAMS, g)
+        full = full_tables(PARAMS, g)
         rng = np.random.default_rng(2)
         v = 0.02 * sum(rng.normal() * np.cos((k + 1) * g.nodes) +
                        rng.normal() * np.sin((k + 1) * g.nodes) for k in range(6))
         fb = rj_field(PARAMS, g).values
-        lhs = row_form_linear(tabs, v) + tabs.quadratic(v) + tabs.cubic(v)
+        lhs = row_form_linear(full, v) + full_quadratic(full, v) + full_cubic(full, v)
         f1 = Field(g, fb * (1.0 + v))
         rhs = collision_operator(f1).values / fb
         scale = np.max(np.abs(rhs))

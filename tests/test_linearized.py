@@ -250,7 +250,7 @@ class TestWeakFormAssembly:
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
         g = Grid(n)
         want = sparse_weak_form(PARAMS, g, interp)
-        got = linearized._weak_form_matrix(PARAMS, g, interp)
+        got, _ = linearized._weak_form_matrix(PARAMS, g, interp)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("block_values", [None, 1])  # 1: one row per sub-block
@@ -260,11 +260,32 @@ class TestWeakFormAssembly:
         if block_values is not None:
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
         g = Grid(n)
-        full = linearized._weak_form_matrix(PARAMS, g, interp)
-        a_full = multiplier_a(PARAMS, g).values
-        monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
-        assert np.array_equal(linearized._weak_form_matrix(PARAMS, g, interp), full)
+        full, a_full = linearized._weak_form_matrix(PARAMS, g, interp)
         assert np.array_equal(multiplier_a(PARAMS, g).values, a_full)
+        monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
+        L_rows, a_rows = linearized._weak_form_matrix(PARAMS, g, interp)
+        assert np.array_equal(L_rows, full)
+        assert np.array_equal(a_rows, a_full)
+        assert np.array_equal(multiplier_a(PARAMS, g).values, a_full)
+
+    @pytest.mark.parametrize("table_max_n", [None, 0])  # 0: two row-sliced tables
+    def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
+        # a comes from the assembly's own pass, so a cubic assembly builds no
+        # linear table for it, and no row-sliced table is built twice
+        if table_max_n is not None:
+            monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
+        monkeypatch.setattr(ResonanceTable, "_cache", {})
+        built = []
+        init = ResonanceTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(ResonanceTable, "__init__", counting_init)
+        g = Grid(256)
+        op = assemble(PARAMS, g, interp="cubic")
+        assert len(built) == (1 if table_max_n is None else 2)
+        assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
 
     def test_traced_peak_memory(self):
         # the (n^2 x n) sparse route peaked at 291 MiB here; the dense result
