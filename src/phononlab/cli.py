@@ -3,16 +3,18 @@
 One process per run.  Each subcommand validates its configuration, runs the
 corresponding experiment, and writes its artifacts plus a manifest.json
 (config hash, package version, wall time, status) into the output
-directory; the manifest is written even when the run fails.  `nonlin`
-also records its work counts there, and only there ("counters":
-{"rhs_evals": ...}).  Exit codes:
+directory; the manifest is written even when the run fails.  Every
+manifest records the run's environment ("env": row-block workers, Python
+and numpy versions); `nonlin` also records its work counts there, and only
+there ("counters": {"rhs_evals": ...}).  Exit codes:
 0 success, 2 configuration error, 3 numerical error, 4 I/O error (an
 artifact or cache file that cannot be read or written).
 
 A flat key=value config file can seed any run; command-line flags win over
 file values.  --threads (or the PHONON_THREADS environment variable) caps
-the BLAS worker count; it must act before numpy is imported, so the heavy
-modules are imported lazily inside run().
+the BLAS worker count and the row-block worker pool
+(`collision.map_blocks`); it must act before numpy is imported, so the
+heavy modules are imported lazily inside run().
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _apply_thread_cap(threads: int | None) -> None:
         env = os.environ.get("PHONON_THREADS")
         threads = int(env) if env else None
     if threads is not None:
-        for var in _THREAD_ENV_VARS:
+        for var in ("PHONON_THREADS",) + _THREAD_ENV_VARS:
             os.environ[var] = str(threads)
 
 
@@ -67,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="flat key=value config file; flags override it")
     ap.add_argument("--output-dir", default="out", help="artifact directory")
     ap.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS worker count (fallback: PHONON_THREADS)")
+                    help="cap BLAS and row-block workers (fallback: PHONON_THREADS)")
     ap.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -256,6 +258,7 @@ def run(args: argparse.Namespace) -> int:
         "config": cfg,
         "config_hash": _config_hash({"subcommand": args.subcommand, **cfg}),
         "version": _package_version(),
+        "env": _environment(),
         "status": "running",
         "wall_time_s": None,
     }
@@ -282,6 +285,14 @@ def run(args: argparse.Namespace) -> int:
             manifest["counters"] = counters
         _write_json(outdir / "manifest.json", manifest)
     return code
+
+
+def _environment() -> dict:
+    import numpy
+
+    from .collision import pool_workers
+    return {"workers": pool_workers(), "python": sys.version.split()[0],
+            "numpy": numpy.__version__}
 
 
 def _package_version() -> str:

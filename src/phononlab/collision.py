@@ -21,6 +21,7 @@ quadrature accuracy only.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -79,6 +80,53 @@ def _row_blocks(grid: Grid, interp: str):
         return
     for r0 in range(0, grid.n, _CHUNK_ROWS):
         yield ResonanceTable(grid, interp, slice(r0, r0 + _CHUNK_ROWS))
+
+
+# the row-block worker pool: (worker count, executor), created on first use
+_pool: tuple | None = None
+_pool_lock = threading.Lock()
+
+
+def pool_workers() -> int:
+    """Row-block workers: the PHONON_THREADS cap (which --threads sets) when
+    one is set, else the number of CPUs this process may run on."""
+    cap = os.environ.get("PHONON_THREADS")
+    if cap:
+        return max(1, int(cap))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_blocks(fn, blocks) -> list:
+    """[fn(b) for b in blocks], run on the row-block worker pool.
+
+    Results come back in block order and an exception raised by a block
+    reaches the caller unchanged.  With one worker, or one block, the blocks
+    run inline and no thread is started.  The blocks must be independent
+    (each writes only its own rows) and `fn` must not call map_blocks.
+    numpy releases the interpreter lock inside its array loops, so blocks of
+    elementwise work overlap on separate cores; a block computes the same
+    bits on any thread.
+    """
+    global _pool
+    blocks = list(blocks)
+    workers = pool_workers()
+    if workers == 1 or len(blocks) <= 1:
+        return [fn(b) for b in blocks]
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            # imported here: a run that never uses the pool does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="phononlab"))
+        futures = [_pool[1].submit(fn, b) for b in blocks]
+    try:
+        return [fut.result() for fut in futures]
+    finally:
+        for fut in futures:
+            fut.cancel()
 
 
 def _bracket(f0, f1, f2, f3):

@@ -25,6 +25,11 @@ from .quadrature import graded_midpoint_nodes
 _BLOCK_VALUES = 1 << 16
 
 
+# rows of the (x, z) grid per slab of verify_suite's grid checks (1 MB per
+# temporary at grid_side = 2000)
+_SLAB_ROWS = 64
+
+
 # ---------------------------------------------------------------------------
 # multiplier scaling
 
@@ -190,23 +195,60 @@ def _collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     and the sum runs over the same whole row, so the result is bit for bit
     that of the full rule.  Summing the compressed support terms instead
     would pair them differently and change the rounding.  Rows are walked in
-    blocks of _BLOCK_VALUES kernel values.
+    blocks of _BLOCK_VALUES kernel values, on the row-block worker pool; the
+    block boundaries do not depend on the worker count, and each block
+    writes only its own rows from its own zero-filled row, so neither does
+    the result.
     """
     out = np.empty(p0_vals.size)
     f0, f2 = f(p0_vals), f(z_nodes)
+    blocks = []
     for rows, cols in ((np.flatnonzero(f0 != 0.0), np.arange(z_nodes.size)),
                        (np.flatnonzero(f0 == 0.0), np.flatnonzero(f2 != 0.0))):
-        z, wz, fz = z_nodes[cols], z_wts[cols], f2[cols]
-        row = np.zeros(z_nodes.size)
+        p2 = (cols, z_nodes[cols], z_wts[cols], f2[cols])
         step = max(1, _BLOCK_VALUES // max(1, cols.size))
-        for r0 in range(0, rows.size, step):
-            blk = rows[r0:r0 + step]
-            p1, p3, W = resonant_kernel(p0_vals[blk, None], z)
-            terms = wz * W * coll._bracket(f0[blk, None], f(p1), fz, f(p3))
-            for k, t in zip(blk, terms):
-                row[cols] = t
-                out[k] = np.sum(row)
+        blocks += [(rows[r0:r0 + step], p2) for r0 in range(0, rows.size, step)]
+
+    def run(block):
+        blk, (cols, z, wz, fz) = block
+        p1, p3, W = resonant_kernel(p0_vals[blk, None], z)
+        terms = wz * W * coll._bracket(f0[blk, None], f(p1), fz, f(p3))
+        row = np.zeros(z_nodes.size)
+        for k, t in zip(blk, terms):
+            row[cols] = t
+            out[k] = np.sum(row)
+
+    coll.map_blocks(run, blocks)
     return out
+
+
+def blowup_p2_rule(eps: float, pts: coll.BlowupPoints,
+                   n_zoom: int = 32768) -> tuple[np.ndarray, np.ndarray]:
+    """The p2 quadrature (nodes, weights) of `lp_blowup_norm`.
+
+    A coarse graded rule covers the torus.  Each bump of the three-bump
+    spectrum gets its own uniform midpoint window, whose cell edges fall on
+    the bump's edges, so the rule integrates each bump's indicator to
+    rounding: 96 cells on [p0 - eps^2, p0 + 2 eps^2) and on
+    [p1 - 2 eps^2, p1 + eps^2), and n_zoom cells on the critical window
+    [p2 - 4 eps, p2 + 4 eps), where the fold traverses the eps^2 bump.  The
+    coarse nodes inside a window are dropped.  (The coarse spacing, 3.8e-4,
+    is far wider than an eps^2 bump at small eps: left to it, a bump would
+    get no node or one carrying about a hundred times its mass.)
+    """
+    e2 = eps ** 2
+    half = 4.0 * eps
+    windows = [(pts.p0 - e2, pts.p0 + 2.0 * e2, 3.0 * e2, 96),
+               (pts.p1 - 2.0 * e2, pts.p1 + e2, 3.0 * e2, 96),
+               (pts.p2 - half, pts.p2 + half, 2.0 * half, n_zoom)]
+    zc, wc = graded_midpoint_nodes(0.0, TWO_PI, 16384)
+    keep = np.ones(zc.size, dtype=bool)
+    nodes, wts = [], []
+    for lo, hi, width, m in windows:
+        keep &= (zc < lo) | (zc > hi)
+        nodes.append(np.linspace(lo, hi, m, endpoint=False) + width / (2 * m))
+        wts.append(np.full(m, width / m))
+    return np.concatenate([zc[keep], *nodes]), np.concatenate([wc[keep], *wts])
 
 
 def lp_blowup_norm(eps: float, p_exp: float = 2.0,
@@ -218,23 +260,16 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     base point and at the fold value, width eps at the third point.  Each
     window gets a dedicated fine sample; the rest of the torus is covered
     by a coarse rule (its contribution is lower order, but it is measured,
-    not assumed).  The p2 quadrature likewise zooms into the critical
-    window around the third point, where the fold traverses the eps^2 bump.
-    Every output row is computed, coarse ones included; a row outside the
-    bumps evaluates the kernel only on the p2 nodes inside them, since every
-    other term of its integrand is exactly zero (see `_collision_at`), so the
-    norm is bit for bit that of the full rule.
+    not assumed).  The p2 quadrature (`blowup_p2_rule`) likewise resolves
+    each bump with its own window.  Every output row is computed, coarse
+    ones included; a row outside the bumps evaluates the kernel only on the
+    p2 nodes inside them, since every other term of its integrand is exactly
+    zero (see `_collision_at`), so the norm is bit for bit that of the full
+    rule.
     """
     pts = pts or coll.blowup_points()
     e2 = eps ** 2
-    # p2 quadrature: coarse everywhere + zoom around the critical window
-    zc, wc = graded_midpoint_nodes(0.0, TWO_PI, 16384)
-    half = 4.0 * eps
-    inside = (zc >= pts.p2 - half) & (zc <= pts.p2 + half)
-    zz = np.linspace(pts.p2 - half, pts.p2 + half, n_zoom, endpoint=False) + half / n_zoom
-    wz = np.full(n_zoom, 2 * half / n_zoom)
-    z_nodes = np.concatenate([zc[~inside], zz])
-    z_wts = np.concatenate([wc[~inside], wz])
+    z_nodes, z_wts = blowup_p2_rule(eps, pts, n_zoom)
 
     f = coll.three_bumps(eps, p_exp, pts)
     windows = [
@@ -291,6 +326,28 @@ def lp_blowup_experiment(p_exp: float = 2.0, eps_list=None) -> dict:
 # ---------------------------------------------------------------------------
 # identity / property verification suite
 
+def _grid_checks(x_rows: np.ndarray, side: np.ndarray) -> tuple:
+    """The grid checks of verify_suite on the slab x_rows x side of the
+    (x, z) grid: (max arcsin argument, max |Omega|, min F+ - 4 w0 w2).
+
+    The slab is built as contiguous rows of the full meshgrid, so every
+    element is the same operation on the same operands as on the full grid,
+    and max/min over the slabs are exactly those over the grid.
+    """
+    X, Z = np.meshgrid(x_rows, side, indexing="ij")
+    arg = np.abs(np.tan((Z - X) / 4.0) * np.cos((X + Z) / 4.0))
+    # the diagonal |z - x| = 2pi hits the tan pole; exclude the two corners
+    corner = (np.abs(np.abs(Z - X) - TWO_PI) < 1e-12)
+    worst = np.max(arg[~corner])
+
+    # resonance residual on the same grid, away from the four corners
+    away = ~((np.minimum(X, TWO_PI - X) < 1e-6) & (np.minimum(Z, TWO_PI - Z) < 1e-6))
+    res = np.abs(omega_residual(X[away], np.asarray(h(X[away], Z[away])), Z[away]))
+
+    gap = np.min(f_plus(X, Z) - 4.0 * omega(X) * omega(Z))
+    return worst, np.max(res), gap
+
+
 def verify_suite(n_random: int = 10_000, n_sign: int = 100,
                  grid_side: int = 2000, seed: int = 0) -> list:
     """Closed-form identity checks at scale; returns [(name, ok, detail)]."""
@@ -308,24 +365,14 @@ def verify_suite(n_random: int = 10_000, n_sign: int = 100,
     checks.append(("resonance_residual", err <= 1e-10, f"max |Omega| {err:.3e}"))
 
     side = np.linspace(0.0, TWO_PI, grid_side)
-    X, Z = np.meshgrid(side, side, indexing="ij")
-    arg = np.abs(np.tan((Z - X) / 4.0) * np.cos((X + Z) / 4.0))
-    # the diagonal |z - x| = 2pi hits the tan pole; exclude the two corners
-    corner = (np.abs(np.abs(Z - X) - TWO_PI) < 1e-12)
-    worst = float(np.max(arg[~corner]))
+    slabs = [side[r0:r0 + _SLAB_ROWS] for r0 in range(0, grid_side, _SLAB_ROWS)]
+    worst, err_grid, gap = np.array(coll.map_blocks(
+        lambda rows: _grid_checks(rows, side), slabs)).T
+    worst, err_grid, gap = float(np.max(worst)), float(np.max(err_grid)), float(np.min(gap))
     checks.append(("arcsin_argument_bound", worst <= 1.0 + 1e-12,
                    f"max |tan cos| {worst:.15f}"))
-
-    # resonance residual on the same full grid, away from the two corners
-    away = ~((np.minimum(X, TWO_PI - X) < 1e-6) & (np.minimum(Z, TWO_PI - Z) < 1e-6))
-    res_grid = np.abs(omega_residual(X[away], np.asarray(h(X[away], Z[away])), Z[away]))
-    err_grid = float(np.max(res_grid))
     checks.append(("resonance_residual_grid", err_grid <= 1e-10,
                    f"max |Omega| on the {grid_side}^2 grid {err_grid:.3e}"))
-
-    fp = f_plus(X, Z)
-    bound = 4.0 * omega(X) * omega(Z)
-    gap = float(np.min(fp - bound))
     checks.append(("f_plus_lower_bound", gap >= -1e-12, f"min F+ - 4 w0 w2 = {gap:.3e}"))
 
     ok_sign = True

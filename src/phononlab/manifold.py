@@ -49,10 +49,22 @@ _ROOT_INTERVAL_TOL = 1e-13
 
 
 def canonicalize(p):
-    """Canonical representative of an angle in [0, 2pi)."""
-    q = np.mod(p, TWO_PI)
-    # np.mod may round up to 2pi itself for tiny negative inputs
-    q = np.where(q >= TWO_PI, q - TWO_PI, q)
+    """Canonical representative of an angle in [0, 2pi).
+
+    Float64 angles in [-2pi, 4pi), where h and p3 always fall, are shifted
+    by at most one period without np.mod.
+    Inside that range fmod is exact and so is a - 2pi (Sterbenz), so the
+    bits are np.mod's, signed zeros included: a + 0.0 maps -0.0 to +0.0 as
+    np.mod does.  Every other input, NaN included, goes through np.mod.
+    """
+    a = np.asarray(p)
+    if a.dtype == np.float64 and a.size and -TWO_PI <= a.min() and a.max() < 2.0 * TWO_PI:
+        q = a + ((a < 0.0) * TWO_PI - (a >= TWO_PI) * TWO_PI)
+    else:
+        q = np.mod(p, TWO_PI)
+    # a tiny negative input rounds up to 2pi itself (a NaN max also fixes up)
+    if not np.max(q, initial=0.0) < TWO_PI:
+        q = np.where(q >= TWO_PI, q - TWO_PI, q)
     return q if np.ndim(p) else float(q)
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phononlab.cli import (EXIT_CONFIG, EXIT_OK, main, read_config_file,
@@ -142,6 +143,31 @@ class TestRuns:
         from phononlab.cli import _apply_thread_cap
         _apply_thread_cap(None)
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_thread_cap_sets_pool_workers(self, monkeypatch):
+        from phononlab.cli import _THREAD_ENV_VARS, _apply_thread_cap
+        from phononlab.collision import pool_workers
+        for var in ("PHONON_THREADS",) + _THREAD_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        _apply_thread_cap(3)
+        assert os.environ["PHONON_THREADS"] == "3"
+        assert pool_workers() == 3
+
+    def test_verify_bytes_independent_of_threads(self, monkeypatch, tmp_path):
+        from phononlab.cli import _THREAD_ENV_VARS
+        for var in ("PHONON_THREADS",) + _THREAD_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        blobs = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            assert run_cli(["--threads", threads, "--output-dir", out, "verify"]) == EXIT_OK
+            blobs.append((out / "verify.json").read_bytes())
+            env = json.loads((out / "manifest.json").read_text())["env"]
+            assert env["workers"] == threads
+            assert env["python"] == sys.version.split()[0]
+            assert env["numpy"] == np.__version__
+        assert blobs[0] == blobs[1]
+        assert b"workers" not in blobs[0]
 
     @pytest.mark.parametrize("how", ["flag", "env"])
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -168,3 +171,59 @@ class TestBlowupFamily:
         far = (np.abs(g.nodes - 2.0) > 0.5) & (np.abs(g.nodes - 4.733) > 0.8) \
             & (np.abs(g.nodes - 1.184) > 0.5)
         assert np.max(np.abs(C.values[spike])) > 30.0 * np.max(np.abs(C.values[far]))
+
+
+class TestMapBlocks:
+    def test_one_worker_runs_inline(self, monkeypatch):
+        monkeypatch.setenv("PHONON_THREADS", "1")
+        seen = set()
+
+        def square(b):
+            seen.add(threading.get_ident())
+            return b * b
+
+        assert collision.map_blocks(square, range(10)) == [b * b for b in range(10)]
+        assert seen == {threading.get_ident()}
+
+    def test_exception_reaches_caller_unchanged(self, monkeypatch):
+        monkeypatch.setenv("PHONON_THREADS", "3")
+        err = ValueError("block 5")
+
+        def fn(b):
+            if b == 5:
+                raise err
+            return b
+
+        with pytest.raises(ValueError) as info:
+            collision.map_blocks(fn, range(10))
+        assert info.value is err
+
+    def test_disjoint_rows_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: every block
+        # must write its own rows, and results come back in block order
+        monkeypatch.setenv("PHONON_THREADS", "8")
+        out = np.zeros(4000)
+        seen = set()
+        result = {}
+
+        def fill(b):
+            seen.add(threading.get_ident())
+            for k in range(10 * b, 10 * b + 10):
+                out[k] = k
+            return b
+
+        def run():
+            result["blocks"] = collision.map_blocks(fill, range(400))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=run)
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not t.is_alive()
+        assert result["blocks"] == list(range(400))
+        assert np.array_equal(out, np.arange(4000.0))
+        assert t.ident not in seen

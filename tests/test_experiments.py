@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phononlab import collision as coll
 from phononlab import experiments as ex
-from phononlab.manifold import TWO_PI, resonant_kernel
+from phononlab.manifold import TWO_PI, f_plus, h, omega, omega_residual, resonant_kernel
 from phononlab.quadrature import graded_midpoint_nodes
 
 PTS = coll.blowup_points()
@@ -107,3 +109,94 @@ def test_lp_blowup_norm_matches_full_rule(monkeypatch):
     monkeypatch.setattr(ex, "_collision_at", collision_at_full_rule)
     want = ex.lp_blowup_norm(2.0 ** -4, 2.0, n_coarse=256, n_zoom=2048)
     assert got == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
+    monkeypatch.setenv("PHONON_THREADS", str(workers))
+    eps = 2.0 ** -5
+    f = coll.three_bumps(eps, 2.0, PTS)
+    z, w = p2_rule(eps)
+    rows = output_rows(eps, n_coarse=61)
+    # many blocks on both paths, with a ragged last one
+    monkeypatch.setattr(ex, "_BLOCK_VALUES", 7 * np.count_nonzero(f(z)))
+    assert np.array_equal(ex._collision_at(rows, f, z, w),
+                          collision_at_full_rule(rows, f, z, w))
+
+
+# verify_suite's grid checks on the whole meshgrid at once, kept as the
+# reference that the slabbed checks must reproduce exactly
+
+def grid_checks_full_grid(grid_side):
+    side = np.linspace(0.0, TWO_PI, grid_side)
+    X, Z = np.meshgrid(side, side, indexing="ij")
+    arg = np.abs(np.tan((Z - X) / 4.0) * np.cos((X + Z) / 4.0))
+    corner = (np.abs(np.abs(Z - X) - TWO_PI) < 1e-12)
+    away = ~((np.minimum(X, TWO_PI - X) < 1e-6) & (np.minimum(Z, TWO_PI - Z) < 1e-6))
+    res = np.abs(omega_residual(X[away], np.asarray(h(X[away], Z[away])), Z[away]))
+    gap = f_plus(X, Z) - 4.0 * omega(X) * omega(Z)
+    return float(np.max(arg[~corner])), float(np.max(res)), float(np.min(gap))
+
+
+@pytest.mark.parametrize("slab_rows", [7, 64])
+def test_verify_suite_slabs_exact_on_any_worker_count(slab_rows, monkeypatch):
+    grid_side = 300
+    assert grid_side % slab_rows != 0  # a ragged last slab
+    monkeypatch.setattr(ex, "_SLAB_ROWS", slab_rows)
+    side = np.linspace(0.0, TWO_PI, grid_side)
+    slabs = [ex._grid_checks(side[r0:r0 + slab_rows], side)
+             for r0 in range(0, grid_side, slab_rows)]
+    worst, err, gap = zip(*slabs)
+    assert (max(worst), max(err), min(gap)) == grid_checks_full_grid(grid_side)
+    details = []
+    for workers in (1, 3):
+        monkeypatch.setenv("PHONON_THREADS", str(workers))
+        details.append(ex.verify_suite(n_random=1000, n_sign=4, grid_side=grid_side))
+    assert details[0] == details[1]
+    assert all(ok for _, ok, _ in details[0])
+    worst, err, gap = grid_checks_full_grid(grid_side)
+    got = {name: detail for name, _, detail in details[0]}
+    assert got["arcsin_argument_bound"] == f"max |tan cos| {worst:.15f}"
+    assert got["resonance_residual_grid"] == \
+        f"max |Omega| on the {grid_side}^2 grid {err:.3e}"
+    assert got["f_plus_lower_bound"] == f"min F+ - 4 w0 w2 = {gap:.3e}"
+    # the checks are symmetric in (x, z), so the values alone would not
+    # notice a missing slab: the slabs must cover every row once, in order
+    seen = []
+    grid_checks = ex._grid_checks
+
+    def spy(rows, side):
+        seen.append(rows)
+        return grid_checks(rows, side)
+
+    monkeypatch.setattr(ex, "_grid_checks", spy)
+    monkeypatch.setenv("PHONON_THREADS", "1")
+    ex.verify_suite(n_random=10, n_sign=1, grid_side=grid_side)
+    assert np.array_equal(np.concatenate(seen), side)
+
+
+def test_verify_suite_memory_bound():
+    # the full-grid checks held about ten 32 MB grids at once
+    tracemalloc.start()
+    try:
+        ex.verify_suite(n_sign=4, grid_side=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_p2_rule_integrates_each_bump(k):
+    # every bump of three_bumps, [p0, p0 + e2), [p1 - e2, p1) and [p2, p2 + eps),
+    # is integrated to its width; the coarse nodes alone would miss or
+    # overweight an eps^2 bump depending on where they fall
+    eps = 2.0 ** -k
+    e2 = eps ** 2
+    for p0 in np.concatenate([np.linspace(1.8, 2.2, 41), [2.04, 2.16631]]):
+        pts = coll.blowup_points(p0)
+        z, w = ex.blowup_p2_rule(eps, pts)
+        for lo, hi in ((pts.p0, pts.p0 + e2), (pts.p1 - e2, pts.p1),
+                       (pts.p2, pts.p2 + eps)):
+            got = float(np.sum(w[(z >= lo) & (z < hi)]))
+            assert abs(got - (hi - lo)) <= 1e-12, (p0, lo)

@@ -42,6 +42,32 @@ class TestCanonicalize:
     def test_scalar(self):
         assert canonicalize(-1e-18) < TWO_PI
 
+    @staticmethod
+    def by_mod(vals):
+        with np.errstate(invalid="ignore"):
+            q = np.mod(vals, TWO_PI)
+        return np.where(q >= TWO_PI, q - TWO_PI, q)
+
+    def test_bitwise_equal_to_mod(self):
+        edges = [0.0, -0.0, -TWO_PI, -1e-20, -5e-324, np.nextafter(TWO_PI, 0.0), TWO_PI,
+                 np.nextafter(2.0 * TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0)]
+        vals = np.concatenate([RNG.uniform(-TWO_PI, 2.0 * TWO_PI, 5000), edges])
+        assert np.array_equal(canonicalize(vals).view(np.uint64),
+                              self.by_mod(vals).view(np.uint64))
+        for v in edges:
+            got = np.float64(canonicalize(v))
+            assert got.view(np.uint64) == self.by_mod(np.float64(v)).view(np.uint64), v
+
+    @pytest.mark.parametrize("extra", [np.nan, -TWO_PI - 1e-9, 2.0 * TWO_PI, 100.0, -np.inf])
+    def test_outside_the_exact_range(self, extra):
+        vals = np.array([-0.0, -1e-20, 1.0, 7.0, extra])
+        with np.errstate(invalid="ignore"):
+            got = canonicalize(vals)
+        want = self.by_mod(vals)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok].view(np.uint64), want[ok].view(np.uint64))
+
 
 class TestOmega:
     def test_values(self):
