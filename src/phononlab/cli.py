@@ -11,10 +11,10 @@ there ("counters": {"rhs_evals": ...}).  Exit codes:
 artifact or cache file that cannot be read or written).
 
 A flat key=value config file can seed any run; command-line flags win over
-file values.  --threads (or the PHONON_THREADS environment variable) caps
-the BLAS worker count and the row-block worker pool
-(`collision.map_blocks`); it must act before numpy is imported, so the
-heavy modules are imported lazily inside run().
+file values.  --threads (else the file's `threads`, else the PHONON_THREADS
+environment variable; an integer >= 1) caps the BLAS worker count and the
+row-block worker pool (`collision.map_blocks`); it must act before numpy is
+imported, so the heavy modules are imported lazily inside run().
 """
 
 from __future__ import annotations
@@ -39,12 +39,16 @@ _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 
 def _apply_thread_cap(threads: int | None) -> None:
+    """Export the cap, else PHONON_THREADS, to BLAS and the row-block pool."""
+    name = "threads"
     if threads is None:
-        env = os.environ.get("PHONON_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        for var in ("PHONON_THREADS",) + _THREAD_ENV_VARS:
-            os.environ[var] = str(threads)
+        name, threads = "PHONON_THREADS", os.environ.get("PHONON_THREADS")
+        if not threads:
+            return
+    if not str(threads).isdecimal() or int(threads) < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {threads!r}")
+    for var in ("PHONON_THREADS",) + _THREAD_ENV_VARS:
+        os.environ[var] = str(threads)
 
 
 def read_config_file(path) -> dict:
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="flat key=value config file; flags override it")
     ap.add_argument("--output-dir", default="out", help="artifact directory")
     ap.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS and row-block workers (fallback: PHONON_THREADS)")
+                    help="cap BLAS and row-block workers (fallback: config, PHONON_THREADS)")
     ap.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -247,6 +251,7 @@ def run(args: argparse.Namespace) -> int:
 
     try:
         cfg = resolve_config(args)
+        _apply_thread_cap(cfg.get("threads"))
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -304,9 +309,7 @@ def _package_version() -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_thread_cap(args.threads)
-    return run(args)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

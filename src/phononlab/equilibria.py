@@ -1,15 +1,21 @@
 """Rayleigh-Jeans equilibria, their mass/energy, and the matching problem.
 
-The stationary spectra are f(p) = 1/(beta * omega(p) + gamma).  Their mass
-M = int f dp and energy E = int omega f dp satisfy beta*E + gamma*M = 2pi
-identically.  A pair (M0, E0) of positive numbers is realizable by such a
-spectrum iff E0/M0 < 2/pi; the inversion is parameterized through
+The stationary spectra are f(p) = 1/(beta * omega(p) + gamma).  With
+l = gamma/beta, the mass M = int f dp = 2pi I/beta and the energy
+E = int omega f dp = 2pi J/beta are closed forms (Gradshteyn & Ryzhik 2.551.3):
 
-    F(l) = 1 / ((1/2pi) int dp / (omega + l)) - l,
+    I = (2/pi) atan(s)/s,  s = sqrt((l - 1)(l + 1)), for l > 1;  I(1) = 2/pi;
+    I = (2/pi) (log1p(r) - ln l)/r,  r = sqrt((1 - l)(1 + l)), for l < 1;
+    J = 1 - l I = (2/pi) (l/s) atan(1/s) - 1/(s (s + l)).
 
-a strictly increasing map with F(0) = 0 and F(inf) = 2/pi.  Writing
-(1/beta, 1/gamma) = (r cos theta, r sin theta), the matched parameters are
-cot(theta) = F^{-1}(E0/M0) and r fixed by the mass.
+So beta*E + gamma*M = 2pi identically.  A pair (M0, E0) of positive numbers
+is realizable iff E0/M0 < 2/pi; the inversion runs through F(l) = J/I =
+1/I - l, strictly increasing from F(0) = 0 to F(inf) = 2/pi.  Near 0,
+F ~ pi/(2 ln(2/l)), so with l >= e^-708 (a normal float64) the matchable
+ratios are [RATIO_FLOOR, 2/pi), RATIO_FLOOR = F(e^-708) ~ 2.2e-3; ratio 1e-3
+would need l ~ e^-1570.  Writing (1/beta, 1/gamma) = (r cos theta,
+r sin theta), the match is cot(theta) = F^{-1}(E0/M0), with r fixed by the
+mass.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import DomainError
 from .grid import Field, Grid
 from .manifold import TWO_PI, omega
-from .quadrature import graded_midpoint_nodes
 
-RATIO_LIMIT = 2.0 / math.pi
+_TWO_OVER_PI = 2.0 / math.pi
+RATIO_LIMIT = _TWO_OVER_PI
 
 # denominators below this are floored; only reachable at gamma = 0 off-grid
 _DENOM_FLOOR = 1e-300
@@ -58,49 +64,44 @@ def rj_field(params: RjParams, grid: Grid) -> Field:
     return Field(grid, params.value(grid.nodes))
 
 
-_NODE_CACHE: dict = {}
+def _moments(ell: float) -> tuple[float, float]:
+    """(I, J), the means over the torus of (1, omega)/(omega + ell).
+
+    1 - ell*I loses about log10(ell) digits, so above ell = 2 J comes from
+    the atan(1/s) form (which cancels near ell = 1)."""
+    if ell < 1.0:
+        r = math.sqrt(1.0 - ell) * math.sqrt(1.0 + ell)
+        i = _TWO_OVER_PI * (math.log1p(r) - math.log(ell)) / r
+    elif ell > 1.0:
+        s = math.sqrt(ell - 1.0) * math.sqrt(ell + 1.0)
+        i = _TWO_OVER_PI * math.atan(s) / s
+    else:
+        i = _TWO_OVER_PI
+    if ell <= 2.0:
+        return i, 1.0 - ell * i
+    return i, _TWO_OVER_PI * (ell / s) * math.atan(1.0 / s) - 1.0 / (s * (s + ell))
 
 
-def _edge_nodes(n_panels: int = 65536, min_scale: float = 1e-14):
-    """Edge-refined nodes with cached omega values.
-
-    The integrands 1/(omega + l) peak at the domain edges, where omega also
-    has its kink; panels are graded into both.  All matching quadratures in
-    this module share one node set, so the inversion in match_rj is the
-    exact discrete inverse of the forward map in mass_energy up to
-    bisection tolerance.
-    """
-    key = (n_panels, min_scale)
-    if key not in _NODE_CACHE:
-        nodes, wts = graded_midpoint_nodes(0.0, TWO_PI, n_panels,
-                                           refine_at=(0.0, TWO_PI),
-                                           min_scale=min_scale, local_order=16)
-        _NODE_CACHE[key] = (nodes, wts, omega(nodes))
-    return _NODE_CACHE[key]
-
-
-def mass_energy(params: RjParams, n_panels: int = 65536):
-    """Quadrature mass and energy of the equilibrium spectrum (gamma > 0)."""
+def mass_energy(params: RjParams):
+    """Mass and energy of the equilibrium spectrum (gamma > 0)."""
     if params.gamma <= 0.0:
         raise ValueError("mass_energy requires gamma > 0 (gamma = 0 has infinite mass)")
-    nodes, wts, om = _edge_nodes(n_panels)
-    f = params.value(nodes)
-    mass = float(np.sum(wts * f))
-    energy = float(np.sum(wts * om * f))
-    return mass, energy
+    i, j = _moments(params.gamma / params.beta)
+    return TWO_PI * i / params.beta, TWO_PI * j / params.beta
 
 
-def _mean_inverse(ell: float, n_panels: int = 65536) -> float:
-    """(1/2pi) int dp / (omega + ell) on the shared edge-refined nodes."""
-    _, wts, om = _edge_nodes(n_panels)
-    return float(np.sum(wts / (om + ell))) / TWO_PI
-
-
-def curve_F(ell: float, n_panels: int = 65536) -> float:
+def curve_F(ell: float) -> float:
     """The strictly increasing matching curve F(l); F(0+) = 0, F(inf) = 2/pi."""
     if ell <= 0.0:
         raise ValueError(f"ell must be positive, got {ell}")
-    return 1.0 / _mean_inverse(ell, n_panels) - ell
+    i, j = _moments(ell)
+    return j / i
+
+
+# the bisection runs on u = -ln(gamma/beta) in [_U_MIN, _U_MAX]: e^-708 is a
+# normal double, and F(e^40) is 2/pi to within 4e-19
+_U_MIN, _U_MAX = -40.0, 708.0
+RATIO_FLOOR = curve_F(math.exp(-_U_MAX))
 
 
 @dataclass(frozen=True)
@@ -117,39 +118,32 @@ class MatchResult:
     r: float
 
 
-def match_rj(mass0: float, energy0: float, n_panels: int = 65536,
-             max_iter: int = 200) -> MatchResult:
-    """Invert (mass, energy) for (beta, gamma), or report that none exists."""
+def match_rj(mass0: float, energy0: float) -> MatchResult:
+    """Invert (mass, energy) for (beta, gamma): unmatched when E/M >= 2/pi,
+    DomainError when E/M < RATIO_FLOOR (gamma/beta would be below e^-708)."""
     if mass0 <= 0.0 or energy0 <= 0.0:
         raise ValueError("mass and energy must be positive")
     ratio = energy0 / mass0
     if not (ratio < RATIO_LIMIT):
         return MatchResult(False, None, ratio, math.nan, math.nan)
+    if ratio < RATIO_FLOOR:
+        raise DomainError(f"E/M = {ratio:.6g} is below {RATIO_FLOOR:.6g}, the "
+                          f"smallest ratio a float64 gamma/beta >= e^-708 matches")
 
-    # bisection for F(l) = ratio on log l in [-16, 16]
-    lo, hi = -16.0, 16.0
-    flo = curve_F(math.exp(lo), n_panels) - ratio
-    fhi = curve_F(math.exp(hi), n_panels) - ratio
-    if flo > 0.0 or fhi < 0.0:
-        raise ConvergenceError(
-            f"F^-1({ratio}) is outside the bisection range e^[-16, 16]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = curve_F(math.exp(mid), n_panels) - ratio
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
+    # F(e^-u) falls with u: F(e^-lo) > ratio >= F(e^-hi); stop at one ulp
+    lo, hi = _U_MIN, _U_MAX
+    while True:
+        u = 0.5 * (lo + hi)
+        if u == lo or u == hi:
             break
-    else:
-        raise ConvergenceError("bisection for F^-1 did not reach tolerance")
-    ell = math.exp(0.5 * (lo + hi))
+        if curve_F(math.exp(-u)) > ratio:
+            lo = u
+        else:
+            hi = u
+    ell = math.exp(-u)
 
-    # b = 1/beta, g = 1/gamma with ell = b/g; the mass pins the scale
-    b = mass0 / (TWO_PI * _mean_inverse(ell, n_panels))
-    g = b / ell
-    theta = math.atan2(g, b)
-    r = math.hypot(b, g)
-    return MatchResult(True, RjParams(beta=1.0 / b, gamma=1.0 / g),
-                       ratio, theta, r)
+    # the mass pins the scale
+    beta = TWO_PI * _moments(ell)[0] / mass0
+    gamma = beta * ell
+    return MatchResult(True, RjParams(beta=beta, gamma=gamma), ratio,
+                       math.atan2(beta, gamma), math.hypot(1.0 / beta, 1.0 / gamma))

@@ -15,6 +15,22 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def subprocess_env(**extra):
+    """This environment without thread caps, with src/ importable, plus extra."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PHONON_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def run_cli_process(args, **env):
+    """The CLI in a fresh process, so its thread cap leaves this one alone."""
+    return subprocess.run([sys.executable, "-m", "phononlab.cli", *map(str, args)],
+                          env=subprocess_env(**env), capture_output=True, text=True)
+
+
 class TestConfigHandling:
     def test_config_file_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -67,13 +83,23 @@ class TestRuns:
         match = json.loads((out / "match.json").read_text())
         assert match["matched"] is False
 
+    def test_rj_match_small_ratio(self, tmp_path):
+        # E/M = 0.05 needs gamma/beta ~ 4.6e-12
+        out = tmp_path / "out"
+        code = run_cli(["--output-dir", out, "rj-match",
+                        "--mass", 1.0, "--energy", 0.05])
+        assert code == EXIT_OK
+        match = json.loads((out / "match.json").read_text())
+        assert match["matched"] is True
+        assert match["roundtrip_residual"] <= 1e-12
+
     def test_numerical_error_exit_code_and_manifest(self, tmp_path):
-        # a ratio below the reachable range of the matching curve stalls the
-        # bisection: numerical error, exit 3, manifest still written
+        # ratio 1e-3 needs gamma/beta ~ e^-1570, below every float64: numerical
+        # error, exit 3, manifest still written
         from phononlab.cli import EXIT_NUMERICAL
         out = tmp_path / "out"
         code = run_cli(["--output-dir", out, "rj-match",
-                        "--mass", 1.0, "--energy", 0.01])
+                        "--mass", 1.0, "--energy", 1e-3])
         assert code == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"].startswith("numerical-error")
@@ -169,6 +195,31 @@ class TestRuns:
         assert blobs[0] == blobs[1]
         assert b"workers" not in blobs[0]
 
+    def test_config_file_threads(self, tmp_path):
+        # the file's key beats PHONON_THREADS and sizes the pool
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\n")
+        out = tmp_path / "out"
+        proc = run_cli_process(["--config", cfg, "--output-dir", out, "rj-match",
+                                "--mass", 3.0, "--energy", 1.0], PHONON_THREADS="2")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == 1
+        assert manifest["env"]["workers"] == 1
+
+    @pytest.mark.parametrize("args,env", [
+        (["--threads", "0"], {}),
+        ([], {"PHONON_THREADS": "abc"}),
+        ([], {"PHONON_THREADS": "0"}),
+    ], ids=["flag-0", "env-abc", "env-0"])
+    def test_bad_thread_count_is_config_error(self, args, env, tmp_path):
+        proc = run_cli_process([*args, "--output-dir", tmp_path, "rj-match",
+                                "--mass", 3.0, "--energy", 1.0], **env)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("configuration error: ")
+        assert "must be an integer >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("how", ["flag", "env"])
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
     def test_thread_cap_reaches_blas(self, how, tmp_path):
@@ -252,5 +303,16 @@ class TestImports:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_equilibria_needs_no_quadrature(self):
+        # the matching problem is closed-form: no quadrature rule, no scipy
+        script = (
+            "import sys\n"
+            "import phononlab.equilibria\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'phononlab.quadrature' or m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -1,8 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phononlab.equilibria import (RATIO_LIMIT, RjParams, curve_F, mass_energy,
-                                  match_rj, rj_field)
+from phononlab.equilibria import (RATIO_FLOOR, RATIO_LIMIT, RjParams, curve_F,
+                                  mass_energy, match_rj, rj_field)
+from phononlab.errors import DomainError
 from phononlab.grid import Grid
 from phononlab.manifold import TWO_PI
 
@@ -12,6 +18,30 @@ def brute_mass_energy(beta, gamma, m=10 ** 6):
     f = 1.0 / (beta * np.abs(np.sin(p / 2)) + gamma)
     w = TWO_PI / m
     return float(w * np.sum(f)), float(w * np.sum(np.abs(np.sin(p / 2)) * f))
+
+
+def quad_mass_energy(ell):
+    """Mass and energy at (beta, gamma) = (1, ell) by adaptive quadrature.
+
+    With p = 2x and the reflection x -> pi - x, M = 4 int_0^{pi/2} dx / (ell +
+    sin x); breakpoints at ell * 10^k resolve the peak of width ell at x = 0.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+    kw = {"epsabs": 0.0, "epsrel": 1.2e-14, "limit": 200}
+    pts = [ell * 10.0 ** k for k in range(8) if ell * 10.0 ** k < 1.0]
+    if pts:
+        kw["points"] = pts
+    with warnings.catch_warnings():
+        # at ell = 1e-7 quad flags roundoff at its 1.2e-14 floor
+        warnings.simplefilter("ignore", IntegrationWarning)
+        m = quad(lambda x: 1.0 / (ell + math.sin(x)), 0.0, math.pi / 2, **kw)[0]
+        e = quad(lambda x: math.sin(x) / (ell + math.sin(x)), 0.0, math.pi / 2, **kw)[0]
+    return 4.0 * m, 4.0 * e
+
+
+CLOSED_FORM_ELLS = [float(l) for l in np.geomspace(1e-7, 1e7, 57)] + [
+    1.0 - 1e-4, 1.0 + 1e-4, 1.0 - 1e-8, 1.0 + 1e-8, 1.0 + 1e-12, 1.0,
+    1.5, 2.0, 2.0 + 1e-7, 3.0]
 
 
 class TestRjField:
@@ -56,6 +86,13 @@ class TestMassEnergy:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             mass_energy(RjParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("ell", CLOSED_FORM_ELLS)
+    def test_closed_form_against_quad(self, ell):
+        m, e = mass_energy(RjParams(1.0, ell))
+        mq, eq = quad_mass_energy(ell)
+        assert abs(m - mq) <= 1e-13 * mq
+        assert abs(e - eq) <= 1e-13 * eq
 
 
 class TestCurveF:
@@ -129,3 +166,38 @@ class TestMatchRj:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             match_rj(-1.0, 0.5)
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.01, math.nextafter(RATIO_LIMIT, 0.0)])
+    def test_small_and_extreme_ratios_roundtrip(self, ratio):
+        res = match_rj(1.0, ratio)
+        assert res.matched
+        m, e = mass_energy(res.params)
+        assert m == pytest.approx(1.0, rel=1e-15)
+        assert e == pytest.approx(ratio, rel=1e-15)
+
+    def test_ratio_below_float64_range_raises(self):
+        # ratio 1e-3 needs gamma/beta ~ e^-1570, far below the smallest double
+        assert RATIO_FLOOR == pytest.approx(2.2165e-3, rel=1e-4)
+        with pytest.raises(DomainError, match=f"{RATIO_FLOOR:.6g}"):
+            match_rj(1.0, 1e-3)
+        assert match_rj(1.0, RATIO_FLOOR).matched
+
+
+LOG_BETA = st.floats(-3.0, 3.0)
+# F flattens toward 2/pi like 2/pi - 0.095/l, so a rounding error of E/M
+# moves l by about 7 l times as much: the 1e-12 round trip holds up to
+# l ~ 10 with a 20x margin
+LOG_ELL = st.floats(-6.0, 1.0)
+
+
+class TestProperties:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(LOG_BETA, LOG_ELL)
+    def test_identity_and_roundtrip(self, log_beta, log_ell):
+        beta = 10.0 ** log_beta
+        p = RjParams(beta, beta * 10.0 ** log_ell)
+        m, e = mass_energy(p)
+        assert p.beta * e + p.gamma * m == pytest.approx(TWO_PI, rel=1e-14)
+        res = match_rj(m, e)
+        assert res.params.beta == pytest.approx(p.beta, rel=1e-12)
+        assert res.params.gamma == pytest.approx(p.gamma, rel=1e-12)
