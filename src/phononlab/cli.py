@@ -3,10 +3,12 @@
 One process per run.  Each subcommand validates its configuration, runs the
 corresponding experiment, and writes its artifacts plus a manifest.json
 (config hash, package version, wall time, status) into the output
-directory; the manifest is written even when the run fails.  Every
-manifest records the run's environment ("env": row-block workers, Python
-and numpy versions); `nonlin` also records its work counts there, and only
-there ("counters": {"rhs_evals": ...}).  Exit codes:
+directory; the manifest is written even when the run fails (a bad
+configuration's, with config, hash and env null, goes to --output-dir, else
+the config file's output_dir, else out).  Every other manifest records the
+run's environment ("env": row-block workers, Python and numpy versions);
+`nonlin` also records its work counts there, and only there ("counters":
+{"rhs_evals": ...}).  Exit codes:
 0 success, 2 configuration error, 3 numerical error, 4 I/O error (an
 artifact or cache file that cannot be read or written).
 
@@ -52,7 +54,7 @@ def _apply_thread_cap(threads: int | None) -> None:
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines; '#' starts a comment, and '-' in a key reads as '_'."""
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -62,7 +64,7 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line (need key=value): {raw.rstrip()}")
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
@@ -71,10 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="phononlab",
         description="Batch experiments for the FPUT-beta wave kinetic equation")
     ap.add_argument("--config", help="flat key=value config file; flags override it")
-    ap.add_argument("--output-dir", default="out", help="artifact directory")
+    ap.add_argument("--output-dir", help="artifact directory (default: out)")
     ap.add_argument("--threads", type=int, default=None,
                     help="cap BLAS and row-block workers (fallback: config, PHONON_THREADS)")
-    ap.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
+    ap.add_argument("--seed", type=int, help="deterministic RNG seed (default: 0)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
@@ -130,12 +132,10 @@ _VALID_KEYS = {"grid_n", "beta", "gamma", "fit_lo", "fit_hi", "t_final",
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(_DEFAULTS[args.subcommand])
-    cfg["seed"] = 0
+    """defaults < config file < explicit flags (a flag left unset is None)."""
+    cfg = dict(_DEFAULTS[args.subcommand], seed=0, output_dir="out")
     if args.config:
         for key, val in read_config_file(args.config).items():
-            key = key.replace("-", "_")
             if key not in _VALID_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             if key in ("interp", "output_dir"):
@@ -145,12 +145,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             else:
                 cfg[key] = float(val)
     for key, val in vars(args).items():
-        if key in ("config", "subcommand"):
-            continue
         if val is not None and key in _VALID_KEYS:
             cfg[key] = val
-    if "output_dir" not in cfg:
-        cfg["output_dir"] = "out"
     n = cfg.get("grid_n")
     if n is not None and (n & (n - 1) or not 64 <= n <= 4096):
         raise ValueError(f"grid_n must be a power of two in [64, 4096], got {n}")
@@ -249,24 +245,25 @@ def run(args: argparse.Namespace) -> int:
 
     from .errors import PhononLabError
 
+    manifest = {"subcommand": args.subcommand, "config": None, "config_hash": None,
+                "version": _package_version(), "env": None, "status": "running",
+                "wall_time_s": None}
     try:
         cfg = resolve_config(args)
         _apply_thread_cap(cfg.get("threads"))
     except (ValueError, OSError) as exc:
+        # no env block: reading it may raise the same error (PHONON_THREADS=abc)
         print(f"configuration error: {exc}", file=sys.stderr)
+        manifest.update(status=f"config-error: {exc}", wall_time_s=0.0)
+        outdir = Path(args.output_dir or _file_output_dir(args.config) or "out")
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_json(outdir / "manifest.json", manifest)
         return EXIT_CONFIG
 
     outdir = Path(cfg.pop("output_dir"))
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "subcommand": args.subcommand,
-        "config": cfg,
-        "config_hash": _config_hash({"subcommand": args.subcommand, **cfg}),
-        "version": _package_version(),
-        "env": _environment(),
-        "status": "running",
-        "wall_time_s": None,
-    }
+    manifest.update(config=cfg, env=_environment(),
+                    config_hash=_config_hash({"subcommand": args.subcommand, **cfg}))
     counters: dict = {}
     t0 = time.time()
     try:
@@ -290,6 +287,14 @@ def run(args: argparse.Namespace) -> int:
             manifest["counters"] = counters
         _write_json(outdir / "manifest.json", manifest)
     return code
+
+
+def _file_output_dir(path) -> str | None:
+    """The config file's output_dir, if it names one and can be read."""
+    try:
+        return read_config_file(path).get("output_dir") if path else None
+    except (ValueError, OSError):
+        return None
 
 
 def _environment() -> dict:

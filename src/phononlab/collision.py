@@ -17,6 +17,12 @@ of the p0 and p2 nodes maps (p0,p1,p2,p3) -> (p2,p3,p0,p1) exactly, which
 flips the sign of the bracket.  Total mass of C[f] therefore cancels to
 rounding, independently of resolution; energy conservation holds to
 quadrature accuracy only.
+
+`collision_at` is the one engine for the integral: output rows, a p2 rule
+and a callable spectrum.  A row with f(p0) = 0 reads only the support
+columns f(p2) != 0 (every other term is exactly +0.0), yet it sums its whole
+row, so the bits are the full rule's.  `collision_operator` runs on it above
+TABLE_MAX_N.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from .errors import ResolutionError
 from .grid import Field, Grid, gather, interp_weights
 from .manifold import TWO_PI, h, resonant_kernel
 
-# full (n x n) tables above this size would not fit comfortably; larger grids
-# are walked in row-sliced tables of _CHUNK_ROWS output nodes
+# full (n x n) tables above this size would not fit comfortably: larger grids
+# run C[f] on `collision_at` and walk row-sliced tables of _CHUNK_ROWS nodes
 TABLE_MAX_N = 2048
 _CHUNK_ROWS = 128
+_BLOCK_VALUES = 1 << 16  # kernel values per row block of `collision_at` (512 KiB)
 
 
 class ResonanceTable:
@@ -133,18 +140,60 @@ def _bracket(f0, f1, f2, f3):
     return f1 * f2 * f3 + f0 * f2 * f3 - f0 * f1 * f3 - f0 * f1 * f2
 
 
+def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
+                 z_wts: np.ndarray) -> np.ndarray:
+    """C[f](p0) for a callable spectrum `f` on a supplied p2 rule.
+
+    Rows with f(p0) != 0 evaluate the kernel on every p2 node.  A row with
+    f(p0) = 0 has the bracket f1 f2 f3 + 0 - 0 - 0, which is exactly +0.0
+    (whatever the signs of its zero products) wherever f(p2) = 0, so it
+    evaluates the kernel only on the support columns f(p2) != 0 and scatters
+    those terms into a zero-filled row of full length.  Every term is then
+    the full rule's and the sum runs over the same whole row, so the result
+    is bit for bit the full rule's; summing the compressed terms would pair
+    them differently.  Rows run in blocks of _BLOCK_VALUES kernel values on
+    the row-block pool; each block writes only its own rows, so the worker
+    count does not change the bits.
+    """
+    out = np.empty(p0_vals.size)
+    f0, f2 = f(p0_vals), f(z_nodes)
+    blocks = []
+    for rows, cols in ((np.flatnonzero(f0 != 0.0), slice(None)),
+                       (np.flatnonzero(f0 == 0.0), np.flatnonzero(f2 != 0.0))):
+        p2 = (cols, z_nodes[cols], z_wts[cols], f2[cols])
+        step = max(1, _BLOCK_VALUES // max(1, p2[1].size))
+        blocks += [(rows[r0:r0 + step], p2) for r0 in range(0, rows.size, step)]
+
+    def run(block):
+        blk, (cols, z, wz, fz) = block
+        p1, p3, W = resonant_kernel(p0_vals[blk, None], z)
+        terms = wz * W * _bracket(f0[blk, None], f(p1), fz, f(p3))
+        row = np.zeros(z_nodes.size)
+        for k, t in zip(blk, terms):
+            row[cols] = t
+            out[k] = np.sum(row)
+
+    map_blocks(run, blocks)
+    return out
+
+
 def collision_operator(f: Field, interp: str = "linear",
                        pos_floor: float = 1e-12) -> Field:
-    """Evaluate C[f] at every grid node."""
+    """Evaluate C[f] at every grid node: from the cached full table up to
+    TABLE_MAX_N, above it by `collision_at` on the nodes with unit weights and
+    the field's interpolant (exact at the nodes), the row sums scaled by the
+    grid weight afterwards as the table's are, so the bits are the same."""
     f.require_positive(pos_floor)
     grid = f.grid
     vals = f.values
-    out = np.empty(grid.n)
-    for tab in _row_blocks(grid, interp):
-        br = _bracket(vals[tab.rows, None], gather(vals, tab.i1), vals[None, :],
+    if grid.n <= TABLE_MAX_N:
+        tab = ResonanceTable.cached(grid, interp)
+        br = _bracket(vals[:, None], gather(vals, tab.i1), vals[None, :],
                       gather(vals, tab.i3))
-        out[tab.rows] = grid.weight * np.sum(tab.W * br, axis=1)
-    return Field(grid, out)
+        return Field(grid, grid.weight * np.sum(tab.W * br, axis=1))
+    nodes = grid.nodes
+    return Field(grid, grid.weight * collision_at(
+        nodes, lambda p: gather(vals, interp_weights(grid, p, interp)), nodes, np.ones(grid.n)))
 
 
 def conserved_quantities(f: Field):

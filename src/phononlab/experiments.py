@@ -14,16 +14,13 @@ from . import collision as coll
 from . import dynamics as dyn
 from . import equilibria as eq
 from . import linearized as lin
+# lp_blowup_norm calls the engine by this name, which tests patch and perfbench traces
+from .collision import collision_at as _collision_at
 from .fitting import fit_power_law
 from .grid import Field, Grid
 from .manifold import (TWO_PI, f_minus, f_minus_zeros, f_plus, h, omega,
-                       omega_residual, resonant_kernel, triple_product_identity)
+                       omega_residual, triple_product_identity)
 from .quadrature import graded_midpoint_nodes
-
-# values per row-block temporary of _collision_at (512 KiB of float64: one
-# full-rule row, or about 16 rows on the three-bump support)
-_BLOCK_VALUES = 1 << 16
-
 
 # rows of the (x, z) grid per slab of verify_suite's grid checks (1 MB per
 # temporary at grid_side = 2000)
@@ -182,46 +179,6 @@ def rj_match_experiment(mass: float, energy: float) -> dict:
 # ---------------------------------------------------------------------------
 # L^p unboundedness
 
-def _collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
-                  z_wts: np.ndarray) -> np.ndarray:
-    """C[f](p0) for a callable spectrum on a supplied p2 quadrature.
-
-    A row with f(p0) != 0 evaluates the kernel on every p2 node.  A row with
-    f(p0) = 0 has the bracket f1 f2 f3 + 0 - 0 - 0, which is exactly +0.0
-    wherever f(p2) = 0, so it evaluates the kernel only on the support
-    columns f(p2) != 0 and scatters those terms into a zero-filled row of
-    full length.  Each term on the support is the same elementwise operation
-    on the same operands as the full rule, each term off it is the same +0.0,
-    and the sum runs over the same whole row, so the result is bit for bit
-    that of the full rule.  Summing the compressed support terms instead
-    would pair them differently and change the rounding.  Rows are walked in
-    blocks of _BLOCK_VALUES kernel values, on the row-block worker pool; the
-    block boundaries do not depend on the worker count, and each block
-    writes only its own rows from its own zero-filled row, so neither does
-    the result.
-    """
-    out = np.empty(p0_vals.size)
-    f0, f2 = f(p0_vals), f(z_nodes)
-    blocks = []
-    for rows, cols in ((np.flatnonzero(f0 != 0.0), np.arange(z_nodes.size)),
-                       (np.flatnonzero(f0 == 0.0), np.flatnonzero(f2 != 0.0))):
-        p2 = (cols, z_nodes[cols], z_wts[cols], f2[cols])
-        step = max(1, _BLOCK_VALUES // max(1, cols.size))
-        blocks += [(rows[r0:r0 + step], p2) for r0 in range(0, rows.size, step)]
-
-    def run(block):
-        blk, (cols, z, wz, fz) = block
-        p1, p3, W = resonant_kernel(p0_vals[blk, None], z)
-        terms = wz * W * coll._bracket(f0[blk, None], f(p1), fz, f(p3))
-        row = np.zeros(z_nodes.size)
-        for k, t in zip(blk, terms):
-            row[cols] = t
-            out[k] = np.sum(row)
-
-    coll.map_blocks(run, blocks)
-    return out
-
-
 def blowup_p2_rule(eps: float, pts: coll.BlowupPoints,
                    n_zoom: int = 32768) -> tuple[np.ndarray, np.ndarray]:
     """The p2 quadrature (nodes, weights) of `lp_blowup_norm`.
@@ -264,8 +221,8 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     each bump with its own window.  Every output row is computed, coarse
     ones included; a row outside the bumps evaluates the kernel only on the
     p2 nodes inside them, since every other term of its integrand is exactly
-    zero (see `_collision_at`), so the norm is bit for bit that of the full
-    rule.
+    zero (see `collision.collision_at`, bound here as `_collision_at`), so
+    the norm is bit for bit that of the full rule.
     """
     pts = pts or coll.blowup_points()
     e2 = eps ** 2

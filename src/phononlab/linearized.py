@@ -80,8 +80,8 @@ def multiplier_a(params: RjParams, grid: Grid) -> Field:
 
     Uses the same nodes as the matrix assembly so that the diagonal and
     integral parts of L see identical quadrature (`assemble` takes a from
-    the same row sums in its own pass).  Walks the row blocks of the
-    collision operator, so no full table is built above TABLE_MAX_N.
+    the same row sums in its own pass).  Walks the resonance-table row
+    blocks, so no full table is built above TABLE_MAX_N.
     """
     fb = params.value(grid.nodes)
     a = np.empty(grid.n)

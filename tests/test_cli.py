@@ -25,10 +25,11 @@ def subprocess_env(**extra):
     return {**env, **extra}
 
 
-def run_cli_process(args, **env):
+def run_cli_process(args, cwd=None, **env):
     """The CLI in a fresh process, so its thread cap leaves this one alone."""
     return subprocess.run([sys.executable, "-m", "phononlab.cli", *map(str, args)],
-                          env=subprocess_env(**env), capture_output=True, text=True)
+                          env=subprocess_env(**env), capture_output=True, text=True,
+                          cwd=cwd)
 
 
 class TestConfigHandling:
@@ -59,6 +60,18 @@ class TestConfigHandling:
         args = build_parser().parse_args(["multiplier", "--grid-n", "100"])
         with pytest.raises(ValueError):
             resolve_config(args)
+
+    @pytest.mark.parametrize("argv,want", [
+        (["verify"], "7eeb414bc2264f67"),
+        (["spectrum"], "5d9a3b1094da7ba9"),
+        (["--seed", "0", "lp-blowup"], "55cb9d75329bb291"),
+    ])
+    def test_default_config_hash_is_stable(self, argv, want):
+        from phononlab.cli import _config_hash, build_parser
+        args = build_parser().parse_args(argv)
+        cfg = resolve_config(args)
+        assert cfg.pop("output_dir") == "out"
+        assert _config_hash({"subcommand": args.subcommand, **cfg}) == want
 
 
 class TestRuns:
@@ -111,6 +124,36 @@ class TestRuns:
         assert code == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"].startswith("config-error")
+
+    def test_config_file_seed_and_output_dir_reach_the_run(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 7\noutput_dir = {tmp_path / 'from_file'}\n")
+        for flags, out, seed in (([], "from_file", 7),  # the file's values apply
+                                 (["--seed", 3, "--output-dir", tmp_path / "from_flag"],
+                                  "from_flag", 3)):  # and a flag still beats the file
+            assert run_cli(["--config", cfg, *flags, "rj-match",
+                            "--mass", 3.0, "--energy", 1.0]) == EXIT_OK
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert manifest["config"]["seed"] == seed
+            assert (tmp_path / out / "match.json").exists()
+
+    @pytest.mark.parametrize("flag,file_line,where", [
+        (True, "output_dir = from_file\n", "from_flag"),
+        (False, "output_dir = from_file\n", "from_file"),
+        (False, "output_dir = from_file\nbogus\n", "out"),  # the file cannot be read
+        (False, "", "out"),
+    ], ids=["flag-dir", "file-dir", "unreadable-file", "default"])
+    def test_config_error_writes_manifest(self, flag, file_line, where, tmp_path):
+        (tmp_path / "run.cfg").write_text(file_line)
+        args = ["--output-dir", "from_flag"] if flag else []
+        proc = run_cli_process([*args, "--config", "run.cfg", "spectrum", "--grid-n", "100"],
+                               cwd=tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("configuration error: ")
+        assert "Traceback" not in proc.stderr
+        manifest = json.loads((tmp_path / where / "manifest.json").read_text())
+        assert manifest["status"].startswith("config-error: ")
+        assert manifest["config"] is None and manifest["env"] is None
 
     def test_verify_suite(self, tmp_path):
         out = tmp_path / "out"
@@ -195,6 +238,24 @@ class TestRuns:
         assert blobs[0] == blobs[1]
         assert b"workers" not in blobs[0]
 
+    def test_thread_cap_does_not_leak(self, tmp_path):
+        # the tests that apply a thread cap in-process, run in a session that
+        # starts without one, must leave it without one
+        from phononlab.cli import _THREAD_ENV_VARS
+        thread_vars = ("PHONON_THREADS",) + _THREAD_ENV_VARS
+        here = Path(__file__).resolve()
+        script = (
+            "import os, sys, pytest\n"
+            "code = pytest.main(['-q', '-p', 'no:cacheprovider', '-o', 'addopts=',\n"
+            "                    '--basetemp', sys.argv[1], *sys.argv[2:]])\n"
+            f"print(int(code), [os.environ.get(v) for v in {thread_vars!r}])\n")
+        tests = [f"{here}::TestRuns::{name}"
+                 for name in ("test_threads_env", "test_thread_cap_sets_pool_workers")]
+        proc = subprocess.run([sys.executable, "-c", script, tmp_path / "t", *tests],
+                              env=subprocess_env(), capture_output=True, text=True,
+                              cwd=here.parents[1])
+        assert proc.stdout.splitlines()[-1] == f"0 {[None] * len(thread_vars)}", proc.stdout
+
     def test_config_file_threads(self, tmp_path):
         # the file's key beats PHONON_THREADS and sizes the pool
         cfg = tmp_path / "run.cfg"
@@ -219,6 +280,8 @@ class TestRuns:
         assert proc.stderr.startswith("configuration error: ")
         assert "must be an integer >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"].startswith("config-error: ")
 
     @pytest.mark.parametrize("how", ["flag", "env"])
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")

@@ -68,13 +68,24 @@ class TestCollisionOperator:
         assert drifts[2] < 1e-5
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
-    @pytest.mark.parametrize("n", [256, 300])  # 300 = 128 + 128 + 44 rows
+    @pytest.mark.parametrize("n", [256, 300])
     def test_row_blocks_equal_cached_table(self, monkeypatch, interp, n):
-        f = smooth_positive_field(Grid(n), seed=2)
-        full = collision_operator(f, interp).values
-        monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
-        blocked = collision_operator(f, interp).values
-        assert np.array_equal(blocked, full)
+        # above TABLE_MAX_N the operator runs on collision_at: the same bits,
+        # signed zeros included, for a positive field and for one with zeros
+        # (whose zero rows take the support path), at any worker count and
+        # with one block or many (7 rows each on the full path, ragged)
+        g = Grid(n)
+        for f in (smooth_positive_field(g, seed=2),
+                  Field(g, np.maximum(0.0, np.sin(3.0 * g.nodes)))):
+            monkeypatch.setattr(collision, "TABLE_MAX_N", 2048)
+            full = collision_operator(f, interp, pos_floor=0.0).values.view(np.uint64)
+            monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
+            for workers in (1, 2, 3):
+                monkeypatch.setenv("PHONON_THREADS", str(workers))
+                for block_values in (1 << 16, 7 * n):
+                    monkeypatch.setattr(collision, "_BLOCK_VALUES", block_values)
+                    blocked = collision_operator(f, interp, pos_floor=0.0).values
+                    assert np.array_equal(blocked.view(np.uint64), full)
 
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):

@@ -100,7 +100,7 @@ def test_ragged_last_block(monkeypatch):
     n_zero_rows = np.count_nonzero(f(rows) == 0.0)
     for rows_per_block in (1, 7, 40):
         assert n_zero_rows % rows_per_block != 0 or rows_per_block == 1
-        monkeypatch.setattr(ex, "_BLOCK_VALUES", rows_per_block * support)
+        monkeypatch.setattr(coll, "_BLOCK_VALUES", rows_per_block * support)
         assert np.array_equal(ex._collision_at(rows, f, z, w), want)
 
 
@@ -119,7 +119,7 @@ def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
     z, w = p2_rule(eps)
     rows = output_rows(eps, n_coarse=61)
     # many blocks on both paths, with a ragged last one
-    monkeypatch.setattr(ex, "_BLOCK_VALUES", 7 * np.count_nonzero(f(z)))
+    monkeypatch.setattr(coll, "_BLOCK_VALUES", 7 * np.count_nonzero(f(z)))
     assert np.array_equal(ex._collision_at(rows, f, z, w),
                           collision_at_full_rule(rows, f, z, w))
 
