@@ -10,7 +10,8 @@ run's environment ("env": row-block workers, Python and numpy versions);
 `nonlin` also records its work counts there, and only there ("counters":
 {"rhs_evals": ...}).  Exit codes:
 0 success, 2 configuration error, 3 numerical error, 4 I/O error (an
-artifact or cache file that cannot be read or written).
+artifact or cache file that cannot be read or written, or an output
+directory that cannot be made, which leaves no manifest).
 
 A flat key=value config file can seed any run; command-line flags win over
 file values.  --threads (else the file's `threads`, else the PHONON_THREADS
@@ -27,6 +28,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -241,8 +243,6 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .errors import PhononLabError
 
     manifest = {"subcommand": args.subcommand, "config": None, "config_hash": None,
@@ -255,13 +255,15 @@ def run(args: argparse.Namespace) -> int:
         # no env block: reading it may raise the same error (PHONON_THREADS=abc)
         print(f"configuration error: {exc}", file=sys.stderr)
         manifest.update(status=f"config-error: {exc}", wall_time_s=0.0)
-        outdir = Path(args.output_dir or _file_output_dir(args.config) or "out")
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _make_outdir(args.output_dir or _file_output_dir(args.config) or "out")
+        if outdir is None:
+            return EXIT_IO
         _write_json(outdir / "manifest.json", manifest)
         return EXIT_CONFIG
 
-    outdir = Path(cfg.pop("output_dir"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(cfg.pop("output_dir"))
+    if outdir is None:
+        return EXIT_IO
     manifest.update(config=cfg, env=_environment(),
                     config_hash=_config_hash({"subcommand": args.subcommand, **cfg}))
     counters: dict = {}
@@ -287,6 +289,17 @@ def run(args: argparse.Namespace) -> int:
             manifest["counters"] = counters
         _write_json(outdir / "manifest.json", manifest)
     return code
+
+
+def _make_outdir(path):
+    """The output directory as a Path, made if missing; None, with the
+    reason on stderr, when it cannot be made (a file has its name, say)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return None
+    return Path(path)
 
 
 def _file_output_dir(path) -> str | None:

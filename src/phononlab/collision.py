@@ -13,16 +13,19 @@ run over the nodes; p1 and p3 fall off-grid and the spectrum is evaluated
 there by periodic interpolation.
 
 The tensor rule inherits a discrete exchange symmetry: swapping the roles
-of the p0 and p2 nodes maps (p0,p1,p2,p3) -> (p2,p3,p0,p1) exactly, which
-flips the sign of the bracket.  Total mass of C[f] therefore cancels to
-rounding, independently of resolution; energy conservation holds to
-quadrature accuracy only.
+of the p0 and p2 nodes maps (p0,p1,p2,p3) -> (p2,p3,p0,p1), keeps the
+kernel weight and flips the sign of the bracket.  So the resonance table
+stores each node pair once, on the strict upper triangle, and every
+consumer reads both orders from that one entry: here each pair adds its
+term to row i and subtracts it from row j, and the total mass of C[f]
+cancels term by term, independently of resolution; energy conservation
+holds to quadrature accuracy only.
 
-`collision_at` is the one engine for the integral: output rows, a p2 rule
-and a callable spectrum.  A row with f(p0) = 0 reads only the support
-columns f(p2) != 0 (every other term is exactly +0.0), yet it sums its whole
-row, so the bits are the full rule's.  `collision_operator` runs on it above
-TABLE_MAX_N.
+`collision_at` is the one engine for the integral off the table: output
+rows, a p2 rule and a callable spectrum.  A row with f(p0) = 0 reads only
+the support columns f(p2) != 0 (every other term is exactly +0.0), yet it
+sums its whole row, so the bits are the full rule's.  `collision_operator`
+runs on it above TABLE_MAX_N; the two paths agree to rounding.
 """
 
 from __future__ import annotations
@@ -37,33 +40,66 @@ from .errors import ResolutionError
 from .grid import Field, Grid, gather, interp_weights
 from .manifold import TWO_PI, h, resonant_kernel
 
-# full (n x n) tables above this size would not fit comfortably: larger grids
-# run C[f] on `collision_at` and walk row-sliced tables of _CHUNK_ROWS nodes
+# tables above this size would not fit comfortably: larger grids run C[f]
+# on `collision_at` and give the assembly one transient table per block
 TABLE_MAX_N = 2048
-_CHUNK_ROWS = 128
-_BLOCK_VALUES = 1 << 16  # kernel values per row block of `collision_at` (512 KiB)
+_TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table)
+# kernel values per row block of `collision_at`, and table entries per block of
+# the table's C[f] (512 KiB per float64 temporary)
+_BLOCK_VALUES = 1 << 16
+
+
+def _pairs(n: int, k0: int, k1: int):
+    """Node pairs (i, j) of the packed entries k0..k1-1, in the order of
+    np.triu_indices(n, 1), without forming the whole triangle."""
+    r = np.arange(n)
+    starts = r * (2 * n - 1 - r) // 2  # first entry of row r
+    k = np.arange(k0, k1)
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
 
 
 class ResonanceTable:
-    """Precomputed geometry and interpolation stencils for one grid.
+    """Geometry and interpolation stencils of the tensor rule, one entry per
+    node pair.
 
-    Row r of the arrays belongs to output node `rows`[r] (all nodes by
-    default); columns run over every p2 node.  The full table is reused by
-    the collision operator, the linearized assembly, and time stepping;
+    Entry (i, j), j > i, holds p1 = P1 and p3 = P3 of the pair (p0, p2) =
+    (node i, node j), their stencils i1 and i3, and the weight W; `i` and `j`
+    hold the nodes.  The exchange maps the pair (j, i) onto (p2, p3, p0, p1)
+    with the same weight, so the entry serves both orders: the p3 side of
+    (i, j) is the p1 side of (j, i), P3 := P1^T.  On the diagonal h(x, x) = 0
+    exactly, so W = 0 there and the diagonal is not stored.  Entries run over
+    the strict upper triangle in np.triu_indices(n, 1) order: all of them by
+    default, or the packed range `entries` = (k0, k1).  The table is built in
+    blocks of _TABLE_BLOCK entries on the row-block pool; it is reused by the
+    collision operator, the linearized assembly and time stepping, and
     building it is the only O(n^2) trigonometric cost.
     """
 
     _cache: dict = {}
     _cache_lock = threading.Lock()
 
-    def __init__(self, grid: Grid, interp: str = "linear", rows=slice(None)):
+    def __init__(self, grid: Grid, interp: str = "linear", entries=None):
         self.grid = grid
         self.interp = interp
-        self.rows = rows
+        n = grid.n
+        k0, k1 = entries or (0, n * (n - 1) // 2)
+        self.i, self.j = _pairs(n, k0, k1)
+        self.P1, self.P3, self.W = np.empty((3, k1 - k0))
+        points = len(interp_weights(grid, np.empty(0), interp)[0])  # checks interp too
+        self.i1, self.i3 = ((tuple(np.empty((points, k1 - k0), np.int64)),
+                             tuple(np.empty((points, k1 - k0)))) for _ in range(2))
         nodes = grid.nodes
-        self.P1, self.P3, self.W = resonant_kernel(nodes[rows, None], nodes[None, :])
-        self.i1 = interp_weights(grid, self.P1, interp)
-        self.i3 = interp_weights(grid, self.P3, interp)
+
+        def fill(s):
+            self.P1[s], self.P3[s], self.W[s] = resonant_kernel(nodes[self.i[s]],
+                                                                nodes[self.j[s]])
+            for (idx, wts), p in ((self.i1, self.P1[s]), (self.i3, self.P3[s])):
+                got_idx, got_wts = interp_weights(grid, p, interp)
+                for dst, src in zip(idx + wts, got_idx + got_wts):
+                    dst[s] = src
+
+        map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, k1 - k0, _TABLE_BLOCK)])
 
     @classmethod
     def cached(cls, grid: Grid, interp: str = "linear") -> "ResonanceTable":
@@ -78,15 +114,40 @@ class ResonanceTable:
                 cls._cache[key] = tab
         return tab
 
+    def exchange_sum(self, v: np.ndarray, term, block: int) -> np.ndarray:
+        """Row sums over the full rule of an integrand that flips sign under
+        the exchange (and so vanishes on the diagonal).
 
-def _row_blocks(grid: Grid, interp: str):
-    """The cached full table, or for grids above TABLE_MAX_N row-sliced
-    tables of _CHUNK_ROWS output nodes, each built when it is reached."""
-    if grid.n <= TABLE_MAX_N:
-        yield ResonanceTable.cached(grid, interp)
-        return
-    for r0 in range(0, grid.n, _CHUNK_ROWS):
-        yield ResonanceTable(grid, interp, slice(r0, r0 + _CHUNK_ROWS))
+        term(s, v0, v1, v2, v3) is the integrand on the entries s, from the
+        values v at the nodes i, j and interpolated at P1, P3; each entry adds
+        it into row i and subtracts it from row j.  Blocks of `block` entries
+        gather once each side and scatter with two bincounts.
+        """
+        n = self.grid.n
+        out = np.zeros(n)
+        for b0 in range(0, self.W.size, block):
+            s = slice(b0, b0 + block)
+            i, j = self.i[s], self.j[s]
+            t = term(s, v[i], gather(v, self.i1, s), v[j], gather(v, self.i3, s))
+            out += np.bincount(i, t, minlength=n)
+            out -= np.bincount(j, t, minlength=n)
+        return out
+
+
+def _packed_blocks(grid: Grid, interp: str):
+    """(table, entries) for each block of _TABLE_BLOCK packed entries, in
+    order: slices of the cached table up to TABLE_MAX_N, above it a transient
+    table per block, built when it is reached.  Both paths split the entries
+    at the same places, so sums taken block by block have the same bits."""
+    n = grid.n
+    size = n * (n - 1) // 2
+    tab = ResonanceTable.cached(grid, interp) if n <= TABLE_MAX_N else None
+    for k0 in range(0, size, _TABLE_BLOCK):
+        k1 = min(k0 + _TABLE_BLOCK, size)
+        if tab is None:
+            yield ResonanceTable(grid, interp, (k0, k1)), slice(None)
+        else:
+            yield tab, slice(k0, k1)
 
 
 # the row-block worker pool: (worker count, executor), created on first use
@@ -179,18 +240,18 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
 
 def collision_operator(f: Field, interp: str = "linear",
                        pos_floor: float = 1e-12) -> Field:
-    """Evaluate C[f] at every grid node: from the cached full table up to
-    TABLE_MAX_N, above it by `collision_at` on the nodes with unit weights and
-    the field's interpolant (exact at the nodes), the row sums scaled by the
-    grid weight afterwards as the table's are, so the bits are the same."""
+    """Evaluate C[f] at every grid node: from the cached table up to
+    TABLE_MAX_N, each pair once for both of its orders, above it by
+    `collision_at` on the nodes with unit weights and the field's
+    interpolant (exact at the nodes), the row sums scaled by the grid
+    weight afterwards."""
     f.require_positive(pos_floor)
     grid = f.grid
     vals = f.values
     if grid.n <= TABLE_MAX_N:
         tab = ResonanceTable.cached(grid, interp)
-        br = _bracket(vals[:, None], gather(vals, tab.i1), vals[None, :],
-                      gather(vals, tab.i3))
-        return Field(grid, grid.weight * np.sum(tab.W * br, axis=1))
+        return Field(grid, grid.weight * tab.exchange_sum(
+            vals, lambda s, *f4: tab.W[s] * _bracket(*f4), _BLOCK_VALUES))
     nodes = grid.nodes
     return Field(grid, grid.weight * collision_at(
         nodes, lambda p: gather(vals, interp_weights(grid, p, interp)), nodes, np.ones(grid.n)))

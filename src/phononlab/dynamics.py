@@ -20,15 +20,16 @@ weighted by resonance frequency differences, and those are kept: they are
 what makes L + Q + N reproduce the full operator to rounding.
 
 Q and N are evaluated together (PerturbationTables.nonlinear) over the
-strict upper triangle of the tensor rule.  Exchanging the p0 and p2 nodes
-maps (p0,p1,p2,p3) to (p2,p3,p0,p1); the tables take the p3 side of each
-pair from the p1 side of its exchanged pair, so the fused integrand of
-Q + N is antisymmetric under the exchange by construction.  Each pair of
-the upper triangle then adds its term to one row and subtracts it from the
-other: half the gathers and channel arithmetic of the full rule, and mass
-that cancels term by term.  Against the full-matrix evaluation, Q + N
-agrees to rounding (the summation order and the p3 stencil, read off the
-exchanged pair, differ at the last bits).
+packed resonance table, which stores each node pair of the tensor rule
+once, on the strict upper triangle.  Exchanging the p0 and p2 nodes maps
+(p0,p1,p2,p3) to (p2,p3,p0,p1), so the p3 side of each entry serves as the
+p1 side of its exchanged pair, and the fused integrand of Q + N is
+antisymmetric under the exchange by construction.  Each entry then adds
+its term to one row and subtracts it from the other: half the gathers and
+channel arithmetic of the full rule, and mass that cancels term by term.
+Against the full-matrix evaluation, Q + N agrees to rounding (the
+summation order differs, and so, at the last bits, does the geometry that
+the full rule computes afresh for each exchanged pair).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .collision import ResonanceTable, collision_operator, conserved_quantities,
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
-from .grid import Field, Grid, gather, lp_norm, weighted_sup
+from .grid import Field, Grid, lp_norm, weighted_sup
 from .linearized import T_BRACKET, LinOperator, assemble, multiplier_a
 
 BLOWUP_FACTOR = 1e3
@@ -122,33 +123,28 @@ class Trajectory:
 
 
 class PerturbationTables:
-    """Channel weights W * (product of three equilibrium values) over the
-    strict upper triangle j > i of the tensor rule, packed in the order of
-    np.triu_indices(n, 1).
+    """Channel weights W * (product of three equilibrium values) on the
+    entries of the packed resonance table: the strict upper triangle j > i
+    of the tensor rule, in the order of np.triu_indices(n, 1).
 
     The exchange of the p0 and p2 nodes maps (p0, p1, p2, p3) to
     (p2, p3, p0, p1), so the p3 side of (i, j) is the p1 side of (j, i):
-    P3 := P1^T and the p3 stencil is the p1 stencil read at (j, i).  G0..G3
-    are the weights of the channels that drop f0..f3.
+    P3 := P1^T, and the table's P3 and i3 stencil serve as both.  G0..G3
+    are the weights of the channels that drop f0..f3; the stencils and
+    nodes are read from the table itself.
     """
 
     def __init__(self, params: RjParams, grid: Grid, interp: str = "linear"):
-        self.tab = ResonanceTable.cached(grid, interp)
+        self.tab = tab = ResonanceTable.cached(grid, interp)
         self.grid = grid
         self.params = params
-        i, j = np.triu_indices(grid.n, 1)
-        idx, wts = self.tab.i1
-        self.i, self.j = i, j
-        self.s1 = tuple(k[i, j] for k in idx), tuple(w[i, j] for w in wts)
-        self.s3 = tuple(k[j, i] for k in idx), tuple(w[j, i] for w in wts)
         fb = params.value(grid.nodes)
-        F0, F2 = fb[i], fb[j]
-        F1, F3 = params.value(self.tab.P1[i, j]), params.value(self.tab.P1[j, i])
-        W = self.tab.W[i, j]
-        self.G0 = W * F1 * F2 * F3
-        self.G1 = W * F0 * F2 * F3
-        self.G2 = W * F0 * F1 * F3
-        self.G3 = W * F0 * F1 * F2
+        F0, F2 = fb[tab.i], fb[tab.j]
+        F1, F3 = params.value(tab.P1), params.value(tab.P3)
+        self.G0 = tab.W * F1 * F2 * F3
+        self.G1 = tab.W * F0 * F2 * F3
+        self.G2 = tab.W * F0 * F1 * F3
+        self.G3 = tab.W * F0 * F1 * F2
         self.inv_fb = 1.0 / fb
 
     def nonlinear(self, g: np.ndarray) -> np.ndarray:
@@ -158,26 +154,19 @@ class PerturbationTables:
         e2 + e3 of the three g other than g_k, flips sign under the exchange
         and is zero on the diagonal, which the exchange maps to itself.  So
         the row sums of the full rule are sums over the upper triangle: M
-        adds into row i and subtracts from row j.  Blocks of _BLOCK_VALUES
-        packed entries gather g at p1 and p3 once each and scatter M with
-        two bincounts.
+        adds into row i and subtracts from row j, in blocks of _BLOCK_VALUES
+        packed entries (ResonanceTable.exchange_sum).
         """
-        n = g.size
-        out = np.zeros(n)
-        for b0 in range(0, self.i.size, _BLOCK_VALUES):
-            s = slice(b0, b0 + _BLOCK_VALUES)
-            i, j = self.i[s], self.j[s]
-            g0, g2 = g[i], g[j]
-            g1, g3 = gather(g, self.s1, s), gather(g, self.s3, s)
+        def fused(s, g0, g1, g2, g3):
             g01, g02, g12 = g0 * g1, g0 * g2, g1 * g2
             s01 = g0 + g1 + g01
             m = self.G0[s] * (g12 + g3 * (g1 + g2 + g12))
             m += self.G1[s] * (g02 + g3 * (g0 + g2 + g02))
             m -= self.G2[s] * (g01 + g3 * s01)
             m -= self.G3[s] * (g01 + g2 * s01)
-            out += np.bincount(i, m, minlength=n)
-            out -= np.bincount(j, m, minlength=n)
-        return self.grid.weight * out * self.inv_fb
+            return m
+
+        return self.grid.weight * self.tab.exchange_sum(g, fused, _BLOCK_VALUES) * self.inv_fb
 
 
 def _check_stability_guard(cfg: EvolutionConfig, a: Field):

@@ -13,7 +13,8 @@ and integral part K = -K1 + 2 K2 whose kernels are
                 * omega0 omega1 * sum over the two inverse branches of
                   omega2 omega3 fb2 fb3.
 
-The dense matrix is not assembled from these rows directly.  Row quadrature
+(The tests evaluate K1 and K2 pointwise, as independent oracles.)  The
+dense matrix is not assembled from these rows directly.  Row quadrature
 and column quadrature of K1 disagree at the fold points of the
 parameterization, and patching that up by averaging M and M^T pollutes the
 discrete kernel.  Instead the matrix is built from the Dirichlet form
@@ -21,22 +22,22 @@ discrete kernel.  Instead the matrix is built from the Dirichlet form
     <-L g, g> = (1/4) int (measure) [r3 + r2 - r0 - r1]^2,   r = g / fb,
 
 discretized with the same tensor rule as the collision operator.  The
-result is symmetric and negative semidefinite in exact arithmetic, has
-fb in its null space to rounding (interpolation is applied to the ratio r,
-and the ratio of the equilibrium is constant), and annihilates omega*fb to
-interpolation accuracy.  The pointwise kernels above are still exposed for
-direct study; `k1_matrix` builds the product-integration realization of K1
-with desingularized row quadrature for comparison against the weak form.
+result is symmetric (to the bit) and negative semidefinite in exact
+arithmetic, has fb in its null space to rounding (interpolation is applied
+to the ratio r, and the ratio of the equilibrium is constant), and
+annihilates omega*fb to interpolation accuracy.
 
 The quadratic form is assembled element by element, as finite-element
 matrices are in vector languages (Cuvelier, Japhet & Scarella, BIT 2016).
-Row r = (i, j) of the tensor rule has a short stencil s_r on the nodes,
+Pair r = (i, j) of the tensor rule has a short stencil s_r on the nodes,
 +w3 at the p3 interpolation nodes, +1 at j, -1 at i and -w1 at the p1
 interpolation nodes (6 entries for linear interpolation, 10 for cubic), and
-Q = sum_r measure_r s_r s_r^T.  Blocks of table rows send the upper-triangle
-products of their stencils into one weighted bincount over the n^2 entries,
-so no (n^2 x n) matrix is formed and the memory is the dense result plus
-one block's temporaries.
+Q = sum_r measure_r s_r s_r^T.  The measure is symmetric under the exchange
+of the p0 and p2 nodes and s_(j,i) = -s_(i,j), so each pair of the packed
+resonance table counts twice and the sum runs over j > i only.  Blocks of
+table entries send the upper-triangle products of their stencils into one
+weighted bincount over the n^2 entries, so no (n^2 x n) matrix is formed
+and the memory is the dense result plus one block's temporaries.
 """
 
 from __future__ import annotations
@@ -49,30 +50,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import _CHUNK_ROWS, _row_blocks
+from .collision import _packed_blocks
 from .equilibria import RjParams, rj_field
 from .errors import FitError, SpectralError
 from .fitting import DecayReport, fit_power_law
-from .grid import Field, Grid, interp_weights
-from .manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
-                       h_inverse_pair, omega, resonant_kernel)
-from .quadrature import (QuadratureSpec, graded_midpoint_nodes,
-                         integrate_inverse_sqrt, sqrt_substituted_nodes)
+from .grid import Field, Grid
+from .manifold import TWO_PI, resonant_kernel
+from .quadrature import graded_midpoint_nodes
 
 T_BRACKET = 10.0  # time bracket in <t> = 10 + |t|
-# stencil-pair values per sub-block of the weak-form assembly (8 MiB of
-# float64 weights: 32 table rows at n = 1024 with linear interpolation)
+# stencil-pair values per sub-block of the weak-form assembly (at most 8 MiB
+# of float64 weights: 32,768 table entries with linear interpolation)
 _BLOCK_VALUES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# multiplier and pointwise kernels
+# multiplier
 
-def _frequency_rows(params: RjParams, tab, fb: np.ndarray) -> np.ndarray:
-    """Row sums of W fb1 fb2 fb3 over one table: a fb / weight on its rows.
-    The geometry (P1, P3, W) does not depend on the interpolation order."""
-    return np.sum(tab.W * params.value(tab.P1) * fb[None, :] * params.value(tab.P3),
-                  axis=1)
+def _frequency_sums(params: RjParams, tab, fb: np.ndarray, s) -> np.ndarray:
+    """a fb / weight from the table entries s: W fb1 fb3 times fb2, for both
+    orders of each pair (the exchange swaps fb1 and fb3, and fb2 becomes the
+    other node's).  The geometry does not depend on the interpolation order."""
+    i, j = tab.i[s], tab.j[s]
+    m = tab.W[s] * params.value(tab.P1[s]) * params.value(tab.P3[s])
+    return np.bincount(i, m * fb[j], minlength=fb.size) \
+        + np.bincount(j, m * fb[i], minlength=fb.size)
 
 
 def multiplier_a(params: RjParams, grid: Grid) -> Field:
@@ -80,13 +82,13 @@ def multiplier_a(params: RjParams, grid: Grid) -> Field:
 
     Uses the same nodes as the matrix assembly so that the diagonal and
     integral parts of L see identical quadrature (`assemble` takes a from
-    the same row sums in its own pass).  Walks the resonance-table row
-    blocks, so no full table is built above TABLE_MAX_N.
+    the same blocks in its own pass, with the same bits).  Walks the packed
+    table blocks, so no full table is built above TABLE_MAX_N.
     """
     fb = params.value(grid.nodes)
-    a = np.empty(grid.n)
-    for tab in _row_blocks(grid, "linear"):
-        a[tab.rows] = _frequency_rows(params, tab, fb)
+    a = np.zeros(grid.n)
+    for tab, s in _packed_blocks(grid, "linear"):
+        a += _frequency_sums(params, tab, fb, s)
     return Field(grid, grid.weight * a / fb)
 
 
@@ -107,87 +109,6 @@ def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
         integ = W * params.value(P1) * params.value(nodes) * params.value(P3)
         out[k] = float(np.sum(wts * integ)) / params.value(x)
     return out if np.ndim(p) else float(out[0])
-
-
-def kernel_k2(p, p2, params: RjParams):
-    """Kernel of the p2-route integral operator K2."""
-    p1, p3, W = resonant_kernel(p, p2)
-    return W * params.value(p1) * params.value(p3)
-
-
-def _k1_smooth_factor(p, p1, params: RjParams):
-    """K1 without its 1/sqrt(F-) singularity: omega0 omega1 times the
-    branch sum of omega2 omega3 fb2 fb3.  Defined on the closure of the
-    positivity set of F- (the inverse branches merge at its boundary)."""
-    acc = 0.0
-    for z in h_inverse_pair(p1, p):
-        p3 = canonicalize(np.asarray(p) + p1 - z)
-        acc = acc + omega(z) * omega(p3) * params.value(z) * params.value(p3)
-    return omega(p) * omega(p1) * acc
-
-
-def kernel_k1(p, p1, params: RjParams):
-    """Kernel of the p1-route operator K1; zero where F-(p, p1) <= 0.
-
-    Where F- > 0 the inverse of the parameterization has two branches; the
-    remaining pair (p2, p3) is resolved on each and the contributions are
-    summed.  The two branches exchange p2 and p3, so the summands coincide.
-    """
-    p = np.asarray(p, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    fm = np.asarray(f_minus(p, p1))
-    ok = fm > 0.0
-    res = np.zeros(np.broadcast(p, p1).shape)
-    if not np.any(ok):
-        return res if res.ndim else float(res)
-    pb = np.broadcast_to(p, res.shape)[ok]
-    yb = np.broadcast_to(p1, res.shape)[ok]
-    res[ok] = _k1_smooth_factor(pb, yb, params) / np.sqrt(fm[ok])
-    return res if res.ndim else float(res)
-
-
-def k1_row_integral(p: float, params: RjParams, spec: QuadratureSpec,
-                    phi=None) -> float:
-    """int K1(p, y) phi(y) dy over both positivity intervals of F-(p, .).
-
-    Integrable inverse-square-root singularities at y'(p) and y''(p) are
-    removed by the sqrt substitution of the quadrature module.
-    """
-    zeros = f_minus_zeros(p)
-    test = (lambda y: np.ones_like(y)) if phi is None else phi
-
-    def smooth(y):
-        return _k1_smooth_factor(p, y, params) * test(y)
-
-    radicand = lambda y: f_minus(p, y)
-    total = integrate_inverse_sqrt(smooth, zeros.y_prime, radicand,
-                                   "left", spec, 0.0, zeros.y_prime)
-    total += integrate_inverse_sqrt(smooth, zeros.y_double_prime, radicand,
-                                    "right", spec, zeros.y_double_prime, TWO_PI)
-    return total
-
-
-def k1_matrix(params: RjParams, grid: Grid, n_sub: int | None = None,
-              interp: str = "linear") -> np.ndarray:
-    """Product-integration matrix of K1: row i holds int K1(p_i, y) l_k(y) dy.
-
-    Desingularized row quadrature (sqrt substitution toward both fold
-    points), distributed onto the nodal hat functions l_k.  Kept for kernel
-    diagnostics; the operator used for spectra comes from `assemble`.
-    """
-    n = grid.n
-    m = n_sub or n
-    M = np.zeros((n, n))
-    nodes = grid.nodes
-    for i, x in enumerate(nodes):
-        zeros = f_minus_zeros(x)
-        for s, far in ((zeros.y_prime, 0.0), (zeros.y_double_prime, TWO_PI)):
-            y, wy = sqrt_substituted_nodes(s, far, m)
-            kv = kernel_k1(x, y, params)
-            idx, wts = interp_weights(grid, y, interp)
-            for jj, wt in zip(idx, wts):
-                np.add.at(M[i], jj, wy * kv * wt)
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +152,42 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
     for bit that of `multiplier_a`.
 
     A collects measure_r c_a c_b at (node_a, node_b) for every pair a <= b
-    of stencil entries, diagonal pairs halved, so Q = A + A^T exactly and
-    entries that share a node add up as in S^T diag(measure) S.  Sub-blocks
-    hold a power of two table rows, at most _CHUNK_ROWS, so they split the
-    cached full table and the row-sliced tables above TABLE_MAX_N at the
-    same rows and the result is the same to the bit on both paths.
+    of stencil entries, diagonal pairs halved, so A + A^T sums
+    measure_r s_r s_r^T over the pairs j > i: half of Q.  Sub-blocks hold
+    _BLOCK_VALUES stencil-pair values and start afresh at every table
+    block, so the cached table and the transient tables above TABLE_MAX_N
+    are split at the same entries and give the same bits.  L scales Q by
+    the outer product of 1/fb, which commutes, so L equals L^T to the bit.
     """
     n = grid.n
     fb = params.value(grid.nodes)
-    cols = np.arange(n)
-    a = np.empty(n)
+    a = np.zeros(n)
     A = np.zeros(n * n)
-    for tab in _row_blocks(grid, interp):
-        a[tab.rows] = _frequency_rows(params, tab, fb)
+    for tab, blk in _packed_blocks(grid, interp):
+        a += _frequency_sums(params, tab, fb, blk)
         (i3, w3), (i1, w1) = tab.i3, tab.i1
         ta, tb = np.triu_indices(2 * len(i1) + 2)
         half = np.where(ta == tb, 0.5, 1.0)[:, None]
-        # rows per sub-block: the largest power of two that keeps its pair
-        # values within _BLOCK_VALUES (at least one row)
-        fit = max(1, _BLOCK_VALUES // (ta.size * n))
-        step = min(_CHUNK_ROWS, 1 << (fit.bit_length() - 1))
-        rows = cols[tab.rows]
-        for b0 in range(0, rows.size, step):
-            s = slice(b0, b0 + step)
-            r = rows[s, None]
-            measure = tab.W[s] * fb[r] * params.value(tab.P1[s]) \
-                * fb[None, :] * params.value(tab.P3[s])
-            idx = np.stack(np.broadcast_arrays(*(i[s] for i in i3), cols, r,
-                                               *(i[s] for i in i1)))
+        # entries per sub-block: the largest power of two whose pair values
+        # fit in _BLOCK_VALUES (so it divides a power-of-two table block)
+        step = 1 << (max(1, _BLOCK_VALUES // ta.size).bit_length() - 1)
+        lo, hi, _ = blk.indices(tab.W.size)
+        for b0 in range(lo, hi, step):
+            s = slice(b0, min(b0 + step, hi))
+            i, j = tab.i[s], tab.j[s]
+            measure = tab.W[s] * fb[i] * params.value(tab.P1[s]) \
+                * fb[j] * params.value(tab.P3[s])
+            idx = np.stack([*(k[s] for k in i3), j, i, *(k[s] for k in i1)])
             c = np.stack(np.broadcast_arrays(*(w[s] for w in w3), 1.0, -1.0,
                                              *(-w[s] for w in w1)))
-            idx = idx.reshape(len(idx), -1)
-            c = c.reshape(len(c), -1)
-            mc = c * measure.ravel()  # (c_a measure) c_b, as S^T diag(measure) S
+            mc = c * measure  # (c_a measure) c_b, as S^T diag(measure) S
             A += np.bincount((idx[ta] * n + idx[tb]).ravel(),
                              weights=(half * mc[ta] * c[tb]).ravel(), minlength=n * n)
     A = A.reshape(n, n)
-    L = A + A.T  # Q, scaled in place to L = -(weight / 4) Q / (fb fb^T)
+    L = A + A.T  # Q / 2, scaled in place to L = -(weight / 4) Q / (fb fb^T)
     inv_fb = 1.0 / fb
-    L *= inv_fb[:, None]
-    L *= inv_fb[None, :]
-    L *= -(grid.weight / 4.0)
+    L *= inv_fb[:, None] * inv_fb[None, :]
+    L *= -(grid.weight / 2.0)
     return L, grid.weight * a / fb
 
 
@@ -289,7 +205,6 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear",
         raise ValueError("assemble needs n >= 64")
     L, a = _weak_form_matrix(params, grid, interp)
     sym_defect = float(np.max(np.abs(L - L.T)) / np.max(np.abs(L)))
-    L = 0.5 * (L + L.T)
 
     fb = params.value(grid.nodes)
     wfb = grid.omega * fb
@@ -407,7 +322,7 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 # ---------------------------------------------------------------------------
 # binary cache
 
-_MAGIC = b"PHLNOP02"  # 01: sparse assembly, no checksum
+_MAGIC = b"PHLNOP03"  # 01: sparse assembly, no checksum; 02: full table
 # magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
 _HEADER_BYTES = 8 + 32 + 40
 

@@ -268,6 +268,19 @@ class TestRuns:
         assert manifest["config"]["threads"] == 1
         assert manifest["env"]["workers"] == 1
 
+    @pytest.mark.parametrize("args", [
+        ["rj-match", "--mass", 3.0, "--energy", 1.0],
+        ["spectrum", "--grid-n", 100],  # a configuration error as well
+    ], ids=["run", "config-error"])
+    def test_output_dir_that_is_a_file_is_io_error(self, args, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        proc = run_cli_process(["--output-dir", taken / "out", *args])
+        assert proc.returncode == 4  # EXIT_IO
+        assert "io error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert taken.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("args,env", [
         (["--threads", "0"], {}),
         ([], {"PHONON_THREADS": "abc"}),
@@ -333,8 +346,12 @@ class TestOperatorCache:
             damaged[len(damaged) // 2] ^= 0x01
             cache.write_bytes(bytes(damaged))
         else:
-            # the tag of the sparse assembly's format, which had no checksum
-            cache.write_bytes(b"PHLNOP01" + first_cache[8:])
+            # the tags of the sparse assembly's format, which had no checksum,
+            # and of the full-table assembly's, whose L differs at rounding
+            for tag in (b"PHLNOP01", b"PHLNOP02"):
+                cache.write_bytes(tag + first_cache[8:])
+                assert run_cli(args) == EXIT_OK
+                assert cache.read_bytes() == first_cache
         assert run_cli(args) == EXIT_OK
         assert {name: (out / name).read_bytes() for name in names} == first
         assert cache.read_bytes() == first_cache

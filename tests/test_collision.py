@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import full_collision
 from phononlab import collision
 from phononlab.collision import (blowup_points, collision_operator,
                                  conserved_quantities, entropy,
@@ -11,7 +12,7 @@ from phononlab.collision import (blowup_points, collision_operator,
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import PositivityError, ResolutionError
 from phononlab.grid import Field, Grid, constant_field, field_from_function, lp_norm
-from phononlab.manifold import TWO_PI
+from phononlab.manifold import TWO_PI, resonant_kernel
 
 RNG = np.random.default_rng(11)
 
@@ -70,22 +71,95 @@ class TestCollisionOperator:
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [256, 300])
     def test_row_blocks_equal_cached_table(self, monkeypatch, interp, n):
-        # above TABLE_MAX_N the operator runs on collision_at: the same bits,
-        # signed zeros included, for a positive field and for one with zeros
-        # (whose zero rows take the support path), at any worker count and
-        # with one block or many (7 rows each on the full path, ragged)
+        # above TABLE_MAX_N the operator runs on collision_at, which sums each
+        # row over the full rule: it agrees with the packed table to rounding,
+        # and its own bits, signed zeros included, do not depend on the worker
+        # count or the block size, for a positive field and for one with
+        # zeros (whose zero rows take the support path), with one block or
+        # many (7 rows each on the full path, ragged)
         g = Grid(n)
         for f in (smooth_positive_field(g, seed=2),
                   Field(g, np.maximum(0.0, np.sin(3.0 * g.nodes)))):
             monkeypatch.setattr(collision, "TABLE_MAX_N", 2048)
-            full = collision_operator(f, interp, pos_floor=0.0).values.view(np.uint64)
+            table = collision_operator(f, interp, pos_floor=0.0).values
             monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
+            first = None
             for workers in (1, 2, 3):
                 monkeypatch.setenv("PHONON_THREADS", str(workers))
                 for block_values in (1 << 16, 7 * n):
                     monkeypatch.setattr(collision, "_BLOCK_VALUES", block_values)
                     blocked = collision_operator(f, interp, pos_floor=0.0).values
-                    assert np.array_equal(blocked.view(np.uint64), full)
+                    if first is None:
+                        first = blocked.view(np.uint64)
+                        assert np.max(np.abs(blocked - table)) <= 1e-14 * np.max(np.abs(table))
+                    assert np.array_equal(blocked.view(np.uint64), first)
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [64, 100, 256, 300])
+    def test_packed_table_matches_full_oracle(self, interp, n):
+        # each pair of the packed table stands for both of its orders; the
+        # oracle sums every row over all n^2 ordered pairs
+        g = Grid(n)
+        for f in (smooth_positive_field(g, seed=4),
+                  Field(g, np.maximum(0.0, np.sin(3.0 * g.nodes)))):
+            got = collision_operator(f, interp, pos_floor=0.0).values
+            want = full_collision(f, interp)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [64, 100, 256, 300])
+    def test_packed_mass_cancels(self, interp, n):
+        # each pair adds to one row what it takes from the other
+        g = Grid(n)
+        for f in (smooth_positive_field(g, seed=6),
+                  Field(g, np.maximum(0.0, np.sin(3.0 * g.nodes)))):
+            C = collision_operator(f, interp, pos_floor=0.0).values
+            assert abs(np.sum(C)) <= 1e-15 * np.sum(np.abs(C))
+
+    def test_diagonal_carries_nothing(self):
+        # the packed table drops the diagonal: there h(x, x) = 0 exactly, so
+        # the kernel weight is exactly zero
+        for n in (64, 100, 1024, 4096):
+            x = Grid(n).nodes
+            p1, p3, W = resonant_kernel(x, x)
+            assert np.all(p1 == 0.0) and np.all(W == 0.0)
+
+    def test_table_build_independent_of_workers(self, monkeypatch):
+        # blocks of 1,000 entries fill disjoint slices of the table on the
+        # pool: more workers than cores and a short switch interval must
+        # give the one-worker bits
+        monkeypatch.setattr(collision, "_TABLE_BLOCK", 1000)
+        g = Grid(300)
+        monkeypatch.setenv("PHONON_THREADS", "1")
+        want = collision.ResonanceTable(g, "cubic")
+        monkeypatch.setenv("PHONON_THREADS", "8")
+        result = {}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=lambda: result.setdefault(
+                "tab", collision.ResonanceTable(g, "cubic")))
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not t.is_alive()
+        got = result["tab"]
+        for name in ("i", "j", "P1", "P3", "W"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for side in ("i1", "i3"):
+            for a, b in zip(*(getattr(tab, side)[0] + getattr(tab, side)[1]
+                              for tab in (got, want))):
+                assert np.array_equal(a, b)
+
+    def test_packed_pairs_without_the_triangle(self):
+        # the node pairs of any packed range, in np.triu_indices(n, 1) order
+        for n in (16, 17, 100):
+            i, j = np.triu_indices(n, 1)
+            for k0, k1 in ((0, i.size), (0, 1), (5, 77), (i.size - 3, i.size)):
+                got_i, got_j = collision._pairs(n, k0, k1)
+                assert np.array_equal(got_i, i[k0:k1])
+                assert np.array_equal(got_j, j[k0:k1])
 
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import full_table
 from phononlab import dynamics
-from phononlab.collision import ResonanceTable, collision_operator
+from phononlab.collision import collision_operator
 from phononlab.dynamics import (EvolutionConfig, PerturbationTables, _run,
                                 b_norm_components, evolve_nonlinear_f,
                                 evolve_perturbation)
@@ -34,13 +35,13 @@ def scaled_data(params, grid, eps):
 
 
 # Full-matrix oracle: every (p0, p2) pair of the tensor rule, both triangles,
-# with the p3 side read from the table's own P3 and i3 stencil, and Q and N
+# with the p3 side read from the full table's own P3 and i3 stencil, and Q and N
 # summed separately row by row.  PerturbationTables.nonlinear must match
 # Q + N to rounding.
 
 def full_tables(params, grid, interp="linear"):
     """Channel weights G0..G3 on the full (n x n) tensor rule."""
-    tab = ResonanceTable.cached(grid, interp)
+    tab = full_table(grid, interp)
     fb = params.value(grid.nodes)
     F0, F1, F2, F3 = fb[:, None], params.value(tab.P1), fb[None, :], params.value(tab.P3)
     W = tab.W

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from oracles import full_table, k1_matrix, k1_row_integral, kernel_k1, kernel_k2
 from phononlab import collision, linearized
 from phononlab.collision import ResonanceTable
 from phononlab.equilibria import RjParams
 from phononlab.errors import FitError
 from phononlab.grid import Field, Grid, lp_norm
 from phononlab.linearized import (assemble, bulk_edge_functionals,
-                                  decay_initial_data, k1_matrix,
-                                  k1_row_integral, kernel_k1, kernel_k2,
-                                  load_operator, load_or_assemble,
-                                  measure_linear_decay, multiplier_a,
-                                  multiplier_at, project_out_kernel,
-                                  save_operator, semigroup_apply,
-                                  subspace_angle)
+                                  decay_initial_data, load_operator,
+                                  load_or_assemble, measure_linear_decay,
+                                  multiplier_a, multiplier_at,
+                                  project_out_kernel, save_operator,
+                                  semigroup_apply, subspace_angle)
 from phononlab.manifold import (TWO_PI, canonicalize, f_minus_zeros,
                                 f_plus, h, omega)
 from phononlab.quadrature import QuadratureSpec
@@ -216,7 +215,7 @@ def sparse_weak_form(params, grid, interp):
     difference matrix S = I3 + M2 - M0 - I1 formed explicitly in sparse
     storage, row (i, j) of S being one node of the tensor rule."""
     n = grid.n
-    tab = ResonanceTable.cached(grid, interp)
+    tab = full_table(grid, interp)
     fb = params.value(grid.nodes)
     measure = tab.W * fb[:, None] * params.value(tab.P1) \
         * fb[None, :] * params.value(tab.P3)
@@ -240,8 +239,8 @@ def sparse_weak_form(params, grid, interp):
 
 
 class TestWeakFormAssembly:
-    # 1 << 15 stencil-pair values: 8-row sub-blocks at n = 100 with linear
-    # interpolation (the last one has 4 rows) and 4-row ones with cubic
+    # 1 << 15 stencil-pair values: sub-blocks of 1,024 packed entries with
+    # linear interpolation and 512 with cubic (n = 100 has 4,950 entries)
     @pytest.mark.parametrize("block_values", [None, 1 << 15])
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [64, 100, 256])
@@ -253,10 +252,22 @@ class TestWeakFormAssembly:
         got, _ = linearized._weak_form_matrix(PARAMS, g, interp)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("block_values", [None, 1])  # 1: one row per sub-block
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
-    @pytest.mark.parametrize("n", [256, 300])  # 300 = 128 + 128 + 44 rows
+    @pytest.mark.parametrize("n", [64, 100, 256])
+    def test_exactly_symmetric(self, n, interp):
+        # Q is scaled by the outer product of 1/fb, which commutes
+        op = assemble(PARAMS, Grid(n), interp)
+        assert np.array_equal(op.matrix, op.matrix.T)
+        assert op.sym_defect == 0.0
+
+    # table blocks of 5,000 packed entries: the transient path builds 7
+    # tables at n = 256 and 9 at n = 300; 1 << 12 stencil-pair values make
+    # sub-blocks of 128 entries (linear) or 64 (cubic), ragged in every block
+    @pytest.mark.parametrize("block_values", [None, 1 << 12])
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("n", [256, 300])
     def test_row_blocks_equal_cached_table(self, monkeypatch, n, interp, block_values):
+        monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         if block_values is not None:
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
         g = Grid(n)
@@ -268,12 +279,13 @@ class TestWeakFormAssembly:
         assert np.array_equal(a_rows, a_full)
         assert np.array_equal(multiplier_a(PARAMS, g).values, a_full)
 
-    @pytest.mark.parametrize("table_max_n", [None, 0])  # 0: two row-sliced tables
+    @pytest.mark.parametrize("table_max_n", [None, 0])  # 0: transient tables
     def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
         # a comes from the assembly's own pass, so a cubic assembly builds no
-        # linear table for it, and no row-sliced table is built twice
+        # linear table for it, and no block of packed entries is built twice
         if table_max_n is not None:
             monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
+        monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         monkeypatch.setattr(ResonanceTable, "_cache", {})
         built = []
         init = ResonanceTable.__init__
@@ -284,7 +296,11 @@ class TestWeakFormAssembly:
         monkeypatch.setattr(ResonanceTable, "__init__", counting_init)
         g = Grid(256)
         op = assemble(PARAMS, g, interp="cubic")
-        assert len(built) == (1 if table_max_n is None else 2)
+        if table_max_n is None:
+            assert built == [(g, "cubic")]
+        else:  # the 32,640 packed entries in 7 blocks, each built once
+            assert built == [(g, "cubic", (k, min(k + 5000, 32640)))
+                             for k in range(0, 32640, 5000)]
         assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
 
     def test_traced_peak_memory(self):
@@ -299,6 +315,21 @@ class TestWeakFormAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 8 * g.n ** 2
+
+    def test_traced_peak_memory_with_table_build(self, monkeypatch):
+        # the packed table holds each node pair once: building it and
+        # assembling L stay within 12 n^2 doubles (the full table alone
+        # took 11 n^2, and the two together 16 n^2)
+        monkeypatch.setattr(ResonanceTable, "_cache", {})
+        g = Grid(1024)
+        tracemalloc.start()
+        try:
+            ResonanceTable.cached(g, "linear")
+            linearized._weak_form_matrix(PARAMS, g, "linear")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * g.n ** 2
 
 
 class TestSemigroup:
