@@ -21,6 +21,10 @@ term to row i and subtracts it from row j, and the total mass of C[f]
 cancels term by term, independently of resolution; energy conservation
 holds to quadrature accuracy only.
 
+C[f] up to TABLE_MAX_N and the perturbation right-hand side reuse one
+cached whole table; the linearized assembly reads the table once, so
+`_packed_blocks` streams it as transient blocks and holds no whole table.
+
 `collision_at` is the one engine for the integral off the table: output
 rows, a p2 rule and a callable spectrum.  A row with f(p0) = 0 reads only
 the support columns f(p2) != 0 (every other term is exactly +0.0), yet it
@@ -40,8 +44,8 @@ from .errors import ResolutionError
 from .grid import Field, Grid, gather, interp_weights
 from .manifold import TWO_PI, h, resonant_kernel
 
-# tables above this size would not fit comfortably: larger grids run C[f]
-# on `collision_at` and give the assembly one transient table per block
+# whole tables above this size would not fit comfortably: larger grids run
+# C[f] on `collision_at`
 TABLE_MAX_N = 2048
 _TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table)
 # kernel values per row block of `collision_at`, and table entries per block of
@@ -71,9 +75,10 @@ class ResonanceTable:
     exactly, so W = 0 there and the diagonal is not stored.  Entries run over
     the strict upper triangle in np.triu_indices(n, 1) order: all of them by
     default, or the packed range `entries` = (k0, k1).  The table is built in
-    blocks of _TABLE_BLOCK entries on the row-block pool; it is reused by the
-    collision operator, the linearized assembly and time stepping, and
-    building it is the only O(n^2) trigonometric cost.
+    blocks of _TABLE_BLOCK entries on the row-block pool.  Building it is
+    the only O(n^2) trigonometric cost: `cached` keeps a whole table for the
+    loops that reuse it (the collision operator and time stepping), while
+    the linearized assembly streams transient blocks (`_packed_blocks`).
     """
 
     _cache: dict = {}
@@ -135,24 +140,21 @@ class ResonanceTable:
 
 
 def _packed_blocks(grid: Grid, interp: str):
-    """(table, entries) for each block of _TABLE_BLOCK packed entries, in
-    order: slices of the cached table up to TABLE_MAX_N, above it a transient
-    table per block, built when it is reached.  Both paths split the entries
-    at the same places, so sums taken block by block have the same bits."""
-    n = grid.n
-    size = n * (n - 1) // 2
-    tab = ResonanceTable.cached(grid, interp) if n <= TABLE_MAX_N else None
-    for k0 in range(0, size, _TABLE_BLOCK):
-        k1 = min(k0 + _TABLE_BLOCK, size)
-        if tab is None:
-            yield ResonanceTable(grid, interp, (k0, k1)), slice(None)
-        else:
-            yield tab, slice(k0, k1)
+    """A transient ResonanceTable for each block of _TABLE_BLOCK packed
+    entries, yielded in order and built on the row-block pool a few blocks
+    ahead of the caller (`imap_blocks`), so no whole table is held at any n.
+    A block's entries are computed elementwise, so they carry the bits of
+    the same slice of a whole table."""
+    size = grid.n * (grid.n - 1) // 2
+    return imap_blocks(lambda k: ResonanceTable(grid, interp, (k, min(k + _TABLE_BLOCK, size))),
+                       range(0, size, _TABLE_BLOCK))
 
 
-# the row-block worker pool: (worker count, executor), created on first use
+# the row-block worker pool: (worker count, executor), created on first use;
+# its threads carry `_thread.pooled`, so work nested in a block runs inline
 _pool: tuple | None = None
 _pool_lock = threading.Lock()
+_thread = threading.local()
 
 
 def pool_workers() -> int:
@@ -166,34 +168,70 @@ def pool_workers() -> int:
     return os.cpu_count() or 1
 
 
-def map_blocks(fn, blocks) -> list:
-    """[fn(b) for b in blocks], run on the row-block worker pool.
+def _inline(workers: int) -> bool:
+    return workers == 1 or getattr(_thread, "pooled", False)
 
-    Results come back in block order and an exception raised by a block
-    reaches the caller unchanged.  With one worker, or one block, the blocks
-    run inline and no thread is started.  The blocks must be independent
-    (each writes only its own rows) and `fn` must not call map_blocks.
-    numpy releases the interpreter lock inside its array loops, so blocks of
-    elementwise work overlap on separate cores; a block computes the same
-    bits on any thread.
-    """
+
+def _submit(workers: int, fn, blocks) -> list:
+    """Futures of fn(b) for b in blocks on the pool of `workers` threads."""
     global _pool
-    blocks = list(blocks)
-    workers = pool_workers()
-    if workers == 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
     with _pool_lock:
         if _pool is None or _pool[0] != workers:
             # imported here: a run that never uses the pool does not pay for it
             from concurrent.futures import ThreadPoolExecutor
             if _pool is not None:
                 _pool[1].shutdown(wait=False)
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="phononlab"))
-        futures = [_pool[1].submit(fn, b) for b in blocks]
+            _pool = (workers, ThreadPoolExecutor(
+                workers, thread_name_prefix="phononlab",
+                initializer=lambda: setattr(_thread, "pooled", True)))
+        return [_pool[1].submit(fn, b) for b in blocks]
+
+
+def map_blocks(fn, blocks) -> list:
+    """[fn(b) for b in blocks], run on the row-block worker pool.
+
+    Results come back in block order and an exception raised by a block
+    reaches the caller unchanged.  The blocks run inline, and no thread is
+    started, with one worker, with one block, or when the call comes from a
+    pool thread (a block that itself calls map_blocks), so nested calls
+    cannot wait on each other.  The blocks must be independent (each writes
+    only its own rows).  numpy releases the interpreter lock inside its
+    array loops, so blocks of elementwise work overlap on separate cores; a
+    block computes the same bits on any thread.  Every block is submitted
+    at once: use `imap_blocks` where the results are large.
+    """
+    blocks = list(blocks)
+    workers = pool_workers()
+    if _inline(workers) or len(blocks) <= 1:
+        return [fn(b) for b in blocks]
+    futures = _submit(workers, fn, blocks)
     try:
         return [fut.result() for fut in futures]
     finally:
         for fut in futures:
+            fut.cancel()
+
+
+def imap_blocks(fn, blocks):
+    """fn(b) for b in blocks, yielded lazily in block order while the pool
+    computes at most pool_workers() blocks ahead of the caller, so only
+    those results and the one the caller holds are alive.  Inline where
+    map_blocks would be; an exception reaches the caller unchanged."""
+    blocks = list(blocks)
+    workers = pool_workers()
+    if _inline(workers) or len(blocks) <= 1:
+        yield from map(fn, blocks)
+        return
+    ahead = []
+    try:
+        for b in blocks:
+            ahead += _submit(workers, fn, [b])
+            if len(ahead) == workers:
+                yield ahead.pop(0).result()
+        while ahead:
+            yield ahead.pop(0).result()
+    finally:
+        for fut in ahead:
             fut.cancel()
 
 

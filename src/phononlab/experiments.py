@@ -79,7 +79,7 @@ def spectrum_experiment(beta: float, gamma: float, grid_n: int = 512,
         g = sum(c[k] * np.cos((k + 1) * grid.nodes) + s[k] * np.sin((k + 1) * grid.nodes)
                 for k in range(12))
         g = g - kb @ (kb.T @ g)
-        ratios.append(float((g @ (-op.matrix @ g)) / ((a * g) @ g)))
+        ratios.append(float((g @ -(op.matrix @ g)) / ((a * g) @ g)))
     return {
         "beta": beta, "gamma": gamma, "grid_n": grid_n,
         "eigenvalues": op.eigenvalues,

@@ -34,10 +34,11 @@ Pair r = (i, j) of the tensor rule has a short stencil s_r on the nodes,
 interpolation nodes (6 entries for linear interpolation, 10 for cubic), and
 Q = sum_r measure_r s_r s_r^T.  The measure is symmetric under the exchange
 of the p0 and p2 nodes and s_(j,i) = -s_(i,j), so each pair of the packed
-resonance table counts twice and the sum runs over j > i only.  Blocks of
-table entries send the upper-triangle products of their stencils into one
-weighted bincount over the n^2 entries, so no (n^2 x n) matrix is formed
-and the memory is the dense result plus one block's temporaries.
+resonance table counts twice and the sum runs over j > i only.  Sub-blocks
+of the streamed table send the upper-triangle products of their stencils
+into one weighted bincount over the n^2 entries, so neither an (n^2 x n)
+matrix nor a whole table is formed: the memory is the dense result plus
+the table blocks in flight and one sub-block's temporaries.
 """
 
 from __future__ import annotations
@@ -67,14 +68,14 @@ _BLOCK_VALUES = 1 << 20
 # ---------------------------------------------------------------------------
 # multiplier
 
-def _frequency_sums(params: RjParams, tab, fb: np.ndarray, s) -> np.ndarray:
-    """a fb / weight from the table entries s: W fb1 fb3 times fb2, for both
-    orders of each pair (the exchange swaps fb1 and fb3, and fb2 becomes the
-    other node's).  The geometry does not depend on the interpolation order."""
-    i, j = tab.i[s], tab.j[s]
-    m = tab.W[s] * params.value(tab.P1[s]) * params.value(tab.P3[s])
-    return np.bincount(i, m * fb[j], minlength=fb.size) \
-        + np.bincount(j, m * fb[i], minlength=fb.size)
+def _frequency_sums(tab, fb: np.ndarray, fb1: np.ndarray, fb3: np.ndarray) -> np.ndarray:
+    """a fb / weight from the entries of one table block, given fb at its P1
+    and P3: W fb1 fb3 times fb2, for both orders of each pair (the exchange
+    swaps fb1 and fb3, and fb2 becomes the other node's).  The geometry does
+    not depend on the interpolation order."""
+    m = tab.W * fb1 * fb3
+    return np.bincount(tab.i, m * fb[tab.j], minlength=fb.size) \
+        + np.bincount(tab.j, m * fb[tab.i], minlength=fb.size)
 
 
 def multiplier_a(params: RjParams, grid: Grid) -> Field:
@@ -82,13 +83,13 @@ def multiplier_a(params: RjParams, grid: Grid) -> Field:
 
     Uses the same nodes as the matrix assembly so that the diagonal and
     integral parts of L see identical quadrature (`assemble` takes a from
-    the same blocks in its own pass, with the same bits).  Walks the packed
-    table blocks, so no full table is built above TABLE_MAX_N.
+    the same blocks in its own pass, with the same bits).  Reads the streamed
+    table blocks of `_packed_blocks`, so no whole table is built or cached.
     """
     fb = params.value(grid.nodes)
     a = np.zeros(grid.n)
-    for tab, s in _packed_blocks(grid, "linear"):
-        a += _frequency_sums(params, tab, fb, s)
+    for tab in _packed_blocks(grid, "linear"):
+        a += _frequency_sums(tab, fb, params.value(tab.P1), params.value(tab.P3))
     return Field(grid, grid.weight * a / fb)
 
 
@@ -153,34 +154,35 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
 
     A collects measure_r c_a c_b at (node_a, node_b) for every pair a <= b
     of stencil entries, diagonal pairs halved, so A + A^T sums
-    measure_r s_r s_r^T over the pairs j > i: half of Q.  Sub-blocks hold
-    _BLOCK_VALUES stencil-pair values and start afresh at every table
-    block, so the cached table and the transient tables above TABLE_MAX_N
-    are split at the same entries and give the same bits.  L scales Q by
-    the outer product of 1/fb, which commutes, so L equals L^T to the bit.
+    measure_r s_r s_r^T over the pairs j > i: half of Q.  The table
+    arrives as the streamed blocks of `_packed_blocks` (no whole table is
+    built or cached); fb at P1 and P3 is evaluated once per block for both
+    a and the measure.  Sub-blocks hold _BLOCK_VALUES stencil-pair values.
+    L scales Q by the outer product of 1/fb, which commutes, so L equals
+    L^T to the bit.
     """
     n = grid.n
     fb = params.value(grid.nodes)
     a = np.zeros(n)
     A = np.zeros(n * n)
-    for tab, blk in _packed_blocks(grid, interp):
-        a += _frequency_sums(params, tab, fb, blk)
+    for tab in _packed_blocks(grid, interp):
+        fb1, fb3 = params.value(tab.P1), params.value(tab.P3)
+        a += _frequency_sums(tab, fb, fb1, fb3)
+        measure = tab.W * fb[tab.i] * fb1 * fb[tab.j] * fb3
+        del fb1, fb3  # before the sub-blocks, whose temporaries set the peak
         (i3, w3), (i1, w1) = tab.i3, tab.i1
         ta, tb = np.triu_indices(2 * len(i1) + 2)
         half = np.where(ta == tb, 0.5, 1.0)[:, None]
         # entries per sub-block: the largest power of two whose pair values
         # fit in _BLOCK_VALUES (so it divides a power-of-two table block)
         step = 1 << (max(1, _BLOCK_VALUES // ta.size).bit_length() - 1)
-        lo, hi, _ = blk.indices(tab.W.size)
-        for b0 in range(lo, hi, step):
-            s = slice(b0, min(b0 + step, hi))
+        for b0 in range(0, tab.W.size, step):
+            s = slice(b0, b0 + step)
             i, j = tab.i[s], tab.j[s]
-            measure = tab.W[s] * fb[i] * params.value(tab.P1[s]) \
-                * fb[j] * params.value(tab.P3[s])
             idx = np.stack([*(k[s] for k in i3), j, i, *(k[s] for k in i1)])
             c = np.stack(np.broadcast_arrays(*(w[s] for w in w3), 1.0, -1.0,
                                              *(-w[s] for w in w1)))
-            mc = c * measure  # (c_a measure) c_b, as S^T diag(measure) S
+            mc = c * measure[s]  # (c_a measure) c_b, as S^T diag(measure) S
             A += np.bincount((idx[ta] * n + idx[tb]).ravel(),
                              weights=(half * mc[ta] * c[tb]).ravel(), minlength=n * n)
     A = A.reshape(n, n)

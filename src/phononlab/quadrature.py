@@ -17,6 +17,7 @@ handled by geometric panel grading toward the peak location.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,8 +170,16 @@ def integrate_inverse_sqrt(f, s: float, radicand, side: str,
     return _pairwise_sum(wy * out)
 
 
-def _gauss_panel(a: float, b: float, m: int):
+@lru_cache(maxsize=None)
+def _gauss_rule(m: int):
+    """The m-point Gauss-Legendre rule on [-1, 1], shared and read-only."""
     x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_panel(a: float, b: float, m: int):
+    x, w = _gauss_rule(m)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

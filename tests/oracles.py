@@ -4,13 +4,15 @@ None of this runs on a CLI path.  The pointwise kernels K1 and K2 of the
 linearized operator and the product-integration realization of K1 are kept
 for kernel studies; the full-table oracles evaluate the tensor rule on all
 n^2 ordered node pairs, with no use of the exchange symmetry that the
-package's packed resonance table relies on.
+package's packed resonance table relies on, and the cached-slice blocks
+read one whole packed table where the package streams transient blocks.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from phononlab import collision
 from phononlab.equilibria import RjParams
 from phononlab.grid import Grid, gather, interp_weights
 from phononlab.manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
@@ -29,6 +31,20 @@ def full_table(grid: Grid, interp: str = "linear"):
     P1, P3, W = resonant_kernel(nodes[:, None], nodes[None, :])
     return SimpleNamespace(P1=P1, P3=P3, W=W, i1=interp_weights(grid, P1, interp),
                            i3=interp_weights(grid, P3, interp))
+
+
+def cached_slice_blocks(grid: Grid, interp: str = "linear"):
+    """The packed table built whole, then read in blocks of
+    collision._TABLE_BLOCK entries: views of its slices, in the form of the
+    transient tables that collision._packed_blocks streams."""
+    tab = collision.ResonanceTable(grid, interp)
+    for k0 in range(0, tab.W.size, collision._TABLE_BLOCK):
+        s = slice(k0, k0 + collision._TABLE_BLOCK)
+        yield SimpleNamespace(
+            grid=grid, interp=interp,
+            **{name: getattr(tab, name)[s] for name in ("i", "j", "P1", "P3", "W")},
+            **{side: tuple(tuple(x[s] for x in part) for part in getattr(tab, side))
+               for side in ("i1", "i3")})
 
 
 def full_collision(f, interp: str = "linear") -> np.ndarray:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -312,3 +313,72 @@ class TestMapBlocks:
         assert result["blocks"] == list(range(400))
         assert np.array_equal(out, np.arange(4000.0))
         assert t.ident not in seen
+
+    def test_nested_call_runs_inline(self, monkeypatch):
+        # every worker holds an outer block that submits multi-block work of
+        # its own: waiting on the pool from a pool thread would deadlock, so
+        # the inner call runs inline on the outer block's thread
+        monkeypatch.setenv("PHONON_THREADS", "2")
+        result = {}
+
+        def inner(b):
+            return b, threading.get_ident()
+
+        def outer(b):
+            got = collision.map_blocks(lambda k: inner(10 * b + k), range(4))
+            return [v for v, _ in got], {ident for _, ident in got} == {threading.get_ident()}
+
+        t = threading.Thread(target=lambda: result.setdefault(
+            "blocks", collision.map_blocks(outer, range(6))))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert result["blocks"] == [([10 * b + k for k in range(4)], True) for b in range(6)]
+
+
+class TestImapBlocks:
+    def test_one_worker_runs_inline_and_lazily(self, monkeypatch):
+        monkeypatch.setenv("PHONON_THREADS", "1")
+        started = []
+
+        def fn(b):
+            started.append((b, threading.get_ident()))
+            return b * b
+
+        it = collision.imap_blocks(fn, range(10))
+        assert started == []
+        assert next(it) == 0 and started == [(0, threading.get_ident())]
+        assert list(it) == [b * b for b in range(1, 10)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_in_order_and_bounded_ahead(self, monkeypatch, workers):
+        # a slow caller: the pool runs at most `workers` blocks ahead of
+        # the one the caller holds, and the results come back in order
+        monkeypatch.setenv("PHONON_THREADS", str(workers))
+        started = []
+
+        def fn(b):
+            started.append(b)
+            return b * b
+
+        for k, got in enumerate(collision.imap_blocks(fn, range(20))):
+            assert got == k * k
+            time.sleep(0.005)
+            assert len(started) <= k + workers
+        assert sorted(started) == list(range(20))
+
+    def test_exception_reaches_caller_unchanged(self, monkeypatch):
+        monkeypatch.setenv("PHONON_THREADS", "3")
+        err = ValueError("block 5")
+
+        def fn(b):
+            if b == 5:
+                raise err
+            return b
+
+        got = []
+        with pytest.raises(ValueError) as info:
+            for v in collision.imap_blocks(fn, range(10)):
+                got.append(v)
+        assert info.value is err
+        assert got == list(range(5))

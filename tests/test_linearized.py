@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import full_table, k1_matrix, k1_row_integral, kernel_k1, kernel_k2
+from oracles import (cached_slice_blocks, full_table, k1_matrix, k1_row_integral,
+                     kernel_k1, kernel_k2)
 from phononlab import collision, linearized
 from phononlab.collision import ResonanceTable
 from phononlab.equilibria import RjParams
@@ -260,29 +261,36 @@ class TestWeakFormAssembly:
         assert np.array_equal(op.matrix, op.matrix.T)
         assert op.sym_defect == 0.0
 
-    # table blocks of 5,000 packed entries: the transient path builds 7
-    # tables at n = 256 and 9 at n = 300; 1 << 12 stencil-pair values make
-    # sub-blocks of 128 entries (linear) or 64 (cubic), ragged in every block
+    # table blocks of 5,000 packed entries: 7 streamed blocks at n = 256 and
+    # 9 at n = 300; 1 << 12 stencil-pair values make sub-blocks of 128
+    # entries (linear) or 64 (cubic), ragged in every block
     @pytest.mark.parametrize("block_values", [None, 1 << 12])
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [256, 300])
     def test_row_blocks_equal_cached_table(self, monkeypatch, n, interp, block_values):
+        # the streamed transient blocks give the bits of slices of one whole
+        # table, on 1, 2 and 3 pool workers
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         if block_values is not None:
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
         g = Grid(n)
-        full, a_full = linearized._weak_form_matrix(PARAMS, g, interp)
-        assert np.array_equal(multiplier_a(PARAMS, g).values, a_full)
-        monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
-        L_rows, a_rows = linearized._weak_form_matrix(PARAMS, g, interp)
-        assert np.array_equal(L_rows, full)
-        assert np.array_equal(a_rows, a_full)
-        assert np.array_equal(multiplier_a(PARAMS, g).values, a_full)
+        with monkeypatch.context() as m:
+            m.setattr(linearized, "_packed_blocks", cached_slice_blocks)
+            L_want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
+            assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("PHONON_THREADS", workers)
+            L, a = linearized._weak_form_matrix(PARAMS, g, interp)
+            assert np.array_equal(L, L_want)
+            assert np.array_equal(a, a_want)
+            assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
 
-    @pytest.mark.parametrize("table_max_n", [None, 0])  # 0: transient tables
+    @pytest.mark.parametrize("table_max_n", [None, 0])
     def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
         # a comes from the assembly's own pass, so a cubic assembly builds no
-        # linear table for it, and no block of packed entries is built twice
+        # linear table for it; on both sides of TABLE_MAX_N and on 1 or 2
+        # workers the 32,640 packed entries of n = 256 stream in 7 blocks,
+        # each built once with its own range
         if table_max_n is not None:
             monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
@@ -295,41 +303,52 @@ class TestWeakFormAssembly:
             init(self, *args, **kwargs)
         monkeypatch.setattr(ResonanceTable, "__init__", counting_init)
         g = Grid(256)
-        op = assemble(PARAMS, g, interp="cubic")
-        if table_max_n is None:
-            assert built == [(g, "cubic")]
-        else:  # the 32,640 packed entries in 7 blocks, each built once
-            assert built == [(g, "cubic", (k, min(k + 5000, 32640)))
-                             for k in range(0, 32640, 5000)]
-        assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("PHONON_THREADS", workers)
+            built.clear()
+            op = assemble(PARAMS, g, interp="cubic")
+            # pool workers may start neighbouring blocks in either order
+            assert sorted(built, key=lambda args: args[2]) == \
+                [(g, "cubic", (k, min(k + 5000, 32640))) for k in range(0, 32640, 5000)]
+            assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
 
-    def test_traced_peak_memory(self):
-        # the (n^2 x n) sparse route peaked at 291 MiB here; the dense result
-        # and one sub-block's temporaries must stay within 16 n^2 doubles
+    def test_assembly_caches_no_table(self, monkeypatch):
+        # the assembly and the multiplier read each block once, so nothing
+        # keeps a table alive after them
+        monkeypatch.setattr(ResonanceTable, "_cache", {})
+        g = Grid(256)
+        assemble(PARAMS, g)
+        multiplier_a(PARAMS, g)
+        assert ResonanceTable._cache == {}
+
+    def test_traced_peak_memory(self, monkeypatch):
+        # the (n^2 x n) sparse route peaked at 291 MiB here; on one worker
+        # the dense result, one streamed table block and one sub-block's
+        # temporaries must stay within 6 n^2 doubles
+        monkeypatch.setenv("PHONON_THREADS", "1")
         g = Grid(1024)
-        ResonanceTable.cached(g, "linear")
         tracemalloc.start()
         try:
             linearized._weak_form_matrix(PARAMS, g, "linear")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 8 * g.n ** 2
+        assert peak <= 6 * 8 * g.n ** 2
 
     def test_traced_peak_memory_with_table_build(self, monkeypatch):
-        # the packed table holds each node pair once: building it and
-        # assembling L stay within 12 n^2 doubles (the full table alone
-        # took 11 n^2, and the two together 16 n^2)
+        # with 2 workers the assembly holds L, its accumulator and up to
+        # three streamed table blocks: it stays within 8 n^2 doubles (with a
+        # cached whole table, the build and the assembly took 10.4 n^2)
+        monkeypatch.setenv("PHONON_THREADS", "2")
         monkeypatch.setattr(ResonanceTable, "_cache", {})
         g = Grid(1024)
         tracemalloc.start()
         try:
-            ResonanceTable.cached(g, "linear")
             linearized._weak_form_matrix(PARAMS, g, "linear")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 8 * g.n ** 2
+        assert peak <= 8 * 8 * g.n ** 2
 
 
 class TestSemigroup:

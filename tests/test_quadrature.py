@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phononlab import quadrature
 from phononlab.errors import NonFiniteError, SingularityMismatchError
 from phononlab.manifold import TWO_PI, f_minus, f_minus_zeros, f_plus, omega
 from phononlab.quadrature import (QuadratureSpec, graded_midpoint_nodes,
@@ -154,3 +155,16 @@ class TestNodeHelpers:
                                                min_scale=1e-12, local_order=8)
             assert np.sum(wts) == pytest.approx(TWO_PI, abs=1e-12)
             assert np.all((nodes > 0.0) & (nodes < TWO_PI))
+
+    def test_gauss_rule_computed_once_and_shared_read_only(self):
+        # graded panels reuse one rule per order: the same arrays, with the
+        # bits of leggauss, which no caller can overwrite
+        x, w = quadrature._gauss_rule(8)
+        assert quadrature._gauss_rule(8)[0] is x
+        want = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        nodes, wts = quadrature._gauss_panel(0.5, 1.5, 8)
+        assert np.array_equal(nodes, 1.0 + 0.5 * want[0])
+        assert np.array_equal(wts, 0.5 * want[1])
