@@ -21,8 +21,9 @@ term to row i and subtracts it from row j, and the total mass of C[f]
 cancels term by term, independently of resolution; energy conservation
 holds to quadrature accuracy only.
 
-C[f] up to TABLE_MAX_N and the perturbation right-hand side reuse one
-cached whole table; the linearized assembly reads the table once, so
+A loop that applies C[f] or the perturbation right-hand side many times
+owns one whole table for as long as it runs (`collision_map`,
+`PerturbationTables`); the linearized assembly reads the table once, so
 `_packed_blocks` streams it as transient blocks and holds no whole table.
 
 `collision_at` is the one engine for the integral off the table: output
@@ -76,13 +77,10 @@ class ResonanceTable:
     the strict upper triangle in np.triu_indices(n, 1) order: all of them by
     default, or the packed range `entries` = (k0, k1).  The table is built in
     blocks of _TABLE_BLOCK entries on the row-block pool.  Building it is
-    the only O(n^2) trigonometric cost: `cached` keeps a whole table for the
-    loops that reuse it (the collision operator and time stepping), while
-    the linearized assembly streams transient blocks (`_packed_blocks`).
+    the only O(n^2) trigonometric cost: a loop that reuses a whole table
+    owns one (`collision_map`, `PerturbationTables`), while the linearized
+    assembly streams transient blocks (`_packed_blocks`).
     """
-
-    _cache: dict = {}
-    _cache_lock = threading.Lock()
 
     def __init__(self, grid: Grid, interp: str = "linear", entries=None):
         self.grid = grid
@@ -105,19 +103,6 @@ class ResonanceTable:
                     dst[s] = src
 
         map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, k1 - k0, _TABLE_BLOCK)])
-
-    @classmethod
-    def cached(cls, grid: Grid, interp: str = "linear") -> "ResonanceTable":
-        key = (grid.n, interp)
-        with cls._cache_lock:
-            tab = cls._cache.get(key)
-        if tab is None:
-            tab = cls(grid, interp)
-            with cls._cache_lock:
-                if len(cls._cache) > 4:
-                    cls._cache.clear()
-                cls._cache[key] = tab
-        return tab
 
     def exchange_sum(self, v: np.ndarray, term, block: int) -> np.ndarray:
         """Row sums over the full rule of an integrand that flips sign under
@@ -162,7 +147,9 @@ def pool_workers() -> int:
     one is set, else the number of CPUs this process may run on."""
     cap = os.environ.get("PHONON_THREADS")
     if cap:
-        return max(1, int(cap))
+        if not cap.isdecimal() or int(cap) < 1:
+            raise ValueError(f"PHONON_THREADS must be an integer >= 1, got {cap!r}")
+        return int(cap)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -276,23 +263,28 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     return out
 
 
+def collision_map(grid: Grid, interp: str = "linear"):
+    """C[f] at the nodes of `grid` as a callable of unchecked node values,
+    built once for a loop that applies it many times: up to TABLE_MAX_N from
+    one whole ResonanceTable that lives as long as the callable, each pair
+    once for both of its orders; above it by `collision_at` on the nodes with
+    unit weights and the field's interpolant (exact at the nodes), the row
+    sums scaled by the grid weight afterwards."""
+    if grid.n <= TABLE_MAX_N:
+        tab = ResonanceTable(grid, interp)
+        return lambda vals: grid.weight * tab.exchange_sum(
+            vals, lambda s, *f4: tab.W[s] * _bracket(*f4), _BLOCK_VALUES)
+    nodes, ones = grid.nodes, np.ones(grid.n)
+    return lambda vals: grid.weight * collision_at(
+        nodes, lambda p: gather(vals, interp_weights(grid, p, interp)), nodes, ones)
+
+
 def collision_operator(f: Field, interp: str = "linear",
                        pos_floor: float = 1e-12) -> Field:
-    """Evaluate C[f] at every grid node: from the cached table up to
-    TABLE_MAX_N, each pair once for both of its orders, above it by
-    `collision_at` on the nodes with unit weights and the field's
-    interpolant (exact at the nodes), the row sums scaled by the grid
-    weight afterwards."""
+    """C[f] at every grid node of a field above the positivity floor, from a
+    `collision_map` built for this call alone."""
     f.require_positive(pos_floor)
-    grid = f.grid
-    vals = f.values
-    if grid.n <= TABLE_MAX_N:
-        tab = ResonanceTable.cached(grid, interp)
-        return Field(grid, grid.weight * tab.exchange_sum(
-            vals, lambda s, *f4: tab.W[s] * _bracket(*f4), _BLOCK_VALUES))
-    nodes = grid.nodes
-    return Field(grid, grid.weight * collision_at(
-        nodes, lambda p: gather(vals, interp_weights(grid, p, interp)), nodes, np.ones(grid.n)))
+    return Field(f.grid, collision_map(f.grid, interp)(f.values))
 
 
 def conserved_quantities(f: Field):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import ResonanceTable, collision_operator, conserved_quantities, entropy
+from .collision import ResonanceTable, collision_map, conserved_quantities, entropy
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
@@ -58,7 +58,8 @@ class EvolutionConfig:
     """Fixed-step integration parameters.
 
     record_every > 0 records every that-many steps; record_every = 0
-    records on a 64-point geometric grid (long runs stay O(100) states).
+    records on a geometric grid of n_records points (long runs stay O(100)
+    states).  A schedule that records nothing is rejected.
     """
     dt: float
     t_final: float
@@ -74,6 +75,11 @@ class EvolutionConfig:
             raise ConfigError("t_final must be at least dt")
         if self.integrator not in ("rk4", "euler"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
+        if self.record_every < 0 or self.n_records < 1:
+            raise ConfigError("record_every must be >= 0 and n_records >= 1")
+        if self.record_every * self.dt > self.t_final + 1e-12:
+            raise ConfigError(f"record_every = {self.record_every} steps of dt = {self.dt:g} "
+                              f"pass t_final = {self.t_final:g}: nothing would be recorded")
 
     def record_times(self) -> np.ndarray:
         if self.record_every > 0:
@@ -131,11 +137,11 @@ class PerturbationTables:
     (p2, p3, p0, p1), so the p3 side of (i, j) is the p1 side of (j, i):
     P3 := P1^T, and the table's P3 and i3 stencil serve as both.  G0..G3
     are the weights of the channels that drop f0..f3; the stencils and
-    nodes are read from the table itself.
+    nodes are read from the table itself, which these tables build and own.
     """
 
     def __init__(self, params: RjParams, grid: Grid, interp: str = "linear"):
-        self.tab = tab = ResonanceTable.cached(grid, interp)
+        self.tab = tab = ResonanceTable(grid, interp)
         self.grid = grid
         self.params = params
         fb = params.value(grid.nodes)
@@ -236,19 +242,23 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
 
 
 def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
-    """Integrate d/dt f = C[f] with conservation and entropy monitoring."""
+    """Integrate d/dt f = C[f] with conservation and entropy monitoring, on
+    one `collision_map` built for the run; a stage whose field is not finite
+    or falls below the positivity floor raises BlowupError."""
     f0.require_positive()
     grid = f0.grid
     m0, e0 = conserved_quantities(f0)
     res = match_rj(m0, e0)
     if res.matched:
         _check_stability_guard(cfg, multiplier_a(res.params, grid))
+    collide = collision_map(grid, cfg.interp)
 
     def rhs(fv):
         try:
-            return collision_operator(Field(grid, fv), cfg.interp).values
+            Field(grid, fv).require_positive()
         except (PositivityError, NonFiniteError) as exc:
             raise BlowupError(f"spectrum left the admissible set mid-step: {exc}") from exc
+        return collide(fv)
     arr, states, calls = _run(grid, f0.values, rhs, cfg,
                               to_f=lambda fv: fv,
                               to_g=lambda fv: fv)

@@ -10,7 +10,6 @@ extra two orders are worth it.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,17 +137,6 @@ def write_field_csv(f: Field, path) -> None:
         wr.writerow(["p", "value"])
         for p, v in zip(f.grid.nodes, f.values):
             wr.writerow([f"{p:.17g}", f"{v:.17g}"])
-
-
-def write_field_json(f: Field, path) -> None:
-    payload = {
-        "n": f.grid.n,
-        "p": [float(x) for x in f.grid.nodes],
-        "value": [float(v) for v in f.values],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
 
 
 def read_field_csv(path) -> Field:

@@ -260,6 +260,20 @@ class TestBlowupFamily:
 
 
 class TestMapBlocks:
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+    def test_bad_thread_count_is_rejected(self, monkeypatch, value):
+        # the CLI's rule and wording: an integer >= 1, or unset
+        monkeypatch.setenv("PHONON_THREADS", value)
+        with pytest.raises(ValueError) as info:
+            collision.pool_workers()
+        assert str(info.value) == f"PHONON_THREADS must be an integer >= 1, got '{value}'"
+
+    def test_empty_thread_count_means_unset(self, monkeypatch):
+        monkeypatch.setenv("PHONON_THREADS", "")
+        empty = collision.pool_workers()
+        monkeypatch.delenv("PHONON_THREADS")
+        assert empty == collision.pool_workers() >= 1
+
     def test_one_worker_runs_inline(self, monkeypatch):
         monkeypatch.setenv("PHONON_THREADS", "1")
         seen = set()

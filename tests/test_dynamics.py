@@ -1,11 +1,12 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import full_table
-from phononlab import dynamics
-from phononlab.collision import collision_operator
+from phononlab import collision, dynamics
+from phononlab.collision import ResonanceTable, collision_operator
 from phononlab.dynamics import (EvolutionConfig, PerturbationTables, _run,
                                 b_norm_components, evolve_nonlinear_f,
                                 evolve_perturbation)
@@ -13,7 +14,7 @@ from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import BlowupError, ConfigError, FitError
 from phononlab.fitting import fit_power_law
 from phononlab.grid import Field, Grid, gather
-from phononlab.linearized import assemble, decay_initial_data, semigroup_apply
+from phononlab.linearized import assemble, decay_initial_data, multiplier_a, semigroup_apply
 
 PARAMS = RjParams(1.0, 1.0)
 
@@ -140,6 +141,16 @@ class TestEvolutionConfig:
             EvolutionConfig(dt=1.0, t_final=0.5)
         with pytest.raises(ConfigError):
             EvolutionConfig(dt=1.0, t_final=2.0, integrator="leapfrog")
+        # a record schedule that would record nothing is rejected
+        with pytest.raises(ConfigError, match="record_every"):
+            EvolutionConfig(dt=1.0, t_final=3.0, record_every=-1)
+        with pytest.raises(ConfigError, match="n_records"):
+            EvolutionConfig(dt=1.0, t_final=3.0, n_records=0)
+        with pytest.raises(ConfigError, match="record_every"):
+            EvolutionConfig(dt=1.0, t_final=3.0, record_every=5)
+        with pytest.raises(ConfigError, match="record_every"):
+            EvolutionConfig(dt=1.0, t_final=2.5, record_every=3)
+        assert EvolutionConfig(dt=1.0, t_final=3.0, record_every=3).record_times().size == 1
 
     def test_record_times(self):
         cfg = EvolutionConfig(dt=0.5, t_final=100.0, record_every=40)
@@ -284,6 +295,56 @@ class TestRunGuards:
         with pytest.raises(BlowupError, match=r"positivity failed at t = 3\.5$"):
             _run(g, np.zeros(16), lambda gv: np.full_like(gv, -0.3), cfg,
                  to_f=lambda gv: 1.0 + gv, to_g=lambda gv: gv)
+
+
+class TestTableOwnership:
+    @staticmethod
+    def track_tables(monkeypatch):
+        """Weak references to every ResonanceTable built from now on, with
+        the packed range each was built for (None for a whole table)."""
+        built = []
+        init = ResonanceTable.__init__
+
+        def tracking_init(self, grid, interp="linear", entries=None):
+            init(self, grid, interp, entries)
+            built.append((weakref.ref(self), entries))
+        monkeypatch.setattr(ResonanceTable, "__init__", tracking_init)
+        return built
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_no_table_outlives_its_caller(self, monkeypatch, workers):
+        # every table, whole or streamed, is freed when the call that built
+        # it returns; blocks of 1,000 entries put the build and the stream
+        # on the pool
+        monkeypatch.setenv("PHONON_THREADS", workers)
+        monkeypatch.setattr(collision, "_TABLE_BLOCK", 1000)
+        built = self.track_tables(monkeypatch)
+        g = Grid(128)
+        f0 = rj_field(PARAMS, g)
+        cfg = EvolutionConfig(dt=1.0, t_final=3.0, interp="cubic")
+        calls = {"collision_operator": lambda: collision_operator(f0, "cubic"),
+                 "assemble": lambda: assemble(PARAMS, g),
+                 "multiplier_a": lambda: multiplier_a(PARAMS, g),
+                 "evolve_nonlinear_f": lambda: evolve_nonlinear_f(f0, cfg),
+                 "evolve_perturbation": lambda: evolve_perturbation(
+                     scaled_data(PARAMS, g, 1e-2), PARAMS, cfg)}
+        for name, call in calls.items():
+            built.clear()
+            call()
+            assert built, name
+            assert [entries for ref, entries in built if ref() is not None] == [], name
+
+    def test_nonlinear_f_builds_one_whole_table(self, monkeypatch):
+        # one table serves every stage of the run, even after an earlier
+        # C[f] on the same grid has come and gone
+        g = Grid(128)
+        f0 = rj_field(PARAMS, g)
+        collision_operator(f0, "cubic")
+        built = self.track_tables(monkeypatch)
+        cfg = EvolutionConfig(dt=1.0, t_final=5.0, interp="cubic")
+        traj = evolve_nonlinear_f(f0, cfg)
+        assert traj.rhs_evals == 20
+        assert [entries for _, entries in built].count(None) == 1
 
 
 class TestPerturbation:

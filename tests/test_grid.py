@@ -4,7 +4,7 @@ import pytest
 from phononlab.errors import NonFiniteError, PositivityError
 from phononlab.grid import (Field, Grid, constant_field, evaluate,
                             field_from_function, lp_norm, read_field_csv,
-                            weighted_sup, write_field_csv, write_field_json)
+                            weighted_sup, write_field_csv)
 from phononlab.manifold import TWO_PI
 
 RNG = np.random.default_rng(7)
@@ -97,12 +97,3 @@ class TestSerialization:
         f2 = read_field_csv(path)
         assert f2.grid.n == 32
         assert np.array_equal(f2.values, f.values)
-
-    def test_json(self, tmp_path):
-        import json
-        f = constant_field(Grid(16), 1.5)
-        path = tmp_path / "f.json"
-        write_field_json(f, path)
-        payload = json.loads(path.read_text())
-        assert payload["n"] == 16
-        assert payload["value"] == [1.5] * 16

@@ -294,7 +294,6 @@ class TestWeakFormAssembly:
         if table_max_n is not None:
             monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
-        monkeypatch.setattr(ResonanceTable, "_cache", {})
         built = []
         init = ResonanceTable.__init__
 
@@ -311,15 +310,6 @@ class TestWeakFormAssembly:
             assert sorted(built, key=lambda args: args[2]) == \
                 [(g, "cubic", (k, min(k + 5000, 32640))) for k in range(0, 32640, 5000)]
             assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
-
-    def test_assembly_caches_no_table(self, monkeypatch):
-        # the assembly and the multiplier read each block once, so nothing
-        # keeps a table alive after them
-        monkeypatch.setattr(ResonanceTable, "_cache", {})
-        g = Grid(256)
-        assemble(PARAMS, g)
-        multiplier_a(PARAMS, g)
-        assert ResonanceTable._cache == {}
 
     def test_traced_peak_memory(self, monkeypatch):
         # the (n^2 x n) sparse route peaked at 291 MiB here; on one worker
@@ -340,7 +330,6 @@ class TestWeakFormAssembly:
         # three streamed table blocks: it stays within 8 n^2 doubles (with a
         # cached whole table, the build and the assembly took 10.4 n^2)
         monkeypatch.setenv("PHONON_THREADS", "2")
-        monkeypatch.setattr(ResonanceTable, "_cache", {})
         g = Grid(1024)
         tracemalloc.start()
         try:
