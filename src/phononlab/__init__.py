@@ -3,7 +3,7 @@
 Modules
 -------
 manifold     closed-form resonant-manifold geometry
-quadrature   periodic and desingularized composite rules
+quadrature   midpoint and graded composite rules
 grid         midpoint grids, sampled fields, interpolation, norms
 equilibria   Rayleigh-Jeans spectra and the (mass, energy) matching problem
 collision    the nonlinear collision operator and the L^p blow-up family

@@ -9,15 +9,20 @@ the config file's output_dir, else out).  Every other manifest records the
 run's environment ("env": row-block workers, Python and numpy versions);
 `nonlin` also records its work counts there, and only there ("counters":
 {"rhs_evals": ...}).  Exit codes:
-0 success, 2 configuration error, 3 numerical error, 4 I/O error (an
-artifact or cache file that cannot be read or written, or an output
-directory that cannot be made, which leaves no manifest).
+0 success, 2 configuration error (a bad flag or file value, and any
+`ConfigError` or `ValueError` the run raises, such as a time step that is
+not positive), 3 numerical error, 4 I/O error (an artifact or cache file
+that cannot be read or written, or an output directory that cannot be
+made, which leaves no manifest).
 
-A flat key=value config file can seed any run; command-line flags win over
-file values.  --threads (else the file's `threads`, else the PHONON_THREADS
-environment variable; an integer >= 1) caps the BLAS worker count and the
-row-block worker pool (`collision.map_blocks`); it must act before numpy is
-imported, so the heavy modules are imported lazily inside run().
+A flat key=value config file can seed any run with the subcommand's own
+keys (those of its `_DEFAULTS` entry; `rj-match` and `verify` have none)
+and seed, output_dir and threads; any other key is a configuration error.
+Command-line flags win over file values.  --threads (else the file's
+`threads`, else the PHONON_THREADS environment variable; an integer >= 1)
+caps the BLAS worker count and the row-block worker pool
+(`collision.map_blocks`); it must act before numpy is imported, so the
+heavy modules are imported lazily inside run().
 """
 
 from __future__ import annotations
@@ -128,18 +133,21 @@ _DEFAULTS = {
     "verify": {},
 }
 
-_VALID_KEYS = {"grid_n", "beta", "gamma", "fit_lo", "fit_hi", "t_final",
-               "eps", "dt", "interp", "mass", "energy", "p_exp", "seed",
-               "output_dir", "threads"}
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags (a flag left unset is None)."""
-    cfg = dict(_DEFAULTS[args.subcommand], seed=0, output_dir="out")
+    """defaults < config file < explicit flags (a flag left unset is None).
+
+    A config file may set the subcommand's own keys (those of its
+    `_DEFAULTS` entry) and seed, output_dir and threads; any other key is
+    an error, so no value is recorded that the run would not use.
+    """
+    sub = args.subcommand
+    cfg = dict(_DEFAULTS[sub], seed=0, output_dir="out")
     if args.config:
+        keys = {*_DEFAULTS[sub], "seed", "output_dir", "threads"}
         for key, val in read_config_file(args.config).items():
-            if key not in _VALID_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise ValueError(f"config key {key!r} is not a setting of {sub} "
+                                 f"(its keys: {', '.join(sorted(keys))})")
             if key in ("interp", "output_dir"):
                 cfg[key] = val
             elif key in ("grid_n", "seed", "threads"):
@@ -147,7 +155,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             else:
                 cfg[key] = float(val)
     for key, val in vars(args).items():
-        if val is not None and key in _VALID_KEYS:
+        if val is not None and key not in ("config", "subcommand"):
             cfg[key] = val
     n = cfg.get("grid_n")
     if n is not None and (n & (n - 1) or not 64 <= n <= 4096):
@@ -243,7 +251,7 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    from .errors import PhononLabError
+    from .errors import ConfigError, PhononLabError
 
     manifest = {"subcommand": args.subcommand, "config": None, "config_hash": None,
                 "version": _package_version(), "env": None, "status": "running",
@@ -271,14 +279,14 @@ def run(args: argparse.Namespace) -> int:
     try:
         code = _run_subcommand(args.subcommand, cfg, outdir, counters)
         manifest["status"] = "ok" if code == EXIT_OK else "check-failed"
+    except (ConfigError, ValueError, KeyError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        manifest["status"] = f"config-error: {exc}"
+        code = EXIT_CONFIG
     except PhononLabError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         manifest["status"] = f"numerical-error: {exc}"
         code = EXIT_NUMERICAL
-    except (ValueError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        manifest["status"] = f"config-error: {exc}"
-        code = EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         manifest["status"] = f"io-error: {exc}"

@@ -343,6 +343,8 @@ def three_bumps(eps: float, p_exp: float, pts: BlowupPoints):
     p1 sits below it: the parameterization sweeps values h(p0, .) <= p1
     only, so that side is the one the resonance actually visits.
     """
+    if not p_exp > 0.0:
+        raise ValueError(f"p must be positive, got {p_exp}")
     e2 = eps ** 2
     amp2 = eps ** (-2.0 / p_exp)
     amp1 = eps ** (-1.0 / p_exp)

@@ -69,10 +69,11 @@ class EvolutionConfig:
     n_records: int = 64
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.t_final < self.dt:
-            raise ConfigError("t_final must be at least dt")
+        # written so that NaN fails them too
+        if not (self.dt > 0.0 and np.isfinite(self.dt)):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.t_final >= self.dt and np.isfinite(self.t_final)):
+            raise ConfigError(f"t_final must be finite and at least dt, got {self.t_final}")
         if self.integrator not in ("rk4", "euler"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.record_every < 0 or self.n_records < 1:
@@ -201,13 +202,14 @@ def _record(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray):
     return m, e, s, weighted_sup(gf, 0.5), weighted_sup(gf, 1.0 / 6.0), lp_norm(gf, 2)
 
 
-def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
-    """Shared fixed-step driver; f/g conversions supplied by the caller.
+def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
+         mass0: float, energy0: float) -> Trajectory:
+    """Shared fixed-step driver; the state g maps to the spectrum f = to_f(g).
 
-    f = to_f(g) must stay finite, positive and within BLOWUP_FACTOR of its
-    initial sup norm after every step, else BlowupError names that step's t.
-    Returns the recorded rows, the recorded states and the number of rhs
-    calls made.
+    f must stay finite, positive and within BLOWUP_FACTOR of its initial
+    sup norm after every step, else BlowupError names that step's t.
+    Returns the Trajectory of the recorded diagnostics and states, with the
+    initial mass0, energy0 and the number of rhs calls made.
     """
     rec_times = cfg.record_times()
     n_steps = int(np.ceil(cfg.t_final / cfg.dt))
@@ -234,11 +236,15 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f, to_g):
         if np.min(f_vals) <= 0.0:
             raise BlowupError(f"positivity failed at t = {t:.3g}")
         if ri < len(rec_times) and t >= rec_times[ri] - 1e-9:
-            rows.append((t,) + _record(grid, f_vals, to_g(g)))
+            rows.append((t,) + _record(grid, f_vals, g))
             states.append((t, g.copy()))
             while ri < len(rec_times) and t >= rec_times[ri] - 1e-9:
                 ri += 1
-    return np.asarray(rows), states, calls
+    arr = np.asarray(rows)
+    return Trajectory(times=arr[:, 0], mass=arr[:, 1], energy=arr[:, 2],
+                      entropy=arr[:, 3], sup_w12=arr[:, 4], sup_w16=arr[:, 5],
+                      l2=arr[:, 6], states=states, mass0=mass0, energy0=energy0,
+                      rhs_evals=calls)
 
 
 def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
@@ -259,13 +265,7 @@ def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
         except (PositivityError, NonFiniteError) as exc:
             raise BlowupError(f"spectrum left the admissible set mid-step: {exc}") from exc
         return collide(fv)
-    arr, states, calls = _run(grid, f0.values, rhs, cfg,
-                              to_f=lambda fv: fv,
-                              to_g=lambda fv: fv)
-    return Trajectory(times=arr[:, 0], mass=arr[:, 1], energy=arr[:, 2],
-                      entropy=arr[:, 3], sup_w12=arr[:, 4], sup_w16=arr[:, 5],
-                      l2=arr[:, 6], states=states, mass0=m0, energy0=e0,
-                      rhs_evals=calls)
+    return _run(grid, f0.values, rhs, cfg, lambda fv: fv, m0, e0)
 
 
 def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
@@ -293,13 +293,7 @@ def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
         return L @ gv + tabs.nonlinear(gv)
 
     m0, e0 = conserved_quantities(Field(grid, fb * (1.0 + g0.values)))
-    arr, states, calls = _run(grid, g0.values, rhs, cfg,
-                              to_f=lambda gv: fb * (1.0 + gv),
-                              to_g=lambda gv: gv)
-    return Trajectory(times=arr[:, 0], mass=arr[:, 1], energy=arr[:, 2],
-                      entropy=arr[:, 3], sup_w12=arr[:, 4], sup_w16=arr[:, 5],
-                      l2=arr[:, 6], states=states, mass0=m0, energy0=e0,
-                      rhs_evals=calls)
+    return _run(grid, g0.values, rhs, cfg, lambda gv: fb * (1.0 + gv), m0, e0)
 
 
 def b_norm_components(traj: Trajectory, delta: float = B_NORM_DELTA):

@@ -120,9 +120,11 @@ class MatchResult:
 
 def match_rj(mass0: float, energy0: float) -> MatchResult:
     """Invert (mass, energy) for (beta, gamma): unmatched when E/M >= 2/pi,
-    DomainError when E/M < RATIO_FLOOR (gamma/beta would be below e^-708)."""
-    if mass0 <= 0.0 or energy0 <= 0.0:
-        raise ValueError("mass and energy must be positive")
+    DomainError when E/M < RATIO_FLOOR (gamma/beta would be below e^-708);
+    ValueError unless both are finite and positive."""
+    if not (0.0 < mass0 < math.inf and 0.0 < energy0 < math.inf):
+        raise ValueError(f"mass and energy must be finite and positive, "
+                         f"got mass {mass0}, energy {energy0}")
     ratio = energy0 / mass0
     if not (ratio < RATIO_LIMIT):
         return MatchResult(False, None, ratio, math.nan, math.nan)

@@ -17,10 +17,6 @@ class NonFiniteError(PhononLabError):
     """An integrand or field produced a non-finite value."""
 
 
-class SingularityMismatchError(PhononLabError):
-    """A declared singularity location does not match the radicand's behavior."""
-
-
 class PositivityError(PhononLabError):
     """A spectrum violated the strict positivity required for 1/f terms."""
 

@@ -138,11 +138,12 @@ def nonlinear_experiment(beta: float = 1.0, gamma: float = 1.0,
     """
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
+    # a bad time-step schedule fails before the operator is built or cached
+    cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final, interp=interp)
     op = lin.load_or_assemble(params, grid, cache_dir, interp=interp)
     g0 = lin.decay_initial_data(params, grid, nu=0.5)
     scale = eps / float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
     g0 = Field(grid, scale * g0.values)
-    cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final, interp=interp)
     traj = dyn.evolve_perturbation(g0, params, cfg, operator=op)
     dm, de = traj.conserved_drift()
     rep = traj.decay_report("sup_w12", (t_final / 10.0, t_final))

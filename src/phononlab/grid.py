@@ -66,14 +66,6 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
-def constant_field(grid: Grid, c: float) -> Field:
-    return Field(grid, np.full(grid.n, float(c)))
-
-
-def field_from_function(grid: Grid, fn) -> Field:
-    return Field(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
 def interp_weights(grid: Grid, targets: np.ndarray, order: str = "linear"):
     """Periodic interpolation stencils for arbitrary target angles.
 
@@ -138,12 +130,3 @@ def write_field_csv(f: Field, path) -> None:
         for p, v in zip(f.grid.nodes, f.values):
             wr.writerow([f"{p:.17g}", f"{v:.17g}"])
 
-
-def read_field_csv(path) -> Field:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header[:2] != ["p", "value"]:
-            raise ValueError(f"unexpected field CSV header {header}")
-        vals = [float(row[1]) for row in rd]
-    return Field(Grid(len(vals)), np.asarray(vals))

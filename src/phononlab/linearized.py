@@ -245,13 +245,6 @@ def semigroup_apply(op: LinOperator, g0: Field, t: float) -> Field:
     return Field(op.grid, vals)
 
 
-def project_out_kernel(op: LinOperator, g: Field) -> Field:
-    """Remove the discrete-L^2 projection onto span{fb, omega*fb}."""
-    q = op.kernel_basis()
-    vals = g.values - q @ (q.T @ g.values)
-    return Field(op.grid, vals)
-
-
 def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
     """Largest principal angle (radians) between the column spans of u and v."""
     qu, _ = np.linalg.qr(u)

@@ -20,8 +20,7 @@ Integrating out the delta constraints produces Jacobian radicands
 
 F+ is nonnegative and bounded below by 4 omega(x) omega(z); F-(x, .) is
 negative exactly on an interval (y', y'') straddling 2pi - x, and the map
-z -> h(x, z) covers the positivity set {F-(x, .) > 0} twice.  The two
-branches of the inverse are returned by `h_inverse_pair`.
+z -> h(x, z) covers the positivity set {F-(x, .) > 0} twice.
 
 All functions here are pure, vectorized over numpy arrays, and use double
 precision; tolerances below are calibrated to that.
@@ -188,30 +187,6 @@ def omega_residual(p0, p1, p2):
     """omega0 + omega1 - omega2 - omega3 with p3 = p0 + p1 - p2; zero on the manifold."""
     p3 = np.asarray(p0, dtype=float) + np.asarray(p1) - np.asarray(p2)
     return omega(p0) + omega(p1) - omega(p2) - omega(p3)
-
-
-def h_inverse_pair(y, x):
-    """The two solutions z of h(x, z) = y on the positivity set of F-(x, .).
-
-    Returns (z_plus, z_minus), canonical in [0, 2pi).  The pair realizes the
-    p2 <-> p3 exchange: z_minus = x + y - z_plus (mod 2pi).  Only meaningful
-    where F-(x, y) >= 0; the arcsin argument is clamped at the boundary.
-
-    Accuracy: each branch lies within about one ulp of 2pi of an exact
-    solution, but the round trip h(x, z) - y is that error times |dh/dz|,
-    which grows as x -> 0 while z_minus presses against 2pi.  The round
-    trip is below 1e-12 for x in [0.2, 2pi - 0.2]; at x = 1e-4, z = 2^-6 it
-    misses by 1.8e-9 (|dh/dz| ~ 5e6 there: one ulp of z moves h by 4.5e-9).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    arg = np.tan((x + y) / 4.0) * np.cos((x - y) / 4.0)
-    g = 2.0 * np.arcsin(np.clip(arg, -1.0, 1.0))
-    base = (x + y) / 2.0
-    z_plus = canonicalize(base + g)
-    corr = np.where(x + y > TWO_PI, -TWO_PI, TWO_PI)
-    z_minus = canonicalize(base - g + corr)
-    return z_plus, z_minus
 
 
 def triple_product_identity(x, z):

@@ -1,0 +1,137 @@
+"""Compare the artifacts of two source trees, subcommand by subcommand.
+
+    python3 tests/artifact_diff.py PARENT_TREE CHANGE_TREE
+
+Runs the seven CLI subcommands at small pinned configurations in each tree
+(`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), then prints one line per
+artifact: `identical`, or the largest relative difference over its numeric
+fields (CSV cells, JSON leaves).  Of `manifest.json` only `status` is
+compared, since it also records wall time and environment.  A binary
+artifact (the operator cache) is compared byte for byte.  Exits 1 when an
+artifact exists on one side only, when the two sides differ in anything but
+numbers, or when a manifest's status differs; else 0.  The name keeps the
+script out of pytest collection.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUNS = {
+    "multiplier": ["multiplier", "--grid-n", "256"],
+    "spectrum": ["spectrum", "--grid-n", "128"],
+    "lin-decay": ["lin-decay", "--grid-n", "128", "--t-final", "400"],
+    "nonlin": ["nonlin", "--grid-n", "128", "--t-final", "50", "--dt", "1.0"],
+    "rj-match": ["rj-match", "--mass", "3.0", "--energy", "1.0"],
+    "lp-blowup": ["lp-blowup", "--p", "2.0"],
+    "verify": ["verify"],
+}
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
+def run_tree(tree: Path, out: Path) -> None:
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(PYTHONPATH=str(tree / "src"), PHONON_THREADS="2")
+    for name, args in RUNS.items():
+        subprocess.run([sys.executable, "-m", "phononlab.cli",
+                        "--output-dir", str(out / name), *args],
+                       env=env, cwd=out, capture_output=True, check=False)
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every leaf of a JSON document."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            yield from _leaves(obj[k], f"{path}/{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{path}/{i}")
+    else:
+        yield path, obj
+
+
+def _number(x):
+    """x as a float if it is numeric (a JSON number or a CSV cell), else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _fields(path: Path) -> list:
+    if path.suffix == ".json":
+        return list(_leaves(json.loads(path.read_text())))
+    with open(path, newline="") as fh:
+        return [((r, c), cell) for r, row in enumerate(csv.reader(fh))
+                for c, cell in enumerate(row)]
+
+
+def compare(a: Path, b: Path) -> tuple[str, bool]:
+    """(verdict line, ok) for one artifact present on both sides."""
+    if a.name == "manifest.json":
+        sa = json.loads(a.read_text())["status"]
+        sb = json.loads(b.read_text())["status"]
+        return ("identical", True) if sa == sb else (f"status {sa!r} vs {sb!r}", False)
+    if a.read_bytes() == b.read_bytes():
+        return "identical", True
+    if a.suffix not in (".json", ".csv"):
+        return "bytes differ", False
+    fa, fb = _fields(a), _fields(b)
+    if [k for k, _ in fa] != [k for k, _ in fb]:
+        return "layout differs", False
+    worst = 0.0
+    for (key, va), (_, vb) in zip(fa, fb):
+        na, nb = _number(va), _number(vb)
+        if na is None or nb is None:
+            if va != vb:
+                return f"field {key} differs: {va!r} vs {vb!r}", False
+            continue
+        worst = max(worst, _rel(na, nb))
+    if worst == 0.0:
+        return "identical in value (formatting differs)", True
+    return f"max rel diff {worst:.3e}", True
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: artifact_diff.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / side for side in ("parent", "change")]
+        for tree, out in zip(trees, outs):
+            out.mkdir()
+            run_tree(tree, out)
+        names = sorted({str(p.relative_to(out)) for out in outs
+                        for p in out.rglob("*") if p.is_file()})
+        for name in names:
+            a, b = outs[0] / name, outs[1] / name
+            if not (a.exists() and b.exists()):
+                line, good = f"only in {'parent' if a.exists() else 'change'}", False
+            else:
+                line, good = compare(a, b)
+            ok = ok and good
+            print(f"{name}: {line}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

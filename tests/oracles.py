@@ -2,10 +2,14 @@
 
 None of this runs on a CLI path.  The pointwise kernels K1 and K2 of the
 linearized operator and the product-integration realization of K1 are kept
-for kernel studies; the full-table oracles evaluate the tensor rule on all
-n^2 ordered node pairs, with no use of the exchange symmetry that the
-package's packed resonance table relies on, and the cached-slice blocks
-read one whole packed table where the package streams transient blocks.
+for kernel studies, with the rules they need: the sqrt-substituted nodes
+and the desingularized K1 row rule (`integrate_inverse_sqrt`), and the two
+branches of the inverse of h (`h_inverse_pair`).  The full-table oracles
+evaluate the tensor rule on all n^2 ordered node pairs, with no use of the
+exchange symmetry that the package's packed resonance table relies on, and
+the cached-slice blocks read one whole packed table where the package
+streams transient blocks.  `project_out_kernel` makes kernel-orthogonal
+test data with the plain projection onto `LinOperator.kernel_basis`.
 """
 
 from types import SimpleNamespace
@@ -14,11 +18,19 @@ import numpy as np
 
 from phononlab import collision
 from phononlab.equilibria import RjParams
-from phononlab.grid import Grid, gather, interp_weights
+from phononlab.errors import NonFiniteError, PhononLabError
+from phononlab.grid import Field, Grid, gather, interp_weights
+from phononlab.linearized import LinOperator
 from phononlab.manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
-                                h_inverse_pair, omega, resonant_kernel)
-from phononlab.quadrature import (QuadratureSpec, integrate_inverse_sqrt,
-                                  sqrt_substituted_nodes)
+                                omega, resonant_kernel)
+from phononlab.quadrature import graded_midpoint_nodes, midpoint_nodes
+
+# nodes per graded panel of integrate_inverse_sqrt
+LOCAL_ORDER = 16
+
+
+class SingularityMismatchError(PhononLabError):
+    """A declared singularity location does not match the radicand's behavior."""
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +66,131 @@ def full_collision(f, interp: str = "linear") -> np.ndarray:
     f0, f1, f2, f3 = v[:, None], gather(v, tab.i1), v[None, :], gather(v, tab.i3)
     br = f1 * f2 * f3 + f0 * f2 * f3 - f0 * f1 * f3 - f0 * f1 * f2
     return f.grid.weight * np.sum(tab.W * br, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# projection onto the kernel of L
+
+def project_out_kernel(op: LinOperator, g: Field) -> Field:
+    """Remove the discrete-L^2 projection onto span{fb, omega*fb}."""
+    q = op.kernel_basis()
+    vals = g.values - q @ (q.T @ g.values)
+    return Field(op.grid, vals)
+
+
+# ---------------------------------------------------------------------------
+# inverse-square-root endpoint singularities and the inverse of h
+
+def sqrt_substituted_nodes(s: float, far: float, n: int):
+    """Nodes/weights realizing u = sqrt(|s - y|) over the stretch from s to far.
+
+    Returns (y_nodes, dy_weights) for integrating dy; the weights already
+    contain the 2u Jacobian, so summing w * f(y) / sqrt(R(y)) converges at
+    the smooth rate when R vanishes linearly at s.
+    """
+    span = abs(far - s)
+    umax = np.sqrt(span)
+    u, wu = midpoint_nodes(0.0, umax, n)
+    y = s + np.sign(far - s) * u ** 2
+    return y, 2.0 * u * wu
+
+
+def integrate_inverse_sqrt(f, s: float, radicand, side: str,
+                           n_panels: int, lo: float, hi: float) -> float:
+    """Integral of f(y) / sqrt(radicand(y)) over [lo, hi] with radicand
+    vanishing (or dipping to a sharp minimum) at the endpoint s.
+
+    side = 'left'  : the domain lies left of s,  so s == hi;
+    side = 'right' : the domain lies right of s, so s == lo.
+    The whole interval is mapped through u = sqrt(|s - y|); with a linearly
+    vanishing radicand the transformed integrand is smooth, so the composite
+    midpoint rule in u (n_panels base panels) keeps its full order.  The
+    substitution carries no problem-dependent constant, unlike Gauss-Jacobi
+    weights, which matters because the linear-vanishing rate of F- varies
+    with the base point.
+    """
+    if side == "left":
+        if not np.isclose(s, hi):
+            raise ValueError("side='left' requires s == hi")
+        far = lo
+    elif side == "right":
+        if not np.isclose(s, lo):
+            raise ValueError("side='right' requires s == lo")
+        far = hi
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+    # sanity: the radicand must be positive on the inside of s.  A regular
+    # radicand (bounded below) is fine -- the substitution is then a benign
+    # reparameterization -- but a negative value just inside the domain means
+    # the declared zero does not change sign across s as promised.
+    span = abs(far - s)
+    toward = np.sign(far - s)
+    scale = max(abs(float(radicand(far - toward * 1e-6 * span))),
+                abs(float(radicand(s + toward * 0.5 * span))), 1e-300)
+    r_in = float(radicand(s + toward * 1e-6 * span))
+    r_s = float(radicand(s))
+    if r_in < -1e-12 * scale or r_s < -1e-9 * scale:
+        raise SingularityMismatchError(
+            f"radicand is negative on the domain side of s={s} "
+            f"(inside probe {r_in:.3e}, at s {r_s:.3e}); the declared zero "
+            "does not separate signs there")
+
+    # after u = sqrt(|s - y|) a linear zero at s is exactly regularized, but
+    # a radicand with a small flat-bottom minimum (the F+ kernel near the
+    # torus corner) still has structure below the u^2 scale; grade panels
+    # into any sharp dip, whether at s itself or in the interior
+    umax = np.sqrt(span)
+    scan = np.linspace(0.0, umax, 512)[1:-1]
+    rad_scan = np.asarray(radicand(s + toward * scan ** 2), dtype=float)
+    k = int(np.argmin(rad_scan))
+    refine = []
+    if 1e-13 * scale < r_s < 1e-2 * scale:
+        # a genuinely positive flat bottom at s (not a linear zero, which the
+        # substitution already regularizes exactly): grade into it
+        refine.append(0.0)
+    if rad_scan[k] < 1e-2 * scale and 0 < k < rad_scan.size - 1 and scan[k] > 1e-3 * umax:
+        refine.append(float(scan[k]))
+    # grade down to 1e-15 of the u interval
+    min_scale = umax * 1e-15
+    u, wu = graded_midpoint_nodes(0.0, umax, n_panels, refine_at=refine,
+                                  min_scale=min_scale,
+                                  local_order=LOCAL_ORDER,
+                                  zone_panels=max(2, n_panels // 8))
+    y = s + toward * u ** 2
+    wy = 2.0 * u * wu
+    rad = np.asarray(radicand(y), dtype=float)
+    vals = np.asarray(f(y), dtype=float)
+    good = rad > 0.0
+    out = np.zeros_like(rad)
+    out[good] = vals[good] / np.sqrt(rad[good])
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("transformed integrand non-finite")
+    return float(np.add.reduce(wy * out))
+
+
+def h_inverse_pair(y, x):
+    """The two solutions z of h(x, z) = y on the positivity set of F-(x, .).
+
+    Returns (z_plus, z_minus), canonical in [0, 2pi).  The pair realizes the
+    p2 <-> p3 exchange: z_minus = x + y - z_plus (mod 2pi).  Only meaningful
+    where F-(x, y) >= 0; the arcsin argument is clamped at the boundary.
+
+    Accuracy: each branch lies within about one ulp of 2pi of an exact
+    solution, but the round trip h(x, z) - y is that error times |dh/dz|,
+    which grows as x -> 0 while z_minus presses against 2pi.  The round
+    trip is below 1e-12 for x in [0.2, 2pi - 0.2]; at x = 1e-4, z = 2^-6 it
+    misses by 1.8e-9 (|dh/dz| ~ 5e6 there: one ulp of z moves h by 4.5e-9).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    arg = np.tan((x + y) / 4.0) * np.cos((x - y) / 4.0)
+    g = 2.0 * np.arcsin(np.clip(arg, -1.0, 1.0))
+    base = (x + y) / 2.0
+    z_plus = canonicalize(base + g)
+    corr = np.where(x + y > TWO_PI, -TWO_PI, TWO_PI)
+    z_minus = canonicalize(base - g + corr)
+    return z_plus, z_minus
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +234,12 @@ def kernel_k1(p, p1, params: RjParams):
     return res if res.ndim else float(res)
 
 
-def k1_row_integral(p: float, params: RjParams, spec: QuadratureSpec,
+def k1_row_integral(p: float, params: RjParams, n_panels: int,
                     phi=None) -> float:
     """int K1(p, y) phi(y) dy over both positivity intervals of F-(p, .).
 
     Integrable inverse-square-root singularities at y'(p) and y''(p) are
-    removed by the sqrt substitution of the quadrature module.
+    removed by the sqrt substitution of `integrate_inverse_sqrt`.
     """
     zeros = f_minus_zeros(p)
     test = (lambda y: np.ones_like(y)) if phi is None else phi
@@ -112,9 +249,9 @@ def k1_row_integral(p: float, params: RjParams, spec: QuadratureSpec,
 
     radicand = lambda y: f_minus(p, y)
     total = integrate_inverse_sqrt(smooth, zeros.y_prime, radicand,
-                                   "left", spec, 0.0, zeros.y_prime)
+                                   "left", n_panels, 0.0, zeros.y_prime)
     total += integrate_inverse_sqrt(smooth, zeros.y_double_prime, radicand,
-                                    "right", spec, zeros.y_double_prime, TWO_PI)
+                                    "right", n_panels, zeros.y_double_prime, TWO_PI)
     return total
 
 

@@ -18,13 +18,27 @@ import pytest
 from phononlab import experiments as ex
 from phononlab.collision import collision_operator
 from phononlab.equilibria import RATIO_LIMIT, RjParams, mass_energy, match_rj, rj_field
-from phononlab.golden import STATIONARITY_RESIDUAL_N1024, stationarity_budget
 from phononlab.grid import Grid, lp_norm
 from phononlab.linearized import (assemble, decay_initial_data, load_or_assemble,
                                   measure_linear_decay, multiplier_at,
                                   subspace_angle)
 
 PARAMS11 = RjParams(1.0, 1.0)
+
+# Frozen reference values measured during bring-up: ||C[f_{beta,gamma}]||_inf
+# on the n = 1024 grid with linear off-grid interpolation.  The residual is
+# discretization error, not modeling error (it contracts by 4x per
+# refinement), so coarser grids are budgeted as multiples of these records.
+STATIONARITY_RESIDUAL_N1024 = {
+    (1.0, 1.0): 1.349e-08,
+    (2.0, 0.5): 1.057e-07,
+    (0.5, 3.0): 2.006e-10,
+}
+
+
+def stationarity_budget(beta: float, gamma: float, factor: float = 10.0) -> float:
+    """Tolerance for ||C[f]||_inf at n = 512: factor times the n = 1024 record."""
+    return factor * STATIONARITY_RESIDUAL_N1024[(beta, gamma)]
 
 
 def report(num, ok, detail):

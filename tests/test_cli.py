@@ -125,6 +125,34 @@ class TestRuns:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"].startswith("config-error")
 
+    @pytest.mark.parametrize("file_line,args,cause", [
+        ("interp = quadratic\n", ["spectrum", "--grid-n", 64],
+         "config key 'interp' is not a setting of spectrum"),
+        ("grid_n = 64\n", ["rj-match", "--mass", 3.0, "--energy", 1.0],
+         "config key 'grid_n' is not a setting of rj-match"),
+        ("", ["nonlin", "--grid-n", 64, "--dt", 0.0], "dt must be positive"),
+        ("", ["nonlin", "--grid-n", 64, "--dt", "nan"], "dt must be positive"),
+        ("", ["rj-match", "--mass", "nan", "--energy", 1.0],
+         "mass and energy must be finite and positive"),
+        ("", ["rj-match", "--mass", 1.0, "--energy", "inf"],
+         "mass and energy must be finite and positive"),
+        ("", ["lp-blowup", "--p", 0.0], "p must be positive"),
+    ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
+            "mass-nan", "energy-inf", "p-0"])
+    def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
+        # each fails before any work: exit 2, the cause on stderr and in the
+        # manifest, and no artifact or operator cache beside the manifest
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(file_line)
+        out = tmp_path / "out"
+        code = run_cli(["--config", cfg, "--output-dir", out, *args])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: ") and cause in err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status.startswith("config-error: ") and cause in status
+
     def test_config_file_seed_and_output_dir_reach_the_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed = 7\noutput_dir = {tmp_path / 'from_file'}\n")

@@ -12,7 +12,7 @@ from phononlab.collision import (blowup_points, collision_operator,
                                  epsilon_family)
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import PositivityError, ResolutionError
-from phononlab.grid import Field, Grid, constant_field, field_from_function, lp_norm
+from phononlab.grid import Field, Grid, lp_norm
 from phononlab.manifold import TWO_PI, resonant_kernel
 
 RNG = np.random.default_rng(11)
@@ -29,7 +29,7 @@ def smooth_positive_field(grid, seed=0, amp=0.3):
 
 class TestCollisionOperator:
     def test_constant_is_stationary(self):
-        C = collision_operator(constant_field(Grid(128), 2.5))
+        C = collision_operator(Field(Grid(128), np.full(128, 2.5)))
         assert lp_norm(C, np.inf) == 0.0
 
     def test_rj_stationarity_under_refinement(self):
@@ -164,7 +164,7 @@ class TestCollisionOperator:
 
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):
-            collision_operator(constant_field(Grid(64), 1e-13))
+            collision_operator(Field(Grid(64), np.full(64, 1e-13)))
 
     def test_weighted_boundedness(self):
         # ||w^-alpha C[f]||_inf <= C ||w^-alpha f||_inf^3 with stable constant
@@ -195,10 +195,10 @@ class TestCollisionOperator:
 class TestDiagnostics:
     def test_conserved_quantities_closed_forms(self):
         g = Grid(512)
-        m, e = conserved_quantities(constant_field(g, 1.0))
+        m, e = conserved_quantities(Field(g, np.full(g.n, 1.0)))
         assert m == pytest.approx(TWO_PI, abs=1e-12)
         assert e == pytest.approx(4.0, abs=1e-3)  # midpoint rule on |sin(p/2)|
-        m2, e2 = conserved_quantities(field_from_function(g, lambda p: np.abs(np.sin(p / 2))))
+        m2, e2 = conserved_quantities(Field(g, np.abs(np.sin(g.nodes / 2))))
         assert m2 == pytest.approx(4.0, abs=1e-3)
         assert e2 == pytest.approx(np.pi, abs=1e-3)
 
@@ -214,10 +214,10 @@ class TestDiagnostics:
 
     def test_entropy(self):
         g = Grid(256)
-        assert entropy(constant_field(g, 1.0)) == 0.0
-        assert entropy(constant_field(g, np.e)) == pytest.approx(TWO_PI, abs=1e-12)
+        assert entropy(Field(g, np.full(g.n, 1.0))) == 0.0
+        assert entropy(Field(g, np.full(g.n, np.e))) == pytest.approx(TWO_PI, abs=1e-12)
         with pytest.raises(PositivityError):
-            entropy(constant_field(g, 0.0))
+            entropy(Field(g, np.full(g.n, 0.0)))
 
 
 class TestBlowupFamily:

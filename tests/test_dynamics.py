@@ -294,7 +294,7 @@ class TestRunGuards:
         cfg = EvolutionConfig(dt=0.5, t_final=8.0, integrator="euler", record_every=8)
         with pytest.raises(BlowupError, match=r"positivity failed at t = 3\.5$"):
             _run(g, np.zeros(16), lambda gv: np.full_like(gv, -0.3), cfg,
-                 to_f=lambda gv: 1.0 + gv, to_g=lambda gv: gv)
+                 to_f=lambda gv: 1.0 + gv, mass0=0.0, energy0=0.0)
 
 
 class TestTableOwnership:

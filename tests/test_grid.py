@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from phononlab.errors import NonFiniteError, PositivityError
-from phononlab.grid import (Field, Grid, constant_field, evaluate,
-                            field_from_function, lp_norm, read_field_csv,
-                            weighted_sup, write_field_csv)
+from phononlab.grid import Field, Grid, evaluate, lp_norm, weighted_sup, write_field_csv
 from phononlab.manifold import TWO_PI
 
 RNG = np.random.default_rng(7)
@@ -31,7 +29,7 @@ class TestField:
             Field(g, np.ones(8))
 
     def test_positivity_floor(self):
-        f = constant_field(Grid(16), 1e-13)
+        f = Field(Grid(16), np.full(16, 1e-13))
         with pytest.raises(PositivityError):
             f.require_positive()
         f.require_positive(floor=0.0)
@@ -46,26 +44,26 @@ class TestEvaluate:
         assert np.allclose(out, vals, atol=0, rtol=0)
 
     def test_constant(self):
-        f = constant_field(Grid(32), 3.7)
+        f = Field(Grid(32), np.full(32, 3.7))
         ps = RNG.uniform(0, TWO_PI, 100)
         assert np.allclose(evaluate(f, ps), 3.7, atol=1e-14)
 
     def test_sine_accuracy(self):
         g = Grid(256)
-        f = field_from_function(g, np.sin)
+        f = Field(g, np.sin(g.nodes))
         p = 1.2345
         assert abs(evaluate(f, p) - np.sin(p)) < 5e-4
         assert abs(evaluate(f, p, order="cubic") - np.sin(p)) < 5e-8
 
     def test_periodic_wrap(self):
         g = Grid(64)
-        f = field_from_function(g, lambda p: np.cos(p))
+        f = Field(g, np.cos(g.nodes))
         assert evaluate(f, 0.0) == pytest.approx(evaluate(f, TWO_PI), abs=1e-13)
 
 
 class TestLpNorm:
     def test_constants(self):
-        f = constant_field(Grid(64), 1.0)
+        f = Field(Grid(64), np.full(64, 1.0))
         assert lp_norm(f, 2) == pytest.approx(np.sqrt(TWO_PI), abs=1e-13)
         assert lp_norm(f, np.inf) == 1.0
 
@@ -80,11 +78,11 @@ class TestLpNorm:
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            lp_norm(constant_field(Grid(16), 1.0), 0.5)
+            lp_norm(Field(Grid(16), np.full(16, 1.0)), 0.5)
 
     def test_weighted_sup(self):
         g = Grid(64)
-        f = constant_field(g, 2.0)
+        f = Field(g, np.full(g.n, 2.0))
         assert weighted_sup(f, 0.5) == pytest.approx(2.0 * np.max(g.omega ** 0.5))
 
 
@@ -94,6 +92,7 @@ class TestSerialization:
         f = Field(g, RNG.normal(size=32))
         path = tmp_path / "f.csv"
         write_field_csv(f, path)
-        f2 = read_field_csv(path)
-        assert f2.grid.n == 32
-        assert np.array_equal(f2.values, f.values)
+        assert path.read_text().splitlines()[0] == "p,value"
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], g.nodes)
+        assert np.array_equal(table[:, 1], f.values)

