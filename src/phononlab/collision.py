@@ -31,10 +31,13 @@ rows, a p2 rule and a callable spectrum.  A row with f(p0) = 0 reads only
 the support columns f(p2) != 0 (every other term is exactly +0.0), yet it
 sums its whole row, so the bits are the full rule's.  `collision_operator`
 runs on it above TABLE_MAX_N; the two paths agree to rounding.
+
+Importing this module pins glibc's malloc thresholds (`_pin_malloc`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from dataclasses import dataclass
@@ -52,6 +55,38 @@ _TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table
 # kernel values per row block of `collision_at`, and table entries per block of
 # the table's C[f] (512 KiB per float64 temporary)
 _BLOCK_VALUES = 1 << 16
+
+# glibc's malloc thresholds, pinned at import by `_pin_malloc`: every hot-loop
+# block (_BLOCK_VALUES and _TABLE_BLOCK here, the blocks of `linearized` and
+# `dynamics`, the slabs of `experiments.verify_suite`) keeps its temporaries
+# of 8-byte values under _MMAP_THRESHOLD
+_MMAP_THRESHOLD = 1 << 20
+_TRIM_THRESHOLD = 8 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters (malloc.h)
+
+
+def _pin_malloc() -> bool:
+    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 8 MiB;
+    True when libc took both, False where libc has no mallopt.
+
+    By default glibc raises the mmap threshold to the size of each mmapped
+    block freed and hands the heap top back to the kernel after frees, so a
+    loop of blocks faults in fresh pages for its temporaries block after
+    block.  Pinned, temporaries under 1 MiB reuse heap pages, while arrays
+    of 1 MiB and up (the n^2 matrices) stay mmapped and go back to the OS
+    when freed.  The pin changes no result.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) \
+        and bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+# this module owns the row-block pool, whose blocks the pin serves
+_MALLOC_PINNED = _pin_malloc()
 
 
 def _pairs(n: int, k0: int, k1: int):

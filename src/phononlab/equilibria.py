@@ -43,10 +43,11 @@ class RjParams:
     gamma: float
 
     def __post_init__(self):
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        # written so that NaN fails too
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
     @property
     def singular(self) -> bool:

@@ -16,14 +16,15 @@ from . import equilibria as eq
 from . import linearized as lin
 # lp_blowup_norm calls the engine by this name, which tests patch and perfbench traces
 from .collision import collision_at as _collision_at
+from .errors import ConfigError
 from .fitting import fit_power_law
 from .grid import Field, Grid
 from .manifold import (TWO_PI, f_minus, f_minus_zeros, f_plus, h, omega,
                        omega_residual, triple_product_identity)
 from .quadrature import graded_midpoint_nodes
 
-# rows of the (x, z) grid per slab of verify_suite's grid checks (1 MB per
-# temporary at grid_side = 2000)
+# rows of the (x, z) grid per slab of verify_suite's grid checks (1,024,000 B
+# per temporary at grid_side = 2000: under the mmap threshold `collision` pins)
 _SLAB_ROWS = 64
 
 
@@ -106,6 +107,8 @@ def linear_decay_experiment(beta: float = 1.0, gamma: float = 2.0,
     class for which the weighted sup-norm rides the decay envelope instead
     of sitting below it.
     """
+    if not 0.0 < t_final < np.inf:  # before L is built or cached
+        raise ConfigError(f"t_final must be positive and finite, got {t_final}")
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
     op = lin.load_or_assemble(params, grid, cache_dir)
@@ -138,7 +141,10 @@ def nonlinear_experiment(beta: float = 1.0, gamma: float = 1.0,
     """
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
-    # a bad time-step schedule fails before the operator is built or cached
+    # a bad amplitude or time-step schedule fails before the operator is
+    # built or cached
+    if not 0.0 < eps <= 0.1:
+        raise ConfigError(f"eps must be in (0, 0.1], got {eps}")
     cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final, interp=interp)
     op = lin.load_or_assemble(params, grid, cache_dir, interp=interp)
     g0 = lin.decay_initial_data(params, grid, nu=0.5)

@@ -34,10 +34,12 @@ Pair r = (i, j) of the tensor rule has a short stencil s_r on the nodes,
 interpolation nodes (6 entries for linear interpolation, 10 for cubic), and
 Q = sum_r measure_r s_r s_r^T.  The measure is symmetric under the exchange
 of the p0 and p2 nodes and s_(j,i) = -s_(i,j), so each pair of the packed
-resonance table counts twice and the sum runs over j > i only.  Sub-blocks
-of the streamed table send the upper-triangle products of their stencils
-into one weighted bincount over the n^2 entries, so neither an (n^2 x n)
-matrix nor a whole table is formed: the memory is the dense result plus
+resonance table counts twice and the sum runs over j > i only.  Small
+sub-blocks of the streamed table add the upper-triangle products of their
+stencils into one dense accumulator with np.add.at, entry by entry in table
+order, so the bits of L depend neither on the sub-block size nor on the
+worker count, and neither an (n^2 x n) matrix, nor a whole table, nor an
+n^2 temporary per sub-block is formed: the memory is the dense result plus
 the table blocks in flight and one sub-block's temporaries.
 """
 
@@ -60,9 +62,10 @@ from .manifold import TWO_PI, resonant_kernel
 from .quadrature import graded_midpoint_nodes
 
 T_BRACKET = 10.0  # time bracket in <t> = 10 + |t|
-# stencil-pair values per sub-block of the weak-form assembly (at most 8 MiB
-# of float64 weights: 32,768 table entries with linear interpolation)
-_BLOCK_VALUES = 1 << 20
+# stencil-pair values per sub-block of the weak-form assembly: 512 KiB per
+# float64 temporary (2,048 table entries with linear interpolation), under
+# the mmap threshold that `collision` pins, so the heap reuses its pages
+_BLOCK_VALUES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,35 @@ class LinOperator:
         return self.eigenvectors[:, keep]
 
 
+def _add_block(A: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarray:
+    """Add the stencil products of one table block into the flat n^2
+    accumulator A, entry by entry in table order, and return the block's
+    frequency sums (`_frequency_sums`).  fb at P1 and P3 is evaluated once
+    for both.  Sub-blocks hold _BLOCK_VALUES stencil-pair values."""
+    n = fb.size
+    fb1, fb3 = params.value(tab.P1), params.value(tab.P3)
+    sums = _frequency_sums(tab, fb, fb1, fb3)
+    measure = tab.W * fb[tab.i] * fb1 * fb[tab.j] * fb3
+    del fb1, fb3  # before the sub-blocks, whose temporaries set the peak
+    (i3, w3), (i1, w1) = tab.i3, tab.i1
+    ta, tb = np.triu_indices(2 * len(i1) + 2)
+    half = np.where(ta == tb, 0.5, 1.0)
+    # entries per sub-block: the largest power of two whose pair values fit
+    # in _BLOCK_VALUES (so it divides a power-of-two table block)
+    step = 1 << (max(1, _BLOCK_VALUES // ta.size).bit_length() - 1)
+    for b0 in range(0, tab.W.size, step):
+        s = slice(b0, b0 + step)
+        i, j = tab.i[s], tab.j[s]
+        # one row per entry, so the scatter below runs in table order
+        idx = np.stack([*(k[s] for k in i3), j, i, *(k[s] for k in i1)], axis=1)
+        c = np.stack(np.broadcast_arrays(*(w[s] for w in w3), 1.0, -1.0,
+                                         *(-w[s] for w in w1)), axis=1)
+        mc = c * measure[s, None]  # (c_a measure) c_b, as S^T diag(measure) S
+        np.add.at(A, (idx[:, ta] * n + idx[:, tb]).ravel(),
+                  (half * mc[:, ta] * c[:, tb]).ravel())
+    return sums
+
+
 def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
     """(L, a): L from its Dirichlet form, assembled stencil by stencil
     (module doc), and the collision frequency a from the same tables, bit
@@ -156,35 +188,18 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
     of stencil entries, diagonal pairs halved, so A + A^T sums
     measure_r s_r s_r^T over the pairs j > i: half of Q.  The table
     arrives as the streamed blocks of `_packed_blocks` (no whole table is
-    built or cached); fb at P1 and P3 is evaluated once per block for both
-    a and the measure.  Sub-blocks hold _BLOCK_VALUES stencil-pair values.
-    L scales Q by the outer product of 1/fb, which commutes, so L equals
-    L^T to the bit.
+    built or cached), and `_add_block` adds each into A in table order, so
+    every entry of A is summed in the same order whatever the block sizes
+    and the worker count.  L scales Q by the outer product of 1/fb, which
+    commutes, so L equals L^T to the bit.
     """
     n = grid.n
     fb = params.value(grid.nodes)
     a = np.zeros(n)
     A = np.zeros(n * n)
     for tab in _packed_blocks(grid, interp):
-        fb1, fb3 = params.value(tab.P1), params.value(tab.P3)
-        a += _frequency_sums(tab, fb, fb1, fb3)
-        measure = tab.W * fb[tab.i] * fb1 * fb[tab.j] * fb3
-        del fb1, fb3  # before the sub-blocks, whose temporaries set the peak
-        (i3, w3), (i1, w1) = tab.i3, tab.i1
-        ta, tb = np.triu_indices(2 * len(i1) + 2)
-        half = np.where(ta == tb, 0.5, 1.0)[:, None]
-        # entries per sub-block: the largest power of two whose pair values
-        # fit in _BLOCK_VALUES (so it divides a power-of-two table block)
-        step = 1 << (max(1, _BLOCK_VALUES // ta.size).bit_length() - 1)
-        for b0 in range(0, tab.W.size, step):
-            s = slice(b0, b0 + step)
-            i, j = tab.i[s], tab.j[s]
-            idx = np.stack([*(k[s] for k in i3), j, i, *(k[s] for k in i1)])
-            c = np.stack(np.broadcast_arrays(*(w[s] for w in w3), 1.0, -1.0,
-                                             *(-w[s] for w in w1)))
-            mc = c * measure[s]  # (c_a measure) c_b, as S^T diag(measure) S
-            A += np.bincount((idx[ta] * n + idx[tb]).ravel(),
-                             weights=(half * mc[ta] * c[tb]).ravel(), minlength=n * n)
+        a += _add_block(A, tab, params, fb)
+        del tab  # before the next block is built: the blocks alive set the peak
     A = A.reshape(n, n)
     L = A + A.T  # Q / 2, scaled in place to L = -(weight / 4) Q / (fb fb^T)
     inv_fb = 1.0 / fb
@@ -317,7 +332,9 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 # ---------------------------------------------------------------------------
 # binary cache
 
-_MAGIC = b"PHLNOP03"  # 01: sparse assembly, no checksum; 02: full table
+# 01: sparse assembly, no checksum; 02: full table; 03: per-sub-block bincount,
+# whose L differs at rounding from the table-order np.add.at of 04
+_MAGIC = b"PHLNOP04"
 # magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
 _HEADER_BYTES = 8 + 32 + 40
 

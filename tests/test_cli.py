@@ -137,8 +137,20 @@ class TestRuns:
         ("", ["rj-match", "--mass", 1.0, "--energy", "inf"],
          "mass and energy must be finite and positive"),
         ("", ["lp-blowup", "--p", 0.0], "p must be positive"),
+        # these used to fail only after L was assembled and cached
+        ("", ["lin-decay", "--grid-n", 64, "--t-final", 0.0],
+         "t_final must be positive and finite"),
+        ("", ["lin-decay", "--grid-n", 64, "--t-final", "nan"],
+         "t_final must be positive and finite"),
+        ("", ["nonlin", "--grid-n", 64, "--eps", "nan"], "eps must be in (0, 0.1]"),
+        ("", ["nonlin", "--grid-n", 64, "--eps", 0.0], "eps must be in (0, 0.1]"),
+        ("", ["spectrum", "--grid-n", 64, "--beta", "inf"],
+         "beta must be positive and finite"),
+        ("", ["multiplier", "--grid-n", 64, "--gamma", "nan"],
+         "gamma must be nonnegative and finite"),
     ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
-            "mass-nan", "energy-inf", "p-0"])
+            "mass-nan", "energy-inf", "p-0", "t-final-0", "t-final-nan", "eps-nan",
+            "eps-0", "beta-inf", "gamma-nan"])
     def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
         # each fails before any work: exit 2, the cause on stderr and in the
         # manifest, and no artifact or operator cache beside the manifest
@@ -375,8 +387,9 @@ class TestOperatorCache:
             cache.write_bytes(bytes(damaged))
         else:
             # the tags of the sparse assembly's format, which had no checksum,
-            # and of the full-table assembly's, whose L differs at rounding
-            for tag in (b"PHLNOP01", b"PHLNOP02"):
+            # and of the full-table and bincount assemblies', whose L differs
+            # at rounding
+            for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03"):
                 cache.write_bytes(tag + first_cache[8:])
                 assert run_cli(args) == EXIT_OK
                 assert cache.read_bytes() == first_cache

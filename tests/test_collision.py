@@ -1,3 +1,5 @@
+import inspect
+import platform
 import sys
 import threading
 import time
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import full_collision
-from phononlab import collision
+from phononlab import collision, dynamics, experiments, linearized
 from phononlab.collision import (blowup_points, collision_operator,
                                  conserved_quantities, entropy,
                                  epsilon_family)
@@ -396,3 +398,20 @@ class TestImapBlocks:
                 got.append(v)
         assert info.value is err
         assert got == list(range(5))
+
+
+class TestMallocPin:
+    def test_hot_loop_blocks_stay_under_the_mmap_threshold(self):
+        # the pinned threshold keeps smaller blocks on the heap, whose pages
+        # the next block reuses
+        slab = experiments._SLAB_ROWS * \
+            inspect.signature(experiments.verify_suite).parameters["grid_side"].default
+        for values in (collision._BLOCK_VALUES, collision._TABLE_BLOCK,
+                       dynamics._BLOCK_VALUES, linearized._BLOCK_VALUES, slab):
+            assert 8 * values < collision._MMAP_THRESHOLD
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="mallopt thresholds are glibc's")
+    def test_pin_takes_on_glibc(self):
+        assert collision._MALLOC_PINNED

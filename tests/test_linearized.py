@@ -282,6 +282,21 @@ class TestWeakFormAssembly:
             assert np.array_equal(a, a_want)
             assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
 
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    def test_bits_do_not_depend_on_sub_blocks_or_workers(self, monkeypatch, interp):
+        # np.add.at adds entry by entry in table order, so neither the
+        # sub-block size nor the worker count moves a bit of L or a
+        g = Grid(300)
+        L_want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
+        assert np.array_equal(L_want, L_want.T)
+        for block_values in (1 << 12, 1 << 16, 1 << 20):
+            monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
+            for workers in ("1", "2", "3"):
+                monkeypatch.setenv("PHONON_THREADS", workers)
+                L, a = linearized._weak_form_matrix(PARAMS, g, interp)
+                assert np.array_equal(L, L_want)
+                assert np.array_equal(a, a_want)
+
     @pytest.mark.parametrize("table_max_n", [None, 0])
     def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
         # a comes from the assembly's own pass, so a cubic assembly builds no
@@ -311,7 +326,8 @@ class TestWeakFormAssembly:
     def test_traced_peak_memory(self, monkeypatch):
         # the (n^2 x n) sparse route peaked at 291 MiB here; on one worker
         # the dense result, one streamed table block and one sub-block's
-        # temporaries must stay within 6 n^2 doubles
+        # temporaries must stay within 5 n^2 doubles (4.75 with an n^2
+        # bincount output per sub-block)
         monkeypatch.setenv("PHONON_THREADS", "1")
         g = Grid(1024)
         tracemalloc.start()
@@ -320,12 +336,13 @@ class TestWeakFormAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * g.n ** 2
+        assert peak <= 5 * 8 * g.n ** 2
 
     def test_traced_peak_memory_with_table_build(self, monkeypatch):
         # with 2 workers the assembly holds L, its accumulator and up to
-        # three streamed table blocks: it stays within 8 n^2 doubles (with a
-        # cached whole table, the build and the assembly took 10.4 n^2)
+        # three streamed table blocks: it stays within 5 n^2 doubles (with a
+        # cached whole table, the build and the assembly took 10.4 n^2, and
+        # with an n^2 bincount output per sub-block 6.25 n^2)
         monkeypatch.setenv("PHONON_THREADS", "2")
         g = Grid(1024)
         tracemalloc.start()
@@ -334,7 +351,7 @@ class TestWeakFormAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 8 * g.n ** 2
+        assert peak <= 5 * 8 * g.n ** 2
 
 
 class TestSemigroup:
