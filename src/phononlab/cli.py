@@ -40,9 +40,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-SUBCOMMANDS = ("multiplier", "spectrum", "lin-decay", "nonlin", "rj-match",
-               "lp-blowup", "verify")
-
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -174,7 +171,9 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_series_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Every CSV artifact: a header row, then one row per record, each value
+    written with 17 significant digits (a float64 round-trips)."""
     import csv
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -187,14 +186,14 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
     """Dispatch; returns the exit code and fills `counters` with the run's
     work counts (manifest only). Heavy imports happen here."""
     from . import experiments as ex
-    from .grid import write_field_csv
 
     if sub == "multiplier":
         res = ex.multiplier_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
                                        cfg["fit_lo"], cfg["fit_hi"])
-        write_field_csv(res.pop("a_field"), outdir / "a.csv")
-        _write_series_csv(outdir / "a_fit_points.csv", ["p", "a"],
-                          zip(res["fit_points_p"], res["fit_points_a"]))
+        a = res.pop("a_field")
+        _write_csv(outdir / "a.csv", ["p", "value"], zip(a.grid.nodes, a.values))
+        _write_csv(outdir / "a_fit_points.csv", ["p", "a"],
+                   zip(res["fit_points_p"], res["fit_points_a"]))
         _write_json(outdir / "fit.json", res)
         print(f"multiplier exponent {res['exponent']:.4f} "
               f"(target {res['target_exponent']:.4f})")
@@ -202,8 +201,8 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
         res = ex.spectrum_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
                                      seed=cfg["seed"], cache_dir=outdir / "cache")
         evs = res.pop("eigenvalues")
-        _write_series_csv(outdir / "eigenvalues.csv", ["index", "eigenvalue"],
-                          [(float(i), float(v)) for i, v in enumerate(evs)])
+        _write_csv(outdir / "eigenvalues.csv", ["index", "eigenvalue"],
+                   [(float(i), float(v)) for i, v in enumerate(evs)])
         _write_json(outdir / "spectrum.json", res)
         print(f"near-null modes {res['near_null_count']}, "
               f"principal angle {res['principal_angle_rad']:.2e} rad, "
@@ -211,8 +210,8 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
     elif sub == "lin-decay":
         res = ex.linear_decay_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
                                          cfg["t_final"], cache_dir=outdir / "cache")
-        _write_series_csv(outdir / "decay_mu12.csv", ["t", "sup"], res.pop("series_mu12"))
-        _write_series_csv(outdir / "decay_mu16.csv", ["t", "sup"], res.pop("series_mu16"))
+        _write_csv(outdir / "decay_mu12.csv", ["t", "sup"], res.pop("series_mu12"))
+        _write_csv(outdir / "decay_mu16.csv", ["t", "sup"], res.pop("series_mu16"))
         _write_json(outdir / "decay.json", res)
         print(f"decay exponents: mu=1/2 {res['exponent_mu12']:.3f}, "
               f"mu=1/6 {res['exponent_mu16']:.3f}")
@@ -221,7 +220,10 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
                                       cfg["eps"], cfg["t_final"], cfg["dt"],
                                       cfg["interp"], cache_dir=outdir / "cache")
         traj = res.pop("trajectory")
-        traj.write_csv(outdir / "trajectory.csv")
+        _write_csv(outdir / "trajectory.csv",
+                   ["t", "mass", "energy", "entropy", "sup_w12", "sup_w16", "l2"],
+                   zip(traj.times, traj.mass, traj.energy, traj.entropy,
+                       traj.sup_w12, traj.sup_w16, traj.l2))
         counters["rhs_evals"] = traj.rhs_evals
         _write_json(outdir / "nonlin.json", res)
         print(f"drift mass {res['mass_drift']:.2e} energy {res['energy_drift']:.2e}; "
@@ -232,8 +234,8 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
         print(f"matched={res['matched']} ratio={res['ratio']:.6f}")
     elif sub == "lp-blowup":
         res = ex.lp_blowup_experiment(cfg["p_exp"])
-        _write_series_csv(outdir / "norms.csv", ["eps", "norm"],
-                          zip(res["eps"], res["norm"]))
+        _write_csv(outdir / "norms.csv", ["eps", "norm"],
+                   zip(res["eps"], res["norm"]))
         _write_json(outdir / "blowup.json", res)
         print(f"norm scaling slope {res['slope']:.3f} (target {res['target_slope']:.3f})")
     elif sub == "verify":

@@ -1,6 +1,6 @@
 """Time evolution: the full kinetic equation and its perturbation form.
 
-Two problems are integrated with fixed-step explicit schemes:
+Two problems are integrated with the classical fixed-step RK4 scheme:
 
   * d/dt f = C[f]                  (evolve_nonlinear_f)
   * d/dt g = L g + Q[g] + N[g]     (evolve_perturbation, f = fb (1 + g))
@@ -34,7 +34,6 @@ the full rule computes afresh for each exchanged pair).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,11 @@ from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
 from .grid import Field, Grid, lp_norm, weighted_sup
-from .linearized import T_BRACKET, LinOperator, assemble, multiplier_a
+from .linearized import T_BRACKET, LinOperator, multiplier_a
 
 BLOWUP_FACTOR = 1e3
+EPS_MAX = 0.1  # largest ||omega^-1/2 g0||_inf evolve_perturbation accepts
+N_RECORDS = 64  # states recorded per run
 B_NORM_DELTA = 1e-3  # delta in the <t>^{2/5-delta}, <t>^{3/5-delta} weights
 # packed upper-triangle entries per block of PerturbationTables.nonlinear
 # (128 KiB per float64 temporary; n = 256 has 32,640 entries)
@@ -55,18 +56,11 @@ _BLOCK_VALUES = 1 << 14
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Fixed-step integration parameters.
-
-    record_every > 0 records every that-many steps; record_every = 0
-    records on a geometric grid of n_records points (long runs stay O(100)
-    states).  A schedule that records nothing is rejected.
-    """
+    """Fixed-step RK4 integration parameters.  The run records on a
+    geometric grid of N_RECORDS points, so long runs stay O(100) states."""
     dt: float
     t_final: float
-    integrator: str = "rk4"
-    record_every: int = 0
     interp: str = "linear"
-    n_records: int = 64
 
     def __post_init__(self):
         # written so that NaN fails them too
@@ -74,21 +68,10 @@ class EvolutionConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (self.t_final >= self.dt and np.isfinite(self.t_final)):
             raise ConfigError(f"t_final must be finite and at least dt, got {self.t_final}")
-        if self.integrator not in ("rk4", "euler"):
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if self.record_every < 0 or self.n_records < 1:
-            raise ConfigError("record_every must be >= 0 and n_records >= 1")
-        if self.record_every * self.dt > self.t_final + 1e-12:
-            raise ConfigError(f"record_every = {self.record_every} steps of dt = {self.dt:g} "
-                              f"pass t_final = {self.t_final:g}: nothing would be recorded")
 
     def record_times(self) -> np.ndarray:
-        if self.record_every > 0:
-            ts = np.arange(self.record_every, int(np.ceil(self.t_final / self.dt)) + 1,
-                           self.record_every) * self.dt
-            return ts[ts <= self.t_final + 1e-12]
         t0 = min(max(self.dt, 1.0), self.t_final)
-        return np.geomspace(t0, self.t_final, self.n_records)
+        return np.geomspace(t0, self.t_final, N_RECORDS)
 
 
 @dataclass
@@ -102,31 +85,22 @@ class Trajectory:
     sup_w12: np.ndarray
     sup_w16: np.ndarray
     l2: np.ndarray
-    states: list = field(repr=False, default_factory=list)
-    mass0: float = 0.0
-    energy0: float = 0.0
-    rhs_evals: int = 0
+    states: list = field(repr=False)
+    mass0: float
+    energy0: float
+    rhs_evals: int
 
     def conserved_drift(self):
         dm = float(np.max(np.abs(self.mass - self.mass0)) / abs(self.mass0))
         de = float(np.max(np.abs(self.energy - self.energy0)) / abs(self.energy0))
         return dm, de
 
-    def decay_report(self, which: str = "sup_w12", window=None) -> DecayReport:
-        series = list(zip(self.times, getattr(self, which)))
-        if window is None:
-            window = (self.times[-1] / 10.0, self.times[-1])
+    def decay_report(self, window) -> DecayReport:
+        """Power-law fit of sup omega^1/2 |g| over the time window."""
+        series = list(zip(self.times, self.sup_w12))
         exponent, stderr = fit_power_law(series, window)
         return DecayReport(exponent=exponent, stderr=stderr, fit_window=window,
-                           series=series, conserved_drift=self.conserved_drift())
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "mass", "energy", "entropy", "sup_w12", "sup_w16", "l2"])
-            for row in zip(self.times, self.mass, self.energy, self.entropy,
-                           self.sup_w12, self.sup_w16, self.l2):
-                wr.writerow([f"{x:.17g}" for x in row])
+                           series=series)
 
 
 class PerturbationTables:
@@ -184,9 +158,8 @@ def _check_stability_guard(cfg: EvolutionConfig, a: Field):
             f"(max a = {amax:.4f})")
 
 
-def _step(rhs, g: np.ndarray, dt: float, integrator: str) -> np.ndarray:
-    if integrator == "euler":
-        return g + dt * rhs(g)
+def _step(rhs, g: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step."""
     k1 = rhs(g)
     k2 = rhs(g + 0.5 * dt * k1)
     k3 = rhs(g + 0.5 * dt * k2)
@@ -227,7 +200,7 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
         return rhs(gv)
 
     for _ in range(n_steps):
-        g = _step(counted, g, dt, cfg.integrator)
+        g = _step(counted, g, dt)
         t += dt
         # O(n) per step: a transient between two record times is caught too
         f_vals = to_f(g)
@@ -269,25 +242,23 @@ def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
 
 
 def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
-                        operator: LinOperator | None = None,
-                        eps_max: float = 0.1) -> Trajectory:
+                        operator: LinOperator) -> Trajectory:
     """Integrate the perturbation equation around the equilibrium of params.
 
     g0 must be kernel-orthogonal (mass/energy of the initial perturbation
-    vanish) with ||omega^-1/2 g0||_inf <= eps_max.  The linear part uses the
-    assembled matrix, whose collision frequency `a` also sets the stiffness
-    guard; quadratic and cubic parts use the tensor rule, both from one
-    upper-triangle pass (PerturbationTables.nonlinear).
+    vanish) with ||omega^-1/2 g0||_inf <= EPS_MAX.  The linear part is the
+    assembled matrix of `operator`, whose collision frequency `a` also sets
+    the stiffness guard; quadratic and cubic parts use the tensor rule, both
+    from one upper-triangle pass (PerturbationTables.nonlinear).
     """
     grid = g0.grid
     eps = float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
-    if eps > eps_max:
-        raise ConfigError(f"||omega^-1/2 g0||_inf = {eps:.3g} exceeds {eps_max}")
-    op = operator if operator is not None else assemble(params, grid, cfg.interp)
-    _check_stability_guard(cfg, op.a)
+    if eps > EPS_MAX:
+        raise ConfigError(f"||omega^-1/2 g0||_inf = {eps:.3g} exceeds {EPS_MAX}")
+    _check_stability_guard(cfg, operator.a)
     tabs = PerturbationTables(params, grid, cfg.interp)
     fb = params.value(grid.nodes)
-    L = op.matrix
+    L = operator.matrix
 
     def rhs(gv):
         return L @ gv + tabs.nonlinear(gv)
@@ -296,7 +267,9 @@ def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
     return _run(grid, g0.values, rhs, cfg, lambda gv: fb * (1.0 + gv), m0, e0)
 
 
-def b_norm_components(traj: Trajectory, delta: float = B_NORM_DELTA):
-    """Time-weighted sup-norm components <t>^{2/5-d} w^{1/6} and <t>^{3/5-d} w^{1/2}."""
+def b_norm_components(traj: Trajectory):
+    """Time-weighted sup-norm components <t>^{2/5-d} w^{1/6} and <t>^{3/5-d} w^{1/2},
+    d = B_NORM_DELTA."""
     tb = T_BRACKET + np.abs(traj.times)
-    return (tb ** (0.4 - delta) * traj.sup_w16, tb ** (0.6 - delta) * traj.sup_w12)
+    return (tb ** (0.4 - B_NORM_DELTA) * traj.sup_w16,
+            tb ** (0.6 - B_NORM_DELTA) * traj.sup_w12)

@@ -1,9 +1,9 @@
 """Named experiments: each configures, runs, and serializes one study.
 
 These are the batch studies the command-line tool exposes.  They return
-plain dictionaries (JSON-ready) and write CSV artifacts through the
-structures they produce; policy such as output directories, manifests and
-exit codes lives in the cli module.
+plain dictionaries, JSON-ready apart from the field, eigenvalues and
+trajectory that the cli module writes as CSV; policy such as output
+directories, artifact files, manifests and exit codes lives there.
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ from .fitting import fit_power_law
 from .grid import Field, Grid
 from .manifold import (TWO_PI, f_minus, f_minus_zeros, f_plus, h, omega,
                        omega_residual, triple_product_identity)
-from .quadrature import graded_midpoint_nodes
+from .quadrature import midpoint_nodes
 
+N_FIT_POINTS = 25  # pointwise a(p) samples of the multiplier edge fit
+N_DISSIPATION_SAMPLES = 100  # random trigonometric data of the dissipation ratio
+BLOWUP_EPS = tuple(2.0 ** (-k) for k in range(4, 10))  # eps of the L^p scaling fit
 # rows of the (x, z) grid per slab of verify_suite's grid checks (1,024,000 B
 # per temporary at grid_side = 2000: under the mmap threshold `collision` pins)
 _SLAB_ROWS = 64
@@ -32,8 +35,7 @@ _SLAB_ROWS = 64
 # multiplier scaling
 
 def multiplier_experiment(beta: float, gamma: float, grid_n: int = 1024,
-                          fit_lo: float = 1e-3, fit_hi: float = 1e-1,
-                          n_fit_points: int = 25) -> dict:
+                          fit_lo: float = 1e-3, fit_hi: float = 1e-1) -> dict:
     """Multiplier profile on the grid plus an edge power-law fit.
 
     The fit evaluates a(p) pointwise on a log-spaced sample of the window
@@ -43,7 +45,7 @@ def multiplier_experiment(beta: float, gamma: float, grid_n: int = 1024,
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
     a_field = lin.multiplier_a(params, grid)
-    ps = np.geomspace(fit_lo, fit_hi, n_fit_points)
+    ps = np.geomspace(fit_lo, fit_hi, N_FIT_POINTS)
     avals = lin.multiplier_at(params, ps, n_panels=grid_n)
     s = np.sin(ps / 2.0)
     slope, stderr = fit_power_law(list(zip(s, avals)), (s[0], s[-1]), min_points=4)
@@ -62,8 +64,7 @@ def multiplier_experiment(beta: float, gamma: float, grid_n: int = 1024,
 # spectrum structure
 
 def spectrum_experiment(beta: float, gamma: float, grid_n: int = 512,
-                        n_dissipation_samples: int = 100, seed: int = 0,
-                        cache_dir=None) -> dict:
+                        seed: int = 0, cache_dir=None) -> dict:
     """Assemble L and report its spectral structure and dissipation ratios."""
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
@@ -74,7 +75,7 @@ def spectrum_experiment(beta: float, gamma: float, grid_n: int = 512,
     rng = np.random.default_rng(seed)
     a = op.a.values
     ratios = []
-    for _ in range(n_dissipation_samples):
+    for _ in range(N_DISSIPATION_SAMPLES):
         c = rng.normal(size=12)
         s = rng.normal(size=12)
         g = sum(c[k] * np.cos((k + 1) * grid.nodes) + s[k] * np.sin((k + 1) * grid.nodes)
@@ -115,8 +116,8 @@ def linear_decay_experiment(beta: float = 1.0, gamma: float = 2.0,
     g0 = lin.decay_initial_data(params, grid, nu=0.5)
     t_grid = np.geomspace(t_final / 100.0, t_final, 64)
     window = (t_final / 10.0, t_final)
-    rep12 = lin.measure_linear_decay(op, g0, 0.5, 0.5, t_grid, window)
-    rep16 = lin.measure_linear_decay(op, g0, 1.0 / 6.0, 0.5, t_grid, window)
+    rep12 = lin.measure_linear_decay(op, g0, 0.5, t_grid, window)
+    rep16 = lin.measure_linear_decay(op, g0, 1.0 / 6.0, t_grid, window)
     return {
         "beta": beta, "gamma": gamma, "grid_n": grid_n,
         "fit_window": list(window),
@@ -143,8 +144,8 @@ def nonlinear_experiment(beta: float = 1.0, gamma: float = 1.0,
     grid = Grid(grid_n)
     # a bad amplitude or time-step schedule fails before the operator is
     # built or cached
-    if not 0.0 < eps <= 0.1:
-        raise ConfigError(f"eps must be in (0, 0.1], got {eps}")
+    if not 0.0 < eps <= dyn.EPS_MAX:
+        raise ConfigError(f"eps must be in (0, {dyn.EPS_MAX}], got {eps}")
     cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final, interp=interp)
     op = lin.load_or_assemble(params, grid, cache_dir, interp=interp)
     g0 = lin.decay_initial_data(params, grid, nu=0.5)
@@ -152,7 +153,7 @@ def nonlinear_experiment(beta: float = 1.0, gamma: float = 1.0,
     g0 = Field(grid, scale * g0.values)
     traj = dyn.evolve_perturbation(g0, params, cfg, operator=op)
     dm, de = traj.conserved_drift()
-    rep = traj.decay_report("sup_w12", (t_final / 10.0, t_final))
+    rep = traj.decay_report((t_final / 10.0, t_final))
     return {
         "beta": beta, "gamma": gamma, "grid_n": grid_n, "eps": eps,
         "dt": cfg.dt, "t_final": t_final, "interp": interp,
@@ -190,10 +191,10 @@ def blowup_p2_rule(eps: float, pts: coll.BlowupPoints,
                    n_zoom: int = 32768) -> tuple[np.ndarray, np.ndarray]:
     """The p2 quadrature (nodes, weights) of `lp_blowup_norm`.
 
-    A coarse graded rule covers the torus.  Each bump of the three-bump
-    spectrum gets its own uniform midpoint window, whose cell edges fall on
-    the bump's edges, so the rule integrates each bump's indicator to
-    rounding: 96 cells on [p0 - eps^2, p0 + 2 eps^2) and on
+    A coarse midpoint rule of 16,384 cells covers the torus.  Each bump of
+    the three-bump spectrum gets its own uniform midpoint window, whose cell
+    edges fall on the bump's edges, so the rule integrates each bump's
+    indicator to rounding: 96 cells on [p0 - eps^2, p0 + 2 eps^2) and on
     [p1 - 2 eps^2, p1 + eps^2), and n_zoom cells on the critical window
     [p2 - 4 eps, p2 + 4 eps), where the fold traverses the eps^2 bump.  The
     coarse nodes inside a window are dropped.  (The coarse spacing, 3.8e-4,
@@ -205,7 +206,7 @@ def blowup_p2_rule(eps: float, pts: coll.BlowupPoints,
     windows = [(pts.p0 - e2, pts.p0 + 2.0 * e2, 3.0 * e2, 96),
                (pts.p1 - 2.0 * e2, pts.p1 + e2, 3.0 * e2, 96),
                (pts.p2 - half, pts.p2 + half, 2.0 * half, n_zoom)]
-    zc, wc = graded_midpoint_nodes(0.0, TWO_PI, 16384)
+    zc, wc = midpoint_nodes(0.0, TWO_PI, 16384)
     keep = np.ones(zc.size, dtype=bool)
     nodes, wts = [], []
     for lo, hi, width, m in windows:
@@ -267,14 +268,13 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     }
 
 
-def lp_blowup_experiment(p_exp: float = 2.0, eps_list=None) -> dict:
-    """Scaling of ||C[f_eps]||_{L^p} against eps; expected slope 1 - 3/p."""
-    if eps_list is None:
-        eps_list = [2.0 ** (-k) for k in range(4, 10)]
+def lp_blowup_experiment(p_exp: float = 2.0) -> dict:
+    """Scaling of ||C[f_eps]||_{L^p} against eps in BLOWUP_EPS; expected
+    slope 1 - 3/p."""
     pts = coll.blowup_points()
-    rows = [lp_blowup_norm(e, p_exp, pts) for e in eps_list]
+    rows = [lp_blowup_norm(e, p_exp, pts) for e in BLOWUP_EPS]
     series = [(r["eps"], r["norm"]) for r in rows]
-    slope, stderr = fit_power_law(series, (min(eps_list) * 0.99, max(eps_list) * 1.01),
+    slope, stderr = fit_power_law(series, (min(BLOWUP_EPS) * 0.99, max(BLOWUP_EPS) * 1.01),
                                   min_points=4)
     return {
         "p": p_exp,

@@ -16,7 +16,6 @@ class DecayReport:
     stderr: float
     fit_window: tuple
     series: list = field(repr=False)
-    conserved_drift: tuple | None = None
 
 
 def fit_power_law(series, window, min_points: int = 8) -> tuple:

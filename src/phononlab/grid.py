@@ -9,7 +9,6 @@ extra two orders are worth it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,11 +121,4 @@ def weighted_sup(f: Field, mu: float) -> float:
     """sup over nodes of omega^mu |f|."""
     return float(np.max(f.grid.omega ** mu * np.abs(f.values)))
 
-
-def write_field_csv(f: Field, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["p", "value"])
-        for p, v in zip(f.grid.nodes, f.values):
-            wr.writerow([f"{p:.17g}", f"{v:.17g}"])
 

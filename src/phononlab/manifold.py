@@ -142,7 +142,7 @@ class FminusZeros:
     y_double_prime: float
 
 
-def f_minus_zeros(x: float, tol: float = _ROOT_INTERVAL_TOL) -> FminusZeros:
+def f_minus_zeros(x: float) -> FminusZeros:
     """Locate both zeros of F-(x, .) by bracketed bisection plus one Newton polish.
 
     The sign pattern F-(x, 0) > 0 > F-(x, 2pi - x) < 0 < F-(x, 2pi)
@@ -164,7 +164,7 @@ def f_minus_zeros(x: float, tol: float = _ROOT_INTERVAL_TOL) -> FminusZeros:
     for lo, hi, sign_lo in ((0.0, mid, +1.0), (mid, TWO_PI, -1.0)):
         a, b = lo, hi
         sa = sign_lo
-        while b - a > tol:
+        while b - a > _ROOT_INTERVAL_TOL:
             m = 0.5 * (a + b)
             fm = float(f_minus(x, m))
             sm = 1.0 if fm > 0.0 else -1.0

@@ -5,12 +5,15 @@
 Runs the seven CLI subcommands at small pinned configurations in each tree
 (`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), then prints one line per
 artifact: `identical`, or the largest relative difference over its numeric
-fields (CSV cells, JSON leaves).  Of `manifest.json` only `status` is
-compared, since it also records wall time and environment.  A binary
-artifact (the operator cache) is compared byte for byte.  Exits 1 when an
-artifact exists on one side only, when the two sides differ in anything but
-numbers, or when a manifest's status differs; else 0.  The name keeps the
-script out of pytest collection.
+fields (CSV cells, JSON leaves) next to the largest absolute difference
+scaled by the artifact's largest magnitude.  The second figure shows how far
+the artifact moved as a whole when the first is set by a value that is only
+rounding noise (an eigenvalue that should be zero, say).  Of
+`manifest.json` only `status` is compared, since it also records wall time
+and environment.  A binary artifact (the operator cache) is compared byte
+for byte.  Exits 1 when an artifact exists on one side only, when the two
+sides differ in anything but numbers, or when a manifest's status differs;
+else 0.  The name keeps the script out of pytest collection.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
     fa, fb = _fields(a), _fields(b)
     if [k for k, _ in fa] != [k for k, _ in fb]:
         return "layout differs", False
-    worst = 0.0
+    worst = worst_abs = scale = 0.0
     for (key, va), (_, vb) in zip(fa, fb):
         na, nb = _number(va), _number(vb)
         if na is None or nb is None:
@@ -103,9 +106,13 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
                 return f"field {key} differs: {va!r} vs {vb!r}", False
             continue
         worst = max(worst, _rel(na, nb))
+        if na != nb:
+            worst_abs = max(worst_abs, abs(na - nb))
+        scale = max(scale, abs(na), abs(nb))
     if worst == 0.0:
         return "identical in value (formatting differs)", True
-    return f"max rel diff {worst:.3e}", True
+    return (f"max rel diff {worst:.3e}, "
+            f"max abs diff / max |value| {worst_abs / scale:.3e}"), True
 
 
 def main(argv=None) -> int:

@@ -150,8 +150,8 @@ def test_criterion_5_linear_decay(tmp_path):
     op = load_or_assemble(params, grid, tmp_path)     # reuse the cache
     g0 = decay_initial_data(params, grid, nu=0.5)
     t_grid = np.geomspace(10.0, 1e3, 64)
-    rep12 = measure_linear_decay(op, g0, 0.5, 0.5, t_grid, (1e2, 1e3))
-    rep16 = measure_linear_decay(op, g0, 1.0 / 6.0, 0.5, t_grid, (1e2, 1e3))
+    rep12 = measure_linear_decay(op, g0, 0.5, t_grid, (1e2, 1e3))
+    rep16 = measure_linear_decay(op, g0, 1.0 / 6.0, t_grid, (1e2, 1e3))
     elapsed = time.perf_counter() - t0
     ok = rep12.exponent <= -0.5 and abs(rep16.exponent + 0.4) <= 0.1 \
         and elapsed <= 300.0

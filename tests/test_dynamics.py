@@ -139,33 +139,18 @@ class TestEvolutionConfig:
             EvolutionConfig(dt=-1.0, t_final=1.0)
         with pytest.raises(ConfigError):
             EvolutionConfig(dt=1.0, t_final=0.5)
-        with pytest.raises(ConfigError):
-            EvolutionConfig(dt=1.0, t_final=2.0, integrator="leapfrog")
-        # a record schedule that would record nothing is rejected
-        with pytest.raises(ConfigError, match="record_every"):
-            EvolutionConfig(dt=1.0, t_final=3.0, record_every=-1)
-        with pytest.raises(ConfigError, match="n_records"):
-            EvolutionConfig(dt=1.0, t_final=3.0, n_records=0)
-        with pytest.raises(ConfigError, match="record_every"):
-            EvolutionConfig(dt=1.0, t_final=3.0, record_every=5)
-        with pytest.raises(ConfigError, match="record_every"):
-            EvolutionConfig(dt=1.0, t_final=2.5, record_every=3)
-        assert EvolutionConfig(dt=1.0, t_final=3.0, record_every=3).record_times().size == 1
 
     def test_record_times(self):
-        cfg = EvolutionConfig(dt=0.5, t_final=100.0, record_every=40)
-        ts = cfg.record_times()
-        assert ts[0] == pytest.approx(20.0)
         geo = EvolutionConfig(dt=0.5, t_final=100.0).record_times()
         assert len(geo) == 64
         assert geo[-1] == pytest.approx(100.0)
 
-    def test_stability_guard(self):
+    def test_stability_guard(self, op128):
         g = Grid(128)
         g0 = scaled_data(PARAMS, g, 1e-3)
         cfg = EvolutionConfig(dt=50.0, t_final=100.0)
         with pytest.raises(ConfigError):
-            evolve_perturbation(g0, PARAMS, cfg)
+            evolve_perturbation(g0, PARAMS, cfg, operator=op128)
 
 
 class TestQuadraticTerm:
@@ -240,7 +225,7 @@ class TestNonlinearF:
     def test_rj_stationary(self):
         g = Grid(128)
         f0 = rj_field(PARAMS, g)
-        cfg = EvolutionConfig(dt=1.0, t_final=10.0, record_every=2, interp="cubic")
+        cfg = EvolutionConfig(dt=1.0, t_final=10.0, interp="cubic")
         traj = evolve_nonlinear_f(f0, cfg)
         drift = np.max(np.abs(traj.states[-1][1] - f0.values)) / np.max(f0.values)
         assert drift < 1e-4
@@ -251,7 +236,7 @@ class TestNonlinearF:
         g = Grid(128)
         fb = rj_field(PARAMS, g).values
         f0 = Field(g, fb * (1.0 + 0.05 * np.sin(2 * g.nodes)))
-        cfg = EvolutionConfig(dt=1.0, t_final=10.0, record_every=1, interp="cubic")
+        cfg = EvolutionConfig(dt=1.0, t_final=10.0, interp="cubic")
         traj = evolve_nonlinear_f(f0, cfg)
         dm, de = traj.conserved_drift()
         assert dm < 1e-12
@@ -266,7 +251,7 @@ class TestNonlinearF:
         f0 = Field(g, fb * (1.0 + 0.1 * np.sin(g.nodes)))
         outs = []
         for dt in (1.0, 0.5, 0.25):
-            cfg = EvolutionConfig(dt=dt, t_final=4.0, record_every=int(4 / dt))
+            cfg = EvolutionConfig(dt=dt, t_final=4.0)
             traj = evolve_nonlinear_f(f0, cfg)
             outs.append(traj.states[-1][1])
         ref = outs[-1]
@@ -276,22 +261,21 @@ class TestNonlinearF:
 
     def test_positivity_blowup_guard(self):
         # data whose (mass, energy) cannot be matched skips the stiffness
-        # guard; an unstable explicit Euler step then drives the spectrum
-        # negative, which must surface as BlowupError
+        # guard; an unstable RK4 stage then drives the spectrum negative,
+        # which must surface as BlowupError
         g = Grid(128)
         f0 = Field(g, 0.3 + g.omega)
-        cfg = EvolutionConfig(dt=40.0, t_final=4000.0, integrator="euler",
-                              record_every=5)
-        with pytest.raises(BlowupError):
+        cfg = EvolutionConfig(dt=40.0, t_final=4000.0)
+        with pytest.raises(BlowupError, match="mid-step"):
             evolve_nonlinear_f(f0, cfg)
 
 
 class TestRunGuards:
     def test_positivity_checked_every_step(self):
         # f = 1 + g with dg/dt = -0.3 crosses zero at t = 10/3, between the
-        # record times 4 and 8; the step that lands at t = 3.5 must raise
+        # record times 3.22 and 3.73; the step that lands at t = 3.5 must raise
         g = Grid(16)
-        cfg = EvolutionConfig(dt=0.5, t_final=8.0, integrator="euler", record_every=8)
+        cfg = EvolutionConfig(dt=0.5, t_final=1e4)
         with pytest.raises(BlowupError, match=r"positivity failed at t = 3\.5$"):
             _run(g, np.zeros(16), lambda gv: np.full_like(gv, -0.3), cfg,
                  to_f=lambda gv: 1.0 + gv, mass0=0.0, energy0=0.0)
@@ -327,7 +311,8 @@ class TestTableOwnership:
                  "multiplier_a": lambda: multiplier_a(PARAMS, g),
                  "evolve_nonlinear_f": lambda: evolve_nonlinear_f(f0, cfg),
                  "evolve_perturbation": lambda: evolve_perturbation(
-                     scaled_data(PARAMS, g, 1e-2), PARAMS, cfg)}
+                     scaled_data(PARAMS, g, 1e-2), PARAMS, cfg,
+                     assemble(PARAMS, g, cfg.interp))}
         for name, call in calls.items():
             built.clear()
             call()
@@ -348,11 +333,11 @@ class TestTableOwnership:
 
 
 class TestPerturbation:
-    def test_eps_guard(self):
+    def test_eps_guard(self, op128):
         g = Grid(128)
         g0 = scaled_data(PARAMS, g, 0.5)
         with pytest.raises(ConfigError):
-            evolve_perturbation(g0, PARAMS, EvolutionConfig(dt=1.0, t_final=5.0))
+            evolve_perturbation(g0, PARAMS, EvolutionConfig(dt=1.0, t_final=5.0), op128)
 
     def test_conservation(self, op256c):
         g = Grid(256)
@@ -382,7 +367,7 @@ class TestPerturbation:
         # at eps = 1e-6 the trajectory is the semigroup up to O(eps^2 t)
         g = Grid(128)
         g0 = scaled_data(PARAMS, g, 1e-6)
-        cfg = EvolutionConfig(dt=0.5, t_final=10.0, record_every=4)
+        cfg = EvolutionConfig(dt=0.5, t_final=10.0)
         traj = evolve_perturbation(g0, PARAMS, cfg, operator=op128)
         t_end, g_end = traj.states[-1]
         ref = semigroup_apply(op128, g0, t_end)
@@ -409,8 +394,8 @@ class TestPerturbation:
         for eps in (1e-3, 1e-2, 1e-1):
             cfg = EvolutionConfig(dt=1.5, t_final=300.0, interp="cubic")
             traj = evolve_perturbation(scaled_data(PARAMS, g, eps), PARAMS, cfg,
-                                       operator=op256c, eps_max=0.1)
-            rep = traj.decay_report("sup_w12", (30.0, 300.0))
+                                       operator=op256c)
+            rep = traj.decay_report((30.0, 300.0))
             slopes[eps] = rep.exponent
         assert slopes[1e-3] < -0.4
         assert slopes[1e-2] < -0.4

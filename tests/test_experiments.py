@@ -187,6 +187,17 @@ def test_verify_suite_memory_bound():
 
 
 @pytest.mark.parametrize("k", [4, 9])
+def test_p2_rule_is_bit_identical_to_the_graded_rule(monkeypatch, k):
+    # the coarse rule is the plain midpoint rule: with no point to refine,
+    # the graded rule it replaced gives the same nodes and weights, bit for bit
+    eps = 2.0 ** -k
+    want = ex.blowup_p2_rule(eps, PTS)
+    monkeypatch.setattr(ex, "midpoint_nodes", graded_midpoint_nodes)
+    got = ex.blowup_p2_rule(eps, PTS)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("k", [4, 9])
 def test_p2_rule_integrates_each_bump(k):
     # every bump of three_bumps, [p0, p0 + e2), [p1 - e2, p1) and [p2, p2 + eps),
     # is integrated to its width; the coarse nodes alone would miss or

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from phononlab.cli import _write_csv
 from phononlab.errors import NonFiniteError, PositivityError
-from phononlab.grid import Field, Grid, evaluate, lp_norm, weighted_sup, write_field_csv
+from phononlab.grid import Field, Grid, evaluate, lp_norm, weighted_sup
 from phononlab.manifold import TWO_PI
 
 RNG = np.random.default_rng(7)
@@ -91,7 +92,7 @@ class TestSerialization:
         g = Grid(32)
         f = Field(g, RNG.normal(size=32))
         path = tmp_path / "f.csv"
-        write_field_csv(f, path)
+        _write_csv(path, ["p", "value"], zip(g.nodes, f.values))
         assert path.read_text().splitlines()[0] == "p,value"
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], g.nodes)

@@ -338,6 +338,19 @@ class TestWeakFormAssembly:
             tracemalloc.stop()
         assert peak <= 5 * 8 * g.n ** 2
 
+    def test_traced_peak_memory_frees_the_accumulator(self, monkeypatch):
+        # the accumulator is freed once L = A + A^T exists, so the n^2 outer
+        # product of 1/fb never coexists with both (3.02 n^2 when it did)
+        monkeypatch.setenv("PHONON_THREADS", "1")
+        g = Grid(1024)
+        tracemalloc.start()
+        try:
+            linearized._weak_form_matrix(PARAMS, g, "linear")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 8 * g.n ** 2
+
     def test_traced_peak_memory_with_table_build(self, monkeypatch):
         # with 2 workers the assembly holds L, its accumulator and up to
         # three streamed table blocks: it stays within 5 n^2 doubles (with a
@@ -428,26 +441,27 @@ class TestDecayMeasurement:
     def test_kernel_component_plateaus(self, op256):
         # data with a retained kernel component shows no decay
         fb = op256.equilibrium
-        rep = measure_linear_decay(op256, fb, 0.5, 0.5,
-                                   np.geomspace(10.0, 1e3, 64))
+        rep = measure_linear_decay(op256, fb, 0.5,
+                                   np.geomspace(10.0, 1e3, 64), (1e2, 1e3))
         assert abs(rep.exponent) < 1e-6
 
     def test_slopes_at_default_params(self, op512):
         # wide sanity bounds at (1, 1); the calibrated measurement lives in
         # the decay experiment (gamma = 2) and the acceptance suite
         g0 = decay_initial_data(PARAMS, Grid(512), nu=0.5)
-        rep12 = measure_linear_decay(op512, g0, 0.5, 0.5)
-        rep16 = measure_linear_decay(op512, g0, 1.0 / 6.0, 0.5)
+        t_grid = np.geomspace(10.0, 1e3, 64)
+        rep12 = measure_linear_decay(op512, g0, 0.5, t_grid, (1e2, 1e3))
+        rep16 = measure_linear_decay(op512, g0, 1.0 / 6.0, t_grid, (1e2, 1e3))
         assert -1.2 < rep12.exponent < -0.5
         assert -0.8 < rep16.exponent < -0.3
 
     def test_fit_window_guard(self, op256):
         g0 = decay_initial_data(PARAMS, Grid(256), nu=0.5)
         with pytest.raises(FitError):
-            measure_linear_decay(op256, g0, 0.5, 0.5,
+            measure_linear_decay(op256, g0, 0.5,
                                  np.geomspace(1.0, 1e3, 10), (900.0, 1e3))
         with pytest.raises(ValueError):
-            measure_linear_decay(op256, g0, 0.6, 0.5)
+            measure_linear_decay(op256, g0, 0.6, np.geomspace(10.0, 1e3, 64), (1e2, 1e3))
 
 
 class TestBulkEdge:
