@@ -241,21 +241,29 @@ def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
     return _run(grid, f0.values, rhs, cfg, lambda fv: fv, m0, e0)
 
 
-def evolve_perturbation(g0: Field, params: RjParams, cfg: EvolutionConfig,
+def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
                         operator: LinOperator) -> Trajectory:
-    """Integrate the perturbation equation around the equilibrium of params.
+    """Integrate the perturbation equation around the equilibrium of `operator`.
 
     g0 must be kernel-orthogonal (mass/energy of the initial perturbation
-    vanish) with ||omega^-1/2 g0||_inf <= EPS_MAX.  The linear part is the
-    assembled matrix of `operator`, whose collision frequency `a` also sets
-    the stiffness guard; quadratic and cubic parts use the tensor rule, both
-    from one upper-triangle pass (PerturbationTables.nonlinear).
+    vanish) with ||omega^-1/2 g0||_inf <= EPS_MAX, and live on the
+    operator's grid; cfg.interp must be the operator's stencil.  The linear
+    part is the assembled matrix of `operator`, whose collision frequency
+    `a` also sets the stiffness guard; quadratic and cubic parts use the
+    tensor rule, both from one upper-triangle pass
+    (PerturbationTables.nonlinear).
     """
     grid = g0.grid
+    if grid != operator.grid:
+        raise ConfigError(f"g0 lives on n = {grid.n}, the operator on n = {operator.grid.n}")
+    if cfg.interp != operator.interp:
+        raise ConfigError(f"interp {cfg.interp!r} differs from the operator's "
+                          f"{operator.interp!r}")
     eps = float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
     if eps > EPS_MAX:
         raise ConfigError(f"||omega^-1/2 g0||_inf = {eps:.3g} exceeds {EPS_MAX}")
     _check_stability_guard(cfg, operator.a)
+    params = operator.params
     tabs = PerturbationTables(params, grid, cfg.interp)
     fb = params.value(grid.nodes)
     L = operator.matrix

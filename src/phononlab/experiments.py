@@ -113,7 +113,7 @@ def linear_decay_experiment(beta: float = 1.0, gamma: float = 2.0,
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
     op = lin.load_or_assemble(params, grid, cache_dir)
-    g0 = lin.decay_initial_data(params, grid, nu=0.5)
+    g0 = lin.decay_initial_data(params, grid)
     t_grid = np.geomspace(t_final / 100.0, t_final, 64)
     window = (t_final / 10.0, t_final)
     rep12 = lin.measure_linear_decay(op, g0, 0.5, t_grid, window)
@@ -148,10 +148,10 @@ def nonlinear_experiment(beta: float = 1.0, gamma: float = 1.0,
         raise ConfigError(f"eps must be in (0, {dyn.EPS_MAX}], got {eps}")
     cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final, interp=interp)
     op = lin.load_or_assemble(params, grid, cache_dir, interp=interp)
-    g0 = lin.decay_initial_data(params, grid, nu=0.5)
+    g0 = lin.decay_initial_data(params, grid)
     scale = eps / float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
     g0 = Field(grid, scale * g0.values)
-    traj = dyn.evolve_perturbation(g0, params, cfg, operator=op)
+    traj = dyn.evolve_perturbation(g0, cfg, operator=op)
     dm, de = traj.conserved_drift()
     rep = traj.decay_report((t_final / 10.0, t_final))
     return {

@@ -63,6 +63,7 @@ from .quadrature import graded_midpoint_nodes
 
 T_BRACKET = 10.0  # time bracket in <t> = 10 + |t|
 SPECTRAL_FLOOR = 1e-8  # least half-width of the near-null eigenvalue band
+DECAY_NU = 0.5  # edge exponent nu of decay_initial_data: g0 ~ omega^nu
 # stencil-pair values per sub-block of the weak-form assembly: 512 KiB per
 # float64 temporary (2,048 table entries with linear interpolation), under
 # the mmap threshold that `collision` pins, so the heap reuses its pages
@@ -269,13 +270,15 @@ def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.min(sv), -1.0, 1.0)))
 
 
-def decay_initial_data(params: RjParams, grid: Grid, nu: float = 0.5) -> Field:
-    """Kernel-orthogonal data with the sharp omega^nu edge profile.
+def decay_initial_data(params: RjParams, grid: Grid) -> Field:
+    """Kernel-orthogonal data with the sharp omega^nu edge profile,
+    nu = DECAY_NU.
 
     Orthogonality to {fb, omega*fb} is arranged with compensators one power
     of omega steeper, so the edge vanishing rate omega^nu survives; plain
     projection would add a multiple of fb and destroy it.
     """
+    nu = DECAY_NU
     p = grid.nodes
     om = grid.omega
     v = om ** nu

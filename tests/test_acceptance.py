@@ -148,7 +148,7 @@ def test_criterion_5_linear_decay(tmp_path):
     grid = Grid(512)
     load_or_assemble(params, grid, tmp_path)          # build + cache
     op = load_or_assemble(params, grid, tmp_path)     # reuse the cache
-    g0 = decay_initial_data(params, grid, nu=0.5)
+    g0 = decay_initial_data(params, grid)
     t_grid = np.geomspace(10.0, 1e3, 64)
     rep12 = measure_linear_decay(op, g0, 0.5, t_grid, (1e2, 1e3))
     rep16 = measure_linear_decay(op, g0, 1.0 / 6.0, t_grid, (1e2, 1e3))

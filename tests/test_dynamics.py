@@ -30,7 +30,7 @@ def op256c():
 
 
 def scaled_data(params, grid, eps):
-    g0 = decay_initial_data(params, grid, nu=0.5)
+    g0 = decay_initial_data(params, grid)
     scale = eps / float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
     return Field(grid, scale * g0.values)
 
@@ -150,7 +150,7 @@ class TestEvolutionConfig:
         g0 = scaled_data(PARAMS, g, 1e-3)
         cfg = EvolutionConfig(dt=50.0, t_final=100.0)
         with pytest.raises(ConfigError):
-            evolve_perturbation(g0, PARAMS, cfg, operator=op128)
+            evolve_perturbation(g0, cfg, operator=op128)
 
 
 class TestQuadraticTerm:
@@ -272,12 +272,16 @@ class TestNonlinearF:
 
 class TestRunGuards:
     def test_positivity_checked_every_step(self):
-        # f = 1 + g with dg/dt = -0.3 crosses zero at t = 10/3, between the
-        # record times 3.22 and 3.73; the step that lands at t = 3.5 must raise
+        # f = 1 + g with dg/dt = -0.19 crosses zero at t = 5.26; the record
+        # times 4.99 and 5.78 are taken at the steps t = 5 and 6, so the step
+        # that lands at t = 5.5 records nothing and must still raise
         g = Grid(16)
         cfg = EvolutionConfig(dt=0.5, t_final=1e4)
-        with pytest.raises(BlowupError, match=r"positivity failed at t = 3\.5$"):
-            _run(g, np.zeros(16), lambda gv: np.full_like(gv, -0.3), cfg,
+        t_fail = 5.5
+        rec = cfg.record_times()
+        assert not np.any((rec > t_fail - cfg.dt) & (rec <= t_fail))
+        with pytest.raises(BlowupError, match=r"positivity failed at t = 5\.5$"):
+            _run(g, np.zeros(16), lambda gv: np.full_like(gv, -0.19), cfg,
                  to_f=lambda gv: 1.0 + gv, mass0=0.0, energy0=0.0)
 
 
@@ -311,7 +315,7 @@ class TestTableOwnership:
                  "multiplier_a": lambda: multiplier_a(PARAMS, g),
                  "evolve_nonlinear_f": lambda: evolve_nonlinear_f(f0, cfg),
                  "evolve_perturbation": lambda: evolve_perturbation(
-                     scaled_data(PARAMS, g, 1e-2), PARAMS, cfg,
+                     scaled_data(PARAMS, g, 1e-2), cfg,
                      assemble(PARAMS, g, cfg.interp))}
         for name, call in calls.items():
             built.clear()
@@ -337,13 +341,23 @@ class TestPerturbation:
         g = Grid(128)
         g0 = scaled_data(PARAMS, g, 0.5)
         with pytest.raises(ConfigError):
-            evolve_perturbation(g0, PARAMS, EvolutionConfig(dt=1.0, t_final=5.0), op128)
+            evolve_perturbation(g0, EvolutionConfig(dt=1.0, t_final=5.0), op128)
+
+    def test_operator_mismatch_guard(self, op128):
+        # the data's grid and the run's stencil must be the operator's
+        g0 = scaled_data(PARAMS, Grid(128), 1e-3)
+        with pytest.raises(ConfigError, match="n = 64"):
+            evolve_perturbation(scaled_data(PARAMS, Grid(64), 1e-3),
+                                EvolutionConfig(dt=1.0, t_final=5.0), op128)
+        with pytest.raises(ConfigError, match="interp 'cubic'"):
+            evolve_perturbation(g0, EvolutionConfig(dt=1.0, t_final=5.0, interp="cubic"),
+                                op128)
 
     def test_conservation(self, op256c):
         g = Grid(256)
         g0 = scaled_data(PARAMS, g, 1e-2)
         cfg = EvolutionConfig(dt=1.5, t_final=100.0, interp="cubic")
-        traj = evolve_perturbation(g0, PARAMS, cfg, operator=op256c)
+        traj = evolve_perturbation(g0, cfg, operator=op256c)
         dm, de = traj.conserved_drift()
         assert dm < 1e-12
         assert de < 1e-7
@@ -356,7 +370,7 @@ class TestPerturbation:
         g = Grid(256)
         g0 = scaled_data(PARAMS, g, 3e-3)
         cfg = EvolutionConfig(dt=1.5, t_final=100.0, interp="cubic")
-        traj = evolve_perturbation(g0, PARAMS, cfg, operator=op256c)
+        traj = evolve_perturbation(g0, cfg, operator=op256c)
         fb = rj_field(PARAMS, g).values
         l2_0 = np.sqrt(g.weight) * np.linalg.norm(traj.states[0][1])
         for t, gv in traj.states[::5]:
@@ -368,7 +382,7 @@ class TestPerturbation:
         g = Grid(128)
         g0 = scaled_data(PARAMS, g, 1e-6)
         cfg = EvolutionConfig(dt=0.5, t_final=10.0)
-        traj = evolve_perturbation(g0, PARAMS, cfg, operator=op128)
+        traj = evolve_perturbation(g0, cfg, operator=op128)
         t_end, g_end = traj.states[-1]
         ref = semigroup_apply(op128, g0, t_end)
         err = np.max(np.abs(g_end - ref.values))
@@ -378,7 +392,7 @@ class TestPerturbation:
         g = Grid(256)
         g0 = scaled_data(PARAMS, g, 1e-2)
         cfg = EvolutionConfig(dt=1.5, t_final=400.0, interp="cubic")
-        traj = evolve_perturbation(g0, PARAMS, cfg, operator=op256c)
+        traj = evolve_perturbation(g0, cfg, operator=op256c)
         # coarse relaxation sanity: later windows never exceed earlier ones
         w = traj.sup_w12
         thirds = np.array_split(w, 3)
@@ -393,7 +407,7 @@ class TestPerturbation:
         slopes = {}
         for eps in (1e-3, 1e-2, 1e-1):
             cfg = EvolutionConfig(dt=1.5, t_final=300.0, interp="cubic")
-            traj = evolve_perturbation(scaled_data(PARAMS, g, eps), PARAMS, cfg,
+            traj = evolve_perturbation(scaled_data(PARAMS, g, eps), cfg,
                                        operator=op256c)
             rep = traj.decay_report((30.0, 300.0))
             slopes[eps] = rep.exponent
