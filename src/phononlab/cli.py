@@ -9,16 +9,20 @@ the config file's output_dir, else out).  Every other manifest records the
 run's environment ("env": row-block workers, Python and numpy versions);
 `nonlin` also records its work counts there, and only there ("counters":
 {"rhs_evals": ...}).  Exit codes:
-0 success, 2 configuration error (a bad flag or file value, and any
-`ConfigError` or `ValueError` the run raises, such as a time step that is
-not positive), 3 numerical error, 4 I/O error (an artifact or cache file
-that cannot be read or written, or an output directory that cannot be
-made, which leaves no manifest).
+0 success, 1 internal error (any other exception the run raises: a fault
+of the program, reported as one `internal error: <Type>: <message>` line
+and the manifest status `internal-error: ...`), 2 configuration error (a
+bad flag or file value, and any `ConfigError` or `ValueError` the run
+raises, such as a time step that is not positive), 3 numerical error, 4
+I/O error (an artifact or cache file that cannot be read or written, or an
+output directory that cannot be made, which leaves no manifest).
 
-A flat key=value config file can seed any run with the subcommand's own
-keys (those of its `_DEFAULTS` entry; `rj-match` and `verify` have none)
-and seed, output_dir and threads; any other key is a configuration error.
-Command-line flags win over file values.  --threads (else the file's
+`SUBCOMMANDS` holds each subcommand's settings and their defaults once;
+the flags, the config-file keys and their types, and the experiment's
+keyword arguments all come from it.  A flat key=value config file can seed
+any run with the subcommand's own settings (`rj-match` and `verify` have
+none) and seed, output_dir and threads; any other key is a configuration
+error.  Command-line flags win over file values.  --threads (else the file's
 `threads`, else the PHONON_THREADS environment variable; an integer >= 1)
 caps the BLAS worker count and the row-block worker pool
 (`collision.map_blocks`); it must act before numpy is imported, so the
@@ -36,6 +40,7 @@ import time
 from pathlib import Path
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
@@ -72,6 +77,26 @@ def read_config_file(path) -> dict:
     return out
 
 
+# Each subcommand's help line and its settings with their defaults.  A
+# setting's flag is --name-with-dashes (lp-blowup's p_exp is --p), and its
+# default's type is the type of the flag and of a config-file value.
+SUBCOMMANDS = {
+    "multiplier": ("collision-frequency edge scaling",
+                   {"grid_n": 1024, "beta": 1.0, "gamma": 1.0,
+                    "fit_lo": 1e-3, "fit_hi": 1e-1}),
+    "spectrum": ("spectral structure of the linearized operator",
+                 {"grid_n": 512, "beta": 1.0, "gamma": 1.0}),
+    "lin-decay": ("semigroup weighted sup-norm decay",
+                  {"grid_n": 512, "beta": 1.0, "gamma": 2.0, "t_final": 1e3}),
+    "nonlin": ("nonlinear relaxation of a perturbed equilibrium",
+               {"grid_n": 256, "beta": 1.0, "gamma": 1.0, "eps": 1e-2,
+                "t_final": 1e3, "dt": 1.5, "interp": "cubic"}),
+    "rj-match": ("invert (mass, energy) for an equilibrium", {}),
+    "lp-blowup": ("L^p norm scaling of the collision operator", {"p_exp": 2.0}),
+    "verify": ("run the closed-form identity suite", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="phononlab",
@@ -82,75 +107,35 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap BLAS and row-block workers (fallback: config, PHONON_THREADS)")
     ap.add_argument("--seed", type=int, help="deterministic RNG seed (default: 0)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--grid-n", type=int, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-
-    p = sub.add_parser("multiplier", help="collision-frequency edge scaling")
-    common(p)
-    p.add_argument("--fit-lo", type=float, default=None)
-    p.add_argument("--fit-hi", type=float, default=None)
-
-    p = sub.add_parser("spectrum", help="spectral structure of the linearized operator")
-    common(p)
-
-    p = sub.add_parser("lin-decay", help="semigroup weighted sup-norm decay")
-    common(p)
-    p.add_argument("--t-final", type=float, default=None)
-
-    p = sub.add_parser("nonlin", help="nonlinear relaxation of a perturbed equilibrium")
-    common(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--interp", choices=("linear", "cubic"), default=None)
-
-    p = sub.add_parser("rj-match", help="invert (mass, energy) for an equilibrium")
-    p.add_argument("--mass", type=float, required=True)
-    p.add_argument("--energy", type=float, required=True)
-
-    p = sub.add_parser("lp-blowup", help="L^p norm scaling of the collision operator")
-    p.add_argument("--p", dest="p_exp", type=float, default=None)
-
-    sub.add_parser("verify", help="run the closed-form identity suite")
+    for name, (help_line, settings) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for key, default in settings.items():
+            p.add_argument("--p" if key == "p_exp" else "--" + key.replace("_", "-"),
+                           dest=key, type=type(default),
+                           choices=("linear", "cubic") if key == "interp" else None)
+        if name == "rj-match":  # its inputs, which a config file cannot set
+            p.add_argument("--mass", type=float, required=True)
+            p.add_argument("--energy", type=float, required=True)
     return ap
 
-
-_DEFAULTS = {
-    "multiplier": {"grid_n": 1024, "beta": 1.0, "gamma": 1.0,
-                   "fit_lo": 1e-3, "fit_hi": 1e-1},
-    "spectrum": {"grid_n": 512, "beta": 1.0, "gamma": 1.0},
-    "lin-decay": {"grid_n": 512, "beta": 1.0, "gamma": 2.0, "t_final": 1e3},
-    "nonlin": {"grid_n": 256, "beta": 1.0, "gamma": 1.0, "eps": 1e-2,
-               "t_final": 1e3, "dt": 1.5, "interp": "cubic"},
-    "rj-match": {},
-    "lp-blowup": {"p_exp": 2.0},
-    "verify": {},
-}
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags (a flag left unset is None).
 
-    A config file may set the subcommand's own keys (those of its
-    `_DEFAULTS` entry) and seed, output_dir and threads; any other key is
-    an error, so no value is recorded that the run would not use.
+    A config file may set the subcommand's own settings (those of its
+    `SUBCOMMANDS` entry) and seed, output_dir and threads, each value typed
+    as its default is (threads, which has none, as an int); any other key
+    is an error, so no value is recorded that the run would not use.
     """
     sub = args.subcommand
-    cfg = dict(_DEFAULTS[sub], seed=0, output_dir="out")
+    cfg = dict(SUBCOMMANDS[sub][1], seed=0, output_dir="out")
     if args.config:
-        keys = {*_DEFAULTS[sub], "seed", "output_dir", "threads"}
+        types = {key: type(val) for key, val in cfg.items()} | {"threads": int}
         for key, val in read_config_file(args.config).items():
-            if key not in keys:
+            if key not in types:
                 raise ValueError(f"config key {key!r} is not a setting of {sub} "
-                                 f"(its keys: {', '.join(sorted(keys))})")
-            if key in ("interp", "output_dir"):
-                cfg[key] = val
-            elif key in ("grid_n", "seed", "threads"):
-                cfg[key] = int(val)
-            else:
-                cfg[key] = float(val)
+                                 f"(its keys: {', '.join(sorted(types))})")
+            cfg[key] = types[key](val)
     for key, val in vars(args).items():
         if val is not None and key not in ("config", "subcommand"):
             cfg[key] = val
@@ -187,9 +172,9 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
     work counts (manifest only). Heavy imports happen here."""
     from . import experiments as ex
 
+    settings = {key: cfg[key] for key in SUBCOMMANDS[sub][1]}
     if sub == "multiplier":
-        res = ex.multiplier_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
-                                       cfg["fit_lo"], cfg["fit_hi"])
+        res = ex.multiplier_experiment(**settings)
         a = res.pop("a_field")
         _write_csv(outdir / "a.csv", ["p", "value"], zip(a.grid.nodes, a.values))
         _write_csv(outdir / "a_fit_points.csv", ["p", "a"],
@@ -198,8 +183,8 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
         print(f"multiplier exponent {res['exponent']:.4f} "
               f"(target {res['target_exponent']:.4f})")
     elif sub == "spectrum":
-        res = ex.spectrum_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
-                                     seed=cfg["seed"], cache_dir=outdir / "cache")
+        res = ex.spectrum_experiment(**settings, seed=cfg["seed"],
+                                     cache_dir=outdir / "cache")
         evs = res.pop("eigenvalues")
         _write_csv(outdir / "eigenvalues.csv", ["index", "eigenvalue"],
                    [(float(i), float(v)) for i, v in enumerate(evs)])
@@ -208,17 +193,14 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
               f"principal angle {res['principal_angle_rad']:.2e} rad, "
               f"dissipation ratio min {res['dissipation_ratio_min']:.4f}")
     elif sub == "lin-decay":
-        res = ex.linear_decay_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
-                                         cfg["t_final"], cache_dir=outdir / "cache")
+        res = ex.linear_decay_experiment(**settings, cache_dir=outdir / "cache")
         _write_csv(outdir / "decay_mu12.csv", ["t", "sup"], res.pop("series_mu12"))
         _write_csv(outdir / "decay_mu16.csv", ["t", "sup"], res.pop("series_mu16"))
         _write_json(outdir / "decay.json", res)
         print(f"decay exponents: mu=1/2 {res['exponent_mu12']:.3f}, "
               f"mu=1/6 {res['exponent_mu16']:.3f}")
     elif sub == "nonlin":
-        res = ex.nonlinear_experiment(cfg["beta"], cfg["gamma"], cfg["grid_n"],
-                                      cfg["eps"], cfg["t_final"], cfg["dt"],
-                                      cfg["interp"], cache_dir=outdir / "cache")
+        res = ex.nonlinear_experiment(**settings, cache_dir=outdir / "cache")
         traj = res.pop("trajectory")
         _write_csv(outdir / "trajectory.csv",
                    ["t", "mass", "energy", "entropy", "sup_w12", "sup_w16", "l2"],
@@ -233,7 +215,7 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
         _write_json(outdir / "match.json", res)
         print(f"matched={res['matched']} ratio={res['ratio']:.6f}")
     elif sub == "lp-blowup":
-        res = ex.lp_blowup_experiment(cfg["p_exp"])
+        res = ex.lp_blowup_experiment(**settings)
         _write_csv(outdir / "norms.csv", ["eps", "norm"],
                    zip(res["eps"], res["norm"]))
         _write_json(outdir / "blowup.json", res)
@@ -281,7 +263,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         code = _run_subcommand(args.subcommand, cfg, outdir, counters)
         manifest["status"] = "ok" if code == EXIT_OK else "check-failed"
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         manifest["status"] = f"config-error: {exc}"
         code = EXIT_CONFIG
@@ -293,6 +275,11 @@ def run(args: argparse.Namespace) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         manifest["status"] = f"io-error: {exc}"
         code = EXIT_IO
+    except Exception as exc:  # a fault of the program, not of its input
+        cause = f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {cause}", file=sys.stderr)
+        manifest["status"] = f"internal-error: {cause}"
+        code = EXIT_INTERNAL
     finally:
         manifest["wall_time_s"] = round(time.time() - t0, 3)
         if counters:

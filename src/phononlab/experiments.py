@@ -34,14 +34,17 @@ _SLAB_ROWS = 64
 # ---------------------------------------------------------------------------
 # multiplier scaling
 
-def multiplier_experiment(beta: float, gamma: float, grid_n: int = 1024,
-                          fit_lo: float = 1e-3, fit_hi: float = 1e-1) -> dict:
+def multiplier_experiment(beta: float, gamma: float, grid_n: int,
+                          fit_lo: float, fit_hi: float) -> dict:
     """Multiplier profile on the grid plus an edge power-law fit.
 
     The fit evaluates a(p) pointwise on a log-spaced sample of the window
-    (grid nodes stop at pi/n, above the lower end of the default window)
-    and regresses log a against log sin(p/2).
+    (grid nodes stop at pi/n, above the lower end of the CLI's default
+    window) and regresses log a against log sin(p/2).
     """
+    if not 0.0 < fit_lo < fit_hi < TWO_PI:  # before a(p) is built; NaN fails
+        raise ConfigError("fit window must satisfy 0 < fit_lo < fit_hi < 2 pi, "
+                          f"got [{fit_lo}, {fit_hi}]")
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
     a_field = lin.multiplier_a(params, grid)
@@ -63,8 +66,8 @@ def multiplier_experiment(beta: float, gamma: float, grid_n: int = 1024,
 # ---------------------------------------------------------------------------
 # spectrum structure
 
-def spectrum_experiment(beta: float, gamma: float, grid_n: int = 512,
-                        seed: int = 0, cache_dir=None) -> dict:
+def spectrum_experiment(beta: float, gamma: float, grid_n: int, seed: int,
+                        cache_dir=None) -> dict:
     """Assemble L and report its spectral structure and dissipation ratios."""
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
@@ -98,9 +101,8 @@ def spectrum_experiment(beta: float, gamma: float, grid_n: int = 512,
 # ---------------------------------------------------------------------------
 # linear decay
 
-def linear_decay_experiment(beta: float = 1.0, gamma: float = 2.0,
-                            grid_n: int = 512, t_final: float = 1e3,
-                            cache_dir=None) -> dict:
+def linear_decay_experiment(beta: float, gamma: float, grid_n: int,
+                            t_final: float, cache_dir=None) -> dict:
     """Semigroup decay exponents for (mu, nu) = (1/2, 1/2) and (1/6, 1/2).
 
     Initial data is the edge-saturating profile omega^{1/2} made
@@ -131,10 +133,9 @@ def linear_decay_experiment(beta: float = 1.0, gamma: float = 2.0,
 # ---------------------------------------------------------------------------
 # nonlinear stability
 
-def nonlinear_experiment(beta: float = 1.0, gamma: float = 1.0,
-                         grid_n: int = 256, eps: float = 1e-2,
-                         t_final: float = 1e3, dt: float = 1.5,
-                         interp: str = "cubic", cache_dir=None) -> dict:
+def nonlinear_experiment(beta: float, gamma: float, grid_n: int, eps: float,
+                         t_final: float, dt: float, interp: str,
+                         cache_dir=None) -> dict:
     """Perturbed-equilibrium run: conservation drift and relaxation exponent.
 
     Cubic off-grid interpolation keeps the energy-conservation defect of the
@@ -268,7 +269,7 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     }
 
 
-def lp_blowup_experiment(p_exp: float = 2.0) -> dict:
+def lp_blowup_experiment(p_exp: float) -> dict:
     """Scaling of ||C[f_eps]||_{L^p} against eps in BLOWUP_EPS; expected
     slope 1 - 3/p."""
     pts = coll.blowup_points()

@@ -6,9 +6,11 @@ Runs the seven CLI subcommands at small pinned configurations in each tree
 (`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), then prints one line per
 artifact: `identical`, or the largest relative difference over its numeric
 fields (CSV cells, JSON leaves) next to the largest absolute difference
-scaled by the artifact's largest magnitude.  The second figure shows how far
-the artifact moved as a whole when the first is set by a value that is only
-rounding noise (an eigenvalue that should be zero, say).  Of
+scaled by the largest magnitude of its series: a CSV file's worst column,
+which is named, or a JSON document as a whole.  The second figure shows how
+far a series moved when the first is set by a value that is only rounding
+noise (an eigenvalue that should be zero, say); scaling by column keeps an
+index or time column from diluting it.  Of
 `manifest.json` only `status` is compared, since it also records wall time
 and environment.  A binary artifact (the operator cache) is compared byte
 for byte.  Exits 1 when an artifact exists on one side only, when the two
@@ -78,11 +80,14 @@ def _number(x):
 
 
 def _fields(path: Path) -> list:
+    """(key, series, value) for every field: a CSV cell's series is its
+    column's header, a JSON leaf's the whole document ('')."""
     if path.suffix == ".json":
-        return list(_leaves(json.loads(path.read_text())))
+        return [(k, "", v) for k, v in _leaves(json.loads(path.read_text()))]
     with open(path, newline="") as fh:
-        return [((r, c), cell) for r, row in enumerate(csv.reader(fh))
-                for c, cell in enumerate(row)]
+        rows = list(csv.reader(fh))
+    return [((r, c), rows[0][c], cell) for r, row in enumerate(rows)
+            for c, cell in enumerate(row)]
 
 
 def compare(a: Path, b: Path) -> tuple[str, bool]:
@@ -96,23 +101,27 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
     if a.suffix not in (".json", ".csv"):
         return "bytes differ", False
     fa, fb = _fields(a), _fields(b)
-    if [k for k, _ in fa] != [k for k, _ in fb]:
+    if [f[:2] for f in fa] != [f[:2] for f in fb]:
         return "layout differs", False
-    worst = worst_abs = scale = 0.0
-    for (key, va), (_, vb) in zip(fa, fb):
+    worst = 0.0
+    moved = {}  # series: [max abs diff, max |value|]
+    for (key, series, va), (_, _, vb) in zip(fa, fb):
         na, nb = _number(va), _number(vb)
         if na is None or nb is None:
             if va != vb:
                 return f"field {key} differs: {va!r} vs {vb!r}", False
             continue
         worst = max(worst, _rel(na, nb))
+        m = moved.setdefault(series, [0.0, 0.0])
         if na != nb:
-            worst_abs = max(worst_abs, abs(na - nb))
-        scale = max(scale, abs(na), abs(nb))
+            m[0] = max(m[0], abs(na - nb))
+        m[1] = max(m[1], abs(na), abs(nb))
     if worst == 0.0:
         return "identical in value (formatting differs)", True
+    ratio, series = max((d / m if m else 0.0, s) for s, (d, m) in moved.items())
+    where = f" (column {series!r})" if a.suffix == ".csv" else ""
     return (f"max rel diff {worst:.3e}, "
-            f"max abs diff / max |value| {worst_abs / scale:.3e}"), True
+            f"max abs diff / max |value| {ratio:.3e}{where}"), True
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phononlab.cli import (EXIT_CONFIG, EXIT_OK, main, read_config_file,
-                           resolve_config)
+from phononlab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, SUBCOMMANDS,
+                           build_parser, main, read_config_file, resolve_config)
+
+RUN_WIDE = ("seed", "output_dir", "threads")  # the settings every subcommand takes
+RJ_ARGS = ["rj-match", "--mass", "3.0", "--energy", "1.0"]
 
 
 def run_cli(args):
@@ -48,7 +51,6 @@ class TestConfigHandling:
     def test_flags_override_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("beta=2.0\ngamma=0.7\n")
-        from phononlab.cli import build_parser
         args = build_parser().parse_args(
             ["--config", str(p), "multiplier", "--beta", "3.0"])
         cfg = resolve_config(args)
@@ -56,7 +58,6 @@ class TestConfigHandling:
         assert cfg["gamma"] == 0.7  # file fills the rest
 
     def test_grid_validation(self, tmp_path):
-        from phononlab.cli import build_parser
         args = build_parser().parse_args(["multiplier", "--grid-n", "100"])
         with pytest.raises(ValueError):
             resolve_config(args)
@@ -65,13 +66,37 @@ class TestConfigHandling:
         (["verify"], "7eeb414bc2264f67"),
         (["spectrum"], "5d9a3b1094da7ba9"),
         (["--seed", "0", "lp-blowup"], "55cb9d75329bb291"),
+        (["multiplier"], "761026a37101ceb5"),
+        (["lin-decay"], "d3c54c845a9da61c"),
+        (["nonlin"], "66a567346fba3550"),
+        (["rj-match", "--mass", "3", "--energy", "1"], "389a60e2105247f6"),
     ])
     def test_default_config_hash_is_stable(self, argv, want):
-        from phononlab.cli import _config_hash, build_parser
+        from phononlab.cli import _config_hash
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         assert cfg.pop("output_dir") == "out"
         assert _config_hash({"subcommand": args.subcommand, **cfg}) == want
+
+    @pytest.mark.parametrize("sub,key", [
+        (sub, key) for sub, (_, settings) in SUBCOMMANDS.items()
+        for key in (*settings, *RUN_WIDE)])
+    def test_file_value_is_typed_and_the_flag_beats_it(self, sub, key, tmp_path):
+        # every setting is a float but these
+        want = {"grid_n": int, "seed": int, "threads": int,
+                "interp": str, "output_dir": str}.get(key, float)
+        file_val, flag_val = {int: ("128", "256"), float: ("0.25", "0.5"),
+                              str: ("linear", "cubic")}[want]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {file_val}\n")
+        flag = ["--p" if key == "p_exp" else "--" + key.replace("_", "-"), flag_val]
+        head = ["--config", str(cfg)]
+        tail = RJ_ARGS if sub == "rj-match" else [sub]
+        for argv, val in (([*head, *tail], file_val),
+                          ([*head, *flag, *tail] if key in RUN_WIDE
+                           else [*head, *tail, *flag], flag_val)):
+            got = resolve_config(build_parser().parse_args(argv))[key]
+            assert type(got) is want and got == want(val)
 
 
 class TestRuns:
@@ -148,9 +173,17 @@ class TestRuns:
          "beta must be positive and finite"),
         ("", ["multiplier", "--grid-n", 64, "--gamma", "nan"],
          "gamma must be nonnegative and finite"),
+        # these used to fail as numerical errors after the multiplier was built
+        ("", ["multiplier", "--grid-n", 64, "--fit-lo", 0.1, "--fit-hi", 0.01],
+         "fit window must satisfy 0 < fit_lo < fit_hi < 2 pi"),
+        ("", ["multiplier", "--grid-n", 64, "--fit-hi", "nan"],
+         "fit window must satisfy 0 < fit_lo < fit_hi < 2 pi"),
+        ("", ["multiplier", "--grid-n", 64, "--fit-hi", 7],
+         "fit window must satisfy 0 < fit_lo < fit_hi < 2 pi"),
     ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
             "mass-nan", "energy-inf", "p-0", "t-final-0", "t-final-nan", "eps-nan",
-            "eps-0", "beta-inf", "gamma-nan"])
+            "eps-0", "beta-inf", "gamma-nan", "fit-window-reversed", "fit-hi-nan",
+            "fit-hi-above-2pi"])
     def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
         # each fails before any work: exit 2, the cause on stderr and in the
         # manifest, and no artifact or operator cache beside the manifest
@@ -164,6 +197,27 @@ class TestRuns:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
         status = json.loads((out / "manifest.json").read_text())["status"]
         assert status.startswith("config-error: ") and cause in status
+
+    @pytest.mark.parametrize("raised,args,cause", [
+        (None, ["lp-blowup", "--p", 1e-300], "OverflowError: "),
+        (RuntimeError("boom"), RJ_ARGS, "RuntimeError: boom"),
+        (KeyError("boom"), RJ_ARGS, "KeyError: 'boom'"),
+    ], ids=["p-1e-300", "runtime-error", "key-error"])
+    def test_fault_is_internal_error(self, raised, args, cause, monkeypatch,
+                                     tmp_path, capsys):
+        # a fault of the program, not of its input: exit 1, one line on
+        # stderr, and a manifest with a final status
+        if raised is not None:
+            def fail(*_, **__):
+                raise raised
+            from phononlab import experiments
+            monkeypatch.setattr(experiments, "rj_match_experiment", fail)
+        out = tmp_path / "out"
+        assert run_cli(["--output-dir", out, *args]) == EXIT_INTERNAL == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {cause}") and err.count("\n") == 1
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status == f"internal-error: {err[len('internal error: '):-1]}"
 
     def test_config_file_seed_and_output_dir_reach_the_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"
