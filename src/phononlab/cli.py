@@ -95,6 +95,7 @@ SUBCOMMANDS = {
     "lp-blowup": ("L^p norm scaling of the collision operator", {"p_exp": 2.0}),
     "verify": ("run the closed-form identity suite", {}),
 }
+INTERP_CHOICES = ("linear", "cubic")  # of --interp and a file's interp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in settings.items():
             p.add_argument("--p" if key == "p_exp" else "--" + key.replace("_", "-"),
                            dest=key, type=type(default),
-                           choices=("linear", "cubic") if key == "interp" else None)
+                           choices=INTERP_CHOICES if key == "interp" else None)
         if name == "rj-match":  # its inputs, which a config file cannot set
             p.add_argument("--mass", type=float, required=True)
             p.add_argument("--energy", type=float, required=True)
@@ -124,8 +125,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
     A config file may set the subcommand's own settings (those of its
     `SUBCOMMANDS` entry) and seed, output_dir and threads, each value typed
-    as its default is (threads, which has none, as an int); any other key
-    is an error, so no value is recorded that the run would not use.
+    as its default is (threads, which has none, as an int), and interp
+    held to the flag's choices; any other key is an error, so no value is
+    recorded that the run would not use.
     """
     sub = args.subcommand
     cfg = dict(SUBCOMMANDS[sub][1], seed=0, output_dir="out")
@@ -142,6 +144,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     n = cfg.get("grid_n")
     if n is not None and (n & (n - 1) or not 64 <= n <= 4096):
         raise ValueError(f"grid_n must be a power of two in [64, 4096], got {n}")
+    if cfg.get("interp", "linear") not in INTERP_CHOICES:
+        raise ValueError(f"interp must be one of {', '.join(INTERP_CHOICES)}, "
+                         f"got {cfg['interp']!r}")
     return cfg
 
 

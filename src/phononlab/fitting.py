@@ -22,7 +22,7 @@ def fit_power_law(series, window, min_points: int = 8) -> tuple:
     """Least-squares slope of log(value) vs log(t) over a time window.
 
     Returns (exponent, stderr).  Requires at least min_points in-window
-    points (8 for decay series) with positive times and values.
+    points (8 for decay series), with finite, positive times and values.
     """
     t = np.asarray([s[0] for s in series], dtype=float)
     v = np.asarray([s[1] for s in series], dtype=float)
@@ -32,8 +32,8 @@ def fit_power_law(series, window, min_points: int = 8) -> tuple:
         raise FitError(f"only {int(np.sum(keep))} points in window [{lo}, {hi}]; "
                        f"need {min_points}")
     t, v = t[keep], v[keep]
-    if np.any(t <= 0.0) or np.any(v <= 0.0):
-        raise FitError("power-law fit needs positive times and values")
+    if not np.all((0.0 < t) & (t < np.inf) & (0.0 < v) & (v < np.inf)):  # NaN fails
+        raise FitError("power-law fit needs finite, positive times and values")
     x = np.log(t)
     y = np.log(v)
     m = x.size

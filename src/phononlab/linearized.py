@@ -331,7 +331,8 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 
 # 01: sparse assembly, no checksum; 02: full table; 03: per-sub-block bincount,
 # whose L differs at rounding from the table-order np.add.at of 04
-_MAGIC = b"PHLNOP04"
+# 05: W from the triple-product identity; L differs at rounding from 04
+_MAGIC = b"PHLNOP05"
 # magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
 _HEADER_BYTES = 8 + 32 + 40
 

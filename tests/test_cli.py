@@ -161,7 +161,18 @@ class TestRuns:
          "mass and energy must be finite and positive"),
         ("", ["rj-match", "--mass", 1.0, "--energy", "inf"],
          "mass and energy must be finite and positive"),
-        ("", ["lp-blowup", "--p", 0.0], "p must be positive"),
+        ("", ["lp-blowup", "--p", 0.0], "p must satisfy 1 <= p <= inf"),
+        # below 1 the L^p norm is not a norm: slope -5.90 against -5 at 0.5,
+        # NaN written with status ok at 0.03, an OverflowError below 0.018
+        ("", ["lp-blowup", "--p", 0.5], "p must satisfy 1 <= p <= inf"),
+        ("", ["lp-blowup", "--p", 0.03], "p must satisfy 1 <= p <= inf"),
+        ("", ["lp-blowup", "--p", 0.017], "p must satisfy 1 <= p <= inf"),
+        ("", ["lp-blowup", "--p", 1e-300], "p must satisfy 1 <= p <= inf"),
+        ("", ["lp-blowup", "--p", "nan"], "p must satisfy 1 <= p <= inf"),
+        # a file's interp used to skip the flag's choices and fail after
+        # making cache/
+        ("interp = quadratic\n", ["nonlin", "--grid-n", 64],
+         "interp must be one of linear, cubic, got 'quadratic'"),
         # these used to fail only after L was assembled and cached
         ("", ["lin-decay", "--grid-n", 64, "--t-final", 0.0],
          "t_final must be positive and finite"),
@@ -181,7 +192,8 @@ class TestRuns:
         ("", ["multiplier", "--grid-n", 64, "--fit-hi", 7],
          "fit window must satisfy 0 < fit_lo < fit_hi < 2 pi"),
     ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
-            "mass-nan", "energy-inf", "p-0", "t-final-0", "t-final-nan", "eps-nan",
+            "mass-nan", "energy-inf", "p-0", "p-0.5", "p-0.03", "p-0.017", "p-1e-300",
+            "p-nan", "file-interp-quadratic", "t-final-0", "t-final-nan", "eps-nan",
             "eps-0", "beta-inf", "gamma-nan", "fit-window-reversed", "fit-hi-nan",
             "fit-hi-above-2pi"])
     def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
@@ -198,22 +210,20 @@ class TestRuns:
         status = json.loads((out / "manifest.json").read_text())["status"]
         assert status.startswith("config-error: ") and cause in status
 
-    @pytest.mark.parametrize("raised,args,cause", [
-        (None, ["lp-blowup", "--p", 1e-300], "OverflowError: "),
-        (RuntimeError("boom"), RJ_ARGS, "RuntimeError: boom"),
-        (KeyError("boom"), RJ_ARGS, "KeyError: 'boom'"),
-    ], ids=["p-1e-300", "runtime-error", "key-error"])
-    def test_fault_is_internal_error(self, raised, args, cause, monkeypatch,
+    @pytest.mark.parametrize("raised,cause", [
+        (RuntimeError("boom"), "RuntimeError: boom"),
+        (KeyError("boom"), "KeyError: 'boom'"),
+    ], ids=["runtime-error", "key-error"])
+    def test_fault_is_internal_error(self, raised, cause, monkeypatch,
                                      tmp_path, capsys):
         # a fault of the program, not of its input: exit 1, one line on
         # stderr, and a manifest with a final status
-        if raised is not None:
-            def fail(*_, **__):
-                raise raised
-            from phononlab import experiments
-            monkeypatch.setattr(experiments, "rj_match_experiment", fail)
+        def fail(*_, **__):
+            raise raised
+        from phononlab import experiments
+        monkeypatch.setattr(experiments, "rj_match_experiment", fail)
         out = tmp_path / "out"
-        assert run_cli(["--output-dir", out, *args]) == EXIT_INTERNAL == 1
+        assert run_cli(["--output-dir", out, *RJ_ARGS]) == EXIT_INTERNAL == 1
         err = capsys.readouterr().err
         assert err.startswith(f"internal error: {cause}") and err.count("\n") == 1
         status = json.loads((out / "manifest.json").read_text())["status"]
@@ -441,9 +451,9 @@ class TestOperatorCache:
             cache.write_bytes(bytes(damaged))
         else:
             # the tags of the sparse assembly's format, which had no checksum,
-            # and of the full-table and bincount assemblies', whose L differs
-            # at rounding
-            for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03"):
+            # of the full-table and bincount assemblies', and of the omega
+            # product's kernel weight, whose L differs at rounding
+            for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03", b"PHLNOP04"):
                 cache.write_bytes(tag + first_cache[8:])
                 assert run_cli(args) == EXIT_OK
                 assert cache.read_bytes() == first_cache

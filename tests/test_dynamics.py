@@ -441,3 +441,15 @@ class TestFitPowerLaw:
         series = [(t, -1.0) for t in np.geomspace(1.0, 50.0, 20)]
         with pytest.raises(FitError):
             fit_power_law(series, (1.0, 50.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_window_is_fit_error(self, bad):
+        # NaN and inf pass a bare positivity check; the fit returned NaN
+        ts = np.geomspace(1.0, 50.0, 20)
+        series = [(t, t ** -0.5) for t in ts]
+        series[7] = (ts[7], bad)
+        with pytest.raises(FitError, match="finite, positive"):
+            fit_power_law(series, (1.0, 50.0))
+        if bad == np.inf:  # an infinite time inside an unbounded window
+            with pytest.raises(FitError, match="finite, positive"):
+                fit_power_law([(t, 1.0) for t in ts] + [(bad, 1.0)], (1.0, bad))

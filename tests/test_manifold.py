@@ -291,6 +291,33 @@ class TestResonantKernel:
         assert np.max(np.abs(w - wt)) <= 1e-14
         assert np.all(np.isfinite(w))
 
+    def test_weight_near_the_edges_against_50_digits(self):
+        # where p1 or p3 lies within 1e-3 of 0 or 2pi, canonicalizing it
+        # costs absolute bits that omega(p1) omega(p3) turned into relative
+        # error up to 4e-8; W must match omega0 omega1 omega2 omega3 /
+        # sqrt(F+) to rounding.  The nodes are the blow-up rule's at eps 2^-9
+        mp = pytest.importorskip("mpmath")
+        from phononlab.collision import blowup_points
+        from phononlab.experiments import blowup_p2_rule
+        x = 2.5
+        z, _ = blowup_p2_rule(2.0 ** -9, blowup_points(x))
+        p1, p3, w = resonant_kernel(x, z)
+        edge = np.minimum.reduce([p1, TWO_PI - p1, p3, TWO_PI - p3]) < 1e-3
+        assert edge.sum() >= 50
+
+        def weight(x, z):
+            with mp.workdps(50):
+                x, z = mp.mpf(x), mp.mpf(z)
+                d = z - x
+                q1 = d / 2 + 2 * mp.asin(mp.tan(abs(d) / 4) * mp.cos((z + x) / 4))
+                q3 = x + q1 - z
+                sx, sz = mp.sin(x / 2), mp.sin(z / 2)
+                fp = (mp.cos(x / 2) + mp.cos(z / 2)) ** 2 + 4 * sx * sz
+                return float(abs(sx * mp.sin(q1 / 2) * sz * mp.sin(q3 / 2)) / mp.sqrt(fp))
+
+        want = np.array([weight(x, zk) for zk in z[edge]])
+        assert np.max(np.abs(w[edge] - want) / want) <= 1e-14
+
 
 # Property tests up to 1e-4 from the corners of the domain.  derandomize
 # keeps the examples fixed from run to run.
