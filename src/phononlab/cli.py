@@ -13,9 +13,11 @@ run's environment ("env": row-block workers, Python and numpy versions);
 of the program, reported as one `internal error: <Type>: <message>` line
 and the manifest status `internal-error: ...`), 2 configuration error (a
 bad flag or file value, and any `ConfigError` or `ValueError` the run
-raises, such as a time step that is not positive), 3 numerical error, 4
-I/O error (an artifact or cache file that cannot be read or written, or an
-output directory that cannot be made, which leaves no manifest).
+raises, such as a time step that is not positive), 3 numerical error
+(including a NaN or infinite value bound for an artifact, which is then
+not written), 4 I/O error (an artifact or cache file that cannot be read
+or written, or an output directory that cannot be made, which leaves no
+manifest).
 
 `SUBCOMMANDS` holds each subcommand's settings and their defaults once;
 the flags, the config-file keys and their types, and the experiment's
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -155,16 +158,45 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_json(path, payload: dict) -> None:
+def _write_json(path, payload: dict, finite: bool = True) -> None:
+    """A JSON file with sorted keys.  An artifact (`finite`) holding a NaN or
+    infinite value is refused before it is written: JSON has no such
+    numbers (RFC 8259).  The manifest, which may echo such a setting, is
+    written as it is."""
+    def check(obj, key):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                check(v, f"{key}/{k}")
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                check(v, f"{key}/{i}")
+        else:
+            _refuse_nonfinite(path, obj, f"key {key!r}")
+    if finite:
+        check(payload, "")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
+def _refuse_nonfinite(path, value, where: str) -> None:
+    """NonFiniteError (exit 3) naming the artifact and the column or key
+    when `value` is a NaN or infinite number."""
+    if isinstance(value, (int, float)) and not math.isfinite(value):
+        from .errors import NonFiniteError
+        raise NonFiniteError(f"{path.name}: non-finite value {value!r} in {where}; "
+                             "the artifact is not written")
+
+
 def _write_csv(path, header, rows) -> None:
     """Every CSV artifact: a header row, then one row per record, each value
-    written with 17 significant digits (a float64 round-trips)."""
+    written with 17 significant digits (a float64 round-trips).  A NaN or
+    infinite value is refused before the file is opened."""
     import csv
+    rows = [tuple(row) for row in rows]
+    for r, row in enumerate(rows, 1):
+        for name, x in zip(header, row):
+            _refuse_nonfinite(path, x, f"column {name!r}, row {r}")
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
@@ -255,7 +287,7 @@ def run(args: argparse.Namespace) -> int:
         outdir = _make_outdir(args.output_dir or _file_output_dir(args.config) or "out")
         if outdir is None:
             return EXIT_IO
-        _write_json(outdir / "manifest.json", manifest)
+        _write_json(outdir / "manifest.json", manifest, finite=False)
         return EXIT_CONFIG
 
     outdir = _make_outdir(cfg.pop("output_dir"))
@@ -289,7 +321,7 @@ def run(args: argparse.Namespace) -> int:
         manifest["wall_time_s"] = round(time.time() - t0, 3)
         if counters:
             manifest["counters"] = counters
-        _write_json(outdir / "manifest.json", manifest)
+        _write_json(outdir / "manifest.json", manifest, finite=False)
     return code
 
 

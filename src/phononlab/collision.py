@@ -28,9 +28,12 @@ owns one whole table for as long as it runs (`collision_map`,
 
 `collision_at` is the one engine for the integral off the table: output
 rows, a p2 rule and a callable spectrum.  A row with f(p0) = 0 reads only
-the support columns f(p2) != 0 (every other term is exactly +0.0), yet it
-sums its whole row, so the bits are the full rule's.  `collision_operator`
-runs on it above TABLE_MAX_N; the two paths agree to rounding.
+the support columns f(p2) != 0, and every row computes p3, f(p3), the
+weight and the bracket only on its live terms, where a factor f1 or f2
+can be nonzero (every other term is exactly zero), yet it sums its whole
+row, so the bits are the full rule's.  `collision_operator` runs on it
+above TABLE_MAX_N, where a positive spectrum leaves every term live; the
+two paths agree to rounding.
 
 Importing this module pins glibc's malloc thresholds (`_pin_malloc`).
 """
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .grid import Field, Grid, gather, interp_weights
-from .manifold import TWO_PI, h, resonant_kernel
+from .manifold import TWO_PI, _h_parts, _weight, canonicalize, h, resonant_kernel
 
 # whole tables above this size would not fit comfortably: larger grids run
 # C[f] on `collision_at`
@@ -263,18 +266,24 @@ def _bracket(f0, f1, f2, f3):
 
 def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
                  z_wts: np.ndarray) -> np.ndarray:
-    """C[f](p0) for a callable spectrum `f` on a supplied p2 rule.
+    """C[f](p0) for a callable finite spectrum `f` on a supplied p2 rule.
 
-    Rows with f(p0) != 0 evaluate the kernel on every p2 node.  A row with
-    f(p0) = 0 has the bracket f1 f2 f3 + 0 - 0 - 0, which is exactly +0.0
-    (whatever the signs of its zero products) wherever f(p2) = 0, so it
-    evaluates the kernel only on the support columns f(p2) != 0 and scatters
-    those terms into a zero-filled row of full length.  Every term is then
-    the full rule's and the sum runs over the same whole row, so the result
-    is bit for bit the full rule's; summing the compressed terms would pair
-    them differently.  Rows run in blocks of _BLOCK_VALUES kernel values on
-    the row-block pool; each block writes only its own rows, so the worker
-    count does not change the bits.
+    Rows with f(p0) != 0 run over every p2 node; a row with f(p0) = 0 has
+    the bracket f1 f2 f3 + 0 - 0 - 0, so it runs only over the support
+    columns f(p2) != 0.  Each block of rows first computes p1 = h(p0, p2)
+    and f1 = f(p1) on all its entries; only the live ones, where f1 != 0, or
+    f0 != 0 and f2 != 0, get p3, f(p3), the weight W and the bracket.
+    Every other entry has a zero factor in each product of the bracket, so
+    the full rule's term there is zero (+0.0 for f >= 0).  A block whose
+    entries are all live (any positive spectrum) computes on the broadcast
+    operands, p0 down the rows and p2 along the columns; any other gathers
+    its live entries.  Each row scatters its live terms into a zero-filled
+    row of full length and sums the whole row, so every term is the full
+    rule's and the sum pairs them as the full rule does: the result is bit
+    for bit the full rule's (summing the compressed terms would pair them
+    differently).  A row with no live term is +0.0.  Rows run in blocks of
+    _BLOCK_VALUES kernel values on the row-block pool; each block writes
+    only its own rows, so the worker count does not change the bits.
     """
     out = np.empty(p0_vals.size)
     f0, f2 = f(p0_vals), f(z_nodes)
@@ -287,12 +296,36 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
 
     def run(block):
         blk, (cols, z, wz, fz) = block
-        p1, p3, W = resonant_kernel(p0_vals[blk, None], z)
-        terms = wz * W * _bracket(f0[blk, None], f(p1), fz, f(p3))
+        x, f0b = p0_vals[blk, None], f0[blk, None]
+        p1, t = _h_parts(x, z)[:2]
+        f1 = f(p1)
+        # a term lives where f1 != 0, and on rows with f0 != 0 also where
+        # f2 != 0 (rows with f0 = 0 run over the support f2 != 0 alone)
+        live = f1 != 0.0
+        if f0[blk[0]] != 0.0:
+            live |= fz != 0.0
+        gathered = not live.all()
+        if gathered:  # (np.nonzero on the 2-d mask is ten times slower)
+            r, c = np.divmod(np.flatnonzero(live), z.size)
+            counts = np.bincount(r, minlength=blk.size)
+            at = np.arange(z_nodes.size)[cols][c]
+            x, z, p1, t, f0b, f1, fz, wz = (x[r, 0], z[c], p1[r, c], t[r, c],
+                                            f0b[r, 0], f1[r, c], fz[c], wz[c])
+        else:
+            counts = np.full(blk.size, z.size)
+        terms = wz * _weight(x, z, t) * _bracket(f0b, f1, fz, f(canonicalize(x + p1 - z)))
+        terms = terms.ravel()
         row = np.zeros(z_nodes.size)
-        for k, t in zip(blk, terms):
-            row[cols] = t
+        end = 0
+        for k, m in zip(blk, counts):
+            if not m:
+                out[k] = 0.0
+                continue
+            k_cols = at[end:end + m] if gathered else cols
+            row[k_cols] = terms[end:end + m]
+            end += m
             out[k] = np.sum(row)
+            row[k_cols] = 0.0  # the next row's live columns may differ
 
     map_blocks(run, blocks)
     return out

@@ -19,16 +19,16 @@ from .collision import collision_at as _collision_at
 from .errors import ConfigError
 from .fitting import fit_power_law
 from .grid import Field, Grid
-from .manifold import (TWO_PI, f_minus, f_minus_zeros, f_plus, h, omega,
+from .manifold import (TWO_PI, _h_parts, f_minus, f_minus_zeros, f_plus, h, omega,
                        omega_residual, triple_product_identity)
 from .quadrature import midpoint_nodes
 
 N_FIT_POINTS = 25  # pointwise a(p) samples of the multiplier edge fit
 N_DISSIPATION_SAMPLES = 100  # random trigonometric data of the dissipation ratio
 BLOWUP_EPS = tuple(2.0 ** (-k) for k in range(4, 10))  # eps of the L^p scaling fit
-# rows of the (x, z) grid per slab of verify_suite's grid checks (1,024,000 B
+# rows of the (x, z) grid per slab of verify_suite's grid checks (512,000 B
 # per temporary at grid_side = 2000: under the mmap threshold `collision` pins)
-_SLAB_ROWS = 64
+_SLAB_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +172,11 @@ def rj_match_experiment(mass: float, energy: float) -> dict:
     out = {
         "mass": mass, "energy": energy, "ratio": res.ratio,
         "ratio_limit": eq.RATIO_LIMIT, "matched": res.matched,
-        "theta": res.theta, "r": res.r,
     }
-    if res.matched:
+    if res.matched:  # an unmatched ratio has no angle: theta and r are NaN
         m2, e2 = eq.mass_energy(res.params)
         out.update({
+            "theta": res.theta, "r": res.r,
             "beta": res.params.beta, "gamma": res.params.gamma,
             "roundtrip_mass": m2, "roundtrip_energy": e2,
             "roundtrip_residual": max(abs(m2 - mass) / mass,
@@ -228,10 +228,11 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     by a coarse rule (its contribution is lower order, but it is measured,
     not assumed).  The p2 quadrature (`blowup_p2_rule`) likewise resolves
     each bump with its own window.  Every output row is computed, coarse
-    ones included; a row outside the bumps evaluates the kernel only on the
-    p2 nodes inside them, since every other term of its integrand is exactly
-    zero (see `collision.collision_at`, bound here as `_collision_at`), so
-    the norm is bit for bit that of the full rule.
+    ones included.  A row inside the bumps evaluates the kernel weight only
+    where p1 or p2 falls in a bump, a row outside them only where both do,
+    since every other term of its integrand is exactly zero (see
+    `collision.collision_at`, bound here as `_collision_at`), so the norm
+    is bit for bit that of the full rule.
     """
     pts = pts or coll.blowup_points()
     e2 = eps ** 2
@@ -280,7 +281,7 @@ def lp_blowup_experiment(p_exp: float) -> dict:
     slope, stderr = fit_power_law(series, (min(BLOWUP_EPS) * 0.99, max(BLOWUP_EPS) * 1.01),
                                   min_points=4)
     return {
-        "p": p_exp,
+        "p": p_exp if p_exp < np.inf else "inf",  # JSON has no infinity
         "eps": [r["eps"] for r in rows],
         "norm": [r["norm"] for r in rows],
         "spike_peak": [r["spike_peak"] for r in rows],
@@ -302,16 +303,19 @@ def _grid_checks(x_rows: np.ndarray, side: np.ndarray) -> tuple:
     are computed once on their own axis, and no copy of the grid is made.
     Each element is still the same operation on the same operands as on
     the full meshgrid, so max/min over the slabs are exactly those over the
-    grid.
+    grid.  The arcsin argument is the one h is built from
+    (`manifold._h_parts`), so tan and cos are taken once: tan is odd, so
+    |tan(|z - x|/4) cos((x + z)/4)| is |tan((z - x)/4) cos((x + z)/4)| bit
+    for bit, and the diagonal guard acts only on the corners left out.
     """
     X, Z = x_rows[:, None], side[None, :]
-    arg = np.abs(np.tan((Z - X) / 4.0) * np.cos((X + Z) / 4.0))
+    p1, arg = _h_parts(X, Z)[::2]
     # the diagonal |z - x| = 2pi hits the tan pole; exclude the two corners
     corner = (np.abs(np.abs(Z - X) - TWO_PI) < 1e-12)
-    worst = np.max(arg[~corner])
+    worst = np.max(np.abs(arg)[~corner])
 
     # resonance residual on the same grid, away from the four corners
-    res = np.abs(omega_residual(X, np.asarray(h(X, Z)), Z))
+    res = np.abs(omega_residual(X, p1, Z))
     away = ~((np.minimum(X, TWO_PI - X) < 1e-6) & (np.minimum(Z, TWO_PI - Z) < 1e-6))
 
     gap = np.min(f_plus(X, Z) - 4.0 * omega(X) * omega(Z))

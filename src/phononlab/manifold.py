@@ -73,35 +73,45 @@ def omega(p):
 
 
 def _clamped_arcsin(arg):
-    """arcsin with the documented clamping policy at +-1."""
+    """arcsin with the documented clamping policy at +-1; the clip runs only
+    when max|arg| exceeds 1 (or is NaN), the only case where it acts."""
     a = np.asarray(arg, dtype=float)
-    over = np.abs(a) - 1.0
-    if np.any(over > ARCSIN_CLAMP_TOL):
-        worst = float(np.max(over))
-        raise DomainError(
-            f"arcsin argument exceeds 1 by {worst:.3e} (> {ARCSIN_CLAMP_TOL:.0e}); "
-            "inputs are outside [0, 2pi]")
-    return np.arcsin(np.clip(a, -1.0, 1.0))
+    if not np.max(np.abs(a), initial=0.0) <= 1.0:
+        over = np.abs(a) - 1.0
+        if np.any(over > ARCSIN_CLAMP_TOL):
+            worst = float(np.max(over))
+            raise DomainError(
+                f"arcsin argument exceeds 1 by {worst:.3e} (> {ARCSIN_CLAMP_TOL:.0e}); "
+                "inputs are outside [0, 2pi]")
+        a = np.clip(a, -1.0, 1.0)
+    return np.arcsin(a)
 
 
-def _h_tan(x, z):
-    """(h(x, z), tan(|z - x|/4)): the resonant partner and the tangent it is
-    built from, which `resonant_kernel` reuses."""
+def _h_parts(x, z):
+    """(h(x, z), t, a): the resonant partner, the tangent t = tan(|z - x|/4)
+    it is built from, which the kernel weight reuses (`_weight`), and the
+    arcsin argument a = t cos((z + x)/4), which `verify_suite` bounds."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     d = z - x
-    # keep tan((z-x)/4) finite: nudge off the singular diagonal |z-x| = 2pi
-    near = np.abs(np.abs(d) - TWO_PI) < DIAGONAL_GUARD
-    if np.any(near):
-        d = np.where(near, np.sign(d) * (TWO_PI - DIAGONAL_GUARD), d)
-    t = np.tan(np.abs(d) / 4.0)
-    val = d / 2.0 + 2.0 * _clamped_arcsin(t * np.cos((z + x) / 4.0))
-    return canonicalize(val if val.ndim else float(val)), t
+    ad = np.abs(d)
+    # keep tan((z-x)/4) finite: nudge off the singular diagonal |z-x| = 2pi;
+    # the nudge acts only within DIAGONAL_GUARD of 2pi, so no mask is built
+    # when max|z-x| < 6 (a NaN hides the max and keeps the mask)
+    if not np.max(ad, initial=0.0) < 6.0:
+        near = np.abs(ad - TWO_PI) < DIAGONAL_GUARD
+        if np.any(near):
+            d = np.where(near, np.sign(d) * (TWO_PI - DIAGONAL_GUARD), d)
+            ad = np.abs(d)
+    t = np.tan(ad / 4.0)
+    a = t * np.cos((z + x) / 4.0)
+    val = d / 2.0 + 2.0 * _clamped_arcsin(a)
+    return canonicalize(val if val.ndim else float(val)), t, a
 
 
 def h(x, z):
     """Resonant partner p1 = h(p0, p2), canonical in [0, 2pi)."""
-    return _h_tan(x, z)[0]
+    return _h_parts(x, z)[0]
 
 
 def h_bar(x, z):
@@ -127,22 +137,27 @@ def resonant_kernel(x, z):
 
     By the triple-product identity |sin(p3/2) sin(p1/2)| =
     tan^2(|z - x|/4) sin(z/2) sin(x/2), the omega product on [0, 2pi]^2 is
-    (sin(x/2) sin(z/2) tan(|z - x|/4))^2, with the tangent h is built from;
-    F+ reuses the half-angle sines, in the operation order of `f_plus`.  So
-    no sine of p1 or p3 is taken: a weight costs five sines and cosines, and
-    a factor of x or z alone is computed once along its axis of a broadcast.
+    (sin(x/2) sin(z/2) tan(|z - x|/4))^2, with the tangent h is built from
+    (`_weight`, which `collision.collision_at` also calls); F+ reuses the
+    half-angle sines, in the operation order of `f_plus`.  So no sine of p1
+    or p3 is taken: a weight costs five sines and cosines, and a factor of
+    x or z alone is computed once along its axis of a broadcast.
     This form is also the accurate one: within 1e-3 of 0 or 2pi, p1 and p3
     carry an absolute error of 2pi's last bit, which their sines would turn
     into a relative error of W up to 4e-8.  F+ is floored at 1e-300 so the
     measure-zero corners where it vanishes give a finite weight.
     """
-    p1, t = _h_tan(x, z)
+    p1, t = _h_parts(x, z)[:2]
     p1 = np.asarray(p1)
-    p3 = canonicalize(x + p1 - z)
+    return p1, canonicalize(x + p1 - z), _weight(x, z, t)
+
+
+def _weight(x, z, t):
+    """W = omega0 omega1 omega2 omega3 / sqrt(F+(x, z)) from t = tan(|z - x|/4)
+    (see `resonant_kernel`); inputs broadcast."""
     sx, sz = np.sin(x / 2.0), np.sin(z / 2.0)
     fp = (np.cos(x / 2.0) + np.cos(z / 2.0)) ** 2 + 4.0 * sx * sz
-    w = (sx * sz * t) ** 2 / np.sqrt(np.maximum(fp, 1e-300))
-    return p1, p3, w
+    return (sx * sz * t) ** 2 / np.sqrt(np.maximum(fp, 1e-300))
 
 
 def f_minus(x, y):

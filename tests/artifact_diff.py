@@ -3,14 +3,15 @@
     python3 tests/artifact_diff.py PARENT_TREE CHANGE_TREE
 
 Runs the seven CLI subcommands at small pinned configurations in each tree
-(`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), then prints one line per
-artifact: `identical`, or the largest relative difference over its numeric
-fields (CSV cells, JSON leaves) next to the largest absolute difference
-scaled by the largest magnitude of its series: a CSV file's worst column,
-which is named, or a JSON document as a whole.  The second figure shows how
-far a series moved when the first is set by a value that is only rounding
-noise (an eigenvalue that should be zero, say); scaling by column keeps an
-index or time column from diluting it.  Of
+(`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), and `lp-blowup` also at the
+ends of its domain, p = 1 and p = inf, where the bump heights differ.  It
+then prints one line per artifact: `identical`, or the largest relative
+difference over its numeric fields (CSV cells, JSON leaves) next to the
+largest absolute difference scaled by the largest magnitude of its series:
+a CSV file's worst column, which is named, or a JSON document as a whole.
+The second figure shows how far a series moved when the first is set by a
+value that is only rounding noise (an eigenvalue that should be zero, say);
+scaling by column keeps an index or time column from diluting it.  Of
 `manifest.json` only `status` is compared, since it also records wall time
 and environment.  A binary artifact (the operator cache) is compared byte
 for byte.  Exits 1 when an artifact exists on one side only, when the two
@@ -36,6 +37,8 @@ RUNS = {
     "nonlin": ["nonlin", "--grid-n", "128", "--t-final", "50", "--dt", "1.0"],
     "rj-match": ["rj-match", "--mass", "3.0", "--energy", "1.0"],
     "lp-blowup": ["lp-blowup", "--p", "2.0"],
+    "lp-blowup-p1": ["lp-blowup", "--p", "1"],
+    "lp-blowup-pinf": ["lp-blowup", "--p", "inf"],
     "verify": ["verify"],
 }
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -10,6 +10,9 @@ exchange symmetry that the package's packed resonance table relies on, and
 the cached-slice blocks read one whole packed table where the package
 streams transient blocks.  `project_out_kernel` makes kernel-orthogonal
 test data with the plain projection onto `LinOperator.kernel_basis`.
+`h_tan` and `clamped_arcsin` are the resonant partner as it was built before
+its diagonal guard and its clip were made conditional, kept as the
+reference the leaner `manifold._h_parts` must reproduce bit for bit.
 """
 
 from types import SimpleNamespace
@@ -18,11 +21,11 @@ import numpy as np
 
 from phononlab import collision
 from phononlab.equilibria import RjParams
-from phononlab.errors import NonFiniteError, PhononLabError
+from phononlab.errors import DomainError, NonFiniteError, PhononLabError
 from phononlab.grid import Field, Grid, gather, interp_weights
 from phononlab.linearized import LinOperator
-from phononlab.manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
-                                omega, resonant_kernel)
+from phononlab.manifold import (ARCSIN_CLAMP_TOL, DIAGONAL_GUARD, TWO_PI, canonicalize,
+                                f_minus, f_minus_zeros, omega, resonant_kernel)
 from phononlab.quadrature import graded_midpoint_nodes, midpoint_nodes
 
 # nodes per graded panel of integrate_inverse_sqrt
@@ -31,6 +34,36 @@ LOCAL_ORDER = 16
 
 class SingularityMismatchError(PhononLabError):
     """A declared singularity location does not match the radicand's behavior."""
+
+
+# ---------------------------------------------------------------------------
+# the resonant partner with an unconditional guard and clip
+
+def clamped_arcsin(arg):
+    """arcsin with the documented clamping policy at +-1."""
+    a = np.asarray(arg, dtype=float)
+    over = np.abs(a) - 1.0
+    if np.any(over > ARCSIN_CLAMP_TOL):
+        worst = float(np.max(over))
+        raise DomainError(
+            f"arcsin argument exceeds 1 by {worst:.3e} (> {ARCSIN_CLAMP_TOL:.0e}); "
+            "inputs are outside [0, 2pi]")
+    return np.arcsin(np.clip(a, -1.0, 1.0))
+
+
+def h_tan(x, z):
+    """(h(x, z), tan(|z - x|/4)): the resonant partner and the tangent it is
+    built from."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    d = z - x
+    # keep tan((z-x)/4) finite: nudge off the singular diagonal |z-x| = 2pi
+    near = np.abs(np.abs(d) - TWO_PI) < DIAGONAL_GUARD
+    if np.any(near):
+        d = np.where(near, np.sign(d) * (TWO_PI - DIAGONAL_GUARD), d)
+    t = np.tan(np.abs(d) / 4.0)
+    val = d / 2.0 + 2.0 * clamped_arcsin(t * np.cos((z + x) / 4.0))
+    return canonicalize(val if val.ndim else float(val)), t
 
 
 # ---------------------------------------------------------------------------

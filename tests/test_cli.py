@@ -14,6 +14,10 @@ RUN_WIDE = ("seed", "output_dir", "threads")  # the settings every subcommand ta
 RJ_ARGS = ["rj-match", "--mass", "3.0", "--energy", "1.0"]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -118,8 +122,20 @@ class TestRuns:
         code = run_cli(["--output-dir", out, "rj-match",
                         "--mass", 1.0, "--energy", 0.9])
         assert code == EXIT_OK
-        match = json.loads((out / "match.json").read_text())
+        match = json.loads((out / "match.json").read_text(), parse_constant=reject_constant)
         assert match["matched"] is False
+        assert "theta" not in match and "r" not in match
+
+    def test_lp_blowup_p_inf_writes_strict_json(self, monkeypatch, tmp_path):
+        # p = inf is in the domain; JSON has no infinity, so blowup.json
+        # names it "inf" (stubbed norms keep the run short)
+        from phononlab import experiments
+        monkeypatch.setattr(experiments, "lp_blowup_norm", lambda eps, p_exp, pts: {
+            "eps": eps, "norm": 1.0 / eps, "spike_peak": 1.0, "background_peak": 0.0})
+        out = tmp_path / "out"
+        assert run_cli(["--output-dir", out, "lp-blowup", "--p", "inf"]) == EXIT_OK
+        blowup = json.loads((out / "blowup.json").read_text(), parse_constant=reject_constant)
+        assert blowup["p"] == "inf" and blowup["target_slope"] == 1.0
 
     def test_rj_match_small_ratio(self, tmp_path):
         # E/M = 0.05 needs gamma/beta ~ 4.6e-12
@@ -141,6 +157,39 @@ class TestRuns:
         assert code == EXIT_NUMERICAL
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"].startswith("numerical-error")
+
+    @pytest.mark.parametrize("sub,bad,artifact,where,written", [
+        ("lp-blowup", {"norm": [1.0, np.nan]}, "norms.csv", "column 'norm', row 2", []),
+        ("lp-blowup", {"slope": np.nan}, "blowup.json", "key '/slope'", ["norms.csv"]),
+        ("spectrum", {"eigenvalues": np.array([-1.0, -np.inf])}, "eigenvalues.csv",
+         "column 'eigenvalue', row 2", []),
+        ("spectrum", {"kernel_residuals": [0.0, np.nan]}, "spectrum.json",
+         "key '/kernel_residuals/1'", ["eigenvalues.csv"]),
+    ], ids=["norms-csv", "blowup-json", "eigenvalues-csv", "spectrum-json"])
+    def test_non_finite_artifact_is_refused(self, sub, bad, artifact, where, written,
+                                            monkeypatch, tmp_path, capsys):
+        # a NaN or infinite value never reaches an artifact: exit 3 naming the
+        # artifact and the column or key, the manifest still written, and the
+        # artifact absent
+        from phononlab import experiments
+        from phononlab.cli import EXIT_NUMERICAL
+        finite = {
+            "lp-blowup": {"p": 2.0, "eps": [0.0625, 0.03125], "norm": [1.0, 2.0],
+                          "slope": -0.5, "target_slope": -0.5},
+            "spectrum": {"eigenvalues": np.array([-1.0, 0.0]), "kernel_residuals": [0.0, 0.0],
+                         "near_null_count": 2, "principal_angle_rad": 0.0,
+                         "dissipation_ratio_min": 1.0},
+        }[sub]
+        name = {"lp-blowup": "lp_blowup_experiment", "spectrum": "spectrum_experiment"}[sub]
+        monkeypatch.setattr(experiments, name, lambda **_: {**finite, **bad})
+        out = tmp_path / "out"
+        assert run_cli(["--output-dir", out, sub]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: {artifact}: non-finite value")
+        assert where in err
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *written])
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status == f"numerical-error: {err[len('numerical error: '):-1]}"
 
     def test_validation_error_exit_code_and_manifest(self, tmp_path):
         out = tmp_path / "out"

@@ -124,6 +124,54 @@ def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
                           collision_at_full_rule(rows, f, z, w))
 
 
+def signed_bumps(eps):
+    """A signed spectrum: the three bumps less a copy shifted by 0.3 eps, so
+    it is positive, negative and zero on the output rows."""
+    bumps = coll.three_bumps(eps, 2.0, PTS)
+    return lambda p: bumps(p) - bumps(np.asarray(p) - 0.3 * eps)
+
+
+def test_signed_spectrum_live_terms_bit_identical():
+    # on a signed spectrum a dead term of the full rule may be -0.0, which
+    # changes no sum but the sign of an all-zero row: the live-term rule
+    # gives the same values, and +0.0 on every row without a live term
+    eps = 2.0 ** -4
+    f = signed_bumps(eps)
+    z, w = p2_rule(eps)
+    rows = output_rows(eps)
+    f0 = f(rows)
+    assert np.any(f0 > 0.0) and np.any(f0 < 0.0) and np.any(f0 == 0.0)
+    got = ex._collision_at(rows, f, z, w)
+    assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
+    zero = got == 0.0
+    assert np.any(zero) and np.any(got[f0 == 0.0] != 0.0)
+    assert not np.any(np.signbit(got[zero]))
+
+
+@pytest.mark.parametrize("spectrum", ["three_bumps", "signed"])
+def test_weight_only_on_live_terms(spectrum, monkeypatch):
+    # the kernel weight is evaluated once per live term, counted row by row
+    # over the full rule: where f1 != 0 or f2 != 0 on a row with f0 != 0,
+    # where f1 != 0 and f2 != 0 on a row with f0 = 0
+    eps = 2.0 ** -4
+    f = coll.three_bumps(eps, 2.0, PTS) if spectrum == "three_bumps" else signed_bumps(eps)
+    z, w = p2_rule(eps)
+    rows = output_rows(eps)
+    f1_live, f2_live = (f(h(rows[:, None], z)) != 0.0), f(z) != 0.0
+    live = np.where(f(rows)[:, None] != 0.0, f1_live | f2_live, f1_live & f2_live)
+    evaluated = []
+    weight = coll._weight
+
+    def spy(x, z, t):
+        evaluated.append(np.broadcast(x, z, t).size)
+        return weight(x, z, t)
+
+    monkeypatch.setattr(coll, "_weight", spy)
+    got = ex._collision_at(rows, f, z, w)
+    assert sum(evaluated) == np.count_nonzero(live) < rows.size * z.size
+    assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
+
+
 # verify_suite's grid checks on the whole meshgrid at once, kept as the
 # reference that the slabbed checks must reproduce exactly
 

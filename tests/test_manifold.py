@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import h_inverse_pair
+from oracles import clamped_arcsin, h_inverse_pair, h_tan
+from phononlab import manifold
 from phononlab.errors import ConvergenceError, DomainError
 from phononlab.manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
                                 f_plus, h, h_bar, omega, omega_residual,
@@ -362,3 +363,87 @@ class TestManifoldProperties:
     def test_f_minus_zeros_ordering(self, x):
         zs = f_minus_zeros(x)
         assert 0.0 < zs.y_prime < TWO_PI - x < zs.y_double_prime < TWO_PI
+
+
+# The leaner resonant partner (its diagonal guard built only when max|z - x|
+# reaches 6, its clip only when max|a| exceeds 1) against the one with an
+# unconditional guard and clip, bit for bit: values, signed zeros, NaN and
+# the type of a scalar result.
+ANGLE = st.floats(0.0, TWO_PI)
+NAN_OR_ANGLE = st.one_of(ANGLE, st.just(np.nan))
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_parts_match(x, z):
+    want_h, want_t = h_tan(x, z)
+    want_arg = want_t * np.cos((np.asarray(z, dtype=float) + np.asarray(x, dtype=float)) / 4.0)
+    got_h, got_t, got_arg = manifold._h_parts(x, z)
+    assert_same_bits(got_h, want_h)
+    assert_same_bits(h(x, z), want_h)
+    assert_same_bits(got_t, want_t)
+    assert_same_bits(got_arg, want_arg)
+
+
+class TestLeanHParts:
+    @PROPERTY
+    @given(st.lists(st.tuples(NAN_OR_ANGLE, NAN_OR_ANGLE), min_size=1, max_size=40))
+    def test_arrays(self, pairs):
+        x, z = np.array(pairs).T
+        assert_parts_match(x, z)
+
+    @PROPERTY
+    @given(NAN_OR_ANGLE, NAN_OR_ANGLE)
+    def test_scalars(self, x, z):
+        assert_parts_match(x, z)
+
+    @PROPERTY
+    @given(st.floats(0.0, 1e-9), st.floats(0.0, 1e-9), st.booleans(), NAN_OR_ANGLE)
+    def test_near_the_diagonal(self, a, b, swap, other):
+        # ||z - x| - 2pi| < 1e-9, where the guard nudges z - x inward, alone
+        # and next to another point (a NaN among them keeps the guard on)
+        x, z = a, TWO_PI - b
+        assume(abs(abs(z - x) - TWO_PI) < 1e-9)
+        if swap:
+            x, z = z, x
+        assert_parts_match(x, z)
+        assert_parts_match(np.array([x, other]), np.array([z, 1.0]))
+
+    def test_fixed_cases(self):
+        for x, z in ((0.0, TWO_PI), (TWO_PI, 0.0), (np.nan, 0.0), (0.0, -0.0),
+                     (-0.0, 0.0), (2.0, 2.0)):
+            assert_parts_match(x, z)
+        # a NaN hides max|z - x| from the guard's test, not the corner
+        assert_parts_match(np.array([np.nan, 0.0]), np.array([1.0, TWO_PI]))
+        assert_parts_match(np.empty(0), np.empty(0))
+
+    @PROPERTY
+    @given(st.floats(1.0, 1.0 + 1e-9, exclude_min=True), st.booleans(),
+           st.floats(-1.0, 1.0))
+    def test_clamp_band(self, a, negative, inside):
+        # arguments in (1, 1 + 1e-9] clip to +-1, alone and in an array
+        assume(a - 1.0 <= manifold.ARCSIN_CLAMP_TOL)  # 1 + 1e-9 rounds up past it
+        a = -a if negative else a
+        assert_same_bits(manifold._clamped_arcsin(a), clamped_arcsin(a))
+        both = np.array([inside, a, np.nan])
+        assert_same_bits(manifold._clamped_arcsin(both), clamped_arcsin(both))
+        assert_same_bits(manifold._clamped_arcsin(inside), clamped_arcsin(inside))
+
+    @pytest.mark.parametrize("arg", [1.0 + 2e-9, -1.5, [0.5, np.nan, 3.0], [np.nan, -2.0]])
+    def test_domain_error_message_unchanged(self, arg):
+        with pytest.raises(DomainError) as want:
+            clamped_arcsin(arg)
+        with pytest.raises(DomainError) as got:
+            manifold._clamped_arcsin(arg)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError) as want:
+            h_tan(-3.0, 3.0)
+        with pytest.raises(DomainError) as got:
+            h(-3.0, 3.0)
+        assert str(got.value) == str(want.value)
