@@ -4,7 +4,7 @@ Modules
 -------
 manifold     closed-form resonant-manifold geometry
 quadrature   midpoint and graded composite rules
-grid         midpoint grids, sampled fields, interpolation, norms
+grid         midpoint grids, sampled fields, interpolation stencils, gather, norms
 equilibria   Rayleigh-Jeans spectra and the (mass, energy) matching problem
 collision    the nonlinear collision operator and the L^p blow-up family
 linearized   the operator L around an equilibrium: assembly, spectra, decay
@@ -19,7 +19,7 @@ from importlib import import_module
 # phononlab.cli does not load numpy before --threads sets the BLAS variables
 _EXPORTS = {name: module for module, names in (
     ("equilibria", "MatchResult RjParams curve_F mass_energy match_rj rj_field"),
-    ("grid", "Field Grid evaluate lp_norm"),
+    ("grid", "Field Grid lp_norm"),
     ("linearized", "LinOperator assemble semigroup_apply"),
     ("manifold", "f_minus f_plus h h_bar omega"),
 ) for name in names.split()}

@@ -8,7 +8,9 @@ configuration's, with config, hash and env null, goes to --output-dir, else
 the config file's output_dir, else out).  Every other manifest records the
 run's environment ("env": row-block workers, Python and numpy versions);
 `nonlin` also records its work counts there, and only there ("counters":
-{"rhs_evals": ...}).  Exit codes:
+{"rhs_evals": ...}).  A NaN or infinite setting appears in the manifest's
+config as the string its flag takes ("inf"), so the manifest is strict
+JSON like every artifact.  Exit codes:
 0 success, 1 internal error (any other exception the run raises: a fault
 of the program, reported as one `internal error: <Type>: <message>` line
 and the manifest status `internal-error: ...`), 2 configuration error (a
@@ -158,11 +160,17 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_json(path, payload: dict, finite: bool = True) -> None:
-    """A JSON file with sorted keys.  An artifact (`finite`) holding a NaN or
-    infinite value is refused before it is written: JSON has no such
-    numbers (RFC 8259).  The manifest, which may echo such a setting, is
-    written as it is."""
+def _setting(value):
+    """A setting as the manifest's config records it: a NaN or infinite
+    float as the string its flag takes ("nan", "inf", "-inf"), since JSON
+    has no such numbers."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_json(path, payload: dict) -> None:
+    """A JSON file with sorted keys: every artifact and the manifest.  A
+    payload holding a NaN or infinite value is refused before it is
+    written: JSON has no such numbers (RFC 8259)."""
     def check(obj, key):
         if isinstance(obj, dict):
             for k, v in obj.items():
@@ -172,8 +180,7 @@ def _write_json(path, payload: dict, finite: bool = True) -> None:
                 check(v, f"{key}/{i}")
         else:
             _refuse_nonfinite(path, obj, f"key {key!r}")
-    if finite:
-        check(payload, "")
+    check(payload, "")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -287,13 +294,14 @@ def run(args: argparse.Namespace) -> int:
         outdir = _make_outdir(args.output_dir or _file_output_dir(args.config) or "out")
         if outdir is None:
             return EXIT_IO
-        _write_json(outdir / "manifest.json", manifest, finite=False)
+        _write_json(outdir / "manifest.json", manifest)
         return EXIT_CONFIG
 
     outdir = _make_outdir(cfg.pop("output_dir"))
     if outdir is None:
         return EXIT_IO
-    manifest.update(config=cfg, env=_environment(),
+    manifest.update(config={key: _setting(val) for key, val in cfg.items()},
+                    env=_environment(),
                     config_hash=_config_hash({"subcommand": args.subcommand, **cfg}))
     counters: dict = {}
     t0 = time.time()
@@ -321,7 +329,7 @@ def run(args: argparse.Namespace) -> int:
         manifest["wall_time_s"] = round(time.time() - t0, 3)
         if counters:
             manifest["counters"] = counters
-        _write_json(outdir / "manifest.json", manifest, finite=False)
+        _write_json(outdir / "manifest.json", manifest)
     return code
 
 

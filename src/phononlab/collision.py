@@ -25,15 +25,15 @@ A loop that applies C[f] or the perturbation right-hand side many times
 owns one whole table for as long as it runs (`collision_map`,
 `PerturbationTables`); the linearized assembly reads the table once, so
 `_packed_blocks` streams it as transient blocks and holds no whole table.
+The whole table is the one path of C[f] on a grid, up to TABLE_MAX_N
+nodes; a larger grid raises ResolutionError before any table is built.
 
 `collision_at` is the one engine for the integral off the table: output
 rows, a p2 rule and a callable spectrum.  A row with f(p0) = 0 reads only
 the support columns f(p2) != 0, and every row computes p3, f(p3), the
 weight and the bracket only on its live terms, where a factor f1 or f2
 can be nonzero (every other term is exactly zero), yet it sums its whole
-row, so the bits are the full rule's.  `collision_operator` runs on it
-above TABLE_MAX_N, where a positive spectrum leaves every term live; the
-two paths agree to rounding.
+row, so the bits are the full rule's.
 
 Importing this module pins glibc's malloc thresholds (`_pin_malloc`).
 """
@@ -51,8 +51,8 @@ from .errors import ResolutionError
 from .grid import Field, Grid, gather, interp_weights
 from .manifold import TWO_PI, _h_parts, _weight, canonicalize, h, resonant_kernel
 
-# whole tables above this size would not fit comfortably: larger grids run
-# C[f] on `collision_at`
+# whole tables above this size would not fit comfortably: C[f] on a larger
+# grid raises ResolutionError
 TABLE_MAX_N = 2048
 _TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table)
 # kernel values per row block of `collision_at`, and table entries per block of
@@ -271,13 +271,11 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     Rows with f(p0) != 0 run over every p2 node; a row with f(p0) = 0 has
     the bracket f1 f2 f3 + 0 - 0 - 0, so it runs only over the support
     columns f(p2) != 0.  Each block of rows first computes p1 = h(p0, p2)
-    and f1 = f(p1) on all its entries; only the live ones, where f1 != 0, or
-    f0 != 0 and f2 != 0, get p3, f(p3), the weight W and the bracket.
-    Every other entry has a zero factor in each product of the bracket, so
-    the full rule's term there is zero (+0.0 for f >= 0).  A block whose
-    entries are all live (any positive spectrum) computes on the broadcast
-    operands, p0 down the rows and p2 along the columns; any other gathers
-    its live entries.  Each row scatters its live terms into a zero-filled
+    and f1 = f(p1) on all its entries, then gathers the live ones, where
+    f1 != 0, or f0 != 0 and f2 != 0, and computes p3, f(p3), the weight W
+    and the bracket on those alone.  Every other entry has a zero factor in
+    each product of the bracket, so the full rule's term there is zero
+    (+0.0 for f >= 0).  Each row scatters its live terms into a zero-filled
     row of full length and sums the whole row, so every term is the full
     rule's and the sum pairs them as the full rule does: the result is bit
     for bit the full rule's (summing the compressed terms would pair them
@@ -296,7 +294,7 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
 
     def run(block):
         blk, (cols, z, wz, fz) = block
-        x, f0b = p0_vals[blk, None], f0[blk, None]
+        x = p0_vals[blk, None]
         p1, t = _h_parts(x, z)[:2]
         f1 = f(p1)
         # a term lives where f1 != 0, and on rows with f0 != 0 also where
@@ -304,24 +302,20 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
         live = f1 != 0.0
         if f0[blk[0]] != 0.0:
             live |= fz != 0.0
-        gathered = not live.all()
-        if gathered:  # (np.nonzero on the 2-d mask is ten times slower)
-            r, c = np.divmod(np.flatnonzero(live), z.size)
-            counts = np.bincount(r, minlength=blk.size)
-            at = np.arange(z_nodes.size)[cols][c]
-            x, z, p1, t, f0b, f1, fz, wz = (x[r, 0], z[c], p1[r, c], t[r, c],
-                                            f0b[r, 0], f1[r, c], fz[c], wz[c])
-        else:
-            counts = np.full(blk.size, z.size)
-        terms = wz * _weight(x, z, t) * _bracket(f0b, f1, fz, f(canonicalize(x + p1 - z)))
-        terms = terms.ravel()
+        # the live (row, column) pairs; np.nonzero on the 2-d mask is ten
+        # times slower
+        r, c = np.divmod(np.flatnonzero(live), z.size)
+        at = np.arange(z_nodes.size)[cols][c]
+        x, z, p1 = x[r, 0], z[c], p1[r, c]
+        terms = wz[c] * _weight(x, z, t[r, c]) * _bracket(
+            f0[blk][r], f1[r, c], fz[c], f(canonicalize(x + p1 - z)))
         row = np.zeros(z_nodes.size)
         end = 0
-        for k, m in zip(blk, counts):
+        for k, m in zip(blk, np.bincount(r, minlength=blk.size)):
             if not m:
                 out[k] = 0.0
                 continue
-            k_cols = at[end:end + m] if gathered else cols
+            k_cols = at[end:end + m]
             row[k_cols] = terms[end:end + m]
             end += m
             out[k] = np.sum(row)
@@ -333,18 +327,16 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
 
 def collision_map(grid: Grid, interp: str = "linear"):
     """C[f] at the nodes of `grid` as a callable of unchecked node values,
-    built once for a loop that applies it many times: up to TABLE_MAX_N from
-    one whole ResonanceTable that lives as long as the callable, each pair
-    once for both of its orders; above it by `collision_at` on the nodes with
-    unit weights and the field's interpolant (exact at the nodes), the row
-    sums scaled by the grid weight afterwards."""
-    if grid.n <= TABLE_MAX_N:
-        tab = ResonanceTable(grid, interp)
-        return lambda vals: grid.weight * tab.exchange_sum(
-            vals, lambda s, *f4: tab.W[s] * _bracket(*f4), _BLOCK_VALUES)
-    nodes, ones = grid.nodes, np.ones(grid.n)
-    return lambda vals: grid.weight * collision_at(
-        nodes, lambda p: gather(vals, interp_weights(grid, p, interp)), nodes, ones)
+    built once for a loop that applies it many times from one whole
+    ResonanceTable that lives as long as the callable, each pair once for
+    both of its orders.  A grid above TABLE_MAX_N raises ResolutionError
+    before any table is built."""
+    if grid.n > TABLE_MAX_N:
+        raise ResolutionError(f"C[f] on a grid of n = {grid.n} needs a whole resonance "
+                              f"table, which is built up to n = {TABLE_MAX_N} only")
+    tab = ResonanceTable(grid, interp)
+    return lambda vals: grid.weight * tab.exchange_sum(
+        vals, lambda s, *f4: tab.W[s] * _bracket(*f4), _BLOCK_VALUES)
 
 
 def collision_operator(f: Field, interp: str = "linear",
@@ -424,15 +416,3 @@ def three_bumps(eps: float, p_exp: float, pts: BlowupPoints):
         return v + amp1 * ((p >= pts.p2) & (p < pts.p2 + eps)).astype(float)
 
     return f
-
-
-def epsilon_family(eps: float, grid: Grid, p_exp: float = 2.0,
-                   points: BlowupPoints | None = None) -> Field:
-    """Three-bump test family with uniformly bounded L^p norm: `three_bumps`
-    sampled on the grid nodes."""
-    if not (0.0 < eps <= 0.1):
-        raise ValueError(f"eps must be in (0, 0.1], got {eps}")
-    if grid.n < 32.0 / eps ** 2:
-        raise ResolutionError(
-            f"grid n={grid.n} cannot resolve eps^2; need n >= {32.0 / eps ** 2:.0f}")
-    return Field(grid, three_bumps(eps, p_exp, points or blowup_points())(grid.nodes))

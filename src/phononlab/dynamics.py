@@ -43,12 +43,11 @@ from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
 from .grid import Field, Grid, lp_norm, weighted_sup
-from .linearized import T_BRACKET, LinOperator, multiplier_a
+from .linearized import LinOperator, multiplier_a
 
 BLOWUP_FACTOR = 1e3
 EPS_MAX = 0.1  # largest ||omega^-1/2 g0||_inf evolve_perturbation accepts
 N_RECORDS = 64  # states recorded per run
-B_NORM_DELTA = 1e-3  # delta in the <t>^{2/5-delta}, <t>^{3/5-delta} weights
 # packed upper-triangle entries per block of PerturbationTables.nonlinear
 # (128 KiB per float64 temporary; n = 256 has 32,640 entries)
 _BLOCK_VALUES = 1 << 14
@@ -222,15 +221,16 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
 
 def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
     """Integrate d/dt f = C[f] with conservation and entropy monitoring, on
-    one `collision_map` built for the run; a stage whose field is not finite
-    or falls below the positivity floor raises BlowupError."""
+    one `collision_map` built for the run before anything else (so a grid
+    above TABLE_MAX_N fails first); a stage whose field is not finite or
+    falls below the positivity floor raises BlowupError."""
     f0.require_positive()
     grid = f0.grid
+    collide = collision_map(grid, cfg.interp)
     m0, e0 = conserved_quantities(f0)
     res = match_rj(m0, e0)
     if res.matched:
         _check_stability_guard(cfg, multiplier_a(res.params, grid))
-    collide = collision_map(grid, cfg.interp)
 
     def rhs(fv):
         try:
@@ -273,11 +273,3 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
 
     m0, e0 = conserved_quantities(Field(grid, fb * (1.0 + g0.values)))
     return _run(grid, g0.values, rhs, cfg, lambda gv: fb * (1.0 + gv), m0, e0)
-
-
-def b_norm_components(traj: Trajectory):
-    """Time-weighted sup-norm components <t>^{2/5-d} w^{1/6} and <t>^{3/5-d} w^{1/2},
-    d = B_NORM_DELTA."""
-    tb = T_BRACKET + np.abs(traj.times)
-    return (tb ** (0.4 - B_NORM_DELTA) * traj.sup_w16,
-            tb ** (0.6 - B_NORM_DELTA) * traj.sup_w12)

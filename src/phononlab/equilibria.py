@@ -49,11 +49,6 @@ class RjParams:
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
-    @property
-    def singular(self) -> bool:
-        """gamma = 0: infinite-mass, energy-equipartition spectrum."""
-        return self.gamma == 0.0
-
     def value(self, p):
         """f(p) = 1/(beta omega + gamma) with a positivity floor on the denominator."""
         den = self.beta * omega(p) + self.gamma

@@ -61,9 +61,6 @@ class Field:
         if m < floor:
             raise PositivityError(f"field minimum {m:.3e} is below the floor {floor:.0e}")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 def interp_weights(grid: Grid, targets: np.ndarray, order: str = "linear"):
     """Periodic interpolation stencils for arbitrary target angles.
@@ -100,12 +97,6 @@ def gather(values: np.ndarray, stencil, rows=slice(None)) -> np.ndarray:
     for i, wt in zip(idx[1:], wts[1:]):
         out += values[i[rows]] * wt[rows]
     return out
-
-
-def evaluate(f: Field, p, order: str = "linear"):
-    """Evaluate a field at arbitrary angles by periodic interpolation."""
-    out = gather(f.values, interp_weights(f.grid, np.mod(np.atleast_1d(p), TWO_PI), order))
-    return out if np.ndim(p) else float(out[0])
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -256,7 +256,7 @@ def semigroup_apply(op: LinOperator, g0: Field, t: float) -> Field:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
-        return g0.copy()
+        return Field(g0.grid, g0.values.copy())
     c = op.eigenvectors.T @ g0.values
     vals = op.eigenvectors @ (np.exp(op.eigenvalues * t) * c)
     return Field(op.grid, vals)

@@ -12,10 +12,11 @@ a CSV file's worst column, which is named, or a JSON document as a whole.
 The second figure shows how far a series moved when the first is set by a
 value that is only rounding noise (an eigenvalue that should be zero, say);
 scaling by column keeps an index or time column from diluting it.  Of
-`manifest.json` only `status` is compared, since it also records wall time
-and environment.  A binary artifact (the operator cache) is compared byte
-for byte.  Exits 1 when an artifact exists on one side only, when the two
-sides differ in anything but numbers, or when a manifest's status differs;
+`manifest.json` only `status` and `config_hash` are compared, since it also
+records wall time and environment; a change that moves a hash shows.  A
+binary artifact (the operator cache) is compared byte for byte.  Exits 1
+when an artifact exists on one side only, when the two sides differ in
+anything but numbers, or when a manifest's status or config hash differs;
 else 0.  The name keeps the script out of pytest collection.
 """
 
@@ -96,9 +97,11 @@ def _fields(path: Path) -> list:
 def compare(a: Path, b: Path) -> tuple[str, bool]:
     """(verdict line, ok) for one artifact present on both sides."""
     if a.name == "manifest.json":
-        sa = json.loads(a.read_text())["status"]
-        sb = json.loads(b.read_text())["status"]
-        return ("identical", True) if sa == sb else (f"status {sa!r} vs {sb!r}", False)
+        ma, mb = json.loads(a.read_text()), json.loads(b.read_text())
+        for key in ("status", "config_hash"):
+            if ma[key] != mb[key]:
+                return f"{key} {ma[key]!r} vs {mb[key]!r}", False
+        return "identical", True
     if a.read_bytes() == b.read_bytes():
         return "identical", True
     if a.suffix not in (".json", ".csv"):

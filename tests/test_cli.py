@@ -136,6 +136,12 @@ class TestRuns:
         assert run_cli(["--output-dir", out, "lp-blowup", "--p", "inf"]) == EXIT_OK
         blowup = json.loads((out / "blowup.json").read_text(), parse_constant=reject_constant)
         assert blowup["p"] == "inf" and blowup["target_slope"] == 1.0
+        # the manifest records the setting as the flag's string, and its
+        # hash is the one computed from the number
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=reject_constant)
+        assert manifest["config"]["p_exp"] == "inf"
+        assert manifest["config_hash"] == "361df1f4b2424e72"
 
     def test_rj_match_small_ratio(self, tmp_path):
         # E/M = 0.05 needs gamma/beta ~ 4.6e-12
@@ -247,7 +253,9 @@ class TestRuns:
             "fit-hi-above-2pi"])
     def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
         # each fails before any work: exit 2, the cause on stderr and in the
-        # manifest, and no artifact or operator cache beside the manifest
+        # manifest, which is strict JSON (a NaN or infinite setting is
+        # recorded as its flag's string), and no artifact or operator cache
+        # beside the manifest
         cfg = tmp_path / "run.cfg"
         cfg.write_text(file_line)
         out = tmp_path / "out"
@@ -256,8 +264,9 @@ class TestRuns:
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error: ") and cause in err
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
-        status = json.loads((out / "manifest.json").read_text())["status"]
-        assert status.startswith("config-error: ") and cause in status
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=reject_constant)
+        assert manifest["status"].startswith("config-error: ") and cause in manifest["status"]
 
     @pytest.mark.parametrize("raised,cause", [
         (RuntimeError("boom"), "RuntimeError: boom"),
@@ -524,6 +533,12 @@ class TestOperatorCache:
 
 
 class TestImports:
+    def test_every_export_resolves(self):
+        # the lazy exports name no function that is gone
+        import phononlab
+        for name in phononlab.__all__:
+            assert getattr(phononlab, name) is not None
+
     def test_runtime_does_not_import_scipy(self):
         # scipy is a test-only dependency: importing every module of the
         # package, the CLI and the experiments included, must not load it

@@ -10,8 +10,7 @@ import pytest
 from oracles import full_collision
 from phononlab import collision, dynamics, experiments, linearized
 from phononlab.collision import (blowup_points, collision_operator,
-                                 conserved_quantities, entropy,
-                                 epsilon_family)
+                                 conserved_quantities, entropy, three_bumps)
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import PositivityError, ResolutionError
 from phononlab.grid import Field, Grid, lp_norm
@@ -71,31 +70,19 @@ class TestCollisionOperator:
         assert drifts[2] < drifts[0]
         assert drifts[2] < 1e-5
 
-    @pytest.mark.parametrize("interp", ["linear", "cubic"])
-    @pytest.mark.parametrize("n", [256, 300])
-    def test_row_blocks_equal_cached_table(self, monkeypatch, interp, n):
-        # above TABLE_MAX_N the operator runs on collision_at, which sums each
-        # row over the full rule: it agrees with the packed table to rounding,
-        # and its own bits, signed zeros included, do not depend on the worker
-        # count or the block size, for a positive field and for one with
-        # zeros (whose zero rows take the support path), with one block or
-        # many (7 rows each on the full path, ragged)
-        g = Grid(n)
-        for f in (smooth_positive_field(g, seed=2),
-                  Field(g, np.maximum(0.0, np.sin(3.0 * g.nodes)))):
-            monkeypatch.setattr(collision, "TABLE_MAX_N", 2048)
-            table = collision_operator(f, interp, pos_floor=0.0).values
-            monkeypatch.setattr(collision, "TABLE_MAX_N", 0)
-            first = None
-            for workers in (1, 2, 3):
-                monkeypatch.setenv("PHONON_THREADS", str(workers))
-                for block_values in (1 << 16, 7 * n):
-                    monkeypatch.setattr(collision, "_BLOCK_VALUES", block_values)
-                    blocked = collision_operator(f, interp, pos_floor=0.0).values
-                    if first is None:
-                        first = blocked.view(np.uint64)
-                        assert np.max(np.abs(blocked - table)) <= 1e-14 * np.max(np.abs(table))
-                    assert np.array_equal(blocked.view(np.uint64), first)
+    def test_above_table_max_n_fails_before_any_table(self, monkeypatch):
+        # no run applies C[f] above TABLE_MAX_N = 2048: the operator and the
+        # full evolution both raise ResolutionError before a table is built
+        built = []
+        monkeypatch.setattr(collision.ResonanceTable, "__init__",
+                            lambda *args, **kwargs: built.append(args))
+        g = Grid(4096)
+        f = Field(g, np.ones(g.n))
+        with pytest.raises(ResolutionError, match="n = 4096.*n = 2048"):
+            collision_operator(f)
+        with pytest.raises(ResolutionError, match="n = 4096.*n = 2048"):
+            dynamics.evolve_nonlinear_f(f, dynamics.EvolutionConfig(dt=0.1, t_final=1.0))
+        assert built == []
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [64, 100, 256, 300])
@@ -229,12 +216,6 @@ class TestBlowupFamily:
         assert round(pts.p1, 3) == 1.184
         assert round(pts.p2, 3) == 4.733
 
-    def test_resolution_guard(self):
-        with pytest.raises(ResolutionError):
-            epsilon_family(0.05, Grid(1024))
-        with pytest.raises(ValueError):
-            epsilon_family(0.5, Grid(1024))
-
     def test_uniform_lp_bound(self):
         # ||f_eps||_p stays bounded as eps -> 0
         p_exp = 2.0
@@ -242,23 +223,11 @@ class TestBlowupFamily:
         for k in (4, 5, 6, 7):
             eps = 2.0 ** (-k)
             n = int(2 ** np.ceil(np.log2(32.0 / eps ** 2)))
-            f = epsilon_family(eps, Grid(n), p_exp)
+            g = Grid(n)
+            f = Field(g, three_bumps(eps, p_exp, blowup_points())(g.nodes))
             norms.append(lp_norm(f, p_exp))
         assert max(norms) < 2.0 * min(norms)
         assert max(norms) < 3.0
-
-    def test_gridded_operator_on_family(self):
-        # the generic gridded path at the coarsest eps: finite, spike negative
-        # at the base point, and much larger there than the background
-        eps = 2.0 ** (-4)
-        n = 8192
-        f = epsilon_family(eps, Grid(n), 2.0)
-        C = collision_operator(f, pos_floor=0.0)
-        g = Grid(n)
-        spike = np.abs(g.nodes - 2.0 - 0.5 * eps ** 2) < 0.5 * eps ** 2
-        far = (np.abs(g.nodes - 2.0) > 0.5) & (np.abs(g.nodes - 4.733) > 0.8) \
-            & (np.abs(g.nodes - 1.184) > 0.5)
-        assert np.max(np.abs(C.values[spike])) > 30.0 * np.max(np.abs(C.values[far]))
 
 
 class TestMapBlocks:

@@ -8,8 +8,7 @@ from oracles import full_table
 from phononlab import collision, dynamics
 from phononlab.collision import ResonanceTable, collision_operator
 from phononlab.dynamics import (EvolutionConfig, PerturbationTables, _run,
-                                b_norm_components, evolve_nonlinear_f,
-                                evolve_perturbation)
+                                evolve_nonlinear_f, evolve_perturbation)
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import BlowupError, ConfigError, FitError
 from phononlab.fitting import fit_power_law
@@ -398,8 +397,6 @@ class TestPerturbation:
         thirds = np.array_split(w, 3)
         assert np.max(thirds[1]) <= np.max(thirds[0]) + 1e-14
         assert np.max(thirds[2]) <= np.max(thirds[1]) + 1e-14
-        bn16, bn12 = b_norm_components(traj)
-        assert np.all(np.isfinite(bn16)) and np.all(np.isfinite(bn12))
 
     def test_epsilon_threshold_probe(self, op256c):
         # the decay law holds for eps up to at least 1e-1 at this resolution

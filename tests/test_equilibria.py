@@ -62,7 +62,6 @@ class TestRjField:
             RjParams(0.0, 1.0)
         with pytest.raises(ValueError):
             RjParams(1.0, -0.1)
-        assert RjParams(1.0, 0.0).singular
 
 
 class TestMassEnergy:

@@ -122,6 +122,12 @@ def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
     monkeypatch.setattr(coll, "_BLOCK_VALUES", 7 * np.count_nonzero(f(z)))
     assert np.array_equal(ex._collision_at(rows, f, z, w),
                           collision_at_full_rule(rows, f, z, w))
+    # a positive spectrum leaves every term live: every block gathers all
+    # of its entries
+    def positive(p):
+        return 1.0 + f(p)
+    assert np.array_equal(ex._collision_at(rows, positive, z, w),
+                          collision_at_full_rule(rows, positive, z, w))
 
 
 def signed_bumps(eps):

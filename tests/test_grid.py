@@ -3,7 +3,7 @@ import pytest
 
 from phononlab.cli import _write_csv
 from phononlab.errors import NonFiniteError, PositivityError
-from phononlab.grid import Field, Grid, evaluate, lp_norm, weighted_sup
+from phononlab.grid import Field, Grid, gather, interp_weights, lp_norm, weighted_sup
 from phononlab.manifold import TWO_PI
 
 RNG = np.random.default_rng(7)
@@ -37,29 +37,30 @@ class TestField:
 
 
 class TestEvaluate:
+    # off-grid values as every production caller reads them: the one gather
+    # over an interp_weights stencil
     def test_exact_at_nodes(self):
         g = Grid(64)
         vals = RNG.normal(size=64)
-        f = Field(g, vals)
-        out = evaluate(f, g.nodes)
+        out = gather(vals, interp_weights(g, g.nodes))
         assert np.allclose(out, vals, atol=0, rtol=0)
 
     def test_constant(self):
-        f = Field(Grid(32), np.full(32, 3.7))
+        g = Grid(32)
         ps = RNG.uniform(0, TWO_PI, 100)
-        assert np.allclose(evaluate(f, ps), 3.7, atol=1e-14)
+        assert np.allclose(gather(np.full(32, 3.7), interp_weights(g, ps)), 3.7, atol=1e-14)
 
     def test_sine_accuracy(self):
         g = Grid(256)
-        f = Field(g, np.sin(g.nodes))
-        p = 1.2345
-        assert abs(evaluate(f, p) - np.sin(p)) < 5e-4
-        assert abs(evaluate(f, p, order="cubic") - np.sin(p)) < 5e-8
+        p = np.array([1.2345])
+        for order, tol in (("linear", 5e-4), ("cubic", 5e-8)):
+            assert abs(gather(np.sin(g.nodes), interp_weights(g, p, order)) - np.sin(p)) < tol
 
     def test_periodic_wrap(self):
         g = Grid(64)
-        f = Field(g, np.cos(g.nodes))
-        assert evaluate(f, 0.0) == pytest.approx(evaluate(f, TWO_PI), abs=1e-13)
+        vals = np.cos(g.nodes)
+        ends = gather(vals, interp_weights(g, np.array([0.0, TWO_PI])))
+        assert ends[0] == pytest.approx(ends[1], abs=1e-13)
 
 
 class TestLpNorm:

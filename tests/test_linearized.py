@@ -297,14 +297,10 @@ class TestWeakFormAssembly:
                 assert np.array_equal(L, L_want)
                 assert np.array_equal(a, a_want)
 
-    @pytest.mark.parametrize("table_max_n", [None, 0])
-    def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
+    def test_assemble_builds_each_table_once(self, monkeypatch):
         # a comes from the assembly's own pass, so a cubic assembly builds no
-        # linear table for it; on both sides of TABLE_MAX_N and on 1 or 2
-        # workers the 32,640 packed entries of n = 256 stream in 7 blocks,
-        # each built once with its own range
-        if table_max_n is not None:
-            monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
+        # linear table for it; on 1 or 2 workers the 32,640 packed entries of
+        # n = 256 stream in 7 blocks, each built once with its own range
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         built = []
         init = ResonanceTable.__init__
