@@ -297,11 +297,16 @@ class TestWeakFormAssembly:
                 assert np.array_equal(L, L_want)
                 assert np.array_equal(a, a_want)
 
-    def test_assemble_builds_each_table_once(self, monkeypatch):
+    # TABLE_MAX_N bounds the table of C[f] only: with it at 0 the assembly
+    # streams the same blocks
+    @pytest.mark.parametrize("table_max_n", [None, 0])
+    def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
         # a comes from the assembly's own pass, so a cubic assembly builds no
         # linear table for it; on 1 or 2 workers the 32,640 packed entries of
         # n = 256 stream in 7 blocks, each built once with its own range
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
+        if table_max_n is not None:
+            monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
         built = []
         init = ResonanceTable.__init__
 
