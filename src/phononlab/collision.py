@@ -26,14 +26,18 @@ owns one whole table for as long as it runs (`collision_map`,
 `PerturbationTables`); the linearized assembly reads the table once, so
 `_packed_blocks` streams it as transient blocks and holds no whole table.
 The whole table is the one path of C[f] on a grid, up to TABLE_MAX_N
-nodes; a larger grid raises ResolutionError before any table is built.
+nodes; on a larger grid C[f], the perturbation tables and the `nonlin`
+run raise ResolutionError (`check_table_n`) before any table is built.
 
 `collision_at` is the one engine for the integral off the table: output
-rows, a p2 rule and a callable spectrum.  A row with f(p0) = 0 reads only
-the support columns f(p2) != 0, and every row computes p3, f(p3), the
-weight and the bracket only on its live terms, where a factor f1 or f2
-can be nonzero (every other term is exactly zero), yet it sums its whole
-row, so the bits are the full rule's.
+rows, a p2 rule, a callable spectrum and the intervals outside which it
+vanishes.  A row with f(p0) = 0 reads only the support columns
+f(p2) != 0; p1 = h(p0, p2) is computed only on the chunks of columns
+where an interval bound on h (`manifold.h_range`) lets it reach the
+support, or where f(p0) != 0 and the chunk holds a node with f(p2) != 0;
+and p3, f(p3), the weight and the bracket only on the live terms, where
+a factor f1 or f2 can be nonzero (every other term is exactly zero).
+Each row still sums its whole row, so the bits are the full rule's.
 
 Importing this module pins glibc's malloc thresholds (`_pin_malloc`).
 """
@@ -49,20 +53,26 @@ import numpy as np
 
 from .errors import ResolutionError
 from .grid import Field, Grid, gather, interp_weights
-from .manifold import TWO_PI, _h_parts, _weight, canonicalize, h, resonant_kernel
+from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, h, h_range,
+                       resonant_kernel)
 
 # whole tables above this size would not fit comfortably: C[f] on a larger
 # grid raises ResolutionError
 TABLE_MAX_N = 2048
 _TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table)
-# kernel values per row block of `collision_at`, and table entries per block of
-# the table's C[f] (512 KiB per float64 temporary)
+# table entries per block of the table's C[f] (512 KiB per float64 temporary)
 _BLOCK_VALUES = 1 << 16
+# collision_at: consecutive p2 columns per chunk of its bound on p1, and
+# (row, chunk) pairs per row block and candidate entries per batch (64 KiB
+# per float64 temporary: a candidate gathers its row and column values,
+# where a table block reads them in place)
+_CHUNK = 64
+_BATCH = 1 << 13
 
 # glibc's malloc thresholds, pinned at import by `_pin_malloc`: every hot-loop
-# block (_BLOCK_VALUES and _TABLE_BLOCK here, the blocks of `linearized` and
-# `dynamics`, the slabs of `experiments.verify_suite`) keeps its temporaries
-# of 8-byte values under _MMAP_THRESHOLD
+# block (_BLOCK_VALUES, _BATCH and _TABLE_BLOCK here, the blocks of
+# `linearized` and `dynamics`, the slabs of `experiments.verify_suite`) keeps
+# its temporaries of 8-byte values under _MMAP_THRESHOLD
 _MMAP_THRESHOLD = 1 << 20
 _TRIM_THRESHOLD = 8 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters (malloc.h)
@@ -265,64 +275,114 @@ def _bracket(f0, f1, f2, f3):
 
 
 def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
-                 z_wts: np.ndarray) -> np.ndarray:
+                 z_wts: np.ndarray, *, support) -> np.ndarray:
     """C[f](p0) for a callable finite spectrum `f` on a supplied p2 rule.
 
+    `support` lists closed intervals (lo, hi) outside whose union f is
+    zero; f nonzero at a row or p2 node outside them raises ValueError.
     Rows with f(p0) != 0 run over every p2 node; a row with f(p0) = 0 has
     the bracket f1 f2 f3 + 0 - 0 - 0, so it runs only over the support
-    columns f(p2) != 0.  Each block of rows first computes p1 = h(p0, p2)
-    and f1 = f(p1) on all its entries, then gathers the live ones, where
-    f1 != 0, or f0 != 0 and f2 != 0, and computes p3, f(p3), the weight W
-    and the bracket on those alone.  Every other entry has a zero factor in
-    each product of the bracket, so the full rule's term there is zero
-    (+0.0 for f >= 0).  Each row scatters its live terms into a zero-filled
-    row of full length and sums the whole row, so every term is the full
-    rule's and the sum pairs them as the full rule does: the result is bit
-    for bit the full rule's (summing the compressed terms would pair them
-    differently).  A row with no live term is +0.0.  Rows run in blocks of
-    _BLOCK_VALUES kernel values on the row-block pool; each block writes
-    only its own rows, so the worker count does not change the bits.
+    columns f(p2) != 0.  A term is live where f1 != 0, or f0 != 0 and
+    f2 != 0; every other term has a zero factor in each product of the
+    bracket, so the full rule's term there is zero (+0.0 for f >= 0).
+
+    f1 != 0 needs p1 = h(p0, p2) in the support.  So the columns are split
+    into chunks of _CHUNK consecutive ones, and the value that h reduces
+    mod 2pi is bounded over each chunk's z-range (`manifold.h_range`).
+    canonicalize shifts it by at most one period, so a (row, chunk) pair
+    is kept where its bound meets the support shifted by -2pi, 0 or 2pi,
+    and, on a row with f0 != 0, where the chunk holds a node with f2 != 0.
+    Every other pair has no live term.  Only the columns of kept pairs
+    compute p1 and f1 = f(p1), and only the live ones among them p3,
+    f(p3), the weight W and the bracket.  Each row scatters its live terms
+    into a zero-filled row of full length and sums the whole row, so every
+    term is the full rule's and the sum pairs them as the full rule does:
+    the result is bit for bit the full rule's (summing the compressed
+    terms would pair them differently).  A row with no live term is +0.0.
+
+    Rows run in blocks of _BATCH (row, chunk) pairs on the row-block pool,
+    and each block expands its kept pairs in batches of _BATCH candidate
+    entries at most; each block writes only its own rows, so neither the
+    batches nor the worker count change the bits.
     """
     out = np.empty(p0_vals.size)
     f0, f2 = f(p0_vals), f(z_nodes)
+    sup_lo, sup_hi = np.asarray(support, dtype=float).reshape(-1, 2).T
+    for what, p in (("output row", p0_vals[f0 != 0.0]), ("p2 node", z_nodes[f2 != 0.0])):
+        outside = p[~np.any((p[:, None] >= sup_lo) & (p[:, None] <= sup_hi), axis=1)]
+        if outside.size:
+            raise ValueError(f"f is nonzero at the {what} {float(outside[0])!r}, "
+                             f"outside the support {support}")
+    reach = [(a + s, b + s) for s in (-TWO_PI, 0.0, TWO_PI) for a, b in zip(sup_lo, sup_hi)]
+    index = np.arange(z_nodes.size)
     blocks = []
     for rows, cols in ((np.flatnonzero(f0 != 0.0), slice(None)),
                        (np.flatnonzero(f0 == 0.0), np.flatnonzero(f2 != 0.0))):
-        p2 = (cols, z_nodes[cols], z_wts[cols], f2[cols])
-        step = max(1, _BLOCK_VALUES // max(1, p2[1].size))
+        z, fz = z_nodes[cols], f2[cols]
+        starts = np.arange(0, z.size, _CHUNK)
+        p2 = (index[cols], z, z_wts[cols], fz, starts, np.minimum.reduceat(z, starts),
+              np.maximum.reduceat(z, starts), np.logical_or.reduceat(fz != 0.0, starts))
+        step = max(1, _BATCH // max(1, starts.size))
         blocks += [(rows[r0:r0 + step], p2) for r0 in range(0, rows.size, step)]
 
     def run(block):
-        blk, (cols, z, wz, fz) = block
-        x = p0_vals[blk, None]
-        p1, t = _h_parts(x, z)[:2]
-        f1 = f(p1)
-        # a term lives where f1 != 0, and on rows with f0 != 0 also where
-        # f2 != 0 (rows with f0 = 0 run over the support f2 != 0 alone)
-        live = f1 != 0.0
-        if f0[blk[0]] != 0.0:
-            live |= fz != 0.0
-        # the live (row, column) pairs; np.nonzero on the 2-d mask is ten
-        # times slower
-        r, c = np.divmod(np.flatnonzero(live), z.size)
-        at = np.arange(z_nodes.size)[cols][c]
-        x, z, p1 = x[r, 0], z[c], p1[r, c]
-        terms = wz[c] * _weight(x, z, t[r, c]) * _bracket(
-            f0[blk][r], f1[r, c], fz[c], f(canonicalize(x + p1 - z)))
+        blk, (cols, z, wz, fz, starts, z_lo, z_hi, z_live) = block
+        x, fx = p0_vals[blk], f0[blk]
+        lo, hi = h_range(x[:, None], z_lo, z_hi)
+        keep = np.zeros(lo.shape, dtype=bool)
+        row_live = fx[0] != 0.0
+        if row_live:
+            keep |= z_live
+        for a, b in reach:
+            keep |= ~((hi < a) | (lo > b))
+        pair_r, pair_k = np.divmod(np.flatnonzero(keep), max(1, starts.size))
+        out[blk] = 0.0  # a row with no live term
         row = np.zeros(z_nodes.size)
-        end = 0
-        for k, m in zip(blk, np.bincount(r, minlength=blk.size)):
-            if not m:
-                out[k] = 0.0
-                continue
-            k_cols = at[end:end + m]
-            row[k_cols] = terms[end:end + m]
-            end += m
-            out[k] = np.sum(row)
-            row[k_cols] = 0.0  # the next row's live columns may differ
+        cur, filled = None, []  # the row being scattered, and its live columns
+        pairs = max(1, _BATCH // _CHUNK)
+        for j in range(0, pair_r.size, pairs):
+            # every column of the batch's pairs, in (row, column) order
+            k = pair_k[j:j + pairs]
+            size = np.minimum(_CHUNK, z.size - starts[k])
+            first = np.cumsum(size) - size
+            r = np.repeat(pair_r[j:j + pairs], size)
+            c = np.arange(r.size) + np.repeat(starts[k] - first, size)
+            xq, zq = x[r], z[c]
+            p1, t = _h_parts(xq, zq)[:2]
+            f1 = f(p1)
+            live = f1 != 0.0
+            if row_live:
+                live |= fz[c] != 0.0
+            i = np.flatnonzero(live)
+            r, c, xq, zq, p1 = r[i], c[i], xq[i], zq[i], p1[i]
+            terms = wz[c] * _weight(xq, zq, t[i]) * _bracket(
+                fx[r], f1[i], fz[c], f(canonicalize(xq + p1 - zq)))
+            at = cols[c]
+            # a row's terms may go on in the next batch: it is summed when
+            # the next row's terms begin
+            bounds = np.flatnonzero(np.diff(r, prepend=-1, append=-1))
+            for s0, s1 in zip(bounds[:-1], bounds[1:]):
+                if blk[r[s0]] != cur:
+                    if cur is not None:
+                        out[cur] = np.sum(row)
+                        row[np.concatenate(filled)] = 0.0
+                    cur, filled = blk[r[s0]], []
+                row[at[s0:s1]] = terms[s0:s1]
+                filled.append(at[s0:s1])
+        if cur is not None:
+            out[cur] = np.sum(row)
 
     map_blocks(run, blocks)
     return out
+
+
+def check_table_n(n: int) -> None:
+    """Raise ResolutionError when a grid of n nodes would need a whole
+    resonance table above TABLE_MAX_N.  Each loop that owns a whole table
+    (C[f] and the perturbation right-hand side) checks before any work."""
+    if n > TABLE_MAX_N:
+        raise ResolutionError(f"a grid of n = {n} needs a whole resonance table, which "
+                              f"is built only up to n = {TABLE_MAX_N} (TABLE_MAX_N)")
 
 
 def collision_map(grid: Grid, interp: str = "linear"):
@@ -331,9 +391,7 @@ def collision_map(grid: Grid, interp: str = "linear"):
     ResonanceTable that lives as long as the callable, each pair once for
     both of its orders.  A grid above TABLE_MAX_N raises ResolutionError
     before any table is built."""
-    if grid.n > TABLE_MAX_N:
-        raise ResolutionError(f"C[f] on a grid of n = {grid.n} needs a whole resonance "
-                              f"table, which is built up to n = {TABLE_MAX_N} only")
+    check_table_n(grid.n)
     tab = ResonanceTable(grid, interp)
     return lambda vals: grid.weight * tab.exchange_sum(
         vals, lambda s, *f4: tab.W[s] * _bracket(*f4), _BLOCK_VALUES)
@@ -395,24 +453,32 @@ def blowup_points(p0: float = 2.0) -> BlowupPoints:
     return BlowupPoints(p0=p0, p1=float(h(p0, z0)), p2=z0)
 
 
+def bump_support(eps: float, pts: BlowupPoints) -> tuple:
+    """The intervals [lo, hi) of the three bumps of `three_bumps`:
+    [p0, p0 + eps^2), [p1 - eps^2, p1) and [p2, p2 + eps), in that order.
+    Their closed hulls are the `support` that `collision_at` takes."""
+    e2 = eps ** 2
+    return (pts.p0, pts.p0 + e2), (pts.p1 - e2, pts.p1), (pts.p2, pts.p2 + eps)
+
+
 def three_bumps(eps: float, p_exp: float, pts: BlowupPoints):
     """The exact three-bump spectrum as a callable of the momentum.
 
-    Heights eps^{-2/p}, eps^{-2/p}, eps^{-1/p} on [p0, p0 + eps^2),
-    [p1 - eps^2, p1) and [p2, p2 + eps).  The eps^2 bump at the fold value
-    p1 sits below it: the parameterization sweeps values h(p0, .) <= p1
-    only, so that side is the one the resonance actually visits.
+    Heights eps^{-2/p}, eps^{-2/p}, eps^{-1/p} on the intervals of
+    `bump_support`, [p0, p0 + eps^2), [p1 - eps^2, p1) and [p2, p2 + eps),
+    and zero elsewhere.  The eps^2 bump at the fold value p1 sits below it:
+    the parameterization sweeps values h(p0, .) <= p1 only, so that side is
+    the one the resonance actually visits.
     """
     if not p_exp > 0.0:
         raise ValueError(f"p must be positive, got {p_exp}")
-    e2 = eps ** 2
     amp2 = eps ** (-2.0 / p_exp)
     amp1 = eps ** (-1.0 / p_exp)
+    (a0, b0), (a1, b1), (a2, b2) = bump_support(eps, pts)
 
     def f(p):
         p = np.asarray(p)
-        v = amp2 * (((p >= pts.p0) & (p < pts.p0 + e2)) |
-                    ((p >= pts.p1 - e2) & (p < pts.p1))).astype(float)
-        return v + amp1 * ((p >= pts.p2) & (p < pts.p2 + eps)).astype(float)
+        v = amp2 * (((p >= a0) & (p < b0)) | ((p >= a1) & (p < b1))).astype(float)
+        return v + amp1 * ((p >= a2) & (p < b2)).astype(float)
 
     return f

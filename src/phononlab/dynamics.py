@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import ResonanceTable, collision_map, conserved_quantities, entropy
+from .collision import (ResonanceTable, check_table_n, collision_map, conserved_quantities,
+                        entropy)
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
@@ -112,9 +113,12 @@ class PerturbationTables:
     P3 := P1^T, and the table's P3 and i3 stencil serve as both.  G0..G3
     are the weights of the channels that drop f0..f3; the stencils and
     nodes are read from the table itself, which these tables build and own.
+    A grid above TABLE_MAX_N raises ResolutionError before any table is
+    built (`collision.check_table_n`).
     """
 
     def __init__(self, params: RjParams, grid: Grid, interp: str = "linear"):
+        check_table_n(grid.n)
         self.tab = tab = ResonanceTable(grid, interp)
         self.grid = grid
         self.params = params

@@ -26,9 +26,11 @@ from .quadrature import midpoint_nodes
 N_FIT_POINTS = 25  # pointwise a(p) samples of the multiplier edge fit
 N_DISSIPATION_SAMPLES = 100  # random trigonometric data of the dissipation ratio
 BLOWUP_EPS = tuple(2.0 ** (-k) for k in range(4, 10))  # eps of the L^p scaling fit
-# rows of the (x, z) grid per slab of verify_suite's grid checks (512,000 B
-# per temporary at grid_side = 2000: under the mmap threshold `collision` pins)
-_SLAB_ROWS = 32
+# rows of the (x, z) grid per slab of verify_suite's grid checks (256,000 B
+# per temporary at grid_side = 2000: under the mmap threshold `collision`
+# pins; they are the largest temporaries a pool thread holds when the suite
+# follows lp_blowup_norm, so they set that process's peak RSS)
+_SLAB_ROWS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +145,13 @@ def nonlinear_experiment(beta: float, gamma: float, grid_n: int, eps: float,
     """
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
-    # a bad amplitude or time-step schedule fails before the operator is
+    # a bad amplitude or time-step schedule, or a grid too large for the
+    # whole table of the right-hand side, fails before the operator is
     # built or cached
     if not 0.0 < eps <= dyn.EPS_MAX:
         raise ConfigError(f"eps must be in (0, {dyn.EPS_MAX}], got {eps}")
     cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final, interp=interp)
+    coll.check_table_n(grid_n)
     op = lin.load_or_assemble(params, grid, cache_dir, interp=interp)
     g0 = lin.decay_initial_data(params, grid)
     scale = eps / float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
@@ -230,15 +234,18 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     each bump with its own window.  Every output row is computed, coarse
     ones included.  A row inside the bumps evaluates the kernel weight only
     where p1 or p2 falls in a bump, a row outside them only where both do,
-    since every other term of its integrand is exactly zero (see
-    `collision.collision_at`, bound here as `_collision_at`), so the norm
-    is bit for bit that of the full rule.
+    since every other term of its integrand is exactly zero; and it
+    computes p1 itself only on the chunks of p2 nodes where an interval
+    bound on h lets p1 reach a bump (`collision.bump_support` gives the
+    engine the bumps' intervals; see `collision.collision_at`, bound here
+    as `_collision_at`).  So the norm is bit for bit that of the full rule.
     """
     pts = pts or coll.blowup_points()
     e2 = eps ** 2
     z_nodes, z_wts = blowup_p2_rule(eps, pts, n_zoom)
 
     f = coll.three_bumps(eps, p_exp, pts)
+    support = coll.bump_support(eps, pts)
     windows = [
         (pts.p0 - 0.5 * e2, pts.p0 + 1.5 * e2, 48),
         (pts.p1 - 1.5 * e2, pts.p1 + 0.5 * e2, 48),
@@ -251,12 +258,12 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     peaks = []
     for lo, hi, m in windows:
         sample = np.linspace(lo, hi, m, endpoint=False) + (hi - lo) / (2 * m)
-        vals = _collision_at(sample, f, z_nodes, z_wts)
+        vals = _collision_at(sample, f, z_nodes, z_wts, support=support)
         peaks.append(float(np.max(np.abs(vals))))
         if p_exp != np.inf:
             acc += (hi - lo) / m * float(np.sum(np.abs(vals) ** p_exp))
         in_any |= (coarse >= lo) & (coarse <= hi)
-    c_coarse = _collision_at(coarse[~in_any], f, z_nodes, z_wts)
+    c_coarse = _collision_at(coarse[~in_any], f, z_nodes, z_wts, support=support)
     if p_exp == np.inf:
         norm = max(max(peaks), float(np.max(np.abs(c_coarse))))
     else:

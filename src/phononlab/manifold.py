@@ -109,6 +109,57 @@ def _h_parts(x, z):
     return canonicalize(val if val.ndim else float(val)), t, a
 
 
+# h_range widens its bound by this much on each side.  Its endpoint values
+# are computed by the same operations as h, and the rounding of z - x,
+# z + x and the final sum is monotone, so what the margin must cover is
+# that tan, cos, their product and arcsin are not exactly monotone in
+# floating point: each is within a few ulps of its exact value, so the
+# arcsin argument t c is within a few ulps of 1 (2^-52 each) of a monotone
+# one.  An argument error of k such ulps moves arcsin by at most
+# sqrt(2 k 2^-52), about 2.1e-8 sqrt(k) (the worst case, at +-1), and the sum
+# by twice that: 1e-6 covers k up to about 560.  canonicalize then adds at
+# most one rounding of 2pi (4.4e-16).
+H_RANGE_MARGIN = 1e-6
+# h_range leaves its bound open where |z - x| can come this close to the
+# tan pole 2pi, where the diagonal guard of `_h_parts` moves z - x
+H_RANGE_POLE = 1e-6
+
+
+def h_range(x, z_lo, z_hi):
+    """(lo, hi) bounding, for every z in [z_lo, z_hi], the value that
+    h(x, z) reduces mod 2pi (the sum (z - x)/2 + 2 arcsin(t c) of
+    `_h_parts`, with t = tan(|z - x|/4), c = cos((z + x)/4)); inputs
+    broadcast.
+
+    On [0, 2pi]^2 tan(|z - x|/4) increases with |z - x|, whose lower end is
+    0 when x lies in [z_lo, z_hi]; cos((z + x)/4) decreases in z; and arcsin
+    increases.  So t c lies between the least and the greatest product of
+    the end values of t and c, and each term of the sum between its end
+    values; where (z + x)/4 can leave [0, pi], c is bounded by [-1, 1]
+    only.  The bound is widened by H_RANGE_MARGIN, and is (-inf, inf) where
+    |z - x| can come within H_RANGE_POLE of 2pi.
+    """
+    x = np.asarray(x, dtype=float)
+    d_lo, d_hi = z_lo - x, z_hi - x
+    ad_lo = np.where((d_lo <= 0.0) & (d_hi >= 0.0), 0.0,
+                     np.minimum(np.abs(d_lo), np.abs(d_hi)))
+    ad_hi = np.maximum(np.abs(d_lo), np.abs(d_hi))
+    t_lo, t_hi = np.tan(ad_lo / 4.0), np.tan(ad_hi / 4.0)
+    s_lo, s_hi = (z_lo + x) / 4.0, (z_hi + x) / 4.0
+    monotone = (s_lo >= 0.0) & (s_hi <= np.pi)
+    c_lo = np.where(monotone, np.cos(s_hi), -1.0)
+    c_hi = np.where(monotone, np.cos(s_lo), 1.0)
+    ends = (t_lo * c_lo, t_lo * c_hi, t_hi * c_lo, t_hi * c_hi)
+    a_lo = np.clip(np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3])),
+                   -1.0, 1.0)
+    a_hi = np.clip(np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3])),
+                   -1.0, 1.0)
+    pole = ad_hi > TWO_PI - H_RANGE_POLE
+    lo = np.where(pole, -np.inf, d_lo / 2.0 + 2.0 * np.arcsin(a_lo) - H_RANGE_MARGIN)
+    hi = np.where(pole, np.inf, d_hi / 2.0 + 2.0 * np.arcsin(a_hi) + H_RANGE_MARGIN)
+    return lo, hi
+
+
 def h(x, z):
     """Resonant partner p1 = h(p0, p2), canonical in [0, 2pi)."""
     return _h_parts(x, z)[0]

@@ -13,7 +13,9 @@ The second figure shows how far a series moved when the first is set by a
 value that is only rounding noise (an eigenvalue that should be zero, say);
 scaling by column keeps an index or time column from diluting it.  Of
 `manifest.json` only `status` and `config_hash` are compared, since it also
-records wall time and environment; a change that moves a hash shows.  A
+records wall time and environment; a change that moves a hash shows.
+Beside each manifest's verdict the line reports its `wall_time_s` on both
+sides, as a report only: it decides nothing.  A
 binary artifact (the operator cache) is compared byte for byte.  Exits 1
 when an artifact exists on one side only, when the two sides differ in
 anything but numbers, or when a manifest's status or config hash differs;
@@ -98,10 +100,11 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
     """(verdict line, ok) for one artifact present on both sides."""
     if a.name == "manifest.json":
         ma, mb = json.loads(a.read_text()), json.loads(b.read_text())
+        wall = f"(wall_time_s {ma['wall_time_s']} vs {mb['wall_time_s']})"
         for key in ("status", "config_hash"):
             if ma[key] != mb[key]:
-                return f"{key} {ma[key]!r} vs {mb[key]!r}", False
-        return "identical", True
+                return f"{key} {ma[key]!r} vs {mb[key]!r} {wall}", False
+        return f"identical {wall}", True
     if a.read_bytes() == b.read_bytes():
         return "identical", True
     if a.suffix not in (".json", ".csv"):

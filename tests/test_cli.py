@@ -358,6 +358,35 @@ class TestRuns:
         assert "rhs_evals" not in (out / "nonlin.json").read_text()
         head = (out / "trajectory.csv").read_text().splitlines()[0]
         assert head == "t,mass,energy,entropy,sup_w12,sup_w16,l2"
+        # accepted edge values at grid_n = 64: the largest eps, and one step
+        # (too few points for the decay fit); each exits 0 or 3, never 1,
+        # and every CSV and JSON file it leaves is finite
+        from phononlab.cli import EXIT_NUMERICAL
+        for edge in (["--eps", 0.1], ["--t-final", 1.5, "--dt", 1.5]):
+            out = tmp_path / "-".join(map(str, edge))
+            assert run_cli(["--output-dir", out, "nonlin", "--grid-n", 64, *edge]) \
+                in (EXIT_OK, EXIT_NUMERICAL)
+            for path in out.iterdir():
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=reject_constant)
+                elif path.suffix == ".csv":
+                    rows = path.read_text().splitlines()[1:]
+                    assert np.all(np.isfinite([float(x) for r in rows for x in r.split(",")]))
+
+    def test_nonlin_above_table_max_n_fails_before_any_work(self, monkeypatch, tmp_path):
+        # the right-hand side needs a whole table, built up to TABLE_MAX_N
+        # only: n = 4096 exits 3 before L or any table is built or cached
+        from phononlab import collision
+        from phononlab.cli import EXIT_NUMERICAL
+        built = []
+        monkeypatch.setattr(collision.ResonanceTable, "__init__",
+                            lambda *args, **kwargs: built.append(args))
+        out = tmp_path / "out"
+        assert run_cli(["--output-dir", out, "nonlin", "--grid-n", 4096]) == EXIT_NUMERICAL
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status.startswith("numerical-error") and "n = 4096" in status
+        assert "TABLE_MAX_N" in status
+        assert built == [] and not (out / "cache").exists()
 
     def test_lin_decay_run(self, tmp_path):
         out = tmp_path / "out"

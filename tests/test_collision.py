@@ -82,6 +82,9 @@ class TestCollisionOperator:
             collision_operator(f)
         with pytest.raises(ResolutionError, match="n = 4096.*n = 2048"):
             dynamics.evolve_nonlinear_f(f, dynamics.EvolutionConfig(dt=0.1, t_final=1.0))
+        # and so do the whole tables of the perturbation right-hand side
+        with pytest.raises(ResolutionError, match="n = 4096.*n = 2048"):
+            dynamics.PerturbationTables(RjParams(1.0, 1.0), g)
         assert built == []
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])

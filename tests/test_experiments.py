@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phononlab import collision as coll
 from phononlab import experiments as ex
@@ -9,12 +11,14 @@ from phononlab.manifold import TWO_PI, f_plus, h, omega, omega_residual, resonan
 from phononlab.quadrature import graded_midpoint_nodes
 
 PTS = coll.blowup_points()
+TORUS = [(0.0, TWO_PI)]
 
 
 # The full rule, one row at a time over every p2 node, kept as the reference
 # that the support-aware _collision_at must reproduce bit for bit.
 
-def collision_at_full_rule(p0_vals, f, z_nodes, z_wts):
+def collision_at_full_rule(p0_vals, f, z_nodes, z_wts, *, support=None):
+    # every term on every row: the support is not read
     out = np.empty(p0_vals.size)
     f2 = f(z_nodes)
     for k, p0 in enumerate(p0_vals):
@@ -24,23 +28,23 @@ def collision_at_full_rule(p0_vals, f, z_nodes, z_wts):
     return out
 
 
-def p2_rule(eps, n_graded=4096, n_zoom=4096):
+def p2_rule(eps, n_graded=4096, n_zoom=4096, pts=PTS):
     """lp_blowup_norm's p2 quadrature at reduced size: graded nodes on the
     torus plus a uniform zoom window of half-width 4 eps around p2."""
     zc, wc = graded_midpoint_nodes(0.0, TWO_PI, n_graded)
     half = 4.0 * eps
-    inside = (zc >= PTS.p2 - half) & (zc <= PTS.p2 + half)
-    zz = np.linspace(PTS.p2 - half, PTS.p2 + half, n_zoom, endpoint=False) + half / n_zoom
+    inside = (zc >= pts.p2 - half) & (zc <= pts.p2 + half)
+    zz = np.linspace(pts.p2 - half, pts.p2 + half, n_zoom, endpoint=False) + half / n_zoom
     wz = np.full(n_zoom, 2 * half / n_zoom)
     return np.concatenate([zc[~inside], zz]), np.concatenate([wc[~inside], wz])
 
 
-def output_rows(eps, n_coarse=64):
+def output_rows(eps, n_coarse=64, pts=PTS):
     """Samples of the three output windows plus a coarse sample of the torus."""
     e2 = eps ** 2
-    windows = [(PTS.p0 - 0.5 * e2, PTS.p0 + 1.5 * e2, 48),
-               (PTS.p1 - 1.5 * e2, PTS.p1 + 0.5 * e2, 48),
-               (PTS.p2 - 2.0 * eps, PTS.p2 + 3.0 * eps, 160)]
+    windows = [(pts.p0 - 0.5 * e2, pts.p0 + 1.5 * e2, 48),
+               (pts.p1 - 1.5 * e2, pts.p1 + 0.5 * e2, 48),
+               (pts.p2 - 2.0 * eps, pts.p2 + 3.0 * eps, 160)]
     parts = [np.linspace(lo, hi, m, endpoint=False) + (hi - lo) / (2 * m)
              for lo, hi, m in windows]
     parts.append((np.arange(n_coarse) + 0.5) * TWO_PI / n_coarse)
@@ -57,7 +61,7 @@ def test_three_bumps_bit_identical(k, p_exp):
     f0 = f(rows)
     # both paths are taken: rows inside the bumps and rows outside them
     assert 0 < np.count_nonzero(f0) < rows.size
-    got = ex._collision_at(rows, f, z, w)
+    got = ex._collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS))
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
     assert np.any(got[f0 == 0.0] != 0.0)
 
@@ -72,7 +76,7 @@ def test_spectrum_without_zeros_takes_full_path():
     z, w = p2_rule(eps)
     rows = output_rows(eps)
     assert np.all(f(rows) != 0.0)
-    assert np.array_equal(ex._collision_at(rows, f, z, w),
+    assert np.array_equal(ex._collision_at(rows, f, z, w, support=TORUS),
                           collision_at_full_rule(rows, f, z, w))
 
 
@@ -83,7 +87,7 @@ def test_p2_rule_missing_support_gives_exact_zeros():
     off = f(z) == 0.0
     z, w = z[off], w[off]
     rows = output_rows(eps)
-    got = ex._collision_at(rows, f, z, w)
+    got = ex._collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS))
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
     zero_rows = f(rows) == 0.0
     assert np.all(got[zero_rows] == 0.0)
@@ -91,6 +95,8 @@ def test_p2_rule_missing_support_gives_exact_zeros():
 
 
 def test_ragged_last_block(monkeypatch):
+    # many row blocks and batches on both paths, with ragged last ones, and
+    # rows whose candidates run on into the next batch
     eps = 2.0 ** -5
     f = coll.three_bumps(eps, 2.0, PTS)
     z, w = p2_rule(eps)
@@ -98,10 +104,14 @@ def test_ragged_last_block(monkeypatch):
     want = collision_at_full_rule(rows, f, z, w)
     support = np.count_nonzero(f(z))
     n_zero_rows = np.count_nonzero(f(rows) == 0.0)
-    for rows_per_block in (1, 7, 40):
-        assert n_zero_rows % rows_per_block != 0 or rows_per_block == 1
-        monkeypatch.setattr(coll, "_BLOCK_VALUES", rows_per_block * support)
-        assert np.array_equal(ex._collision_at(rows, f, z, w), want)
+    for chunk in (5, 64):
+        chunks = -(-support // chunk)  # chunks of a row with f(p0) = 0
+        for rows_per_block in (1, 7, 40):
+            assert n_zero_rows % rows_per_block != 0 or rows_per_block == 1
+            monkeypatch.setattr(coll, "_CHUNK", chunk)
+            monkeypatch.setattr(coll, "_BATCH", rows_per_block * chunks)
+            assert np.array_equal(
+                ex._collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS)), want)
 
 
 def test_lp_blowup_norm_matches_full_rule(monkeypatch):
@@ -118,15 +128,20 @@ def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
     f = coll.three_bumps(eps, 2.0, PTS)
     z, w = p2_rule(eps)
     rows = output_rows(eps, n_coarse=61)
-    # many blocks on both paths, with a ragged last one
-    monkeypatch.setattr(coll, "_BLOCK_VALUES", 7 * np.count_nonzero(f(z)))
-    assert np.array_equal(ex._collision_at(rows, f, z, w),
+    # many blocks and batches on both paths, with ragged last ones
+    batch = coll._BATCH
+    monkeypatch.setattr(coll, "_BATCH", 16 * coll._CHUNK)
+    assert np.array_equal(ex._collision_at(rows, f, z, w,
+                                           support=coll.bump_support(eps, PTS)),
                           collision_at_full_rule(rows, f, z, w))
-    # a positive spectrum leaves every term live: every block gathers all
-    # of its entries
+    # a positive spectrum leaves every term live: every chunk is kept and
+    # every block gathers all of its entries (several blocks at the
+    # default size)
+    monkeypatch.setattr(coll, "_BATCH", batch)
+
     def positive(p):
         return 1.0 + f(p)
-    assert np.array_equal(ex._collision_at(rows, positive, z, w),
+    assert np.array_equal(ex._collision_at(rows, positive, z, w, support=TORUS),
                           collision_at_full_rule(rows, positive, z, w))
 
 
@@ -135,6 +150,11 @@ def signed_bumps(eps):
     it is positive, negative and zero on the output rows."""
     bumps = coll.three_bumps(eps, 2.0, PTS)
     return lambda p: bumps(p) - bumps(np.asarray(p) - 0.3 * eps)
+
+
+def signed_support(eps):
+    # each bump and its copy, shifted by 0.3 eps < eps, lie in [lo, hi + eps]
+    return [(lo, hi + eps) for lo, hi in coll.bump_support(eps, PTS)]
 
 
 def test_signed_spectrum_live_terms_bit_identical():
@@ -147,7 +167,7 @@ def test_signed_spectrum_live_terms_bit_identical():
     rows = output_rows(eps)
     f0 = f(rows)
     assert np.any(f0 > 0.0) and np.any(f0 < 0.0) and np.any(f0 == 0.0)
-    got = ex._collision_at(rows, f, z, w)
+    got = ex._collision_at(rows, f, z, w, support=signed_support(eps))
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
     zero = got == 0.0
     assert np.any(zero) and np.any(got[f0 == 0.0] != 0.0)
@@ -160,7 +180,10 @@ def test_weight_only_on_live_terms(spectrum, monkeypatch):
     # over the full rule: where f1 != 0 or f2 != 0 on a row with f0 != 0,
     # where f1 != 0 and f2 != 0 on a row with f0 = 0
     eps = 2.0 ** -4
-    f = coll.three_bumps(eps, 2.0, PTS) if spectrum == "three_bumps" else signed_bumps(eps)
+    if spectrum == "three_bumps":
+        f, support = coll.three_bumps(eps, 2.0, PTS), coll.bump_support(eps, PTS)
+    else:
+        f, support = signed_bumps(eps), signed_support(eps)
     z, w = p2_rule(eps)
     rows = output_rows(eps)
     f1_live, f2_live = (f(h(rows[:, None], z)) != 0.0), f(z) != 0.0
@@ -173,9 +196,62 @@ def test_weight_only_on_live_terms(spectrum, monkeypatch):
         return weight(x, z, t)
 
     monkeypatch.setattr(coll, "_weight", spy)
-    got = ex._collision_at(rows, f, z, w)
+    got = ex._collision_at(rows, f, z, w, support=support)
     assert sum(evaluated) == np.count_nonzero(live) < rows.size * z.size
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.floats(1.8, 2.2), st.integers(4, 9))
+def test_chunk_bound_keeps_every_live_term(p0, k):
+    # the bound on p1 over a chunk drops no live term: rows at each bump
+    # edge, one ulp either side of it (the edges p1 and p2 are the fold and
+    # its base point), and across each bump, are the full rule's bit for bit
+    eps = 2.0 ** -k
+    pts = coll.blowup_points(p0)
+    f = coll.three_bumps(eps, 2.0, pts)
+    support = coll.bump_support(eps, pts)
+    edges = np.array(support).ravel()
+    across = [np.linspace(2.0 * lo - hi, 2.0 * hi - lo, 9) for lo, hi in support]
+    rows = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                           *across])
+    z, w = p2_rule(eps, pts=pts)
+    assert np.array_equal(ex._collision_at(rows, f, z, w, support=support),
+                          collision_at_full_rule(rows, f, z, w))
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_p1_only_where_it_can_reach_the_support(k, monkeypatch):
+    # p1 = h(p0, p2) is computed on at most 20% of the entries of the row
+    # blocks: rows with f(p0) != 0 times every p2 node, rows with f(p0) = 0
+    # times the support nodes f(p2) != 0
+    entries, computed = [], []
+    h_parts, collision_at = coll._h_parts, ex._collision_at
+
+    def spy_h(x, z):
+        computed.append(np.broadcast(x, z).size)
+        return h_parts(x, z)
+
+    def spy_at(p0_vals, f, z_nodes, z_wts, **kwargs):
+        f0, support = f(p0_vals) != 0.0, np.count_nonzero(f(z_nodes))
+        entries.append(np.count_nonzero(f0) * z_nodes.size + np.count_nonzero(~f0) * support)
+        return collision_at(p0_vals, f, z_nodes, z_wts, **kwargs)
+
+    monkeypatch.setattr(coll, "_h_parts", spy_h)
+    monkeypatch.setattr(ex, "_collision_at", spy_at)
+    ex.lp_blowup_norm(2.0 ** -k, 2.0, PTS)
+    assert 0 < sum(computed) <= 0.2 * sum(entries)
+
+
+def test_support_that_leaves_out_part_of_f_raises():
+    eps = 2.0 ** -4
+    f = coll.three_bumps(eps, 2.0, PTS)
+    z, w = p2_rule(eps)
+    rows = output_rows(eps)
+    bumps = coll.bump_support(eps, PTS)
+    for support in (bumps[:2], bumps[1:], [(lo, hi - 0.5 * (hi - lo)) for lo, hi in bumps]):
+        with pytest.raises(ValueError, match="outside the support"):
+            ex._collision_at(rows, f, z, w, support=support)
 
 
 # verify_suite's grid checks on the whole meshgrid at once, kept as the

@@ -359,6 +359,21 @@ class TestManifoldProperties:
         assert circle_distance(x + y - zp, zm) < 1e-9
 
     @PROPERTY
+    @given(st.floats(-1.0, TWO_PI + 1.0), st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI))
+    def test_h_range_bounds_h(self, x, a, b):
+        # h(x, z) for z in [z_lo, z_hi] is the bounded value, or that value
+        # plus 2pi (canonicalize); x also runs off [0, 2pi], where
+        # cos((z + x)/4) need not be monotone
+        z_lo, z_hi = min(a, b), max(a, b)
+        z = np.concatenate([np.linspace(z_lo, z_hi, 257), [x] if z_lo <= x <= z_hi else []])
+        try:
+            p1 = h(x, z)
+        except DomainError:
+            assume(False)
+        lo, hi = manifold.h_range(x, z_lo, z_hi)
+        assert np.all(((lo <= p1) & (p1 <= hi)) | ((lo <= p1 - TWO_PI) & (p1 - TWO_PI <= hi)))
+
+    @PROPERTY
     @given(st.floats(0.05, TWO_PI - 0.05))
     def test_f_minus_zeros_ordering(self, x):
         zs = f_minus_zeros(x)
