@@ -13,13 +13,14 @@ config as the string its flag takes ("inf"), so the manifest is strict
 JSON like every artifact.  Exit codes:
 0 success, 1 internal error (any other exception the run raises: a fault
 of the program, reported as one `internal error: <Type>: <message>` line
-and the manifest status `internal-error: ...`), 2 configuration error (a
-bad flag or file value, and any `ConfigError` or `ValueError` the run
-raises, such as a time step that is not positive), 3 numerical error
-(including a NaN or infinite value bound for an artifact, which is then
-not written), 4 I/O error (an artifact or cache file that cannot be read
-or written, or an output directory that cannot be made, which leaves no
-manifest).
+and the manifest status `internal-error: ...`, a bare `ValueError` such as
+numpy's `LinAlgError` included), 2 configuration error (a bad flag or file
+value, and any `ConfigError` the run raises: the input guards, such as a
+time step that is not positive or a gamma that `assemble` cannot take),
+3 numerical error (including a NaN or infinite value bound for an
+artifact, which is then not written), 4 I/O error (an artifact or cache
+file that cannot be read or written, or an output directory that cannot
+be made, which leaves no manifest).
 
 `SUBCOMMANDS` holds each subcommand's settings and their defaults once;
 the flags, the config-file keys and their types, and the experiment's
@@ -308,7 +309,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         code = _run_subcommand(args.subcommand, cfg, outdir, counters)
         manifest["status"] = "ok" if code == EXIT_OK else "check-failed"
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         manifest["status"] = f"config-error: {exc}"
         code = EXIT_CONFIG

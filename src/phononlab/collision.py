@@ -24,7 +24,8 @@ holds to quadrature accuracy only.
 A loop that applies C[f] or the perturbation right-hand side many times
 owns one whole table for as long as it runs (`collision_map`,
 `PerturbationTables`); the linearized assembly reads the table once, so
-`_packed_blocks` streams it as transient blocks and holds no whole table.
+`_packed_blocks` streams it as transient blocks (built by `map_blocks`,
+the row-block pool's one entry point) and holds no whole table.
 The whole table is the one path of C[f] on a grid, up to TABLE_MAX_N
 nodes; on a larger grid C[f], the perturbation tables and the `nonlin`
 run raise ResolutionError (`check_table_n`) before any table is built.
@@ -60,8 +61,9 @@ from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, h, h_range,
 # grid raises ResolutionError
 TABLE_MAX_N = 2048
 _TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table)
-# table entries per block of the table's C[f] (512 KiB per float64 temporary)
-_BLOCK_VALUES = 1 << 16
+# table entries per block of `ResonanceTable.exchange_sum` (128 KiB per
+# float64 temporary; n = 256 has 32,640 entries)
+_EXCHANGE_BLOCK = 1 << 14
 # collision_at: consecutive p2 columns per chunk of its bound on p1, and
 # (row, chunk) pairs per row block and candidate entries per batch (64 KiB
 # per float64 temporary: a candidate gathers its row and column values,
@@ -70,8 +72,8 @@ _CHUNK = 64
 _BATCH = 1 << 13
 
 # glibc's malloc thresholds, pinned at import by `_pin_malloc`: every hot-loop
-# block (_BLOCK_VALUES, _BATCH and _TABLE_BLOCK here, the blocks of
-# `linearized` and `dynamics`, the slabs of `experiments.verify_suite`) keeps
+# block (_EXCHANGE_BLOCK, _BATCH and _TABLE_BLOCK here, the sub-blocks of
+# `linearized`, the slabs of `experiments.verify_suite`) keeps
 # its temporaries of 8-byte values under _MMAP_THRESHOLD
 _MMAP_THRESHOLD = 1 << 20
 _TRIM_THRESHOLD = 8 << 20
@@ -152,19 +154,19 @@ class ResonanceTable:
 
         map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, k1 - k0, _TABLE_BLOCK)])
 
-    def exchange_sum(self, v: np.ndarray, term, block: int) -> np.ndarray:
+    def exchange_sum(self, v: np.ndarray, term) -> np.ndarray:
         """Row sums over the full rule of an integrand that flips sign under
         the exchange (and so vanishes on the diagonal).
 
         term(s, v0, v1, v2, v3) is the integrand on the entries s, from the
         values v at the nodes i, j and interpolated at P1, P3; each entry adds
-        it into row i and subtracts it from row j.  Blocks of `block` entries
-        gather once each side and scatter with two bincounts.
+        it into row i and subtracts it from row j.  Blocks of _EXCHANGE_BLOCK
+        entries gather once each side and scatter with two bincounts.
         """
         n = self.grid.n
         out = np.zeros(n)
-        for b0 in range(0, self.W.size, block):
-            s = slice(b0, b0 + block)
+        for b0 in range(0, self.W.size, _EXCHANGE_BLOCK):
+            s = slice(b0, b0 + _EXCHANGE_BLOCK)
             i, j = self.i[s], self.j[s]
             t = term(s, v[i], gather(v, self.i1, s), v[j], gather(v, self.i3, s))
             out += np.bincount(i, t, minlength=n)
@@ -174,13 +176,19 @@ class ResonanceTable:
 
 def _packed_blocks(grid: Grid, interp: str):
     """A transient ResonanceTable for each block of _TABLE_BLOCK packed
-    entries, yielded in order and built on the row-block pool a few blocks
-    ahead of the caller (`imap_blocks`), so no whole table is held at any n.
-    A block's entries are computed elementwise, so they carry the bits of
-    the same slice of a whole table."""
+    entries, yielded in table order.  The blocks are built pool_workers()
+    at a time, one `map_blocks` call per group, and each leaves the
+    generator as it is yielded: at most pool_workers() blocks are alive
+    (one more while a caller keeps the last of a group), and no whole
+    table at any n.  A block's entries are computed elementwise, so they
+    carry the bits of the same slice of a whole table."""
     size = grid.n * (grid.n - 1) // 2
-    return imap_blocks(lambda k: ResonanceTable(grid, interp, (k, min(k + _TABLE_BLOCK, size))),
-                       range(0, size, _TABLE_BLOCK))
+    spans = [(k, min(k + _TABLE_BLOCK, size)) for k in range(0, size, _TABLE_BLOCK)]
+    step = pool_workers()
+    for g in range(0, len(spans), step):
+        group = map_blocks(lambda e: ResonanceTable(grid, interp, e), spans[g:g + step])[::-1]
+        while group:
+            yield group.pop()
 
 
 # the row-block worker pool: (worker count, executor), created on first use;
@@ -203,27 +211,9 @@ def pool_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _inline(workers: int) -> bool:
-    return workers == 1 or getattr(_thread, "pooled", False)
-
-
-def _submit(workers: int, fn, blocks) -> list:
-    """Futures of fn(b) for b in blocks on the pool of `workers` threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != workers:
-            # imported here: a run that never uses the pool does not pay for it
-            from concurrent.futures import ThreadPoolExecutor
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (workers, ThreadPoolExecutor(
-                workers, thread_name_prefix="phononlab",
-                initializer=lambda: setattr(_thread, "pooled", True)))
-        return [_pool[1].submit(fn, b) for b in blocks]
-
-
 def map_blocks(fn, blocks) -> list:
-    """[fn(b) for b in blocks], run on the row-block worker pool.
+    """[fn(b) for b in blocks], run on the row-block worker pool: the one
+    function that submits work to it.
 
     Results come back in block order and an exception raised by a block
     reaches the caller unchanged.  The blocks run inline, and no thread is
@@ -233,40 +223,27 @@ def map_blocks(fn, blocks) -> list:
     only its own rows).  numpy releases the interpreter lock inside its
     array loops, so blocks of elementwise work overlap on separate cores; a
     block computes the same bits on any thread.  Every block is submitted
-    at once: use `imap_blocks` where the results are large.
+    at once, so every result is alive when the call returns.
     """
+    global _pool
     blocks = list(blocks)
     workers = pool_workers()
-    if _inline(workers) or len(blocks) <= 1:
+    if workers == 1 or len(blocks) <= 1 or getattr(_thread, "pooled", False):
         return [fn(b) for b in blocks]
-    futures = _submit(workers, fn, blocks)
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            # imported here: a run that never uses the pool does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (workers, ThreadPoolExecutor(
+                workers, thread_name_prefix="phononlab",
+                initializer=lambda: setattr(_thread, "pooled", True)))
+        futures = [_pool[1].submit(fn, b) for b in blocks]
     try:
         return [fut.result() for fut in futures]
     finally:
         for fut in futures:
-            fut.cancel()
-
-
-def imap_blocks(fn, blocks):
-    """fn(b) for b in blocks, yielded lazily in block order while the pool
-    computes at most pool_workers() blocks ahead of the caller, so only
-    those results and the one the caller holds are alive.  Inline where
-    map_blocks would be; an exception reaches the caller unchanged."""
-    blocks = list(blocks)
-    workers = pool_workers()
-    if _inline(workers) or len(blocks) <= 1:
-        yield from map(fn, blocks)
-        return
-    ahead = []
-    try:
-        for b in blocks:
-            ahead += _submit(workers, fn, [b])
-            if len(ahead) == workers:
-                yield ahead.pop(0).result()
-        while ahead:
-            yield ahead.pop(0).result()
-    finally:
-        for fut in ahead:
             fut.cancel()
 
 
@@ -279,7 +256,8 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     """C[f](p0) for a callable finite spectrum `f` on a supplied p2 rule.
 
     `support` lists closed intervals (lo, hi) outside whose union f is
-    zero; f nonzero at a row or p2 node outside them raises ValueError.
+    zero; a non-finite row, p2 node or weight, or f nonzero at a row or p2
+    node outside them, raises ValueError.
     Rows with f(p0) != 0 run over every p2 node; a row with f(p0) = 0 has
     the bracket f1 f2 f3 + 0 - 0 - 0, so it runs only over the support
     columns f(p2) != 0.  A term is live where f1 != 0, or f0 != 0 and
@@ -305,6 +283,9 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     entries at most; each block writes only its own rows, so neither the
     batches nor the worker count change the bits.
     """
+    for what, p in (("output row", p0_vals), ("p2 node", z_nodes), ("p2 weight", z_wts)):
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"the {what} {float(p[~np.isfinite(p)][0])!r} is not finite")
     out = np.empty(p0_vals.size)
     f0, f2 = f(p0_vals), f(z_nodes)
     sup_lo, sup_hi = np.asarray(support, dtype=float).reshape(-1, 2).T
@@ -394,7 +375,7 @@ def collision_map(grid: Grid, interp: str = "linear"):
     check_table_n(grid.n)
     tab = ResonanceTable(grid, interp)
     return lambda vals: grid.weight * tab.exchange_sum(
-        vals, lambda s, *f4: tab.W[s] * _bracket(*f4), _BLOCK_VALUES)
+        vals, lambda s, *f4: tab.W[s] * _bracket(*f4))
 
 
 def collision_operator(f: Field, interp: str = "linear",

@@ -49,9 +49,6 @@ from .linearized import LinOperator, multiplier_a
 BLOWUP_FACTOR = 1e3
 EPS_MAX = 0.1  # largest ||omega^-1/2 g0||_inf evolve_perturbation accepts
 N_RECORDS = 64  # states recorded per run
-# packed upper-triangle entries per block of PerturbationTables.nonlinear
-# (128 KiB per float64 temporary; n = 256 has 32,640 entries)
-_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -138,8 +135,8 @@ class PerturbationTables:
         e2 + e3 of the three g other than g_k, flips sign under the exchange
         and is zero on the diagonal, which the exchange maps to itself.  So
         the row sums of the full rule are sums over the upper triangle: M
-        adds into row i and subtracts from row j, in blocks of _BLOCK_VALUES
-        packed entries (ResonanceTable.exchange_sum).
+        adds into row i and subtracts from row j, block by block
+        (ResonanceTable.exchange_sum).
         """
         def fused(s, g0, g1, g2, g3):
             g01, g02, g12 = g0 * g1, g0 * g2, g1 * g2
@@ -150,7 +147,7 @@ class PerturbationTables:
             m -= self.G3[s] * (g01 + g2 * s01)
             return m
 
-        return self.grid.weight * self.tab.exchange_sum(g, fused, _BLOCK_VALUES) * self.inv_fb
+        return self.grid.weight * self.tab.exchange_sum(g, fused) * self.inv_fb
 
 
 def _check_stability_guard(cfg: EvolutionConfig, a: Field):

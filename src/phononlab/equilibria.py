@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .grid import Field, Grid
 from .manifold import TWO_PI, omega
 
@@ -45,9 +45,9 @@ class RjParams:
     def __post_init__(self):
         # written so that NaN fails too
         if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+            raise ConfigError(f"beta must be positive and finite, got {self.beta}")
         if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+            raise ConfigError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
     def value(self, p):
         """f(p) = 1/(beta omega + gamma) with a positivity floor on the denominator."""
@@ -117,10 +117,10 @@ class MatchResult:
 def match_rj(mass0: float, energy0: float) -> MatchResult:
     """Invert (mass, energy) for (beta, gamma): unmatched when E/M >= 2/pi,
     DomainError when E/M < RATIO_FLOOR (gamma/beta would be below e^-708);
-    ValueError unless both are finite and positive."""
+    ConfigError unless both are finite and positive."""
     if not (0.0 < mass0 < math.inf and 0.0 < energy0 < math.inf):
-        raise ValueError(f"mass and energy must be finite and positive, "
-                         f"got mass {mass0}, energy {energy0}")
+        raise ConfigError(f"mass and energy must be finite and positive, "
+                          f"got mass {mass0}, energy {energy0}")
     ratio = energy0 / mass0
     if not (ratio < RATIO_LIMIT):
         return MatchResult(False, None, ratio, math.nan, math.nan)

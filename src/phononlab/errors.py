@@ -37,5 +37,6 @@ class BlowupError(PhononLabError):
     """A time integration left the trust region (sup-norm or positivity)."""
 
 
-class ConfigError(PhononLabError):
-    """An invalid run or evolution configuration."""
+class ConfigError(PhononLabError, ValueError):
+    """An invalid run or evolution configuration (exit 2 in the CLI); a
+    ValueError too, so callers that catch ValueError still catch it."""

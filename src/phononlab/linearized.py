@@ -55,7 +55,7 @@ import numpy as np
 
 from .collision import _packed_blocks
 from .equilibria import RjParams, rj_field
-from .errors import FitError, SpectralError
+from .errors import ConfigError, FitError, SpectralError
 from .fitting import DecayReport, fit_power_law
 from .grid import Field, Grid
 from .manifold import TWO_PI, resonant_kernel
@@ -219,9 +219,9 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperato
     modes.
     """
     if params.gamma <= 0.0:
-        raise ValueError("the linearized analysis requires gamma > 0")
+        raise ConfigError("the linearized analysis requires gamma > 0")
     if grid.n < 64:
-        raise ValueError("assemble needs n >= 64")
+        raise ConfigError("assemble needs n >= 64")
     L, a = _weak_form_matrix(params, grid, interp)
     sym_defect = float(np.max(np.abs(L - L.T)) / np.max(np.abs(L)))
 

@@ -3,11 +3,13 @@
     python3 tests/artifact_diff.py PARENT_TREE CHANGE_TREE
 
 Runs the seven CLI subcommands at small pinned configurations in each tree
-(`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), and `lp-blowup` also at the
-ends of its domain, p = 1 and p = inf, where the bump heights differ.  It
-then prints one line per artifact: `identical`, or the largest relative
-difference over its numeric fields (CSV cells, JSON leaves) next to the
-largest absolute difference scaled by the largest magnitude of its series:
+(`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), `spectrum` also at
+n = 512, whose table streams as two blocks (every other run fits in one),
+and `lp-blowup` also at the ends of its domain, p = 1 and p = inf, where
+the bump heights differ.  It then prints one line per artifact:
+`identical`, or the largest relative difference over its numeric fields
+(CSV cells, JSON leaves) next to the largest absolute difference scaled
+by the largest magnitude of its series:
 a CSV file's worst column, which is named, or a JSON document as a whole.
 The second figure shows how far a series moved when the first is set by a
 value that is only rounding noise (an eigenvalue that should be zero, say);
@@ -36,6 +38,7 @@ from pathlib import Path
 RUNS = {
     "multiplier": ["multiplier", "--grid-n", "256"],
     "spectrum": ["spectrum", "--grid-n", "128"],
+    "spectrum-512": ["spectrum", "--grid-n", "512"],
     "lin-decay": ["lin-decay", "--grid-n", "128", "--t-final", "400"],
     "nonlin": ["nonlin", "--grid-n", "128", "--t-final", "50", "--dt", "1.0"],
     "rj-match": ["rj-match", "--mass", "3.0", "--energy", "1.0"],

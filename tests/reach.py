@@ -3,16 +3,17 @@
     python3 tests/reach.py
 
 Runs the seven CLI subcommands at their defaults in this process, with
-`PHONON_THREADS=1` and `rj-match` at mass 3, energy 1, and then `lin-decay`
-again on the warm operator cache, all under a call tracer (`sys.settrace`
-and `threading.settrace`).  It then prints every function of the package
+`PHONON_THREADS=2` (so the pool's threads run, traced like the caller) and
+`rj-match` at mass 3, energy 1, and then `lin-decay` again on the warm
+operator cache, all under a call tracer (`sys.settrace` and
+`threading.settrace`).  It then prints every function of the package
 (lambdas and nested functions included, comprehensions not) that was never
 entered, as `path:line module:qualname`, each with its reason when
 `ALLOWED` names it.  A function nested in an allowed one is covered by it.
 Exits 1 when a run does not exit 0, when an unreached function is missing
 from `ALLOWED`, or when an allowed function was entered or is no longer
-defined (so the list cannot go stale); else 0.  It takes about 10 s on 2 cores.  The name keeps the
-script out of pytest collection.
+defined (so the list cannot go stale); else 0.  It takes about 5 s on 2
+cores.  The name keeps the script out of pytest collection.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ ALLOWED = {
     # reached by runs other than the defaults
     "cli:read_config_file": "a run with --config",
     "cli:_file_output_dir": "a bad configuration given with --config",
-    "collision:_submit": "two or more workers",
 }
 
 # (name, argv) of each traced run, in order; the second lin-decay reads the
@@ -80,7 +80,7 @@ def traced_runs(out: Path) -> tuple[set, list]:
     """The (file, first line, qualname) of every package function entered
     by RUNS, and the runs that did not exit 0."""
     sys.path.insert(0, str(PACKAGE.parent))
-    os.environ["PHONON_THREADS"] = "1"
+    os.environ["PHONON_THREADS"] = "2"
     from phononlab.cli import main
 
     files = {str(p) for p in PACKAGE.glob("*.py")}

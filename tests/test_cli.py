@@ -198,12 +198,13 @@ class TestRuns:
         assert status == f"numerical-error: {err[len('numerical error: '):-1]}"
 
     def test_validation_error_exit_code_and_manifest(self, tmp_path):
-        out = tmp_path / "out"
-        code = run_cli(["--output-dir", out, "rj-match",
-                        "--mass", -1.0, "--energy", 1.0])
-        assert code == EXIT_CONFIG
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"].startswith("config-error")
+        # input guards inside the run: match_rj's, and assemble's on gamma
+        for k, args in enumerate([["rj-match", "--mass", -1.0, "--energy", 1.0],
+                                  ["spectrum", "--grid-n", 64, "--gamma", 0.0]]):
+            out = tmp_path / f"out{k}"
+            assert run_cli(["--output-dir", out, *args]) == EXIT_CONFIG
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"].startswith("config-error")
 
     @pytest.mark.parametrize("file_line,args,cause", [
         ("interp = quadratic\n", ["spectrum", "--grid-n", 64],
@@ -271,7 +272,12 @@ class TestRuns:
     @pytest.mark.parametrize("raised,cause", [
         (RuntimeError("boom"), "RuntimeError: boom"),
         (KeyError("boom"), "KeyError: 'boom'"),
-    ], ids=["runtime-error", "key-error"])
+        # numpy's LinAlgError is a ValueError: an eigh that fails to converge
+        # is not the user's fault, nor is any other bare ValueError
+        (np.linalg.LinAlgError("Eigenvalues did not converge"),
+         "LinAlgError: Eigenvalues did not converge"),
+        (ValueError("boom"), "ValueError: boom"),
+    ], ids=["runtime-error", "key-error", "linalg-error", "value-error"])
     def test_fault_is_internal_error(self, raised, cause, monkeypatch,
                                      tmp_path, capsys):
         # a fault of the program, not of its input: exit 1, one line on

@@ -324,52 +324,35 @@ class TestMapBlocks:
         assert result["blocks"] == [([10 * b + k for k in range(4)], True) for b in range(6)]
 
 
-class TestImapBlocks:
-    def test_one_worker_runs_inline_and_lazily(self, monkeypatch):
-        monkeypatch.setenv("PHONON_THREADS", "1")
-        started = []
-
-        def fn(b):
-            started.append((b, threading.get_ident()))
-            return b * b
-
-        it = collision.imap_blocks(fn, range(10))
-        assert started == []
-        assert next(it) == 0 and started == [(0, threading.get_ident())]
-        assert list(it) == [b * b for b in range(1, 10)]
-
-    @pytest.mark.parametrize("workers", [2, 3])
+class TestPackedBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_in_order_and_bounded_ahead(self, monkeypatch, workers):
-        # a slow caller: the pool runs at most `workers` blocks ahead of
-        # the one the caller holds, and the results come back in order
+        # n = 300: 44,850 packed entries, 8 blocks of 5,000 and a ragged one.
+        # A slow caller gets the blocks in table order, with the bits of the
+        # whole table, and while it holds block k at most k + workers blocks
+        # have been started
+        n = 300
+        whole = collision.ResonanceTable(Grid(n))
         monkeypatch.setenv("PHONON_THREADS", str(workers))
-        started = []
+        monkeypatch.setattr(collision, "_TABLE_BLOCK", 5_000)
+        init, started = collision.ResonanceTable.__init__, []
 
-        def fn(b):
-            started.append(b)
-            return b * b
+        def counting(self, grid, interp="linear", entries=None):
+            started.append(entries)
+            init(self, grid, interp, entries)
 
-        for k, got in enumerate(collision.imap_blocks(fn, range(20))):
-            assert got == k * k
+        monkeypatch.setattr(collision.ResonanceTable, "__init__", counting)
+        end = 0
+        for k, tab in enumerate(collision._packed_blocks(Grid(n), "linear")):
             time.sleep(0.005)
             assert len(started) <= k + workers
-        assert sorted(started) == list(range(20))
-
-    def test_exception_reaches_caller_unchanged(self, monkeypatch):
-        monkeypatch.setenv("PHONON_THREADS", "3")
-        err = ValueError("block 5")
-
-        def fn(b):
-            if b == 5:
-                raise err
-            return b
-
-        got = []
-        with pytest.raises(ValueError) as info:
-            for v in collision.imap_blocks(fn, range(10)):
-                got.append(v)
-        assert info.value is err
-        assert got == list(range(5))
+            s = slice(end, end + tab.W.size)
+            assert started[k] == (s.start, min(s.start + 5_000, whole.W.size))
+            for name in ("i", "j", "P1", "P3", "W"):
+                assert np.array_equal(getattr(tab, name), getattr(whole, name)[s])
+            end = s.stop
+        assert k == 8 and end == whole.W.size == n * (n - 1) // 2
+        assert len(started) == 9
 
 
 class TestMallocPin:
@@ -378,8 +361,8 @@ class TestMallocPin:
         # the next block reuses
         slab = experiments._SLAB_ROWS * \
             inspect.signature(experiments.verify_suite).parameters["grid_side"].default
-        for values in (collision._BLOCK_VALUES, collision._TABLE_BLOCK,
-                       dynamics._BLOCK_VALUES, linearized._BLOCK_VALUES, slab):
+        for values in (collision._EXCHANGE_BLOCK, collision._TABLE_BLOCK,
+                       collision._BATCH, linearized._BLOCK_VALUES, slab):
             assert 8 * values < collision._MMAP_THRESHOLD
 
     @pytest.mark.skipif(not sys.platform.startswith("linux")

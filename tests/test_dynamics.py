@@ -127,7 +127,7 @@ class TestNonlinearKernel:
         for g in random_data(n):
             want = tabs.nonlinear(g)
             with monkeypatch.context() as m:
-                m.setattr(dynamics, "_BLOCK_VALUES", 128)
+                m.setattr(collision, "_EXCHANGE_BLOCK", 128)
                 got = tabs.nonlinear(g)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -252,6 +252,15 @@ def test_support_that_leaves_out_part_of_f_raises():
     for support in (bumps[:2], bumps[1:], [(lo, hi - 0.5 * (hi - lo)) for lo, hi in bumps]):
         with pytest.raises(ValueError, match="outside the support"):
             ex._collision_at(rows, f, z, w, support=support)
+    # a non-finite row, p2 node or weight: f(nan) = 0, so a NaN row read as
+    # a silent zero and a NaN node was skipped, where the full rule gives NaN
+    row = np.array([PTS.p0 + 1e-4])
+    z_nan, w_inf = z.copy(), w.copy()
+    z_nan[z.size // 2], w_inf[0] = np.nan, np.inf
+    for p0s, zs, ws, what in ((np.array([np.nan, PTS.p0 + 1e-4, np.inf]), z, w, "output row nan"),
+                              (row, z_nan, w, "p2 node nan"), (row, z, w_inf, "p2 weight inf")):
+        with pytest.raises(ValueError, match=f"the {what} is not finite"):
+            ex._collision_at(p0s, f, zs, ws, support=bumps)
 
 
 # verify_suite's grid checks on the whole meshgrid at once, kept as the
