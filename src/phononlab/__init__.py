@@ -15,6 +15,10 @@ cli          batch harness (entry point `phononlab`)
 
 from importlib import import_module
 
+# the package version: pyproject.toml reads it from here, and every CLI
+# manifest records it
+__version__ = "0.1.0"
+
 # name -> defining module; loaded on first access (PEP 562), so importing
 # phononlab.cli does not load numpy before --threads sets the BLAS variables
 _EXPORTS = {name: module for module, names in (

@@ -3,7 +3,9 @@
 One process per run.  Each subcommand validates its configuration, runs the
 corresponding experiment, and writes its artifacts plus a manifest.json
 (config hash, package version, wall time, status) into the output
-directory; the manifest is written even when the run fails (a bad
+directory.  The version is `phononlab.__version__`, which pyproject.toml
+also reads, so a checkout run from src/ records it as an installed one
+does.  The manifest is written even when the run fails (a bad
 configuration's, with config, hash and env null, goes to --output-dir, else
 the config file's output_dir, else out).  Every other manifest records the
 run's environment ("env": row-block workers, Python and numpy versions);
@@ -44,6 +46,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+from . import __version__
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -283,7 +287,7 @@ def run(args: argparse.Namespace) -> int:
     from .errors import ConfigError, PhononLabError
 
     manifest = {"subcommand": args.subcommand, "config": None, "config_hash": None,
-                "version": _package_version(), "env": None, "status": "running",
+                "version": __version__, "env": None, "status": "running",
                 "wall_time_s": None}
     try:
         cfg = resolve_config(args)
@@ -359,14 +363,6 @@ def _environment() -> dict:
     from .collision import pool_workers
     return {"workers": pool_workers(), "python": sys.version.split()[0],
             "numpy": numpy.__version__}
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("phononlab")
-    except Exception:
-        return "unknown"
 
 
 def main(argv=None) -> int:

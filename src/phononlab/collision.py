@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .grid import Field, Grid, gather, interp_weights
-from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, h, h_range,
+from .grid import POS_FLOOR, Field, Grid, gather, interp_weights
+from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, f_minus_zeros, h_range,
                        resonant_kernel)
 
 # whole tables above this size would not fit comfortably: C[f] on a larger
@@ -379,7 +379,7 @@ def collision_map(grid: Grid, interp: str = "linear"):
 
 
 def collision_operator(f: Field, interp: str = "linear",
-                       pos_floor: float = 1e-12) -> Field:
+                       pos_floor: float = POS_FLOOR) -> Field:
     """C[f] at every grid node of a field above the positivity floor, from a
     `collision_map` built for this call alone."""
     f.require_positive(pos_floor)
@@ -402,9 +402,12 @@ def entropy(f: Field) -> float:
 class BlowupPoints:
     """The three distinguished momenta of the L^p-unboundedness construction.
 
-    p0 is the chosen base point, p2 the maximizer of z -> h(p0, z), and
-    p1 = h(p0, p2) the fold value; at this triple the companion momentum
-    returns to p2, so a spectrum concentrated near these points feeds a
+    p0 is the chosen base point and (p1, p2) the fold of z -> h(p0, z) on
+    (p0, 2pi), where its two inverse branches meet: p1 = h(p0, p2) is the
+    largest value h(p0, .) takes there, the lower zero y' of F-(p0, .), and
+    the two preimages z and p0 + p1 - z of p1 coincide mod 2pi, so
+    2 p2 = p0 + p1 + 2pi.  The companion momentum p3 = p0 + p1 - p2 thus
+    returns to p2, and a spectrum concentrated near these points feeds a
     single output channel at p0.
     """
     p0: float
@@ -413,25 +416,11 @@ class BlowupPoints:
 
 
 def blowup_points(p0: float = 2.0) -> BlowupPoints:
-    """Locate the unboundedness triple by maximizing h(p0, .) on (p0, 2pi)."""
-    lo, hi = p0 + 1e-9, TWO_PI - 1e-9
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = float(h(p0, c))
-    fd = float(h(p0, d))
-    while b - a > 1e-13:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = float(h(p0, c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = float(h(p0, d))
-    z0 = 0.5 * (a + b)
-    return BlowupPoints(p0=p0, p1=float(h(p0, z0)), p2=z0)
+    """The fold triple in closed form: p1 = y', the lower zero of F-(p0, .)
+    (`manifold.f_minus_zeros`), and p2 = (p0 + p1)/2 + pi, which lies in
+    (p0, 2pi) since p1 < 2pi - p0."""
+    p1 = f_minus_zeros(p0).y_prime
+    return BlowupPoints(p0=p0, p1=p1, p2=0.5 * (p0 + p1) + np.pi)
 
 
 def bump_support(eps: float, pts: BlowupPoints) -> tuple:

@@ -57,7 +57,6 @@ class EvolutionConfig:
     geometric grid of N_RECORDS points, so long runs stay O(100) states."""
     dt: float
     t_final: float
-    interp: str = "linear"
 
     def __post_init__(self):
         # written so that NaN fails them too
@@ -220,14 +219,16 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
                       rhs_evals=calls)
 
 
-def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig) -> Trajectory:
+def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig,
+                       interp: str = "linear") -> Trajectory:
     """Integrate d/dt f = C[f] with conservation and entropy monitoring, on
-    one `collision_map` built for the run before anything else (so a grid
-    above TABLE_MAX_N fails first); a stage whose field is not finite or
-    falls below the positivity floor raises BlowupError."""
+    one `collision_map` with the `interp` stencil built for the run before
+    anything else (so a grid above TABLE_MAX_N fails first); a stage whose
+    field is not finite or falls below the positivity floor raises
+    BlowupError."""
     f0.require_positive()
     grid = f0.grid
-    collide = collision_map(grid, cfg.interp)
+    collide = collision_map(grid, interp)
     m0, e0 = conserved_quantities(f0)
     res = match_rj(m0, e0)
     if res.matched:
@@ -248,24 +249,21 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
 
     g0 must be kernel-orthogonal (mass/energy of the initial perturbation
     vanish) with ||omega^-1/2 g0||_inf <= EPS_MAX, and live on the
-    operator's grid; cfg.interp must be the operator's stencil.  The linear
-    part is the assembled matrix of `operator`, whose collision frequency
-    `a` also sets the stiffness guard; quadratic and cubic parts use the
-    tensor rule, both from one upper-triangle pass
+    operator's grid.  The linear part is the assembled matrix of
+    `operator`, whose collision frequency `a` also sets the stiffness
+    guard; quadratic and cubic parts use the tensor rule with the
+    operator's stencil, both from one upper-triangle pass
     (PerturbationTables.nonlinear).
     """
     grid = g0.grid
     if grid != operator.grid:
         raise ConfigError(f"g0 lives on n = {grid.n}, the operator on n = {operator.grid.n}")
-    if cfg.interp != operator.interp:
-        raise ConfigError(f"interp {cfg.interp!r} differs from the operator's "
-                          f"{operator.interp!r}")
     eps = float(np.max(np.abs(g0.values) / grid.omega ** 0.5))
     if eps > EPS_MAX:
         raise ConfigError(f"||omega^-1/2 g0||_inf = {eps:.3g} exceeds {EPS_MAX}")
     _check_stability_guard(cfg, operator.a)
     params = operator.params
-    tabs = PerturbationTables(params, grid, cfg.interp)
+    tabs = PerturbationTables(params, grid, operator.interp)
     fb = params.value(grid.nodes)
     L = operator.matrix
 

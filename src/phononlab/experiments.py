@@ -150,7 +150,7 @@ def nonlinear_experiment(beta: float, gamma: float, grid_n: int, eps: float,
     # built or cached
     if not 0.0 < eps <= dyn.EPS_MAX:
         raise ConfigError(f"eps must be in (0, {dyn.EPS_MAX}], got {eps}")
-    cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final, interp=interp)
+    cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final)
     coll.check_table_n(grid_n)
     op = lin.load_or_assemble(params, grid, cache_dir, interp=interp)
     g0 = lin.decay_initial_data(params, grid)

@@ -103,7 +103,7 @@ def lp_norm(f: Field, p: float) -> float:
     """Discrete L^p norm (sum w |f|^p)^(1/p); sup norm for p = inf."""
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"p must be >= 1, got {p}")
     return float((f.grid.weight * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 

@@ -95,6 +95,7 @@ def multiplier_a(params: RjParams, grid: Grid) -> Field:
     a = np.zeros(grid.n)
     for tab in _packed_blocks(grid, "linear"):
         a += _frequency_sums(tab, fb, params.value(tab.P1), params.value(tab.P3))
+        del tab  # before the next block is built: the blocks alive set the peak
     return Field(grid, grid.weight * a / fb)
 
 

@@ -1,18 +1,20 @@
 """Independent oracles the tests check the package against.
 
-None of this runs on a CLI path.  The pointwise kernels K1 and K2 of the
+None of this runs on a CLI path.  `fold_search` finds the fold of the
+blow-up construction by golden-section search, the reference for the closed
+form of `collision.blowup_points`.  The pointwise kernels K1 and K2 of the
 linearized operator and the product-integration realization of K1 are kept
-for kernel studies, with the rules they need: the sqrt-substituted nodes
-and the desingularized K1 row rule (`integrate_inverse_sqrt`), and the two
+for kernel studies, with the rules they need: the sqrt-substituted nodes and
+the desingularized K1 row rule (`integrate_inverse_sqrt`), and the two
 branches of the inverse of h (`h_inverse_pair`).  The full-table oracles
 evaluate the tensor rule on all n^2 ordered node pairs, with no use of the
 exchange symmetry that the package's packed resonance table relies on, and
 the cached-slice blocks read one whole packed table where the package
-streams transient blocks.  `project_out_kernel` makes kernel-orthogonal
-test data with the plain projection onto `LinOperator.kernel_basis`.
-`h_tan` and `clamped_arcsin` are the resonant partner as it was built before
-its diagonal guard and its clip were made conditional, kept as the
-reference the leaner `manifold._h_parts` must reproduce bit for bit.
+streams transient blocks.  `project_out_kernel` makes kernel-orthogonal test
+data with the plain projection onto `LinOperator.kernel_basis`.  `h_tan` and
+`clamped_arcsin` are the resonant partner as it was built before its
+diagonal guard and its clip were made conditional, kept as the reference the
+leaner `manifold._h_parts` must reproduce bit for bit.
 """
 
 from types import SimpleNamespace
@@ -25,7 +27,7 @@ from phononlab.errors import DomainError, NonFiniteError, PhononLabError
 from phononlab.grid import Field, Grid, gather, interp_weights
 from phononlab.linearized import LinOperator
 from phononlab.manifold import (ARCSIN_CLAMP_TOL, DIAGONAL_GUARD, TWO_PI, canonicalize,
-                                f_minus, f_minus_zeros, omega, resonant_kernel)
+                                f_minus, f_minus_zeros, h, omega, resonant_kernel)
 from phononlab.quadrature import graded_midpoint_nodes, midpoint_nodes
 
 # nodes per graded panel of integrate_inverse_sqrt
@@ -64,6 +66,33 @@ def h_tan(x, z):
     t = np.tan(np.abs(d) / 4.0)
     val = d / 2.0 + 2.0 * clamped_arcsin(t * np.cos((z + x) / 4.0))
     return canonicalize(val if val.ndim else float(val)), t
+
+
+# ---------------------------------------------------------------------------
+# the fold of the blow-up construction, found by search
+
+def fold_search(p0: float):
+    """(p1, p2) with p2 the maximizer of h(p0, .) on (p0, 2pi) by a
+    golden-section search down to 1e-13, and p1 = h(p0, p2): the reference
+    for the closed form of `collision.blowup_points`."""
+    lo, hi = p0 + 1e-9, TWO_PI - 1e-9
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc = float(h(p0, c))
+    fd = float(h(p0, d))
+    while b - a > 1e-13:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = float(h(p0, c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = float(h(p0, d))
+    z0 = 0.5 * (a + b)
+    return float(h(p0, z0)), z0
 
 
 # ---------------------------------------------------------------------------

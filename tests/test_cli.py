@@ -143,6 +143,23 @@ class TestRuns:
         assert manifest["config"]["p_exp"] == "inf"
         assert manifest["config_hash"] == "361df1f4b2424e72"
 
+    @pytest.mark.parametrize("p", ["1", "inf"])
+    def test_lp_blowup_at_the_ends_of_its_domain(self, p, tmp_path):
+        # the whole experiment at p = 1 and p = inf, on the closed-form fold:
+        # it exits 0 and every artifact it leaves is finite
+        from phononlab.collision import blowup_points
+        out = tmp_path / "out"
+        assert run_cli(["--output-dir", out, "lp-blowup", "--p", p]) == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == ["blowup.json", "manifest.json",
+                                                         "norms.csv"]
+        for name in ("blowup.json", "manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=reject_constant)
+        header, *rows = (out / "norms.csv").read_text().splitlines()
+        assert header == "eps,norm" and len(rows) == 6
+        assert np.all(np.isfinite(np.array([r.split(",") for r in rows], dtype=float)))
+        points = json.loads((out / "blowup.json").read_text())["points"]
+        assert points == vars(blowup_points())
+
     def test_rj_match_small_ratio(self, tmp_path):
         # E/M = 0.05 needs gamma/beta ~ 4.6e-12
         out = tmp_path / "out"
@@ -565,6 +582,24 @@ class TestOperatorCache:
         assert "io error:" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"].startswith("io-error: ")
+
+
+class TestVersion:
+    def test_version_has_one_owner(self, tmp_path):
+        # pyproject.toml reads the version from the package, and every
+        # manifest records that same value
+        tomllib = pytest.importorskip("tomllib")
+        import phononlab
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        meta = tomllib.loads(text)
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "phononlab.__version__"}
+        out = tmp_path / "out"
+        assert run_cli(["--output-dir", out, *RJ_ARGS]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == phononlab.__version__
 
 
 class TestImports:

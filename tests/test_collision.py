@@ -7,14 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import full_collision
+from oracles import fold_search, full_collision
 from phononlab import collision, dynamics, experiments, linearized
 from phononlab.collision import (blowup_points, collision_operator,
                                  conserved_quantities, entropy, three_bumps)
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import PositivityError, ResolutionError
 from phononlab.grid import Field, Grid, lp_norm
-from phononlab.manifold import TWO_PI, resonant_kernel
+from phononlab.manifold import TWO_PI, h, resonant_kernel
 
 RNG = np.random.default_rng(11)
 
@@ -218,6 +218,24 @@ class TestBlowupFamily:
         assert pts.p0 == 2.0
         assert round(pts.p1, 3) == 1.184
         assert round(pts.p2, 3) == 4.733
+
+    def test_fold_matches_the_search(self):
+        # the closed form places the fold where the golden-section search
+        # does, p2 to the search's own accuracy
+        for p0 in np.linspace(0.2, 6.0, 30):
+            pts = blowup_points(p0)
+            p1, p2 = fold_search(p0)
+            assert abs(pts.p1 - p1) <= 1e-14
+            assert abs(pts.p2 - p2) <= 1e-7
+
+    def test_fold_is_the_maximum_of_h(self):
+        # p1 = h(p0, p2) to rounding, and no z near p2 takes h above p1
+        for p0 in np.linspace(0.05, TWO_PI - 0.05, 60):
+            pts = blowup_points(p0)
+            assert pts.p0 < pts.p2 < TWO_PI
+            assert abs(h(p0, pts.p2) - pts.p1) <= 1e-14
+            z = pts.p2 + np.linspace(-1e-3, 1e-3, 201)
+            assert np.max(h(p0, z)) <= pts.p1 + 1e-14
 
     def test_uniform_lp_bound(self):
         # ||f_eps||_p stays bounded as eps -> 0

@@ -79,8 +79,9 @@ class TestLpNorm:
                 assert lp_norm(s, p) <= lp_norm(a, p) + lp_norm(b, p) + 1e-12
 
     def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            lp_norm(Field(Grid(16), np.full(16, 1.0)), 0.5)
+        for p in (0.5, np.nan):  # NaN fails like any p below 1
+            with pytest.raises(ValueError):
+                lp_norm(Field(Grid(16), np.full(16, 1.0)), p)
 
     def test_weighted_sup(self):
         g = Grid(64)
