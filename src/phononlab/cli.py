@@ -10,9 +10,11 @@ configuration's, with config, hash and env null, goes to --output-dir, else
 the config file's output_dir, else out).  Every other manifest records the
 run's environment ("env": row-block workers, Python and numpy versions);
 `nonlin` also records its work counts there, and only there ("counters":
-{"rhs_evals": ...}).  A NaN or infinite setting appears in the manifest's
-config as the string its flag takes ("inf"), so the manifest is strict
-JSON like every artifact.  Exit codes:
+{"rhs_evals": ..., "rhs_table_entries": ...}: the right-hand sides of the
+run, and the resonance-table entries each sums over, which tell the
+mirror-class path from the whole table).  A NaN or infinite setting
+appears in the manifest's config as the string its flag takes ("inf"), so
+the manifest is strict JSON like every artifact.  Exit codes:
 0 success, 1 internal error (any other exception the run raises: a fault
 of the program, reported as one `internal error: <Type>: <message>` line
 and the manifest status `internal-error: ...`, a bare `ValueError` such as
@@ -255,7 +257,7 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
                    ["t", "mass", "energy", "entropy", "sup_w12", "sup_w16", "l2"],
                    zip(traj.times, traj.mass, traj.energy, traj.entropy,
                        traj.sup_w12, traj.sup_w16, traj.l2))
-        counters["rhs_evals"] = traj.rhs_evals
+        counters.update(rhs_evals=traj.rhs_evals, rhs_table_entries=traj.rhs_table_entries)
         _write_json(outdir / "nonlin.json", res)
         print(f"drift mass {res['mass_drift']:.2e} energy {res['energy_drift']:.2e}; "
               f"exponent {res['exponent_w12']:.3f}")

@@ -104,14 +104,34 @@ def _pin_malloc() -> bool:
 _MALLOC_PINNED = _pin_malloc()
 
 
-def _pairs(n: int, k0: int, k1: int):
-    """Node pairs (i, j) of the packed entries k0..k1-1, in the order of
-    np.triu_indices(n, 1), without forming the whole triangle."""
-    r = np.arange(n)
-    starts = r * (2 * n - 1 - r) // 2  # first entry of row r
-    k = np.arange(k0, k1)
+def _row_starts(n: int, r: np.ndarray) -> np.ndarray:
+    """The packed index of the first entry (r, r + 1) of each row r."""
+    return r * (2 * n - 1 - r) // 2
+
+
+def _pairs(n: int, entries):
+    """Node pairs (i, j) of the packed entries, a range (k0, k1) or an
+    ascending array, in the order of np.triu_indices(n, 1), without forming
+    the whole triangle."""
+    starts = _row_starts(n, np.arange(n))
+    k = np.arange(*entries) if isinstance(entries, tuple) else np.asarray(entries)
     i = np.searchsorted(starts, k, side="right") - 1
     return i, k - starts[i] + i + 1
+
+
+def mirror_class(n: int) -> np.ndarray:
+    """Packed indices, ascending, of the pairs (i, j) with i + j < n - 1:
+    one of each two mirror images (i, j) and (n - 1 - j, n - 1 - i).
+
+    The reflection p -> 2pi - p maps node k onto node n - 1 - k, and the
+    exchange then brings the reflected pair back to the upper triangle.
+    The class is one run of n - 2 - 2i consecutive entries of each row
+    i < (n - 1) // 2; the self-mirror pairs i + j = n - 1 are left out.
+    """
+    r = np.arange((n - 1) // 2)
+    size = n - 2 - 2 * r
+    return np.repeat(_row_starts(n, r) - (np.cumsum(size) - size), size) \
+        + np.arange(size.sum())
 
 
 class ResonanceTable:
@@ -125,7 +145,8 @@ class ResonanceTable:
     (i, j) is the p1 side of (j, i), P3 := P1^T.  On the diagonal h(x, x) = 0
     exactly, so W = 0 there and the diagonal is not stored.  Entries run over
     the strict upper triangle in np.triu_indices(n, 1) order: all of them by
-    default, or the packed range `entries` = (k0, k1).  The table is built in
+    default, the packed range `entries` = (k0, k1), or the ascending array
+    `entries` of packed indices (`mirror_class`).  The table is built in
     blocks of _TABLE_BLOCK entries on the row-block pool.  Building it is
     the only O(n^2) trigonometric cost: a loop that reuses a whole table
     owns one (`collision_map`, `PerturbationTables`), while the linearized
@@ -136,12 +157,14 @@ class ResonanceTable:
         self.grid = grid
         self.interp = interp
         n = grid.n
-        k0, k1 = entries or (0, n * (n - 1) // 2)
-        self.i, self.j = _pairs(n, k0, k1)
-        self.P1, self.P3, self.W = np.empty((3, k1 - k0))
+        if entries is None:
+            entries = (0, n * (n - 1) // 2)
+        self.i, self.j = _pairs(n, entries)
+        size = self.i.size
+        self.P1, self.P3, self.W = np.empty((3, size))
         points = len(interp_weights(grid, np.empty(0), interp)[0])  # checks interp too
-        self.i1, self.i3 = ((tuple(np.empty((points, k1 - k0), np.int64)),
-                             tuple(np.empty((points, k1 - k0)))) for _ in range(2))
+        self.i1, self.i3 = ((tuple(np.empty((points, size), np.int64)),
+                             tuple(np.empty((points, size)))) for _ in range(2))
         nodes = grid.nodes
 
         def fill(s):
@@ -152,7 +175,7 @@ class ResonanceTable:
                 for dst, src in zip(idx + wts, got_idx + got_wts):
                     dst[s] = src
 
-        map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, k1 - k0, _TABLE_BLOCK)])
+        map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, size, _TABLE_BLOCK)])
 
     def exchange_sum(self, v: np.ndarray, term) -> np.ndarray:
         """Row sums over the full rule of an integrand that flips sign under

@@ -30,6 +30,20 @@ channel arithmetic of the full rule, and mass that cancels term by term.
 Against the full-matrix evaluation, Q + N agrees to rounding (the
 summation order differs, and so, at the last bits, does the geometry that
 the full rule computes afresh for each exchanged pair).
+
+Even data halves that work again.  The dispersion, every Rayleigh-Jeans
+equilibrium and the decay data are even under the reflection p -> 2pi - p,
+which maps node k onto node n - 1 - k, and the equation commutes with it,
+so an even g stays even.  On even g the entry (i, j) and its mirror
+(n - 1 - j, n - 1 - i) carry mirror-image terms, and a self-mirror entry
+i + j = n - 1 carries zero.  So the tables can hold one mirror class, the
+entries with i + j < n - 1 (`collision.mirror_class`; n(n - 2)/4 of them
+for even n): Q + N is that class's row sums h plus their reflection,
+h + h[::-1].
+`evolve_perturbation` takes this path when the odd part of g0 is rounding
+(at most EVEN_RTOL of its sup), after making g0 exactly even; any other
+g0 runs on the whole table.  The step count of a run is bounded by
+MAX_STEPS before any work.
 """
 
 from __future__ import annotations
@@ -39,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import (ResonanceTable, check_table_n, collision_map, conserved_quantities,
-                        entropy)
+                        entropy, mirror_class)
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
@@ -48,13 +62,21 @@ from .linearized import LinOperator, multiplier_a
 
 BLOWUP_FACTOR = 1e3
 EPS_MAX = 0.1  # largest ||omega^-1/2 g0||_inf evolve_perturbation accepts
+# largest odd part max|g0 - g0[::-1]| / 2, relative to max|g0|, that
+# evolve_perturbation treats as rounding of even data
+EVEN_RTOL = 1e-12
+# largest t_final / dt a run may plan.  A default `nonlin` run plans 667
+# steps and the largest plan of the test suite is 20,000; 10^6 steps at
+# n = 256 take about 40 minutes of right-hand sides
+MAX_STEPS = 10 ** 6
 N_RECORDS = 64  # states recorded per run
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Fixed-step RK4 integration parameters.  The run records on a
-    geometric grid of N_RECORDS points, so long runs stay O(100) states."""
+    geometric grid of N_RECORDS points, so long runs stay O(100) states;
+    a schedule of more than MAX_STEPS steps is refused before any work."""
     dt: float
     t_final: float
 
@@ -64,6 +86,9 @@ class EvolutionConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (self.t_final >= self.dt and np.isfinite(self.t_final)):
             raise ConfigError(f"t_final must be finite and at least dt, got {self.t_final}")
+        if self.t_final / self.dt > MAX_STEPS:  # as floats: before any int()
+            raise ConfigError(f"t_final / dt = {self.t_final / self.dt:.3g} steps "
+                              f"exceeds MAX_STEPS = {MAX_STEPS}")
 
     def record_times(self) -> np.ndarray:
         t0 = min(max(self.dt, 1.0), self.t_final)
@@ -73,7 +98,8 @@ class EvolutionConfig:
 @dataclass
 class Trajectory:
     """Recorded diagnostics of one run; states kept only at record times,
-    rhs_evals counts the right-hand-side evaluations of the whole run."""
+    rhs_evals counts the right-hand-side evaluations of the whole run and
+    rhs_table_entries the resonance-table entries each of them sums over."""
     times: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
@@ -85,6 +111,7 @@ class Trajectory:
     mass0: float
     energy0: float
     rhs_evals: int
+    rhs_table_entries: int
 
     def conserved_drift(self):
         dm = float(np.max(np.abs(self.mass - self.mass0)) / abs(self.mass0))
@@ -102,7 +129,9 @@ class Trajectory:
 class PerturbationTables:
     """Channel weights W * (product of three equilibrium values) on the
     entries of the packed resonance table: the strict upper triangle j > i
-    of the tensor rule, in the order of np.triu_indices(n, 1).
+    of the tensor rule, in the order of np.triu_indices(n, 1), or with
+    `even` its mirror class i + j < n - 1 alone (`collision.mirror_class`),
+    about half of it, whose `nonlinear` serves even g only.
 
     The exchange of the p0 and p2 nodes maps (p0, p1, p2, p3) to
     (p2, p3, p0, p1), so the p3 side of (i, j) is the p1 side of (j, i):
@@ -113,9 +142,11 @@ class PerturbationTables:
     built (`collision.check_table_n`).
     """
 
-    def __init__(self, params: RjParams, grid: Grid, interp: str = "linear"):
+    def __init__(self, params: RjParams, grid: Grid, interp: str = "linear",
+                 even: bool = False):
         check_table_n(grid.n)
-        self.tab = tab = ResonanceTable(grid, interp)
+        self.tab = tab = ResonanceTable(grid, interp, mirror_class(grid.n) if even else None)
+        self.even = even
         self.grid = grid
         self.params = params
         fb = params.value(grid.nodes)
@@ -135,7 +166,9 @@ class PerturbationTables:
         and is zero on the diagonal, which the exchange maps to itself.  So
         the row sums of the full rule are sums over the upper triangle: M
         adds into row i and subtracts from row j, block by block
-        (ResonanceTable.exchange_sum).
+        (ResonanceTable.exchange_sum).  On the mirror class (`even`) those
+        sums h cover one of each two mirror entries, and the reflection
+        h[::-1] adds the other: g must then be even.
         """
         def fused(s, g0, g1, g2, g3):
             g01, g02, g12 = g0 * g1, g0 * g2, g1 * g2
@@ -146,7 +179,10 @@ class PerturbationTables:
             m -= self.G3[s] * (g01 + g2 * s01)
             return m
 
-        return self.grid.weight * self.tab.exchange_sum(g, fused) * self.inv_fb
+        h = self.tab.exchange_sum(g, fused)
+        if self.even:
+            h = h + h[::-1]
+        return self.grid.weight * h * self.inv_fb
 
 
 def _check_stability_guard(cfg: EvolutionConfig, a: Field):
@@ -175,13 +211,14 @@ def _record(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray):
 
 
 def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
-         mass0: float, energy0: float) -> Trajectory:
+         mass0: float, energy0: float, table_entries: int = 0) -> Trajectory:
     """Shared fixed-step driver; the state g maps to the spectrum f = to_f(g).
 
     f must stay finite, positive and within BLOWUP_FACTOR of its initial
     sup norm after every step, else BlowupError names that step's t.
     Returns the Trajectory of the recorded diagnostics and states, with the
-    initial mass0, energy0 and the number of rhs calls made.
+    initial mass0, energy0, the number of rhs calls made and the
+    table_entries that each call sums over.
     """
     rec_times = cfg.record_times()
     n_steps = int(np.ceil(cfg.t_final / cfg.dt))
@@ -216,7 +253,7 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
     return Trajectory(times=arr[:, 0], mass=arr[:, 1], energy=arr[:, 2],
                       entropy=arr[:, 3], sup_w12=arr[:, 4], sup_w16=arr[:, 5],
                       l2=arr[:, 6], states=states, mass0=mass0, energy0=energy0,
-                      rhs_evals=calls)
+                      rhs_evals=calls, rhs_table_entries=table_entries)
 
 
 def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig,
@@ -240,7 +277,8 @@ def evolve_nonlinear_f(f0: Field, cfg: EvolutionConfig,
         except (PositivityError, NonFiniteError) as exc:
             raise BlowupError(f"spectrum left the admissible set mid-step: {exc}") from exc
         return collide(fv)
-    return _run(grid, f0.values, rhs, cfg, lambda fv: fv, m0, e0)
+    return _run(grid, f0.values, rhs, cfg, lambda fv: fv, m0, e0,
+                grid.n * (grid.n - 1) // 2)
 
 
 def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
@@ -254,6 +292,12 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
     guard; quadratic and cubic parts use the tensor rule with the
     operator's stencil, both from one upper-triangle pass
     (PerturbationTables.nonlinear).
+
+    When the odd part max|g0 - g0[::-1]| / 2 is at most EVEN_RTOL of
+    max|g0|, g0 is replaced by its even part (g0 + g0[::-1]) / 2 and the
+    pass runs over the mirror class of the table and reflects its sums;
+    any other g0 runs over the whole table.  The run's
+    `rhs_table_entries` says which.
     """
     grid = g0.grid
     if grid != operator.grid:
@@ -262,13 +306,17 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
     if eps > EPS_MAX:
         raise ConfigError(f"||omega^-1/2 g0||_inf = {eps:.3g} exceeds {EPS_MAX}")
     _check_stability_guard(cfg, operator.a)
+    g = g0.values
+    even = float(np.max(np.abs(g - g[::-1]))) / 2.0 <= EVEN_RTOL * float(np.max(np.abs(g)))
+    if even:
+        g = (g + g[::-1]) / 2.0
     params = operator.params
-    tabs = PerturbationTables(params, grid, operator.interp)
+    tabs = PerturbationTables(params, grid, operator.interp, even)
     fb = params.value(grid.nodes)
     L = operator.matrix
 
     def rhs(gv):
         return L @ gv + tabs.nonlinear(gv)
 
-    m0, e0 = conserved_quantities(Field(grid, fb * (1.0 + g0.values)))
-    return _run(grid, g0.values, rhs, cfg, lambda gv: fb * (1.0 + gv), m0, e0)
+    m0, e0 = conserved_quantities(Field(grid, fb * (1.0 + g)))
+    return _run(grid, g, rhs, cfg, lambda gv: fb * (1.0 + gv), m0, e0, tabs.tab.W.size)

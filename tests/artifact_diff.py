@@ -1,6 +1,6 @@
 """Compare the artifacts of two source trees, subcommand by subcommand.
 
-    python3 tests/artifact_diff.py PARENT_TREE CHANGE_TREE
+    python3 tests/artifact_diff.py PARENT_TREE CHANGE_TREE [--max-scaled D]
 
 Runs the seven CLI subcommands at small pinned configurations in each tree
 (`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), `spectrum` also at
@@ -13,19 +13,26 @@ by the largest magnitude of its series:
 a CSV file's worst column, which is named, or a JSON document as a whole.
 The second figure shows how far a series moved when the first is set by a
 value that is only rounding noise (an eigenvalue that should be zero, say);
-scaling by column keeps an index or time column from diluting it.  Of
+scaling by column keeps an index or time column from diluting it.  That
+second figure is the one judged: a series passes when it is at most D
+(--max-scaled, default 0, so by default every numeric field must be
+identical), and the line of a series above D names the artifact, the
+column (or the JSON field that moved most) and D.  Of
 `manifest.json` only `status` and `config_hash` are compared, since it also
 records wall time and environment; a change that moves a hash shows.
 Beside each manifest's verdict the line reports its `wall_time_s` on both
 sides, as a report only: it decides nothing.  A
 binary artifact (the operator cache) is compared byte for byte.  Exits 1
 when an artifact exists on one side only, when the two sides differ in
-anything but numbers, or when a manifest's status or config hash differs;
-else 0.  The name keeps the script out of pytest collection.
+anything but numbers, when a series moved by more than D, or when a
+manifest's status or config hash differs; else 0.  The name keeps the
+script out of pytest collection; tests/test_artifact_diff.py tests
+`compare`.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -99,8 +106,10 @@ def _fields(path: Path) -> list:
             for c, cell in enumerate(row)]
 
 
-def compare(a: Path, b: Path) -> tuple[str, bool]:
-    """(verdict line, ok) for one artifact present on both sides."""
+def compare(a: Path, b: Path, max_scaled: float = 0.0) -> tuple[str, bool]:
+    """(verdict line, ok) for one artifact present on both sides; a numeric
+    series whose largest absolute difference, scaled by its largest
+    magnitude, exceeds max_scaled fails it."""
     if a.name == "manifest.json":
         ma, mb = json.loads(a.read_text()), json.loads(b.read_text())
         wall = f"(wall_time_s {ma['wall_time_s']} vs {mb['wall_time_s']})"
@@ -116,32 +125,38 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
     if [f[:2] for f in fa] != [f[:2] for f in fb]:
         return "layout differs", False
     worst = 0.0
-    moved = {}  # series: [max abs diff, max |value|]
+    moved = {}  # series: [max abs diff, max |value|, key of that diff]
     for (key, series, va), (_, _, vb) in zip(fa, fb):
         na, nb = _number(va), _number(vb)
-        if na is None or nb is None:
+        if na is None or nb is None or math.isnan(na) != math.isnan(nb):
             if va != vb:
                 return f"field {key} differs: {va!r} vs {vb!r}", False
             continue
         worst = max(worst, _rel(na, nb))
-        m = moved.setdefault(series, [0.0, 0.0])
-        if na != nb:
-            m[0] = max(m[0], abs(na - nb))
+        m = moved.setdefault(series, [0.0, 0.0, None])
+        if abs(na - nb) > m[0]:
+            m[0], m[2] = abs(na - nb), key
         m[1] = max(m[1], abs(na), abs(nb))
     if worst == 0.0:
         return "identical in value (formatting differs)", True
-    ratio, series = max((d / m if m else 0.0, s) for s, (d, m) in moved.items())
-    where = f" (column {series!r})" if a.suffix == ".csv" else ""
-    return (f"max rel diff {worst:.3e}, "
-            f"max abs diff / max |value| {ratio:.3e}{where}"), True
+    ratio, series, key = max((d / m if m else 0.0, s, k) for s, (d, m, k) in moved.items())
+    where = f" (column {series!r})" if a.suffix == ".csv" else f" (field {key!r})"
+    line = f"max rel diff {worst:.3e}, max abs diff / max |value| {ratio:.3e}{where}"
+    if ratio > max_scaled:
+        return f"{line} exceeds --max-scaled {max_scaled:g}", False
+    return line, True
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print("usage: artifact_diff.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
-        return 2
-    trees = [Path(t).resolve() for t in argv]
+    parser = argparse.ArgumentParser(description="Compare the artifacts of two source trees.")
+    parser.add_argument("trees", nargs=2, metavar="TREE", help="PARENT_TREE CHANGE_TREE")
+    parser.add_argument("--max-scaled", type=float, default=0.0, metavar="D",
+                        help="largest scaled difference a numeric series may show "
+                             "(default 0: identical)")
+    args = parser.parse_args(argv)
+    if not args.max_scaled >= 0.0:
+        parser.error(f"--max-scaled must be at least 0, got {args.max_scaled}")
+    trees = [Path(t).resolve() for t in args.trees]
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / side for side in ("parent", "change")]
@@ -155,7 +170,7 @@ def main(argv=None) -> int:
             if not (a.exists() and b.exists()):
                 line, good = f"only in {'parent' if a.exists() else 'change'}", False
             else:
-                line, good = compare(a, b)
+                line, good = compare(a, b, args.max_scaled)
             ok = ok and good
             print(f"{name}: {line}")
     return 0 if ok else 1

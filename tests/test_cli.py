@@ -253,6 +253,8 @@ class TestRuns:
          "t_final must be positive and finite"),
         ("", ["nonlin", "--grid-n", 64, "--eps", "nan"], "eps must be in (0, 0.1]"),
         ("", ["nonlin", "--grid-n", 64, "--eps", 0.0], "eps must be in (0, 0.1]"),
+        # planned about 6.7e299 steps and ran until it was killed
+        ("", ["nonlin", "--grid-n", 64, "--t-final", 1e300], "exceeds MAX_STEPS"),
         ("", ["spectrum", "--grid-n", 64, "--beta", "inf"],
          "beta must be positive and finite"),
         ("", ["multiplier", "--grid-n", 64, "--gamma", "nan"],
@@ -267,7 +269,7 @@ class TestRuns:
     ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
             "mass-nan", "energy-inf", "p-0", "p-0.5", "p-0.03", "p-0.017", "p-1e-300",
             "p-nan", "file-interp-quadratic", "t-final-0", "t-final-nan", "eps-nan",
-            "eps-0", "beta-inf", "gamma-nan", "fit-window-reversed", "fit-hi-nan",
+            "eps-0", "t-final-1e300", "beta-inf", "gamma-nan", "fit-window-reversed", "fit-hi-nan",
             "fit-hi-above-2pi"])
     def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
         # each fails before any work: exit 2, the cause on stderr and in the
@@ -375,9 +377,11 @@ class TestRuns:
         assert code == EXIT_OK
         payload = json.loads((out / "nonlin.json").read_text())
         assert payload["mass_drift"] < 1e-12
-        # 50 RK4 steps of four right-hand sides; the count is in the manifest only
+        # 50 RK4 steps of four right-hand sides, each over the 4,032 entries
+        # of the mirror class (the data is even); the counts are in the
+        # manifest only
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["counters"] == {"rhs_evals": 200}
+        assert manifest["counters"] == {"rhs_evals": 200, "rhs_table_entries": 4032}
         assert "rhs_evals" not in (out / "nonlin.json").read_text()
         head = (out / "trajectory.csv").read_text().splitlines()[0]
         assert head == "t,mass,energy,entropy,sup_w12,sup_w16,l2"

@@ -150,9 +150,25 @@ class TestCollisionOperator:
         for n in (16, 17, 100):
             i, j = np.triu_indices(n, 1)
             for k0, k1 in ((0, i.size), (0, 1), (5, 77), (i.size - 3, i.size)):
-                got_i, got_j = collision._pairs(n, k0, k1)
+                got_i, got_j = collision._pairs(n, (k0, k1))
                 assert np.array_equal(got_i, i[k0:k1])
                 assert np.array_equal(got_j, j[k0:k1])
+
+    @pytest.mark.parametrize("n", [16, 17, 100, 256, 384])
+    def test_mirror_class(self, n):
+        # the packed entries with i + j < n - 1; each other entry off the
+        # self-mirror line i + j = n - 1 is the mirror of one of them
+        i, j = np.triu_indices(n, 1)
+        k = collision.mirror_class(n)
+        assert np.array_equal(k, np.flatnonzero(i + j < n - 1))
+        mirrored = set(zip(n - 1 - j[k], n - 1 - i[k]))
+        assert mirrored == set(zip(i[i + j > n - 1], j[i + j > n - 1]))
+        if n % 2 == 0:
+            assert k.size == n * (n - 2) // 4
+        tab = collision.ResonanceTable(Grid(n), "cubic", k)
+        whole = collision.ResonanceTable(Grid(n), "cubic")
+        for name in ("i", "j", "P1", "P3", "W"):
+            assert np.array_equal(getattr(tab, name), getattr(whole, name)[k])
 
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):

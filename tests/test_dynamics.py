@@ -8,7 +8,7 @@ import pytest
 from oracles import full_table
 from phononlab import collision, dynamics, linearized
 from phononlab.collision import ResonanceTable, collision_operator
-from phononlab.dynamics import (EvolutionConfig, PerturbationTables, _run,
+from phononlab.dynamics import (MAX_STEPS, EvolutionConfig, PerturbationTables, _run,
                                 evolve_nonlinear_f, evolve_perturbation)
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import BlowupError, ConfigError, FitError
@@ -94,43 +94,67 @@ def random_data(n):
     return 1e-3 * rng.normal(size=n), 1e3 * rng.normal(size=n)
 
 
+def table_data(n, even):
+    """The tables of `random_data`: whole ones on it, and the mirror-class
+    ones (`even`) on its even parts, the only data they serve."""
+    return [(g + g[::-1]) / 2 for g in random_data(n)] if even else random_data(n)
+
+
 class TestNonlinearKernel:
     # packed upper triangles: 48 and 100 fit in one block of 16384 entries,
-    # 200 (19,900) and 256 (32,640) end in a ragged second block
+    # 200 (19,900) and 256 (32,640) end in a ragged second block and 384
+    # (73,536) in a ragged fifth; their mirror classes hold 552, 2,450,
+    # 9,900, 16,256 (one whole block) and 36,672 entries (a ragged third)
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
-    @pytest.mark.parametrize("n", [48, 100, 200, 256])
+    @pytest.mark.parametrize("n", [48, 100, 200, 256, 384])
     def test_agrees_with_full_matrix(self, interp, n):
         grid = Grid(n)
-        tabs = PerturbationTables(PARAMS, grid, interp)
         full = full_tables(PARAMS, grid, interp)
-        assert np.all(tabs.nonlinear(np.zeros(n)) == 0.0)
-        for g in random_data(n):
-            want = full_quadratic(full, g) + full_cubic(full, g)
-            got = tabs.nonlinear(g)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for even in (False, True):
+            tabs = PerturbationTables(PARAMS, grid, interp, even)
+            assert tabs.tab.W.size == (n * (n - 2) // 4 if even else n * (n - 1) // 2)
+            assert np.all(tabs.nonlinear(np.zeros(n)) == 0.0)
+            for g in table_data(n, even):
+                want = full_quadratic(full, g) + full_cubic(full, g)
+                got = tabs.nonlinear(g)
+                bound = 1e-13 * np.max(np.abs(want))
+                if even:
+                    # the exact rule maps even g to an even Q + N, and the
+                    # class path's is even by construction; the oracle's is
+                    # not: it computes each mirror entry's geometry afresh,
+                    # and its odd part (1.2e-13 of its maximum at n = 384 on
+                    # the 1e3 data) is its own rounding, which the even part
+                    # removes and the bound allows for
+                    odd = (want - want[::-1]) / 2
+                    want, bound = want - odd, bound + np.max(np.abs(odd))
+                assert np.max(np.abs(got - want)) <= bound
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
-    @pytest.mark.parametrize("n", [48, 100, 200, 256])
+    @pytest.mark.parametrize("n", [48, 100, 200, 256, 384])
     def test_mass_cancels(self, interp, n):
-        # each pair adds to one row what it takes from the other
+        # each pair adds to one row what it takes from the other, and on the
+        # mirror class each reflected pair too
         grid = Grid(n)
-        tabs = PerturbationTables(PARAMS, grid, interp)
         fb = PARAMS.value(grid.nodes)
-        for g in random_data(n):
-            r = fb * tabs.nonlinear(g)
-            assert abs(np.sum(r)) <= 1e-15 * np.sum(np.abs(r))
+        for even in (False, True):
+            tabs = PerturbationTables(PARAMS, grid, interp, even)
+            for g in table_data(n, even):
+                r = fb * tabs.nonlinear(g)
+                assert abs(np.sum(r)) <= 1e-15 * np.sum(np.abs(r))
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     def test_block_size_independent(self, monkeypatch, interp):
-        # n = 100: 4,950 entries, 38 blocks of 128 and a ragged one of 86
+        # n = 100: 4,950 entries, 38 blocks of 128 and a ragged one of 86;
+        # its mirror class 2,450, 19 blocks of 128 and a ragged one of 18
         n = 100
-        tabs = PerturbationTables(PARAMS, Grid(n), interp)
-        for g in random_data(n):
-            want = tabs.nonlinear(g)
-            with monkeypatch.context() as m:
-                m.setattr(collision, "_EXCHANGE_BLOCK", 128)
-                got = tabs.nonlinear(g)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        for even in (False, True):
+            tabs = PerturbationTables(PARAMS, Grid(n), interp, even)
+            for g in table_data(n, even):
+                want = tabs.nonlinear(g)
+                with monkeypatch.context() as m:
+                    m.setattr(collision, "_EXCHANGE_BLOCK", 128)
+                    got = tabs.nonlinear(g)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestEvolutionConfig:
@@ -139,6 +163,11 @@ class TestEvolutionConfig:
             EvolutionConfig(dt=-1.0, t_final=1.0)
         with pytest.raises(ConfigError):
             EvolutionConfig(dt=1.0, t_final=0.5)
+        # the step bound compares t_final / dt as floats, before any int()
+        EvolutionConfig(dt=0.5, t_final=0.5 * MAX_STEPS)
+        for t_final in (0.5 * MAX_STEPS * (1.0 + 1e-15), 1e300):
+            with pytest.raises(ConfigError, match="exceeds MAX_STEPS"):
+                EvolutionConfig(dt=0.5, t_final=t_final)
 
     def test_holds_only_the_step_schedule(self):
         # the stencil belongs to the operator or to the call, not to the config
@@ -398,6 +427,31 @@ class TestPerturbation:
         for t, gv in traj.states[::5]:
             num = abs(g.weight * np.sum(fb * gv)) + abs(g.weight * np.sum(g.omega * fb * gv))
             assert num < 1e-6 * l2_0
+
+    def test_even_data_runs_on_the_mirror_class(self, monkeypatch):
+        # n = 128 cubic: the decay data is even to rounding, so its run sums
+        # the 4,032 entries of the mirror class; an odd bump of 1e-6 of its
+        # sup sends the same data to the whole table of 8,128
+        g = Grid(128)
+        op = assemble(PARAMS, g, "cubic")
+        g0 = scaled_data(PARAMS, g, 1e-2)
+        cfg = EvolutionConfig(dt=1.0, t_final=20.0)
+        traj = evolve_perturbation(g0, cfg, op)
+        assert traj.rhs_table_entries == 4032
+        bump = 1e-6 * np.max(np.abs(g0.values)) * np.sin(g.nodes)  # odd under p -> 2pi - p
+        bumped = evolve_perturbation(Field(g, g0.values + bump),
+                                     EvolutionConfig(dt=1.0, t_final=1.0), op)
+        assert bumped.rhs_table_entries == 8128
+        # forced onto the whole table, the run agrees to rounding
+        monkeypatch.setattr(dynamics, "PerturbationTables",
+                            lambda params, grid, interp, even: PerturbationTables(
+                                params, grid, interp))
+        whole = evolve_perturbation(g0, cfg, op)
+        assert whole.rhs_table_entries == 8128
+        assert [t for t, _ in whole.states] == [t for t, _ in traj.states]
+        sup = np.max(np.abs(g0.values))
+        for (_, a), (_, b) in zip(traj.states, whole.states):
+            assert np.max(np.abs(a - b)) <= 1e-12 * sup
 
     def test_linear_consistency_with_semigroup(self, op128):
         # at eps = 1e-6 the trajectory is the semigroup up to O(eps^2 t)
