@@ -137,9 +137,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
     A config file may set the subcommand's own settings (those of its
     `SUBCOMMANDS` entry) and seed, output_dir and threads, each value typed
-    as its default is (threads, which has none, as an int), and interp
-    held to the flag's choices; any other key is an error, so no value is
-    recorded that the run would not use.
+    as its default is (threads, which has none, as an int), interp
+    held to the flag's choices and seed nonnegative; any other key is an
+    error, so no value is recorded that the run would not use.
     """
     sub = args.subcommand
     cfg = dict(SUBCOMMANDS[sub][1], seed=0, output_dir="out")
@@ -153,6 +153,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, val in vars(args).items():
         if val is not None and key not in ("config", "subcommand"):
             cfg[key] = val
+    if cfg["seed"] < 0:  # before any work; the generator refuses it
+        raise ValueError(f"seed must be a nonnegative integer, got {cfg['seed']}")
     n = cfg.get("grid_n")
     if n is not None and (n & (n - 1) or not 64 <= n <= 4096):
         raise ValueError(f"grid_n must be a power of two in [64, 4096], got {n}")

@@ -11,7 +11,8 @@ evaluate the tensor rule on all n^2 ordered node pairs, with no use of the
 exchange symmetry that the package's packed resonance table relies on, and
 the cached-slice blocks read one whole packed table where the package
 streams transient blocks.  `project_out_kernel` makes kernel-orthogonal test
-data with the plain projection onto `LinOperator.kernel_basis`.  `h_tan` and
+data with the plain projection onto `LinOperator.kernel_basis`, and
+`dissipation_ratios` draws the dissipation samples one at a time.  `h_tan` and
 `clamped_arcsin` are the resonant partner as it was built before its
 diagonal guard and its clip were made conditional, kept as the reference the
 leaner `manifold._h_parts` must reproduce bit for bit.
@@ -138,6 +139,23 @@ def project_out_kernel(op: LinOperator, g: Field) -> Field:
     q = op.kernel_basis()
     vals = g.values - q @ (q.T @ g.values)
     return Field(op.grid, vals)
+
+
+def dissipation_ratios(op: LinOperator, seed: int, samples: int = 100) -> list:
+    """<-L g, g> / int a g^2 over random trigonometric g (12 cosine and 12
+    sine modes, kernel projected out), one sample at a time: the reference
+    for `spectrum_experiment`'s block of samples, drawn in the same order."""
+    rng = np.random.default_rng(seed)
+    nodes, a, kb = op.grid.nodes, op.a.values, op.kernel_basis()
+    ratios = []
+    for _ in range(samples):
+        c = rng.normal(size=12)
+        s = rng.normal(size=12)
+        g = sum(c[k] * np.cos((k + 1) * nodes) + s[k] * np.sin((k + 1) * nodes)
+                for k in range(12))
+        g = g - kb @ (kb.T @ g)
+        ratios.append(float((g @ -(op.matrix @ g)) / ((a * g) @ g)))
+    return ratios
 
 
 # ---------------------------------------------------------------------------

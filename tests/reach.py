@@ -37,8 +37,6 @@ ALLOWED = {
                                "and evolve_nonlinear_f",
     "dynamics:evolve_nonlinear_f": "the paper's equation f' = C[f]; its tests pin "
                                    "conservation, entropy growth and the RK4 order",
-    "linearized:semigroup_apply": "e^{tL}, the reference of the linear-consistency "
-                                  "test; TestSemigroup pins its dissipation",
     "linearized:bulk_edge_functionals": "TestBulkEdge pins the bulk-mass bound",
     # reached by runs other than the defaults
     "cli:read_config_file": "a run with --config",

@@ -266,11 +266,16 @@ class TestRuns:
          "fit window must satisfy 0 < fit_lo < fit_hi < 2 pi"),
         ("", ["multiplier", "--grid-n", 64, "--fit-hi", 7],
          "fit window must satisfy 0 < fit_lo < fit_hi < 2 pi"),
+        # these used to assemble and cache L, or run the suite, and then exit 1
+        # when the generator refused the seed
+        ("seed = -3\n", ["spectrum", "--grid-n", 64],
+         "seed must be a nonnegative integer, got -3"),
+        ("seed = -3\n", ["verify"], "seed must be a nonnegative integer, got -3"),
     ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
             "mass-nan", "energy-inf", "p-0", "p-0.5", "p-0.03", "p-0.017", "p-1e-300",
             "p-nan", "file-interp-quadratic", "t-final-0", "t-final-nan", "eps-nan",
             "eps-0", "t-final-1e300", "beta-inf", "gamma-nan", "fit-window-reversed", "fit-hi-nan",
-            "fit-hi-above-2pi"])
+            "fit-hi-above-2pi", "seed-negative-spectrum", "seed-negative-verify"])
     def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
         # each fails before any work: exit 2, the cause on stderr and in the
         # manifest, which is strict JSON (a NaN or infinite setting is
@@ -415,11 +420,17 @@ class TestRuns:
         assert "TABLE_MAX_N" in status
         assert built == [] and not (out / "cache").exists()
 
-    def test_lin_decay_run(self, tmp_path):
+    def test_lin_decay_run(self, tmp_path, monkeypatch):
+        # both weights are read from one semigroup call
+        from phononlab import linearized
+        calls, apply = [], linearized.semigroup_apply
+        monkeypatch.setattr(linearized, "semigroup_apply",
+                            lambda *args: calls.append(args) or apply(*args))
         out = tmp_path / "out"
         code = run_cli(["--output-dir", out, "lin-decay", "--grid-n", 256,
                         "--t-final", 400.0])
         assert code == EXIT_OK
+        assert len(calls) == 1
         payload = json.loads((out / "decay.json").read_text())
         assert payload["exponent_mu12"] < -0.4
         assert (out / "decay_mu12.csv").exists()

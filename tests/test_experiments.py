@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dissipation_ratios
 from phononlab import collision as coll
 from phononlab import experiments as ex
+from phononlab import linearized as lin
+from phononlab.equilibria import RjParams
+from phononlab.grid import Grid
 from phononlab.manifold import TWO_PI, f_plus, h, omega, omega_residual, resonant_kernel
 from phononlab.quadrature import graded_midpoint_nodes
 
@@ -240,6 +244,7 @@ def test_p1_only_where_it_can_reach_the_support(k, monkeypatch):
     monkeypatch.setattr(coll, "_h_parts", spy_h)
     monkeypatch.setattr(ex, "_collision_at", spy_at)
     ex.lp_blowup_norm(2.0 ** -k, 2.0, PTS)
+    assert len(entries) == 1  # the window samples and the coarse rows in one call
     assert 0 < sum(computed) <= 0.2 * sum(entries)
 
 
@@ -350,3 +355,13 @@ def test_p2_rule_integrates_each_bump(k):
                        (pts.p2, pts.p2 + eps)):
             got = float(np.sum(w[(z >= lo) & (z < hi)]))
             assert abs(got - (hi - lo)) <= 1e-12, (p0, lo)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_spectrum_dissipation_block_matches_per_sample_loop(seed, tmp_path):
+    # the block of samples reads the ratios of the per-sample loop
+    res = ex.spectrum_experiment(1.0, 1.0, 256, seed, cache_dir=tmp_path)
+    op = lin.load_or_assemble(RjParams(1.0, 1.0), Grid(256), tmp_path)
+    want = dissipation_ratios(op, seed, ex.N_DISSIPATION_SAMPLES)
+    assert res["dissipation_ratio_min"] == pytest.approx(min(want), rel=1e-13, abs=0.0)
+    assert res["dissipation_ratio_max"] == pytest.approx(max(want), rel=1e-13, abs=0.0)

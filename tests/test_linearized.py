@@ -361,19 +361,39 @@ class TestWeakFormAssembly:
 class TestSemigroup:
     def test_identity_at_zero(self, op256):
         g0 = Field(Grid(256), smooth_random(Grid(256), 1))
-        out = semigroup_apply(op256, g0, 0.0)
-        assert np.array_equal(out.values, g0.values)
+        out = semigroup_apply(op256, g0, [0.0])[0]
+        assert np.array_equal(out, g0.values)
+
+    def test_rows_match_separate_evaluations(self, op256):
+        g = Grid(256)
+        g0 = Field(g, smooth_random(g, 2))
+        ts = (0.5, 3.0, 40.0, 700.0)
+        for t, row in zip(ts, semigroup_apply(op256, g0, ts)):
+            one = semigroup_apply(op256, g0, [t])[0]
+            assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
+
+    def test_zero_row_is_the_data(self, op256):
+        g = Grid(256)
+        g0 = Field(g, smooth_random(g, 5))
+        states = semigroup_apply(op256, g0, (10.0, 0.0, 1.0))
+        assert np.array_equal(states[1], g0.values)
+
+    @pytest.mark.parametrize("t", [-1.0, np.nan])
+    def test_bad_time_raises(self, op256, t):
+        g = Grid(256)
+        with pytest.raises(ValueError):
+            semigroup_apply(op256, Field(g, smooth_random(g, 1)), [t])
 
     def test_kernel_mode_stationary(self, op256):
         fb = op256.equilibrium
-        out = semigroup_apply(op256, fb, 700.0)
-        assert np.max(np.abs(out.values - fb.values)) < 1e-9 * np.max(fb.values)
+        out = semigroup_apply(op256, fb, [700.0])[0]
+        assert np.max(np.abs(out - fb.values)) < 1e-9 * np.max(fb.values)
 
     def test_l2_nonincreasing(self, op256):
         g = Grid(256)
         g0 = Field(g, smooth_random(g, 4))
-        norms = [lp_norm(semigroup_apply(op256, g0, t), 2)
-                 for t in (0.0, 1.0, 10.0, 100.0, 1000.0)]
+        norms = [lp_norm(Field(g, gt), 2)
+                 for gt in semigroup_apply(op256, g0, (0.0, 1.0, 10.0, 100.0, 1000.0))]
         assert all(a >= b - 1e-12 for a, b in zip(norms[:-1], norms[1:]))
 
     def test_weak_growth_bound(self, op256):
@@ -381,8 +401,9 @@ class TestSemigroup:
         g = Grid(256)
         g0 = Field(g, smooth_random(g, 9))
         sup0 = lp_norm(g0, np.inf)
-        for t in (1.0, 10.0, 100.0, 1000.0):
-            sup = lp_norm(semigroup_apply(op256, g0, t), np.inf)
+        ts = (1.0, 10.0, 100.0, 1000.0)
+        for t, gt in zip(ts, semigroup_apply(op256, g0, ts)):
+            sup = lp_norm(Field(g, gt), np.inf)
             assert sup <= sup0 * (10.0 + t) ** 1.1
 
     def test_dissipation_time_integral(self, op256):
@@ -432,8 +453,8 @@ class TestDecayMeasurement:
     def test_kernel_component_plateaus(self, op256):
         # data with a retained kernel component shows no decay
         fb = op256.equilibrium
-        rep = measure_linear_decay(op256, fb, 0.5,
-                                   np.geomspace(10.0, 1e3, 64), (1e2, 1e3))
+        rep, = measure_linear_decay(op256, fb, [0.5],
+                                    np.geomspace(10.0, 1e3, 64), (1e2, 1e3))
         assert abs(rep.exponent) < 1e-6
 
     def test_slopes_at_default_params(self, op512):
@@ -441,18 +462,17 @@ class TestDecayMeasurement:
         # the decay experiment (gamma = 2) and the acceptance suite
         g0 = decay_initial_data(PARAMS, Grid(512))
         t_grid = np.geomspace(10.0, 1e3, 64)
-        rep12 = measure_linear_decay(op512, g0, 0.5, t_grid, (1e2, 1e3))
-        rep16 = measure_linear_decay(op512, g0, 1.0 / 6.0, t_grid, (1e2, 1e3))
+        rep12, rep16 = measure_linear_decay(op512, g0, (0.5, 1.0 / 6.0), t_grid, (1e2, 1e3))
         assert -1.2 < rep12.exponent < -0.5
         assert -0.8 < rep16.exponent < -0.3
 
     def test_fit_window_guard(self, op256):
         g0 = decay_initial_data(PARAMS, Grid(256))
         with pytest.raises(FitError):
-            measure_linear_decay(op256, g0, 0.5,
+            measure_linear_decay(op256, g0, [0.5],
                                  np.geomspace(1.0, 1e3, 10), (900.0, 1e3))
         with pytest.raises(ValueError):
-            measure_linear_decay(op256, g0, 0.6, np.geomspace(10.0, 1e3, 64), (1e2, 1e3))
+            measure_linear_decay(op256, g0, [0.6], np.geomspace(10.0, 1e3, 64), (1e2, 1e3))
 
 
 class TestBulkEdge:
@@ -473,9 +493,8 @@ class TestBulkEdge:
         g0 = decay_initial_data(PARAMS, Grid(512))
         ts = np.geomspace(10.0, 1000.0, 25)
         ms, qs = [], []
-        for t in ts:
-            gt = semigroup_apply(op512, g0, t)
-            m, _, q = bulk_edge_functionals(gt, t, alpha)
+        for t, gt in zip(ts, semigroup_apply(op512, g0, ts)):
+            m, _, q = bulk_edge_functionals(Field(Grid(512), gt), t, alpha)
             ms.append(m)
             qs.append(q)
         tb = 10.0 + ts
