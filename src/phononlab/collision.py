@@ -24,8 +24,10 @@ holds to quadrature accuracy only.
 A loop that applies C[f] or the perturbation right-hand side many times
 owns one whole table for as long as it runs (`collision_map`,
 `PerturbationTables`); the linearized assembly reads the table once, so
-`_packed_blocks` streams it as transient blocks (built by `map_blocks`,
-the row-block pool's one entry point) and holds no whole table.
+`_packed_blocks` streams the half of it that the reflection p -> 2pi - p
+maps onto the other half (`_half_entries`) as transient blocks (built by
+`map_blocks`, the row-block pool's one entry point) and holds no whole
+table.
 The whole table is the one path of C[f] on a grid, up to TABLE_MAX_N
 nodes; on a larger grid C[f], the perturbation tables and the `nonlin`
 run raise ResolutionError (`check_table_n`) before any table is built.
@@ -109,12 +111,10 @@ def _row_starts(n: int, r: np.ndarray) -> np.ndarray:
     return r * (2 * n - 1 - r) // 2
 
 
-def _pairs(n: int, entries):
-    """Node pairs (i, j) of the packed entries, a range (k0, k1) or an
-    ascending array, in the order of np.triu_indices(n, 1), without forming
-    the whole triangle."""
+def _pairs(n: int, k: np.ndarray):
+    """Node pairs (i, j) of the ascending packed indices k, in the order of
+    np.triu_indices(n, 1), without forming the whole triangle."""
     starts = _row_starts(n, np.arange(n))
-    k = np.arange(*entries) if isinstance(entries, tuple) else np.asarray(entries)
     i = np.searchsorted(starts, k, side="right") - 1
     return i, k - starts[i] + i + 1
 
@@ -134,6 +134,19 @@ def mirror_class(n: int) -> np.ndarray:
         + np.arange(size.sum())
 
 
+def _half_entries(n: int, k0: int, k1: int) -> np.ndarray:
+    """Packed indices of the entries k0 to k1 - 1, in table order, of the
+    half of the table with i + j <= n - 1: the mirror class, and after the
+    run of each row i < n // 2 its self-mirror pair (i, n - 1 - i), so a
+    run of n - 1 - 2i entries from the row's first.  n^2 / 4 entries in
+    all for an even n."""
+    size = n - 1 - 2 * np.arange(n // 2)
+    first = np.cumsum(size) - size  # the half's index of each row's first entry
+    k = np.arange(k0, k1)
+    r = np.searchsorted(first, k, side="right") - 1
+    return _row_starts(n, r) + k - first[r]
+
+
 class ResonanceTable:
     """Geometry and interpolation stencils of the tensor rule, one entry per
     node pair.
@@ -145,21 +158,19 @@ class ResonanceTable:
     (i, j) is the p1 side of (j, i), P3 := P1^T.  On the diagonal h(x, x) = 0
     exactly, so W = 0 there and the diagonal is not stored.  Entries run over
     the strict upper triangle in np.triu_indices(n, 1) order: all of them by
-    default, the packed range `entries` = (k0, k1), or the ascending array
-    `entries` of packed indices (`mirror_class`).  The table is built in
-    blocks of _TABLE_BLOCK entries on the row-block pool.  Building it is
-    the only O(n^2) trigonometric cost: a loop that reuses a whole table
-    owns one (`collision_map`, `PerturbationTables`), while the linearized
-    assembly streams transient blocks (`_packed_blocks`).
+    default, or the ascending array `entries` of packed indices
+    (`mirror_class`, `_half_entries`).  The table is built in blocks of
+    _TABLE_BLOCK entries on the row-block pool.  Building it is the only
+    O(n^2) trigonometric cost: a loop that reuses a whole table owns one
+    (`collision_map`, `PerturbationTables`), while the linearized assembly
+    streams transient blocks of half a table (`_packed_blocks`).
     """
 
     def __init__(self, grid: Grid, interp: str = "linear", entries=None):
         self.grid = grid
         self.interp = interp
         n = grid.n
-        if entries is None:
-            entries = (0, n * (n - 1) // 2)
-        self.i, self.j = _pairs(n, entries)
+        self.i, self.j = _pairs(n, np.arange(n * (n - 1) // 2) if entries is None else entries)
         size = self.i.size
         self.P1, self.P3, self.W = np.empty((3, size))
         points = len(interp_weights(grid, np.empty(0), interp)[0])  # checks interp too
@@ -198,18 +209,29 @@ class ResonanceTable:
 
 
 def _packed_blocks(grid: Grid, interp: str):
-    """A transient ResonanceTable for each block of _TABLE_BLOCK packed
-    entries, yielded in table order.  The blocks are built pool_workers()
-    at a time, one `map_blocks` call per group, and each leaves the
-    generator as it is yielded: at most pool_workers() blocks are alive
-    (one more while a caller keeps the last of a group), and no whole
-    table at any n.  A block's entries are computed elementwise, so they
-    carry the bits of the same slice of a whole table."""
-    size = grid.n * (grid.n - 1) // 2
+    """A transient ResonanceTable for each block of _TABLE_BLOCK entries of
+    the half of the table with i + j <= n - 1 (`_half_entries`), yielded in
+    table order, with W halved on the self-mirror pairs i + j = n - 1: the
+    half whose reflection is the other half, each self-mirror pair shared
+    by both.  A consumer sums a block's terms and adds the reflection of
+    the sum (`linearized`).  The blocks are built pool_workers() at a time,
+    one `map_blocks` call per group, and each leaves the generator as it is
+    yielded: at most pool_workers() blocks are alive (one more while a
+    caller keeps the last of a group), and no whole table at any n.  A
+    block's entries are computed elementwise, so they carry the bits of
+    the same entries of a whole table (halving is exact)."""
+    n = grid.n
+    size = (n // 2) * (n - n // 2)
     spans = [(k, min(k + _TABLE_BLOCK, size)) for k in range(0, size, _TABLE_BLOCK)]
+
+    def build(span):
+        tab = ResonanceTable(grid, interp, _half_entries(n, *span))
+        tab.W[tab.i + tab.j == n - 1] *= 0.5
+        return tab
+
     step = pool_workers()
     for g in range(0, len(spans), step):
-        group = map_blocks(lambda e: ResonanceTable(grid, interp, e), spans[g:g + step])[::-1]
+        group = map_blocks(build, spans[g:g + step])[::-1]
         while group:
             yield group.pop()
 

@@ -73,7 +73,8 @@ def spectrum_experiment(beta: float, gamma: float, grid_n: int, seed: int,
     """Assemble L and report its spectral structure and dissipation ratios.
 
     The ratios <-L g, g> / int a g^2 run over N_DISSIPATION_SAMPLES random
-    trigonometric g, kernel projected out, as one block with one product by L.
+    trigonometric g, kernel projected out, as one block with one block-wise
+    product by L (`LinOperator.apply`).
     """
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
@@ -87,7 +88,7 @@ def spectrum_experiment(beta: float, gamma: float, grid_n: int, seed: int,
     kp = np.arange(1, 13) * grid.nodes[:, None]
     G = np.hstack([np.cos(kp), np.sin(kp)]) @ coef.T  # one sample per column
     G -= kb @ (kb.T @ G)
-    ratios = np.sum(G * -(op.matrix @ G), axis=0) / np.sum(op.a.values[:, None] * G * G, axis=0)
+    ratios = np.sum(G * -op.apply(G), axis=0) / np.sum(op.a.values[:, None] * G * G, axis=0)
     return {
         "beta": beta, "gamma": gamma, "grid_n": grid_n,
         "eigenvalues": op.eigenvalues,

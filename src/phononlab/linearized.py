@@ -39,8 +39,26 @@ sub-blocks of the streamed table add the upper-triangle products of their
 stencils into one dense accumulator with np.add.at, entry by entry in table
 order, so the bits of L depend neither on the sub-block size nor on the
 worker count, and neither an (n^2 x n) matrix, nor a whole table, nor an
-n^2 temporary per sub-block is formed: the memory is the dense result plus
-the table blocks in flight and one sub-block's temporaries.
+n^2 temporary per sub-block is formed: the memory is the accumulator and
+the two blocks below, plus the table blocks in flight and one sub-block's
+temporaries.
+
+Parity.  The reflection p -> 2pi - p maps node k of the midpoint grid onto
+node n - 1 - k, and it keeps every Rayleigh-Jeans equilibrium and the
+resonance conditions, so L commutes with the reversal R.  The stream is
+the half of the table that R maps onto the other half: the pairs
+i + j < n - 1, and the self-mirror pairs i + j = n - 1 at half weight
+(`collision._packed_blocks`).  It sums L_h, and L = L_h + R L_h R.  For
+n = 2m, let A and B be the top m rows of L, split into the first and the
+last m columns, and J the reversal of m entries.  A symmetric matrix that
+commutes with R is, in the basis of the even vectors [x; Jx] and the odd
+vectors [x; -Jx], the sum of the even block E = A + BJ and the odd block
+O = A - BJ (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275-288).
+Only E, O and their eigenpairs are held, never the n x n eigenproblem;
+`LinOperator.matrix` forms L from the two blocks alone.  L_h is symmetric
+to the bit, so A[r, c] = L_h[r, c] + L_h[n-1-r, n-1-c] is too, and
+B[r, c] = L_h[r, m+c] + L_h[n-1-r, m-1-c] meets B^T = JBJ to the bit: both
+sides are the same two-term sum.  So E and O are symmetric to the bit.
 """
 
 from __future__ import annotations
@@ -64,9 +82,10 @@ from .quadrature import graded_midpoint_nodes
 T_BRACKET = 10.0  # time bracket in <t> = 10 + |t|
 SPECTRAL_FLOOR = 1e-8  # least half-width of the near-null eigenvalue band
 DECAY_NU = 0.5  # edge exponent nu of decay_initial_data: g0 ~ omega^nu
-# stencil-pair values per sub-block of the weak-form assembly: 512 KiB per
-# float64 temporary (2,048 table entries with linear interpolation), under
-# the mmap threshold that `collision` pins, so the heap reuses its pages
+# stencil-pair values per sub-block of the weak-form assembly, and values per
+# row chunk of its fold into the two blocks: 512 KiB per float64 temporary
+# (2,048 table entries with linear interpolation), under the mmap threshold
+# that `collision` pins, so the heap reuses its pages
 _BLOCK_VALUES = 1 << 16
 
 
@@ -89,14 +108,15 @@ def multiplier_a(params: RjParams, grid: Grid) -> Field:
     Uses the same nodes as the matrix assembly so that the diagonal and
     integral parts of L see identical quadrature (`assemble` takes a from
     the same blocks in its own pass, with the same bits).  Reads the streamed
-    table blocks of `_packed_blocks`, so no whole table is built or cached.
+    half-table blocks of `_packed_blocks`, so no whole table is built or
+    cached, and adds the reflection of their sum: a = a_h + R a_h.
     """
     fb = params.value(grid.nodes)
     a = np.zeros(grid.n)
     for tab in _packed_blocks(grid, "linear"):
         a += _frequency_sums(tab, fb, params.value(tab.P1), params.value(tab.P3))
         del tab  # before the next block is built: the blocks alive set the peak
-    return Field(grid, grid.weight * a / fb)
+    return Field(grid, grid.weight * (a + a[::-1]) / fb)
 
 
 def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
@@ -121,15 +141,43 @@ def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weak-form assembly
 
+def _halves(g: np.ndarray) -> tuple:
+    """(u, w), the even and odd parts of a vector (or of the columns of an
+    (n, k) array) on its top half: g = [u + w; J(u - w)]."""
+    m = g.shape[0] // 2
+    top, bot = g[:m], g[::-1][:m]
+    return (top + bot) / 2.0, (top - bot) / 2.0
+
+
+def _join(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[u + w; J(u - w)], the inverse of `_halves`."""
+    return np.concatenate([u + w, (u - w)[::-1]])
+
+
+def _apply(blocks, g: np.ndarray) -> np.ndarray:
+    """L g from the even and odd blocks: [Eu + Ow; J(Eu - Ow)]."""
+    u, w = _halves(g)
+    return _join(blocks[0] @ u, blocks[1] @ w)
+
+
+def _unfold(blocks) -> np.ndarray:
+    """L from its even and odd blocks: top rows [A, B] with A = (E + O)/2
+    and BJ = (E - O)/2, bottom rows their reflection R [A, B] R.  Symmetric
+    and R-invariant to the bit."""
+    E, O = blocks
+    top = np.hstack([(E + O) / 2.0, ((E - O) / 2.0)[:, ::-1]])
+    return np.vstack([top, top[::-1, ::-1]])
+
+
 @dataclass
 class LinOperator:
-    """Dense symmetric realization of L with its spectral data."""
+    """L as its even and odd blocks E and O (module doc), with each block's
+    eigenpairs: `eighs` holds (eigenvalues, eigenvectors) of E, then of O."""
     grid: Grid
     params: RjParams
     a: Field
-    matrix: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
+    eighs: tuple = field(repr=False)
     spectral_tol: float
     kernel_residuals: tuple
     sym_defect: float
@@ -138,6 +186,21 @@ class LinOperator:
     @property
     def equilibrium(self) -> Field:
         return rj_field(self.params, self.grid)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of L, ascending: those of both blocks merged."""
+        return np.sort(np.concatenate([lam for lam, _ in self.eighs]))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """L itself, formed from the two blocks alone (`_unfold`), so a cold
+        operator and its cache give the same bits."""
+        return _unfold(self.blocks)
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """L g for a vector or the columns of an (n, k) array, block-wise."""
+        return _apply(self.blocks, g)
 
     def kernel_basis(self) -> np.ndarray:
         """Orthonormal basis of span{fb, omega*fb} in the discrete pairing."""
@@ -149,8 +212,11 @@ class LinOperator:
         return int(np.sum(np.abs(self.eigenvalues) <= self.spectral_tol))
 
     def near_null_vectors(self) -> np.ndarray:
-        keep = np.abs(self.eigenvalues) <= self.spectral_tol
-        return self.eigenvectors[:, keep]
+        """The even block's near-null eigenvectors v, lifted to [v; Jv]/sqrt 2
+        (`assemble` checks that the odd block has none)."""
+        lam, V = self.eighs[0]
+        v = V[:, np.abs(lam) <= self.spectral_tol]
+        return np.vstack([v, v[::-1]]) / np.sqrt(2.0)
 
 
 def _add_block(A: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarray:
@@ -182,19 +248,42 @@ def _add_block(A: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarr
     return sums
 
 
+def _fold(A: np.ndarray, inv_fb: np.ndarray, scale: float) -> tuple:
+    """(E, O) of L = L_h + R L_h R, where L_h = scale (A + A^T) / (fb fb^T),
+    symmetric to the bit, is formed a chunk of rows at a time: the top rows
+    of L are T = L_h[:m] + (R L_h R)[:m] = [A, B], and E = A + BJ,
+    O = A - BJ, with BJ the last m columns of T in reverse order."""
+    n = inv_fb.size
+    m = n // 2
+
+    def rows(k):  # rows k of L_h
+        return (A[k] + A[:, k].T) * (inv_fb[k, None] * inv_fb) * scale
+
+    E, O = np.empty((2, m, m))
+    step = max(1, _BLOCK_VALUES // n)
+    for r0 in range(0, m, step):
+        k = np.arange(r0, min(r0 + step, m))
+        T = rows(k) + rows(n - 1 - k)[:, ::-1]
+        E[k] = T[:, :m] + T[:, ::-1][:, :m]
+        O[k] = T[:, :m] - T[:, ::-1][:, :m]
+    return E, O
+
+
 def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
-    """(L, a): L from its Dirichlet form, assembled stencil by stencil
-    (module doc), and the collision frequency a from the same tables, bit
-    for bit that of `multiplier_a`.
+    """(E, O, a): L from its Dirichlet form as its even and odd blocks,
+    assembled stencil by stencil from half of the table (module doc), and
+    the collision frequency a from the same tables, bit for bit that of
+    `multiplier_a`.
 
     A collects measure_r c_a c_b at (node_a, node_b) for every pair a <= b
     of stencil entries, diagonal pairs halved, so A + A^T sums
-    measure_r s_r s_r^T over the pairs j > i: half of Q.  The table
-    arrives as the streamed blocks of `_packed_blocks` (no whole table is
-    built or cached), and `_add_block` adds each into A in table order, so
-    every entry of A is summed in the same order whatever the block sizes
-    and the worker count.  L scales Q by the outer product of 1/fb, which
-    commutes, so L equals L^T to the bit.
+    measure_r s_r s_r^T over the streamed pairs: half of Q_h.  The table
+    arrives as the streamed half-table blocks of `_packed_blocks` (no whole
+    table is built or cached), and `_add_block` adds each into A in table
+    order, so every entry of A is summed in the same order whatever the
+    block sizes and the worker count.  L_h scales Q_h by the outer product
+    of 1/fb, which commutes, so L_h equals L_h^T to the bit, and `_fold`
+    reflects it into the blocks.
     """
     n = grid.n
     fb = params.value(grid.nodes)
@@ -203,48 +292,58 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
     for tab in _packed_blocks(grid, interp):
         a += _add_block(A, tab, params, fb)
         del tab  # before the next block is built: the blocks alive set the peak
-    A = A.reshape(n, n)
-    L = A + A.T  # Q / 2, scaled in place to L = -(weight / 4) Q / (fb fb^T)
-    del A  # so L is the only other n^2 array alive beside the outer product below
-    inv_fb = 1.0 / fb
-    L *= inv_fb[:, None] * inv_fb[None, :]
-    L *= -(grid.weight / 2.0)
-    return L, grid.weight * a / fb
+    # L_h = -(weight / 4) Q_h / (fb fb^T), Q_h / 2 = A + A^T
+    E, O = _fold(A.reshape(n, n), 1.0 / fb, -(grid.weight / 2.0))
+    return E, O, grid.weight * (a + a[::-1]) / fb
+
+
+def _check_parity(even: np.ndarray, odd: np.ndarray, spectral_tol: float) -> None:
+    """Raise SpectralError unless the even block's eigenvalues lie at most
+    spectral_tol above zero with exactly two (the conservation modes) within
+    +-spectral_tol, and the odd block's lie strictly below -spectral_tol."""
+    if float(even[-1]) > spectral_tol:
+        raise SpectralError(
+            f"positive eigenvalue {even[-1]:.3e} exceeds spectral_tol {spectral_tol:.3e}")
+    n_null = int(np.sum(np.abs(even) <= spectral_tol))
+    if n_null != 2:
+        raise SpectralError(f"{n_null} eigenvalues of the even block within "
+                            f"+-{spectral_tol:.3e} of zero; expected the 2 conservation modes")
+    if not float(odd[-1]) < -spectral_tol:
+        raise SpectralError(f"the odd block's top eigenvalue {odd[-1]:.3e} is not below "
+                            f"-spectral_tol = {-spectral_tol:.3e}")
 
 
 def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperator:
-    """Assemble L, eigendecompose, and verify its spectral structure.
+    """Assemble L as its even and odd blocks, eigendecompose each, and
+    verify its spectral structure.
 
-    Raises SpectralError if any eigenvalue exceeds the spectral tolerance or
-    if the near-null band does not contain exactly the two conservation
-    modes.
+    Raises ConfigError for gamma <= 0, n < 64 or an odd n (the blocks need
+    n even), and SpectralError (`_check_parity`) unless the even block holds
+    both conservation modes, exactly two eigenvalues within the spectral
+    tolerance and none above it, and the odd block lies strictly below it.
     """
     if params.gamma <= 0.0:
         raise ConfigError("the linearized analysis requires gamma > 0")
     if grid.n < 64:
         raise ConfigError("assemble needs n >= 64")
-    L, a = _weak_form_matrix(params, grid, interp)
-    sym_defect = float(np.max(np.abs(L - L.T)) / np.max(np.abs(L)))
+    if grid.n % 2:
+        raise ConfigError(f"assemble needs an even n, got {grid.n}: L splits into the "
+                          "even and odd blocks of the reflection p -> 2pi - p")
+    E, O, a = _weak_form_matrix(params, grid, interp)
+    blocks = (E, O)
+    sym_defect = max(float(np.max(np.abs(B - B.T))) for B in blocks) \
+        / max(float(np.max(np.abs(B))) for B in blocks)
 
     fb = params.value(grid.nodes)
     wfb = grid.omega * fb
-    r1 = float(np.linalg.norm(L @ fb) / np.linalg.norm(fb))
-    r2 = float(np.linalg.norm(L @ wfb) / np.linalg.norm(wfb))
-    tol_ker = max(r1, r2)
-    spectral_tol = max(SPECTRAL_FLOOR, 10.0 * tol_ker)
+    r1 = float(np.linalg.norm(_apply(blocks, fb)) / np.linalg.norm(fb))
+    r2 = float(np.linalg.norm(_apply(blocks, wfb)) / np.linalg.norm(wfb))
+    spectral_tol = max(SPECTRAL_FLOOR, 10.0 * max(r1, r2))
 
-    evals, evecs = np.linalg.eigh(L)
-    if float(evals[-1]) > spectral_tol:
-        raise SpectralError(
-            f"positive eigenvalue {evals[-1]:.3e} exceeds spectral_tol {spectral_tol:.3e}")
-    n_null = int(np.sum(np.abs(evals) <= spectral_tol))
-    if n_null != 2:
-        raise SpectralError(
-            f"{n_null} eigenvalues within +-{spectral_tol:.3e} of zero; expected 2")
-
-    return LinOperator(grid=grid, params=params, a=Field(grid, a), matrix=L,
-                       eigenvalues=evals, eigenvectors=evecs,
-                       spectral_tol=spectral_tol,
+    eighs = tuple(np.linalg.eigh(B) for B in blocks)
+    _check_parity(eighs[0][0], eighs[1][0], spectral_tol)
+    return LinOperator(grid=grid, params=params, a=Field(grid, a), blocks=blocks,
+                       eighs=eighs, spectral_tol=spectral_tol,
                        kernel_residuals=(r1, r2), sym_defect=sym_defect,
                        interp=interp)
 
@@ -253,16 +352,17 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperato
 # semigroup, projections, decay measurement
 
 def semigroup_apply(op: LinOperator, g0: Field, times) -> np.ndarray:
-    """e^{tL} g0 for every t in `times`, exact in time: one row per time,
-    all from one product V (exp(lambda t^T) * V^T g0) through the
-    eigendecomposition L = V diag(lambda) V^T.  A row at t = 0 is g0 bit for
-    bit.  Raises ValueError on a negative or non-finite time."""
+    """e^{tL} g0 for every t in `times`, exact in time: one row per time.
+    g0's even and odd parts each run through their block's
+    eigendecomposition, V (exp(lambda t^T) * V^T u), in one product per
+    block.  A row at t = 0 is g0 bit for bit.  Raises ValueError on a
+    negative or non-finite time."""
     t = np.asarray(times, dtype=float)
     bad = t[~((0.0 <= t) & (t < np.inf))]  # NaN included
     if bad.size:
         raise ValueError(f"a time must be nonnegative and finite, got {bad[0]}")
-    c = op.eigenvectors.T @ g0.values
-    states = (op.eigenvectors @ (np.exp(np.outer(op.eigenvalues, t)) * c[:, None])).T
+    states = _join(*(V @ (np.exp(np.outer(lam, t)) * (V.T @ u)[:, None])
+                     for (lam, V), u in zip(op.eighs, _halves(g0.values)))).T
     states[t == 0.0] = g0.values
     return states
 
@@ -332,17 +432,20 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 # 01: sparse assembly, no checksum; 02: full table; 03: per-sub-block bincount,
 # whose L differs at rounding from the table-order np.add.at of 04
 # 05: W from the triple-product identity; L differs at rounding from 04
-_MAGIC = b"PHLNOP05"
+# 06: the even and odd blocks from half of the table; L differs at rounding
+_MAGIC = b"PHLNOP06"
 # magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
 _HEADER_BYTES = 8 + 32 + 40
 
 
 def save_operator(op: LinOperator, path) -> None:
-    """Binary cache: key header plus little-endian float64 payload.  It is
-    written to a temporary file beside `path` and renamed into place, so
-    `path` never holds a partly written file."""
+    """Binary cache: key header plus little-endian float64 payload (a, E, O
+    and each block's eigenpairs).  It is written to a temporary file beside
+    `path` and renamed into place, so `path` never holds a partly written
+    file."""
+    (lam_e, v_e), (lam_o, v_o) = op.eighs
     payload = [np.ascontiguousarray(arr, dtype="<f8")
-               for arr in (op.a.values, op.matrix, op.eigenvalues, op.eigenvectors)]
+               for arr in (op.a.values, *op.blocks, lam_e, v_e, lam_o, v_o)]
     crc = 0
     for arr in payload:
         crc = zlib.crc32(arr, crc)
@@ -374,11 +477,13 @@ def load_operator(path) -> LinOperator:
         n, interp_code, beta, gamma, spectral_tol, r1, r2, sym_defect, crc = \
             struct.unpack_from("<qq6dQ", head, 8)
         size = os.fstat(fh.fileno()).st_size
-        want = _HEADER_BYTES + 8 * (2 * n + 2 * n * n)
-        if size != want:
+        m = n // 2  # a, E, O, then each block's eigenvalues and eigenvectors
+        shapes = (n, (m, m), (m, m), m, (m, m), m, (m, m))
+        want = _HEADER_BYTES + 8 * sum(int(np.prod(s)) for s in shapes)
+        if size != want or n < 2 or n % 2:
             raise ValueError(f"{path} has {size} bytes; its header (n={n}) implies {want}")
-        a, matrix, evals, evecs = payload = \
-            [np.empty(shape, dtype="<f8") for shape in (n, (n, n), n, (n, n))]
+        a, E, O, lam_e, v_e, lam_o, v_o = payload = \
+            [np.empty(shape, dtype="<f8") for shape in shapes]
         got = 0
         for arr in payload:
             fh.readinto(arr)
@@ -387,8 +492,8 @@ def load_operator(path) -> LinOperator:
         raise ValueError(f"{path} fails its checksum")
     grid = Grid(int(n))
     params = RjParams(beta=beta, gamma=gamma)
-    return LinOperator(grid=grid, params=params, a=Field(grid, a), matrix=matrix,
-                       eigenvalues=evals, eigenvectors=evecs,
+    return LinOperator(grid=grid, params=params, a=Field(grid, a), blocks=(E, O),
+                       eighs=((lam_e, v_e), (lam_o, v_o)),
                        spectral_tol=spectral_tol, kernel_residuals=(r1, r2),
                        sym_defect=sym_defect,
                        interp="linear" if interp_code == 0 else "cubic")

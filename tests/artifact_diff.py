@@ -22,12 +22,19 @@ column (or the JSON field that moved most) and D.  Of
 records wall time and environment; a change that moves a hash shows.
 Beside each manifest's verdict the line reports its `wall_time_s` on both
 sides, as a report only: it decides nothing.  A
-binary artifact (the operator cache) is compared byte for byte.  Exits 1
+binary artifact (the operator cache) is compared byte for byte when both
+sides carry the same magic tag (see below).  Exits 1
 when an artifact exists on one side only, when the two sides differ in
 anything but numbers, when a series moved by more than D, or when a
 manifest's status or config hash differs; else 0.  The name keeps the
 script out of pytest collection; tests/test_artifact_diff.py tests
 `compare`.
+
+An operator cache whose magic tag differs between the sides (a format
+change) is decoded instead, for every layout in CACHE_LAYOUTS: its line
+reads `format changed (tag A → B)`, the key in the two headers must agree,
+and `a` and the sorted eigenvalues are judged as numeric series under D.
+A tag missing from CACHE_LAYOUTS fails.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -106,6 +114,62 @@ def _fields(path: Path) -> list:
             for c, cell in enumerate(row)]
 
 
+# operator cache layouts: the magic tag, then the key (n, interp, beta, gamma),
+# 4 diagnostics and a checksum (80 bytes in all), then float64 arrays, each
+# named with its length for a grid of n nodes; the eigenvalues are the
+# arrays named "eigenvalues*"
+_CACHE_HEADER = 80
+CACHE_LAYOUTS = {
+    b"PHLNOP05": lambda n: [("a", n), ("matrix", n * n), ("eigenvalues", n),
+                            ("eigenvectors", n * n)],
+    b"PHLNOP06": lambda n: [("a", n), ("even", n * n // 4), ("odd", n * n // 4),
+                            ("eigenvalues_even", n // 2), ("eigenvectors_even", n * n // 4),
+                            ("eigenvalues_odd", n // 2), ("eigenvectors_odd", n * n // 4)],
+}
+
+
+def decode_cache(data: bytes):
+    """(key, {"a": [...], "eigenvalues": sorted [...]}) of an operator cache
+    in a layout of CACHE_LAYOUTS, or None when its tag or size fits none."""
+    layout = CACHE_LAYOUTS.get(data[:8])
+    if layout is None or len(data) < _CACHE_HEADER:
+        return None
+    key = struct.unpack_from("<qqdd", data, 8)
+    arrays = layout(key[0])
+    if len(data) != _CACHE_HEADER + 8 * sum(size for _, size in arrays):
+        return None
+    out, at = {"a": [], "eigenvalues": []}, _CACHE_HEADER
+    for name, size in arrays:
+        name = "eigenvalues" if name.startswith("eigenvalues") else name
+        if name in out:
+            out[name] += struct.unpack_from(f"<{size}d", data, at)
+        at += 8 * size
+    out["eigenvalues"].sort()
+    return key, out
+
+
+def _compare_caches(da: bytes, db: bytes, max_scaled: float) -> tuple[str, bool]:
+    """The verdict on two operator caches of different formats."""
+    tags = [d[:8].decode(errors="replace") for d in (da, db)]
+    line = f"format changed (tag {tags[0]} → {tags[1]})"
+    got = [decode_cache(d) for d in (da, db)]
+    if None in got:
+        return f"{line}, not decoded", False
+    (ka, va), (kb, vb) = got
+    if ka != kb:
+        return f"{line}, keys differ: {ka} vs {kb}", False
+    worst = []
+    for name in ("a", "eigenvalues"):
+        diff = max(abs(x - y) for x, y in zip(va[name], vb[name]))
+        scale = max(abs(x) for x in va[name] + vb[name])
+        worst.append((diff / scale if scale else 0.0, name))
+    ratio, name = max(worst)
+    line = f"{line}, max abs diff / max |value| {ratio:.3e} ({name!r})"
+    if ratio > max_scaled:
+        return f"{line} exceeds --max-scaled {max_scaled:g}", False
+    return line, True
+
+
 def compare(a: Path, b: Path, max_scaled: float = 0.0) -> tuple[str, bool]:
     """(verdict line, ok) for one artifact present on both sides; a numeric
     series whose largest absolute difference, scaled by its largest
@@ -117,9 +181,12 @@ def compare(a: Path, b: Path, max_scaled: float = 0.0) -> tuple[str, bool]:
             if ma[key] != mb[key]:
                 return f"{key} {ma[key]!r} vs {mb[key]!r} {wall}", False
         return f"identical {wall}", True
-    if a.read_bytes() == b.read_bytes():
+    da, db = a.read_bytes(), b.read_bytes()
+    if da == db:
         return "identical", True
     if a.suffix not in (".json", ".csv"):
+        if da[:8] != db[:8] and da[:6] == db[:6] == b"PHLNOP":
+            return _compare_caches(da, db, max_scaled)
         return "bytes differ", False
     fa, fb = _fields(a), _fields(b)
     if [f[:2] for f in fa] != [f[:2] for f in fb]:

@@ -10,8 +10,11 @@ branches of the inverse of h (`h_inverse_pair`).  The full-table oracles
 evaluate the tensor rule on all n^2 ordered node pairs, with no use of the
 exchange symmetry that the package's packed resonance table relies on, and
 the cached-slice blocks read one whole packed table where the package
-streams transient blocks.  `project_out_kernel` makes kernel-orthogonal test
-data with the plain projection onto `LinOperator.kernel_basis`, and
+streams transient blocks.  `whole_weak_form` assembles L from every pair of
+the packed table, where the package reads half of it and reflects the sum
+into the even and odd blocks.  `project_out_kernel` makes kernel-orthogonal
+test data with the plain projection onto `LinOperator.kernel_basis`,
+`trig_sample` draws the random trigonometric data of the tests, and
 `dissipation_ratios` draws the dissipation samples one at a time.  `h_tan` and
 `clamped_arcsin` are the resonant partner as it was built before its
 diagonal guard and its clip were made conditional, kept as the reference the
@@ -22,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from phononlab import collision
+from phononlab import collision, linearized
 from phononlab.equilibria import RjParams
 from phononlab.errors import DomainError, NonFiniteError, PhononLabError
 from phononlab.grid import Field, Grid, gather, interp_weights
@@ -108,18 +111,50 @@ def full_table(grid: Grid, interp: str = "linear"):
                            i3=interp_weights(grid, P3, interp))
 
 
+def _entries(tab, k):
+    """The entries k (an index array or a slice) of a ResonanceTable, in the
+    form of a transient table (copies, for an index array)."""
+    return SimpleNamespace(
+        grid=tab.grid, interp=tab.interp,
+        **{name: getattr(tab, name)[k] for name in ("i", "j", "P1", "P3", "W")},
+        **{side: tuple(tuple(x[k] for x in part) for part in getattr(tab, side))
+           for side in ("i1", "i3")})
+
+
 def cached_slice_blocks(grid: Grid, interp: str = "linear"):
-    """The packed table built whole, then read in blocks of
-    collision._TABLE_BLOCK entries: views of its slices, in the form of the
-    transient tables that collision._packed_blocks streams."""
+    """The half of the packed table with i + j <= n - 1 read from one whole
+    table in blocks of collision._TABLE_BLOCK entries, W halved on the
+    self-mirror pairs i + j = n - 1: in the form of the transient tables
+    that collision._packed_blocks streams."""
+    n = grid.n
     tab = collision.ResonanceTable(grid, interp)
+    half = np.flatnonzero(tab.i + tab.j <= n - 1)
+    for k0 in range(0, half.size, collision._TABLE_BLOCK):
+        block = _entries(tab, half[k0:k0 + collision._TABLE_BLOCK])
+        block.W[block.i + block.j == n - 1] *= 0.5
+        yield block
+
+
+def whole_weak_form(params: RjParams, grid: Grid, interp: str = "linear"):
+    """(L, a) from every pair of the packed table, each counting for both
+    of its orders: the assembly as it was before the package read half of
+    the table and reflected it.  The table is built whole and read in
+    slices of collision._TABLE_BLOCK entries, which `linearized._add_block`
+    adds into one accumulator in table order."""
+    n = grid.n
+    fb = params.value(grid.nodes)
+    tab = collision.ResonanceTable(grid, interp)
+    a = np.zeros(n)
+    A = np.zeros(n * n)
     for k0 in range(0, tab.W.size, collision._TABLE_BLOCK):
-        s = slice(k0, k0 + collision._TABLE_BLOCK)
-        yield SimpleNamespace(
-            grid=grid, interp=interp,
-            **{name: getattr(tab, name)[s] for name in ("i", "j", "P1", "P3", "W")},
-            **{side: tuple(tuple(x[s] for x in part) for part in getattr(tab, side))
-               for side in ("i1", "i3")})
+        block = _entries(tab, slice(k0, k0 + collision._TABLE_BLOCK))
+        a += linearized._add_block(A, block, params, fb)
+    A = A.reshape(n, n)
+    L = A + A.T
+    inv_fb = 1.0 / fb
+    L *= inv_fb[:, None] * inv_fb[None, :]
+    L *= -(grid.weight / 2.0)
+    return L, grid.weight * a / fb
 
 
 def full_collision(f, interp: str = "linear") -> np.ndarray:
@@ -141,18 +176,29 @@ def project_out_kernel(op: LinOperator, g: Field) -> Field:
     return Field(op.grid, vals)
 
 
-def dissipation_ratios(op: LinOperator, seed: int, samples: int = 100) -> list:
-    """<-L g, g> / int a g^2 over random trigonometric g (12 cosine and 12
-    sine modes, kernel projected out), one sample at a time: the reference
-    for `spectrum_experiment`'s block of samples, drawn in the same order."""
+def trig_sample(nodes: np.ndarray, seed, modes: int = 12) -> np.ndarray:
+    """sum_k c_k cos((k + 1) p) + s_k sin((k + 1) p) at the nodes, the
+    `modes` cosine coefficients and then the `modes` sine coefficients drawn
+    as two normal(modes) calls from np.random.default_rng(seed): a new
+    generator for an integer seed, the generator itself, which draws on,
+    for a Generator.  The random trigonometric data of the tests."""
     rng = np.random.default_rng(seed)
-    nodes, a, kb = op.grid.nodes, op.a.values, op.kernel_basis()
+    c = rng.normal(size=modes)
+    s = rng.normal(size=modes)
+    return sum(c[k] * np.cos((k + 1) * nodes) + s[k] * np.sin((k + 1) * nodes)
+               for k in range(modes))
+
+
+def dissipation_ratios(op: LinOperator, seed: int, samples: int = 100) -> list:
+    """<-L g, g> / int a g^2 over random trigonometric g (`trig_sample`,
+    kernel projected out), one sample at a time from one generator, with L
+    as a whole matrix: the reference for `spectrum_experiment`'s block of
+    samples, drawn in the same order."""
+    rng = np.random.default_rng(seed)
+    a, kb = op.a.values, op.kernel_basis()
     ratios = []
     for _ in range(samples):
-        c = rng.normal(size=12)
-        s = rng.normal(size=12)
-        g = sum(c[k] * np.cos((k + 1) * nodes) + s[k] * np.sin((k + 1) * nodes)
-                for k in range(12))
+        g = trig_sample(op.grid.nodes, rng)
         g = g - kb @ (kb.T @ g)
         ratios.append(float((g @ -(op.matrix @ g)) / ((a * g) @ g)))
     return ratios

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import trig_sample
 from phononlab import experiments as ex
 from phononlab.collision import collision_operator
 from phononlab.equilibria import RATIO_LIMIT, RjParams, mass_energy, match_rj, rj_field
@@ -54,14 +55,6 @@ def op256():
 @pytest.fixture(scope="module")
 def op512():
     return assemble(PARAMS11, Grid(512))
-
-
-def smooth_seeded(grid, seed, modes=12):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=modes)
-    s = rng.normal(size=modes)
-    return sum(c[k] * np.cos((k + 1) * grid.nodes) + s[k] * np.sin((k + 1) * grid.nodes)
-               for k in range(modes))
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -126,7 +119,7 @@ def test_criterion_4_dissipation_ratio(op256, op512):
         a = op.a.values
         ratios = []
         for seed in range(100):
-            v = smooth_seeded(g, seed)
+            v = trig_sample(g.nodes, seed)
             v = v - kb @ (kb.T @ v)
             ratios.append(float((v @ (-op.matrix @ v)) / ((a * v) @ v)))
         mins[g.n] = min(ratios)

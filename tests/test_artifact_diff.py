@@ -1,9 +1,10 @@
 import json
 import math
+import struct
 
 import pytest
 
-from artifact_diff import compare, main
+from artifact_diff import CACHE_LAYOUTS, compare, main
 
 
 def write_csv(path, rows):
@@ -53,3 +54,64 @@ def test_negative_bound_is_a_usage_error(tmp_path, capsys):
         main([str(tmp_path), str(tmp_path), "--max-scaled", "-1"])
     assert exc.value.code == 2
     assert "--max-scaled must be at least 0" in capsys.readouterr().err
+
+
+def write_cache(path, tag, a, eigenvalues, n=4, fill=0.5):
+    """A synthetic operator cache in the layout of `tag`, key (n, linear,
+    1, 1); every array but a and the eigenvalues holds `fill`."""
+    head = tag + struct.pack("<qqdd", n, 0, 1.0, 1.0) + struct.pack("<ddddQ", 0, 0, 0, 0, 0)
+    values = {"a": list(a)}
+    if tag == b"PHLNOP05":
+        values["eigenvalues"] = list(eigenvalues)
+    else:  # the even block's eigenvalues, then the odd block's
+        values["eigenvalues_even"] = list(eigenvalues[::2])
+        values["eigenvalues_odd"] = list(eigenvalues[1::2])
+    body = b"".join(struct.pack(f"<{size}d", *values.get(name, [fill] * size))
+                    for name, size in CACHE_LAYOUTS[tag](n))
+    path.write_bytes(head + body)
+    return path
+
+
+A = [1.0, 2.0, 2.0, 1.0]
+EIGS = [-3.0, -2.0, -1e-12, 0.0]
+
+
+def test_cache_same_tag_is_compared_byte_for_byte(tmp_path):
+    a = write_cache(tmp_path / "a.bin", b"PHLNOP06", A, EIGS)
+    assert compare(a, write_cache(tmp_path / "b.bin", b"PHLNOP06", A, EIGS), 1.0) \
+        == ("identical", True)
+    # the same a and eigenvalues, another eigenvector: bytes differ at any D
+    b = write_cache(tmp_path / "b.bin", b"PHLNOP06", A, EIGS, fill=0.25)
+    assert compare(a, b, 1.0) == ("bytes differ", False)
+
+
+def test_cache_tag_change_within_bound(tmp_path):
+    # the eigenvalues come in another order and move by one ulp of 3
+    a = write_cache(tmp_path / "a.bin", b"PHLNOP05", A, EIGS)
+    moved = [math.nextafter(-3.0, 0.0)] + EIGS[1:]
+    b = write_cache(tmp_path / "b.bin", b"PHLNOP06", A, moved[::-1])
+    line, good = compare(a, b, 1e-15)
+    assert good
+    assert line.startswith("format changed (tag PHLNOP05 → PHLNOP06)")
+    assert "'eigenvalues'" in line
+    line, good = compare(a, b, 0.0)
+    assert not good and "exceeds --max-scaled" in line
+
+
+def test_cache_tag_change_beyond_bound(tmp_path):
+    a = write_cache(tmp_path / "a.bin", b"PHLNOP05", A, EIGS)
+    b = write_cache(tmp_path / "b.bin", b"PHLNOP06", [1.0, 2.0, 2.0 + 1e-9, 1.0], EIGS)
+    line, good = compare(a, b, 1e-13)
+    assert not good
+    assert line.startswith("format changed (tag PHLNOP05 → PHLNOP06)")
+    assert "('a') exceeds --max-scaled" in line
+
+
+def test_cache_tag_change_with_another_key_or_layout_fails(tmp_path):
+    a = write_cache(tmp_path / "a.bin", b"PHLNOP05", A, EIGS)
+    other_n = write_cache(tmp_path / "b.bin", b"PHLNOP06", A + A, EIGS + EIGS, n=8)
+    assert "keys differ" in compare(a, other_n, 1.0)[0]
+    unknown = tmp_path / "c.bin"
+    unknown.write_bytes(b"PHLNOP99" + a.read_bytes()[8:])
+    assert compare(a, unknown, 1.0) == \
+        ("format changed (tag PHLNOP05 → PHLNOP99), not decoded", False)

@@ -576,9 +576,10 @@ class TestOperatorCache:
             cache.write_bytes(bytes(damaged))
         else:
             # the tags of the sparse assembly's format, which had no checksum,
-            # of the full-table and bincount assemblies', and of the omega
-            # product's kernel weight, whose L differs at rounding
-            for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03", b"PHLNOP04"):
+            # of the full-table and bincount assemblies', of the omega
+            # product's kernel weight, whose L differs at rounding, and of
+            # the whole n x n layout before the even and odd blocks
+            for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03", b"PHLNOP04", b"PHLNOP05"):
                 cache.write_bytes(tag + first_cache[8:])
                 assert run_cli(args) == EXIT_OK
                 assert cache.read_bytes() == first_cache
@@ -586,6 +587,26 @@ class TestOperatorCache:
         assert {name: (out / name).read_bytes() for name in names} == first
         assert cache.read_bytes() == first_cache
         assert sorted(p.name for p in (out / "cache").iterdir()) == [cache.name]
+
+    @pytest.mark.parametrize("args", [
+        ["lin-decay", "--grid-n", 128, "--t-final", 400.0],
+        ["nonlin", "--grid-n", 128, "--t-final", 20.0, "--dt", 1.0],
+    ], ids=["lin-decay", "nonlin"])
+    def test_cold_and_cached_runs_write_the_same_artifacts(self, args, tmp_path,
+                                                           monkeypatch):
+        # the operator read back from its cache has the bits of the one
+        # assembled, so do L formed from its blocks and every artifact
+        from phononlab import linearized
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            assert run_cli(["--output-dir", out, *args]) == EXIT_OK
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()
+                         if p.is_file() and p.name != "manifest.json"})
+            # the second run must read the cache
+            monkeypatch.setattr(linearized, "assemble", None)
+        assert runs[0] == runs[1] and len(runs[0]) >= 2
+        assert len(list((out / "cache").glob("linop_*.bin"))) == 1
 
     def test_unreadable_cache_is_io_error(self, tmp_path, capsys):
         # a directory where the cache file should be: IsADirectoryError on read

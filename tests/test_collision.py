@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import fold_search, full_collision
+from oracles import fold_search, full_collision, trig_sample
 from phononlab import collision, dynamics, experiments, linearized
 from phononlab.collision import (blowup_points, collision_operator,
                                  conserved_quantities, entropy, three_bumps)
@@ -20,12 +20,7 @@ RNG = np.random.default_rng(11)
 
 
 def smooth_positive_field(grid, seed=0, amp=0.3):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=6)
-    s = rng.normal(size=6)
-    base = sum(c[k] * np.cos((k + 1) * grid.nodes) + s[k] * np.sin((k + 1) * grid.nodes)
-               for k in range(6)) / 6.0
-    return Field(grid, 1.0 + amp * base)
+    return Field(grid, 1.0 + amp * (trig_sample(grid.nodes, seed, modes=6) / 6.0))
 
 
 class TestCollisionOperator:
@@ -146,11 +141,12 @@ class TestCollisionOperator:
                 assert np.array_equal(a, b)
 
     def test_packed_pairs_without_the_triangle(self):
-        # the node pairs of any packed range, in np.triu_indices(n, 1) order
+        # the node pairs of any run of packed indices, in np.triu_indices(n, 1)
+        # order
         for n in (16, 17, 100):
             i, j = np.triu_indices(n, 1)
             for k0, k1 in ((0, i.size), (0, 1), (5, 77), (i.size - 3, i.size)):
-                got_i, got_j = collision._pairs(n, (k0, k1))
+                got_i, got_j = collision._pairs(n, np.arange(k0, k1))
                 assert np.array_equal(got_i, i[k0:k1])
                 assert np.array_equal(got_j, j[k0:k1])
 
@@ -361,12 +357,14 @@ class TestMapBlocks:
 class TestPackedBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_in_order_and_bounded_ahead(self, monkeypatch, workers):
-        # n = 300: 44,850 packed entries, 8 blocks of 5,000 and a ragged one.
-        # A slow caller gets the blocks in table order, with the bits of the
-        # whole table, and while it holds block k at most k + workers blocks
-        # have been started
+        # n = 300: 22,500 entries with i + j <= n - 1, 4 blocks of 5,000 and
+        # a ragged one.  A slow caller gets the blocks in table order, with
+        # the bits of the same entries of the whole table and W halved on
+        # the self-mirror pairs, and while it holds block k at most
+        # k + workers blocks have been started
         n = 300
         whole = collision.ResonanceTable(Grid(n))
+        half = np.flatnonzero(whole.i + whole.j <= n - 1)
         monkeypatch.setenv("PHONON_THREADS", str(workers))
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5_000)
         init, started = collision.ResonanceTable.__init__, []
@@ -380,13 +378,26 @@ class TestPackedBlocks:
         for k, tab in enumerate(collision._packed_blocks(Grid(n), "linear")):
             time.sleep(0.005)
             assert len(started) <= k + workers
-            s = slice(end, end + tab.W.size)
-            assert started[k] == (s.start, min(s.start + 5_000, whole.W.size))
-            for name in ("i", "j", "P1", "P3", "W"):
+            s = half[end:end + tab.W.size]
+            # pool workers may start the blocks of a group in either order
+            assert any(np.array_equal(e, s) for e in started)
+            for name in ("i", "j", "P1", "P3"):
                 assert np.array_equal(getattr(tab, name), getattr(whole, name)[s])
-            end = s.stop
-        assert k == 8 and end == whole.W.size == n * (n - 1) // 2
-        assert len(started) == 9
+            mirror = whole.i[s] + whole.j[s] == n - 1
+            assert np.array_equal(tab.W, np.where(mirror, 0.5, 1.0) * whole.W[s])
+            end += tab.W.size
+        assert k == 4 and end == half.size == (n // 2) ** 2
+        assert len(started) == 5
+
+    @pytest.mark.parametrize("n", [16, 17, 100, 256])
+    def test_half_entries(self, n):
+        # the half table is the mirror class followed, in each row, by its
+        # self-mirror pair; any span of it is the same slice of the whole
+        i, j = np.triu_indices(n, 1)
+        half = np.flatnonzero(i + j <= n - 1)
+        assert np.array_equal(collision._half_entries(n, 0, half.size), half)
+        assert np.array_equal(collision._half_entries(n, 5, half.size - 3), half[5:-3])
+        assert half.size == (n // 2) * (n - n // 2)
 
 
 class TestMallocPin:

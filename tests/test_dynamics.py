@@ -322,7 +322,7 @@ class TestTableOwnership:
     @staticmethod
     def track_tables(monkeypatch):
         """Weak references to every ResonanceTable built from now on, with
-        the packed range each was built for (None for a whole table)."""
+        the packed entries each was built for (None for a whole table)."""
         built = []
         init = ResonanceTable.__init__
 
@@ -364,18 +364,20 @@ class TestTableOwnership:
         built = self.track_tables(monkeypatch)
         tracked, late = ResonanceTable.__init__, []
 
-        def group(entries):
-            return entries[0] // (2 * collision._TABLE_BLOCK)
+        half = collision._half_entries(128, 0, 64 * 64)
+
+        def group(entries):  # by the block's place in the half table
+            return np.searchsorted(half, entries[0]) // (2 * collision._TABLE_BLOCK)
 
         def checking_init(self, grid, interp="linear", entries=None):
             late.extend(e for ref, e in list(built)
                         if ref() is not None and group(e) < group(entries))
             tracked(self, grid, interp, entries)
         monkeypatch.setattr(ResonanceTable, "__init__", checking_init)
-        g = Grid(128)  # 8,128 entries: 9 blocks in 5 groups of 2
+        g = Grid(128)  # 4,096 entries in the half table: 5 blocks in 3 groups
         {"multiplier_a": lambda: multiplier_a(PARAMS, g),
          "_weak_form_matrix": lambda: linearized._weak_form_matrix(PARAMS, g, "linear")}[name]()
-        assert len(built) == 9
+        assert len(built) == 5
         assert late == []
 
     def test_nonlinear_f_builds_one_whole_table(self, monkeypatch):
@@ -388,7 +390,7 @@ class TestTableOwnership:
         cfg = EvolutionConfig(dt=1.0, t_final=5.0)
         traj = evolve_nonlinear_f(f0, cfg, "cubic")
         assert traj.rhs_evals == 20
-        assert [entries for _, entries in built].count(None) == 1
+        assert sum(entries is None for _, entries in built) == 1
 
 
 class TestPerturbation:

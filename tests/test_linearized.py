@@ -5,11 +5,12 @@ import pytest
 from scipy import sparse
 
 from oracles import (cached_slice_blocks, full_table, k1_matrix, k1_row_integral,
-                     kernel_k1, kernel_k2, project_out_kernel)
+                     kernel_k1, kernel_k2, project_out_kernel, trig_sample,
+                     whole_weak_form)
 from phononlab import collision, linearized
 from phononlab.collision import ResonanceTable
 from phononlab.equilibria import RjParams
-from phononlab.errors import FitError
+from phononlab.errors import ConfigError, FitError, SpectralError
 from phononlab.grid import Field, Grid, lp_norm
 from phononlab.linearized import (assemble, bulk_edge_functionals,
                                   decay_initial_data, load_operator,
@@ -30,14 +31,6 @@ def op256():
 @pytest.fixture(scope="module")
 def op512():
     return assemble(PARAMS, Grid(512))
-
-
-def smooth_random(grid, seed, modes=12):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=modes)
-    s = rng.normal(size=modes)
-    return sum(c[k] * np.cos((k + 1) * grid.nodes) + s[k] * np.sin((k + 1) * grid.nodes)
-               for k in range(modes))
 
 
 class TestMultiplier:
@@ -176,7 +169,7 @@ class TestAssembly:
     def test_dirichlet_form_nonnegative(self, op256):
         g = Grid(256)
         for seed in range(100):
-            v = smooth_random(g, seed)
+            v = trig_sample(g.nodes, seed)
             q = v @ (-op256.matrix @ v)
             assert q >= -1e-12 * (v @ v)
 
@@ -186,7 +179,7 @@ class TestAssembly:
         kb = op256.kernel_basis()
         ratios = []
         for seed in range(100):
-            v = smooth_random(g, seed)
+            v = trig_sample(g.nodes, seed)
             v = v - kb @ (kb.T @ v)
             ratios.append((v @ (-op256.matrix @ v)) / ((a * v) @ v))
         assert min(ratios) > 0.0
@@ -238,7 +231,8 @@ def sparse_weak_form(params, grid, interp):
 
 class TestWeakFormAssembly:
     # 1 << 15 stencil-pair values: sub-blocks of 1,024 packed entries with
-    # linear interpolation and 512 with cubic (n = 100 has 4,950 entries)
+    # linear interpolation and 512 with cubic (the half table of n = 100
+    # has 2,500 entries)
     @pytest.mark.parametrize("block_values", [None, 1 << 15])
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [64, 100, 256])
@@ -247,54 +241,62 @@ class TestWeakFormAssembly:
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
         g = Grid(n)
         want = sparse_weak_form(PARAMS, g, interp)
-        got, _ = linearized._weak_form_matrix(PARAMS, g, interp)
+        E, O, _ = linearized._weak_form_matrix(PARAMS, g, interp)
+        got = linearized._unfold((E, O))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [64, 100, 256])
     def test_exactly_symmetric(self, n, interp):
-        # Q is scaled by the outer product of 1/fb, which commutes
+        # Q is scaled by the outer product of 1/fb, which commutes, and the
+        # blocks sum the same two terms on both sides of their diagonal
         op = assemble(PARAMS, Grid(n), interp)
         assert np.array_equal(op.matrix, op.matrix.T)
+        for B in op.blocks:
+            assert np.array_equal(B, B.T)
         assert op.sym_defect == 0.0
 
-    # table blocks of 5,000 packed entries: 7 streamed blocks at n = 256 and
-    # 9 at n = 300; 1 << 12 stencil-pair values make sub-blocks of 128
-    # entries (linear) or 64 (cubic), ragged in every block
+    # table blocks of 5,000 entries: 4 streamed blocks of the half table at
+    # n = 256 and 5 at n = 300; 1 << 12 stencil-pair values make sub-blocks
+    # of 128 entries (linear) or 64 (cubic), ragged in every block
     @pytest.mark.parametrize("block_values", [None, 1 << 12])
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [256, 300])
     def test_row_blocks_equal_cached_table(self, monkeypatch, n, interp, block_values):
-        # the streamed transient blocks give the bits of slices of one whole
-        # table, on 1, 2 and 3 pool workers
+        # the streamed transient blocks give the bits of the same entries of
+        # one whole table, on 1, 2 and 3 pool workers
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         if block_values is not None:
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
         g = Grid(n)
         with monkeypatch.context() as m:
             m.setattr(linearized, "_packed_blocks", cached_slice_blocks)
-            L_want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
+            *want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
             assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("PHONON_THREADS", workers)
-            L, a = linearized._weak_form_matrix(PARAMS, g, interp)
-            assert np.array_equal(L, L_want)
+            *got, a = linearized._weak_form_matrix(PARAMS, g, interp)
+            for B, B_want in zip(got, want):
+                assert np.array_equal(B, B_want)
             assert np.array_equal(a, a_want)
             assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     def test_bits_do_not_depend_on_sub_blocks_or_workers(self, monkeypatch, interp):
-        # np.add.at adds entry by entry in table order, so neither the
-        # sub-block size nor the worker count moves a bit of L or a
+        # np.add.at adds entry by entry in table order and the fold works
+        # elementwise, so neither the sub-block size nor the worker count
+        # moves a bit of the blocks or of a
         g = Grid(300)
-        L_want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
-        assert np.array_equal(L_want, L_want.T)
+        *want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
+        for B in want:
+            assert np.array_equal(B, B.T)
         for block_values in (1 << 12, 1 << 16, 1 << 20):
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
             for workers in ("1", "2", "3"):
                 monkeypatch.setenv("PHONON_THREADS", workers)
-                L, a = linearized._weak_form_matrix(PARAMS, g, interp)
-                assert np.array_equal(L, L_want)
+                *got, a = linearized._weak_form_matrix(PARAMS, g, interp)
+                for B, B_want in zip(got, want):
+                    assert np.array_equal(B, B_want)
                 assert np.array_equal(a, a_want)
 
     # TABLE_MAX_N bounds the table of C[f] only: with it at 0 the assembly
@@ -302,8 +304,9 @@ class TestWeakFormAssembly:
     @pytest.mark.parametrize("table_max_n", [None, 0])
     def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
         # a comes from the assembly's own pass, so a cubic assembly builds no
-        # linear table for it; on 1 or 2 workers the 32,640 packed entries of
-        # n = 256 stream in 7 blocks, each built once with its own range
+        # linear table for it; on 1 or 2 workers the 16,384 entries of the
+        # half table of n = 256 stream in 4 blocks, each built once with its
+        # own entries
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         if table_max_n is not None:
             monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
@@ -315,13 +318,16 @@ class TestWeakFormAssembly:
             init(self, *args, **kwargs)
         monkeypatch.setattr(ResonanceTable, "__init__", counting_init)
         g = Grid(256)
+        half = collision._half_entries(256, 0, 16384)
         for workers in ("1", "2"):
             monkeypatch.setenv("PHONON_THREADS", workers)
             built.clear()
             op = assemble(PARAMS, g, interp="cubic")
             # pool workers may start neighbouring blocks in either order
-            assert sorted(built, key=lambda args: args[2]) == \
-                [(g, "cubic", (k, min(k + 5000, 32640))) for k in range(0, 32640, 5000)]
+            built.sort(key=lambda args: args[2][0])
+            assert [args[:2] for args in built] == [(g, "cubic")] * 4
+            for k, args in zip(range(0, 16384, 5000), built):
+                assert np.array_equal(args[2], half[k:k + 5000])
             assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
 
     def test_traced_peak_memory(self, monkeypatch):
@@ -338,13 +344,14 @@ class TestWeakFormAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 8 * g.n ** 2
-        # the accumulator is freed once L = A + A^T exists, so the n^2 outer
-        # product of 1/fb never coexists with both (3.02 n^2 when it did)
+        # the fold forms L_h a chunk of rows at a time, so beside the
+        # accumulator it holds only the two blocks of n^2 / 4 (3.02 n^2 when
+        # an n^2 outer product of 1/fb coexisted with the accumulator and L)
         assert peak <= 2.75 * 8 * g.n ** 2
 
     def test_traced_peak_memory_with_table_build(self, monkeypatch):
-        # with 2 workers the assembly holds L, its accumulator and up to
-        # three streamed table blocks: it stays within 5 n^2 doubles (with a
+        # with 2 workers the assembly holds its accumulator and up to three
+        # streamed table blocks: it stays within 5 n^2 doubles (with a
         # cached whole table, the build and the assembly took 10.4 n^2, and
         # with an n^2 bincount output per sub-block 6.25 n^2)
         monkeypatch.setenv("PHONON_THREADS", "2")
@@ -358,15 +365,98 @@ class TestWeakFormAssembly:
         assert peak <= 5 * 8 * g.n ** 2
 
 
+class TestParity:
+    """The even and odd blocks against the whole-table assembly (oracle)."""
+
+    @pytest.fixture(scope="class", params=[(256, "cubic"), (512, "linear")],
+                    ids=["256-cubic", "512-linear"])
+    def pair(self, request):
+        n, interp = request.param
+        g = Grid(n)
+        return assemble(PARAMS, g, interp), whole_weak_form(PARAMS, g, interp)[0]
+
+    def test_eigenvalues_match_whole_oracle(self, pair):
+        op, L = pair
+        want = np.linalg.eigvalsh(L)
+        assert np.max(np.abs(op.eigenvalues - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_matrix_matches_whole_oracle(self, pair):
+        op, L = pair
+        assert np.max(np.abs(op.matrix - L)) <= 1e-13 * np.max(np.abs(L))
+
+    def test_apply_matches_matrix(self, pair):
+        # the block-wise product, on a vector and on the columns of a block
+        op, _ = pair
+        G = np.stack([trig_sample(op.grid.nodes, seed) for seed in range(3)], axis=1)
+        want = op.matrix @ G
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(op.apply(G) - want)) <= 1e-14 * scale
+        assert np.max(np.abs(op.apply(G[:, 1]) - want[:, 1])) <= 1e-14 * scale
+
+    def test_conservation_modes_lie_in_the_even_block(self, pair):
+        # fb and omega fb are even; the even block holds the two near-null
+        # eigenvalues, whose lifted vectors span them, and the odd block none
+        op, _ = pair
+        lam_e, lam_o = (lam for lam, _ in op.eighs)
+        assert np.sum(np.abs(lam_e) <= op.spectral_tol) == 2
+        assert lam_o[-1] < -op.spectral_tol
+        kb = op.kernel_basis()
+        assert np.max(np.abs(kb - kb[::-1])) <= 1e-14
+        v = op.near_null_vectors()
+        assert v.shape == (op.grid.n, 2)
+        assert np.array_equal(v, v[::-1])
+        assert subspace_angle(v, kb) < 1e-3
+
+    def test_cold_and_cached_are_bit_identical(self, pair, tmp_path):
+        op, _ = pair
+        save_operator(op, tmp_path / "op.bin")
+        got = load_operator(tmp_path / "op.bin")
+        for name in ("spectral_tol", "kernel_residuals", "sym_defect", "interp", "params",
+                     "grid"):
+            assert getattr(got, name) == getattr(op, name)
+        for x, y in ((got.a.values, op.a.values), *zip(got.blocks, op.blocks),
+                     *zip(got.eighs[0] + got.eighs[1], op.eighs[0] + op.eighs[1]),
+                     (got.matrix, op.matrix), (got.eigenvalues, op.eigenvalues)):
+            assert np.array_equal(x, y)
+
+    def test_cache_holds_half_the_whole_matrix(self, tmp_path):
+        # a, E, O and each block's eigenpairs: (n^2 + 2n) doubles and the header
+        op = assemble(PARAMS, Grid(128))
+        save_operator(op, tmp_path / "op.bin")
+        assert (tmp_path / "op.bin").stat().st_size == 80 + 8 * (128 ** 2 + 2 * 128)
+
+    def test_odd_grid_is_config_error(self):
+        with pytest.raises(ConfigError, match="even n"):
+            assemble(PARAMS, Grid(65))
+
+    def test_near_null_band_beyond_two_modes_raises(self, monkeypatch):
+        # a tolerance band of width 1 holds many eigenvalues of the even block
+        monkeypatch.setattr(linearized, "SPECTRAL_FLOOR", 1.0)
+        with pytest.raises(SpectralError, match="even block"):
+            assemble(PARAMS, Grid(64))
+
+    @pytest.mark.parametrize("even,odd,match", [
+        ([-1.0, -0.5, 0.0], [-1.0, 1e-12], "even block"),   # a mode in the odd block
+        ([-1.0, -1e-12, 0.0], [-1.0, -1e-9], "odd block"),  # odd block inside the band
+        ([-1.0, 0.0, 1e-6], [-1.0, -0.5], "positive"),      # above the band
+    ], ids=["mode-in-odd-block", "odd-block-in-band", "positive"])
+    def test_parity_check_raises(self, even, odd, match):
+        with pytest.raises(SpectralError, match=match):
+            linearized._check_parity(np.array(even), np.array(odd), 1e-8)
+
+    def test_parity_check_passes(self):
+        linearized._check_parity(np.array([-1.0, -1e-12, 0.0]), np.array([-1.0, -1e-7]), 1e-8)
+
+
 class TestSemigroup:
     def test_identity_at_zero(self, op256):
-        g0 = Field(Grid(256), smooth_random(Grid(256), 1))
+        g0 = Field(Grid(256), trig_sample(Grid(256).nodes, 1))
         out = semigroup_apply(op256, g0, [0.0])[0]
         assert np.array_equal(out, g0.values)
 
     def test_rows_match_separate_evaluations(self, op256):
         g = Grid(256)
-        g0 = Field(g, smooth_random(g, 2))
+        g0 = Field(g, trig_sample(g.nodes, 2))
         ts = (0.5, 3.0, 40.0, 700.0)
         for t, row in zip(ts, semigroup_apply(op256, g0, ts)):
             one = semigroup_apply(op256, g0, [t])[0]
@@ -374,7 +464,7 @@ class TestSemigroup:
 
     def test_zero_row_is_the_data(self, op256):
         g = Grid(256)
-        g0 = Field(g, smooth_random(g, 5))
+        g0 = Field(g, trig_sample(g.nodes, 5))
         states = semigroup_apply(op256, g0, (10.0, 0.0, 1.0))
         assert np.array_equal(states[1], g0.values)
 
@@ -382,7 +472,7 @@ class TestSemigroup:
     def test_bad_time_raises(self, op256, t):
         g = Grid(256)
         with pytest.raises(ValueError):
-            semigroup_apply(op256, Field(g, smooth_random(g, 1)), [t])
+            semigroup_apply(op256, Field(g, trig_sample(g.nodes, 1)), [t])
 
     def test_kernel_mode_stationary(self, op256):
         fb = op256.equilibrium
@@ -391,7 +481,7 @@ class TestSemigroup:
 
     def test_l2_nonincreasing(self, op256):
         g = Grid(256)
-        g0 = Field(g, smooth_random(g, 4))
+        g0 = Field(g, trig_sample(g.nodes, 4))
         norms = [lp_norm(Field(g, gt), 2)
                  for gt in semigroup_apply(op256, g0, (0.0, 1.0, 10.0, 100.0, 1000.0))]
         assert all(a >= b - 1e-12 for a, b in zip(norms[:-1], norms[1:]))
@@ -399,7 +489,7 @@ class TestSemigroup:
     def test_weak_growth_bound(self, op256):
         # ||e^{tL} g0||_inf stays within <t>^{1.1} of the data
         g = Grid(256)
-        g0 = Field(g, smooth_random(g, 9))
+        g0 = Field(g, trig_sample(g.nodes, 9))
         sup0 = lp_norm(g0, np.inf)
         ts = (1.0, 10.0, 100.0, 1000.0)
         for t, gt in zip(ts, semigroup_apply(op256, g0, ts)):
@@ -410,13 +500,12 @@ class TestSemigroup:
         # int_0^T int a |e^{tL} g0|^2 dp dt <= C ||g0||_2^2 with C stable in T
         g = Grid(256)
         a = op256.a.values
-        g0 = project_out_kernel(op256, Field(g, smooth_random(g, 12)))
-        c = op256.eigenvectors.T @ g0.values
+        g0 = project_out_kernel(op256, Field(g, trig_sample(g.nodes, 12)))
         consts = []
         for T in (1e2, 1e3, 1e4):
             ts = np.geomspace(1e-3, T, 1200)
-            gv = op256.eigenvectors @ (np.exp(op256.eigenvalues[:, None] * ts) * c[:, None])
-            integrand = g.weight * np.sum(a[:, None] * gv ** 2, axis=0)
+            gv = semigroup_apply(op256, g0, ts)
+            integrand = g.weight * np.sum(a * gv ** 2, axis=1)
             val = float(np.sum(0.5 * (integrand[1:] + integrand[:-1])
                                * np.diff(ts))) + integrand[0] * ts[0]
             consts.append(val / (g.weight * np.sum(g0.values ** 2)))
@@ -432,7 +521,7 @@ class TestProjection:
 
     def test_orthogonality_and_idempotence(self, op256):
         g = Grid(256)
-        v = Field(g, smooth_random(g, 3))
+        v = Field(g, trig_sample(g.nodes, 3))
         out = project_out_kernel(op256, v)
         fb = op256.equilibrium.values
         assert abs(out.values @ fb) < 1e-12 * np.linalg.norm(fb) * np.linalg.norm(out.values)
