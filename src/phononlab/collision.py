@@ -119,21 +119,6 @@ def _pairs(n: int, k: np.ndarray):
     return i, k - starts[i] + i + 1
 
 
-def mirror_class(n: int) -> np.ndarray:
-    """Packed indices, ascending, of the pairs (i, j) with i + j < n - 1:
-    one of each two mirror images (i, j) and (n - 1 - j, n - 1 - i).
-
-    The reflection p -> 2pi - p maps node k onto node n - 1 - k, and the
-    exchange then brings the reflected pair back to the upper triangle.
-    The class is one run of n - 2 - 2i consecutive entries of each row
-    i < (n - 1) // 2; the self-mirror pairs i + j = n - 1 are left out.
-    """
-    r = np.arange((n - 1) // 2)
-    size = n - 2 - 2 * r
-    return np.repeat(_row_starts(n, r) - (np.cumsum(size) - size), size) \
-        + np.arange(size.sum())
-
-
 def _half_entries(n: int, k0: int, k1: int) -> np.ndarray:
     """Packed indices of the entries k0 to k1 - 1, in table order, of the
     half of the table with i + j <= n - 1: the mirror class, and after the
@@ -145,6 +130,20 @@ def _half_entries(n: int, k0: int, k1: int) -> np.ndarray:
     k = np.arange(k0, k1)
     r = np.searchsorted(first, k, side="right") - 1
     return _row_starts(n, r) + k - first[r]
+
+
+def mirror_class(n: int) -> np.ndarray:
+    """Packed indices, ascending, of the pairs (i, j) with i + j < n - 1:
+    one of each two mirror images (i, j) and (n - 1 - j, n - 1 - i).
+
+    The reflection p -> 2pi - p maps node k onto node n - 1 - k, and the
+    exchange then brings the reflected pair back to the upper triangle.
+    The class is the half table (`_half_entries`) without its self-mirror
+    pairs i + j = n - 1.
+    """
+    k = _half_entries(n, 0, (n // 2) * (n - n // 2))
+    i, j = _pairs(n, k)
+    return k[i + j < n - 1]
 
 
 class ResonanceTable:

@@ -195,7 +195,8 @@ class LinOperator:
     @property
     def matrix(self) -> np.ndarray:
         """L itself, formed from the two blocks alone (`_unfold`), so a cold
-        operator and its cache give the same bits."""
+        operator and its cache give the same bits.  Each read builds a new
+        n x n array: read it once outside a loop, or use `apply`."""
         return _unfold(self.blocks)
 
     def apply(self, g: np.ndarray) -> np.ndarray:

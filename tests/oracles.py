@@ -195,12 +195,12 @@ def dissipation_ratios(op: LinOperator, seed: int, samples: int = 100) -> list:
     as a whole matrix: the reference for `spectrum_experiment`'s block of
     samples, drawn in the same order."""
     rng = np.random.default_rng(seed)
-    a, kb = op.a.values, op.kernel_basis()
+    a, kb, L = op.a.values, op.kernel_basis(), op.matrix
     ratios = []
     for _ in range(samples):
         g = trig_sample(op.grid.nodes, rng)
         g = g - kb @ (kb.T @ g)
-        ratios.append(float((g @ -(op.matrix @ g)) / ((a * g) @ g)))
+        ratios.append(float((g @ -(L @ g)) / ((a * g) @ g)))
     return ratios
 
 
