@@ -12,7 +12,7 @@ run's environment ("env": row-block workers, Python and numpy versions);
 `nonlin` also records its work counts there, and only there ("counters":
 {"rhs_evals": ..., "rhs_table_entries": ...}: the right-hand sides of the
 run, and the resonance-table entries each sums over, which tell the
-mirror-class path from the whole table).  A NaN or infinite setting
+half-table path from the whole table).  A NaN or infinite setting
 appears in the manifest's config as the string its flag takes ("inf"), so
 the manifest is strict JSON like every artifact.  Exit codes:
 0 success, 1 internal error (any other exception the run raises: a fault

@@ -21,11 +21,17 @@ term to row i and subtracts it from row j, and the total mass of C[f]
 cancels term by term, independently of resolution; energy conservation
 holds to quadrature accuracy only.
 
+The reflection p -> 2pi - p maps the pairs i + j > n - 1 onto the pairs
+i + j < n - 1, and each self-mirror pair i + j = n - 1 onto itself.  The
+half table, the pairs i + j <= n - 1 with W halved on the self-mirror
+ones, is defined once (`ResonanceTable` with a `span`, `_half_entries`):
+summed and then reflected, it gives the whole rule's sums wherever the
+integrand is reflection-invariant: L's, and Q + N's on even data.
 A loop that applies C[f] or the perturbation right-hand side many times
-owns one whole table for as long as it runs (`collision_map`,
-`PerturbationTables`); the linearized assembly reads the table once, so
-`_packed_blocks` streams the half of it that the reflection p -> 2pi - p
-maps onto the other half (`_half_entries`) as transient blocks (built by
+owns one table for as long as it runs: the whole one (`collision_map`,
+`PerturbationTables` on any data) or the half one (`PerturbationTables`
+on even data).  The linearized assembly reads the table once, so
+`_packed_blocks` streams the half table as transient blocks (built by
 `map_blocks`, the row-block pool's one entry point) and holds no whole
 table.
 The whole table is the one path of C[f] on a grid, up to TABLE_MAX_N
@@ -121,29 +127,16 @@ def _pairs(n: int, k: np.ndarray):
 
 def _half_entries(n: int, k0: int, k1: int) -> np.ndarray:
     """Packed indices of the entries k0 to k1 - 1, in table order, of the
-    half of the table with i + j <= n - 1: the mirror class, and after the
-    run of each row i < n // 2 its self-mirror pair (i, n - 1 - i), so a
-    run of n - 1 - 2i entries from the row's first.  n^2 / 4 entries in
-    all for an even n."""
+    half of the table with i + j <= n - 1: in each row i < n // 2 the pairs
+    with i + j < n - 1, then the self-mirror pair (i, n - 1 - i), so a run
+    of n - 1 - 2i entries from the row's first; n^2 // 4 entries in all.
+    The reflection maps node k onto n - 1 - k, and the exchange brings the
+    reflected pair (n - 1 - j, n - 1 - i) back to the upper triangle."""
     size = n - 1 - 2 * np.arange(n // 2)
     first = np.cumsum(size) - size  # the half's index of each row's first entry
     k = np.arange(k0, k1)
     r = np.searchsorted(first, k, side="right") - 1
     return _row_starts(n, r) + k - first[r]
-
-
-def mirror_class(n: int) -> np.ndarray:
-    """Packed indices, ascending, of the pairs (i, j) with i + j < n - 1:
-    one of each two mirror images (i, j) and (n - 1 - j, n - 1 - i).
-
-    The reflection p -> 2pi - p maps node k onto node n - 1 - k, and the
-    exchange then brings the reflected pair back to the upper triangle.
-    The class is the half table (`_half_entries`) without its self-mirror
-    pairs i + j = n - 1.
-    """
-    k = _half_entries(n, 0, (n // 2) * (n - n // 2))
-    i, j = _pairs(n, k)
-    return k[i + j < n - 1]
 
 
 class ResonanceTable:
@@ -157,19 +150,23 @@ class ResonanceTable:
     (i, j) is the p1 side of (j, i), P3 := P1^T.  On the diagonal h(x, x) = 0
     exactly, so W = 0 there and the diagonal is not stored.  Entries run over
     the strict upper triangle in np.triu_indices(n, 1) order: all of them by
-    default, or the ascending array `entries` of packed indices
-    (`mirror_class`, `_half_entries`).  The table is built in blocks of
+    default, or with `span` = (k0, k1) the entries k0 to k1 - 1 of the half
+    table (`_half_entries`), W halved on its self-mirror pairs i + j = n - 1,
+    which its reflection shares with it: the one definition of the half
+    table, which `PerturbationTables` builds whole for even data and
+    `_packed_blocks` streams in spans.  The table is built in blocks of
     _TABLE_BLOCK entries on the row-block pool.  Building it is the only
-    O(n^2) trigonometric cost: a loop that reuses a whole table owns one
+    O(n^2) trigonometric cost: a loop that reuses a table owns one
     (`collision_map`, `PerturbationTables`), while the linearized assembly
-    streams transient blocks of half a table (`_packed_blocks`).
+    streams transient blocks of the half table (`_packed_blocks`).
     """
 
-    def __init__(self, grid: Grid, interp: str = "linear", entries=None):
+    def __init__(self, grid: Grid, interp: str = "linear", span=None):
         self.grid = grid
         self.interp = interp
         n = grid.n
-        self.i, self.j = _pairs(n, np.arange(n * (n - 1) // 2) if entries is None else entries)
+        self.i, self.j = _pairs(n, np.arange(n * (n - 1) // 2) if span is None
+                                else _half_entries(n, *span))
         size = self.i.size
         self.P1, self.P3, self.W = np.empty((3, size))
         points = len(interp_weights(grid, np.empty(0), interp)[0])  # checks interp too
@@ -186,6 +183,8 @@ class ResonanceTable:
                     dst[s] = src
 
         map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, size, _TABLE_BLOCK)])
+        if span is not None:
+            self.W[self.i + self.j == n - 1] *= 0.5  # exact: the same bits halved
 
     def exchange_sum(self, v: np.ndarray, term) -> np.ndarray:
         """Row sums over the full rule of an integrand that flips sign under
@@ -208,29 +207,20 @@ class ResonanceTable:
 
 
 def _packed_blocks(grid: Grid, interp: str):
-    """A transient ResonanceTable for each block of _TABLE_BLOCK entries of
-    the half of the table with i + j <= n - 1 (`_half_entries`), yielded in
-    table order, with W halved on the self-mirror pairs i + j = n - 1: the
-    half whose reflection is the other half, each self-mirror pair shared
-    by both.  A consumer sums a block's terms and adds the reflection of
-    the sum (`linearized`).  The blocks are built pool_workers() at a time,
-    one `map_blocks` call per group, and each leaves the generator as it is
-    yielded: at most pool_workers() blocks are alive (one more while a
-    caller keeps the last of a group), and no whole table at any n.  A
-    block's entries are computed elementwise, so they carry the bits of
-    the same entries of a whole table (halving is exact)."""
-    n = grid.n
-    size = (n // 2) * (n - n // 2)
+    """A transient ResonanceTable for each span of _TABLE_BLOCK entries of
+    the half table, yielded in table order.  A consumer sums a block's
+    terms and adds the reflection of the sum (`linearized`).  The blocks are built
+    pool_workers() at a time, one `map_blocks` call per group, and each
+    leaves the generator as it is yielded: at most pool_workers() blocks are
+    alive (one more while a caller keeps the last of a group), and no whole
+    table at any n.  A block's entries are computed elementwise, so they
+    carry the bits of the same entries of a whole half table."""
+    size = grid.n ** 2 // 4
     spans = [(k, min(k + _TABLE_BLOCK, size)) for k in range(0, size, _TABLE_BLOCK)]
-
-    def build(span):
-        tab = ResonanceTable(grid, interp, _half_entries(n, *span))
-        tab.W[tab.i + tab.j == n - 1] *= 0.5
-        return tab
-
     step = pool_workers()
     for g in range(0, len(spans), step):
-        group = map_blocks(build, spans[g:g + step])[::-1]
+        group = map_blocks(lambda span: ResonanceTable(grid, interp, span),
+                           spans[g:g + step])[::-1]
         while group:
             yield group.pop()
 

@@ -5,7 +5,8 @@ Two problems are integrated with the classical fixed-step RK4 scheme:
   * d/dt f = C[f]                  (evolve_nonlinear_f)
   * d/dt g = L g + Q[g] + N[g]     (evolve_perturbation, f = fb (1 + g))
 
-L is the dense symmetric operator from the linearized module; Q and N are
+L is the symmetric operator from the linearized module, applied through
+its even and odd blocks (`LinOperator.apply`); Q and N are
 the exact quadratic and cubic components of the expansion of C[fb(1+g)]/fb.
 Expanding the collision bracket channel by channel (each channel drops its
 own 1/f_l factor) keeps every term divisions-free in g, and makes each
@@ -36,10 +37,11 @@ equilibrium and the decay data are even under the reflection p -> 2pi - p,
 which maps node k onto node n - 1 - k, and the equation commutes with it,
 so an even g stays even.  On even g the entry (i, j) and its mirror
 (n - 1 - j, n - 1 - i) carry mirror-image terms, and a self-mirror entry
-i + j = n - 1 carries zero.  So the tables can hold one mirror class, the
-entries with i + j < n - 1 (`collision.mirror_class`; n(n - 2)/4 of them
-for even n): Q + N is that class's row sums h plus their reflection,
-h + h[::-1].
+i + j = n - 1 carries zero in exact arithmetic.  So the tables can hold the
+half table of `collision` (the pairs i + j <= n - 1, W halved on the
+self-mirror ones; n^2/4 entries for even n), the one the linearized
+assembly streams: Q + N is its row sums h plus their reflection,
+h + h[::-1], in which the two halves of each self-mirror term cancel.
 `evolve_perturbation` takes this path when the odd part of g0 is rounding
 (at most EVEN_RTOL of its sup), after making g0 exactly even; any other
 g0 runs on the whole table.  The step count of a run is bounded by
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import (ResonanceTable, check_table_n, collision_map, conserved_quantities,
-                        entropy, mirror_class)
+                        entropy)
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
@@ -130,8 +132,10 @@ class PerturbationTables:
     """Channel weights W * (product of three equilibrium values) on the
     entries of the packed resonance table: the strict upper triangle j > i
     of the tensor rule, in the order of np.triu_indices(n, 1), or with
-    `even` its mirror class i + j < n - 1 alone (`collision.mirror_class`),
-    about half of it, whose `nonlinear` serves even g only.
+    `even` the half table of `collision` (i + j <= n - 1, W halved on the
+    self-mirror pairs; `ResonanceTable` with a span of all of it), the same
+    entries the linearized assembly streams, whose `nonlinear` serves even
+    g only.
 
     The exchange of the p0 and p2 nodes maps (p0, p1, p2, p3) to
     (p2, p3, p0, p1), so the p3 side of (i, j) is the p1 side of (j, i):
@@ -145,7 +149,7 @@ class PerturbationTables:
     def __init__(self, params: RjParams, grid: Grid, interp: str = "linear",
                  even: bool = False):
         check_table_n(grid.n)
-        self.tab = tab = ResonanceTable(grid, interp, mirror_class(grid.n) if even else None)
+        self.tab = tab = ResonanceTable(grid, interp, (0, grid.n ** 2 // 4) if even else None)
         self.even = even
         self.grid = grid
         self.params = params
@@ -166,9 +170,10 @@ class PerturbationTables:
         and is zero on the diagonal, which the exchange maps to itself.  So
         the row sums of the full rule are sums over the upper triangle: M
         adds into row i and subtracts from row j, block by block
-        (ResonanceTable.exchange_sum).  On the mirror class (`even`) those
-        sums h cover one of each two mirror entries, and the reflection
-        h[::-1] adds the other: g must then be even.
+        (ResonanceTable.exchange_sum).  On the half table (`even`) those
+        sums h cover one of each two mirror entries and half of each
+        self-mirror one, and the reflection h[::-1] adds the rest: g must
+        then be even.
         """
         def fused(s, g0, g1, g2, g3):
             g01, g02, g12 = g0 * g1, g0 * g2, g1 * g2
@@ -287,15 +292,15 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
 
     g0 must be kernel-orthogonal (mass/energy of the initial perturbation
     vanish) with ||omega^-1/2 g0||_inf <= EPS_MAX, and live on the
-    operator's grid.  The linear part is the assembled matrix of
-    `operator`, whose collision frequency `a` also sets the stiffness
-    guard; quadratic and cubic parts use the tensor rule with the
-    operator's stencil, both from one upper-triangle pass
+    operator's grid.  The linear part is `operator.apply`, L g through its
+    even and odd blocks, and the operator's collision frequency `a` sets
+    the stiffness guard; quadratic and cubic parts use the tensor rule with
+    the operator's stencil, both from one upper-triangle pass
     (PerturbationTables.nonlinear).
 
     When the odd part max|g0 - g0[::-1]| / 2 is at most EVEN_RTOL of
     max|g0|, g0 is replaced by its even part (g0 + g0[::-1]) / 2 and the
-    pass runs over the mirror class of the table and reflects its sums;
+    pass runs over the half table and reflects its sums;
     any other g0 runs over the whole table.  The run's
     `rhs_table_entries` says which.
     """
@@ -313,10 +318,9 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
     params = operator.params
     tabs = PerturbationTables(params, grid, operator.interp, even)
     fb = params.value(grid.nodes)
-    L = operator.matrix
 
     def rhs(gv):
-        return L @ gv + tabs.nonlinear(gv)
+        return operator.apply(gv) + tabs.nonlinear(gv)
 
     m0, e0 = conserved_quantities(Field(grid, fb * (1.0 + g)))
     return _run(grid, g, rhs, cfg, lambda gv: fb * (1.0 + gv), m0, e0, tabs.tab.W.size)

@@ -48,15 +48,17 @@ node n - 1 - k, and it keeps every Rayleigh-Jeans equilibrium and the
 resonance conditions, so L commutes with the reversal R.  The stream is
 the half of the table that R maps onto the other half: the pairs
 i + j < n - 1, and the self-mirror pairs i + j = n - 1 at half weight
-(`collision._packed_blocks`).  It sums L_h, and L = L_h + R L_h R.  For
-n = 2m, let A and B be the top m rows of L, split into the first and the
-last m columns, and J the reversal of m entries.  A symmetric matrix that
-commutes with R is, in the basis of the even vectors [x; Jx] and the odd
-vectors [x; -Jx], the sum of the even block E = A + BJ and the odd block
-O = A - BJ (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275-288).
-Only E, O and their eigenpairs are held, never the n x n eigenproblem;
-`LinOperator.matrix` forms L from the two blocks alone.  L_h is symmetric
-to the bit, so A[r, c] = L_h[r, c] + L_h[n-1-r, n-1-c] is too, and
+(the half table of `collision`, streamed by `_packed_blocks`).  It sums
+L_h, and L = L_h + R L_h R.  For n = 2m, let A and B be the top m rows of
+L, split into the first and the last m columns, and J the reversal of m
+entries.  A symmetric matrix that commutes with R is, in the basis of the
+even vectors [x; Jx] and the odd vectors [x; -Jx], the sum of the even
+block E = A + BJ and the odd block O = A - BJ (Cantoni & Butler, Linear
+Algebra Appl. 13 (1976) 275-288).  Only E, O and their eigenpairs are
+held, never the n x n eigenproblem; every L g of a subcommand is
+`LinOperator.apply`, block by block, and `LinOperator.matrix` forms L
+from the two blocks alone.  L_h is symmetric to the bit, so
+A[r, c] = L_h[r, c] + L_h[n-1-r, n-1-c] is too, and
 B[r, c] = L_h[r, m+c] + L_h[n-1-r, m-1-c] meets B^T = JBJ to the bit: both
 sides are the same two-term sum.  So E and O are symmetric to the bit.
 """

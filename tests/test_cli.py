@@ -382,11 +382,11 @@ class TestRuns:
         assert code == EXIT_OK
         payload = json.loads((out / "nonlin.json").read_text())
         assert payload["mass_drift"] < 1e-12
-        # 50 RK4 steps of four right-hand sides, each over the 4,032 entries
-        # of the mirror class (the data is even); the counts are in the
+        # 50 RK4 steps of four right-hand sides, each over the 4,096 entries
+        # of the half table (the data is even); the counts are in the
         # manifest only
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["counters"] == {"rhs_evals": 200, "rhs_table_entries": 4032}
+        assert manifest["counters"] == {"rhs_evals": 200, "rhs_table_entries": 4096}
         assert "rhs_evals" not in (out / "nonlin.json").read_text()
         head = (out / "trajectory.csv").read_text().splitlines()[0]
         assert head == "t,mass,energy,entropy,sup_w12,sup_w16,l2"

@@ -150,22 +150,6 @@ class TestCollisionOperator:
                 assert np.array_equal(got_i, i[k0:k1])
                 assert np.array_equal(got_j, j[k0:k1])
 
-    @pytest.mark.parametrize("n", [16, 17, 100, 256, 384])
-    def test_mirror_class(self, n):
-        # the packed entries with i + j < n - 1; each other entry off the
-        # self-mirror line i + j = n - 1 is the mirror of one of them
-        i, j = np.triu_indices(n, 1)
-        k = collision.mirror_class(n)
-        assert np.array_equal(k, np.flatnonzero(i + j < n - 1))
-        mirrored = set(zip(n - 1 - j[k], n - 1 - i[k]))
-        assert mirrored == set(zip(i[i + j > n - 1], j[i + j > n - 1]))
-        if n % 2 == 0:
-            assert k.size == n * (n - 2) // 4
-        tab = collision.ResonanceTable(Grid(n), "cubic", k)
-        whole = collision.ResonanceTable(Grid(n), "cubic")
-        for name in ("i", "j", "P1", "P3", "W"):
-            assert np.array_equal(getattr(tab, name), getattr(whole, name)[k])
-
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):
             collision_operator(Field(Grid(64), np.full(64, 1e-13)))
@@ -369,9 +353,9 @@ class TestPackedBlocks:
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5_000)
         init, started = collision.ResonanceTable.__init__, []
 
-        def counting(self, grid, interp="linear", entries=None):
-            started.append(entries)
-            init(self, grid, interp, entries)
+        def counting(self, grid, interp="linear", span=None):
+            started.append(span)
+            init(self, grid, interp, span)
 
         monkeypatch.setattr(collision.ResonanceTable, "__init__", counting)
         end = 0
@@ -382,7 +366,7 @@ class TestPackedBlocks:
             # pool workers may start the blocks of a group in either order,
             # but block k is started within its own group
             g = k // workers
-            assert any(np.array_equal(e, s) for e in started[g * workers:(g + 1) * workers])
+            assert (end, end + tab.W.size) in started[g * workers:(g + 1) * workers]
             for name in ("i", "j", "P1", "P3"):
                 assert np.array_equal(getattr(tab, name), getattr(whole, name)[s])
             mirror = whole.i[s] + whole.j[s] == n - 1
@@ -391,15 +375,31 @@ class TestPackedBlocks:
         assert k == 4 and end == half.size == (n // 2) ** 2
         assert len(started) == 5
 
-    @pytest.mark.parametrize("n", [16, 17, 100, 256])
+    @pytest.mark.parametrize("n", [16, 17, 100, 256, 384])
     def test_half_entries(self, n):
-        # the half table is the mirror class followed, in each row, by its
-        # self-mirror pair; any span of it is the same slice of the whole
+        # the half table is the pairs i + j <= n - 1 in table order; any
+        # span of it is the same slice of the whole
         i, j = np.triu_indices(n, 1)
         half = np.flatnonzero(i + j <= n - 1)
         assert np.array_equal(collision._half_entries(n, 0, half.size), half)
         assert np.array_equal(collision._half_entries(n, 5, half.size - 3), half[5:-3])
-        assert half.size == (n // 2) * (n - n // 2)
+        assert half.size == (n // 2) * (n - n // 2) == n * n // 4
+        # each entry off the self-mirror line i + j = n - 1 and outside the
+        # half is the mirror of exactly one entry of the half
+        off = half[i[half] + j[half] < n - 1]
+        mirrored = list(zip(n - 1 - j[off], n - 1 - i[off]))
+        outside = i + j > n - 1
+        assert len(set(mirrored)) == len(mirrored) == np.count_nonzero(outside)
+        assert set(mirrored) == set(zip(i[outside], j[outside]))
+        # a half table carries the whole table's bits at those entries, W
+        # exactly halved on the self-mirror pairs
+        tab = collision.ResonanceTable(Grid(n), "cubic", (0, half.size))
+        whole = collision.ResonanceTable(Grid(n), "cubic")
+        for name in ("i", "j", "P1", "P3"):
+            assert np.array_equal(getattr(tab, name), getattr(whole, name)[half])
+        mirror = i[half] + j[half] == n - 1
+        assert np.array_equal(tab.W[~mirror], whole.W[half][~mirror])
+        assert np.array_equal(tab.W[mirror], 0.5 * whole.W[half][mirror])
 
 
 class TestMallocPin:

@@ -95,7 +95,7 @@ def random_data(n):
 
 
 def table_data(n, even):
-    """The tables of `random_data`: whole ones on it, and the mirror-class
+    """The tables of `random_data`: whole ones on it, and the half-table
     ones (`even`) on its even parts, the only data they serve."""
     return [(g + g[::-1]) / 2 for g in random_data(n)] if even else random_data(n)
 
@@ -103,8 +103,8 @@ def table_data(n, even):
 class TestNonlinearKernel:
     # packed upper triangles: 48 and 100 fit in one block of 16384 entries,
     # 200 (19,900) and 256 (32,640) end in a ragged second block and 384
-    # (73,536) in a ragged fifth; their mirror classes hold 552, 2,450,
-    # 9,900, 16,256 (one whole block) and 36,672 entries (a ragged third)
+    # (73,536) in a ragged fifth; their half tables hold 576, 2,500,
+    # 10,000, 16,384 (one whole block) and 36,864 entries (a ragged third)
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [48, 100, 200, 256, 384])
     def test_agrees_with_full_matrix(self, interp, n):
@@ -112,7 +112,7 @@ class TestNonlinearKernel:
         full = full_tables(PARAMS, grid, interp)
         for even in (False, True):
             tabs = PerturbationTables(PARAMS, grid, interp, even)
-            assert tabs.tab.W.size == (n * (n - 2) // 4 if even else n * (n - 1) // 2)
+            assert tabs.tab.W.size == (n * n // 4 if even else n * (n - 1) // 2)
             assert np.all(tabs.nonlinear(np.zeros(n)) == 0.0)
             for g in table_data(n, even):
                 want = full_quadratic(full, g) + full_cubic(full, g)
@@ -120,7 +120,7 @@ class TestNonlinearKernel:
                 bound = 1e-13 * np.max(np.abs(want))
                 if even:
                     # the exact rule maps even g to an even Q + N, and the
-                    # class path's is even by construction; the oracle's is
+                    # half table's is even by construction; the oracle's is
                     # not: it computes each mirror entry's geometry afresh,
                     # and its odd part (1.2e-13 of its maximum at n = 384 on
                     # the 1e3 data) is its own rounding, which the even part
@@ -133,7 +133,7 @@ class TestNonlinearKernel:
     @pytest.mark.parametrize("n", [48, 100, 200, 256, 384])
     def test_mass_cancels(self, interp, n):
         # each pair adds to one row what it takes from the other, and on the
-        # mirror class each reflected pair too
+        # half table each reflected pair too
         grid = Grid(n)
         fb = PARAMS.value(grid.nodes)
         for even in (False, True):
@@ -142,10 +142,28 @@ class TestNonlinearKernel:
                 r = fb * tabs.nonlinear(g)
                 assert abs(np.sum(r)) <= 1e-15 * np.sum(np.abs(r))
 
+    @pytest.mark.parametrize(("n", "block"), [(128, None), (256, None), (128, 1000)])
+    def test_even_table_is_the_streamed_half_table(self, monkeypatch, n, block):
+        # one definition of the half table: the even tables hold, bit for
+        # bit, the blocks that the linearized assembly streams, also when
+        # both are built in blocks of 1,000 entries (5 blocks at n = 128)
+        if block is not None:
+            monkeypatch.setattr(collision, "_TABLE_BLOCK", block)
+        grid = Grid(n)
+        def arrays(t):  # i, j, P1, P3, W, then each stencil's indices and weights
+            return [getattr(t, name) for name in ("i", "j", "P1", "P3", "W")] + \
+                [x for side in ("i1", "i3") for part in getattr(t, side) for x in part]
+
+        tab = PerturbationTables(PARAMS, grid, "cubic", even=True).tab
+        blocks = list(collision._packed_blocks(grid, "cubic"))
+        assert len(blocks) == (5 if block else 1)
+        for whole, *parts in zip(arrays(tab), *map(arrays, blocks)):
+            assert np.array_equal(whole, np.concatenate(parts))
+
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     def test_block_size_independent(self, monkeypatch, interp):
         # n = 100: 4,950 entries, 38 blocks of 128 and a ragged one of 86;
-        # its mirror class 2,450, 19 blocks of 128 and a ragged one of 18
+        # its half table 2,500, 19 blocks of 128 and a ragged one of 68
         n = 100
         for even in (False, True):
             tabs = PerturbationTables(PARAMS, Grid(n), interp, even)
@@ -322,13 +340,14 @@ class TestTableOwnership:
     @staticmethod
     def track_tables(monkeypatch):
         """Weak references to every ResonanceTable built from now on, with
-        the packed entries each was built for (None for a whole table)."""
+        the span of the half table each was built for (None for a whole
+        table)."""
         built = []
         init = ResonanceTable.__init__
 
-        def tracking_init(self, grid, interp="linear", entries=None):
-            init(self, grid, interp, entries)
-            built.append((weakref.ref(self), entries))
+        def tracking_init(self, grid, interp="linear", span=None):
+            init(self, grid, interp, span)
+            built.append((weakref.ref(self), span))
         monkeypatch.setattr(ResonanceTable, "__init__", tracking_init)
         return built
 
@@ -353,7 +372,7 @@ class TestTableOwnership:
             built.clear()
             call()
             assert built, name
-            assert [entries for ref, entries in built if ref() is not None] == [], name
+            assert [span for ref, span in built if ref() is not None] == [], name
 
     @pytest.mark.parametrize("name", ["multiplier_a", "_weak_form_matrix"])
     def test_no_block_outlives_its_group(self, monkeypatch, name):
@@ -364,15 +383,13 @@ class TestTableOwnership:
         built = self.track_tables(monkeypatch)
         tracked, late = ResonanceTable.__init__, []
 
-        half = collision._half_entries(128, 0, 64 * 64)
+        def group(span):  # by the block's place in the half table
+            return span[0] // (2 * collision._TABLE_BLOCK)
 
-        def group(entries):  # by the block's place in the half table
-            return np.searchsorted(half, entries[0]) // (2 * collision._TABLE_BLOCK)
-
-        def checking_init(self, grid, interp="linear", entries=None):
+        def checking_init(self, grid, interp="linear", span=None):
             late.extend(e for ref, e in list(built)
-                        if ref() is not None and group(e) < group(entries))
-            tracked(self, grid, interp, entries)
+                        if ref() is not None and group(e) < group(span))
+            tracked(self, grid, interp, span)
         monkeypatch.setattr(ResonanceTable, "__init__", checking_init)
         g = Grid(128)  # 4,096 entries in the half table: 5 blocks in 3 groups
         {"multiplier_a": lambda: multiplier_a(PARAMS, g),
@@ -390,7 +407,7 @@ class TestTableOwnership:
         cfg = EvolutionConfig(dt=1.0, t_final=5.0)
         traj = evolve_nonlinear_f(f0, cfg, "cubic")
         assert traj.rhs_evals == 20
-        assert sum(entries is None for _, entries in built) == 1
+        assert sum(span is None for _, span in built) == 1
 
 
 class TestPerturbation:
@@ -432,14 +449,14 @@ class TestPerturbation:
 
     def test_even_data_runs_on_the_mirror_class(self, monkeypatch):
         # n = 128 cubic: the decay data is even to rounding, so its run sums
-        # the 4,032 entries of the mirror class; an odd bump of 1e-6 of its
+        # the 4,096 entries of the half table; an odd bump of 1e-6 of its
         # sup sends the same data to the whole table of 8,128
         g = Grid(128)
         op = assemble(PARAMS, g, "cubic")
         g0 = scaled_data(PARAMS, g, 1e-2)
         cfg = EvolutionConfig(dt=1.0, t_final=20.0)
         traj = evolve_perturbation(g0, cfg, op)
-        assert traj.rhs_table_entries == 4032
+        assert traj.rhs_table_entries == 4096
         bump = 1e-6 * np.max(np.abs(g0.values)) * np.sin(g.nodes)  # odd under p -> 2pi - p
         bumped = evolve_perturbation(Field(g, g0.values + bump),
                                      EvolutionConfig(dt=1.0, t_final=1.0), op)
@@ -454,6 +471,20 @@ class TestPerturbation:
         sup = np.max(np.abs(g0.values))
         for (_, a), (_, b) in zip(traj.states, whole.states):
             assert np.max(np.abs(a - b)) <= 1e-12 * sup
+
+    def test_runs_without_the_dense_matrix(self, monkeypatch, op128):
+        # L g is the block-wise product: no run forms the n x n matrix, on
+        # the half table (even data) or on the whole table (an odd bump)
+        def refuse(op):
+            raise AssertionError("LinOperator.matrix read")
+        monkeypatch.setattr(linearized.LinOperator, "matrix", property(refuse))
+        g = Grid(128)
+        g0 = scaled_data(PARAMS, g, 1e-2)
+        bump = 1e-6 * np.max(np.abs(g0.values)) * np.sin(g.nodes)
+        cfg = EvolutionConfig(dt=1.0, t_final=5.0)
+        for data, entries in ((g0.values, 4096), (g0.values + bump, 8128)):
+            traj = evolve_perturbation(Field(g, data), cfg, op128)
+            assert traj.rhs_table_entries == entries and traj.rhs_evals == 20
 
     def test_linear_consistency_with_semigroup(self, op128):
         # at eps = 1e-6 the trajectory is the semigroup up to O(eps^2 t)

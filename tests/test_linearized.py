@@ -306,7 +306,7 @@ class TestWeakFormAssembly:
         # a comes from the assembly's own pass, so a cubic assembly builds no
         # linear table for it; on 1 or 2 workers the 16,384 entries of the
         # half table of n = 256 stream in 4 blocks, each built once with its
-        # own entries
+        # own span
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         if table_max_n is not None:
             monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
@@ -318,16 +318,13 @@ class TestWeakFormAssembly:
             init(self, *args, **kwargs)
         monkeypatch.setattr(ResonanceTable, "__init__", counting_init)
         g = Grid(256)
-        half = collision._half_entries(256, 0, 16384)
         for workers in ("1", "2"):
             monkeypatch.setenv("PHONON_THREADS", workers)
             built.clear()
             op = assemble(PARAMS, g, interp="cubic")
             # pool workers may start neighbouring blocks in either order
-            built.sort(key=lambda args: args[2][0])
-            assert [args[:2] for args in built] == [(g, "cubic")] * 4
-            for k, args in zip(range(0, 16384, 5000), built):
-                assert np.array_equal(args[2], half[k:k + 5000])
+            assert sorted(built, key=lambda args: args[2]) == [
+                (g, "cubic", (k, min(k + 5000, 16384))) for k in range(0, 16384, 5000)]
             assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
 
     def test_traced_peak_memory(self, monkeypatch):
