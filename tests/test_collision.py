@@ -150,6 +150,28 @@ class TestCollisionOperator:
                 assert np.array_equal(got_i, i[k0:k1])
                 assert np.array_equal(got_j, j[k0:k1])
 
+    @pytest.mark.parametrize("n", [16, 17, 100, 256, 384])
+    def test_mirror_class(self, n):
+        # the half-table entries with i + j < n - 1; each entry off the
+        # self-mirror line i + j = n - 1 and outside the half is the mirror
+        # of exactly one of them
+        i, j = np.triu_indices(n, 1)
+        half = collision._half_entries(n, 0, n * n // 4)
+        k = half[i[half] + j[half] < n - 1]
+        assert np.array_equal(k, np.flatnonzero(i + j < n - 1))
+        mirrored = list(zip(n - 1 - j[k], n - 1 - i[k]))
+        outside = i + j > n - 1
+        assert len(set(mirrored)) == len(mirrored) == np.count_nonzero(outside)
+        assert set(mirrored) == set(zip(i[outside], j[outside]))
+        if n % 2 == 0:
+            assert k.size == n * (n - 2) // 4
+        # the half table carries the whole table's bits on the mirror class
+        tab = collision.ResonanceTable(Grid(n), "cubic", (0, half.size))
+        whole = collision.ResonanceTable(Grid(n), "cubic")
+        on = np.isin(half, k)
+        for name in ("i", "j", "P1", "P3", "W"):
+            assert np.array_equal(getattr(tab, name)[on], getattr(whole, name)[k])
+
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):
             collision_operator(Field(Grid(64), np.full(64, 1e-13)))
@@ -384,13 +406,6 @@ class TestPackedBlocks:
         assert np.array_equal(collision._half_entries(n, 0, half.size), half)
         assert np.array_equal(collision._half_entries(n, 5, half.size - 3), half[5:-3])
         assert half.size == (n // 2) * (n - n // 2) == n * n // 4
-        # each entry off the self-mirror line i + j = n - 1 and outside the
-        # half is the mirror of exactly one entry of the half
-        off = half[i[half] + j[half] < n - 1]
-        mirrored = list(zip(n - 1 - j[off], n - 1 - i[off]))
-        outside = i + j > n - 1
-        assert len(set(mirrored)) == len(mirrored) == np.count_nonzero(outside)
-        assert set(mirrored) == set(zip(i[outside], j[outside]))
         # a half table carries the whole table's bits at those entries, W
         # exactly halved on the self-mirror pairs
         tab = collision.ResonanceTable(Grid(n), "cubic", (0, half.size))
