@@ -30,7 +30,10 @@ integrand is reflection-invariant: L's, and Q + N's on even data.
 A loop that applies C[f] or the perturbation right-hand side many times
 owns one table for as long as it runs: the whole one (`collision_map`,
 `PerturbationTables` on any data) or the half one (`PerturbationTables`
-on even data).  The linearized assembly reads the table once, so
+on even data).  Both store `i` in sorted runs, one per row, so such a
+loop sums row i over the runs (`exchange_sum`, with the run starts
+`ResonanceTable.runs` found once, on its first call) and row j by a
+bincount.  The linearized assembly reads the table once, so
 `_packed_blocks` streams the half table as transient blocks (built by
 `map_blocks`, the row-block pool's one entry point) and holds no whole
 table.
@@ -54,6 +57,7 @@ Importing this module pins glibc's malloc thresholds (`_pin_malloc`).
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -70,7 +74,8 @@ from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, f_minus_zeros, h
 TABLE_MAX_N = 2048
 _TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table)
 # table entries per block of `ResonanceTable.exchange_sum` (128 KiB per
-# float64 temporary; n = 256 has 32,640 entries)
+# float64 temporary; n = 256 has 32,640 entries, its half table 16,384).
+# Blocks of 2^11 to 2^13 made the relax right-hand side slower, not faster
 _EXCHANGE_BLOCK = 1 << 14
 # collision_at: consecutive p2 columns per chunk of its bound on p1, and
 # (row, chunk) pairs per row block and candidate entries per batch (64 KiB
@@ -186,6 +191,14 @@ class ResonanceTable:
         if span is not None:
             self.W[self.i + self.j == n - 1] *= 0.5  # exact: the same bits halved
 
+    @functools.cached_property
+    def runs(self) -> np.ndarray:
+        """The first entry of each run of equal `i`: one run per row that
+        holds entries, in increasing order.  Computed on the first
+        `exchange_sum`, so only a table that a loop owns pays for it, never
+        the blocks that `_packed_blocks` streams."""
+        return np.flatnonzero(np.diff(self.i, prepend=-1))
+
     def exchange_sum(self, v: np.ndarray, term) -> np.ndarray:
         """Row sums over the full rule of an integrand that flips sign under
         the exchange (and so vanishes on the diagonal).
@@ -193,15 +206,24 @@ class ResonanceTable:
         term(s, v0, v1, v2, v3) is the integrand on the entries s, from the
         values v at the nodes i, j and interpolated at P1, P3; each entry adds
         it into row i and subtracts it from row j.  Blocks of _EXCHANGE_BLOCK
-        entries gather once each side and scatter with two bincounts.
+        entries gather once each side.  The entries store `i` in sorted
+        runs, one per row, so row i's sums are one np.add.reduceat over the
+        block's part of each run (the block's first entry starts a part too;
+        the parts never come out empty, where reduceat would return an entry
+        in place of a sum), and row j's a bincount.  A row with no entries
+        gets nothing from the i side: row n - 1 of the whole table.
         """
         n = self.grid.n
         out = np.zeros(n)
+        runs = self.runs
         for b0 in range(0, self.W.size, _EXCHANGE_BLOCK):
             s = slice(b0, b0 + _EXCHANGE_BLOCK)
             i, j = self.i[s], self.j[s]
             t = term(s, v[i], gather(v, self.i1, s), v[j], gather(v, self.i3, s))
-            out += np.bincount(i, t, minlength=n)
+            parts = runs[np.searchsorted(runs, b0, side="right") - 1:
+                         np.searchsorted(runs, b0 + i.size)] - b0
+            parts[0] = 0
+            out[i[parts]] += np.add.reduceat(t, parts)
             out -= np.bincount(j, t, minlength=n)
         return out
 

@@ -28,6 +28,10 @@ p1 side of its exchanged pair, and the fused integrand of Q + N is
 antisymmetric under the exchange by construction.  Each entry then adds
 its term to one row and subtracts it from the other: half the gathers and
 channel arithmetic of the full rule, and mass that cancels term by term.
+The pass writes the fused integrand into buffers that the tables own,
+one block of the table at a time, and sums it into the rows over the
+table's sorted runs of i and by a bincount over j
+(`ResonanceTable.exchange_sum`).
 Against the full-matrix evaluation, Q + N agrees to rounding (the
 summation order differs, and so, at the last bits, does the geometry that
 the full rule computes afresh for each exchanged pair).
@@ -161,6 +165,7 @@ class PerturbationTables:
         self.G2 = tab.W * F0 * F1 * F3
         self.G3 = tab.W * F0 * F1 * F2
         self.inv_fb = 1.0 / fb
+        self._buffers = np.empty((5, 0))  # nonlinear's, grown to the block in use
 
     def nonlinear(self, g: np.ndarray) -> np.ndarray:
         """Q[g] + N[g], the quadratic and cubic components in one pass.
@@ -174,14 +179,43 @@ class PerturbationTables:
         sums h cover one of each two mirror entries and half of each
         self-mirror one, and the reflection h[::-1] adds the rest: g must
         then be even.
+
+        M is written into five buffer rows that these tables own, sized by
+        the block in use (at most collision._EXCHANGE_BLOCK entries, never
+        the table), with the operations of
+            m  = G0 (g12 + g3 (g1 + g2 + g12))
+            m += G1 (g02 + g3 (g0 + g2 + g02))
+            m -= G2 (g01 + g3 s01)
+            m -= G3 (g01 + g2 s01),   s01 = g0 + g1 + g01,
+        in that order, so its bits are those of the expression.  A call
+        must not overlap another on the same tables.
         """
         def fused(s, g0, g1, g2, g3):
-            g01, g02, g12 = g0 * g1, g0 * g2, g1 * g2
-            s01 = g0 + g1 + g01
-            m = self.G0[s] * (g12 + g3 * (g1 + g2 + g12))
-            m += self.G1[s] * (g02 + g3 * (g0 + g2 + g02))
-            m -= self.G2[s] * (g01 + g3 * s01)
-            m -= self.G3[s] * (g01 + g2 * s01)
+            size = g0.size
+            if self._buffers.shape[1] < size:
+                self._buffers = np.empty((5, size))
+            m, x, p, g01, s01 = self._buffers[:, :size]
+
+            def cross(x, a, b):  # x = ab + g3 (a + b + ab), with ab in p
+                np.multiply(a, b, out=p)
+                np.add(a, b, out=x)
+                x += p
+                x *= g3
+                x += p
+
+            np.multiply(g0, g1, out=g01)
+            np.add(g0, g1, out=s01)
+            s01 += g01
+            cross(x, g1, g2)
+            np.multiply(self.G0[s], x, out=m)
+            cross(x, g0, g2)
+            x *= self.G1[s]
+            m += x
+            for gk, Gk in ((g3, self.G2[s]), (g2, self.G3[s])):
+                np.multiply(gk, s01, out=x)
+                x += g01
+                x *= Gk
+                m -= x
             return m
 
         h = self.tab.exchange_sum(g, fused)

@@ -12,7 +12,9 @@ exchange symmetry that the package's packed resonance table relies on, and
 the cached-slice blocks read one whole packed table where the package
 streams transient blocks.  `whole_weak_form` assembles L from every pair of
 the packed table, where the package reads half of it and reflects the sum
-into the even and odd blocks.  `project_out_kernel` makes kernel-orthogonal
+into the even and odd blocks.  `bincount_exchange_sum` scatters a table's
+row sums with two bincounts, the reference for the run sums of
+`ResonanceTable.exchange_sum`.  `project_out_kernel` makes kernel-orthogonal
 test data with the plain projection onto `LinOperator.kernel_basis`,
 `trig_sample` draws the random trigonometric data of the tests, and
 `dissipation_ratios` draws the dissipation samples one at a time.  `h_tan` and
@@ -155,6 +157,21 @@ def whole_weak_form(params: RjParams, grid: Grid, interp: str = "linear"):
     L *= inv_fb[:, None] * inv_fb[None, :]
     L *= -(grid.weight / 2.0)
     return L, grid.weight * a / fb
+
+
+def bincount_exchange_sum(tab, v: np.ndarray, term) -> np.ndarray:
+    """`ResonanceTable.exchange_sum` as it was before it summed row i over
+    the sorted runs of i: each block of collision._EXCHANGE_BLOCK entries
+    scatters its terms with one bincount over i and one over j."""
+    n = tab.grid.n
+    out = np.zeros(n)
+    for b0 in range(0, tab.W.size, collision._EXCHANGE_BLOCK):
+        s = slice(b0, b0 + collision._EXCHANGE_BLOCK)
+        i, j = tab.i[s], tab.j[s]
+        t = term(s, v[i], gather(v, tab.i1, s), v[j], gather(v, tab.i3, s))
+        out += np.bincount(i, t, minlength=n)
+        out -= np.bincount(j, t, minlength=n)
+    return out
 
 
 def full_collision(f, interp: str = "linear") -> np.ndarray:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import fold_search, full_collision, trig_sample
+from oracles import bincount_exchange_sum, fold_search, full_collision, trig_sample
 from phononlab import collision, dynamics, experiments, linearized
 from phononlab.collision import (blowup_points, collision_operator,
                                  conserved_quantities, entropy, three_bumps)
@@ -415,6 +415,31 @@ class TestPackedBlocks:
         mirror = i[half] + j[half] == n - 1
         assert np.array_equal(tab.W[~mirror], whole.W[half][~mirror])
         assert np.array_equal(tab.W[mirror], 0.5 * whole.W[half][mirror])
+
+
+class TestExchangeSum:
+    # n = 100: the whole table's rows hold 99, 98, ..., 1 entries (4,950),
+    # the half table's 99, 97, ..., 1 (2,500).  Blocks of 128 cut rows
+    # mid-run, the second block of 99 starts exactly on row 1's first entry,
+    # and a block of 2^14 holds either table whole
+    @pytest.mark.parametrize("block", [128, 99, 1 << 14])
+    @pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    def test_matches_the_bincount_scatter(self, monkeypatch, interp, half, block):
+        n = 100
+        grid = Grid(n)
+        tab = collision.ResonanceTable(grid, interp, (0, n * n // 4) if half else None)
+        assert tab.runs.size == (n // 2 if half else n - 1) and 99 in tab.runs
+        v = smooth_positive_field(grid, seed=8).values
+        term = lambda s, *f4: tab.W[s] * collision._bracket(*f4)
+        monkeypatch.setattr(collision, "_EXCHANGE_BLOCK", block)
+        got = tab.exchange_sum(v, term)
+        want = bincount_exchange_sum(tab, v, term)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # the whole table's row n - 1 holds no entries, and the run sums add
+        # exactly 0 to it
+        if not half:
+            assert got[n - 1] == want[n - 1]
 
 
 class TestMallocPin:

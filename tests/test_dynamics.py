@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import full_table
+from oracles import bincount_exchange_sum, full_table
 from phononlab import collision, dynamics, linearized
 from phononlab.collision import ResonanceTable, collision_operator
 from phononlab.dynamics import (MAX_STEPS, EvolutionConfig, PerturbationTables, _run,
@@ -174,6 +174,27 @@ class TestNonlinearKernel:
                     got = tabs.nonlinear(g)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    def test_collision_map_block_size_independent(self, monkeypatch, interp):
+        # C[f] on the whole table of n = 100, also in blocks of 128 that cut
+        # its rows mid-run.  Row n - 1 holds no entries of the whole table:
+        # the row sums over i add exactly 0 to it, so it keeps, bit for bit,
+        # what the two-bincount scatter gives it
+        n = 100
+        grid = Grid(n)
+        collide = collision.collision_map(grid, interp)
+        tab = ResonanceTable(grid, interp)
+        f = rj_field(PARAMS, grid).values * (1.0 + 0.1 * np.sin(3.0 * grid.nodes))
+        want = collide(f)
+        for block in (collision._EXCHANGE_BLOCK, 128):
+            with monkeypatch.context() as m:
+                m.setattr(collision, "_EXCHANGE_BLOCK", block)
+                got = collide(f)
+                ref = grid.weight * bincount_exchange_sum(
+                    tab, f, lambda s, *f4: tab.W[s] * collision._bracket(*f4))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert got[n - 1] == ref[n - 1]
+
 
 class TestEvolutionConfig:
     def test_validation(self):
@@ -334,6 +355,22 @@ class TestRunGuards:
         with pytest.raises(BlowupError, match=r"positivity failed at t = 5\.5$"):
             _run(g, np.zeros(16), lambda gv: np.full_like(gv, -0.19), cfg,
                  to_f=lambda gv: 1.0 + gv, mass0=0.0, energy0=0.0)
+
+    def test_sup_norm_checked_every_step(self):
+        # f = g with dg/dt = 2 g grows by the RK4 factor q = 1 + 1 + 1/2 +
+        # 1/6 + 1/24 per step of 0.5 and stays positive; the first step
+        # whose sup exceeds BLOWUP_FACTOR times the initial one (q^6 = 394,
+        # q^7 = 1,067 for 10^3) must raise
+        g = Grid(16)
+        cfg = EvolutionConfig(dt=0.5, t_final=10.0)
+        q = 1.0 + 1.0 + 1.0 / 2.0 + 1.0 / 6.0 + 1.0 / 24.0
+        steps = int(np.floor(np.log(dynamics.BLOWUP_FACTOR) / np.log(q))) + 1
+        t_fail = steps * cfg.dt
+        assert t_fail < cfg.t_final
+        with pytest.raises(BlowupError,
+                           match=rf"sup-norm left the trust region at t = {t_fail:.3g}$"):
+            _run(g, np.ones(16), lambda gv: 2.0 * gv, cfg,
+                 to_f=lambda gv: gv, mass0=0.0, energy0=0.0)
 
 
 class TestTableOwnership:

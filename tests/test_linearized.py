@@ -1,3 +1,4 @@
+import errno
 import tracemalloc
 
 import numpy as np
@@ -606,3 +607,58 @@ class TestCache:
         assert len(files) == 1
         op2 = load_or_assemble(PARAMS, Grid(128), tmp_path)
         assert np.array_equal(op1.matrix, op2.matrix)
+
+    @pytest.mark.parametrize("former", [False, True], ids=["no-former-file", "former-file"])
+    def test_failed_write_leaves_no_partial_cache(self, tmp_path, monkeypatch, former):
+        # the disk fills after the header and part of the payload: the cache
+        # path keeps what it held (nothing, or the former valid file), and
+        # no temporary file is left beside it
+        path = tmp_path / "op.bin"
+        if former:
+            save_operator(assemble(PARAMS, Grid(128)), path)
+            before = path.read_bytes()
+        op = assemble(RjParams(1.0, 2.0), Grid(128))
+        limit = 80 + 8 * 1000
+        real_open, failed_at = open, []
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            write = fh.write
+
+            def partial(data):
+                room = limit - fh.tell()
+                data = memoryview(data).cast("B")
+                if data.nbytes > room:
+                    write(data[:room])
+                    fh.flush()
+                    failed_at.append(fh.tell())
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write(data)
+
+            fh.write = partial
+            return fh
+
+        with monkeypatch.context() as m:
+            m.setattr(linearized, "open", full_disk_open, raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                save_operator(op, path)
+        assert failed_at == [limit]
+        assert list(tmp_path.glob("*.tmp")) == []
+        if former:
+            assert path.read_bytes() == before
+            assert load_operator(path).params == PARAMS
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_cache_whose_key_differs_from_its_name_is_rebuilt(self, tmp_path):
+        # the operator for (1, 1) under the name of (1, 2): the header's key
+        # decides, so the call assembles (1, 2) and rewrites the file
+        grid, want = Grid(128), RjParams(1.0, 2.0)
+        path = tmp_path / "linop_n128_b1_g2_linear.bin"
+        save_operator(assemble(PARAMS, grid), path)
+        op = load_or_assemble(want, grid, tmp_path)
+        assert op.params == want
+        assert list(tmp_path.iterdir()) == [path]
+        cached = load_operator(path)
+        assert (cached.grid.n, cached.params, cached.interp) == (128, want, "linear")
+        assert np.array_equal(cached.matrix, op.matrix)
