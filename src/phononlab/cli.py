@@ -3,9 +3,10 @@
 One process per run.  Each subcommand validates its configuration, runs the
 corresponding experiment, and writes its artifacts plus a manifest.json
 (config hash, package version, wall time, status) into the output
-directory.  The version is `phononlab.__version__`, which pyproject.toml
-also reads, so a checkout run from src/ records it as an installed one
-does.  The manifest is written even when the run fails (a bad
+directory; the wall time is read from the monotonic clock, which never
+steps back.  The version is `phononlab.__version__`, which
+pyproject.toml also reads, so a checkout run from src/ records it as an
+installed one does.  The manifest is written even when the run fails (a bad
 configuration's, with config, hash and env null, goes to --output-dir, else
 the config file's output_dir, else out).  Every other manifest records the
 run's environment ("env": row-block workers, Python and numpy versions);
@@ -313,7 +314,7 @@ def run(args: argparse.Namespace) -> int:
                     env=_environment(),
                     config_hash=_config_hash({"subcommand": args.subcommand, **cfg}))
     counters: dict = {}
-    t0 = time.time()
+    t0 = time.monotonic()
     try:
         code = _run_subcommand(args.subcommand, cfg, outdir, counters)
         manifest["status"] = "ok" if code == EXIT_OK else "check-failed"
@@ -335,7 +336,7 @@ def run(args: argparse.Namespace) -> int:
         manifest["status"] = f"internal-error: {cause}"
         code = EXIT_INTERNAL
     finally:
-        manifest["wall_time_s"] = round(time.time() - t0, 3)
+        manifest["wall_time_s"] = round(time.monotonic() - t0, 3)
         if counters:
             manifest["counters"] = counters
         _write_json(outdir / "manifest.json", manifest)

@@ -10,7 +10,7 @@ where p1 = h(p0, p2) and p3 = p0 + p1 - p2 are resolved on the nontrivial
 branch of the resonant manifold (trivial resonances are dropped: their
 integrand cancels and they carry no transport).  On a grid both p0 and p2
 run over the nodes; p1 and p3 fall off-grid and the spectrum is evaluated
-there by periodic interpolation.
+there by periodic interpolation, in Horner form (`grid.gather`).
 
 The tensor rule inherits a discrete exchange symmetry: swapping the roles
 of the p0 and p2 nodes maps (p0,p1,p2,p3) -> (p2,p3,p0,p1), keeps the
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .grid import POS_FLOOR, Field, Grid, gather, interp_weights
+from .grid import POS_FLOOR, Field, Grid, gather, horner, interp_weights
 from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, f_minus_zeros, h_range,
                        resonant_kernel)
 
@@ -117,6 +117,27 @@ def _pin_malloc() -> bool:
 _MALLOC_PINNED = _pin_malloc()
 
 
+_PAGE = 4096  # bytes
+
+
+def page_aligned(shape, dtype=float) -> np.ndarray:
+    """An uninitialized array whose rows each start on a 4 KiB page.
+
+    The arrays a loop over a table streams together are allocated so.
+    From the heap, 128 KiB arrays start 16 bytes apart in their pages, and
+    a loop that reads one a little behind where it writes another in the
+    page stalls on false store dependencies (4K aliasing): the relax
+    right-hand side took 10-15% longer in some heap states than in others."""
+    dtype = np.dtype(dtype)
+    *lead, m = np.atleast_1d(shape)
+    rows = int(np.prod(lead))
+    stride = -(-int(m) * dtype.itemsize // _PAGE) * _PAGE
+    raw = np.empty(rows * stride + _PAGE, np.uint8)
+    start = -raw.ctypes.data % _PAGE
+    padded = raw[start:start + rows * stride].reshape(rows, stride)
+    return padded[:, :int(m) * dtype.itemsize].view(dtype).reshape(*lead, int(m))
+
+
 def _row_starts(n: int, r: np.ndarray) -> np.ndarray:
     """The packed index of the first entry (r, r + 1) of each row r."""
     return r * (2 * n - 1 - r) // 2
@@ -150,13 +171,15 @@ class ResonanceTable:
 
     Entry (i, j), j > i, holds p1 = P1 and p3 = P3 of the pair (p0, p2) =
     (node i, node j), their stencils i1 and i3, and the weight W; `i` and `j`
-    hold the nodes.  The exchange maps the pair (j, i) onto (p2, p3, p0, p1)
-    with the same weight, so the entry serves both orders: the p3 side of
-    (i, j) is the p1 side of (j, i), P3 := P1^T.  On the diagonal h(x, x) = 0
-    exactly, so W = 0 there and the diagonal is not stored.  Entries run over
-    the strict upper triangle in np.triu_indices(n, 1) order: all of them by
-    default, or with `span` = (k0, k1) the entries k0 to k1 - 1 of the half
-    table (`_half_entries`), W halved on its self-mirror pairs i + j = n - 1,
+    hold the nodes.  A stencil is the pair (q, t) of `grid.interp_weights`,
+    so an entry takes 72 bytes at either order.  The exchange maps the pair
+    (j, i) onto (p2, p3, p0, p1) with the same weight, so the entry serves
+    both orders: the p3 side of (i, j) is the p1 side of (j, i),
+    P3 := P1^T.  On the diagonal h(x, x) = 0 exactly, so W = 0 there and the
+    diagonal is not stored.  Entries run over the strict upper triangle in
+    np.triu_indices(n, 1) order: all of them by default, or with `span` =
+    (k0, k1) the entries k0 to k1 - 1 of the half table (`_half_entries`),
+    W halved on its self-mirror pairs i + j = n - 1,
     which its reflection shares with it: the one definition of the half
     table, which `PerturbationTables` builds whole for even data and
     `_packed_blocks` streams in spans.  The table is built in blocks of
@@ -170,26 +193,27 @@ class ResonanceTable:
         self.grid = grid
         self.interp = interp
         n = grid.n
-        self.i, self.j = _pairs(n, np.arange(n * (n - 1) // 2) if span is None
-                                else _half_entries(n, *span))
-        size = self.i.size
-        self.P1, self.P3, self.W = np.empty((3, size))
-        points = len(interp_weights(grid, np.empty(0), interp)[0])  # checks interp too
-        self.i1, self.i3 = ((tuple(np.empty((points, size), np.int64)),
-                             tuple(np.empty((points, size)))) for _ in range(2))
+        pairs = _pairs(n, np.arange(n * (n - 1) // 2) if span is None
+                       else _half_entries(n, *span))
+        size = pairs[0].size
+        interp_weights(grid, np.empty(0), interp)  # checks interp
+        self.i, self.j = page_aligned((2, size), np.int64)
+        self.i[:], self.j[:] = pairs
+        self.P1, self.P3, self.W = page_aligned((3, size))
+        self.i1, self.i3 = ((page_aligned(size, np.int64), page_aligned(size))
+                            for _ in range(2))
         nodes = grid.nodes
 
         def fill(s):
             self.P1[s], self.P3[s], self.W[s] = resonant_kernel(nodes[self.i[s]],
                                                                 nodes[self.j[s]])
-            for (idx, wts), p in ((self.i1, self.P1[s]), (self.i3, self.P3[s])):
-                got_idx, got_wts = interp_weights(grid, p, interp)
-                for dst, src in zip(idx + wts, got_idx + got_wts):
-                    dst[s] = src
+            for (q, t), p in ((self.i1, self.P1[s]), (self.i3, self.P3[s])):
+                q[s], t[s] = interp_weights(grid, p, interp)
 
         map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, size, _TABLE_BLOCK)])
         if span is not None:
             self.W[self.i + self.j == n - 1] *= 0.5  # exact: the same bits halved
+        self._values = np.empty((5, 0))  # exchange_sum's, grown to the block in use
 
     @functools.cached_property
     def runs(self) -> np.ndarray:
@@ -206,20 +230,31 @@ class ResonanceTable:
         term(s, v0, v1, v2, v3) is the integrand on the entries s, from the
         values v at the nodes i, j and interpolated at P1, P3; each entry adds
         it into row i and subtracts it from row j.  Blocks of _EXCHANGE_BLOCK
-        entries gather once each side.  The entries store `i` in sorted
-        runs, one per row, so row i's sums are one np.add.reduceat over the
-        block's part of each run (the block's first entry starts a part too;
-        the parts never come out empty, where reduceat would return an entry
-        in place of a sum), and row j's a bincount.  A row with no entries
-        gets nothing from the i side: row n - 1 of the whole table.
+        entries gather once each side, from Horner coefficients of v built
+        once per call, into page-aligned rows that the table owns: v0 to v3
+        hold only until term returns, and calls must not overlap.  The
+        entries store `i` in sorted runs, one per row, so row i's sums are
+        one np.add.reduceat over the block's part of each run (the block's
+        first entry starts a part too; the parts never come out empty, where
+        reduceat would return an entry in place of a sum), and row j's a
+        bincount.  A row with no entries gets nothing from the i side: row
+        n - 1 of the whole table.
         """
         n = self.grid.n
         out = np.zeros(n)
         runs = self.runs
+        c = horner(v, self.interp)
+        size = min(self.W.size, _EXCHANGE_BLOCK)
+        if self._values.shape[1] < size:
+            self._values = page_aligned((5, size))
+        v0, v1, v2, v3, taken = self._values
         for b0 in range(0, self.W.size, _EXCHANGE_BLOCK):
             s = slice(b0, b0 + _EXCHANGE_BLOCK)
             i, j = self.i[s], self.j[s]
-            t = term(s, v[i], gather(v, self.i1, s), v[j], gather(v, self.i3, s))
+            t = term(s, np.take(v, i, out=v0[:i.size], mode="clip"),
+                     gather(c, self.i1, s, (v1, taken)),
+                     np.take(v, j, out=v2[:i.size], mode="clip"),
+                     gather(c, self.i3, s, (v3, taken)))
             parts = runs[np.searchsorted(runs, b0, side="right") - 1:
                          np.searchsorted(runs, b0 + i.size)] - b0
             parts[0] = 0

@@ -28,10 +28,10 @@ p1 side of its exchanged pair, and the fused integrand of Q + N is
 antisymmetric under the exchange by construction.  Each entry then adds
 its term to one row and subtracts it from the other: half the gathers and
 channel arithmetic of the full rule, and mass that cancels term by term.
-The pass writes the fused integrand into buffers that the tables own,
-one block of the table at a time, and sums it into the rows over the
-table's sorted runs of i and by a bincount over j
-(`ResonanceTable.exchange_sum`).
+The pass writes the gathered values and the fused integrand into
+page-aligned buffers that the tables own, one block of the table at a
+time, and sums it into the rows over the table's sorted runs of i and by
+a bincount over j (`ResonanceTable.exchange_sum`).
 Against the full-matrix evaluation, Q + N agrees to rounding (the
 summation order differs, and so, at the last bits, does the geometry that
 the full rule computes afresh for each exchanged pair).
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collision import (ResonanceTable, check_table_n, collision_map, conserved_quantities,
-                        entropy)
+                        entropy, page_aligned)
 from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
@@ -160,10 +160,11 @@ class PerturbationTables:
         fb = params.value(grid.nodes)
         F0, F2 = fb[tab.i], fb[tab.j]
         F1, F3 = params.value(tab.P1), params.value(tab.P3)
-        self.G0 = tab.W * F1 * F2 * F3
-        self.G1 = tab.W * F0 * F2 * F3
-        self.G2 = tab.W * F0 * F1 * F3
-        self.G3 = tab.W * F0 * F1 * F2
+        self.G0, self.G1, self.G2, self.G3 = G = page_aligned((4, tab.W.size))
+        G[0] = tab.W * F1 * F2 * F3
+        G[1] = tab.W * F0 * F2 * F3
+        G[2] = tab.W * F0 * F1 * F3
+        G[3] = tab.W * F0 * F1 * F2
         self.inv_fb = 1.0 / fb
         self._buffers = np.empty((5, 0))  # nonlinear's, grown to the block in use
 
@@ -193,7 +194,7 @@ class PerturbationTables:
         def fused(s, g0, g1, g2, g3):
             size = g0.size
             if self._buffers.shape[1] < size:
-                self._buffers = np.empty((5, size))
+                self._buffers = page_aligned((5, size))
             m, x, p, g01, s01 = self._buffers[:, :size]
 
             def cross(x, a, b):  # x = ab + g3 (a + b + ab), with ab in p
@@ -253,8 +254,10 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
          mass0: float, energy0: float, table_entries: int = 0) -> Trajectory:
     """Shared fixed-step driver; the state g maps to the spectrum f = to_f(g).
 
-    f must stay finite, positive and within BLOWUP_FACTOR of its initial
-    sup norm after every step, else BlowupError names that step's t.
+    Step k ends at t = (k + 1) / n_steps * t_final, so the last one is
+    recorded at t_final exactly.  f must stay finite, positive and within
+    BLOWUP_FACTOR of its initial sup norm after every step, else
+    BlowupError names that step's t.
     Returns the Trajectory of the recorded diagnostics and states, with the
     initial mass0, energy0, the number of rhs calls made and the
     table_entries that each call sums over.
@@ -264,7 +267,6 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
     dt = cfg.t_final / n_steps
     sup0 = float(np.max(np.abs(to_f(g0))))
     g = g0.copy()
-    t = 0.0
     ri = 0
     rows, states = [], []
     calls = 0
@@ -274,9 +276,9 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
         calls += 1
         return rhs(gv)
 
-    for _ in range(n_steps):
+    for k in range(n_steps):
         g = _step(counted, g, dt)
-        t += dt
+        t = (k + 1) / n_steps * cfg.t_final  # a running sum of dt drifts
         # O(n) per step: a transient between two record times is caught too
         f_vals = to_f(g)
         if not np.all(np.isfinite(f_vals)) or np.max(np.abs(f_vals)) > BLOWUP_FACTOR * sup0:

@@ -5,6 +5,9 @@ which matters because several kernels degenerate at p = 0 (mod 2pi).
 Off-grid evaluation is periodic piecewise-linear interpolation by default;
 periodic 4-point (cubic) Lagrange interpolation is available where the
 extra two orders are worth it.
+A stencil is one index and one offset per target (`interp_weights`);
+`gather` evaluates it in Horner form from the coefficients of `horner`,
+and `lagrange_weights` gives its nodes and weights.
 """
 
 from __future__ import annotations
@@ -62,41 +65,79 @@ class Field:
             raise PositivityError(f"field minimum {m:.3e} is below the floor {floor:.0e}")
 
 
-def interp_weights(grid: Grid, targets: np.ndarray, order: str = "linear"):
-    """Periodic interpolation stencils for arbitrary target angles.
+# (nodes, nodes before the node j that a target follows) of each stencil
+_STENCILS = {"linear": (2, 0), "cubic": (4, 1)}
 
-    Returns (indices, weights): tuples of equal-shape integer/float arrays
-    such that  value(t) = sum_k values[indices[k]] * weights[k].
-    """
-    n = grid.n
-    w = grid.weight
-    u = np.asarray(targets, dtype=float) / w - 0.5
+
+def _stencil_shape(order: str) -> tuple:
+    if order not in _STENCILS:
+        raise ValueError(f"unknown interpolation order {order!r}")
+    return _STENCILS[order]
+
+
+def interp_weights(grid: Grid, targets: np.ndarray, order: str = "linear"):
+    """Periodic interpolation stencils (q, t) for arbitrary target angles:
+    a target u = target / weight - 1/2 spacings follows node j = floor(u)
+    at t = u - j in [0, 1), and q = the stencil's first node (j, or j - 1
+    for cubic) mod n."""
+    below = _stencil_shape(order)[1]
+    u = np.asarray(targets, dtype=float) / grid.weight - 0.5
     # snap to the nearest node so evaluation at a node reproduces it exactly
     r = np.round(u)
     u = np.where(np.abs(u - r) < 1e-9, r, u)
     j = np.floor(u).astype(np.int64)
-    t = u - j
+    return (j - below) % grid.n, u - j
+
+
+def lagrange_weights(n: int, stencil, order: str = "linear"):
+    """The nodes and Lagrange weights of (q, t) stencils on a grid of n
+    nodes: tuples (indices, weights) of equal-shape arrays with
+    value = sum_k values[indices[k]] * weights[k]."""
+    q, t = stencil
+    indices = (q,)
+    for k in range(1, _stencil_shape(order)[0]):
+        qk = q + k
+        np.subtract(qk, n, out=qk, where=qk >= n)  # mod n, without an integer division
+        indices += (qk,)
     if order == "linear":
-        return (j % n, (j + 1) % n), (1.0 - t, t)
-    if order == "cubic":
-        # 4-point Lagrange through the surrounding nodes; exact on cubics
-        wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
-        w0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-        wp1 = -(t + 1.0) * t * (t - 2.0) / 2.0
-        wp2 = (t + 1.0) * t * (t - 1.0) / 6.0
-        return ((j - 1) % n, j % n, (j + 1) % n, (j + 2) % n), (wm1, w0, wp1, wp2)
-    raise ValueError(f"unknown interpolation order {order!r}")
+        return indices, (1.0 - t, t)
+    # 4-point Lagrange through the surrounding nodes; exact on cubics
+    wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
+    w0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+    wp1 = -(t + 1.0) * t * (t - 2.0) / 2.0
+    wp2 = (t + 1.0) * t * (t - 1.0) / 6.0
+    return indices, (wm1, w0, wp1, wp2)
 
 
-def gather(values: np.ndarray, stencil, rows=slice(None)) -> np.ndarray:
-    """Interpolated values at the targets of an `interp_weights` stencil, for
-    a block of its leading-axis rows (all by default).  The terms are summed
-    in stencil order, so each row is the same whatever the block."""
-    idx, wts = stencil
-    out = values[idx[0][rows]] * wts[0][rows]
-    for i, wt in zip(idx[1:], wts[1:]):
-        out += values[i[rows]] * wt[rows]
-    return out
+def horner(values: np.ndarray, order: str = "linear") -> tuple:
+    """Coefficient rows of the interpolant on the stencil of each q:
+    c_0[q] + t (c_1[q] + t (c_2[q] + t c_3[q])), c_0[q] the value at j."""
+    n = values.size
+    ext = np.concatenate((values, values[:_stencil_shape(order)[0] - 1]))  # periodic
+    d = np.diff(ext)
+    if order == "linear":
+        return ext[:n], d
+    dd = np.diff(d)  # second differences, centred on the nodes j
+    a2 = 0.5 * dd[:n]
+    a3 = (dd[1:] - dd[:n]) / 6.0  # the third difference / 6
+    return ext[1:n + 1], d[1:n + 1] - a2 - a3, a2, a3
+
+
+def gather(coeffs: tuple, stencil, rows=slice(None), out=None) -> np.ndarray:
+    """Values at the targets of an `interp_weights` stencil, for a block of
+    its rows, by Horner's rule on `horner` coefficients.  `out`, two rows
+    at least as long as the block, takes the values and each gathered
+    coefficient, so a loop that owns it allocates nothing (np.take copies
+    through a temporary when given `out`, except in "clip" mode)."""
+    q, t = stencil[0][rows], stencil[1][rows]
+    if out is None:
+        out = np.empty((2, q.size))
+    val, taken = out[0][:q.size], out[1][:q.size]
+    np.take(coeffs[-1], q, out=val, mode="clip")
+    for c in coeffs[-2::-1]:
+        val *= t
+        val += np.take(c, q, out=taken, mode="clip")
+    return val
 
 
 def lp_norm(f: Field, p: float) -> float:

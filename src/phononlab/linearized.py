@@ -77,7 +77,7 @@ from .collision import _packed_blocks
 from .equilibria import RjParams, rj_field
 from .errors import ConfigError, FitError, SpectralError
 from .fitting import DecayReport, fit_power_law
-from .grid import Field, Grid
+from .grid import Field, Grid, lagrange_weights
 from .manifold import TWO_PI, resonant_kernel
 from .quadrature import graded_midpoint_nodes
 
@@ -226,25 +226,26 @@ def _add_block(A: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarr
     """Add the stencil products of one table block into the flat n^2
     accumulator A, entry by entry in table order, and return the block's
     frequency sums (`_frequency_sums`).  fb at P1 and P3 is evaluated once
-    for both.  Sub-blocks hold _BLOCK_VALUES stencil-pair values."""
+    for both.  Sub-blocks hold _BLOCK_VALUES stencil-pair values, and each
+    derives the nodes and weights of its stencils (`grid.lagrange_weights`)."""
     n = fb.size
     fb1, fb3 = params.value(tab.P1), params.value(tab.P3)
     sums = _frequency_sums(tab, fb, fb1, fb3)
     measure = tab.W * fb[tab.i] * fb1 * fb[tab.j] * fb3
     del fb1, fb3  # before the sub-blocks, whose temporaries set the peak
-    (i3, w3), (i1, w1) = tab.i3, tab.i1
-    ta, tb = np.triu_indices(2 * len(i1) + 2)
+    points = len(lagrange_weights(n, (tab.i1[0][:0], tab.i1[1][:0]), tab.interp)[0])
+    ta, tb = np.triu_indices(2 * points + 2)
     half = np.where(ta == tb, 0.5, 1.0)
     # entries per sub-block: the largest power of two whose pair values fit
     # in _BLOCK_VALUES (so it divides a power-of-two table block)
     step = 1 << (max(1, _BLOCK_VALUES // ta.size).bit_length() - 1)
     for b0 in range(0, tab.W.size, step):
         s = slice(b0, b0 + step)
-        i, j = tab.i[s], tab.j[s]
+        (i3, w3), (i1, w1) = (lagrange_weights(n, (q[s], t[s]), tab.interp)
+                              for q, t in (tab.i3, tab.i1))
         # one row per entry, so the scatter below runs in table order
-        idx = np.stack([*(k[s] for k in i3), j, i, *(k[s] for k in i1)], axis=1)
-        c = np.stack(np.broadcast_arrays(*(w[s] for w in w3), 1.0, -1.0,
-                                         *(-w[s] for w in w1)), axis=1)
+        idx = np.stack([*i3, tab.j[s], tab.i[s], *i1], axis=1)
+        c = np.stack(np.broadcast_arrays(*w3, 1.0, -1.0, *(-w for w in w1)), axis=1)
         mc = c * measure[s, None]  # (c_a measure) c_b, as S^T diag(measure) S
         np.add.at(A, (idx[:, ta] * n + idx[:, tb]).ravel(),
                   (half * mc[:, ta] * c[:, tb]).ravel())

@@ -14,9 +14,14 @@ streams transient blocks.  `whole_weak_form` assembles L from every pair of
 the packed table, where the package reads half of it and reflects the sum
 into the even and odd blocks.  `bincount_exchange_sum` scatters a table's
 row sums with two bincounts, the reference for the run sums of
-`ResonanceTable.exchange_sum`.  `project_out_kernel` makes kernel-orthogonal
-test data with the plain projection onto `LinOperator.kernel_basis`,
-`trig_sample` draws the random trigonometric data of the tests, and
+`ResonanceTable.exchange_sum`.  `lagrange_stencil` and `lagrange_gather`
+are off-grid evaluation as it was before the package stored a stencil as
+one index and one offset: node indices and Lagrange weights per target,
+summed weight by weight, the reference for `grid.gather`'s Horner form and
+for the weights `linearized._add_block` derives.  `project_out_kernel`
+makes kernel-orthogonal test data with the plain projection onto
+`LinOperator.kernel_basis`, `trig_sample` draws the random trigonometric
+data of the tests, and
 `dissipation_ratios` draws the dissipation samples one at a time.  `h_tan` and
 `clamped_arcsin` are the resonant partner as it was built before its
 diagonal guard and its clip were made conditional, kept as the reference the
@@ -30,7 +35,7 @@ import numpy as np
 from phononlab import collision, linearized
 from phononlab.equilibria import RjParams
 from phononlab.errors import DomainError, NonFiniteError, PhononLabError
-from phononlab.grid import Field, Grid, gather, interp_weights
+from phononlab.grid import Field, Grid, gather, horner
 from phononlab.linearized import LinOperator
 from phononlab.manifold import (ARCSIN_CLAMP_TOL, DIAGONAL_GUARD, TWO_PI, canonicalize,
                                 f_minus, f_minus_zeros, h, omega, resonant_kernel)
@@ -102,6 +107,45 @@ def fold_search(p0: float):
 
 
 # ---------------------------------------------------------------------------
+# off-grid evaluation by Lagrange weights
+
+def lagrange_stencil(grid: Grid, targets: np.ndarray, order: str = "linear"):
+    """Periodic interpolation stencils for arbitrary target angles.
+
+    Returns (indices, weights): tuples of equal-shape integer/float arrays
+    such that  value(t) = sum_k values[indices[k]] * weights[k].
+    """
+    n = grid.n
+    w = grid.weight
+    u = np.asarray(targets, dtype=float) / w - 0.5
+    # snap to the nearest node so evaluation at a node reproduces it exactly
+    r = np.round(u)
+    u = np.where(np.abs(u - r) < 1e-9, r, u)
+    j = np.floor(u).astype(np.int64)
+    t = u - j
+    if order == "linear":
+        return (j % n, (j + 1) % n), (1.0 - t, t)
+    if order == "cubic":
+        # 4-point Lagrange through the surrounding nodes; exact on cubics
+        wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
+        w0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+        wp1 = -(t + 1.0) * t * (t - 2.0) / 2.0
+        wp2 = (t + 1.0) * t * (t - 1.0) / 6.0
+        return ((j - 1) % n, j % n, (j + 1) % n, (j + 2) % n), (wm1, w0, wp1, wp2)
+    raise ValueError(f"unknown interpolation order {order!r}")
+
+
+def lagrange_gather(values: np.ndarray, stencil, rows=slice(None)) -> np.ndarray:
+    """Interpolated values at the targets of a `lagrange_stencil`, for a
+    block of its leading-axis rows, summed in stencil order."""
+    idx, wts = stencil
+    out = values[idx[0][rows]] * wts[0][rows]
+    for i, wt in zip(idx[1:], wts[1:]):
+        out += values[i[rows]] * wt[rows]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the tensor rule on every ordered pair
 
 def full_table(grid: Grid, interp: str = "linear"):
@@ -109,8 +153,8 @@ def full_table(grid: Grid, interp: str = "linear"):
     row i is p0 = node i, column j is p2 = node j."""
     nodes = grid.nodes
     P1, P3, W = resonant_kernel(nodes[:, None], nodes[None, :])
-    return SimpleNamespace(P1=P1, P3=P3, W=W, i1=interp_weights(grid, P1, interp),
-                           i3=interp_weights(grid, P3, interp))
+    return SimpleNamespace(P1=P1, P3=P3, W=W, i1=lagrange_stencil(grid, P1, interp),
+                           i3=lagrange_stencil(grid, P3, interp))
 
 
 def _entries(tab, k):
@@ -119,8 +163,7 @@ def _entries(tab, k):
     return SimpleNamespace(
         grid=tab.grid, interp=tab.interp,
         **{name: getattr(tab, name)[k] for name in ("i", "j", "P1", "P3", "W")},
-        **{side: tuple(tuple(x[k] for x in part) for part in getattr(tab, side))
-           for side in ("i1", "i3")})
+        **{side: tuple(x[k] for x in getattr(tab, side)) for side in ("i1", "i3")})
 
 
 def cached_slice_blocks(grid: Grid, interp: str = "linear"):
@@ -165,10 +208,11 @@ def bincount_exchange_sum(tab, v: np.ndarray, term) -> np.ndarray:
     scatters its terms with one bincount over i and one over j."""
     n = tab.grid.n
     out = np.zeros(n)
+    c = horner(v, tab.interp)
     for b0 in range(0, tab.W.size, collision._EXCHANGE_BLOCK):
         s = slice(b0, b0 + collision._EXCHANGE_BLOCK)
         i, j = tab.i[s], tab.j[s]
-        t = term(s, v[i], gather(v, tab.i1, s), v[j], gather(v, tab.i3, s))
+        t = term(s, v[i], gather(c, tab.i1, s), v[j], gather(c, tab.i3, s))
         out += np.bincount(i, t, minlength=n)
         out -= np.bincount(j, t, minlength=n)
     return out
@@ -178,7 +222,8 @@ def full_collision(f, interp: str = "linear") -> np.ndarray:
     """C[f] at the nodes, every row summed over all n p2 nodes."""
     tab = full_table(f.grid, interp)
     v = f.values
-    f0, f1, f2, f3 = v[:, None], gather(v, tab.i1), v[None, :], gather(v, tab.i3)
+    f0, f1, f2, f3 = (v[:, None], lagrange_gather(v, tab.i1), v[None, :],
+                      lagrange_gather(v, tab.i3))
     br = f1 * f2 * f3 + f0 * f2 * f3 - f0 * f1 * f3 - f0 * f1 * f2
     return f.grid.weight * np.sum(tab.W * br, axis=1)
 
@@ -415,7 +460,7 @@ def k1_matrix(params: RjParams, grid: Grid, n_sub: int | None = None,
         for s, far in ((zeros.y_prime, 0.0), (zeros.y_double_prime, TWO_PI)):
             y, wy = sqrt_substituted_nodes(s, far, m)
             kv = kernel_k1(x, y, params)
-            idx, wts = interp_weights(grid, y, interp)
+            idx, wts = lagrange_stencil(grid, y, interp)
             for jj, wt in zip(idx, wts):
                 np.add.at(M[i], jj, wy * kv * wt)
     return M

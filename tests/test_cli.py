@@ -117,6 +117,18 @@ class TestRuns:
         assert manifest["wall_time_s"] >= 0.0
         assert len(manifest["config_hash"]) == 16
 
+    def test_wall_time_survives_a_clock_stepped_back(self, monkeypatch, tmp_path):
+        # the wall clock steps back an hour after the run reads it first:
+        # the manifest's wall time comes from the monotonic clock
+        import time
+        wall = iter([1e9] + [1e9 - 3600.0] * 1000)
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        out = tmp_path / "out"
+        assert run_cli(["--output-dir", out, *RJ_ARGS]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert 0.0 <= manifest["wall_time_s"] < 60.0
+
     def test_rj_match_unmatched(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(["--output-dir", out, "rj-match",

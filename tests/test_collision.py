@@ -136,8 +136,7 @@ class TestCollisionOperator:
         for name in ("i", "j", "P1", "P3", "W"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         for side in ("i1", "i3"):
-            for a, b in zip(*(getattr(tab, side)[0] + getattr(tab, side)[1]
-                              for tab in (got, want))):
+            for a, b in zip(*(getattr(tab, side) for tab in (got, want))):
                 assert np.array_equal(a, b)
 
     def test_packed_pairs_without_the_triangle(self):

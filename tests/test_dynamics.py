@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bincount_exchange_sum, full_table
+from oracles import bincount_exchange_sum, full_table, lagrange_gather
 from phononlab import collision, dynamics, linearized
 from phononlab.collision import ResonanceTable, collision_operator
 from phononlab.dynamics import (MAX_STEPS, EvolutionConfig, PerturbationTables, _run,
@@ -13,7 +13,7 @@ from phononlab.dynamics import (MAX_STEPS, EvolutionConfig, PerturbationTables, 
 from phononlab.equilibria import RjParams, rj_field
 from phononlab.errors import BlowupError, ConfigError, FitError
 from phononlab.fitting import fit_power_law
-from phononlab.grid import Field, Grid, gather
+from phononlab.grid import Field, Grid
 from phononlab.linearized import assemble, decay_initial_data, multiplier_a, semigroup_apply
 
 PARAMS = RjParams(1.0, 1.0)
@@ -52,7 +52,8 @@ def full_tables(params, grid, interp="linear"):
 
 
 def full_gathers(full, g):
-    return g[:, None], gather(g, full.tab.i1), g[None, :], gather(g, full.tab.i3)
+    return (g[:, None], lagrange_gather(g, full.tab.i1), g[None, :],
+            lagrange_gather(g, full.tab.i3))
 
 
 def full_quadratic(full, g):
@@ -150,15 +151,29 @@ class TestNonlinearKernel:
         if block is not None:
             monkeypatch.setattr(collision, "_TABLE_BLOCK", block)
         grid = Grid(n)
-        def arrays(t):  # i, j, P1, P3, W, then each stencil's indices and weights
+        def arrays(t):  # i, j, P1, P3, W, then each stencil's q and t
             return [getattr(t, name) for name in ("i", "j", "P1", "P3", "W")] + \
-                [x for side in ("i1", "i3") for part in getattr(t, side) for x in part]
+                [x for side in ("i1", "i3") for x in getattr(t, side)]
 
         tab = PerturbationTables(PARAMS, grid, "cubic", even=True).tab
         blocks = list(collision._packed_blocks(grid, "cubic"))
         assert len(blocks) == (5 if block else 1)
         for whole, *parts in zip(arrays(tab), *map(arrays, blocks)):
             assert np.array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_streamed_arrays_start_on_a_page(self, even):
+        # every array the pass streams starts on a page boundary: the
+        # table's nodes and stencils, the channel weights, and the rows of
+        # the gathered values and of the fused integrand (n = 256: blocks
+        # of 2^14 entries, whole or half table)
+        n = 256
+        tabs = PerturbationTables(PARAMS, Grid(n), "cubic", even)
+        tabs.nonlinear(table_data(n, even)[0])
+        tab = tabs.tab
+        rows = [tab.i, tab.j, *tab.i1, *tab.i3, tabs.G0, tabs.G1, tabs.G2, tabs.G3,
+                *tab._values, *tabs._buffers]
+        assert all(r.ctypes.data % collision._PAGE == 0 for r in rows)
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     def test_block_size_independent(self, monkeypatch, interp):
@@ -371,6 +386,19 @@ class TestRunGuards:
                            match=rf"sup-norm left the trust region at t = {t_fail:.3g}$"):
             _run(g, np.ones(16), lambda gv: 2.0 * gv, cfg,
                  to_f=lambda gv: gv, mass0=0.0, energy0=0.0)
+
+
+    @pytest.mark.parametrize(("dt", "t_final"), [(1e6 / 61, 1e6), (1.5, 1e3), (0.3, 7.0)])
+    def test_last_record_at_t_final(self, dt, t_final):
+        # a step's time is not a running sum of dt: 61 steps of 1e6 / 61
+        # summed fall short of 1e6 by more than the record slack, so the
+        # run recorded 36 states, the last at t = 950,819.67; and the last
+        # time is t_final to the bit (the sum read 1000.0000000000117)
+        cfg = EvolutionConfig(dt=dt, t_final=t_final)
+        traj = _run(Grid(16), np.zeros(16), np.zeros_like, cfg,
+                    to_f=lambda gv: 1.0 + gv, mass0=0.0, energy0=0.0)
+        assert traj.times[-1] == traj.states[-1][0] == t_final
+        assert np.all(np.diff(traj.times) > 0.0)
 
 
 class TestTableOwnership:

@@ -6,8 +6,8 @@ import pytest
 from scipy import sparse
 
 from oracles import (cached_slice_blocks, full_table, k1_matrix, k1_row_integral,
-                     kernel_k1, kernel_k2, project_out_kernel, trig_sample,
-                     whole_weak_form)
+                     kernel_k1, kernel_k2, lagrange_stencil, project_out_kernel,
+                     trig_sample, whole_weak_form)
 from phononlab import collision, linearized
 from phononlab.collision import ResonanceTable
 from phononlab.equilibria import RjParams
@@ -327,6 +327,40 @@ class TestWeakFormAssembly:
             assert sorted(built, key=lambda args: args[2]) == [
                 (g, "cubic", (k, min(k + 5000, 16384))) for k in range(0, 16384, 5000)]
             assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
+
+    @pytest.mark.parametrize(("n", "interp"), [(256, "cubic"), (1024, "linear")])
+    def test_stencils_are_the_lagrange_oracle(self, monkeypatch, n, interp):
+        # the nodes and weights that _add_block derives from each streamed
+        # block's (q, t) stencils, a sub-block at a time (the p3 side
+        # first), are those of the Lagrange oracle at the block's P3 and P1,
+        # bit for bit
+        derived, blocks = [], []
+        derive, add = linearized.lagrange_weights, linearized._add_block
+
+        def spy_derive(n, stencil, order):
+            got = derive(n, stencil, order)
+            if stencil[0].size:
+                derived[-1].append(got)
+            return got
+
+        def spy_add(A, tab, *args):
+            blocks.append(tab)
+            derived.append([])
+            return add(A, tab, *args)
+        monkeypatch.setattr(linearized, "lagrange_weights", spy_derive)
+        monkeypatch.setattr(linearized, "_add_block", spy_add)
+        monkeypatch.setenv("PHONON_THREADS", "1")
+        g = Grid(n)
+        linearized._weak_form_matrix(PARAMS, g, interp)
+        assert len(blocks) == -(-n * n // 4 // collision._TABLE_BLOCK)
+        for tab, calls in zip(blocks, derived):
+            for side, at in ((0, tab.P3), (1, tab.P1)):
+                got = calls[side::2]
+                want = lagrange_stencil(g, at, interp)
+                for k in range(2):  # indices, then weights
+                    for part, b in zip(zip(*(c[k] for c in got)), want[k]):
+                        a = np.concatenate(part)
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_traced_peak_memory(self, monkeypatch):
         # the (n^2 x n) sparse route peaked at 291 MiB here; on one worker
