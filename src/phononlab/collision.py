@@ -51,7 +51,8 @@ and p3, f(p3), the weight and the bracket only on the live terms, where
 a factor f1 or f2 can be nonzero (every other term is exactly zero).
 Each row still sums its whole row, so the bits are the full rule's.
 
-Importing this module pins glibc's malloc thresholds (`_pin_malloc`).
+Importing this module pins glibc's malloc thresholds and caps it at one
+arena (`_pin_malloc`).
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, f_minus_zeros, h
 # whole tables above this size would not fit comfortably: C[f] on a larger
 # grid raises ResolutionError
 TABLE_MAX_N = 2048
-_TABLE_BLOCK = 1 << 16  # packed entries per table block (5.8 MB of linear table)
+# packed entries per table block: a block's widest allocation, `page_aligned`
+# rows of P1, P3 and W, takes 388 KiB, under the mmap threshold below
+_TABLE_BLOCK = 1 << 14
 # table entries per block of `ResonanceTable.exchange_sum` (128 KiB per
 # float64 temporary; n = 256 has 32,640 entries, its half table 16,384).
 # Blocks of 2^11 to 2^13 made the relax right-hand side slower, not faster
@@ -84,33 +87,40 @@ _EXCHANGE_BLOCK = 1 << 14
 _CHUNK = 64
 _BATCH = 1 << 13
 
-# glibc's malloc thresholds, pinned at import by `_pin_malloc`: every hot-loop
+# glibc's malloc settings, pinned at import by `_pin_malloc`: every hot-loop
 # block (_EXCHANGE_BLOCK, _BATCH and _TABLE_BLOCK here, the sub-blocks of
-# `linearized`, the slabs of `experiments.verify_suite`) keeps
-# its temporaries of 8-byte values under _MMAP_THRESHOLD
+# `linearized`, the slabs of `experiments.verify_suite`) keeps each of its
+# allocations under _MMAP_THRESHOLD
 _MMAP_THRESHOLD = 1 << 20
 _TRIM_THRESHOLD = 8 << 20
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters (malloc.h)
+# mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def _pin_malloc() -> bool:
-    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 8 MiB;
-    True when libc took both, False where libc has no mallopt.
+    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 8 MiB,
+    and cap it at one malloc arena; True when libc took all three, False
+    where libc has no mallopt.
 
     By default glibc raises the mmap threshold to the size of each mmapped
     block freed and hands the heap top back to the kernel after frees, so a
     loop of blocks faults in fresh pages for its temporaries block after
-    block.  Pinned, temporaries under 1 MiB reuse heap pages, while arrays
+    block.  Pinned, allocations under 1 MiB reuse heap pages, while arrays
     of 1 MiB and up (the n^2 matrices) stay mmapped and go back to the OS
-    when freed.  The pin changes no result.
+    when freed.  By default, too, each thread that allocates gets an arena
+    of its own, up to 8 per core, and each arena keeps up to the trim
+    threshold of freed pages: the pool's workers would each hold their own
+    pages beside the main heap.  With one arena they allocate from the main
+    heap and reuse its pages.  The pin changes no result.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) \
-        and bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+    return all(mallopt(param, value) for param, value in (
+        (_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), (_M_TRIM_THRESHOLD, _TRIM_THRESHOLD),
+        (_M_ARENA_MAX, 1)))
 
 
 # this module owns the row-block pool, whose blocks the pin serves
@@ -183,7 +193,9 @@ class ResonanceTable:
     which its reflection shares with it: the one definition of the half
     table, which `PerturbationTables` builds whole for even data and
     `_packed_blocks` streams in spans.  The table is built in blocks of
-    _TABLE_BLOCK entries on the row-block pool.  Building it is the only
+    _TABLE_BLOCK entries on the row-block pool; a table of one block, as
+    `_packed_blocks` streams, holds each array in an allocation under the
+    pinned mmap threshold (`_pin_malloc`).  Building it is the only
     O(n^2) trigonometric cost: a loop that reuses a table owns one
     (`collision_map`, `PerturbationTables`), while the linearized assembly
     streams transient blocks of the half table (`_packed_blocks`).
@@ -270,8 +282,12 @@ def _packed_blocks(grid: Grid, interp: str):
     pool_workers() at a time, one `map_blocks` call per group, and each
     leaves the generator as it is yielded: at most pool_workers() blocks are
     alive (one more while a caller keeps the last of a group), and no whole
-    table at any n.  A block's entries are computed elementwise, so they
-    carry the bits of the same entries of a whole half table."""
+    table at any n.  Every allocation of a block stays under the pinned
+    mmap threshold and every thread allocates from the one arena
+    (`_pin_malloc`), so each block reuses the heap pages that the blocks
+    before it freed, whichever worker builds it.  A block's entries are
+    computed elementwise, so they carry the bits of the same entries of a
+    whole half table."""
     size = grid.n ** 2 // 4
     spans = [(k, min(k + _TABLE_BLOCK, size)) for k in range(0, size, _TABLE_BLOCK)]
     step = pool_workers()

@@ -4,7 +4,8 @@
 
 Runs the seven CLI subcommands at small pinned configurations in each tree
 (`PYTHONPATH=<tree>/src`, `PHONON_THREADS=2`), `spectrum` also at
-n = 512, whose table streams as two blocks (every other run fits in one),
+n = 512, whose half table streams as four blocks (every other run fits in
+one),
 and `lp-blowup` also at the ends of its domain, p = 1 and p = inf, where
 the bump heights differ.  It then prints one line per artifact:
 `identical`, or the largest relative difference over its numeric fields
@@ -21,20 +22,24 @@ column (or the JSON field that moved most) and D.  Of
 `manifest.json` only `status` and `config_hash` are compared, since it also
 records wall time and environment; a change that moves a hash shows.
 Beside each manifest's verdict the line reports its `wall_time_s` on both
-sides, as a report only: it decides nothing.  A
-binary artifact (the operator cache) is compared byte for byte when both
-sides carry the same magic tag (see below).  Exits 1
+sides, as a report only: it decides nothing.  Any other binary artifact
+must be the same bytes, and an operator cache is decoded (see below).  Exits 1
 when an artifact exists on one side only, when the two sides differ in
 anything but numbers, when a series moved by more than D, or when a
 manifest's status or config hash differs; else 0.  The name keeps the
 script out of pytest collection; tests/test_artifact_diff.py tests
 `compare`.
 
-An operator cache whose magic tag differs between the sides (a format
-change) is decoded instead, for every layout in CACHE_LAYOUTS: its line
-reads `format changed (tag A → B)`, the key in the two headers must agree,
-and `a` and the sorted eigenvalues are judged as numeric series under D.
-A tag missing from CACHE_LAYOUTS fails.
+Two operator caches whose bytes differ are decoded, for every layout in
+CACHE_LAYOUTS: the line reads `format changed (tag A → B)` when the magic
+tags differ, else `same format (tag A)`; the key in the two headers must
+agree, and `a` and the sorted eigenvalues are judged as numeric series
+under D.  Across a format change nothing else is compared.  Within one
+format everything else but the checksum (the diagnostics, the blocks and
+the eigenvectors, which no scaled difference measures) must be the same
+bytes, and so must the whole file when `a` and the eigenvalues are:
+otherwise the line reads `bytes differ`.  A tag missing from
+CACHE_LAYOUTS fails.
 """
 
 from __future__ import annotations
@@ -129,8 +134,10 @@ CACHE_LAYOUTS = {
 
 
 def decode_cache(data: bytes):
-    """(key, {"a": [...], "eigenvalues": sorted [...]}) of an operator cache
-    in a layout of CACHE_LAYOUTS, or None when its tag or size fits none."""
+    """(key, {"a": [...], "eigenvalues": sorted [...]}, rest) of an operator
+    cache in a layout of CACHE_LAYOUTS, or None when its tag or size fits
+    none; rest is the bytes of everything else but the checksum: the tag,
+    the key, the diagnostics and every other array."""
     layout = CACHE_LAYOUTS.get(data[:8])
     if layout is None or len(data) < _CACHE_HEADER:
         return None
@@ -139,25 +146,32 @@ def decode_cache(data: bytes):
     if len(data) != _CACHE_HEADER + 8 * sum(size for _, size in arrays):
         return None
     out, at = {"a": [], "eigenvalues": []}, _CACHE_HEADER
+    rest = [data[:_CACHE_HEADER - 8]]
     for name, size in arrays:
         name = "eigenvalues" if name.startswith("eigenvalues") else name
         if name in out:
             out[name] += struct.unpack_from(f"<{size}d", data, at)
+        else:
+            rest.append(data[at:at + 8 * size])
         at += 8 * size
     out["eigenvalues"].sort()
-    return key, out
+    return key, out, b"".join(rest)
 
 
 def _compare_caches(da: bytes, db: bytes, max_scaled: float) -> tuple[str, bool]:
-    """The verdict on two operator caches of different formats."""
+    """The verdict on two operator caches whose bytes differ."""
     tags = [d[:8].decode(errors="replace") for d in (da, db)]
-    line = f"format changed (tag {tags[0]} → {tags[1]})"
+    same = tags[0] == tags[1]
+    line = (f"same format (tag {tags[0]})" if same
+            else f"format changed (tag {tags[0]} → {tags[1]})")
     got = [decode_cache(d) for d in (da, db)]
     if None in got:
         return f"{line}, not decoded", False
-    (ka, va), (kb, vb) = got
+    (ka, va, ra), (kb, vb, rb) = got
     if ka != kb:
         return f"{line}, keys differ: {ka} vs {kb}", False
+    if same and (ra != rb or va == vb):  # what D does not judge moved
+        return "bytes differ", False
     worst = []
     for name in ("a", "eigenvalues"):
         diff = max(abs(x - y) for x, y in zip(va[name], vb[name]))
@@ -185,7 +199,7 @@ def compare(a: Path, b: Path, max_scaled: float = 0.0) -> tuple[str, bool]:
     if da == db:
         return "identical", True
     if a.suffix not in (".json", ".csv"):
-        if da[:8] != db[:8] and da[:6] == db[:6] == b"PHLNOP":
+        if da[:6] == db[:6] == b"PHLNOP":
             return _compare_caches(da, db, max_scaled)
         return "bytes differ", False
     fa, fb = _fields(a), _fields(b)

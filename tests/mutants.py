@@ -12,8 +12,8 @@ test (exit 1) and survives when every test passes (exit 0); any other exit
 (a collection error, say) is an error.  Prints one line per defect with its
 verdict and time.  Exits 1 when a defect survives, when a run errs, or when
 an old text is no longer found in its file (so the table cannot go stale);
-else 0.  It takes about 2 minutes on 2 cores, since each defect runs only
-its own test files.  The name keeps the script out of pytest collection.
+else 0.  It takes 40-90 s on 2 cores, since each defect runs only its
+own test files.  The name keeps the script out of pytest collection.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ DEFECTS = [
      "t = (k + 1) / n_steps * cfg.t_final", "t = (k + 1) * dt", ["tests/test_dynamics.py"]),
     ("wall time on the wall clock", "src/phononlab/cli.py",
      "time.monotonic()", "time.time()", ["tests/test_cli.py"]),
+    # the heap of the streamed table
+    ("table blocks of 2^16", "src/phononlab/collision.py",
+     "_TABLE_BLOCK = 1 << 14", "_TABLE_BLOCK = 1 << 16", ["tests/test_collision.py"]),
+    ("one-arena cap dropped", "src/phononlab/collision.py",
+     ",\n        (_M_ARENA_MAX, 1)))", "))", ["tests/test_collision.py"]),
 ]
 
 

@@ -85,6 +85,24 @@ def test_cache_same_tag_is_compared_byte_for_byte(tmp_path):
     assert compare(a, b, 1.0) == ("bytes differ", False)
 
 
+def test_cache_same_tag_that_moved_is_judged_under_bound(tmp_path):
+    # a moves by one ulp and nothing else does: judged under D, and the
+    # default D = 0 stays strict
+    a = write_cache(tmp_path / "a.bin", b"PHLNOP06", A, EIGS)
+    moved = write_cache(tmp_path / "b.bin", b"PHLNOP06",
+                        [1.0, math.nextafter(2.0, 3.0), 2.0, 1.0], EIGS)
+    line, good = compare(a, moved, 1e-15)
+    assert good
+    assert line == "same format (tag PHLNOP06), max abs diff / max |value| 2.220e-16 ('a')"
+    line, good = compare(a, moved, 0.0)
+    assert not good and line.endswith("exceeds --max-scaled 0")
+    # the same a, eigenvalues and arrays under another checksum
+    data = bytearray(a.read_bytes())
+    data[72] ^= 1
+    (tmp_path / "c.bin").write_bytes(data)
+    assert compare(a, tmp_path / "c.bin", 1.0) == ("bytes differ", False)
+
+
 def test_cache_tag_change_within_bound(tmp_path):
     # the eigenvalues come in another order and move by one ulp of 3
     a = write_cache(tmp_path / "a.bin", b"PHLNOP05", A, EIGS)

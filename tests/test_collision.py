@@ -1,8 +1,11 @@
 import inspect
+import os
 import platform
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,18 +444,64 @@ class TestExchangeSum:
             assert got[n - 1] == want[n - 1]
 
 
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of arr: its .base followed to the top."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+GLIBC = pytest.mark.skipif(not sys.platform.startswith("linux")
+                           or platform.libc_ver()[0] != "glibc",
+                           reason="mallopt settings are glibc's")
+
+
 class TestMallocPin:
     def test_hot_loop_blocks_stay_under_the_mmap_threshold(self):
         # the pinned threshold keeps smaller blocks on the heap, whose pages
         # the next block reuses
         slab = experiments._SLAB_ROWS * \
             inspect.signature(experiments.verify_suite).parameters["grid_side"].default
-        for values in (collision._EXCHANGE_BLOCK, collision._TABLE_BLOCK,
-                       collision._BATCH, linearized._BLOCK_VALUES, slab):
+        for values in (collision._EXCHANGE_BLOCK, collision._BATCH,
+                       linearized._BLOCK_VALUES, slab):
             assert 8 * values < collision._MMAP_THRESHOLD
+        # what is allocated, measured at the array that owns the memory: the
+        # arrays of a full streamed table block (the half table of n = 512,
+        # 2^16 entries, fills a first block of any size up to that), and the
+        # rows that exchange_sum and nonlinear own
+        tab = next(collision._packed_blocks(Grid(512), "cubic"))
+        assert tab.W.size == collision._TABLE_BLOCK
+        owned = {name: getattr(tab, name) for name in ("i", "j", "P1", "P3", "W")}
+        owned.update({f"{side}[{k}]": x for side in ("i1", "i3")
+                      for k, x in enumerate(getattr(tab, side))})
+        grid = Grid(256)
+        tabs = dynamics.PerturbationTables(RjParams(1.0, 1.0), grid, "cubic", even=True)
+        v = 0.01 * trig_sample(grid.nodes, 2, modes=4)
+        tabs.nonlinear(v + v[::-1])
+        owned.update({"exchange_sum's rows": tabs.tab._values, "nonlinear's rows": tabs._buffers})
+        for name, arr in owned.items():
+            assert _owner(arr).nbytes < collision._MMAP_THRESHOLD, name
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux")
-                        or platform.libc_ver()[0] != "glibc",
-                        reason="mallopt thresholds are glibc's")
+    @GLIBC
     def test_pin_takes_on_glibc(self):
         assert collision._MALLOC_PINNED
+
+    @GLIBC
+    def test_pool_workers_share_one_arena(self):
+        # glibc's malloc_stats() prints one "Arena k:" block per malloc
+        # arena; two workers allocating heap blocks at once add none
+        script = (
+            "import ctypes\n"
+            "import numpy as np\n"
+            "from phononlab import collision\n"
+            "collision.map_blocks(lambda k: np.ones(1 << 15).sum(), range(64))\n"
+            "libc = ctypes.CDLL(None)\n"
+            "libc.malloc_stats.argtypes, libc.malloc_stats.restype = (), None\n"
+            "libc.malloc_stats()\n")
+        src = str(Path(collision.__file__).resolve().parents[1])
+        env = {**os.environ, "PHONON_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        arenas = [line for line in out.stderr.splitlines() if line.startswith("Arena ")]
+        assert arenas == ["Arena 0:"], out.stderr
