@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .grid import POS_FLOOR, Field, Grid, gather, horner, interp_weights
+from .grid import POS_FLOOR, Field, Grid, _stencil_shape, gather, horner, interp_weights
 from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, f_minus_zeros, h_range,
                        resonant_kernel)
 
@@ -208,7 +208,7 @@ class ResonanceTable:
         pairs = _pairs(n, np.arange(n * (n - 1) // 2) if span is None
                        else _half_entries(n, *span))
         size = pairs[0].size
-        interp_weights(grid, np.empty(0), interp)  # checks interp
+        _stencil_shape(interp)  # checks interp
         self.i, self.j = page_aligned((2, size), np.int64)
         self.i[:], self.j[:] = pairs
         self.P1, self.P3, self.W = page_aligned((3, size))

@@ -36,12 +36,12 @@ Q = sum_r measure_r s_r s_r^T.  The measure is symmetric under the exchange
 of the p0 and p2 nodes and s_(j,i) = -s_(i,j), so each pair of the packed
 resonance table counts twice and the sum runs over j > i only.  Small
 sub-blocks of the streamed table add the upper-triangle products of their
-stencils into one dense accumulator with np.add.at, entry by entry in table
-order, so the bits of L depend neither on the sub-block size nor on the
-worker count, and neither an (n^2 x n) matrix, nor a whole table, nor an
-n^2 temporary per sub-block is formed: the memory is the accumulator and
-the two blocks below, plus the table blocks in flight and one sub-block's
-temporaries.
+stencils with np.add.at straight into the accumulators of the two blocks
+below, entry by entry in table order, so the bits of L depend neither on
+the sub-block size nor on the worker count, and neither an (n^2 x n)
+matrix, nor a whole table, nor an n^2 array is formed: the memory is the
+accumulators and the blocks, n^2 / 2 doubles each, plus the table blocks
+in flight and one sub-block's temporaries.
 
 Parity.  The reflection p -> 2pi - p maps node k of the midpoint grid onto
 node n - 1 - k, and it keeps every Rayleigh-Jeans equilibrium and the
@@ -57,10 +57,12 @@ block E = A + BJ and the odd block O = A - BJ (Cantoni & Butler, Linear
 Algebra Appl. 13 (1976) 275-288).  Only E, O and their eigenpairs are
 held, never the n x n eigenproblem; every L g of a subcommand is
 `LinOperator.apply`, block by block, and `LinOperator.matrix` forms L
-from the two blocks alone.  L_h is symmetric to the bit, so
-A[r, c] = L_h[r, c] + L_h[n-1-r, n-1-c] is too, and
-B[r, c] = L_h[r, m+c] + L_h[n-1-r, m-1-c] meets B^T = JBJ to the bit: both
-sides are the same two-term sum.  So E and O are symmetric to the bit.
+from the two blocks alone.  E[p, q] and O[p, q] sum the four L_h[r, c]
+with r in {p, n-1-p} and c in {q, n-1-q}, O with a minus sign where r and
+c lie on opposite sides of n/2.  fb is even, so the assembly scatters into
+two m x m accumulators at the folded nodes min(k, n-1-k), S (same side)
+and X (opposite sides), and E, O = c ((S + S^T) +- (X + X^T)) / (fb fb^T):
+symmetric matrices scaled by a symmetric outer product: symmetric to the bit.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .collision import _packed_blocks
 from .equilibria import RjParams, rj_field
 from .errors import ConfigError, FitError, SpectralError
 from .fitting import DecayReport, fit_power_law
-from .grid import Field, Grid, lagrange_weights
+from .grid import Field, Grid, _stencil_shape, lagrange_weights
 from .manifold import TWO_PI, resonant_kernel
 from .quadrature import graded_midpoint_nodes
 
@@ -85,7 +87,7 @@ T_BRACKET = 10.0  # time bracket in <t> = 10 + |t|
 SPECTRAL_FLOOR = 1e-8  # least half-width of the near-null eigenvalue band
 DECAY_NU = 0.5  # edge exponent nu of decay_initial_data: g0 ~ omega^nu
 # stencil-pair values per sub-block of the weak-form assembly, and values per
-# row chunk of its fold into the two blocks: 512 KiB per float64 temporary
+# row chunk of the two blocks formed from it: 512 KiB per float64 temporary
 # (2,048 table entries with linear interpolation), under the mmap threshold
 # that `collision` pins, so the heap reuses its pages
 _BLOCK_VALUES = 1 << 16
@@ -222,19 +224,26 @@ class LinOperator:
         return np.vstack([v, v[::-1]]) / np.sqrt(2.0)
 
 
-def _add_block(A: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarray:
-    """Add the stencil products of one table block into the flat n^2
-    accumulator A, entry by entry in table order, and return the block's
+def _add_block(acc: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarray:
+    """Add the stencil products of one table block into acc, S then X flat
+    (module doc), entry by entry in table order, and return the block's
     frequency sums (`_frequency_sums`).  fb at P1 and P3 is evaluated once
     for both.  Sub-blocks hold _BLOCK_VALUES stencil-pair values, and each
     derives the nodes and weights of its stencils (`grid.lagrange_weights`)."""
     n = fb.size
+    m = n // 2
+    mm = m * m
     fb1, fb3 = params.value(tab.P1), params.value(tab.P3)
     sums = _frequency_sums(tab, fb, fb1, fb3)
     measure = tab.W * fb[tab.i] * fb1 * fb[tab.j] * fb3
     del fb1, fb3  # before the sub-blocks, whose temporaries set the peak
-    points = len(lagrange_weights(n, (tab.i1[0][:0], tab.i1[1][:0]), tab.interp)[0])
-    ta, tb = np.triu_indices(2 * points + 2)
+    # the row and column codes of node k: fold k = min(k, n - 1 - k), plus mm
+    # on the far side of n/2, so the pair (r, c) lands at (fold r) m +
+    # fold c + mm (far r + far c) mod 2 mm: in S on one side, in X across
+    k = np.arange(n)
+    fold, far = np.minimum(k, n - 1 - k), (k >= m) * mm
+    row, col = fold * m + far, fold + far
+    ta, tb = np.triu_indices(2 * _stencil_shape(tab.interp)[0] + 2)
     half = np.where(ta == tb, 0.5, 1.0)
     # entries per sub-block: the largest power of two whose pair values fit
     # in _BLOCK_VALUES (so it divides a power-of-two table block)
@@ -245,32 +254,13 @@ def _add_block(A: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarr
                               for q, t in (tab.i3, tab.i1))
         # one row per entry, so the scatter below runs in table order
         idx = np.stack([*i3, tab.j[s], tab.i[s], *i1], axis=1)
+        cell = row[idx][:, ta] + col[idx][:, tb]
+        del idx  # before the pair values
+        np.subtract(cell, 2 * mm, out=cell, where=cell >= 2 * mm)  # both far: in S
         c = np.stack(np.broadcast_arrays(*w3, 1.0, -1.0, *(-w for w in w1)), axis=1)
-        mc = c * measure[s, None]  # (c_a measure) c_b, as S^T diag(measure) S
-        np.add.at(A, (idx[:, ta] * n + idx[:, tb]).ravel(),
-                  (half * mc[:, ta] * c[:, tb]).ravel())
+        mc = c * measure[s, None]  # (c_a measure) c_b, of measure_r s_r s_r^T
+        np.add.at(acc, cell.ravel(), (half * mc[:, ta] * c[:, tb]).ravel())
     return sums
-
-
-def _fold(A: np.ndarray, inv_fb: np.ndarray, scale: float) -> tuple:
-    """(E, O) of L = L_h + R L_h R, where L_h = scale (A + A^T) / (fb fb^T),
-    symmetric to the bit, is formed a chunk of rows at a time: the top rows
-    of L are T = L_h[:m] + (R L_h R)[:m] = [A, B], and E = A + BJ,
-    O = A - BJ, with BJ the last m columns of T in reverse order."""
-    n = inv_fb.size
-    m = n // 2
-
-    def rows(k):  # rows k of L_h
-        return (A[k] + A[:, k].T) * (inv_fb[k, None] * inv_fb) * scale
-
-    E, O = np.empty((2, m, m))
-    step = max(1, _BLOCK_VALUES // n)
-    for r0 in range(0, m, step):
-        k = np.arange(r0, min(r0 + step, m))
-        T = rows(k) + rows(n - 1 - k)[:, ::-1]
-        E[k] = T[:, :m] + T[:, ::-1][:, :m]
-        O[k] = T[:, :m] - T[:, ::-1][:, :m]
-    return E, O
 
 
 def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
@@ -279,25 +269,33 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
     the collision frequency a from the same tables, bit for bit that of
     `multiplier_a`.
 
-    A collects measure_r c_a c_b at (node_a, node_b) for every pair a <= b
-    of stencil entries, diagonal pairs halved, so A + A^T sums
-    measure_r s_r s_r^T over the streamed pairs: half of Q_h.  The table
-    arrives as the streamed half-table blocks of `_packed_blocks` (no whole
-    table is built or cached), and `_add_block` adds each into A in table
-    order, so every entry of A is summed in the same order whatever the
-    block sizes and the worker count.  L_h scales Q_h by the outer product
-    of 1/fb, which commutes, so L_h equals L_h^T to the bit, and `_fold`
-    reflects it into the blocks.
+    Each streamed half-table block of `_packed_blocks` (no whole table is
+    built or cached) adds measure_r c_a c_b, for every pair a <= b of
+    stencil entries with diagonal pairs halved, into S or X (`_add_block`)
+    in table order, so each of their entries is summed in the same order
+    whatever the block sizes and the worker count.  E and O are then formed
+    a chunk of rows at a time.
     """
     n = grid.n
+    m = n // 2
     fb = params.value(grid.nodes)
     a = np.zeros(n)
-    A = np.zeros(n * n)
+    acc = np.zeros(2 * m * m)
     for tab in _packed_blocks(grid, interp):
-        a += _add_block(A, tab, params, fb)
+        a += _add_block(acc, tab, params, fb)
         del tab  # before the next block is built: the blocks alive set the peak
-    # L_h = -(weight / 4) Q_h / (fb fb^T), Q_h / 2 = A + A^T
-    E, O = _fold(A.reshape(n, n), 1.0 / fb, -(grid.weight / 2.0))
+    S, X = acc.reshape(2, m, m)
+    inv_fb = 1.0 / fb[:m]
+    scale = -(grid.weight / 2.0)  # L = -(weight / 4) Q / (fb fb^T)
+    E, O = np.empty((2, m, m))
+    step = max(1, _BLOCK_VALUES // m)
+    for r0 in range(0, m, step):
+        k = slice(r0, r0 + step)
+        w = inv_fb[k, None] * inv_fb
+        ss = S[k] + S[:, k].T  # rows k of S + S^T
+        xx = X[k] + X[:, k].T
+        E[k] = (ss + xx) * w * scale
+        O[k] = (ss - xx) * w * scale
     return E, O, grid.weight * (a + a[::-1]) / fb
 
 
@@ -437,7 +435,8 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 # whose L differs at rounding from the table-order np.add.at of 04
 # 05: W from the triple-product identity; L differs at rounding from 04
 # 06: the even and odd blocks from half of the table; L differs at rounding
-_MAGIC = b"PHLNOP06"
+# 07: the blocks scattered straight from the folded nodes; E, O differ at rounding
+_MAGIC = b"PHLNOP07"
 # magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
 _HEADER_BYTES = 8 + 32 + 40
 

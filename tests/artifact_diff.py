@@ -124,12 +124,21 @@ def _fields(path: Path) -> list:
 # named with its length for a grid of n nodes; the eigenvalues are the
 # arrays named "eigenvalues*"
 _CACHE_HEADER = 80
+
+
+def _blocks_layout(n: int) -> list:
+    """The even and odd blocks' layout, of 06 and of 07, whose blocks
+    differ from 06's at rounding."""
+    return [("a", n), ("even", n * n // 4), ("odd", n * n // 4),
+            ("eigenvalues_even", n // 2), ("eigenvectors_even", n * n // 4),
+            ("eigenvalues_odd", n // 2), ("eigenvectors_odd", n * n // 4)]
+
+
 CACHE_LAYOUTS = {
     b"PHLNOP05": lambda n: [("a", n), ("matrix", n * n), ("eigenvalues", n),
                             ("eigenvectors", n * n)],
-    b"PHLNOP06": lambda n: [("a", n), ("even", n * n // 4), ("odd", n * n // 4),
-                            ("eigenvalues_even", n // 2), ("eigenvectors_even", n * n // 4),
-                            ("eigenvalues_odd", n // 2), ("eigenvectors_odd", n * n // 4)],
+    b"PHLNOP06": _blocks_layout,
+    b"PHLNOP07": _blocks_layout,
 }
 
 

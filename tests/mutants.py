@@ -93,6 +93,12 @@ DEFECTS = [
      "_TABLE_BLOCK = 1 << 14", "_TABLE_BLOCK = 1 << 16", ["tests/test_collision.py"]),
     ("one-arena cap dropped", "src/phononlab/collision.py",
      ",\n        (_M_ARENA_MAX, 1)))", "))", ["tests/test_collision.py"]),
+    # the fold of the assembly into the even and odd blocks
+    ("opposite-side test inverted: S and X swapped", "src/phononlab/linearized.py",
+     "row, col = fold * m + far, fold + far", "row, col = fold * m + mm - far, fold + far",
+     ["tests/test_linearized.py"]),
+    ("reflection n - idx", "src/phononlab/linearized.py",
+     "np.minimum(k, n - 1 - k)", "np.minimum(k, n - k)", ["tests/test_linearized.py"]),
 ]
 
 

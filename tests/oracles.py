@@ -11,9 +11,10 @@ evaluate the tensor rule on all n^2 ordered node pairs, with no use of the
 exchange symmetry that the package's packed resonance table relies on, and
 the cached-slice blocks read one whole packed table where the package
 streams transient blocks.  `whole_weak_form` assembles L from every pair of
-the packed table, where the package reads half of it and reflects the sum
-into the even and odd blocks.  `bincount_exchange_sum` scatters a table's
-row sums with two bincounts, the reference for the run sums of
+the packed table into one flat n^2 accumulator (`_flat_add_block`), where
+the package reads half of it and scatters it straight into the even and
+odd blocks.  `bincount_exchange_sum` scatters a table's row sums with two
+bincounts, the reference for the run sums of
 `ResonanceTable.exchange_sum`.  `lagrange_stencil` and `lagrange_gather`
 are off-grid evaluation as it was before the package stored a stencil as
 one index and one offset: node indices and Lagrange weights per target,
@@ -35,7 +36,7 @@ import numpy as np
 from phononlab import collision, linearized
 from phononlab.equilibria import RjParams
 from phononlab.errors import DomainError, NonFiniteError, PhononLabError
-from phononlab.grid import Field, Grid, gather, horner
+from phononlab.grid import Field, Grid, gather, horner, lagrange_weights
 from phononlab.linearized import LinOperator
 from phononlab.manifold import (ARCSIN_CLAMP_TOL, DIAGONAL_GUARD, TWO_PI, canonicalize,
                                 f_minus, f_minus_zeros, h, omega, resonant_kernel)
@@ -180,12 +181,37 @@ def cached_slice_blocks(grid: Grid, interp: str = "linear"):
         yield block
 
 
+def _flat_add_block(A: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarray:
+    """Add the stencil products of one table block into the flat n^2
+    accumulator A at the unfolded nodes, entry by entry in table order, and
+    return the block's frequency sums: the scatter as it was before the
+    package folded the nodes into its even and odd accumulators."""
+    n = fb.size
+    fb1, fb3 = params.value(tab.P1), params.value(tab.P3)
+    sums = linearized._frequency_sums(tab, fb, fb1, fb3)
+    measure = tab.W * fb[tab.i] * fb1 * fb[tab.j] * fb3
+    points = 2 if tab.interp == "linear" else 4
+    ta, tb = np.triu_indices(2 * points + 2)
+    half = np.where(ta == tb, 0.5, 1.0)
+    step = 1 << (max(1, linearized._BLOCK_VALUES // ta.size).bit_length() - 1)
+    for b0 in range(0, tab.W.size, step):
+        s = slice(b0, b0 + step)
+        (i3, w3), (i1, w1) = (lagrange_weights(n, (q[s], t[s]), tab.interp)
+                              for q, t in (tab.i3, tab.i1))
+        idx = np.stack([*i3, tab.j[s], tab.i[s], *i1], axis=1)
+        c = np.stack(np.broadcast_arrays(*w3, 1.0, -1.0, *(-w for w in w1)), axis=1)
+        mc = c * measure[s, None]
+        np.add.at(A, (idx[:, ta] * n + idx[:, tb]).ravel(),
+                  (half * mc[:, ta] * c[:, tb]).ravel())
+    return sums
+
+
 def whole_weak_form(params: RjParams, grid: Grid, interp: str = "linear"):
     """(L, a) from every pair of the packed table, each counting for both
     of its orders: the assembly as it was before the package read half of
     the table and reflected it.  The table is built whole and read in
-    slices of collision._TABLE_BLOCK entries, which `linearized._add_block`
-    adds into one accumulator in table order."""
+    slices of collision._TABLE_BLOCK entries, which `_flat_add_block` adds
+    into one flat n^2 accumulator in table order."""
     n = grid.n
     fb = params.value(grid.nodes)
     tab = collision.ResonanceTable(grid, interp)
@@ -193,7 +219,7 @@ def whole_weak_form(params: RjParams, grid: Grid, interp: str = "linear"):
     A = np.zeros(n * n)
     for k0 in range(0, tab.W.size, collision._TABLE_BLOCK):
         block = _entries(tab, slice(k0, k0 + collision._TABLE_BLOCK))
-        a += linearized._add_block(A, block, params, fb)
+        a += _flat_add_block(A, block, params, fb)
     A = A.reshape(n, n)
     L = A + A.T
     inv_fb = 1.0 / fb

@@ -589,9 +589,11 @@ class TestOperatorCache:
         else:
             # the tags of the sparse assembly's format, which had no checksum,
             # of the full-table and bincount assemblies', of the omega
-            # product's kernel weight, whose L differs at rounding, and of
-            # the whole n x n layout before the even and odd blocks
-            for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03", b"PHLNOP04", b"PHLNOP05"):
+            # product's kernel weight, whose L differs at rounding, of the
+            # whole n x n layout before the even and odd blocks, and of the
+            # blocks folded from an n x n accumulator
+            for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03", b"PHLNOP04", b"PHLNOP05",
+                        b"PHLNOP06"):
                 cache.write_bytes(tag + first_cache[8:])
                 assert run_cli(args) == EXIT_OK
                 assert cache.read_bytes() == first_cache

@@ -249,8 +249,8 @@ class TestWeakFormAssembly:
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("n", [64, 100, 256])
     def test_exactly_symmetric(self, n, interp):
-        # Q is scaled by the outer product of 1/fb, which commutes, and the
-        # blocks sum the same two terms on both sides of their diagonal
+        # each block is (S + S^T) +- (X + X^T), scaled by the outer product
+        # of 1/fb, which commutes
         op = assemble(PARAMS, Grid(n), interp)
         assert np.array_equal(op.matrix, op.matrix.T)
         for B in op.blocks:
@@ -284,9 +284,9 @@ class TestWeakFormAssembly:
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     def test_bits_do_not_depend_on_sub_blocks_or_workers(self, monkeypatch, interp):
-        # np.add.at adds entry by entry in table order and the fold works
-        # elementwise, so neither the sub-block size nor the worker count
-        # moves a bit of the blocks or of a
+        # np.add.at adds entry by entry in table order and the blocks are
+        # formed elementwise, so neither the sub-block size nor the worker
+        # count moves a bit of the blocks or of a
         g = Grid(300)
         *want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
         for B in want:
@@ -376,16 +376,20 @@ class TestWeakFormAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 8 * g.n ** 2
-        # the fold forms L_h a chunk of rows at a time, so beside the
-        # accumulator it holds only the two blocks of n^2 / 4 (3.02 n^2 when
-        # an n^2 outer product of 1/fb coexisted with the accumulator and L)
-        assert peak <= 2.75 * 8 * g.n ** 2
+        # the stencil products go straight into the two accumulators of
+        # n^2 / 4 each, S and X, and the blocks are formed from them a chunk
+        # of rows at a time: beside them only the two blocks of n^2 / 4 are
+        # held (1.77 n^2 with an n^2 accumulator folded into the blocks,
+        # 3.02 n^2 when an n^2 outer product of 1/fb coexisted with it and L)
+        assert peak <= 1.5 * 8 * g.n ** 2
 
     def test_traced_peak_memory_with_table_build(self, monkeypatch):
-        # with 2 workers the assembly holds its accumulator and up to three
-        # streamed table blocks: it stays within 5 n^2 doubles (with a
-        # cached whole table, the build and the assembly took 10.4 n^2, and
-        # with an n^2 bincount output per sub-block 6.25 n^2)
+        # with 2 workers the assembly holds its two accumulators of n^2 / 4
+        # and up to three streamed table blocks, then the blocks: it stays
+        # within 1.5 n^2 doubles (1.85 n^2 with an n^2 accumulator folded
+        # into the blocks; with a cached whole table, the build and the
+        # assembly took 10.4 n^2, and with an n^2 bincount output per
+        # sub-block 6.25 n^2)
         monkeypatch.setenv("PHONON_THREADS", "2")
         g = Grid(1024)
         tracemalloc.start()
@@ -394,7 +398,7 @@ class TestWeakFormAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 8 * g.n ** 2
+        assert peak <= 1.5 * 8 * g.n ** 2
 
 
 class TestParity:
