@@ -298,11 +298,18 @@ def _packed_blocks(grid: Grid, interp: str):
             yield group.pop()
 
 
-# the row-block worker pool: (worker count, executor), created on first use;
-# its threads carry `_thread.pooled`, so work nested in a block runs inline
-_pool: tuple | None = None
-_pool_lock = threading.Lock()
+# the row-block worker pool's threads carry `_thread.pooled`, so work nested
+# in a block runs inline
 _thread = threading.local()
+
+
+@functools.cache
+def _executor(workers: int):
+    """The row-block worker pool of `workers` threads, made on first use."""
+    # imported here: a run that never uses the pool does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="phononlab",
+                              initializer=lambda: setattr(_thread, "pooled", True))
 
 
 def pool_workers() -> int:
@@ -322,36 +329,26 @@ def map_blocks(fn, blocks) -> list:
     """[fn(b) for b in blocks], run on the row-block worker pool: the one
     function that submits work to it.
 
-    Results come back in block order and an exception raised by a block
-    reaches the caller unchanged.  The blocks run inline, and no thread is
-    started, with one worker, with one block, or when the call comes from a
-    pool thread (a block that itself calls map_blocks), so nested calls
-    cannot wait on each other.  The blocks must be independent (each writes
-    only its own rows).  numpy releases the interpreter lock inside its
-    array loops, so blocks of elementwise work overlap on separate cores; a
-    block computes the same bits on any thread.  Every block is submitted
-    at once, so every result is alive when the call returns.
+    Results come back in block order, an exception raised by a block
+    reaches the caller unchanged, and the blocks not yet started are then
+    cancelled: all three are `Executor.map`'s.  The blocks run inline, and
+    no thread is started, with one worker, with one block, or when the call
+    comes from a pool thread (a block that itself calls map_blocks), so
+    nested calls cannot wait on each other.  The blocks must be independent
+    (each writes only its own rows).  numpy releases the interpreter lock
+    inside its array loops, so blocks of elementwise work overlap on
+    separate cores; a block computes the same bits on any thread.  Every
+    block is submitted at once, so every result is alive when the call
+    returns.  `_executor` keeps one pool per worker count and needs no
+    lock: only one thread at a time enters the pool, since a pool thread
+    runs nested calls inline, and at worst two first calls racing would
+    leave one idle executor.
     """
-    global _pool
     blocks = list(blocks)
     workers = pool_workers()
     if workers == 1 or len(blocks) <= 1 or getattr(_thread, "pooled", False):
         return [fn(b) for b in blocks]
-    with _pool_lock:
-        if _pool is None or _pool[0] != workers:
-            # imported here: a run that never uses the pool does not pay for it
-            from concurrent.futures import ThreadPoolExecutor
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (workers, ThreadPoolExecutor(
-                workers, thread_name_prefix="phononlab",
-                initializer=lambda: setattr(_thread, "pooled", True)))
-        futures = [_pool[1].submit(fn, b) for b in blocks]
-    try:
-        return [fut.result() for fut in futures]
-    finally:
-        for fut in futures:
-            fut.cancel()
+    return list(_executor(workers).map(fn, blocks))
 
 
 def _bracket(f0, f1, f2, f3):

@@ -128,8 +128,7 @@ class Trajectory:
         """Power-law fit of sup omega^1/2 |g| over the time window."""
         series = list(zip(self.times, self.sup_w12))
         exponent, stderr = fit_power_law(series, window)
-        return DecayReport(exponent=exponent, stderr=stderr, fit_window=window,
-                           series=series)
+        return DecayReport(exponent=exponent, stderr=stderr, series=series)
 
 
 class PerturbationTables:

@@ -355,21 +355,19 @@ def verify_suite(n_random: int = 10_000, n_sign: int = 100,
                    f"max |Omega| on the {grid_side}^2 grid {err_grid:.3e}"))
     checks.append(("f_plus_lower_bound", gap >= -1e-12, f"min F+ - 4 w0 w2 = {gap:.3e}"))
 
-    ok_sign = True
-    detail = ""
-    for x0 in np.linspace(0.05, TWO_PI - 0.05, n_sign):
-        zs = f_minus_zeros(x0)
-        if not (0.0 < zs.y_prime < TWO_PI - x0 < zs.y_double_prime < TWO_PI):
-            ok_sign = False
-            detail = f"ordering failed at x={x0}"
-            break
-        ys = np.linspace(1e-4, TWO_PI - 1e-4, 400)
-        fm = np.asarray(f_minus(x0, ys))
-        inside = (ys > zs.y_prime + 1e-6) & (ys < zs.y_double_prime - 1e-6)
-        outside = (ys < zs.y_prime - 1e-6) | (ys > zs.y_double_prime + 1e-6)
-        if np.any(fm[inside] >= 0.0) or np.any(fm[outside] <= 0.0):
-            ok_sign = False
-            detail = f"sign pattern failed at x={x0}"
-            break
-    checks.append(("f_minus_sign_pattern", ok_sign, detail or f"{n_sign} base points"))
+    xs = np.linspace(0.05, TWO_PI - 0.05, n_sign)
+    zs = f_minus_zeros(xs)
+    yp, ydp = zs.y_prime, zs.y_double_prime
+    ordered = (0.0 < yp) & (yp < TWO_PI - xs) & (TWO_PI - xs < ydp) & (ydp < TWO_PI)
+    ys = np.linspace(1e-4, TWO_PI - 1e-4, 400)
+    fm = f_minus(xs[:, None], ys)
+    yp, ydp = yp[:, None], ydp[:, None]
+    inside = (ys > yp + 1e-6) & (ys < ydp - 1e-6)
+    outside = (ys < yp - 1e-6) | (ys > ydp + 1e-6)
+    ok = ordered & ~np.any(inside & (fm >= 0.0) | outside & (fm <= 0.0), axis=1)
+    detail = f"{n_sign} base points"
+    if not ok.all():
+        k = int(np.argmin(ok))
+        detail = f"{'sign pattern' if ordered[k] else 'ordering'} failed at x={xs[k]}"
+    checks.append(("f_minus_sign_pattern", bool(ok.all()), detail))
     return checks

@@ -11,10 +11,9 @@ from .errors import FitError
 
 @dataclass
 class DecayReport:
-    """Fitted power-law exponent with its fit window and raw series."""
+    """Fitted power-law exponent with its raw series."""
     exponent: float
     stderr: float
-    fit_window: tuple
     series: list = field(repr=False)
 
 

@@ -411,7 +411,7 @@ def measure_linear_decay(op: LinOperator, g0: Field, mus,
     states = np.abs(semigroup_apply(op, g0, t_grid))
     series = [list(zip(t_grid.tolist(), np.max(op.grid.omega ** mu * states, axis=1).tolist()))
               for mu in mus]
-    return [DecayReport(*fit_power_law(s, fit_window), fit_window, s) for s in series]
+    return [DecayReport(*fit_power_law(s, fit_window), s) for s in series]
 
 
 def bulk_edge_functionals(g: Field, t: float, alpha: float):

@@ -221,48 +221,53 @@ def f_minus(x, y):
 @dataclass(frozen=True)
 class FminusZeros:
     """The two zeros y' < y'' of y -> F-(x, y), with 0 < y' < 2pi - x < y'' < 2pi."""
-    y_prime: float
-    y_double_prime: float
+    y_prime: float | np.ndarray
+    y_double_prime: float | np.ndarray
 
 
-def f_minus_zeros(x: float) -> FminusZeros:
+def f_minus_zeros(x) -> FminusZeros:
     """Locate both zeros of F-(x, .) by bracketed bisection plus one Newton polish.
 
     The sign pattern F-(x, 0) > 0 > F-(x, 2pi - x) < 0 < F-(x, 2pi)
-    guarantees one zero in each of [0, 2pi - x] and [2pi - x, 2pi].
+    guarantees one zero in each of [0, 2pi - x] and [2pi - x, 2pi].  x may
+    be an array of base points: every interval halves at once, each until
+    it is _ROOT_INTERVAL_TOL wide, so each zero has the bits of its own
+    scalar call; a scalar x gets floats back.  The first point at which F-
+    degenerates is named in a ConvergenceError.
     """
-    x = float(x)
-    if not (0.0 < x < TWO_PI):
-        raise ConvergenceError(f"x = {x} is at a domain endpoint; F- degenerates there")
-    mid = TWO_PI - x
-    fmid = float(f_minus(x, mid))  # = -4 sin^2(x/2), strictly negative
-    if not fmid < 0.0:
+    x = np.asarray(x, dtype=float)
+    ok = (0.0 < x) & (x < TWO_PI)
+    if not ok.all():
         raise ConvergenceError(
-            f"F-({x}, 2pi - {x}) = {fmid}; x is too close to a domain endpoint")
+            f"x = {x.flat[np.argmin(ok)]} is at a domain endpoint; F- degenerates there")
+    mid = TWO_PI - x
+    fmid = f_minus(x, mid)  # = -4 sin^2(x/2), strictly negative
+    if not (fmid < 0.0).all():
+        k = np.argmin(fmid < 0.0)
+        raise ConvergenceError(f"F-({x.flat[k]}, 2pi - {x.flat[k]}) = {fmid.flat[k]}; "
+                               "x is too close to a domain endpoint")
     # endpoint signs are analytic: F-(x, 0) = (1 + cos(x/2))^2 > 0 and
     # F-(x, 2pi) = (1 - cos(x/2))^2 > 0.  Evaluating at the endpoints instead
     # would lose the sign to cancellation once the zero is within an ulp of
-    # the boundary (x -> 0 pushes y'' against 2pi).
-    roots = []
-    for lo, hi, sign_lo in ((0.0, mid, +1.0), (mid, TWO_PI, -1.0)):
-        a, b = lo, hi
-        sa = sign_lo
-        while b - a > _ROOT_INTERVAL_TOL:
-            m = 0.5 * (a + b)
-            fm = float(f_minus(x, m))
-            sm = 1.0 if fm > 0.0 else -1.0
-            if sa == sm:
-                a = m
-            else:
-                b = m
-        y = 0.5 * (a + b)
-        # one Newton polish; derivative by analytic formula
-        d = -np.sin(y / 2.0) * (np.cos(x / 2.0) + np.cos(y / 2.0)) \
-            - 2.0 * np.sin(x / 2.0) * np.cos(y / 2.0)
-        if d != 0.0:
-            y -= float(f_minus(x, y)) / float(d)
-        roots.append(min(max(y, 0.0), TWO_PI))
-    yp, ydp = roots
+    # the boundary (x -> 0 pushes y'' against 2pi).  Row 0 brackets y', where
+    # F- falls through zero, and row 1 y'', where it rises.
+    a = np.stack([np.zeros_like(x), mid])
+    b = np.stack([mid, np.full_like(x, TWO_PI)])
+    rising = np.array([False, True]).reshape((2,) + (1,) * x.ndim)
+    wide = b - a > _ROOT_INTERVAL_TOL
+    while wide.any():
+        m = 0.5 * (a + b)
+        same = (f_minus(x, m) > 0.0) != rising  # F-(m) has the sign of F-(a)
+        a = np.where(wide & same, m, a)
+        b = np.where(wide & ~same, m, b)
+        wide = b - a > _ROOT_INTERVAL_TOL
+    y = 0.5 * (a + b)
+    # one Newton polish; derivative by analytic formula
+    d = -np.sin(y / 2.0) * (np.cos(x / 2.0) + np.cos(y / 2.0)) \
+        - 2.0 * np.sin(x / 2.0) * np.cos(y / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.minimum(np.maximum(np.where(d != 0.0, y - f_minus(x, y) / d, y), 0.0), TWO_PI)
+    yp, ydp = y.tolist() if x.ndim == 0 else y
     return FminusZeros(y_prime=yp, y_double_prime=ydp)
 
 

@@ -99,6 +99,11 @@ DEFECTS = [
      ["tests/test_linearized.py"]),
     ("reflection n - idx", "src/phononlab/linearized.py",
      "np.minimum(k, n - 1 - k)", "np.minimum(k, n - k)", ["tests/test_linearized.py"]),
+    # the libraries' loops: the pool's map and the array bisection
+    ("pool results out of block order", "src/phononlab/collision.py",
+     "map(fn, blocks))", "map(fn, blocks[::-1]))", ["tests/test_collision.py"]),
+    ("bisection moves converged points", "src/phononlab/manifold.py",
+     "np.where(wide & same, m, a)", "np.where(same, m, a)", ["tests/test_manifold.py"]),
 ]
 
 

@@ -310,6 +310,55 @@ class TestMapBlocks:
             collision.map_blocks(fn, range(10))
         assert info.value is err
 
+    def test_a_failing_block_cancels_the_blocks_not_started(self, monkeypatch):
+        # block 0 raises at once while the other 49 sleep 10 ms each on 2
+        # workers: the error reaches the caller before every block has
+        # started, and the blocks still queued then never start
+        monkeypatch.setenv("PHONON_THREADS", "2")
+        err = ValueError("block 0")
+        started = []
+
+        def fn(b):
+            started.append(b)
+            if b == 0:
+                raise err
+            time.sleep(0.01)
+            return b
+
+        with pytest.raises(ValueError) as info:
+            collision.map_blocks(fn, range(50))
+        assert info.value is err
+        assert len(started) < 50
+        time.sleep(0.4)  # longer than the 49 sleeps take on 2 workers
+        assert len(started) < 50
+
+    def test_worker_count_changes_between_calls(self, monkeypatch):
+        # 2, then 3, then 2 workers in one process: each call runs on
+        # exactly that many threads (its first `workers` blocks meet at a
+        # barrier, and no more blocks than that ever run at once) and
+        # returns its results in block order
+        for workers in (2, 3, 2):
+            monkeypatch.setenv("PHONON_THREADS", str(workers))
+            barrier = threading.Barrier(workers)
+            lock = threading.Lock()
+            running = [0, 0]  # now, most at once
+
+            def fn(b):
+                with lock:
+                    running[0] += 1
+                    running[1] = max(running)
+                if b < workers:
+                    barrier.wait(timeout=10)
+                else:
+                    time.sleep(0.002)
+                with lock:
+                    running[0] -= 1
+                return b * b
+
+            blocks = range(4 * workers)
+            assert collision.map_blocks(fn, blocks) == [b * b for b in blocks]
+            assert running == [0, workers]
+
     def test_disjoint_rows_under_contention(self, monkeypatch):
         # more workers than cores and a short switch interval: every block
         # must write its own rows, and results come back in block order

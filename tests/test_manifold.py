@@ -4,9 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import clamped_arcsin, h_inverse_pair, h_tan
-from phononlab import manifold
+from phononlab import experiments, manifold
 from phononlab.errors import ConvergenceError, DomainError
-from phononlab.manifold import (TWO_PI, canonicalize, f_minus, f_minus_zeros,
+from phononlab.manifold import (TWO_PI, FminusZeros, canonicalize, f_minus, f_minus_zeros,
                                 f_plus, h, h_bar, omega, omega_residual,
                                 resonant_kernel, triple_product_identity)
 
@@ -189,6 +189,49 @@ class TestFMinusZeros:
     def test_endpoint_raises(self):
         with pytest.raises(ConvergenceError):
             f_minus_zeros(0.0)
+
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        # the points converge after different numbers of halvings, so a
+        # point that kept moving after its own convergence would show here
+        x = np.concatenate([[1e-3], np.linspace(0.01, TWO_PI - 0.01, 200), [TWO_PI - 1e-3]])
+        scalar = [f_minus_zeros(float(v)) for v in x]
+        assert all(type(zs.y_prime) is float and type(zs.y_double_prime) is float
+                   for zs in scalar)
+        zs = f_minus_zeros(x.reshape(2, -1))
+        assert zs.y_prime.shape == zs.y_double_prime.shape == (2, 101)
+        assert np.array_equal(zs.y_prime.ravel(), [s.y_prime for s in scalar])
+        assert np.array_equal(zs.y_double_prime.ravel(), [s.y_double_prime for s in scalar])
+
+    @pytest.mark.parametrize("end", [0.0, TWO_PI])
+    def test_array_with_an_endpoint_names_it(self, end):
+        with pytest.raises(ConvergenceError) as info:
+            f_minus_zeros(np.array([1.0, 2.0, end, 3.0]))
+        assert str(info.value) == f"x = {end} is at a domain endpoint; F- degenerates there"
+
+    @pytest.mark.parametrize("shifts, detail", [
+        ({}, "7 base points"),
+        ({3: ("y_prime", 0.5)}, "sign pattern failed at x={x[3]}"),
+        ({2: ("y_prime", 4.0)}, "ordering failed at x={x[2]}"),
+        ({4: ("y_double_prime", 2.0), 5: ("y_prime", 0.5)}, "ordering failed at x={x[4]}"),
+        ({1: ("y_double_prime", -0.5), 4: ("y_double_prime", 2.0)},
+         "sign pattern failed at x={x[1]}"),
+    ])
+    def test_verify_suite_sign_check_detail(self, monkeypatch, shifts, detail):
+        # zeros moved at chosen base points, on scalar or array calls alike:
+        # the check names the first base point that fails, and how
+        x = np.linspace(0.05, TWO_PI - 0.05, 7)
+
+        def moved(xs):
+            zs = f_minus_zeros(xs)
+            fields = {"y_prime": np.array(zs.y_prime), "y_double_prime": np.array(zs.y_double_prime)}
+            for k, (name, dy) in shifts.items():
+                fields[name] = np.where(xs == x[k], fields[name] + dy, fields[name])
+            return FminusZeros(**{name: v if np.ndim(xs) else float(v)
+                                  for name, v in fields.items()})
+
+        monkeypatch.setattr(experiments, "f_minus_zeros", moved)
+        checks = experiments.verify_suite(n_random=10, n_sign=7, grid_side=10)
+        assert checks[-1] == ("f_minus_sign_pattern", not shifts, detail.format(x=x))
 
     def test_vanishing_rate_constant_positive(self):
         # F-(x, y) >= c (y' - y) sin(x/2) away from the zero, with c > 0
