@@ -76,7 +76,8 @@ def _apply_thread_cap(threads: int | None) -> None:
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment, and '-' in a key reads as '_'."""
+    """Flat key=value lines; '#' starts a comment, and '-' in a key reads as
+    '_'.  A key set twice is refused, since only one value could be used."""
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -86,7 +87,10 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line (need key=value): {raw.rstrip()}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise ValueError(f"config key {key!r} is set more than once")
+            out[key] = val.strip()
     return out
 
 

@@ -14,7 +14,7 @@ from . import collision as coll
 from . import dynamics as dyn
 from . import equilibria as eq
 from . import linearized as lin
-# lp_blowup_norm calls the engine by this name, which tests patch and perfbench traces
+# no run calls this alias: it stays because perfbench/spans.py traces it by name
 from .collision import collision_at as _collision_at
 from .errors import ConfigError
 from .fitting import fit_power_law
@@ -238,10 +238,10 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     since every other term of its integrand is exactly zero; and it
     computes p1 itself only on the chunks of p2 nodes where an interval
     bound on h lets p1 reach a bump (`collision.bump_support` gives the
-    engine the bumps' intervals; see `collision.collision_at`, bound here
-    as `_collision_at`).  So the norm is bit for bit that of the full rule.
-    The window samples and the coarse rows go to the engine in one call:
-    each row sums its own terms, so every row has the bits it has alone.
+    engine the bumps' intervals; see `collision.collision_at`).  So the
+    norm is bit for bit that of the full rule.  The window samples and the
+    coarse rows go to the engine in one call: each row sums its own terms,
+    so every row has the bits it has alone.
     """
     pts = pts or coll.blowup_points()
     e2 = eps ** 2
@@ -259,7 +259,7 @@ def lp_blowup_norm(eps: float, p_exp: float = 2.0,
     widths = [(hi - lo) / m for lo, hi, m in windows] + [TWO_PI / n_coarse]
     in_any = np.any([(coarse >= lo) & (coarse <= hi) for lo, hi, _ in windows], axis=0)
     rows.append(coarse[~in_any])
-    vals = np.abs(_collision_at(np.concatenate(rows), f, z_nodes, z_wts, support=support))
+    vals = np.abs(coll.collision_at(np.concatenate(rows), f, z_nodes, z_wts, support=support))
     parts = np.split(vals, np.cumsum([r.size for r in rows[:-1]]))
     if p_exp == np.inf:
         norm = float(np.max(vals))

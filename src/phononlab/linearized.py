@@ -56,8 +56,8 @@ even vectors [x; Jx] and the odd vectors [x; -Jx], the sum of the even
 block E = A + BJ and the odd block O = A - BJ (Cantoni & Butler, Linear
 Algebra Appl. 13 (1976) 275-288).  Only E, O and their eigenpairs are
 held, never the n x n eigenproblem; every L g of a subcommand is
-`LinOperator.apply`, block by block, and `LinOperator.matrix` forms L
-from the two blocks alone.  E[p, q] and O[p, q] sum the four L_h[r, c]
+`LinOperator.apply`, block by block (the tests form the dense L as
+`apply` on the identity).  E[p, q] and O[p, q] sum the four L_h[r, c]
 with r in {p, n-1-p} and c in {q, n-1-q}, O with a minus sign where r and
 c lie on opposite sides of n/2.  fb is even, so the assembly scatters into
 two m x m accumulators at the folded nodes min(k, n-1-k), S (same side)
@@ -164,15 +164,6 @@ def _apply(blocks, g: np.ndarray) -> np.ndarray:
     return _join(blocks[0] @ u, blocks[1] @ w)
 
 
-def _unfold(blocks) -> np.ndarray:
-    """L from its even and odd blocks: top rows [A, B] with A = (E + O)/2
-    and BJ = (E - O)/2, bottom rows their reflection R [A, B] R.  Symmetric
-    and R-invariant to the bit."""
-    E, O = blocks
-    top = np.hstack([(E + O) / 2.0, ((E - O) / 2.0)[:, ::-1]])
-    return np.vstack([top, top[::-1, ::-1]])
-
-
 @dataclass
 class LinOperator:
     """L as its even and odd blocks E and O (module doc), with each block's
@@ -198,10 +189,9 @@ class LinOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """L itself, formed from the two blocks alone (`_unfold`), so a cold
-        operator and its cache give the same bits.  Each read builds a new
-        n x n array: read it once outside a loop, or use `apply`."""
-        return _unfold(self.blocks)
+        """L itself, as `apply` on the identity: a new n x n array per read.
+        No run reads it; it stays because `perfbench/spans.py` reads its size."""
+        return self.apply(np.eye(self.grid.n))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """L g for a vector or the columns of an (n, k) array, block-wise."""
@@ -508,7 +498,6 @@ def load_or_assemble(params: RjParams, grid: Grid, cache_dir=None,
     if cache_dir is None:
         return assemble(params, grid, interp)
     d = Path(cache_dir)
-    d.mkdir(parents=True, exist_ok=True)
     key = f"linop_n{grid.n}_b{params.beta:.12g}_g{params.gamma:.12g}_{interp}.bin"
     path = d / key
     try:
@@ -518,5 +507,6 @@ def load_or_assemble(params: RjParams, grid: Grid, cache_dir=None,
     if op is not None and (op.grid.n, op.params, op.interp) == (grid.n, params, interp):
         return op
     op = assemble(params, grid, interp)
+    d.mkdir(parents=True, exist_ok=True)  # after assemble, which refuses bad input
     save_operator(op, path)
     return op

@@ -22,8 +22,9 @@ summed weight by weight, the reference for `grid.gather`'s Horner form and
 for the weights `linearized._add_block` derives.  `project_out_kernel`
 makes kernel-orthogonal test data with the plain projection onto
 `LinOperator.kernel_basis`, `trig_sample` draws the random trigonometric
-data of the tests, and
-`dissipation_ratios` draws the dissipation samples one at a time.  `h_tan` and
+data of the tests, `dense_L` is L as one n x n array (the block-wise
+product on the identity), and `dissipation_ratios` draws the dissipation
+samples one at a time against it.  `h_tan` and
 `clamped_arcsin` are the resonant partner as it was built before its
 diagonal guard and its clip were made conditional, kept as the reference the
 leaner `manifold._h_parts` must reproduce bit for bit.
@@ -277,13 +278,18 @@ def trig_sample(nodes: np.ndarray, seed, modes: int = 12) -> np.ndarray:
                for k in range(modes))
 
 
+def dense_L(op: LinOperator) -> np.ndarray:
+    """L as one n x n array: the block-wise product on the identity."""
+    return op.apply(np.eye(op.grid.n))
+
+
 def dissipation_ratios(op: LinOperator, seed: int, samples: int = 100) -> list:
     """<-L g, g> / int a g^2 over random trigonometric g (`trig_sample`,
     kernel projected out), one sample at a time from one generator, with L
     as a whole matrix: the reference for `spectrum_experiment`'s block of
     samples, drawn in the same order."""
     rng = np.random.default_rng(seed)
-    a, kb, L = op.a.values, op.kernel_basis(), op.matrix
+    a, kb, L = op.a.values, op.kernel_basis(), dense_L(op)
     ratios = []
     for _ in range(samples):
         g = trig_sample(op.grid.nodes, rng)

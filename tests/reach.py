@@ -39,9 +39,8 @@ ALLOWED = {
                                    "conservation, entropy growth and the RK4 order",
     "linearized:bulk_edge_functionals": "TestBulkEdge pins the bulk-mass bound",
     # L as one n x n array: every run applies L through its blocks
-    "linearized:LinOperator.matrix": "the tests' dense L, and perfbench's traced relax "
-                                     "runs read its size",
-    "linearized:_unfold": "forms LinOperator.matrix from the two blocks",
+    "linearized:LinOperator.matrix": "read only by perfbench's traced relax runs, "
+                                     "for its size",
     # reached by runs other than the defaults
     "cli:read_config_file": "a run with --config",
     "cli:_file_output_dir": "a bad configuration given with --config",

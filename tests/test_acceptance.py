@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import trig_sample
+from oracles import dense_L, trig_sample
 from phononlab import experiments as ex
 from phononlab.collision import collision_operator
 from phononlab.equilibria import RATIO_LIMIT, RjParams, mass_energy, match_rj, rj_field
@@ -116,7 +116,7 @@ def test_criterion_4_dissipation_ratio(op256, op512):
     for op in (op256, op512):
         g = op.grid
         kb = op.kernel_basis()
-        a, L = op.a.values, op.matrix
+        a, L = op.a.values, dense_L(op)
         ratios = []
         for seed in range(100):
             v = trig_sample(g.nodes, seed)

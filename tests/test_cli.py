@@ -283,11 +283,25 @@ class TestRuns:
         ("seed = -3\n", ["spectrum", "--grid-n", 64],
          "seed must be a nonnegative integer, got -3"),
         ("seed = -3\n", ["verify"], "seed must be a nonnegative integer, got -3"),
+        # these used to leave an empty cache/ beside the manifest
+        ("", ["spectrum", "--grid-n", 64, "--gamma", 0.0],
+         "the linearized analysis requires gamma > 0"),
+        ("", ["lin-decay", "--grid-n", 64, "--gamma", 0.0],
+         "the linearized analysis requires gamma > 0"),
+        ("", ["nonlin", "--grid-n", 64, "--gamma", 0.0],
+         "the linearized analysis requires gamma > 0"),
+        # these used to run with the last value
+        ("grid_n = 64\ngrid_n = 128\n", ["spectrum"],
+         "config key 'grid_n' is set more than once"),
+        ("grid-n = 64\ngrid_n = 64\n", ["spectrum"],
+         "config key 'grid_n' is set more than once"),
     ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
             "mass-nan", "energy-inf", "p-0", "p-0.5", "p-0.03", "p-0.017", "p-1e-300",
             "p-nan", "file-interp-quadratic", "t-final-0", "t-final-nan", "eps-nan",
             "eps-0", "t-final-1e300", "beta-inf", "gamma-nan", "fit-window-reversed", "fit-hi-nan",
-            "fit-hi-above-2pi", "seed-negative-spectrum", "seed-negative-verify"])
+            "fit-hi-above-2pi", "seed-negative-spectrum", "seed-negative-verify",
+            "gamma-0-spectrum", "gamma-0-lin-decay", "gamma-0-nonlin", "file-key-twice",
+            "file-key-twice-dashed"])
     def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
         # each fails before any work: exit 2, the cause on stderr and in the
         # manifest, which is strict JSON (a NaN or infinite setting is

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bincount_exchange_sum, full_table, lagrange_gather
+from oracles import bincount_exchange_sum, dense_L, full_table, lagrange_gather
 from phononlab import collision, dynamics, linearized
 from phononlab.collision import ResonanceTable, collision_operator
 from phononlab.dynamics import (MAX_STEPS, EvolutionConfig, PerturbationTables, _run,
@@ -300,7 +300,7 @@ class TestCubicTerm:
             op = assemble(PARAMS, g)
             v = 0.01 * np.cos(3 * g.nodes) * g.omega
             fb = rj_field(PARAMS, g).values
-            lhs = op.matrix @ v + quadratic_term(Field(g, v), PARAMS).values \
+            lhs = dense_L(op) @ v + quadratic_term(Field(g, v), PARAMS).values \
                 + cubic_term(Field(g, v), PARAMS).values
             rhs = collision_operator(Field(g, fb * (1.0 + v))).values / fb
             devs.append(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))

@@ -19,7 +19,7 @@ TORUS = [(0.0, TWO_PI)]
 
 
 # The full rule, one row at a time over every p2 node, kept as the reference
-# that the support-aware _collision_at must reproduce bit for bit.
+# that the support-aware collision_at must reproduce bit for bit.
 
 def collision_at_full_rule(p0_vals, f, z_nodes, z_wts, *, support=None):
     # every term on every row: the support is not read
@@ -65,7 +65,7 @@ def test_three_bumps_bit_identical(k, p_exp):
     f0 = f(rows)
     # both paths are taken: rows inside the bumps and rows outside them
     assert 0 < np.count_nonzero(f0) < rows.size
-    got = ex._collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS))
+    got = coll.collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS))
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
     assert np.any(got[f0 == 0.0] != 0.0)
 
@@ -80,7 +80,7 @@ def test_spectrum_without_zeros_takes_full_path():
     z, w = p2_rule(eps)
     rows = output_rows(eps)
     assert np.all(f(rows) != 0.0)
-    assert np.array_equal(ex._collision_at(rows, f, z, w, support=TORUS),
+    assert np.array_equal(coll.collision_at(rows, f, z, w, support=TORUS),
                           collision_at_full_rule(rows, f, z, w))
 
 
@@ -91,7 +91,7 @@ def test_p2_rule_missing_support_gives_exact_zeros():
     off = f(z) == 0.0
     z, w = z[off], w[off]
     rows = output_rows(eps)
-    got = ex._collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS))
+    got = coll.collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS))
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
     zero_rows = f(rows) == 0.0
     assert np.all(got[zero_rows] == 0.0)
@@ -115,12 +115,12 @@ def test_ragged_last_block(monkeypatch):
             monkeypatch.setattr(coll, "_CHUNK", chunk)
             monkeypatch.setattr(coll, "_BATCH", rows_per_block * chunks)
             assert np.array_equal(
-                ex._collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS)), want)
+                coll.collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS)), want)
 
 
 def test_lp_blowup_norm_matches_full_rule(monkeypatch):
     got = ex.lp_blowup_norm(2.0 ** -4, 2.0, n_coarse=256, n_zoom=2048)
-    monkeypatch.setattr(ex, "_collision_at", collision_at_full_rule)
+    monkeypatch.setattr(coll, "collision_at", collision_at_full_rule)
     want = ex.lp_blowup_norm(2.0 ** -4, 2.0, n_coarse=256, n_zoom=2048)
     assert got == want
 
@@ -135,8 +135,8 @@ def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
     # many blocks and batches on both paths, with ragged last ones
     batch = coll._BATCH
     monkeypatch.setattr(coll, "_BATCH", 16 * coll._CHUNK)
-    assert np.array_equal(ex._collision_at(rows, f, z, w,
-                                           support=coll.bump_support(eps, PTS)),
+    assert np.array_equal(coll.collision_at(rows, f, z, w,
+                                            support=coll.bump_support(eps, PTS)),
                           collision_at_full_rule(rows, f, z, w))
     # a positive spectrum leaves every term live: every chunk is kept and
     # every block gathers all of its entries (several blocks at the
@@ -145,7 +145,7 @@ def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
 
     def positive(p):
         return 1.0 + f(p)
-    assert np.array_equal(ex._collision_at(rows, positive, z, w, support=TORUS),
+    assert np.array_equal(coll.collision_at(rows, positive, z, w, support=TORUS),
                           collision_at_full_rule(rows, positive, z, w))
 
 
@@ -171,7 +171,7 @@ def test_signed_spectrum_live_terms_bit_identical():
     rows = output_rows(eps)
     f0 = f(rows)
     assert np.any(f0 > 0.0) and np.any(f0 < 0.0) and np.any(f0 == 0.0)
-    got = ex._collision_at(rows, f, z, w, support=signed_support(eps))
+    got = coll.collision_at(rows, f, z, w, support=signed_support(eps))
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
     zero = got == 0.0
     assert np.any(zero) and np.any(got[f0 == 0.0] != 0.0)
@@ -200,7 +200,7 @@ def test_weight_only_on_live_terms(spectrum, monkeypatch):
         return weight(x, z, t)
 
     monkeypatch.setattr(coll, "_weight", spy)
-    got = ex._collision_at(rows, f, z, w, support=support)
+    got = coll.collision_at(rows, f, z, w, support=support)
     assert sum(evaluated) == np.count_nonzero(live) < rows.size * z.size
     assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
 
@@ -220,7 +220,7 @@ def test_chunk_bound_keeps_every_live_term(p0, k):
     rows = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                            *across])
     z, w = p2_rule(eps, pts=pts)
-    assert np.array_equal(ex._collision_at(rows, f, z, w, support=support),
+    assert np.array_equal(coll.collision_at(rows, f, z, w, support=support),
                           collision_at_full_rule(rows, f, z, w))
 
 
@@ -230,7 +230,7 @@ def test_p1_only_where_it_can_reach_the_support(k, monkeypatch):
     # blocks: rows with f(p0) != 0 times every p2 node, rows with f(p0) = 0
     # times the support nodes f(p2) != 0
     entries, computed = [], []
-    h_parts, collision_at = coll._h_parts, ex._collision_at
+    h_parts, collision_at = coll._h_parts, coll.collision_at
 
     def spy_h(x, z):
         computed.append(np.broadcast(x, z).size)
@@ -242,7 +242,7 @@ def test_p1_only_where_it_can_reach_the_support(k, monkeypatch):
         return collision_at(p0_vals, f, z_nodes, z_wts, **kwargs)
 
     monkeypatch.setattr(coll, "_h_parts", spy_h)
-    monkeypatch.setattr(ex, "_collision_at", spy_at)
+    monkeypatch.setattr(coll, "collision_at", spy_at)
     ex.lp_blowup_norm(2.0 ** -k, 2.0, PTS)
     assert len(entries) == 1  # the window samples and the coarse rows in one call
     assert 0 < sum(computed) <= 0.2 * sum(entries)
@@ -256,7 +256,7 @@ def test_support_that_leaves_out_part_of_f_raises():
     bumps = coll.bump_support(eps, PTS)
     for support in (bumps[:2], bumps[1:], [(lo, hi - 0.5 * (hi - lo)) for lo, hi in bumps]):
         with pytest.raises(ValueError, match="outside the support"):
-            ex._collision_at(rows, f, z, w, support=support)
+            coll.collision_at(rows, f, z, w, support=support)
     # a non-finite row, p2 node or weight: f(nan) = 0, so a NaN row read as
     # a silent zero and a NaN node was skipped, where the full rule gives NaN
     row = np.array([PTS.p0 + 1e-4])
@@ -265,7 +265,7 @@ def test_support_that_leaves_out_part_of_f_raises():
     for p0s, zs, ws, what in ((np.array([np.nan, PTS.p0 + 1e-4, np.inf]), z, w, "output row nan"),
                               (row, z_nan, w, "p2 node nan"), (row, z, w_inf, "p2 weight inf")):
         with pytest.raises(ValueError, match=f"the {what} is not finite"):
-            ex._collision_at(p0s, f, zs, ws, support=bumps)
+            coll.collision_at(p0s, f, zs, ws, support=bumps)
 
 
 # verify_suite's grid checks on the whole meshgrid at once, kept as the
