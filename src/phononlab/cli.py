@@ -10,10 +10,12 @@ installed one does.  The manifest is written even when the run fails (a bad
 configuration's, with config, hash and env null, goes to --output-dir, else
 the config file's output_dir, else out).  Every other manifest records the
 run's environment ("env": row-block workers, Python and numpy versions);
-`nonlin` also records its work counts there, and only there ("counters":
-{"rhs_evals": ..., "rhs_table_entries": ...}: the right-hand sides of the
-run, and the resonance-table entries each sums over, which tell the
-half-table path from the whole table).  A NaN or infinite setting
+`nonlin` and `multiplier` also record their work counts there, and only
+there ("counters": `nonlin`'s {"rhs_evals": ..., "rhs_table_entries": ...},
+the right-hand sides of the run and the resonance-table entries each sums
+over, which tell the half-table path from the whole table; `multiplier`'s
+{"cache_hits": 0 or 1}, whether `a` was read from the operator cache that
+`spectrum` writes to the same output directory).  A NaN or infinite setting
 appears in the manifest's config as the string its flag takes ("inf"), so
 the manifest is strict JSON like every artifact.  Exit codes:
 0 success, 1 internal error (any other exception the run raises: a fault
@@ -75,10 +77,10 @@ def _apply_thread_cap(threads: int | None) -> None:
         os.environ[var] = str(threads)
 
 
-def read_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment, and '-' in a key reads as
-    '_'.  A key set twice is refused, since only one value could be used."""
-    out = {}
+def _config_lines(path) -> list:
+    """(key, value) for each line of a flat key=value file, in order; '#'
+    starts a comment, and '-' in a key reads as '_'."""
+    pairs = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -87,10 +89,18 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line (need key=value): {raw.rstrip()}")
             key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key in out:
-                raise ValueError(f"config key {key!r} is set more than once")
-            out[key] = val.strip()
+            pairs.append((key.strip().replace("-", "_"), val.strip()))
+    return pairs
+
+
+def read_config_file(path) -> dict:
+    """The settings of a flat key=value file (`_config_lines`).  A key set
+    twice is refused, since only one value could be used."""
+    out = {}
+    for key, val in _config_lines(path):
+        if key in out:
+            raise ValueError(f"config key {key!r} is set more than once")
+        out[key] = val
     return out
 
 
@@ -232,7 +242,8 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
 
     settings = {key: cfg[key] for key in SUBCOMMANDS[sub][1]}
     if sub == "multiplier":
-        res = ex.multiplier_experiment(**settings)
+        res = ex.multiplier_experiment(**settings, cache_dir=outdir / "cache")
+        counters["cache_hits"] = res.pop("cache_hits")
         a = res.pop("a_field")
         _write_csv(outdir / "a.csv", ["p", "value"], zip(a.grid.nodes, a.values))
         _write_csv(outdir / "a_fit_points.csv", ["p", "a"],
@@ -359,11 +370,13 @@ def _make_outdir(path):
 
 
 def _file_output_dir(path) -> str | None:
-    """The config file's output_dir, if it names one and can be read."""
+    """The config file's output_dir, if it can be read and names one once,
+    whatever else is wrong with it (another key set twice, say)."""
     try:
-        return read_config_file(path).get("output_dir") if path else None
+        dirs = [val for key, val in _config_lines(path) if key == "output_dir"] if path else []
     except (ValueError, OSError):
         return None
+    return dirs[0] if len(dirs) == 1 else None
 
 
 def _environment() -> dict:

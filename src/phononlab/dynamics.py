@@ -47,7 +47,8 @@ self-mirror ones; n^2/4 entries for even n), the one the linearized
 assembly streams: Q + N is its row sums h plus their reflection,
 h + h[::-1], in which the two halves of each self-mirror term cancel.
 `evolve_perturbation` takes this path when the odd part of g0 is rounding
-(at most EVEN_RTOL of its sup), after making g0 exactly even; any other
+(at most `linearized.EVEN_RTOL` of its sup), after making g0 exactly
+even (`linearized.snap_even`), so L skips its odd block; any other
 g0 runs on the whole table.  The step count of a run is bounded by
 MAX_STEPS before any work.
 """
@@ -64,13 +65,10 @@ from .equilibria import RjParams, match_rj
 from .errors import BlowupError, ConfigError, NonFiniteError, PositivityError
 from .fitting import DecayReport, fit_power_law
 from .grid import Field, Grid, lp_norm, weighted_sup
-from .linearized import LinOperator, multiplier_a
+from .linearized import LinOperator, multiplier_a, snap_even
 
 BLOWUP_FACTOR = 1e3
 EPS_MAX = 0.1  # largest ||omega^-1/2 g0||_inf evolve_perturbation accepts
-# largest odd part max|g0 - g0[::-1]| / 2, relative to max|g0|, that
-# evolve_perturbation treats as rounding of even data
-EVEN_RTOL = 1e-12
 # largest t_final / dt a run may plan.  A default `nonlin` run plans 667
 # steps and the largest plan of the test suite is 20,000; 10^6 steps at
 # n = 256 take about 40 minutes of right-hand sides
@@ -334,9 +332,9 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
     (PerturbationTables.nonlinear).
 
     When the odd part max|g0 - g0[::-1]| / 2 is at most EVEN_RTOL of
-    max|g0|, g0 is replaced by its even part (g0 + g0[::-1]) / 2 and the
-    pass runs over the half table and reflects its sums;
-    any other g0 runs over the whole table.  The run's
+    max|g0|, g0 is replaced by its even part (g0 + g0[::-1]) / 2
+    (`linearized.snap_even`) and the pass runs over the half table and
+    reflects its sums; any other g0 runs over the whole table.  The run's
     `rhs_table_entries` says which.
     """
     grid = g0.grid
@@ -346,10 +344,7 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
     if eps > EPS_MAX:
         raise ConfigError(f"||omega^-1/2 g0||_inf = {eps:.3g} exceeds {EPS_MAX}")
     _check_stability_guard(cfg, operator.a)
-    g = g0.values
-    even = float(np.max(np.abs(g - g[::-1]))) / 2.0 <= EVEN_RTOL * float(np.max(np.abs(g)))
-    if even:
-        g = (g + g[::-1]) / 2.0
+    g, even = snap_even(g0.values)
     params = operator.params
     tabs = PerturbationTables(params, grid, operator.interp, even)
     fb = params.value(grid.nodes)

@@ -37,19 +37,24 @@ _SLAB_ROWS = 16
 # multiplier scaling
 
 def multiplier_experiment(beta: float, gamma: float, grid_n: int,
-                          fit_lo: float, fit_hi: float) -> dict:
+                          fit_lo: float, fit_hi: float, cache_dir=None) -> dict:
     """Multiplier profile on the grid plus an edge power-law fit.
 
-    The fit evaluates a(p) pointwise on a log-spaced sample of the window
-    (grid nodes stop at pi/n, above the lower end of the CLI's default
-    window) and regresses log a against log sin(p/2).
+    The profile is `a` of the linear operator cache of this key in
+    cache_dir (`lin.cached_operator`; bit for bit that of
+    `lin.multiplier_a`) when there is one, else computed; "cache_hits"
+    says which (1 or 0).  Nothing is written to cache_dir.  The fit
+    evaluates a(p) pointwise on a log-spaced sample of the window (grid
+    nodes stop at pi/n, above the lower end of the CLI's default window)
+    and regresses log a against log sin(p/2).
     """
     if not 0.0 < fit_lo < fit_hi < TWO_PI:  # before a(p) is built; NaN fails
         raise ConfigError("fit window must satisfy 0 < fit_lo < fit_hi < 2 pi, "
                           f"got [{fit_lo}, {fit_hi}]")
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
-    a_field = lin.multiplier_a(params, grid)
+    op = None if cache_dir is None else lin.cached_operator(params, grid, cache_dir)
+    a_field = lin.multiplier_a(params, grid) if op is None else op.a
     ps = np.geomspace(fit_lo, fit_hi, N_FIT_POINTS)
     avals = lin.multiplier_at(params, ps, n_panels=grid_n)
     s = np.sin(ps / 2.0)
@@ -61,7 +66,7 @@ def multiplier_experiment(beta: float, gamma: float, grid_n: int,
         "fit_points_a": [float(x) for x in avals],
         "exponent": slope, "exponent_stderr": stderr,
         "target_exponent": 5.0 / 3.0,
-        "a_field": a_field,
+        "a_field": a_field, "cache_hits": int(op is not None),
     }
 
 
@@ -119,7 +124,8 @@ def linear_decay_experiment(beta: float, gamma: float, grid_n: int,
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
     op = lin.load_or_assemble(params, grid, cache_dir)
-    g0 = lin.decay_initial_data(params, grid)
+    # even to the bit, so the semigroup runs on the even block alone
+    g0 = Field(grid, lin.snap_even(lin.decay_initial_data(params, grid).values)[0])
     t_grid = np.geomspace(t_final / 100.0, t_final, 64)
     window = (t_final / 10.0, t_final)
     rep12, rep16 = lin.measure_linear_decay(op, g0, (0.5, 1.0 / 6.0), t_grid, window)

@@ -54,8 +54,10 @@ L, split into the first and the last m columns, and J the reversal of m
 entries.  A symmetric matrix that commutes with R is, in the basis of the
 even vectors [x; Jx] and the odd vectors [x; -Jx], the sum of the even
 block E = A + BJ and the odd block O = A - BJ (Cantoni & Butler, Linear
-Algebra Appl. 13 (1976) 275-288).  Only E, O and their eigenpairs are
-held, never the n x n eigenproblem; every L g of a subcommand is
+Algebra Appl. 13 (1976) 275-288).  Only E, O, E's eigenpairs and O's
+eigenvalues are held, never the n x n eigenproblem; O's eigenvectors are
+formed only when data with an odd part asks for them (no subcommand's data
+has one).  Every L g of a subcommand is
 `LinOperator.apply`, block by block (the tests form the dense L as
 `apply` on the identity).  E[p, q] and O[p, q] sum the four L_h[r, c]
 with r in {p, n-1-p} and c in {q, n-1-q}, O with a minus sign where r and
@@ -71,6 +73,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,9 @@ DECAY_NU = 0.5  # edge exponent nu of decay_initial_data: g0 ~ omega^nu
 # (2,048 table entries with linear interpolation), under the mmap threshold
 # that `collision` pins, so the heap reuses its pages
 _BLOCK_VALUES = 1 << 16
+# largest odd part max|g - g[::-1]| / 2, relative to max|g|, that `snap_even`
+# treats as rounding of even data
+EVEN_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +164,33 @@ def _join(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.concatenate([u + w, (u - w)[::-1]])
 
 
+def snap_even(g: np.ndarray) -> tuple:
+    """(g, False), or ((g + g[::-1]) / 2, True) when the odd part
+    max|g - g[::-1]| / 2 of g is at most EVEN_RTOL of max|g|: data that is
+    even up to rounding, made exactly even, so that its odd half is zero."""
+    if float(np.max(np.abs(g - g[::-1]))) / 2.0 <= EVEN_RTOL * float(np.max(np.abs(g))):
+        return (g + g[::-1]) / 2.0, True
+    return g, False
+
+
 def _apply(blocks, g: np.ndarray) -> np.ndarray:
-    """L g from the even and odd blocks: [Eu + Ow; J(Eu - Ow)]."""
-    u, w = _halves(g)
-    return _join(blocks[0] @ u, blocks[1] @ w)
+    """L g from the even and odd blocks: [Eu + Ow; J(Eu - Ow)].  A block
+    whose half of g is exactly zero is skipped: its product is zero."""
+    return _join(*(B @ h if h.any() else np.zeros_like(h)
+                   for B, h in zip(blocks, _halves(g))))
 
 
 @dataclass
 class LinOperator:
-    """L as its even and odd blocks E and O (module doc), with each block's
-    eigenpairs: `eighs` holds (eigenvalues, eigenvectors) of E, then of O."""
+    """L as its even and odd blocks E and O (module doc), with E's
+    eigenpairs and O's eigenvalues.  O's eigenvectors are formed on first
+    use (`odd_eigh`): only data with an odd part reads them."""
     grid: Grid
     params: RjParams
     a: Field
     blocks: tuple = field(repr=False)
-    eighs: tuple = field(repr=False)
+    even_eigh: tuple = field(repr=False)  # (eigenvalues, eigenvectors) of E
+    odd_eigenvalues: np.ndarray = field(repr=False)  # of O, by eigvalsh
     spectral_tol: float
     kernel_residuals: tuple
     sym_defect: float
@@ -185,7 +203,15 @@ class LinOperator:
     @property
     def eigenvalues(self) -> np.ndarray:
         """The eigenvalues of L, ascending: those of both blocks merged."""
-        return np.sort(np.concatenate([lam for lam, _ in self.eighs]))
+        return np.sort(np.concatenate([self.even_eigh[0], self.odd_eigenvalues]))
+
+    @cached_property
+    def odd_eigh(self) -> tuple:
+        """(eigenvalues, eigenvectors) of O from one `eigh` of the held O,
+        formed on first use and kept, so a cold operator and a cached one
+        agree bit for bit.  Its eigenvalues, not `odd_eigenvalues` (which
+        may differ at rounding), go with its vectors."""
+        return np.linalg.eigh(self.blocks[1])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -209,7 +235,7 @@ class LinOperator:
     def near_null_vectors(self) -> np.ndarray:
         """The even block's near-null eigenvectors v, lifted to [v; Jv]/sqrt 2
         (`assemble` checks that the odd block has none)."""
-        lam, V = self.eighs[0]
+        lam, V = self.even_eigh
         v = V[:, np.abs(lam) <= self.spectral_tol]
         return np.vstack([v, v[::-1]]) / np.sqrt(2.0)
 
@@ -306,8 +332,8 @@ def _check_parity(even: np.ndarray, odd: np.ndarray, spectral_tol: float) -> Non
 
 
 def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperator:
-    """Assemble L as its even and odd blocks, eigendecompose each, and
-    verify its spectral structure.
+    """Assemble L as its even and odd blocks, eigendecompose E, take O's
+    eigenvalues alone, and verify its spectral structure.
 
     Raises ConfigError for gamma <= 0, n < 64 or an odd n (the blocks need
     n even), and SpectralError (`_check_parity`) unless the even block holds
@@ -332,10 +358,12 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperato
     r2 = float(np.linalg.norm(_apply(blocks, wfb)) / np.linalg.norm(wfb))
     spectral_tol = max(SPECTRAL_FLOOR, 10.0 * max(r1, r2))
 
-    eighs = tuple(np.linalg.eigh(B) for B in blocks)
-    _check_parity(eighs[0][0], eighs[1][0], spectral_tol)
+    even_eigh = np.linalg.eigh(E)
+    odd_eigenvalues = np.linalg.eigvalsh(O)
+    _check_parity(even_eigh[0], odd_eigenvalues, spectral_tol)
     return LinOperator(grid=grid, params=params, a=Field(grid, a), blocks=blocks,
-                       eighs=eighs, spectral_tol=spectral_tol,
+                       even_eigh=even_eigh, odd_eigenvalues=odd_eigenvalues,
+                       spectral_tol=spectral_tol,
                        kernel_residuals=(r1, r2), sym_defect=sym_defect,
                        interp=interp)
 
@@ -343,18 +371,28 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperato
 # ---------------------------------------------------------------------------
 # semigroup, projections, decay measurement
 
+def _evolve(eigh: tuple, h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """V (exp(lambda t^T) * V^T h): one block's half h at every time t, one
+    column per time, through the block's eigenpairs (lambda, V)."""
+    lam, V = eigh
+    return V @ (np.exp(np.outer(lam, t)) * (V.T @ h)[:, None])
+
+
 def semigroup_apply(op: LinOperator, g0: Field, times) -> np.ndarray:
     """e^{tL} g0 for every t in `times`, exact in time: one row per time.
     g0's even and odd parts each run through their block's
-    eigendecomposition, V (exp(lambda t^T) * V^T u), in one product per
-    block.  A row at t = 0 is g0 bit for bit.  Raises ValueError on a
-    negative or non-finite time."""
+    eigendecomposition (`_evolve`), in one product per block; a part that
+    is exactly zero is skipped, so even data never forms O's eigenvectors.
+    A row at t = 0 is g0 bit for bit.  Raises ValueError on a negative or
+    non-finite time."""
     t = np.asarray(times, dtype=float)
     bad = t[~((0.0 <= t) & (t < np.inf))]  # NaN included
     if bad.size:
         raise ValueError(f"a time must be nonnegative and finite, got {bad[0]}")
-    states = _join(*(V @ (np.exp(np.outer(lam, t)) * (V.T @ u)[:, None])
-                     for (lam, V), u in zip(op.eighs, _halves(g0.values)))).T
+    u, w = _halves(g0.values)
+    zero = np.zeros((u.size, t.size))
+    states = _join(_evolve(op.even_eigh, u, t) if u.any() else zero,
+                   _evolve(op.odd_eigh, w, t) if w.any() else zero).T
     states[t == 0.0] = g0.values
     return states
 
@@ -426,19 +464,20 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
 # 05: W from the triple-product identity; L differs at rounding from 04
 # 06: the even and odd blocks from half of the table; L differs at rounding
 # 07: the blocks scattered straight from the folded nodes; E, O differ at rounding
-_MAGIC = b"PHLNOP07"
+# 08: O's eigenvectors dropped, its eigenvalues by eigvalsh (they differ at rounding)
+_MAGIC = b"PHLNOP08"
 # magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
 _HEADER_BYTES = 8 + 32 + 40
 
 
 def save_operator(op: LinOperator, path) -> None:
-    """Binary cache: key header plus little-endian float64 payload (a, E, O
-    and each block's eigenpairs).  It is written to a temporary file beside
-    `path` and renamed into place, so `path` never holds a partly written
-    file."""
-    (lam_e, v_e), (lam_o, v_o) = op.eighs
+    """Binary cache: key header plus little-endian float64 payload (a, E, O,
+    E's eigenpairs and O's eigenvalues; not O's eigenvectors, which a loaded
+    operator forms from O on first use).  It is written to a temporary file
+    beside `path` and renamed into place, so `path` never holds a partly
+    written file."""
     payload = [np.ascontiguousarray(arr, dtype="<f8")
-               for arr in (op.a.values, *op.blocks, lam_e, v_e, lam_o, v_o)]
+               for arr in (op.a.values, *op.blocks, *op.even_eigh, op.odd_eigenvalues)]
     crc = 0
     for arr in payload:
         crc = zlib.crc32(arr, crc)
@@ -470,12 +509,12 @@ def load_operator(path) -> LinOperator:
         n, interp_code, beta, gamma, spectral_tol, r1, r2, sym_defect, crc = \
             struct.unpack_from("<qq6dQ", head, 8)
         size = os.fstat(fh.fileno()).st_size
-        m = n // 2  # a, E, O, then each block's eigenvalues and eigenvectors
-        shapes = (n, (m, m), (m, m), m, (m, m), m, (m, m))
+        m = n // 2  # a, E, O, E's eigenvalues and eigenvectors, O's eigenvalues
+        shapes = (n, (m, m), (m, m), m, (m, m), m)
         want = _HEADER_BYTES + 8 * sum(int(np.prod(s)) for s in shapes)
         if size != want or n < 2 or n % 2:
             raise ValueError(f"{path} has {size} bytes; its header (n={n}) implies {want}")
-        a, E, O, lam_e, v_e, lam_o, v_o = payload = \
+        a, E, O, lam_e, v_e, lam_o = payload = \
             [np.empty(shape, dtype="<f8") for shape in shapes]
         got = 0
         for arr in payload:
@@ -486,27 +525,41 @@ def load_operator(path) -> LinOperator:
     grid = Grid(int(n))
     params = RjParams(beta=beta, gamma=gamma)
     return LinOperator(grid=grid, params=params, a=Field(grid, a), blocks=(E, O),
-                       eighs=((lam_e, v_e), (lam_o, v_o)),
+                       even_eigh=(lam_e, v_e), odd_eigenvalues=lam_o,
                        spectral_tol=spectral_tol, kernel_residuals=(r1, r2),
                        sym_defect=sym_defect,
                        interp="linear" if interp_code == 0 else "cubic")
 
 
+def _cache_path(params: RjParams, grid: Grid, cache_dir, interp: str) -> Path:
+    return Path(cache_dir) / \
+        f"linop_n{grid.n}_b{params.beta:.12g}_g{params.gamma:.12g}_{interp}.bin"
+
+
+def cached_operator(params: RjParams, grid: Grid, cache_dir,
+                    interp: str = "linear") -> LinOperator | None:
+    """The operator of the cache file keyed by (n, beta, gamma, interp) in
+    cache_dir, or None when there is none, or it is foreign, truncated or
+    damaged, or holds another key than its name's.  It only reads."""
+    path = _cache_path(params, grid, cache_dir, interp)
+    if not path.exists():
+        return None
+    try:
+        op = load_operator(path)
+    except ValueError:  # a foreign, truncated or damaged file is a miss
+        return None
+    return op if (op.grid.n, op.params, op.interp) == (grid.n, params, interp) else None
+
+
 def load_or_assemble(params: RjParams, grid: Grid, cache_dir=None,
                      interp: str = "linear") -> LinOperator:
-    """Assemble L or reuse a cache file keyed by (n, beta, gamma, interp)."""
+    """Assemble L or reuse a cache file keyed by (n, beta, gamma, interp)
+    (`cached_operator`); a miss is assembled and written over the file."""
     if cache_dir is None:
         return assemble(params, grid, interp)
-    d = Path(cache_dir)
-    key = f"linop_n{grid.n}_b{params.beta:.12g}_g{params.gamma:.12g}_{interp}.bin"
-    path = d / key
-    try:
-        op = load_operator(path) if path.exists() else None
-    except ValueError:  # a foreign, truncated or damaged file is a miss: overwritten below
-        op = None
-    if op is not None and (op.grid.n, op.params, op.interp) == (grid.n, params, interp):
-        return op
-    op = assemble(params, grid, interp)
-    d.mkdir(parents=True, exist_ok=True)  # after assemble, which refuses bad input
-    save_operator(op, path)
+    op = cached_operator(params, grid, cache_dir, interp)
+    if op is None:
+        op = assemble(params, grid, interp)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)  # after assemble, which refuses bad input
+        save_operator(op, _cache_path(params, grid, cache_dir, interp))
     return op

@@ -139,6 +139,8 @@ CACHE_LAYOUTS = {
                             ("eigenvectors", n * n)],
     b"PHLNOP06": _blocks_layout,
     b"PHLNOP07": _blocks_layout,
+    # 08 drops the odd block's eigenvectors
+    b"PHLNOP08": lambda n: _blocks_layout(n)[:-1],
 }
 
 

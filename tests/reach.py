@@ -4,8 +4,10 @@
 
 Runs the seven CLI subcommands at their defaults in this process, with
 `PHONON_THREADS=2` (so the pool's threads run, traced like the caller) and
-`rj-match` at mass 3, energy 1, and then `lin-decay` again on the warm
-operator cache, all under a call tracer (`sys.settrace` and
+`rj-match` at mass 3, energy 1, then `lin-decay` again on the warm
+operator cache, and `multiplier` at `spectrum`'s n = 512 from a config
+file, which reads `a` from `spectrum`'s cache (every run writes to one
+output directory), all under a call tracer (`sys.settrace` and
 `threading.settrace`).  It then prints every function of the package
 (lambdas and nested functions included, comprehensions not) that was never
 entered, as `path:line module:qualname`, each with its reason when
@@ -38,19 +40,26 @@ ALLOWED = {
     "dynamics:evolve_nonlinear_f": "the paper's equation f' = C[f]; its tests pin "
                                    "conservation, entropy growth and the RK4 order",
     "linearized:bulk_edge_functionals": "TestBulkEdge pins the bulk-mass bound",
+    # every subcommand's data is even, so none reads O's eigenvectors
+    "linearized:LinOperator.odd_eigh": "semigroup_apply on data with an odd part; "
+                                       "TestOddEigenvectors pins it",
     # L as one n x n array: every run applies L through its blocks
     "linearized:LinOperator.matrix": "read only by perfbench's traced relax runs, "
                                      "for its size",
     # reached by runs other than the defaults
-    "cli:read_config_file": "a run with --config",
     "cli:_file_output_dir": "a bad configuration given with --config",
 }
 
-# (name, argv) of each traced run, in order; the second lin-decay reads the
-# cache the first one wrote
+# the config file of the warm multiplier run, written beside the artifacts
+CONFIG = ("warm.cfg", "grid_n = 512\n")
+
+# (name, argv) of each traced run, in order, all in one output directory,
+# which is also the working directory; the second lin-decay reads the cache
+# the first one wrote, and the second multiplier the one spectrum wrote
 RUNS = [
     ("multiplier", ["multiplier"]),
     ("spectrum", ["spectrum"]),
+    ("multiplier (warm cache, config file)", ["--config", CONFIG[0], "multiplier"]),
     ("lin-decay", ["lin-decay"]),
     ("lin-decay (warm cache)", ["lin-decay"]),
     ("nonlin", ["nonlin"]),
@@ -93,13 +102,14 @@ def traced_runs(out: Path) -> tuple[set, list]:
             entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
 
     failed = []
+    (out / CONFIG[0]).write_text(CONFIG[1])
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         for name, argv in RUNS:
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                code = main(["--output-dir", str(out / argv[0]), *argv])
+                    contextlib.redirect_stderr(io.StringIO()) as err, contextlib.chdir(out):
+                code = main(["--output-dir", str(out), *argv])
             if code != 0:
                 failed.append(f"{name} exited {code}: {err.getvalue().strip()}")
     finally:

@@ -133,3 +133,18 @@ def test_cache_tag_change_with_another_key_or_layout_fails(tmp_path):
     unknown.write_bytes(b"PHLNOP99" + a.read_bytes()[8:])
     assert compare(a, unknown, 1.0) == \
         ("format changed (tag PHLNOP05 → PHLNOP99), not decoded", False)
+
+
+def test_cache_without_odd_eigenvectors(tmp_path):
+    # 08 holds a, E, O, E's eigenpairs and O's eigenvalues: from 07, a and
+    # the eigenvalues are judged, and within 08 every byte
+    a = write_cache(tmp_path / "a.bin", b"PHLNOP07", A, EIGS)
+    moved = [math.nextafter(-3.0, 0.0)] + EIGS[1:]
+    b = write_cache(tmp_path / "b.bin", b"PHLNOP08", A, moved)
+    assert b.stat().st_size == 80 + 8 * (4 + 3 * 2 * 2 + 4)
+    line, good = compare(a, b, 1e-15)
+    assert good
+    assert line.startswith("format changed (tag PHLNOP07 → PHLNOP08)")
+    assert "'eigenvalues'" in line
+    c = write_cache(tmp_path / "c.bin", b"PHLNOP08", A, moved, fill=0.25)
+    assert compare(b, c, 1.0) == ("bytes differ", False)

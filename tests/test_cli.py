@@ -295,25 +295,37 @@ class TestRuns:
          "config key 'grid_n' is set more than once"),
         ("grid-n = 64\ngrid_n = 64\n", ["spectrum"],
          "config key 'grid_n' is set more than once"),
+        # the manifest goes to a file's output_dir that it names once, even
+        # beside another bad line (it used to go to ./out), and else to ./out
+        ("output_dir = mine\ngrid_n = 64\ngrid_n = 128\n", ["spectrum"],
+         "config key 'grid_n' is set more than once"),
+        ("output_dir = elsewhere\noutput_dir = elsewhere\n", ["spectrum"],
+         "config key 'output_dir' is set more than once"),
+        ("output_dir = elsewhere\nbogus\n", ["spectrum"], "bad config line"),
     ], ids=["foreign-file-key", "file-key-without-grid", "dt-0", "dt-nan",
             "mass-nan", "energy-inf", "p-0", "p-0.5", "p-0.03", "p-0.017", "p-1e-300",
             "p-nan", "file-interp-quadratic", "t-final-0", "t-final-nan", "eps-nan",
             "eps-0", "t-final-1e300", "beta-inf", "gamma-nan", "fit-window-reversed", "fit-hi-nan",
             "fit-hi-above-2pi", "seed-negative-spectrum", "seed-negative-verify",
             "gamma-0-spectrum", "gamma-0-lin-decay", "gamma-0-nonlin", "file-key-twice",
-            "file-key-twice-dashed"])
-    def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys):
+            "file-key-twice-dashed", "file-dir-beside-key-twice", "file-dir-twice",
+            "file-dir-in-unreadable-file"])
+    def test_bad_input_is_config_error(self, file_line, args, cause, tmp_path, capsys,
+                                       monkeypatch):
         # each fails before any work: exit 2, the cause on stderr and in the
         # manifest, which is strict JSON (a NaN or infinite setting is
         # recorded as its flag's string), and no artifact or operator cache
-        # beside the manifest
+        # beside the manifest, which goes to ./out unless the file names
+        # output_dir = mine (the working directory is tmp_path)
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(file_line)
-        out = tmp_path / "out"
-        code = run_cli(["--config", cfg, "--output-dir", out, *args])
+        out = tmp_path / ("mine" if "output_dir = mine" in file_line else "out")
+        code = run_cli(["--config", cfg, *args])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error: ") and cause in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.cfg", out.name])
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text(),
                               parse_constant=reject_constant)
@@ -604,10 +616,11 @@ class TestOperatorCache:
             # the tags of the sparse assembly's format, which had no checksum,
             # of the full-table and bincount assemblies', of the omega
             # product's kernel weight, whose L differs at rounding, of the
-            # whole n x n layout before the even and odd blocks, and of the
-            # blocks folded from an n x n accumulator
+            # whole n x n layout before the even and odd blocks, of the
+            # blocks folded from an n x n accumulator, and of the layout
+            # that held O's eigenvectors
             for tag in (b"PHLNOP01", b"PHLNOP02", b"PHLNOP03", b"PHLNOP04", b"PHLNOP05",
-                        b"PHLNOP06"):
+                        b"PHLNOP06", b"PHLNOP07"):
                 cache.write_bytes(tag + first_cache[8:])
                 assert run_cli(args) == EXIT_OK
                 assert cache.read_bytes() == first_cache
@@ -635,6 +648,67 @@ class TestOperatorCache:
             monkeypatch.setattr(linearized, "assemble", None)
         assert runs[0] == runs[1] and len(runs[0]) >= 2
         assert len(list((out / "cache").glob("linop_*.bin"))) == 1
+
+    def test_runs_never_form_the_odd_eigenvectors(self, tmp_path, monkeypatch):
+        # every run's data is even: np.linalg.eigh decomposes E once per
+        # assembly (linear for lin-decay, then read from the cache by
+        # spectrum; cubic for nonlin) and never O
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+        out = tmp_path / "out"
+        for args in (["lin-decay", "--grid-n", 64, "--t-final", 400.0],
+                     ["spectrum", "--grid-n", 64, "--gamma", 2.0],
+                     ["nonlin", "--grid-n", 64, "--t-final", 20.0, "--dt", 1.0]):
+            assert run_cli(["--output-dir", out, *args]) == EXIT_OK
+        assert calls == [(32, 32)] * 2
+
+    def test_warm_multiplier_reads_a_from_the_cache(self, tmp_path, monkeypatch):
+        # after spectrum, multiplier reads a from its cache, and writes the
+        # artifacts of a run that computes a, and no cache file
+        from phononlab import linearized
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        args = ["multiplier", "--grid-n", 64, "--gamma", 2.0]
+        assert run_cli(["--output-dir", cold, *args]) == EXIT_OK
+        assert not (cold / "cache").exists()
+        assert run_cli(["--output-dir", warm, "spectrum", "--grid-n", 64,
+                        "--gamma", 2.0]) == EXIT_OK
+        (cache,) = (warm / "cache").iterdir()
+        before = cache.read_bytes()
+        monkeypatch.setattr(linearized, "multiplier_a", None)  # a warm run must not call it
+        assert run_cli(["--output-dir", warm, *args]) == EXIT_OK
+        for name in ("a.csv", "a_fit_points.csv", "fit.json"):
+            assert (warm / name).read_bytes() == (cold / name).read_bytes()
+        for out, hits in ((cold, 0), (warm, 1)):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["counters"] == {"cache_hits": hits}
+        assert list((warm / "cache").iterdir()) == [cache]
+        assert cache.read_bytes() == before
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip_payload_byte", "other_key"])
+    def test_multiplier_on_a_damaged_cache_computes_a(self, damage, tmp_path):
+        # a damaged file, or one that holds another key than its name's, is
+        # a miss: a is computed, and the file keeps its bytes
+        out, cold = tmp_path / "out", tmp_path / "cold"
+        args = ["multiplier", "--grid-n", 64, "--gamma", 2.0]
+        assert run_cli(["--output-dir", cold, *args]) == EXIT_OK
+        assert run_cli(["--output-dir", out, "spectrum", "--grid-n", 64,
+                        "--gamma", 1.0 if damage == "other_key" else 2.0]) == EXIT_OK
+        (cache,) = (out / "cache").iterdir()
+        data = cache.read_bytes()
+        if damage == "truncate":
+            data = data[:len(data) // 2]
+        elif damage == "flip_payload_byte":
+            data = data[:len(data) // 2] + bytes([data[len(data) // 2] ^ 1]) \
+                + data[len(data) // 2 + 1:]
+        else:  # the operator of gamma = 1 under the name of gamma = 2
+            cache.unlink()
+            cache = cache.with_name(cache.name.replace("_g1_", "_g2_"))
+        cache.write_bytes(data)
+        assert run_cli(["--output-dir", out, *args]) == EXIT_OK
+        assert (out / "a.csv").read_bytes() == (cold / "a.csv").read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["counters"] == {"cache_hits": 0}
+        assert list((out / "cache").iterdir()) == [cache]
+        assert cache.read_bytes() == data
 
     def test_unreadable_cache_is_io_error(self, tmp_path, capsys):
         # a directory where the cache file should be: IsADirectoryError on read

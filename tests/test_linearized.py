@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import tracemalloc
 
@@ -433,7 +434,7 @@ class TestParity:
         # fb and omega fb are even; the even block holds the two near-null
         # eigenvalues, whose lifted vectors span them, and the odd block none
         op, _ = pair
-        lam_e, lam_o = (lam for lam, _ in op.eighs)
+        lam_e, lam_o = op.even_eigh[0], op.odd_eigenvalues
         assert np.sum(np.abs(lam_e) <= op.spectral_tol) == 2
         assert lam_o[-1] < -op.spectral_tol
         kb = op.kernel_basis()
@@ -451,15 +452,21 @@ class TestParity:
                      "grid"):
             assert getattr(got, name) == getattr(op, name)
         for x, y in ((got.a.values, op.a.values), *zip(got.blocks, op.blocks),
-                     *zip(got.eighs[0] + got.eighs[1], op.eighs[0] + op.eighs[1]),
+                     *zip(got.even_eigh, op.even_eigh),
+                     (got.odd_eigenvalues, op.odd_eigenvalues),
                      (dense_L(got), dense_L(op)), (got.eigenvalues, op.eigenvalues)):
+            assert np.array_equal(x, y)
+        # O's eigenvectors, once both sides have formed them from their O
+        for x, y in zip(got.odd_eigh, op.odd_eigh):
             assert np.array_equal(x, y)
 
     def test_cache_holds_half_the_whole_matrix(self, tmp_path):
-        # a, E, O and each block's eigenpairs: (n^2 + 2n) doubles and the header
+        # a, E, O, E's eigenpairs and O's eigenvalues: (3 (n/2)^2 + 2n)
+        # doubles and the header (O's eigenvectors are not stored)
         op = assemble(PARAMS, Grid(128))
         save_operator(op, tmp_path / "op.bin")
-        assert (tmp_path / "op.bin").stat().st_size == 80 + 8 * (128 ** 2 + 2 * 128)
+        assert (tmp_path / "op.bin").stat().st_size == 80 + 8 * (3 * 64 ** 2 + 2 * 128) \
+            == 100_432
 
     def test_odd_grid_is_config_error(self):
         with pytest.raises(ConfigError, match="even n"):
@@ -482,6 +489,72 @@ class TestParity:
 
     def test_parity_check_passes(self):
         linearized._check_parity(np.array([-1.0, -1e-12, 0.0]), np.array([-1.0, -1e-7]), 1e-8)
+
+
+def even_and_odd(grid: Grid, seed: int) -> tuple:
+    """The exactly even and exactly odd parts of a trigonometric sample."""
+    v = trig_sample(grid.nodes, seed)
+    return (v + v[::-1]) / 2.0, (v - v[::-1]) / 2.0
+
+
+class TestOddEigenvectors:
+    """O's eigenvectors are formed only for data with an odd part."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        # the shape of every matrix that np.linalg.eigh decomposes
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+        return calls
+
+    def test_assemble_decomposes_only_the_even_block(self, eigh_calls):
+        op = assemble(PARAMS, Grid(128))
+        assert eigh_calls == [(64, 64)]
+        assert "odd_eigh" not in vars(op)
+        assert np.array_equal(op.odd_eigenvalues, np.linalg.eigvalsh(op.blocks[1]))
+
+    def test_odd_data_gets_them_bit_for_bit_cold_or_cached(self, tmp_path, eigh_calls):
+        grid = Grid(128)
+        cold = assemble(PARAMS, grid)
+        save_operator(cold, tmp_path / "op.bin")
+        cached = load_operator(tmp_path / "op.bin")
+        g0 = Field(grid, trig_sample(grid.nodes, 3))
+        got = [semigroup_apply(op, g0, (0.0, 1.0, 50.0)) for op in (cold, cached)]
+        assert np.array_equal(*got)
+        assert eigh_calls == [(64, 64)] * 3  # E at assembly, then O once per operator
+        for x, y in zip(cold.odd_eigh, cached.odd_eigh):
+            assert np.array_equal(x, y)
+        assert eigh_calls == [(64, 64)] * 3  # kept, not formed again
+
+    def test_even_data_skips_the_odd_block(self, op256):
+        op = dataclasses.replace(op256)  # a new operator: nothing formed on it yet
+        g0 = Field(op.grid, even_and_odd(op.grid, 2)[0])
+        ts = (0.0, 2.0, 300.0)
+        got = semigroup_apply(op, g0, ts)
+        assert "odd_eigh" not in vars(op)
+        # the bits of both blocks' products, the odd one on its zero half
+        u, w = linearized._halves(g0.values)
+        t = np.asarray(ts)
+        want = linearized._join(linearized._evolve(op.even_eigh, u, t),
+                                linearized._evolve(op.odd_eigh, w, t)).T
+        want[0] = g0.values
+        assert np.array_equal(got, want)
+
+    def test_apply_skips_a_zero_half(self, op256):
+        E, O = op256.blocks
+        even, odd = even_and_odd(op256.grid, 4)
+        for g in (even, odd, even + odd, np.stack([even, odd], axis=1)):
+            u, w = linearized._halves(g)
+            assert np.array_equal(op256.apply(g), linearized._join(E @ u, O @ w))
+
+        class Unused:
+            def __matmul__(self, _):
+                raise AssertionError("O @ w on data with a zero odd half")
+
+        op = dataclasses.replace(op256, blocks=(E, Unused()))
+        assert np.array_equal(op.apply(even), op256.apply(even))
+        with pytest.raises(AssertionError, match="O @ w"):
+            op.apply(odd)
 
 
 class TestSemigroup:
