@@ -49,7 +49,11 @@ where an interval bound on h (`manifold.h_range`) lets it reach the
 support, or where f(p0) != 0 and the chunk holds a node with f(p2) != 0;
 and p3, f(p3), the weight and the bracket only on the live terms, where
 a factor f1 or f2 can be nonzero (every other term is exactly zero).
-Each row still sums its whole row, so the bits are the full rule's.
+Each row still sums its whole row, so the bits are the full rule's.  The
+weight's half-angle sines and cosines are taken once per row and p2 node
+(`manifold.half_angles`) and gathered onto the live terms.  The engine
+runs on the calling thread: its batches are too short for two threads to
+overlap.
 
 Importing this module pins glibc's malloc thresholds and caps it at one
 arena (`_pin_malloc`).
@@ -68,7 +72,7 @@ import numpy as np
 from .errors import ResolutionError
 from .grid import POS_FLOOR, Field, Grid, _stencil_shape, gather, horner, interp_weights
 from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, f_minus_zeros, h_range,
-                       resonant_kernel)
+                       half_angles, resonant_kernel)
 
 # whole tables above this size would not fit comfortably: C[f] on a larger
 # grid raises ResolutionError
@@ -83,14 +87,16 @@ _EXCHANGE_BLOCK = 1 << 14
 # collision_at: consecutive p2 columns per chunk of its bound on p1, and
 # (row, chunk) pairs per row block and candidate entries per batch (64 KiB
 # per float64 temporary: a candidate gathers its row and column values,
-# where a table block reads them in place)
+# where a table block reads them in place).  Batches of 2^15 peaked 19%
+# higher in the blowup benchmark
 _CHUNK = 64
 _BATCH = 1 << 13
 
 # glibc's malloc settings, pinned at import by `_pin_malloc`: every hot-loop
-# block (_EXCHANGE_BLOCK, _BATCH and _TABLE_BLOCK here, the sub-blocks of
-# `linearized`, the slabs of `experiments.verify_suite`) keeps each of its
-# allocations under _MMAP_THRESHOLD
+# block keeps each of its allocations under _MMAP_THRESHOLD, those on the
+# row-block pool (_TABLE_BLOCK, the slabs of `experiments.verify_suite`) and
+# those on the calling thread (_EXCHANGE_BLOCK, _BATCH, the sub-blocks of
+# `linearized`)
 _MMAP_THRESHOLD = 1 << 20
 _TRIM_THRESHOLD = 8 << 20
 # mallopt parameters (malloc.h)
@@ -123,7 +129,8 @@ def _pin_malloc() -> bool:
         (_M_ARENA_MAX, 1)))
 
 
-# this module owns the row-block pool, whose blocks the pin serves
+# this module owns the loops of blocks that the pin serves, on the row-block
+# pool and on the calling thread
 _MALLOC_PINNED = _pin_malloc()
 
 
@@ -360,8 +367,10 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     """C[f](p0) for a callable finite spectrum `f` on a supplied p2 rule.
 
     `support` lists closed intervals (lo, hi) outside whose union f is
-    zero; a non-finite row, p2 node or weight, or f nonzero at a row or p2
-    node outside them, raises ValueError.
+    zero.  ValueError is raised before any work when the rows, the p2 nodes
+    or the weights are not 1-D, the weights' shape is not the nodes', a
+    row, node or weight is not finite, a row or node lies outside
+    [0, 2pi], or f is nonzero at a row or p2 node outside the support.
     Rows with f(p0) != 0 run over every p2 node; a row with f(p0) = 0 has
     the bracket f1 f2 f3 + 0 - 0 - 0, so it runs only over the support
     columns f(p2) != 0.  A term is live where f1 != 0, or f0 != 0 and
@@ -382,14 +391,29 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     the result is bit for bit the full rule's (summing the compressed
     terms would pair them differently).  A row with no live term is +0.0.
 
-    Rows run in blocks of _BATCH (row, chunk) pairs on the row-block pool,
-    and each block expands its kept pairs in batches of _BATCH candidate
-    entries at most; each block writes only its own rows, so neither the
-    batches nor the worker count change the bits.
+    The weight's factors of one momentum are taken once per call on every
+    row and p2 node (`half_angles`) and gathered onto the live terms; they
+    are elementwise, so they have the bits of the terms' own p0 and p2.
+    Rows run in blocks of _BATCH (row, chunk) pairs, one after another on
+    the calling thread (a batch's numpy calls are too short for the
+    row-block pool's threads to overlap), and each block expands its kept
+    pairs in batches of _BATCH candidate entries at most; each block
+    writes only its own rows, so the batches do not change the bits.
     """
-    for what, p in (("output row", p0_vals), ("p2 node", z_nodes), ("p2 weight", z_wts)):
+    checked = (("output row", p0_vals), ("p2 node", z_nodes), ("p2 weight", z_wts))
+    for what, p in checked:
+        if np.ndim(p) != 1:
+            raise ValueError(f"the {what}s must be a 1-D array, got shape {np.shape(p)}")
+    if z_wts.shape != z_nodes.shape:
+        raise ValueError(f"the p2 weights have shape {z_wts.shape}, "
+                         f"the p2 nodes {z_nodes.shape}")
+    for what, p in checked:
         if not np.all(np.isfinite(p)):
             raise ValueError(f"the {what} {float(p[~np.isfinite(p)][0])!r} is not finite")
+    for what, p in checked[:2]:
+        outside = (p < 0.0) | (p > TWO_PI)
+        if outside.any():
+            raise ValueError(f"the {what} {float(p[outside][0])!r} lies outside [0, 2pi]")
     out = np.empty(p0_vals.size)
     f0, f2 = f(p0_vals), f(z_nodes)
     sup_lo, sup_hi = np.asarray(support, dtype=float).reshape(-1, 2).T
@@ -399,6 +423,7 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
             raise ValueError(f"f is nonzero at the {what} {float(outside[0])!r}, "
                              f"outside the support {support}")
     reach = [(a + s, b + s) for s in (-TWO_PI, 0.0, TWO_PI) for a, b in zip(sup_lo, sup_hi)]
+    (sx, cx), (sz, cz) = half_angles(p0_vals), half_angles(z_nodes)
     index = np.arange(z_nodes.size)
     blocks = []
     for rows, cols in ((np.flatnonzero(f0 != 0.0), slice(None)),
@@ -440,24 +465,25 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
                 live |= fz[c] != 0.0
             i = np.flatnonzero(live)
             r, c, xq, zq, p1 = r[i], c[i], xq[i], zq[i], p1[i]
-            terms = wz[c] * _weight(xq, zq, t[i]) * _bracket(
+            at, row_at = cols[c], blk[r]
+            terms = wz[c] * _weight(sx[row_at], cx[row_at], sz[at], cz[at], t[i]) * _bracket(
                 fx[r], f1[i], fz[c], f(canonicalize(xq + p1 - zq)))
-            at = cols[c]
             # a row's terms may go on in the next batch: it is summed when
             # the next row's terms begin
             bounds = np.flatnonzero(np.diff(r, prepend=-1, append=-1))
             for s0, s1 in zip(bounds[:-1], bounds[1:]):
-                if blk[r[s0]] != cur:
+                if row_at[s0] != cur:
                     if cur is not None:
                         out[cur] = np.sum(row)
                         row[np.concatenate(filled)] = 0.0
-                    cur, filled = blk[r[s0]], []
+                    cur, filled = row_at[s0], []
                 row[at[s0:s1]] = terms[s0:s1]
                 filled.append(at[s0:s1])
         if cur is not None:
             out[cur] = np.sum(row)
 
-    map_blocks(run, blocks)
+    for block in blocks:
+        run(block)
     return out
 
 

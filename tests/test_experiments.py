@@ -195,9 +195,9 @@ def test_weight_only_on_live_terms(spectrum, monkeypatch):
     evaluated = []
     weight = coll._weight
 
-    def spy(x, z, t):
-        evaluated.append(np.broadcast(x, z, t).size)
-        return weight(x, z, t)
+    def spy(*factors):
+        evaluated.append(np.broadcast(*factors).size)
+        return weight(*factors)
 
     monkeypatch.setattr(coll, "_weight", spy)
     got = coll.collision_at(rows, f, z, w, support=support)
@@ -266,6 +266,63 @@ def test_support_that_leaves_out_part_of_f_raises():
                               (row, z_nan, w, "p2 node nan"), (row, z, w_inf, "p2 weight inf")):
         with pytest.raises(ValueError, match=f"the {what} is not finite"):
             coll.collision_at(p0s, f, zs, ws, support=bumps)
+    # arrays of the wrong shape, and rows or nodes off [0, 2pi]: weights one
+    # short read as a silent wrong row, and a row off the torus gave 0.0 or
+    # a DomainError as the chunk bound happened to keep its columns
+    z_far, z_neg = z.copy(), z.copy()
+    z_far[-1], z_neg[0] = 7.0, -1e-3
+    for p0s, zs, ws, match in (
+            (row[:, None], z, w, r"the output rows must be a 1-D array, got shape \(1, 1\)"),
+            (row, z[None, :], w[None, :], "the p2 nodes must be a 1-D array"),
+            (row, z, np.float64(1.0), r"the p2 weights must be a 1-D array, got shape \(\)"),
+            (row, z, w[:-1], "the p2 weights have shape"),
+            (np.array([7.0]), z, w, r"the output row 7.0 lies outside \[0, 2pi\]"),
+            (np.array([PTS.p0, -1.0]), z, w, r"the output row -1.0 lies outside"),
+            (row, z_far, w, r"the p2 node 7.0 lies outside"),
+            (row, z_neg, w, r"the p2 node -0.001 lies outside")):
+        with pytest.raises(ValueError, match=match):
+            coll.collision_at(p0s, f, zs, ws, support=bumps)
+    # the torus's ends are in its domain
+    ends = np.array([0.0, TWO_PI])
+    assert np.array_equal(coll.collision_at(ends, f, z, w, support=bumps),
+                          collision_at_full_rule(ends, f, z, w))
+
+
+def test_collision_at_runs_on_the_calling_thread(monkeypatch):
+    # its row blocks are too short for two threads to overlap: with two
+    # workers it never enters the pool, and keeps the full rule's bits
+    monkeypatch.setenv("PHONON_THREADS", "2")
+
+    def no_pool(workers):
+        raise AssertionError("collision_at entered the row-block pool")
+
+    monkeypatch.setattr(coll, "_executor", no_pool)
+    monkeypatch.setattr(coll, "_BATCH", 16 * coll._CHUNK)  # many blocks
+    eps = 2.0 ** -5
+    f = coll.three_bumps(eps, 2.0, PTS)
+    z, w = p2_rule(eps)
+    rows = output_rows(eps, n_coarse=61)
+    assert np.array_equal(coll.collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS)),
+                          collision_at_full_rule(rows, f, z, w))
+
+
+def test_half_angles_once_per_row_and_node(monkeypatch):
+    # the kernel weight's one-momentum factors are taken once per call on
+    # every row and p2 node, and gathered onto the live terms
+    eps = 2.0 ** -4
+    f = coll.three_bumps(eps, 2.0, PTS)
+    z, w = p2_rule(eps)
+    rows = output_rows(eps)
+    seen, half_angles = [], coll.half_angles
+
+    def spy(p):
+        seen.append(np.size(p))
+        return half_angles(p)
+
+    monkeypatch.setattr(coll, "half_angles", spy)
+    got = coll.collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS))
+    assert sorted(seen) == sorted([rows.size, z.size])
+    assert np.array_equal(got, collision_at_full_rule(rows, f, z, w))
 
 
 # verify_suite's grid checks on the whole meshgrid at once, kept as the
