@@ -9,7 +9,7 @@ pyproject.toml also reads, so a checkout run from src/ records it as an
 installed one does.  The manifest is written even when the run fails (a bad
 configuration's, with config, hash and env null, goes to --output-dir, else
 the config file's output_dir, else out).  Every other manifest records the
-run's environment ("env": row-block workers, Python and numpy versions);
+run's environment ("env": slab workers, Python and numpy versions);
 `nonlin` and `multiplier` also record their work counts there, and only
 there ("counters": `nonlin`'s {"rhs_evals": ..., "rhs_table_entries": ...},
 the right-hand sides of the run and the resonance-table entries each sums
@@ -36,8 +36,8 @@ any run with the subcommand's own settings (`rj-match` and `verify` have
 none) and seed, output_dir and threads; any other key is a configuration
 error.  Command-line flags win over file values.  --threads (else the file's
 `threads`, else the PHONON_THREADS environment variable; an integer >= 1)
-caps the BLAS worker count and the row-block worker pool
-(`collision.map_blocks`); it must act before numpy is imported, so the
+caps the BLAS worker count and the identity suite's slab workers
+(`collision.pool_workers`); it must act before numpy is imported, so the
 heavy modules are imported lazily inside run().
 """
 
@@ -65,7 +65,7 @@ _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 
 def _apply_thread_cap(threads: int | None) -> None:
-    """Export the cap, else PHONON_THREADS, to BLAS and the row-block pool."""
+    """Export the cap, else PHONON_THREADS, to BLAS and the slab workers."""
     name = "threads"
     if threads is None:
         name, threads = "PHONON_THREADS", os.environ.get("PHONON_THREADS")
@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="flat key=value config file; flags override it")
     ap.add_argument("--output-dir", help="artifact directory (default: out)")
     ap.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS and row-block workers (fallback: config, PHONON_THREADS)")
+                    help="caps BLAS threads and the identity suite's slab workers "
+                         "(fallback: config, PHONON_THREADS)")
     ap.add_argument("--seed", type=int, help="deterministic RNG seed (default: 0)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, (help_line, settings) in SUBCOMMANDS.items():

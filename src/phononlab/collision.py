@@ -34,9 +34,8 @@ on even data).  Both store `i` in sorted runs, one per row, so such a
 loop sums row i over the runs (`exchange_sum`, with the run starts
 `ResonanceTable.runs` found once, on its first call) and row j by a
 bincount.  The linearized assembly reads the table once, so
-`_packed_blocks` streams the half table as transient blocks (built by
-`map_blocks`, the row-block pool's one entry point) and holds no whole
-table.
+`_packed_blocks` streams the half table as transient blocks and holds no
+whole table.  Every table and block is built on the calling thread.
 The whole table is the one path of C[f] on a grid, up to TABLE_MAX_N
 nodes; on a larger grid C[f], the perturbation tables and the `nonlin`
 run raise ResolutionError (`check_table_n`) before any table is built.
@@ -64,7 +63,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +92,8 @@ _BATCH = 1 << 13
 
 # glibc's malloc settings, pinned at import by `_pin_malloc`: every hot-loop
 # block keeps each of its allocations under _MMAP_THRESHOLD, those on the
-# row-block pool (_TABLE_BLOCK, the slabs of `experiments.verify_suite`) and
-# those on the calling thread (_EXCHANGE_BLOCK, _BATCH, the sub-blocks of
-# `linearized`)
+# calling thread (_TABLE_BLOCK, _EXCHANGE_BLOCK, _BATCH, the sub-blocks of
+# `linearized`) and the slabs of `experiments.verify_suite` on its threads
 _MMAP_THRESHOLD = 1 << 20
 _TRIM_THRESHOLD = 8 << 20
 # mallopt parameters (malloc.h)
@@ -115,9 +112,10 @@ def _pin_malloc() -> bool:
     of 1 MiB and up (the n^2 matrices) stay mmapped and go back to the OS
     when freed.  By default, too, each thread that allocates gets an arena
     of its own, up to 8 per core, and each arena keeps up to the trim
-    threshold of freed pages: the pool's workers would each hold their own
-    pages beside the main heap.  With one arena they allocate from the main
-    heap and reuse its pages.  The pin changes no result.
+    threshold of freed pages: the slab threads of `experiments.verify_suite`
+    would each hold their own pages beside the main heap.  With one arena
+    they allocate from the main heap and reuse its pages.  The pin changes
+    no result.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -129,8 +127,7 @@ def _pin_malloc() -> bool:
         (_M_ARENA_MAX, 1)))
 
 
-# this module owns the loops of blocks that the pin serves, on the row-block
-# pool and on the calling thread
+# this module owns the loops of blocks that the pin serves
 _MALLOC_PINNED = _pin_malloc()
 
 
@@ -196,13 +193,13 @@ class ResonanceTable:
     diagonal is not stored.  Entries run over the strict upper triangle in
     np.triu_indices(n, 1) order: all of them by default, or with `span` =
     (k0, k1) the entries k0 to k1 - 1 of the half table (`_half_entries`),
-    W halved on its self-mirror pairs i + j = n - 1,
-    which its reflection shares with it: the one definition of the half
-    table, which `PerturbationTables` builds whole for even data and
-    `_packed_blocks` streams in spans.  The table is built in blocks of
-    _TABLE_BLOCK entries on the row-block pool; a table of one block, as
-    `_packed_blocks` streams, holds each array in an allocation under the
-    pinned mmap threshold (`_pin_malloc`).  Building it is the only
+    W halved on its self-mirror pairs i + j = n - 1, which its reflection
+    shares with it: the one definition of the half table, which
+    `PerturbationTables` builds whole for even data and `_packed_blocks`
+    streams in spans.  The table is built in blocks of _TABLE_BLOCK
+    entries, one after another on the calling thread; a table of one
+    block, as `_packed_blocks` streams, holds each array in an allocation
+    under the pinned mmap threshold (`_pin_malloc`).  Building it is the only
     O(n^2) trigonometric cost: a loop that reuses a table owns one
     (`collision_map`, `PerturbationTables`), while the linearized assembly
     streams transient blocks of the half table (`_packed_blocks`).
@@ -229,7 +226,8 @@ class ResonanceTable:
             for (q, t), p in ((self.i1, self.P1[s]), (self.i3, self.P3[s])):
                 q[s], t[s] = interp_weights(grid, p, interp)
 
-        map_blocks(fill, [slice(b, b + _TABLE_BLOCK) for b in range(0, size, _TABLE_BLOCK)])
+        for b in range(0, size, _TABLE_BLOCK):
+            fill(slice(b, b + _TABLE_BLOCK))
         if span is not None:
             self.W[self.i + self.j == n - 1] *= 0.5  # exact: the same bits halved
         self._values = np.empty((5, 0))  # exchange_sum's, grown to the block in use
@@ -284,44 +282,23 @@ class ResonanceTable:
 
 def _packed_blocks(grid: Grid, interp: str):
     """A transient ResonanceTable for each span of _TABLE_BLOCK entries of
-    the half table, yielded in table order.  A consumer sums a block's
-    terms and adds the reflection of the sum (`linearized`).  The blocks are built
-    pool_workers() at a time, one `map_blocks` call per group, and each
-    leaves the generator as it is yielded: at most pool_workers() blocks are
-    alive (one more while a caller keeps the last of a group), and no whole
-    table at any n.  Every allocation of a block stays under the pinned
-    mmap threshold and every thread allocates from the one arena
-    (`_pin_malloc`), so each block reuses the heap pages that the blocks
-    before it freed, whichever worker builds it.  A block's entries are
-    computed elementwise, so they carry the bits of the same entries of a
-    whole half table."""
+    the half table, built on the calling thread and yielded in table order.
+    A consumer sums a block's terms and adds the reflection of the sum
+    (`linearized`), and drops the block before it asks for the next: one
+    block is alive at a time, and no whole table at any n.  Every
+    allocation of a block stays under the pinned mmap threshold
+    (`_pin_malloc`), so each block reuses the heap pages that the block
+    before it freed.  A block's entries are computed elementwise, so they
+    carry the bits of the same entries of a whole half table."""
     size = grid.n ** 2 // 4
-    spans = [(k, min(k + _TABLE_BLOCK, size)) for k in range(0, size, _TABLE_BLOCK)]
-    step = pool_workers()
-    for g in range(0, len(spans), step):
-        group = map_blocks(lambda span: ResonanceTable(grid, interp, span),
-                           spans[g:g + step])[::-1]
-        while group:
-            yield group.pop()
-
-
-# the row-block worker pool's threads carry `_thread.pooled`, so work nested
-# in a block runs inline
-_thread = threading.local()
-
-
-@functools.cache
-def _executor(workers: int):
-    """The row-block worker pool of `workers` threads, made on first use."""
-    # imported here: a run that never uses the pool does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="phononlab",
-                              initializer=lambda: setattr(_thread, "pooled", True))
+    for k in range(0, size, _TABLE_BLOCK):
+        yield ResonanceTable(grid, interp, (k, min(k + _TABLE_BLOCK, size)))
 
 
 def pool_workers() -> int:
-    """Row-block workers: the PHONON_THREADS cap (which --threads sets) when
-    one is set, else the number of CPUs this process may run on."""
+    """Worker threads for `experiments.verify_suite`'s slabs: the
+    PHONON_THREADS cap (which --threads sets) when one is set, else the
+    number of CPUs this process may run on."""
     cap = os.environ.get("PHONON_THREADS")
     if cap:
         if not cap.isdecimal() or int(cap) < 1:
@@ -330,32 +307,6 @@ def pool_workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def map_blocks(fn, blocks) -> list:
-    """[fn(b) for b in blocks], run on the row-block worker pool: the one
-    function that submits work to it.
-
-    Results come back in block order, an exception raised by a block
-    reaches the caller unchanged, and the blocks not yet started are then
-    cancelled: all three are `Executor.map`'s.  The blocks run inline, and
-    no thread is started, with one worker, with one block, or when the call
-    comes from a pool thread (a block that itself calls map_blocks), so
-    nested calls cannot wait on each other.  The blocks must be independent
-    (each writes only its own rows).  numpy releases the interpreter lock
-    inside its array loops, so blocks of elementwise work overlap on
-    separate cores; a block computes the same bits on any thread.  Every
-    block is submitted at once, so every result is alive when the call
-    returns.  `_executor` keeps one pool per worker count and needs no
-    lock: only one thread at a time enters the pool, since a pool thread
-    runs nested calls inline, and at worst two first calls racing would
-    leave one idle executor.
-    """
-    blocks = list(blocks)
-    workers = pool_workers()
-    if workers == 1 or len(blocks) <= 1 or getattr(_thread, "pooled", False):
-        return [fn(b) for b in blocks]
-    return list(_executor(workers).map(fn, blocks))
 
 
 def _bracket(f0, f1, f2, f3):
@@ -395,10 +346,10 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     row and p2 node (`half_angles`) and gathered onto the live terms; they
     are elementwise, so they have the bits of the terms' own p0 and p2.
     Rows run in blocks of _BATCH (row, chunk) pairs, one after another on
-    the calling thread (a batch's numpy calls are too short for the
-    row-block pool's threads to overlap), and each block expands its kept
-    pairs in batches of _BATCH candidate entries at most; each block
-    writes only its own rows, so the batches do not change the bits.
+    the calling thread (a batch's numpy calls are too short for two threads
+    to overlap), and each block expands its kept pairs in batches of _BATCH
+    candidate entries at most; each block writes only its own rows, so the
+    batches do not change the bits.
     """
     checked = (("output row", p0_vals), ("p2 node", z_nodes), ("p2 weight", z_wts))
     for what, p in checked:

@@ -26,10 +26,10 @@ from .quadrature import midpoint_nodes
 N_FIT_POINTS = 25  # pointwise a(p) samples of the multiplier edge fit
 N_DISSIPATION_SAMPLES = 100  # random trigonometric data of the dissipation ratio
 BLOWUP_EPS = tuple(2.0 ** (-k) for k in range(4, 10))  # eps of the L^p scaling fit
-# rows of the (x, z) grid per slab of verify_suite's grid checks (256,000 B
-# per temporary at grid_side = 2000: under the mmap threshold `collision`
-# pins; they are the largest temporaries a pool thread holds when the suite
-# follows lp_blowup_norm, so they set that process's peak RSS)
+# rows of the (x, z) grid per slab of verify_suite's grid checks, run on
+# pool_workers() threads: the one place two threads overlap (256,000 B per
+# temporary at grid_side = 2000: under the mmap threshold `collision` pins;
+# they set the peak RSS of a process that runs the suite after lp_blowup_norm)
 _SLAB_ROWS = 16
 
 
@@ -352,8 +352,10 @@ def verify_suite(n_random: int = 10_000, n_sign: int = 100,
 
     side = np.linspace(0.0, TWO_PI, grid_side)
     slabs = [side[r0:r0 + _SLAB_ROWS] for r0 in range(0, grid_side, _SLAB_ROWS)]
-    worst, err_grid, gap = np.array(coll.map_blocks(
-        lambda rows: _grid_checks(rows, side), slabs)).T
+    from concurrent.futures import ThreadPoolExecutor  # here: no other run pays for it
+    with ThreadPoolExecutor(coll.pool_workers()) as pool:
+        worst, err_grid, gap = np.array(
+            list(pool.map(lambda rows: _grid_checks(rows, side), slabs))).T
     worst, err_grid, gap = float(np.max(worst)), float(np.max(err_grid)), float(np.min(gap))
     checks.append(("arcsin_argument_bound", worst <= 1.0 + 1e-12,
                    f"max |tan cos| {worst:.15f}"))

@@ -41,11 +41,14 @@ def graded_midpoint_nodes(lo: float, hi: float, n_panels: int,
                           local_order: int = 8, zone_panels: int = 2):
     """Composite midpoint nodes on [lo, hi] with geometric grading.
 
-    Each point in refine_at gets zone_panels base panels around it replaced
-    by geometrically shrinking panels (ratio 2) down to min_scale, with
-    local_order Gauss-Legendre nodes per graded panel (the integrand's
-    structure tracks the panel scale there, so fixed-order Gauss nodes per
-    octave converge where equally many midpoint nodes stall).  Used for
+    Each point in refine_at gets its own base panel and
+    max(zone_panels // 2, 1) base panels on each side of it (3 panels for
+    zone_panels 1, 2 or 3, 5 for 4; fewer at an end of [lo, hi] or against
+    an earlier point's zone) replaced by geometrically shrinking panels
+    (ratio 2) down to min_scale, with local_order Gauss-Legendre nodes per
+    graded panel (the integrand's structure tracks the panel scale there,
+    so fixed-order Gauss nodes per octave converge where equally many
+    midpoint nodes stall).  Used for
     integrands with sharp integrable peaks at known locations (e.g.
     1/sqrt(F+) near the torus corner).  Points may coincide with lo or hi
     for one-sided grading; overlapping zones are resolved first-come.

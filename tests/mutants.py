@@ -99,9 +99,7 @@ DEFECTS = [
      ["tests/test_linearized.py"]),
     ("reflection n - idx", "src/phononlab/linearized.py",
      "np.minimum(k, n - 1 - k)", "np.minimum(k, n - k)", ["tests/test_linearized.py"]),
-    # the libraries' loops: the pool's map and the array bisection
-    ("pool results out of block order", "src/phononlab/collision.py",
-     "map(fn, blocks))", "map(fn, blocks[::-1]))", ["tests/test_collision.py"]),
+    # the libraries' loops: the array bisection
     ("bisection moves converged points", "src/phononlab/manifold.py",
      "np.where(wide & same, m, a)", "np.where(same, m, a)", ["tests/test_manifold.py"]),
     # a rejected run leaves only its manifest
@@ -135,11 +133,16 @@ DEFECTS = [
     ("cos for sin in half_angles", "src/phononlab/manifold.py",
      "return np.sin(half), np.cos(half)", "return np.cos(half), np.cos(half)",
      ["tests/test_manifold.py"]),
-    ("collision_at's blocks back on map_blocks", "src/phononlab/collision.py",
-     "    for block in blocks:\n        run(block)\n", "    map_blocks(run, blocks)\n",
-     ["tests/test_experiments.py"]),
     ("collision_at's weight-shape check removed", "src/phononlab/collision.py",
      "if z_wts.shape != z_nodes.shape:", "if False:", ["tests/test_experiments.py"]),
+    # the table builds on the calling thread
+    ("streamed blocks out of table order", "src/phononlab/collision.py",
+     "    for k in range(0, size, _TABLE_BLOCK):\n        yield",
+     "    for k in reversed(range(0, size, _TABLE_BLOCK)):\n        yield",
+     ["tests/test_collision.py"]),
+    ("table fills only its first block", "src/phononlab/collision.py",
+     "        for b in range(0, size, _TABLE_BLOCK):\n            fill(slice(b, b + _TABLE_BLOCK))",
+     "        fill(slice(0, _TABLE_BLOCK))", ["tests/test_collision.py"]),
 ]
 
 

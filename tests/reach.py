@@ -3,7 +3,8 @@
     python3 tests/reach.py
 
 Runs the seven CLI subcommands at their defaults in this process, with
-`PHONON_THREADS=2` (so the pool's threads run, traced like the caller) and
+`PHONON_THREADS=2` (so `verify_suite`'s slab threads run, traced like the
+caller: `_grid_checks` runs only on them) and
 `rj-match` at mass 3, energy 1, then `lin-decay` again on the warm
 operator cache, and `multiplier` at `spectrum`'s n = 512 from a config
 file, which reads `a` from `spectrum`'s cache (every run writes to one

@@ -524,7 +524,7 @@ class TestRuns:
         assert proc.stdout.splitlines()[-1] == f"0 {[None] * len(thread_vars)}", proc.stdout
 
     def test_config_file_threads(self, tmp_path):
-        # the file's key beats PHONON_THREADS and sizes the pool
+        # the file's key beats PHONON_THREADS and sizes the slab workers
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads = 1\n")
         out = tmp_path / "out"

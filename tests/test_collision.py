@@ -3,8 +3,6 @@ import os
 import platform
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -115,32 +113,21 @@ class TestCollisionOperator:
             p1, p3, W = resonant_kernel(x, x)
             assert np.all(p1 == 0.0) and np.all(W == 0.0)
 
-    def test_table_build_independent_of_workers(self, monkeypatch):
-        # blocks of 1,000 entries fill disjoint slices of the table on the
-        # pool: more workers than cores and a short switch interval must
-        # give the one-worker bits
-        monkeypatch.setattr(collision, "_TABLE_BLOCK", 1000)
+    def test_table_bits_independent_of_block_size(self, monkeypatch):
+        # a table filled in blocks of 1,000 entries (a ragged last one) has
+        # the bits of one filled in one block, whole or half
         g = Grid(300)
-        monkeypatch.setenv("PHONON_THREADS", "1")
-        want = collision.ResonanceTable(g, "cubic")
-        monkeypatch.setenv("PHONON_THREADS", "8")
-        result = {}
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t = threading.Thread(target=lambda: result.setdefault(
-                "tab", collision.ResonanceTable(g, "cubic")))
-            t.start()
-            t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not t.is_alive()
-        got = result["tab"]
-        for name in ("i", "j", "P1", "P3", "W"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        for side in ("i1", "i3"):
-            for a, b in zip(*(getattr(tab, side) for tab in (got, want))):
-                assert np.array_equal(a, b)
+        for span in (None, (0, g.n ** 2 // 4)):
+            monkeypatch.setattr(collision, "_TABLE_BLOCK", 1 << 16)
+            want = collision.ResonanceTable(g, "cubic", span)
+            assert want.W.size <= collision._TABLE_BLOCK
+            monkeypatch.setattr(collision, "_TABLE_BLOCK", 1000)
+            got = collision.ResonanceTable(g, "cubic", span)
+            for name in ("i", "j", "P1", "P3", "W"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            for side in ("i1", "i3"):
+                for a, b in zip(*(getattr(tab, side) for tab in (got, want))):
+                    assert np.array_equal(a, b)
 
     def test_packed_pairs_without_the_triangle(self):
         # the node pairs of any run of packed indices, in np.triu_indices(n, 1)
@@ -286,139 +273,16 @@ class TestMapBlocks:
         monkeypatch.delenv("PHONON_THREADS")
         assert empty == collision.pool_workers() >= 1
 
-    def test_one_worker_runs_inline(self, monkeypatch):
-        monkeypatch.setenv("PHONON_THREADS", "1")
-        seen = set()
-
-        def square(b):
-            seen.add(threading.get_ident())
-            return b * b
-
-        assert collision.map_blocks(square, range(10)) == [b * b for b in range(10)]
-        assert seen == {threading.get_ident()}
-
-    def test_exception_reaches_caller_unchanged(self, monkeypatch):
-        monkeypatch.setenv("PHONON_THREADS", "3")
-        err = ValueError("block 5")
-
-        def fn(b):
-            if b == 5:
-                raise err
-            return b
-
-        with pytest.raises(ValueError) as info:
-            collision.map_blocks(fn, range(10))
-        assert info.value is err
-
-    def test_a_failing_block_cancels_the_blocks_not_started(self, monkeypatch):
-        # block 0 raises at once while the other 49 sleep 10 ms each on 2
-        # workers: the error reaches the caller before every block has
-        # started, and the blocks still queued then never start
-        monkeypatch.setenv("PHONON_THREADS", "2")
-        err = ValueError("block 0")
-        started = []
-
-        def fn(b):
-            started.append(b)
-            if b == 0:
-                raise err
-            time.sleep(0.01)
-            return b
-
-        with pytest.raises(ValueError) as info:
-            collision.map_blocks(fn, range(50))
-        assert info.value is err
-        assert len(started) < 50
-        time.sleep(0.4)  # longer than the 49 sleeps take on 2 workers
-        assert len(started) < 50
-
-    def test_worker_count_changes_between_calls(self, monkeypatch):
-        # 2, then 3, then 2 workers in one process: each call runs on
-        # exactly that many threads (its first `workers` blocks meet at a
-        # barrier, and no more blocks than that ever run at once) and
-        # returns its results in block order
-        for workers in (2, 3, 2):
-            monkeypatch.setenv("PHONON_THREADS", str(workers))
-            barrier = threading.Barrier(workers)
-            lock = threading.Lock()
-            running = [0, 0]  # now, most at once
-
-            def fn(b):
-                with lock:
-                    running[0] += 1
-                    running[1] = max(running)
-                if b < workers:
-                    barrier.wait(timeout=10)
-                else:
-                    time.sleep(0.002)
-                with lock:
-                    running[0] -= 1
-                return b * b
-
-            blocks = range(4 * workers)
-            assert collision.map_blocks(fn, blocks) == [b * b for b in blocks]
-            assert running == [0, workers]
-
-    def test_disjoint_rows_under_contention(self, monkeypatch):
-        # more workers than cores and a short switch interval: every block
-        # must write its own rows, and results come back in block order
-        monkeypatch.setenv("PHONON_THREADS", "8")
-        out = np.zeros(4000)
-        seen = set()
-        result = {}
-
-        def fill(b):
-            seen.add(threading.get_ident())
-            for k in range(10 * b, 10 * b + 10):
-                out[k] = k
-            return b
-
-        def run():
-            result["blocks"] = collision.map_blocks(fill, range(400))
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t = threading.Thread(target=run)
-            t.start()
-            t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not t.is_alive()
-        assert result["blocks"] == list(range(400))
-        assert np.array_equal(out, np.arange(4000.0))
-        assert t.ident not in seen
-
-    def test_nested_call_runs_inline(self, monkeypatch):
-        # every worker holds an outer block that submits multi-block work of
-        # its own: waiting on the pool from a pool thread would deadlock, so
-        # the inner call runs inline on the outer block's thread
-        monkeypatch.setenv("PHONON_THREADS", "2")
-        result = {}
-
-        def inner(b):
-            return b, threading.get_ident()
-
-        def outer(b):
-            got = collision.map_blocks(lambda k: inner(10 * b + k), range(4))
-            return [v for v, _ in got], {ident for _, ident in got} == {threading.get_ident()}
-
-        t = threading.Thread(target=lambda: result.setdefault(
-            "blocks", collision.map_blocks(outer, range(6))))
-        t.start()
-        t.join(timeout=60)
-        assert not t.is_alive()
-        assert result["blocks"] == [([10 * b + k for k in range(4)], True) for b in range(6)]
-
 
 class TestPackedBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_in_order_and_bounded_ahead(self, monkeypatch, workers):
         # n = 300: 22,500 entries with i + j <= n - 1, 4 blocks of 5,000 and
-        # a ragged one.  A slow caller gets the blocks in table order, with
+        # a ragged one.  The caller gets the blocks in table order, with
         # the bits of the same entries of the whole table and W halved on
-        # the self-mirror pairs, and while it holds block k at most
-        # k + workers blocks have been started
+        # the self-mirror pairs; the blocks start in table order, and while
+        # the caller holds block k exactly k + 1 have been started, on any
+        # worker count
         n = 300
         whole = collision.ResonanceTable(Grid(n))
         half = np.flatnonzero(whole.i + whole.j <= n - 1)
@@ -433,13 +297,9 @@ class TestPackedBlocks:
         monkeypatch.setattr(collision.ResonanceTable, "__init__", counting)
         end = 0
         for k, tab in enumerate(collision._packed_blocks(Grid(n), "linear")):
-            time.sleep(0.005)
-            assert len(started) <= k + workers
+            assert len(started) == k + 1
+            assert started[k] == (end, end + tab.W.size)
             s = half[end:end + tab.W.size]
-            # pool workers may start the blocks of a group in either order,
-            # but block k is started within its own group
-            g = k // workers
-            assert (end, end + tab.W.size) in started[g * workers:(g + 1) * workers]
             for name in ("i", "j", "P1", "P3"):
                 assert np.array_equal(getattr(tab, name), getattr(whole, name)[s])
             mirror = whole.i[s] + whole.j[s] == n - 1
@@ -538,12 +398,12 @@ class TestMallocPin:
     @GLIBC
     def test_pool_workers_share_one_arena(self):
         # glibc's malloc_stats() prints one "Arena k:" block per malloc
-        # arena; two workers allocating heap blocks at once add none
+        # arena; verify_suite's two slab threads allocating heap blocks at
+        # once add none
         script = (
             "import ctypes\n"
-            "import numpy as np\n"
-            "from phononlab import collision\n"
-            "collision.map_blocks(lambda k: np.ones(1 << 15).sum(), range(64))\n"
+            "from phononlab import experiments\n"
+            "experiments.verify_suite(n_random=10, n_sign=1, grid_side=200)\n"
             "libc = ctypes.CDLL(None)\n"
             "libc.malloc_stats.argtypes, libc.malloc_stats.restype = (), None\n"
             "libc.malloc_stats()\n")

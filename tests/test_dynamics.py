@@ -419,8 +419,8 @@ class TestTableOwnership:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_no_table_outlives_its_caller(self, monkeypatch, workers):
         # every table, whole or streamed, is freed when the call that built
-        # it returns; blocks of 1,000 entries put the build and the stream
-        # on the pool
+        # it returns, on any worker count; blocks of 1,000 entries make
+        # every build and stream one of many blocks
         monkeypatch.setenv("PHONON_THREADS", workers)
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 1000)
         built = self.track_tables(monkeypatch)
@@ -440,23 +440,18 @@ class TestTableOwnership:
             assert [span for ref, span in built if ref() is not None] == [], name
 
     @pytest.mark.parametrize("name", ["multiplier_a", "_weak_form_matrix"])
-    def test_no_block_outlives_its_group(self, monkeypatch, name):
-        # a streamed block is dropped before the next group is built: when
-        # any block starts building, no block of an earlier group is alive
-        monkeypatch.setenv("PHONON_THREADS", "2")
+    def test_no_earlier_block_alive_at_a_build(self, monkeypatch, name):
+        # a streamed block is dropped before the next is built: when a block
+        # starts building, no earlier block is alive
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 1000)
         built = self.track_tables(monkeypatch)
         tracked, late = ResonanceTable.__init__, []
 
-        def group(span):  # by the block's place in the half table
-            return span[0] // (2 * collision._TABLE_BLOCK)
-
         def checking_init(self, grid, interp="linear", span=None):
-            late.extend(e for ref, e in list(built)
-                        if ref() is not None and group(e) < group(span))
+            late.extend(e for ref, e in list(built) if ref() is not None)
             tracked(self, grid, interp, span)
         monkeypatch.setattr(ResonanceTable, "__init__", checking_init)
-        g = Grid(128)  # 4,096 entries in the half table: 5 blocks in 3 groups
+        g = Grid(128)  # 4,096 entries in the half table: 5 blocks
         {"multiplier_a": lambda: multiplier_a(PARAMS, g),
          "_weak_form_matrix": lambda: linearized._weak_form_matrix(PARAMS, g, "linear")}[name]()
         assert len(built) == 5

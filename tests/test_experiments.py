@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dissipation_ratios
+from oracles import cached_slice_blocks, dissipation_ratios
 from phononlab import collision as coll
+from phononlab import dynamics as dyn
 from phononlab import experiments as ex
 from phononlab import linearized as lin
 from phononlab.equilibria import RjParams
@@ -288,22 +290,47 @@ def test_support_that_leaves_out_part_of_f_raises():
                           collision_at_full_rule(ends, f, z, w))
 
 
-def test_collision_at_runs_on_the_calling_thread(monkeypatch):
-    # its row blocks are too short for two threads to overlap: with two
-    # workers it never enters the pool, and keeps the full rule's bits
-    monkeypatch.setenv("PHONON_THREADS", "2")
-
-    def no_pool(workers):
-        raise AssertionError("collision_at entered the row-block pool")
-
-    monkeypatch.setattr(coll, "_executor", no_pool)
-    monkeypatch.setattr(coll, "_BATCH", 16 * coll._CHUNK)  # many blocks
+def test_only_verify_suite_starts_threads(monkeypatch):
+    # verify_suite's slabs are the one place where two threads overlap:
+    # with two workers and no thread pool to be had, a table of many
+    # blocks, the weak-form assembly, the multiplier, the perturbation
+    # tables and collision_at complete with their bits, and verify_suite
+    # raises
+    g, params = Grid(256), RjParams(1.0, 1.0)
+    monkeypatch.setattr(coll, "_TABLE_BLOCK", 1 << 16)  # one block each
+    whole = coll.ResonanceTable(g, "cubic")
+    tabs_want = dyn.PerturbationTables(params, g, "cubic", even=True)
+    monkeypatch.setattr(coll, "_TABLE_BLOCK", 5000)  # 7 blocks whole, 4 half
+    with monkeypatch.context() as m:
+        m.setattr(lin, "_packed_blocks", cached_slice_blocks)
+        *blocks_want, a_want = lin._weak_form_matrix(params, g, "cubic")
     eps = 2.0 ** -5
     f = coll.three_bumps(eps, 2.0, PTS)
     z, w = p2_rule(eps)
     rows = output_rows(eps, n_coarse=61)
+    at_want = collision_at_full_rule(rows, f, z, w)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("PHONON_THREADS", "2")
+    tab = coll.ResonanceTable(g, "cubic")
+    for name in ("i", "j", "P1", "P3", "W"):
+        assert np.array_equal(getattr(tab, name), getattr(whole, name))
+    *blocks, a = lin._weak_form_matrix(params, g, "cubic")
+    for B, B_want in zip(blocks, blocks_want):
+        assert np.array_equal(B, B_want)
+    assert np.array_equal(a, a_want)
+    assert np.array_equal(lin.multiplier_a(params, g).values, a_want)
+    tabs = dyn.PerturbationTables(params, g, "cubic", even=True)
+    for name in ("G0", "G1", "G2", "G3"):
+        assert np.array_equal(getattr(tabs, name), getattr(tabs_want, name))
+    monkeypatch.setattr(coll, "_BATCH", 16 * coll._CHUNK)  # many blocks
     assert np.array_equal(coll.collision_at(rows, f, z, w, support=coll.bump_support(eps, PTS)),
-                          collision_at_full_rule(rows, f, z, w))
+                          at_want)
+    with pytest.raises(AssertionError, match="a thread pool was made"):
+        ex.verify_suite(n_random=10, n_sign=1, grid_side=200)
 
 
 def test_half_angles_once_per_row_and_node(monkeypatch):

@@ -266,7 +266,7 @@ class TestWeakFormAssembly:
     @pytest.mark.parametrize("n", [256, 300])
     def test_row_blocks_equal_cached_table(self, monkeypatch, n, interp, block_values):
         # the streamed transient blocks give the bits of the same entries of
-        # one whole table, on 1, 2 and 3 pool workers
+        # one whole table
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         if block_values is not None:
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
@@ -275,40 +275,37 @@ class TestWeakFormAssembly:
             m.setattr(linearized, "_packed_blocks", cached_slice_blocks)
             *want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
             assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
-        for workers in ("1", "2", "3"):
-            monkeypatch.setenv("PHONON_THREADS", workers)
-            *got, a = linearized._weak_form_matrix(PARAMS, g, interp)
-            for B, B_want in zip(got, want):
-                assert np.array_equal(B, B_want)
-            assert np.array_equal(a, a_want)
-            assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
+        *got, a = linearized._weak_form_matrix(PARAMS, g, interp)
+        for B, B_want in zip(got, want):
+            assert np.array_equal(B, B_want)
+        assert np.array_equal(a, a_want)
+        assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     def test_bits_do_not_depend_on_sub_blocks_or_workers(self, monkeypatch, interp):
         # np.add.at adds entry by entry in table order and the blocks are
-        # formed elementwise, so neither the sub-block size nor the worker
-        # count moves a bit of the blocks or of a
+        # formed elementwise, so the sub-block size moves no bit of the
+        # blocks or of a; the blocks are built on the calling thread, so the
+        # worker count does not reach them
         g = Grid(300)
         *want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
         for B in want:
             assert np.array_equal(B, B.T)
         for block_values in (1 << 12, 1 << 16, 1 << 20):
             monkeypatch.setattr(linearized, "_BLOCK_VALUES", block_values)
-            for workers in ("1", "2", "3"):
-                monkeypatch.setenv("PHONON_THREADS", workers)
-                *got, a = linearized._weak_form_matrix(PARAMS, g, interp)
-                for B, B_want in zip(got, want):
-                    assert np.array_equal(B, B_want)
-                assert np.array_equal(a, a_want)
+            *got, a = linearized._weak_form_matrix(PARAMS, g, interp)
+            for B, B_want in zip(got, want):
+                assert np.array_equal(B, B_want)
+            assert np.array_equal(a, a_want)
 
     # TABLE_MAX_N bounds the table of C[f] only: with it at 0 the assembly
     # streams the same blocks
     @pytest.mark.parametrize("table_max_n", [None, 0])
     def test_assemble_builds_each_table_once(self, monkeypatch, table_max_n):
         # a comes from the assembly's own pass, so a cubic assembly builds no
-        # linear table for it; on 1 or 2 workers the 16,384 entries of the
-        # half table of n = 256 stream in 4 blocks, each built once with its
-        # own span
+        # linear table for it; the 16,384 entries of the half table of
+        # n = 256 stream in 4 blocks, each built once with its own span, in
+        # table order
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 5000)
         if table_max_n is not None:
             monkeypatch.setattr(collision, "TABLE_MAX_N", table_max_n)
@@ -320,14 +317,9 @@ class TestWeakFormAssembly:
             init(self, *args, **kwargs)
         monkeypatch.setattr(ResonanceTable, "__init__", counting_init)
         g = Grid(256)
-        for workers in ("1", "2"):
-            monkeypatch.setenv("PHONON_THREADS", workers)
-            built.clear()
-            op = assemble(PARAMS, g, interp="cubic")
-            # pool workers may start neighbouring blocks in either order
-            assert sorted(built, key=lambda args: args[2]) == [
-                (g, "cubic", (k, min(k + 5000, 16384))) for k in range(0, 16384, 5000)]
-            assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
+        op = assemble(PARAMS, g, interp="cubic")
+        assert built == [(g, "cubic", (k, min(k + 5000, 16384))) for k in range(0, 16384, 5000)]
+        assert np.array_equal(op.a.values, multiplier_a(PARAMS, g).values)
 
     @pytest.mark.parametrize(("n", "interp"), [(256, "cubic"), (1024, "linear")])
     def test_stencils_are_the_lagrange_oracle(self, monkeypatch, n, interp):
@@ -350,7 +342,6 @@ class TestWeakFormAssembly:
             return add(A, tab, *args)
         monkeypatch.setattr(linearized, "lagrange_weights", spy_derive)
         monkeypatch.setattr(linearized, "_add_block", spy_add)
-        monkeypatch.setenv("PHONON_THREADS", "1")
         g = Grid(n)
         linearized._weak_form_matrix(PARAMS, g, interp)
         assert len(blocks) == -(-n * n // 4 // collision._TABLE_BLOCK)
@@ -363,12 +354,11 @@ class TestWeakFormAssembly:
                         a = np.concatenate(part)
                         assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    def test_traced_peak_memory(self, monkeypatch):
-        # the (n^2 x n) sparse route peaked at 291 MiB here; on one worker
-        # the dense result, one streamed table block and one sub-block's
-        # temporaries must stay within 5 n^2 doubles (4.75 with an n^2
-        # bincount output per sub-block)
-        monkeypatch.setenv("PHONON_THREADS", "1")
+    def test_traced_peak_memory(self):
+        # the (n^2 x n) sparse route peaked at 291 MiB here; the dense
+        # result, one streamed table block and one sub-block's temporaries
+        # must stay within 5 n^2 doubles (4.75 with an n^2 bincount output
+        # per sub-block)
         g = Grid(1024)
         tracemalloc.start()
         try:
@@ -385,11 +375,11 @@ class TestWeakFormAssembly:
         assert peak <= 1.5 * 8 * g.n ** 2
 
     def test_traced_peak_memory_with_table_build(self, monkeypatch):
-        # with 2 workers the assembly holds its two accumulators of n^2 / 4
-        # and up to three streamed table blocks, then the blocks: it stays
-        # within 1.5 n^2 doubles (1.85 n^2 with an n^2 accumulator folded
-        # into the blocks; with a cached whole table, the build and the
-        # assembly took 10.4 n^2, and with an n^2 bincount output per
+        # with 2 workers the assembly still holds its two accumulators of
+        # n^2 / 4 and one streamed table block at a time, then the blocks:
+        # it stays within 1.5 n^2 doubles (1.85 n^2 with an n^2 accumulator
+        # folded into the blocks; with a cached whole table, the build and
+        # the assembly took 10.4 n^2, and with an n^2 bincount output per
         # sub-block 6.25 n^2)
         monkeypatch.setenv("PHONON_THREADS", "2")
         g = Grid(1024)

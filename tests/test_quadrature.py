@@ -104,6 +104,16 @@ class TestNodeHelpers:
             assert np.sum(wts) == pytest.approx(TWO_PI, abs=1e-12)
             assert np.all((nodes > 0.0) & (nodes < TWO_PI))
 
+    def test_zone_replaces_half_zone_panels_on_each_side(self):
+        # one refine point on 100 panels replaces its own base panel and
+        # max(zone_panels // 2, 1) on each side: 3 panels for zone_panels 1,
+        # 2 or 3, and 5 for 4
+        base = midpoint_nodes(0.0, TWO_PI, 100)[0]
+        for zone_panels, replaced in ((1, 3), (2, 3), (3, 3), (4, 5)):
+            nodes = graded_midpoint_nodes(0.0, TWO_PI, 100, refine_at=(1.0,),
+                                          zone_panels=zone_panels)[0]
+            assert base.size - np.isin(base, nodes).sum() == replaced
+
     def test_gauss_rule_computed_once_and_shared_read_only(self):
         # graded panels reuse one rule per order: the same arrays, with the
         # bits of leggauss, which no caller can overwrite
