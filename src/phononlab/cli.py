@@ -37,7 +37,7 @@ none) and seed, output_dir and threads; any other key is a configuration
 error.  Command-line flags win over file values.  --threads (else the file's
 `threads`, else the PHONON_THREADS environment variable; an integer >= 1)
 caps the BLAS worker count and the identity suite's slab workers
-(`collision.pool_workers`); it must act before numpy is imported, so the
+(`experiments.pool_workers`); it must act before numpy is imported, so the
 heavy modules are imported lazily inside run().
 """
 
@@ -383,7 +383,7 @@ def _file_output_dir(path) -> str | None:
 def _environment() -> dict:
     import numpy
 
-    from .collision import pool_workers
+    from .experiments import pool_workers
     return {"workers": pool_workers(), "python": sys.version.split()[0],
             "numpy": numpy.__version__}
 

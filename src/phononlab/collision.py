@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,15 +218,12 @@ class ResonanceTable:
         self.i1, self.i3 = ((page_aligned(size, np.int64), page_aligned(size))
                             for _ in range(2))
         nodes = grid.nodes
-
-        def fill(s):
+        for b in range(0, size, _TABLE_BLOCK):
+            s = slice(b, b + _TABLE_BLOCK)
             self.P1[s], self.P3[s], self.W[s] = resonant_kernel(nodes[self.i[s]],
                                                                 nodes[self.j[s]])
             for (q, t), p in ((self.i1, self.P1[s]), (self.i3, self.P3[s])):
                 q[s], t[s] = interp_weights(grid, p, interp)
-
-        for b in range(0, size, _TABLE_BLOCK):
-            fill(slice(b, b + _TABLE_BLOCK))
         if span is not None:
             self.W[self.i + self.j == n - 1] *= 0.5  # exact: the same bits halved
         self._values = np.empty((5, 0))  # exchange_sum's, grown to the block in use
@@ -295,20 +291,6 @@ def _packed_blocks(grid: Grid, interp: str):
         yield ResonanceTable(grid, interp, (k, min(k + _TABLE_BLOCK, size)))
 
 
-def pool_workers() -> int:
-    """Worker threads for `experiments.verify_suite`'s slabs: the
-    PHONON_THREADS cap (which --threads sets) when one is set, else the
-    number of CPUs this process may run on."""
-    cap = os.environ.get("PHONON_THREADS")
-    if cap:
-        if not cap.isdecimal() or int(cap) < 1:
-            raise ValueError(f"PHONON_THREADS must be an integer >= 1, got {cap!r}")
-        return int(cap)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _bracket(f0, f1, f2, f3):
     return f1 * f2 * f3 + f0 * f2 * f3 - f0 * f1 * f3 - f0 * f1 * f2
 
@@ -345,11 +327,10 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     The weight's factors of one momentum are taken once per call on every
     row and p2 node (`half_angles`) and gathered onto the live terms; they
     are elementwise, so they have the bits of the terms' own p0 and p2.
-    Rows run in blocks of _BATCH (row, chunk) pairs, one after another on
-    the calling thread (a batch's numpy calls are too short for two threads
-    to overlap), and each block expands its kept pairs in batches of _BATCH
-    candidate entries at most; each block writes only its own rows, so the
-    batches do not change the bits.
+    Each group of rows, f(p0) != 0 and f(p0) = 0, runs in blocks of _BATCH
+    (row, chunk) pairs, and each block expands its kept pairs in batches of
+    _BATCH candidate entries at most; each block writes only its own rows,
+    so the batches do not change the bits.
     """
     checked = (("output row", p0_vals), ("p2 node", z_nodes), ("p2 weight", z_wts))
     for what, p in checked:
@@ -376,65 +357,61 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
     reach = [(a + s, b + s) for s in (-TWO_PI, 0.0, TWO_PI) for a, b in zip(sup_lo, sup_hi)]
     (sx, cx), (sz, cz) = half_angles(p0_vals), half_angles(z_nodes)
     index = np.arange(z_nodes.size)
-    blocks = []
-    for rows, cols in ((np.flatnonzero(f0 != 0.0), slice(None)),
-                       (np.flatnonzero(f0 == 0.0), np.flatnonzero(f2 != 0.0))):
-        z, fz = z_nodes[cols], f2[cols]
+    pairs = max(1, _BATCH // _CHUNK)  # (row, chunk) pairs per batch
+    row = np.zeros(z_nodes.size)
+    cur, filled = None, []  # the row being scattered, and its live columns
+    # a slice makes the columns of every p2 node views, not copies
+    for row_live, rows, sel in ((True, np.flatnonzero(f0 != 0.0), slice(None)),
+                                (False, np.flatnonzero(f0 == 0.0), np.flatnonzero(f2 != 0.0))):
+        cols, z, wz, fz = index[sel], z_nodes[sel], z_wts[sel], f2[sel]
         starts = np.arange(0, z.size, _CHUNK)
-        p2 = (index[cols], z, z_wts[cols], fz, starts, np.minimum.reduceat(z, starts),
-              np.maximum.reduceat(z, starts), np.logical_or.reduceat(fz != 0.0, starts))
+        z_lo, z_hi = np.minimum.reduceat(z, starts), np.maximum.reduceat(z, starts)
+        z_live = np.logical_or.reduceat(fz != 0.0, starts)
         step = max(1, _BATCH // max(1, starts.size))
-        blocks += [(rows[r0:r0 + step], p2) for r0 in range(0, rows.size, step)]
-
-    def run(block):
-        blk, (cols, z, wz, fz, starts, z_lo, z_hi, z_live) = block
-        x, fx = p0_vals[blk], f0[blk]
-        lo, hi = h_range(x[:, None], z_lo, z_hi)
-        keep = np.zeros(lo.shape, dtype=bool)
-        row_live = fx[0] != 0.0
-        if row_live:
-            keep |= z_live
-        for a, b in reach:
-            keep |= ~((hi < a) | (lo > b))
-        pair_r, pair_k = np.divmod(np.flatnonzero(keep), max(1, starts.size))
-        out[blk] = 0.0  # a row with no live term
-        row = np.zeros(z_nodes.size)
-        cur, filled = None, []  # the row being scattered, and its live columns
-        pairs = max(1, _BATCH // _CHUNK)
-        for j in range(0, pair_r.size, pairs):
-            # every column of the batch's pairs, in (row, column) order
-            k = pair_k[j:j + pairs]
-            size = np.minimum(_CHUNK, z.size - starts[k])
-            first = np.cumsum(size) - size
-            r = np.repeat(pair_r[j:j + pairs], size)
-            c = np.arange(r.size) + np.repeat(starts[k] - first, size)
-            xq, zq = x[r], z[c]
-            p1, t = _h_parts(xq, zq)[:2]
-            f1 = f(p1)
-            live = f1 != 0.0
+        for r0 in range(0, rows.size, step):
+            blk = rows[r0:r0 + step]
+            x, fx = p0_vals[blk], f0[blk]
+            lo, hi = h_range(x[:, None], z_lo, z_hi)
+            keep = np.zeros(lo.shape, dtype=bool)
             if row_live:
-                live |= fz[c] != 0.0
-            i = np.flatnonzero(live)
-            r, c, xq, zq, p1 = r[i], c[i], xq[i], zq[i], p1[i]
-            at, row_at = cols[c], blk[r]
-            terms = wz[c] * _weight(sx[row_at], cx[row_at], sz[at], cz[at], t[i]) * _bracket(
-                fx[r], f1[i], fz[c], f(canonicalize(xq + p1 - zq)))
-            # a row's terms may go on in the next batch: it is summed when
-            # the next row's terms begin
-            bounds = np.flatnonzero(np.diff(r, prepend=-1, append=-1))
-            for s0, s1 in zip(bounds[:-1], bounds[1:]):
-                if row_at[s0] != cur:
-                    if cur is not None:
-                        out[cur] = np.sum(row)
-                        row[np.concatenate(filled)] = 0.0
-                    cur, filled = row_at[s0], []
-                row[at[s0:s1]] = terms[s0:s1]
-                filled.append(at[s0:s1])
-        if cur is not None:
-            out[cur] = np.sum(row)
-
-    for block in blocks:
-        run(block)
+                keep |= z_live
+            for a, b in reach:
+                keep |= ~((hi < a) | (lo > b))
+            pair_r, pair_k = np.divmod(np.flatnonzero(keep), max(1, starts.size))
+            out[blk] = 0.0  # a row with no live term
+            for j in range(0, pair_r.size, pairs):
+                # every column of the batch's pairs, in (row, column) order
+                k = pair_k[j:j + pairs]
+                size = np.minimum(_CHUNK, z.size - starts[k])
+                first = np.cumsum(size) - size
+                r = np.repeat(pair_r[j:j + pairs], size)
+                c = np.arange(r.size) + np.repeat(starts[k] - first, size)
+                xq, zq = x[r], z[c]
+                p1, t = _h_parts(xq, zq)[:2]
+                f1 = f(p1)
+                live = f1 != 0.0
+                if row_live:
+                    live |= fz[c] != 0.0
+                i = np.flatnonzero(live)
+                r, c, xq, zq, p1 = r[i], c[i], xq[i], zq[i], p1[i]
+                at, row_at = cols[c], blk[r]
+                terms = wz[c] * _weight(sx[row_at], cx[row_at], sz[at], cz[at], t[i]) * _bracket(
+                    fx[r], f1[i], fz[c], f(canonicalize(xq + p1 - zq)))
+                # a row's terms may go on in the next batch: it is summed when
+                # the next row's terms begin, in this block or a later one
+                bounds = np.flatnonzero(np.diff(r, prepend=-1, append=-1))
+                for s0, s1 in zip(bounds[:-1], bounds[1:]):
+                    if row_at[s0] != cur:
+                        if cur is not None:
+                            out[cur] = np.sum(row)
+                            row[np.concatenate(filled)] = 0.0
+                        cur, filled = row_at[s0], []
+                    row[at[s0:s1]] = terms[s0:s1]
+                    filled.append(at[s0:s1])
+                # freed before the next batch, in this block or a later one, makes its own
+                del r, c, xq, zq, p1, t, f1, live, i, at, row_at, terms
+    if cur is not None:
+        out[cur] = np.sum(row)
     return out
 
 

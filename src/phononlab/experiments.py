@@ -8,6 +8,8 @@ directories, artifact files, manifests and exit codes lives there.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import collision as coll
@@ -27,9 +29,10 @@ N_FIT_POINTS = 25  # pointwise a(p) samples of the multiplier edge fit
 N_DISSIPATION_SAMPLES = 100  # random trigonometric data of the dissipation ratio
 BLOWUP_EPS = tuple(2.0 ** (-k) for k in range(4, 10))  # eps of the L^p scaling fit
 # rows of the (x, z) grid per slab of verify_suite's grid checks, run on
-# pool_workers() threads: the one place two threads overlap (256,000 B per
-# temporary at grid_side = 2000: under the mmap threshold `collision` pins;
-# they set the peak RSS of a process that runs the suite after lp_blowup_norm)
+# `pool_workers()` threads (below): the one place two threads overlap
+# (256,000 B per temporary at grid_side = 2000: under the mmap threshold
+# `collision` pins; they set the peak RSS of a process that runs the suite
+# after lp_blowup_norm)
 _SLAB_ROWS = 16
 
 
@@ -334,6 +337,20 @@ def _grid_checks(x_rows: np.ndarray, side: np.ndarray) -> tuple:
     return worst, np.max(res[away]), gap
 
 
+def pool_workers() -> int:
+    """Worker threads for `verify_suite`'s slabs: the PHONON_THREADS cap
+    (which --threads sets) when one is set, else the number of CPUs this
+    process may run on."""
+    cap = os.environ.get("PHONON_THREADS")
+    if cap:
+        if not cap.isdecimal() or int(cap) < 1:
+            raise ValueError(f"PHONON_THREADS must be an integer >= 1, got {cap!r}")
+        return int(cap)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_suite(n_random: int = 10_000, n_sign: int = 100,
                  grid_side: int = 2000, seed: int = 0) -> list:
     """Closed-form identity checks at scale; returns [(name, ok, detail)]."""
@@ -353,7 +370,7 @@ def verify_suite(n_random: int = 10_000, n_sign: int = 100,
     side = np.linspace(0.0, TWO_PI, grid_side)
     slabs = [side[r0:r0 + _SLAB_ROWS] for r0 in range(0, grid_side, _SLAB_ROWS)]
     from concurrent.futures import ThreadPoolExecutor  # here: no other run pays for it
-    with ThreadPoolExecutor(coll.pool_workers()) as pool:
+    with ThreadPoolExecutor(pool_workers()) as pool:
         worst, err_grid, gap = np.array(
             list(pool.map(lambda rows: _grid_checks(rows, side), slabs))).T
     worst, err_grid, gap = float(np.max(worst)), float(np.max(err_grid)), float(np.min(gap))

@@ -37,11 +37,11 @@ of the p0 and p2 nodes and s_(j,i) = -s_(i,j), so each pair of the packed
 resonance table counts twice and the sum runs over j > i only.  Small
 sub-blocks of the streamed table add the upper-triangle products of their
 stencils with np.add.at straight into the accumulators of the two blocks
-below, entry by entry in table order, so the bits of L depend neither on
-the sub-block size nor on the worker count, and neither an (n^2 x n)
-matrix, nor a whole table, nor an n^2 array is formed: the memory is the
-accumulators and the blocks, n^2 / 2 doubles each, plus the table blocks
-in flight and one sub-block's temporaries.
+below, entry by entry in table order, so the bits of L do not depend on
+the sub-block size, and neither an (n^2 x n) matrix, nor a whole table,
+nor an n^2 array is formed: the memory is the accumulators and the
+blocks, n^2 / 2 doubles each, plus one table block and one sub-block's
+temporaries.
 
 Parity.  The reflection p -> 2pi - p maps node k of the midpoint grid onto
 node n - 1 - k, and it keeps every Rayleigh-Jeans equilibrium and the
@@ -289,8 +289,8 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
     built or cached) adds measure_r c_a c_b, for every pair a <= b of
     stencil entries with diagonal pairs halved, into S or X (`_add_block`)
     in table order, so each of their entries is summed in the same order
-    whatever the block sizes and the worker count.  E and O are then formed
-    a chunk of rows at a time.
+    whatever the block sizes.  E and O are then formed a chunk of rows at a
+    time.
     """
     n = grid.n
     m = n // 2

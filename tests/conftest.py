@@ -13,7 +13,7 @@ def restore_thread_caps():
     The CLI's thread cap writes them into os.environ directly, and
     monkeypatch.delenv on an unset variable records nothing to undo, so a
     test that runs the cap would otherwise size the slab workers
-    (`collision.pool_workers`) of every later test in the session.
+    (`experiments.pool_workers`) of every later test in the session.
     """
     saved = {var: os.environ.get(var) for var in THREAD_VARS}
     yield

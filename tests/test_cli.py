@@ -482,7 +482,7 @@ class TestRuns:
 
     def test_thread_cap_sets_pool_workers(self, monkeypatch):
         from phononlab.cli import _THREAD_ENV_VARS, _apply_thread_cap
-        from phononlab.collision import pool_workers
+        from phononlab.experiments import pool_workers
         for var in ("PHONON_THREADS",) + _THREAD_ENV_VARS:
             monkeypatch.delenv(var, raising=False)
         _apply_thread_cap(3)

@@ -419,8 +419,8 @@ class TestTableOwnership:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_no_table_outlives_its_caller(self, monkeypatch, workers):
         # every table, whole or streamed, is freed when the call that built
-        # it returns, on any worker count; blocks of 1,000 entries make
-        # every build and stream one of many blocks
+        # it returns, whatever PHONON_THREADS says; blocks of 1,000 entries
+        # make every build and stream one of many blocks
         monkeypatch.setenv("PHONON_THREADS", workers)
         monkeypatch.setattr(collision, "_TABLE_BLOCK", 1000)
         built = self.track_tables(monkeypatch)

@@ -129,6 +129,7 @@ def test_lp_blowup_norm_matches_full_rule(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_collision_at_bit_identical_on_any_worker_count(workers, monkeypatch):
+    # collision_at runs on the calling thread: PHONON_THREADS must move no bit
     monkeypatch.setenv("PHONON_THREADS", str(workers))
     eps = 2.0 ** -5
     f = coll.three_bumps(eps, 2.0, PTS)
@@ -364,6 +365,22 @@ def grid_checks_full_grid(grid_side):
     res = np.abs(omega_residual(X[away], np.asarray(h(X[away], Z[away])), Z[away]))
     gap = f_plus(X, Z) - 4.0 * omega(X) * omega(Z)
     return float(np.max(arg[~corner])), float(np.max(res)), float(np.min(gap))
+
+
+class TestPoolWorkers:
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+    def test_bad_thread_count_is_rejected(self, monkeypatch, value):
+        # the CLI's rule and wording: an integer >= 1, or unset
+        monkeypatch.setenv("PHONON_THREADS", value)
+        with pytest.raises(ValueError) as info:
+            ex.pool_workers()
+        assert str(info.value) == f"PHONON_THREADS must be an integer >= 1, got '{value}'"
+
+    def test_empty_thread_count_means_unset(self, monkeypatch):
+        monkeypatch.setenv("PHONON_THREADS", "")
+        empty = ex.pool_workers()
+        monkeypatch.delenv("PHONON_THREADS")
+        assert empty == ex.pool_workers() >= 1
 
 
 @pytest.mark.parametrize("slab_rows", [7, 64])

@@ -282,11 +282,10 @@ class TestWeakFormAssembly:
         assert np.array_equal(multiplier_a(PARAMS, g).values, a_want)
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
-    def test_bits_do_not_depend_on_sub_blocks_or_workers(self, monkeypatch, interp):
+    def test_bits_do_not_depend_on_sub_blocks(self, monkeypatch, interp):
         # np.add.at adds entry by entry in table order and the blocks are
         # formed elementwise, so the sub-block size moves no bit of the
-        # blocks or of a; the blocks are built on the calling thread, so the
-        # worker count does not reach them
+        # blocks or of a
         g = Grid(300)
         *want, a_want = linearized._weak_form_matrix(PARAMS, g, interp)
         for B in want:
@@ -375,12 +374,12 @@ class TestWeakFormAssembly:
         assert peak <= 1.5 * 8 * g.n ** 2
 
     def test_traced_peak_memory_with_table_build(self, monkeypatch):
-        # with 2 workers the assembly still holds its two accumulators of
-        # n^2 / 4 and one streamed table block at a time, then the blocks:
-        # it stays within 1.5 n^2 doubles (1.85 n^2 with an n^2 accumulator
-        # folded into the blocks; with a cached whole table, the build and
-        # the assembly took 10.4 n^2, and with an n^2 bincount output per
-        # sub-block 6.25 n^2)
+        # with PHONON_THREADS=2, which reaches no table build, the assembly
+        # still holds its two accumulators of n^2 / 4 and one streamed table
+        # block at a time, then the blocks: it stays within 1.5 n^2 doubles
+        # (1.85 n^2 with an n^2 accumulator folded into the blocks; with a
+        # cached whole table, the build and the assembly took 10.4 n^2, and
+        # with an n^2 bincount output per sub-block 6.25 n^2)
         monkeypatch.setenv("PHONON_THREADS", "2")
         g = Grid(1024)
         tracemalloc.start()
