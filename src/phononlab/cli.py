@@ -1,44 +1,22 @@
 """Command-line experiment harness.
 
-One process per run.  Each subcommand validates its configuration, runs the
-corresponding experiment, and writes its artifacts plus a manifest.json
-(config hash, package version, wall time, status) into the output
-directory; the wall time is read from the monotonic clock, which never
-steps back.  The version is `phononlab.__version__`, which
-pyproject.toml also reads, so a checkout run from src/ records it as an
-installed one does.  The manifest is written even when the run fails (a bad
-configuration's, with config, hash and env null, goes to --output-dir, else
-the config file's output_dir, else out).  Every other manifest records the
-run's environment ("env": slab workers, Python and numpy versions);
-`nonlin` and `multiplier` also record their work counts there, and only
-there ("counters": `nonlin`'s {"rhs_evals": ..., "rhs_table_entries": ...},
-the right-hand sides of the run and the resonance-table entries each sums
-over, which tell the half-table path from the whole table; `multiplier`'s
-{"cache_hits": 0 or 1}, whether `a` was read from the operator cache that
-`spectrum` writes to the same output directory).  A NaN or infinite setting
-appears in the manifest's config as the string its flag takes ("inf"), so
-the manifest is strict JSON like every artifact.  Exit codes:
-0 success, 1 internal error (any other exception the run raises: a fault
-of the program, reported as one `internal error: <Type>: <message>` line
-and the manifest status `internal-error: ...`, a bare `ValueError` such as
-numpy's `LinAlgError` included), 2 configuration error (a bad flag or file
-value, and any `ConfigError` the run raises: the input guards, such as a
-time step that is not positive or a gamma that `assemble` cannot take),
-3 numerical error (including a NaN or infinite value bound for an
-artifact, which is then not written), 4 I/O error (an artifact or cache
-file that cannot be read or written, or an output directory that cannot
-be made, which leaves no manifest).
+One process per run.  Each subcommand validates its configuration, runs its
+experiment, and writes its artifacts and a manifest.json into the output
+directory: config and its hash, `phononlab.__version__`, the wall time on
+the monotonic clock, the status, "env" (slab workers, Python and numpy
+versions), and for `nonlin` and `multiplier` their "counters".  The
+manifest is written even when the run fails; a bad configuration's, with
+config, hash and env null, goes to --output-dir, else the config file's
+output_dir, else out.  Exit codes: 0 success; 1 internal error (any other
+exception, a fault of the program, a bare ValueError included); 2
+configuration error (a bad flag or file value, or a ConfigError from the
+run's input guards); 3 numerical error (a PhononLabError, a non-finite
+value bound for an artifact included, or a failed `verify` check); 4 I/O
+error (an OSError; an output directory that cannot be made leaves no
+manifest).
 
-`SUBCOMMANDS` holds each subcommand's settings and their defaults once;
-the flags, the config-file keys and their types, and the experiment's
-keyword arguments all come from it.  A flat key=value config file can seed
-any run with the subcommand's own settings (`rj-match` and `verify` have
-none) and seed, output_dir and threads; any other key is a configuration
-error.  Command-line flags win over file values.  --threads (else the file's
-`threads`, else the PHONON_THREADS environment variable; an integer >= 1)
-caps the BLAS worker count and the identity suite's slab workers
-(`experiments.pool_workers`); it must act before numpy is imported, so the
-heavy modules are imported lazily inside run().
+The thread cap must act before numpy is imported (`_apply_thread_cap`),
+so the heavy modules are imported lazily inside run().
 """
 
 from __future__ import annotations
@@ -65,7 +43,12 @@ _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 
 def _apply_thread_cap(threads: int | None) -> None:
-    """Export the cap, else PHONON_THREADS, to BLAS and the slab workers."""
+    """Export the cap (--threads, else the file's threads), else
+    PHONON_THREADS, an integer >= 1, to BLAS and the slab workers
+    (`experiments.pool_workers`).  It reaches BLAS only in a process that
+    has not yet imported numpy, such as a fresh `phononlab` run; a caller
+    in a process that has (the tests' `run_cli`, the benchmark's child)
+    gets only the slab-worker cap."""
     name = "threads"
     if threads is None:
         name, threads = "PHONON_THREADS", os.environ.get("PHONON_THREADS")
@@ -104,9 +87,9 @@ def read_config_file(path) -> dict:
     return out
 
 
-# Each subcommand's help line and its settings with their defaults.  A
-# setting's flag is --name-with-dashes (lp-blowup's p_exp is --p), and its
-# default's type is the type of the flag and of a config-file value.
+# Each subcommand's help line and settings with defaults, the one source of
+# its flags, config-file keys and experiment keywords.  A setting's flag is
+# --name-with-dashes (lp-blowup's p_exp is --p), typed as its default.
 SUBCOMMANDS = {
     "multiplier": ("collision-frequency edge scaling",
                    {"grid_n": 1024, "beta": 1.0, "gamma": 1.0,
@@ -150,13 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags (a flag left unset is None).
-
-    A config file may set the subcommand's own settings (those of its
-    `SUBCOMMANDS` entry) and seed, output_dir and threads, each value typed
-    as its default is (threads, which has none, as an int), interp
-    held to the flag's choices and seed nonnegative; any other key is an
-    error, so no value is recorded that the run would not use.
-    """
+    A file value is typed as its default (threads as an int); any other key
+    is an error, so no value is recorded that the run would not use."""
     sub = args.subcommand
     cfg = dict(SUBCOMMANDS[sub][1], seed=0, output_dir="out")
     if args.config:

@@ -6,56 +6,13 @@ operator reads
     C[f](p0) = int_0^2pi  (omega0 omega1 omega2 omega3 / sqrt(F+(p0, p2)))
                * [f1 f2 f3 + f0 f2 f3 - f0 f1 f3 - f0 f1 f2]  dp2,
 
-where p1 = h(p0, p2) and p3 = p0 + p1 - p2 are resolved on the nontrivial
-branch of the resonant manifold (trivial resonances are dropped: their
-integrand cancels and they carry no transport).  On a grid both p0 and p2
-run over the nodes; p1 and p3 fall off-grid and the spectrum is evaluated
-there by periodic interpolation, in Horner form (`grid.gather`).
-
-The tensor rule inherits a discrete exchange symmetry: swapping the roles
-of the p0 and p2 nodes maps (p0,p1,p2,p3) -> (p2,p3,p0,p1), keeps the
-kernel weight and flips the sign of the bracket.  So the resonance table
-stores each node pair once, on the strict upper triangle, and every
-consumer reads both orders from that one entry: here each pair adds its
-term to row i and subtracts it from row j, and the total mass of C[f]
-cancels term by term, independently of resolution; energy conservation
-holds to quadrature accuracy only.
-
-The reflection p -> 2pi - p maps the pairs i + j > n - 1 onto the pairs
-i + j < n - 1, and each self-mirror pair i + j = n - 1 onto itself.  The
-half table, the pairs i + j <= n - 1 with W halved on the self-mirror
-ones, is defined once (`ResonanceTable` with a `span`, `_half_entries`):
-summed and then reflected, it gives the whole rule's sums wherever the
-integrand is reflection-invariant: L's, and Q + N's on even data.
-A loop that applies C[f] or the perturbation right-hand side many times
-owns one table for as long as it runs: the whole one (`collision_map`,
-`PerturbationTables` on any data) or the half one (`PerturbationTables`
-on even data).  Both store `i` in sorted runs, one per row, so such a
-loop sums row i over the runs (`exchange_sum`, with the run starts
-`ResonanceTable.runs` found once, on its first call) and row j by a
-bincount.  The linearized assembly reads the table once, so
-`_packed_blocks` streams the half table as transient blocks and holds no
-whole table.  Every table and block is built on the calling thread.
-The whole table is the one path of C[f] on a grid, up to TABLE_MAX_N
-nodes; on a larger grid C[f], the perturbation tables and the `nonlin`
-run raise ResolutionError (`check_table_n`) before any table is built.
-
-`collision_at` is the one engine for the integral off the table: output
-rows, a p2 rule, a callable spectrum and the intervals outside which it
-vanishes.  A row with f(p0) = 0 reads only the support columns
-f(p2) != 0; p1 = h(p0, p2) is computed only on the chunks of columns
-where an interval bound on h (`manifold.h_range`) lets it reach the
-support, or where f(p0) != 0 and the chunk holds a node with f(p2) != 0;
-and p3, f(p3), the weight and the bracket only on the live terms, where
-a factor f1 or f2 can be nonzero (every other term is exactly zero).
-Each row still sums its whole row, so the bits are the full rule's.  The
-weight's half-angle sines and cosines are taken once per row and p2 node
-(`manifold.half_angles`) and gathered onto the live terms.  The engine
-runs on the calling thread: its batches are too short for two threads to
-overlap.
-
-Importing this module pins glibc's malloc thresholds and caps it at one
-arena (`_pin_malloc`).
+where p1 = h(p0, p2) and p3 = p0 + p1 - p2 lie on the nontrivial branch
+of the resonant manifold (trivial resonances cancel and carry no
+transport).  On a grid p0 and p2 run over the nodes, and f is
+interpolated at p1 and p3 (`grid.gather`).  The tables of this tensor
+rule are `ResonanceTable`; `collision_map` is C[f] on one, and
+`collision_at` the engine for the integral on any rows and p2 rule.
+Importing this module pins glibc's malloc (`_pin_malloc`).
 """
 
 from __future__ import annotations
@@ -71,28 +28,21 @@ from .grid import POS_FLOOR, Field, Grid, _stencil_shape, gather, horner, interp
 from .manifold import (TWO_PI, _h_parts, _weight, canonicalize, f_minus_zeros, h_range,
                        half_angles, resonant_kernel)
 
-# whole tables above this size would not fit comfortably: C[f] on a larger
-# grid raises ResolutionError
+# the largest grid with a whole table: larger ones would not fit comfortably
 TABLE_MAX_N = 2048
 # packed entries per table block: a block's widest allocation, `page_aligned`
 # rows of P1, P3 and W, takes 388 KiB, under the mmap threshold below
 _TABLE_BLOCK = 1 << 14
-# table entries per block of `ResonanceTable.exchange_sum` (128 KiB per
-# float64 temporary; n = 256 has 32,640 entries, its half table 16,384).
-# Blocks of 2^11 to 2^13 made the relax right-hand side slower, not faster
+# table entries per block of `ResonanceTable.exchange_sum`, 128 KiB per
+# float64 temporary: blocks of 2^11 to 2^13 made the relax right-hand side slower
 _EXCHANGE_BLOCK = 1 << 14
-# collision_at: consecutive p2 columns per chunk of its bound on p1, and
-# (row, chunk) pairs per row block and candidate entries per batch (64 KiB
-# per float64 temporary: a candidate gathers its row and column values,
-# where a table block reads them in place).  Batches of 2^15 peaked 19%
-# higher in the blowup benchmark
+# collision_at: p2 columns per chunk of its bound on p1, and (row, chunk)
+# pairs per row block and entries per batch, 64 KiB per float64 temporary:
+# batches of 2^15 peaked 19% higher in the blowup benchmark
 _CHUNK = 64
 _BATCH = 1 << 13
 
-# glibc's malloc settings, pinned at import by `_pin_malloc`: every hot-loop
-# block keeps each of its allocations under _MMAP_THRESHOLD, those on the
-# calling thread (_TABLE_BLOCK, _EXCHANGE_BLOCK, _BATCH, the sub-blocks of
-# `linearized`) and the slabs of `experiments.verify_suite` on its threads
+# glibc's malloc settings (`_pin_malloc`)
 _MMAP_THRESHOLD = 1 << 20
 _TRIM_THRESHOLD = 8 << 20
 # mallopt parameters (malloc.h)
@@ -101,20 +51,17 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 def _pin_malloc() -> bool:
     """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 8 MiB,
-    and cap it at one malloc arena; True when libc took all three, False
-    where libc has no mallopt.
+    and cap it at one arena; True when libc took all three, False where
+    libc has no mallopt.  The pin changes no result.
 
-    By default glibc raises the mmap threshold to the size of each mmapped
-    block freed and hands the heap top back to the kernel after frees, so a
-    loop of blocks faults in fresh pages for its temporaries block after
-    block.  Pinned, allocations under 1 MiB reuse heap pages, while arrays
-    of 1 MiB and up (the n^2 matrices) stay mmapped and go back to the OS
-    when freed.  By default, too, each thread that allocates gets an arena
-    of its own, up to 8 per core, and each arena keeps up to the trim
-    threshold of freed pages: the slab threads of `experiments.verify_suite`
-    would each hold their own pages beside the main heap.  With one arena
-    they allocate from the main heap and reuse its pages.  The pin changes
-    no result.
+    Unpinned, glibc raises the mmap threshold to each mmapped block freed
+    and returns the heap top after frees, so a loop of blocks faults in
+    fresh pages block after block; and each allocating thread gets an arena
+    that keeps its own freed pages.  Every hot-loop block keeps each
+    allocation under 1 MiB (_TABLE_BLOCK, _EXCHANGE_BLOCK, _BATCH,
+    `linearized`'s sub-blocks, `experiments.verify_suite`'s slab threads),
+    so pinned, it reuses the main heap's pages, while the n^2 matrices stay
+    mmapped and go back to the OS when freed.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -134,13 +81,12 @@ _PAGE = 4096  # bytes
 
 
 def page_aligned(shape, dtype=float) -> np.ndarray:
-    """An uninitialized array whose rows each start on a 4 KiB page.
-
-    The arrays a loop over a table streams together are allocated so.
-    From the heap, 128 KiB arrays start 16 bytes apart in their pages, and
-    a loop that reads one a little behind where it writes another in the
-    page stalls on false store dependencies (4K aliasing): the relax
-    right-hand side took 10-15% longer in some heap states than in others."""
+    """An uninitialized array whose rows each start on a 4 KiB page: the
+    arrays that a loop over a table streams together.  From the heap,
+    128 KiB arrays start 16 bytes apart in their pages, and a loop that
+    reads one a little behind where it writes another stalls on false
+    store dependencies (4K aliasing): the relax right-hand side took
+    10-15% longer in some heap states than in others."""
     dtype = np.dtype(dtype)
     *lead, m = np.atleast_1d(shape)
     rows = int(np.prod(lead))
@@ -165,12 +111,10 @@ def _pairs(n: int, k: np.ndarray):
 
 
 def _half_entries(n: int, k0: int, k1: int) -> np.ndarray:
-    """Packed indices of the entries k0 to k1 - 1, in table order, of the
-    half of the table with i + j <= n - 1: in each row i < n // 2 the pairs
-    with i + j < n - 1, then the self-mirror pair (i, n - 1 - i), so a run
-    of n - 1 - 2i entries from the row's first; n^2 // 4 entries in all.
-    The reflection maps node k onto n - 1 - k, and the exchange brings the
-    reflected pair (n - 1 - j, n - 1 - i) back to the upper triangle."""
+    """Packed indices of the half table's entries k0 to k1 - 1: in each row
+    i < n // 2 a run of n - 1 - 2i entries from the row's first, ending at
+    the self-mirror pair (i, n - 1 - i).  The exchange brings each reflected
+    pair (n - 1 - j, n - 1 - i) back to the upper triangle."""
     size = n - 1 - 2 * np.arange(n // 2)
     first = np.cumsum(size) - size  # the half's index of each row's first entry
     k = np.arange(k0, k1)
@@ -179,29 +123,32 @@ def _half_entries(n: int, k0: int, k1: int) -> np.ndarray:
 
 
 class ResonanceTable:
-    """Geometry and interpolation stencils of the tensor rule, one entry per
-    node pair.
+    """The tensor rule's geometry, one entry per node pair: the packed table,
+    or a span of the half table.
 
-    Entry (i, j), j > i, holds p1 = P1 and p3 = P3 of the pair (p0, p2) =
-    (node i, node j), their stencils i1 and i3, and the weight W; `i` and `j`
-    hold the nodes.  A stencil is the pair (q, t) of `grid.interp_weights`,
-    so an entry takes 72 bytes at either order.  The exchange maps the pair
-    (j, i) onto (p2, p3, p0, p1) with the same weight, so the entry serves
-    both orders: the p3 side of (i, j) is the p1 side of (j, i),
-    P3 := P1^T.  On the diagonal h(x, x) = 0 exactly, so W = 0 there and the
-    diagonal is not stored.  Entries run over the strict upper triangle in
-    np.triu_indices(n, 1) order: all of them by default, or with `span` =
-    (k0, k1) the entries k0 to k1 - 1 of the half table (`_half_entries`),
-    W halved on its self-mirror pairs i + j = n - 1, which its reflection
-    shares with it: the one definition of the half table, which
-    `PerturbationTables` builds whole for even data and `_packed_blocks`
-    streams in spans.  The table is built in blocks of _TABLE_BLOCK
-    entries, one after another on the calling thread; a table of one
-    block, as `_packed_blocks` streams, holds each array in an allocation
-    under the pinned mmap threshold (`_pin_malloc`).  Building it is the only
-    O(n^2) trigonometric cost: a loop that reuses a table owns one
-    (`collision_map`, `PerturbationTables`), while the linearized assembly
-    streams transient blocks of the half table (`_packed_blocks`).
+    Entry (i, j) holds the nodes `i` and `j`, p1 = P1 and p3 = P3 of
+    (p0, p2) = (node i, node j), the weight W, and the (q, t) stencils i1
+    of P1 and i3 of P3 (`grid.interp_weights`): 72 bytes at either order.
+    The exchange of the p0 and p2 nodes maps (p0, p1, p2, p3) onto
+    (p2, p3, p0, p1), keeps W and flips the sign of the collision bracket,
+    so one entry serves both orders, and W = 0 on the diagonal.  The packed
+    table, the default, is the strict upper triangle in
+    np.triu_indices(n, 1) order.
+
+    The reflection p -> 2pi - p maps node k onto n - 1 - k, the pairs
+    i + j > n - 1 onto those with i + j < n - 1, and each self-mirror pair
+    i + j = n - 1 onto itself.  The half table is the n^2 // 4 pairs
+    i + j <= n - 1 (`_half_entries`), W halved on the self-mirror ones:
+    summed and then reflected, it gives the whole rule's sums wherever the
+    integrand is reflection-invariant (L's, and Q + N's on even data).
+    `span` = (k0, k1) selects its entries k0 to k1 - 1.
+
+    Both store `i` in sorted runs, one per row, and are built in blocks of
+    _TABLE_BLOCK entries on the calling thread, the only O(n^2)
+    trigonometric cost: a loop that applies C[f] or the perturbation
+    right-hand side owns a table (`collision_map`,
+    `dynamics.PerturbationTables`), and a pass that reads one once streams
+    it (`_packed_blocks`).
     """
 
     def __init__(self, grid: Grid, interp: str = "linear", span=None):
@@ -230,28 +177,21 @@ class ResonanceTable:
 
     @functools.cached_property
     def runs(self) -> np.ndarray:
-        """The first entry of each run of equal `i`: one run per row that
-        holds entries, in increasing order.  Computed on the first
-        `exchange_sum`, so only a table that a loop owns pays for it, never
-        the blocks that `_packed_blocks` streams."""
+        """The first entry of each run of equal `i`, in increasing order;
+        computed on the first `exchange_sum`, so a streamed block never pays."""
         return np.flatnonzero(np.diff(self.i, prepend=-1))
 
     def exchange_sum(self, v: np.ndarray, term) -> np.ndarray:
         """Row sums over the full rule of an integrand that flips sign under
-        the exchange (and so vanishes on the diagonal).
+        the exchange.
 
-        term(s, v0, v1, v2, v3) is the integrand on the entries s, from the
-        values v at the nodes i, j and interpolated at P1, P3; each entry adds
-        it into row i and subtracts it from row j.  Blocks of _EXCHANGE_BLOCK
-        entries gather once each side, from Horner coefficients of v built
-        once per call, into page-aligned rows that the table owns: v0 to v3
-        hold only until term returns, and calls must not overlap.  The
-        entries store `i` in sorted runs, one per row, so row i's sums are
-        one np.add.reduceat over the block's part of each run (the block's
-        first entry starts a part too; the parts never come out empty, where
-        reduceat would return an entry in place of a sum), and row j's a
-        bincount.  A row with no entries gets nothing from the i side: row
-        n - 1 of the whole table.
+        term(s, v0, v1, v2, v3) is the integrand on the entries s, from v
+        at the nodes i, j and interpolated at P1, P3; each entry adds it
+        into row i and subtracts it from row j, so mass cancels term by
+        term.  v0 to v3 are rows that the table owns, valid until term
+        returns, so calls must not overlap.  Row i's sums are one
+        np.add.reduceat per block over the runs (the block's first entry
+        starts a part too, so no part is empty), row j's a bincount.
         """
         n = self.grid.n
         out = np.zeros(n)
@@ -277,15 +217,12 @@ class ResonanceTable:
 
 
 def _packed_blocks(grid: Grid, interp: str):
-    """A transient ResonanceTable for each span of _TABLE_BLOCK entries of
-    the half table, built on the calling thread and yielded in table order.
-    A consumer sums a block's terms and adds the reflection of the sum
-    (`linearized`), and drops the block before it asks for the next: one
-    block is alive at a time, and no whole table at any n.  Every
-    allocation of a block stays under the pinned mmap threshold
-    (`_pin_malloc`), so each block reuses the heap pages that the block
-    before it freed.  A block's entries are computed elementwise, so they
-    carry the bits of the same entries of a whole half table."""
+    """A transient ResonanceTable per span of _TABLE_BLOCK entries of the
+    half table, in table order, for a pass that reads it once (`linearized`).
+    Its consumer drops each block before it asks for the next, so one block
+    is alive, whose allocations stay under the pinned mmap threshold and
+    reuse the pages of the block before.  A block's entries have the bits
+    of the same entries of a whole half table."""
     size = grid.n ** 2 // 4
     for k in range(0, size, _TABLE_BLOCK):
         yield ResonanceTable(grid, interp, (k, min(k + _TABLE_BLOCK, size)))
@@ -297,40 +234,27 @@ def _bracket(f0, f1, f2, f3):
 
 def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
                  z_wts: np.ndarray, *, support) -> np.ndarray:
-    """C[f](p0) for a callable finite spectrum `f` on a supplied p2 rule.
+    """C[f](p0) for a callable finite spectrum `f` on a supplied p2 rule,
+    bit for bit the full rule's.
 
     `support` lists closed intervals (lo, hi) outside whose union f is
-    zero.  ValueError is raised before any work when the rows, the p2 nodes
-    or the weights are not 1-D, the weights' shape is not the nodes', a
-    row, node or weight is not finite, a row or node lies outside
-    [0, 2pi], or f is nonzero at a row or p2 node outside the support.
-    Rows with f(p0) != 0 run over every p2 node; a row with f(p0) = 0 has
-    the bracket f1 f2 f3 + 0 - 0 - 0, so it runs only over the support
-    columns f(p2) != 0.  A term is live where f1 != 0, or f0 != 0 and
-    f2 != 0; every other term has a zero factor in each product of the
-    bracket, so the full rule's term there is zero (+0.0 for f >= 0).
+    zero.  ValueError is raised before any work when the rows, nodes or
+    weights are not 1-D, the weights' shape is not the nodes', one of them
+    is not finite, a row or node lies outside [0, 2pi], or f is nonzero at
+    a row or node outside the support.
 
-    f1 != 0 needs p1 = h(p0, p2) in the support.  So the columns are split
-    into chunks of _CHUNK consecutive ones, and the value that h reduces
-    mod 2pi is bounded over each chunk's z-range (`manifold.h_range`).
-    canonicalize shifts it by at most one period, so a (row, chunk) pair
-    is kept where its bound meets the support shifted by -2pi, 0 or 2pi,
-    and, on a row with f0 != 0, where the chunk holds a node with f2 != 0.
-    Every other pair has no live term.  Only the columns of kept pairs
-    compute p1 and f1 = f(p1), and only the live ones among them p3,
-    f(p3), the weight W and the bracket.  Each row scatters its live terms
-    into a zero-filled row of full length and sums the whole row, so every
-    term is the full rule's and the sum pairs them as the full rule does:
-    the result is bit for bit the full rule's (summing the compressed
-    terms would pair them differently).  A row with no live term is +0.0.
-
-    The weight's factors of one momentum are taken once per call on every
-    row and p2 node (`half_angles`) and gathered onto the live terms; they
-    are elementwise, so they have the bits of the terms' own p0 and p2.
-    Each group of rows, f(p0) != 0 and f(p0) = 0, runs in blocks of _BATCH
-    (row, chunk) pairs, and each block expands its kept pairs in batches of
-    _BATCH candidate entries at most; each block writes only its own rows,
-    so the batches do not change the bits.
+    A term is live where f1 != 0, or f0 != 0 and f2 != 0; every other term
+    is exactly zero (+0.0 for f >= 0).  So rows with f(p0) != 0 run over
+    every p2 node, and rows with f(p0) = 0 over the columns f(p2) != 0.
+    A (row, chunk of _CHUNK columns) pair is kept where `manifold.h_range`
+    lets p1 = h(p0, p2) reach the support shifted by -2pi, 0 or 2pi (as
+    `canonicalize` shifts h), or, on a row with f0 != 0, where the chunk
+    holds a node with f2 != 0.  Kept pairs compute p1 and f(p1); live terms
+    compute p3, f(p3), the weight (from `half_angles` taken once per row
+    and node) and the bracket.  Each row scatters its live terms into a
+    zero-filled full row and sums it, pairing terms as the full rule does.
+    Row blocks and batches of _BATCH run on the calling thread: they are
+    too short for two threads to overlap.
     """
     checked = (("output row", p0_vals), ("p2 node", z_nodes), ("p2 weight", z_wts))
     for what, p in checked:
@@ -408,7 +332,7 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
                         cur, filled = row_at[s0], []
                     row[at[s0:s1]] = terms[s0:s1]
                     filled.append(at[s0:s1])
-                # freed before the next batch, in this block or a later one, makes its own
+                # freed before the next batch makes its own
                 del r, c, xq, zq, p1, t, f1, live, i, at, row_at, terms
     if cur is not None:
         out[cur] = np.sum(row)
@@ -417,19 +341,19 @@ def collision_at(p0_vals: np.ndarray, f, z_nodes: np.ndarray,
 
 def check_table_n(n: int) -> None:
     """Raise ResolutionError when a grid of n nodes would need a whole
-    resonance table above TABLE_MAX_N.  Each loop that owns a whole table
-    (C[f] and the perturbation right-hand side) checks before any work."""
+    resonance table above TABLE_MAX_N: each loop that owns one (C[f], the
+    perturbation right-hand side, a `nonlin` run) checks before any work."""
     if n > TABLE_MAX_N:
         raise ResolutionError(f"a grid of n = {n} needs a whole resonance table, which "
                               f"is built only up to n = {TABLE_MAX_N} (TABLE_MAX_N)")
 
 
 def collision_map(grid: Grid, interp: str = "linear"):
-    """C[f] at the nodes of `grid` as a callable of unchecked node values,
-    built once for a loop that applies it many times from one whole
-    ResonanceTable that lives as long as the callable, each pair once for
-    both of its orders.  A grid above TABLE_MAX_N raises ResolutionError
-    before any table is built."""
+    """C[f] at the nodes of `grid`, as a callable of unchecked node values,
+    for a loop that applies it many times: one packed ResonanceTable lives
+    as long as the callable.  The mass of C[f] cancels term by term; energy
+    is conserved to quadrature accuracy only.  A grid above TABLE_MAX_N
+    raises ResolutionError before any table is built."""
     check_table_n(grid.n)
     tab = ResonanceTable(grid, interp)
     return lambda vals: grid.weight * tab.exchange_sum(
@@ -458,15 +382,11 @@ def entropy(f: Field) -> float:
 
 @dataclass(frozen=True)
 class BlowupPoints:
-    """The three distinguished momenta of the L^p-unboundedness construction.
-
-    p0 is the chosen base point and (p1, p2) the fold of z -> h(p0, z) on
-    (p0, 2pi), where its two inverse branches meet: p1 = h(p0, p2) is the
-    largest value h(p0, .) takes there, the lower zero y' of F-(p0, .), and
-    the two preimages z and p0 + p1 - z of p1 coincide mod 2pi, so
-    2 p2 = p0 + p1 + 2pi.  The companion momentum p3 = p0 + p1 - p2 thus
-    returns to p2, and a spectrum concentrated near these points feeds a
-    single output channel at p0.
+    """The three momenta of the L^p-unboundedness construction: the base
+    point p0 and the fold (p1, p2) of z -> h(p0, z) on (p0, 2pi), where its
+    two inverse branches z and p0 + p1 - z meet, so 2 p2 = p0 + p1 + 2pi and
+    p3 returns to p2.  p1 is the largest value h(p0, .) takes there, and a
+    spectrum concentrated near these points feeds one output channel at p0.
     """
     p0: float
     p1: float
@@ -490,14 +410,10 @@ def bump_support(eps: float, pts: BlowupPoints) -> tuple:
 
 
 def three_bumps(eps: float, p_exp: float, pts: BlowupPoints):
-    """The exact three-bump spectrum as a callable of the momentum.
-
-    Heights eps^{-2/p}, eps^{-2/p}, eps^{-1/p} on the intervals of
-    `bump_support`, [p0, p0 + eps^2), [p1 - eps^2, p1) and [p2, p2 + eps),
-    and zero elsewhere.  The eps^2 bump at the fold value p1 sits below it:
-    the parameterization sweeps values h(p0, .) <= p1 only, so that side is
-    the one the resonance actually visits.
-    """
+    """The exact three-bump spectrum as a callable of the momentum: heights
+    eps^{-2/p}, eps^{-2/p}, eps^{-1/p} on the intervals of `bump_support`,
+    zero elsewhere.  The eps^2 bump at the fold value p1 sits below it,
+    since h(p0, .) takes values <= p1 only there."""
     if not p_exp > 0.0:
         raise ValueError(f"p must be positive, got {p_exp}")
     amp2 = eps ** (-2.0 / p_exp)

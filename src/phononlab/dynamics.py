@@ -5,52 +5,14 @@ Two problems are integrated with the classical fixed-step RK4 scheme:
   * d/dt f = C[f]                  (evolve_nonlinear_f)
   * d/dt g = L g + Q[g] + N[g]     (evolve_perturbation, f = fb (1 + g))
 
-L is the symmetric operator from the linearized module, applied through
-its even and odd blocks (`LinOperator.apply`); Q and N are
-the exact quadratic and cubic components of the expansion of C[fb(1+g)]/fb.
-Expanding the collision bracket channel by channel (each channel drops its
-own 1/f_l factor) keeps every term divisions-free in g, and makes each
-order individually antisymmetric under the discrete exchange of the two
-integration nodes, so the grid rule conserves mass to rounding at every
-order.  Energy conservation and the remaining structure are monitored, not
-corrected; their drift measures discretization quality.
-
-The quadratic component is often written as 2[fb2 fb3 g2 g3 - fb0 fb1 g0 g1]
-to leading structure; the exact component carries additional cross terms
-weighted by resonance frequency differences, and those are kept: they are
-what makes L + Q + N reproduce the full operator to rounding.
-
-Q and N are evaluated together (PerturbationTables.nonlinear) over the
-packed resonance table, which stores each node pair of the tensor rule
-once, on the strict upper triangle.  Exchanging the p0 and p2 nodes maps
-(p0,p1,p2,p3) to (p2,p3,p0,p1), so the p3 side of each entry serves as the
-p1 side of its exchanged pair, and the fused integrand of Q + N is
-antisymmetric under the exchange by construction.  Each entry then adds
-its term to one row and subtracts it from the other: half the gathers and
-channel arithmetic of the full rule, and mass that cancels term by term.
-The pass writes the gathered values and the fused integrand into
-page-aligned buffers that the tables own, one block of the table at a
-time, and sums it into the rows over the table's sorted runs of i and by
-a bincount over j (`ResonanceTable.exchange_sum`).
-Against the full-matrix evaluation, Q + N agrees to rounding (the
-summation order differs, and so, at the last bits, does the geometry that
-the full rule computes afresh for each exchanged pair).
-
-Even data halves that work again.  The dispersion, every Rayleigh-Jeans
-equilibrium and the decay data are even under the reflection p -> 2pi - p,
-which maps node k onto node n - 1 - k, and the equation commutes with it,
-so an even g stays even.  On even g the entry (i, j) and its mirror
-(n - 1 - j, n - 1 - i) carry mirror-image terms, and a self-mirror entry
-i + j = n - 1 carries zero in exact arithmetic.  So the tables can hold the
-half table of `collision` (the pairs i + j <= n - 1, W halved on the
-self-mirror ones; n^2/4 entries for even n), the one the linearized
-assembly streams: Q + N is its row sums h plus their reflection,
-h + h[::-1], in which the two halves of each self-mirror term cancel.
-`evolve_perturbation` takes this path when the odd part of g0 is rounding
-(at most `linearized.EVEN_RTOL` of its sup), after making g0 exactly
-even (`linearized.snap_even`), so L skips its odd block; any other
-g0 runs on the whole table.  The step count of a run is bounded by
-MAX_STEPS before any work.
+L g is `LinOperator.apply`; Q and N are the exact quadratic and cubic
+components of C[fb(1+g)]/fb, cross terms included, so L + Q + N reproduces
+the full operator to rounding.  Expanding the bracket channel by channel
+keeps every term free of divisions by g and each order antisymmetric under
+the exchange, so mass is conserved to rounding at every order; energy is
+monitored, not corrected.  Q + N is one pass over a `ResonanceTable`
+(`PerturbationTables`): the packed table, or for even data the half table.
+The equation commutes with p -> 2pi - p, so even data stays even.
 """
 
 from __future__ import annotations
@@ -69,9 +31,8 @@ from .linearized import LinOperator, multiplier_a, snap_even
 
 BLOWUP_FACTOR = 1e3
 EPS_MAX = 0.1  # largest ||omega^-1/2 g0||_inf evolve_perturbation accepts
-# largest t_final / dt a run may plan.  A default `nonlin` run plans 667
-# steps and the largest plan of the test suite is 20,000; 10^6 steps at
-# n = 256 take about 40 minutes of right-hand sides
+# largest t_final / dt a run may plan: 10^6 steps at n = 256 take about 40
+# minutes of right-hand sides, and a default `nonlin` run plans 667
 MAX_STEPS = 10 ** 6
 N_RECORDS = 64  # states recorded per run
 
@@ -131,20 +92,10 @@ class Trajectory:
 
 class PerturbationTables:
     """Channel weights W * (product of three equilibrium values) on the
-    entries of the packed resonance table: the strict upper triangle j > i
-    of the tensor rule, in the order of np.triu_indices(n, 1), or with
-    `even` the half table of `collision` (i + j <= n - 1, W halved on the
-    self-mirror pairs; `ResonanceTable` with a span of all of it), the same
-    entries the linearized assembly streams, whose `nonlinear` serves even
-    g only.
-
-    The exchange of the p0 and p2 nodes maps (p0, p1, p2, p3) to
-    (p2, p3, p0, p1), so the p3 side of (i, j) is the p1 side of (j, i):
-    P3 := P1^T, and the table's P3 and i3 stencil serve as both.  G0..G3
-    are the weights of the channels that drop f0..f3; the stencils and
-    nodes are read from the table itself, which these tables build and own.
-    A grid above TABLE_MAX_N raises ResolutionError before any table is
-    built (`collision.check_table_n`).
+    entries of a ResonanceTable that these tables build and own: the packed
+    table, or with `even` the half table, whose `nonlinear` serves even g
+    only.  G0..G3 weigh the channels that drop f0..f3.  A grid above
+    TABLE_MAX_N raises ResolutionError before any table is built.
     """
 
     def __init__(self, params: RjParams, grid: Grid, interp: str = "linear",
@@ -166,21 +117,15 @@ class PerturbationTables:
         self._buffers = np.empty((5, 0))  # nonlinear's, grown to the block in use
 
     def nonlinear(self, g: np.ndarray) -> np.ndarray:
-        """Q[g] + N[g], the quadratic and cubic components in one pass.
+        """Q[g] + N[g], the quadratic and cubic components in one pass; it
+        matches the full-matrix evaluation to rounding, not bit for bit.
 
         The fused integrand M = G0 A0 + G1 A1 - G2 A2 - G3 A3, where A_k is
-        e2 + e3 of the three g other than g_k, flips sign under the exchange
-        and is zero on the diagonal, which the exchange maps to itself.  So
-        the row sums of the full rule are sums over the upper triangle: M
-        adds into row i and subtracts from row j, block by block
-        (ResonanceTable.exchange_sum).  On the half table (`even`) those
-        sums h cover one of each two mirror entries and half of each
-        self-mirror one, and the reflection h[::-1] adds the rest: g must
-        then be even.
-
-        M is written into five buffer rows that these tables own, sized by
-        the block in use (at most collision._EXCHANGE_BLOCK entries, never
-        the table), with the operations of
+        e2 + e3 of the three g other than g_k, flips sign under the
+        exchange, so `ResonanceTable.exchange_sum` gives the full rule's
+        row sums; on the half table h + h[::-1] does, for even g.  M is
+        written into five buffer rows that these tables own, sized by the
+        block in use, with the operations of
             m  = G0 (g12 + g3 (g1 + g2 + g12))
             m += G1 (g02 + g3 (g0 + g2 + g02))
             m -= G2 (g01 + g3 s01)
@@ -254,10 +199,8 @@ def _run(grid: Grid, g0: np.ndarray, rhs, cfg: EvolutionConfig, to_f,
     Step k ends at t = (k + 1) / n_steps * t_final, so the last one is
     recorded at t_final exactly.  f must stay finite, positive and within
     BLOWUP_FACTOR of its initial sup norm after every step, else
-    BlowupError names that step's t.
-    Returns the Trajectory of the recorded diagnostics and states, with the
-    initial mass0, energy0, the number of rhs calls made and the
-    table_entries that each call sums over.
+    BlowupError names that step's t.  table_entries is what each rhs call
+    sums over.
     """
     rec_times = cfg.record_times()
     n_steps = int(np.ceil(cfg.t_final / cfg.dt))
@@ -323,19 +266,14 @@ def evolve_perturbation(g0: Field, cfg: EvolutionConfig,
                         operator: LinOperator) -> Trajectory:
     """Integrate the perturbation equation around the equilibrium of `operator`.
 
-    g0 must be kernel-orthogonal (mass/energy of the initial perturbation
-    vanish) with ||omega^-1/2 g0||_inf <= EPS_MAX, and live on the
-    operator's grid.  The linear part is `operator.apply`, L g through its
-    even and odd blocks, and the operator's collision frequency `a` sets
-    the stiffness guard; quadratic and cubic parts use the tensor rule with
-    the operator's stencil, both from one upper-triangle pass
-    (PerturbationTables.nonlinear).
-
-    When the odd part max|g0 - g0[::-1]| / 2 is at most EVEN_RTOL of
-    max|g0|, g0 is replaced by its even part (g0 + g0[::-1]) / 2
-    (`linearized.snap_even`) and the pass runs over the half table and
-    reflects its sums; any other g0 runs over the whole table.  The run's
-    `rhs_table_entries` says which.
+    ConfigError is raised before any work unless g0 lives on the operator's
+    grid, ||omega^-1/2 g0||_inf <= EPS_MAX, and dt passes the stiffness
+    guard on the operator's `a`.  g0 should be kernel-orthogonal (no
+    perturbation of mass or energy): that is the caller's duty, and it is
+    not checked.  Q + N uses the operator's stencil.  When the odd part of
+    g0 is at most EVEN_RTOL of its sup, g0 is made exactly even
+    (`linearized.snap_even`) and Q + N runs on the half table; any other g0
+    runs on the whole table, and the run's `rhs_table_entries` says which.
     """
     grid = g0.grid
     if grid != operator.grid:

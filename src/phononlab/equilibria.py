@@ -12,10 +12,9 @@ So beta*E + gamma*M = 2pi identically.  A pair (M0, E0) of positive numbers
 is realizable iff E0/M0 < 2/pi; the inversion runs through F(l) = J/I =
 1/I - l, strictly increasing from F(0) = 0 to F(inf) = 2/pi.  Near 0,
 F ~ pi/(2 ln(2/l)), so with l >= e^-708 (a normal float64) the matchable
-ratios are [RATIO_FLOOR, 2/pi), RATIO_FLOOR = F(e^-708) ~ 2.2e-3; ratio 1e-3
-would need l ~ e^-1570.  Writing (1/beta, 1/gamma) = (r cos theta,
-r sin theta), the match is cot(theta) = F^{-1}(E0/M0), with r fixed by the
-mass.
+ratios are [RATIO_FLOOR, 2/pi), RATIO_FLOOR = F(e^-708) ~ 2.2e-3.  With
+(1/beta, 1/gamma) = (r cos theta, r sin theta), cot(theta) = F^{-1}(E0/M0)
+and the mass fixes r.
 """
 
 from __future__ import annotations
@@ -61,10 +60,9 @@ def rj_field(params: RjParams, grid: Grid) -> Field:
 
 
 def _moments(ell: float) -> tuple[float, float]:
-    """(I, J), the means over the torus of (1, omega)/(omega + ell).
-
-    1 - ell*I loses about log10(ell) digits, so above ell = 2 J comes from
-    the atan(1/s) form (which cancels near ell = 1)."""
+    """(I, J), the means over the torus of (1, omega)/(omega + ell).  1 - ell*I
+    loses about log10(ell) digits, so above ell = 2 J takes the atan(1/s)
+    form, which cancels near ell = 1."""
     if ell < 1.0:
         r = math.sqrt(1.0 - ell) * math.sqrt(1.0 + ell)
         i = _TWO_OVER_PI * (math.log1p(r) - math.log(ell)) / r
@@ -102,11 +100,9 @@ RATIO_FLOOR = curve_F(math.exp(-_U_MAX))
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of matching (M0, E0) to a Rayleigh-Jeans spectrum.
-
-    matched is False when E0/M0 >= 2/pi (including the boundary ratio,
-    which no finite (beta, gamma) attains); params is None in that case.
-    """
+    """Outcome of matching (M0, E0) to a Rayleigh-Jeans spectrum: unmatched,
+    with params None, when E0/M0 >= 2/pi, a ratio no finite (beta, gamma)
+    attains."""
     matched: bool
     params: RjParams | None
     ratio: float
@@ -140,7 +136,6 @@ def match_rj(mass0: float, energy0: float) -> MatchResult:
             hi = u
     ell = math.exp(-u)
 
-    # the mass pins the scale
     beta = TWO_PI * _moments(ell)[0] / mass0
     gamma = beta * ell
     return MatchResult(True, RjParams(beta=beta, gamma=gamma), ratio,

@@ -28,29 +28,20 @@ from .quadrature import midpoint_nodes
 N_FIT_POINTS = 25  # pointwise a(p) samples of the multiplier edge fit
 N_DISSIPATION_SAMPLES = 100  # random trigonometric data of the dissipation ratio
 BLOWUP_EPS = tuple(2.0 ** (-k) for k in range(4, 10))  # eps of the L^p scaling fit
-# rows of the (x, z) grid per slab of verify_suite's grid checks, run on
-# `pool_workers()` threads (below): the one place two threads overlap
-# (256,000 B per temporary at grid_side = 2000: under the mmap threshold
-# `collision` pins; they set the peak RSS of a process that runs the suite
-# after lp_blowup_norm)
+# rows of the (x, z) grid per slab of verify_suite's grid checks, the one
+# place two threads overlap: 256,000 B per temporary at grid_side = 2000,
+# under the pinned mmap threshold, and the blowup benchmark's peak
 _SLAB_ROWS = 16
 
 
-# ---------------------------------------------------------------------------
-# multiplier scaling
-
 def multiplier_experiment(beta: float, gamma: float, grid_n: int,
                           fit_lo: float, fit_hi: float, cache_dir=None) -> dict:
-    """Multiplier profile on the grid plus an edge power-law fit.
-
-    The profile is `a` of the linear operator cache of this key in
-    cache_dir (`lin.cached_operator`; bit for bit that of
-    `lin.multiplier_a`) when there is one, else computed; "cache_hits"
-    says which (1 or 0).  Nothing is written to cache_dir.  The fit
-    evaluates a(p) pointwise on a log-spaced sample of the window (grid
-    nodes stop at pi/n, above the lower end of the CLI's default window)
-    and regresses log a against log sin(p/2).
-    """
+    """Multiplier profile on the grid plus an edge power-law fit.  The
+    profile is `a` of the operator cache in cache_dir when it has this key
+    (bit for bit `lin.multiplier_a`), else computed; "cache_hits" says
+    which, and nothing is written.  The fit regresses log a(p), pointwise
+    since grid nodes stop at pi/n, on log sin(p/2) at N_FIT_POINTS
+    log-spaced points of the window."""
     if not 0.0 < fit_lo < fit_hi < TWO_PI:  # before a(p) is built; NaN fails
         raise ConfigError("fit window must satisfy 0 < fit_lo < fit_hi < 2 pi, "
                           f"got [{fit_lo}, {fit_hi}]")
@@ -73,17 +64,11 @@ def multiplier_experiment(beta: float, gamma: float, grid_n: int,
     }
 
 
-# ---------------------------------------------------------------------------
-# spectrum structure
-
 def spectrum_experiment(beta: float, gamma: float, grid_n: int, seed: int,
                         cache_dir=None) -> dict:
-    """Assemble L and report its spectral structure and dissipation ratios.
-
-    The ratios <-L g, g> / int a g^2 run over N_DISSIPATION_SAMPLES random
-    trigonometric g, kernel projected out, as one block with one block-wise
-    product by L (`LinOperator.apply`).
-    """
+    """Assemble L and report its spectral structure and the dissipation
+    ratios <-L g, g> / int a g^2 over N_DISSIPATION_SAMPLES random
+    trigonometric g, kernel projected out, as one block."""
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
     op = lin.load_or_assemble(params, grid, cache_dir)
@@ -110,18 +95,11 @@ def spectrum_experiment(beta: float, gamma: float, grid_n: int, seed: int,
     }
 
 
-# ---------------------------------------------------------------------------
-# linear decay
-
 def linear_decay_experiment(beta: float, gamma: float, grid_n: int,
                             t_final: float, cache_dir=None) -> dict:
-    """Semigroup decay exponents for (mu, nu) = (1/2, 1/2) and (1/6, 1/2).
-
-    Initial data is the edge-saturating profile omega^{1/2} made
-    kernel-orthogonal with steeper-vanishing compensators; that is the data
-    class for which the weighted sup-norm rides the decay envelope instead
-    of sitting below it.
-    """
+    """Semigroup decay exponents for (mu, nu) = (1/2, 1/2) and (1/6, 1/2),
+    from `lin.decay_initial_data`, whose weighted sup-norm rides the decay
+    envelope instead of sitting below it."""
     if not 0.0 < t_final < np.inf:  # before L is built or cached
         raise ConfigError(f"t_final must be positive and finite, got {t_final}")
     params = eq.RjParams(beta, gamma)
@@ -142,22 +120,15 @@ def linear_decay_experiment(beta: float, gamma: float, grid_n: int,
     }
 
 
-# ---------------------------------------------------------------------------
-# nonlinear stability
-
 def nonlinear_experiment(beta: float, gamma: float, grid_n: int, eps: float,
                          t_final: float, dt: float, interp: str,
                          cache_dir=None) -> dict:
     """Perturbed-equilibrium run: conservation drift and relaxation exponent.
-
-    Cubic off-grid interpolation keeps the energy-conservation defect of the
-    tensor rule far below the drift budget at this resolution.
-    """
+    Cubic interpolation keeps the energy defect far below the drift budget."""
     params = eq.RjParams(beta, gamma)
     grid = Grid(grid_n)
-    # a bad amplitude or time-step schedule, or a grid too large for the
-    # whole table of the right-hand side, fails before the operator is
-    # built or cached
+    # bad settings, or a grid too large for the right-hand side's whole
+    # table, fail before the operator is built or cached
     if not 0.0 < eps <= dyn.EPS_MAX:
         raise ConfigError(f"eps must be in (0, {dyn.EPS_MAX}], got {eps}")
     cfg = dyn.EvolutionConfig(dt=dt, t_final=t_final)
@@ -178,9 +149,6 @@ def nonlinear_experiment(beta: float, gamma: float, grid_n: int, eps: float,
     }
 
 
-# ---------------------------------------------------------------------------
-# Rayleigh-Jeans matching
-
 def rj_match_experiment(mass: float, energy: float) -> dict:
     res = eq.match_rj(mass, energy)
     out = {
@@ -199,23 +167,15 @@ def rj_match_experiment(mass: float, energy: float) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# L^p unboundedness
-
 def blowup_p2_rule(eps: float, pts: coll.BlowupPoints,
                    n_zoom: int = 32768) -> tuple[np.ndarray, np.ndarray]:
-    """The p2 quadrature (nodes, weights) of `lp_blowup_norm`.
-
-    A coarse midpoint rule of 16,384 cells covers the torus.  Each bump of
-    the three-bump spectrum gets its own uniform midpoint window, whose cell
-    edges fall on the bump's edges, so the rule integrates each bump's
-    indicator to rounding: 96 cells on [p0 - eps^2, p0 + 2 eps^2) and on
-    [p1 - 2 eps^2, p1 + eps^2), and n_zoom cells on the critical window
-    [p2 - 4 eps, p2 + 4 eps), where the fold traverses the eps^2 bump.  The
-    coarse nodes inside a window are dropped.  (The coarse spacing, 3.8e-4,
-    is far wider than an eps^2 bump at small eps: left to it, a bump would
-    get no node or one carrying about a hundred times its mass.)
-    """
+    """The p2 quadrature (nodes, weights) of `lp_blowup_norm`: a midpoint
+    rule of 16,384 cells on the torus, less uniform midpoint windows whose
+    cell edges fall on the bumps' edges, so each indicator is integrated to
+    rounding (the coarse cells alone would give a small bump no node, or one
+    carrying about a hundred times its mass).  96 cells on
+    [p0 - eps^2, p0 + 2 eps^2) and on [p1 - 2 eps^2, p1 + eps^2), and n_zoom
+    on [p2 - 4 eps, p2 + 4 eps), where the fold crosses the eps^2 bump."""
     e2 = eps ** 2
     half = 4.0 * eps
     windows = [(pts.p0 - e2, pts.p0 + 2.0 * e2, 3.0 * e2, 96),
@@ -234,24 +194,10 @@ def blowup_p2_rule(eps: float, pts: coll.BlowupPoints,
 def lp_blowup_norm(eps: float, p_exp: float = 2.0,
                    pts: coll.BlowupPoints | None = None,
                    n_coarse: int = 2048, n_zoom: int = 32768) -> dict:
-    """||C[f_eps]||_{L^p} with output and integration grids refined with eps.
-
-    Output features live near the three bump locations: width eps^2 at the
-    base point and at the fold value, width eps at the third point.  Each
-    window gets a dedicated fine sample; the rest of the torus is covered
-    by a coarse rule (its contribution is lower order, but it is measured,
-    not assumed).  The p2 quadrature (`blowup_p2_rule`) likewise resolves
-    each bump with its own window.  Every output row is computed, coarse
-    ones included.  A row inside the bumps evaluates the kernel weight only
-    where p1 or p2 falls in a bump, a row outside them only where both do,
-    since every other term of its integrand is exactly zero; and it
-    computes p1 itself only on the chunks of p2 nodes where an interval
-    bound on h lets p1 reach a bump (`collision.bump_support` gives the
-    engine the bumps' intervals; see `collision.collision_at`).  So the
-    norm is bit for bit that of the full rule.  The window samples and the
-    coarse rows go to the engine in one call: each row sums its own terms,
-    so every row has the bits it has alone.
-    """
+    """||C[f_eps]||_{L^p} with output and integration grids refined with eps:
+    a fine window of rows at each bump and coarse rows on the rest of the
+    torus (lower order, but measured), all in one `collision.collision_at`
+    call on `blowup_p2_rule`, so the norm is bit for bit the full rule's."""
     pts = pts or coll.blowup_points()
     e2 = eps ** 2
     z_nodes, z_wts = blowup_p2_rule(eps, pts, n_zoom)
@@ -306,22 +252,15 @@ def lp_blowup_experiment(p_exp: float) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# identity / property verification suite
-
 def _grid_checks(x_rows: np.ndarray, side: np.ndarray) -> tuple:
     """The grid checks of verify_suite on the slab x_rows x side of the
     (x, z) grid: (max arcsin argument, max |Omega|, min F+ - 4 w0 w2).
 
-    x runs down the rows (x_rows[:, None]) and z along the columns
-    (side[None, :]), so omega(x), omega(z) and the half-angle terms of F+
-    are computed once on their own axis, and no copy of the grid is made.
-    Each element is still the same operation on the same operands as on
-    the full meshgrid, so max/min over the slabs are exactly those over the
-    grid.  The arcsin argument is the one h is built from
-    (`manifold._h_parts`), so tan and cos are taken once: tan is odd, so
-    |tan(|z - x|/4) cos((x + z)/4)| is |tan((z - x)/4) cos((x + z)/4)| bit
-    for bit, and the diagonal guard acts only on the corners left out.
+    x runs down the rows and z along the columns, so the one-variable
+    factors are taken once on their own axis, with the meshgrid's bits.  The
+    arcsin argument is `manifold._h_parts`' (tan is odd, so its absolute
+    value has the bits of |tan((z - x)/4) cos((x + z)/4)|); its diagonal
+    guard moves only the corners left out.
     """
     X, Z = x_rows[:, None], side[None, :]
     p1, arg = _h_parts(X, Z)[::2]
@@ -329,7 +268,6 @@ def _grid_checks(x_rows: np.ndarray, side: np.ndarray) -> tuple:
     corner = (np.abs(np.abs(Z - X) - TWO_PI) < 1e-12)
     worst = np.max(np.abs(arg)[~corner])
 
-    # resonance residual on the same grid, away from the four corners
     res = np.abs(omega_residual(X, p1, Z))
     away = ~((np.minimum(X, TWO_PI - X) < 1e-6) & (np.minimum(Z, TWO_PI - Z) < 1e-6))
 

@@ -1,13 +1,9 @@
 """Uniform midpoint grids on (0, 2pi) and real-valued fields sampled on them.
 
-The midpoint discretization keeps every node strictly inside the interval,
-which matters because several kernels degenerate at p = 0 (mod 2pi).
-Off-grid evaluation is periodic piecewise-linear interpolation by default;
-periodic 4-point (cubic) Lagrange interpolation is available where the
-extra two orders are worth it.
-A stencil is one index and one offset per target (`interp_weights`);
-`gather` evaluates it in Horner form from the coefficients of `horner`,
-and `lagrange_weights` gives its nodes and weights.
+Midpoint nodes stay off p = 0 (mod 2pi), where several kernels degenerate.
+Off-grid values come from periodic linear or 4-point (cubic) Lagrange
+interpolation: a stencil is one index and one offset per target
+(`interp_weights`), which `gather` evaluates in Horner form.
 """
 
 from __future__ import annotations
@@ -125,10 +121,10 @@ def horner(values: np.ndarray, order: str = "linear") -> tuple:
 
 def gather(coeffs: tuple, stencil, rows=slice(None), out=None) -> np.ndarray:
     """Values at the targets of an `interp_weights` stencil, for a block of
-    its rows, by Horner's rule on `horner` coefficients.  `out`, two rows
-    at least as long as the block, takes the values and each gathered
-    coefficient, so a loop that owns it allocates nothing (np.take copies
-    through a temporary when given `out`, except in "clip" mode)."""
+    its rows, by Horner's rule on `horner` coefficients.  `out`, two rows at
+    least as long as the block, takes the values and each gathered
+    coefficient, so its owner allocates nothing ("clip" mode, since np.take
+    copies through a temporary in the others)."""
     q, t = stencil[0][rows], stencil[1][rows]
     if out is None:
         out = np.empty((2, q.size))

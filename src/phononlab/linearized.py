@@ -6,65 +6,39 @@ with multiplier [Ag](p) = a(p) g(p),
     a(p) = (omega(p)/fb(p)) int omega1 omega2 omega3 fb1 fb2 fb3
                                  / sqrt(F+(p, p2)) dp2,
 
-and integral part K = -K1 + 2 K2 whose kernels are
-
-    K2(p, p2) = omega0 omega1 omega2 omega3 fb1 fb3 / sqrt(F+(p, p2)),
-    K1(p, p1) = 1_{F-(p,p1)>0} / sqrt(F-(p, p1))
-                * omega0 omega1 * sum over the two inverse branches of
-                  omega2 omega3 fb2 fb3.
-
-(The tests evaluate K1 and K2 pointwise, as independent oracles.)  The
-dense matrix is not assembled from these rows directly.  Row quadrature
-and column quadrature of K1 disagree at the fold points of the
-parameterization, and patching that up by averaging M and M^T pollutes the
-discrete kernel.  Instead the matrix is built from the Dirichlet form
+and an integral part K = -K1 + 2 K2, whose kernels `tests/oracles.py`
+evaluates pointwise.  L is not assembled from K's rows: row and column
+quadrature of K1 disagree at the fold points of the parameterization.  It
+is built from the Dirichlet form
 
     <-L g, g> = (1/4) int (measure) [r3 + r2 - r0 - r1]^2,   r = g / fb,
 
-discretized with the same tensor rule as the collision operator.  The
-result is symmetric (to the bit) and negative semidefinite in exact
-arithmetic, has fb in its null space to rounding (interpolation is applied
-to the ratio r, and the ratio of the equilibrium is constant), and
-annihilates omega*fb to interpolation accuracy.
+with the collision operator's tensor rule, element by element (Cuvelier,
+Japhet & Scarella, BIT 2016): pair r = (i, j) has a stencil s_r, +w3 at
+the p3 interpolation nodes, +1 at j, -1 at i and -w1 at the p1 nodes, and
+Q = sum_r measure_r s_r s_r^T, each packed pair counting for both orders.
+L is symmetric to the bit and negative semidefinite, has fb in its null
+space to rounding (r is constant at equilibrium), and annihilates
+omega*fb to interpolation accuracy.
 
-The quadratic form is assembled element by element, as finite-element
-matrices are in vector languages (Cuvelier, Japhet & Scarella, BIT 2016).
-Pair r = (i, j) of the tensor rule has a short stencil s_r on the nodes,
-+w3 at the p3 interpolation nodes, +1 at j, -1 at i and -w1 at the p1
-interpolation nodes (6 entries for linear interpolation, 10 for cubic), and
-Q = sum_r measure_r s_r s_r^T.  The measure is symmetric under the exchange
-of the p0 and p2 nodes and s_(j,i) = -s_(i,j), so each pair of the packed
-resonance table counts twice and the sum runs over j > i only.  Small
-sub-blocks of the streamed table add the upper-triangle products of their
-stencils with np.add.at straight into the accumulators of the two blocks
-below, entry by entry in table order, so the bits of L do not depend on
-the sub-block size, and neither an (n^2 x n) matrix, nor a whole table,
-nor an n^2 array is formed: the memory is the accumulators and the
-blocks, n^2 / 2 doubles each, plus one table block and one sub-block's
-temporaries.
-
-Parity.  The reflection p -> 2pi - p maps node k of the midpoint grid onto
-node n - 1 - k, and it keeps every Rayleigh-Jeans equilibrium and the
-resonance conditions, so L commutes with the reversal R.  The stream is
-the half of the table that R maps onto the other half: the pairs
-i + j < n - 1, and the self-mirror pairs i + j = n - 1 at half weight
-(the half table of `collision`, streamed by `_packed_blocks`).  It sums
-L_h, and L = L_h + R L_h R.  For n = 2m, let A and B be the top m rows of
-L, split into the first and the last m columns, and J the reversal of m
-entries.  A symmetric matrix that commutes with R is, in the basis of the
-even vectors [x; Jx] and the odd vectors [x; -Jx], the sum of the even
+Parity.  The reflection R: p -> 2pi - p keeps every Rayleigh-Jeans
+equilibrium and the resonance conditions, so L commutes with R.  For
+n = 2m, let A and B be the top m rows of L, split into the first and last
+m columns, and J the reversal of m entries.  In the basis of the even
+vectors [x; Jx] and the odd vectors [x; -Jx], L is the sum of the even
 block E = A + BJ and the odd block O = A - BJ (Cantoni & Butler, Linear
 Algebra Appl. 13 (1976) 275-288).  Only E, O, E's eigenpairs and O's
-eigenvalues are held, never the n x n eigenproblem; O's eigenvectors are
-formed only when data with an odd part asks for them (no subcommand's data
-has one).  Every L g of a subcommand is
-`LinOperator.apply`, block by block (the tests form the dense L as
-`apply` on the identity).  E[p, q] and O[p, q] sum the four L_h[r, c]
-with r in {p, n-1-p} and c in {q, n-1-q}, O with a minus sign where r and
-c lie on opposite sides of n/2.  fb is even, so the assembly scatters into
-two m x m accumulators at the folded nodes min(k, n-1-k), S (same side)
-and X (opposite sides), and E, O = c ((S + S^T) +- (X + X^T)) / (fb fb^T):
-symmetric matrices scaled by a symmetric outer product: symmetric to the bit.
+eigenvalues are held; O's eigenvectors are formed only for data with an
+odd part, which no subcommand has.  Every L g of a run is
+`LinOperator.apply`, block by block.  The assembly sums L_h over the
+streamed half table (`ResonanceTable`), and L = L_h + R L_h R.  E[p, q]
+and O[p, q] sum the four L_h[r, c] with r in {p, n-1-p} and c in
+{q, n-1-q}, O with a minus sign where r and c lie on opposite sides of
+n/2.  So the stencil products are scattered by np.add.at, in table order,
+into two m x m accumulators at the folded nodes min(k, n-1-k), S (same
+side) and X (opposite sides), and E, O = c ((S + S^T) +- (X + X^T)) /
+(fb fb^T), symmetric to the bit.  No (n^2 x n) matrix, whole table or n^2
+array is formed.
 """
 
 from __future__ import annotations
@@ -89,52 +63,39 @@ from .quadrature import graded_midpoint_nodes
 T_BRACKET = 10.0  # time bracket in <t> = 10 + |t|
 SPECTRAL_FLOOR = 1e-8  # least half-width of the near-null eigenvalue band
 DECAY_NU = 0.5  # edge exponent nu of decay_initial_data: g0 ~ omega^nu
-# stencil-pair values per sub-block of the weak-form assembly, and values per
-# row chunk of the two blocks formed from it: 512 KiB per float64 temporary
-# (2,048 table entries with linear interpolation), under the mmap threshold
-# that `collision` pins, so the heap reuses its pages
+# stencil-pair values per sub-block of the assembly, and values per row chunk
+# of the blocks: 512 KiB per float64 temporary, under the pinned mmap threshold
 _BLOCK_VALUES = 1 << 16
 # largest odd part max|g - g[::-1]| / 2, relative to max|g|, that `snap_even`
 # treats as rounding of even data
 EVEN_RTOL = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# multiplier
-
 def _frequency_sums(tab, fb: np.ndarray, fb1: np.ndarray, fb3: np.ndarray) -> np.ndarray:
-    """a fb / weight from the entries of one table block, given fb at its P1
-    and P3: W fb1 fb3 times fb2, for both orders of each pair (the exchange
-    swaps fb1 and fb3, and fb2 becomes the other node's).  The geometry does
-    not depend on the interpolation order."""
+    """a fb / weight from one table block, given fb at its P1 and P3:
+    W fb1 fb3 times fb2, for both orders of each pair.  It reads no
+    stencil, so it does not depend on the interpolation order."""
     m = tab.W * fb1 * fb3
     return np.bincount(tab.i, m * fb[tab.j], minlength=fb.size) \
         + np.bincount(tab.j, m * fb[tab.i], minlength=fb.size)
 
 
 def multiplier_a(params: RjParams, grid: Grid) -> Field:
-    """Collision frequency a(p) on the grid, by the nodal tensor rule.
-
-    Uses the same nodes as the matrix assembly so that the diagonal and
-    integral parts of L see identical quadrature (`assemble` takes a from
-    the same blocks in its own pass, with the same bits).  Reads the streamed
-    half-table blocks of `_packed_blocks`, so no whole table is built or
-    cached, and adds the reflection of their sum: a = a_h + R a_h.
-    """
+    """Collision frequency a(p) on the grid from the streamed half table,
+    a = a_h + R a_h: bit for bit the `a` that `assemble` takes from its
+    own pass, so the diagonal and integral parts of L see one quadrature."""
     fb = params.value(grid.nodes)
     a = np.zeros(grid.n)
     for tab in _packed_blocks(grid, "linear"):
         a += _frequency_sums(tab, fb, params.value(tab.P1), params.value(tab.P3))
-        del tab  # before the next block is built: the blocks alive set the peak
+        del tab  # before the next block is built
     return Field(grid, grid.weight * (a + a[::-1]) / fb)
 
 
 def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
-    """Pointwise a(p) with panels graded into the kernel peak near 2pi - p.
-
-    Resolves the edge asymptotics down to p ~ 1e-8; used by the multiplier
-    scaling experiment, which needs base points far below any grid spacing.
-    """
+    """Pointwise a(p) with panels graded into the kernel peak near 2pi - p:
+    it resolves the edge asymptotics, far below any grid spacing, down to
+    p ~ 1e-8."""
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     out = np.empty_like(p_arr)
     for k, x in enumerate(p_arr):
@@ -147,9 +108,6 @@ def multiplier_at(params: RjParams, p, n_panels: int = 2048) -> np.ndarray:
         out[k] = float(np.sum(wts * integ)) / params.value(x)
     return out if np.ndim(p) else float(out[0])
 
-
-# ---------------------------------------------------------------------------
-# weak-form assembly
 
 def _halves(g: np.ndarray) -> tuple:
     """(u, w), the even and odd parts of a vector (or of the columns of an
@@ -183,8 +141,7 @@ def _apply(blocks, g: np.ndarray) -> np.ndarray:
 @dataclass
 class LinOperator:
     """L as its even and odd blocks E and O (module doc), with E's
-    eigenpairs and O's eigenvalues.  O's eigenvectors are formed on first
-    use (`odd_eigh`): only data with an odd part reads them."""
+    eigenpairs and O's eigenvalues."""
     grid: Grid
     params: RjParams
     a: Field
@@ -207,16 +164,15 @@ class LinOperator:
 
     @cached_property
     def odd_eigh(self) -> tuple:
-        """(eigenvalues, eigenvectors) of O from one `eigh` of the held O,
-        formed on first use and kept, so a cold operator and a cached one
-        agree bit for bit.  Its eigenvalues, not `odd_eigenvalues` (which
-        may differ at rounding), go with its vectors."""
+        """(eigenvalues, eigenvectors) of O from one `eigh` of the held O on
+        first use, so a cold and a cached operator agree bit for bit; these
+        eigenvalues, not `odd_eigenvalues`, go with the vectors."""
         return np.linalg.eigh(self.blocks[1])
 
     @property
     def matrix(self) -> np.ndarray:
-        """L itself, as `apply` on the identity: a new n x n array per read.
-        No run reads it; it stays because `perfbench/spans.py` reads its size."""
+        """L as `apply` on the identity, a new n x n array per read: no run
+        reads it, but `perfbench/spans.py` reads its size."""
         return self.apply(np.eye(self.grid.n))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
@@ -242,10 +198,8 @@ class LinOperator:
 
 def _add_block(acc: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.ndarray:
     """Add the stencil products of one table block into acc, S then X flat
-    (module doc), entry by entry in table order, and return the block's
-    frequency sums (`_frequency_sums`).  fb at P1 and P3 is evaluated once
-    for both.  Sub-blocks hold _BLOCK_VALUES stencil-pair values, and each
-    derives the nodes and weights of its stencils (`grid.lagrange_weights`)."""
+    (module doc), in table order, and return its `_frequency_sums`.
+    Sub-blocks hold _BLOCK_VALUES stencil-pair values."""
     n = fb.size
     m = n // 2
     mm = m * m
@@ -253,16 +207,14 @@ def _add_block(acc: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.nda
     sums = _frequency_sums(tab, fb, fb1, fb3)
     measure = tab.W * fb[tab.i] * fb1 * fb[tab.j] * fb3
     del fb1, fb3  # before the sub-blocks, whose temporaries set the peak
-    # the row and column codes of node k: fold k = min(k, n - 1 - k), plus mm
-    # on the far side of n/2, so the pair (r, c) lands at (fold r) m +
-    # fold c + mm (far r + far c) mod 2 mm: in S on one side, in X across
+    # the row and column codes of node k: fold k plus mm on the far side of
+    # n/2, so (r, c) lands at (fold r) m + fold c + mm (far r + far c) mod 2 mm
     k = np.arange(n)
     fold, far = np.minimum(k, n - 1 - k), (k >= m) * mm
     row, col = fold * m + far, fold + far
     ta, tb = np.triu_indices(2 * _stencil_shape(tab.interp)[0] + 2)
     half = np.where(ta == tb, 0.5, 1.0)
-    # entries per sub-block: the largest power of two whose pair values fit
-    # in _BLOCK_VALUES (so it divides a power-of-two table block)
+    # a power of two, so it divides a table block
     step = 1 << (max(1, _BLOCK_VALUES // ta.size).bit_length() - 1)
     for b0 in range(0, tab.W.size, step):
         s = slice(b0, b0 + step)
@@ -280,18 +232,11 @@ def _add_block(acc: np.ndarray, tab, params: RjParams, fb: np.ndarray) -> np.nda
 
 
 def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
-    """(E, O, a): L from its Dirichlet form as its even and odd blocks,
-    assembled stencil by stencil from half of the table (module doc), and
-    the collision frequency a from the same tables, bit for bit that of
-    `multiplier_a`.
-
-    Each streamed half-table block of `_packed_blocks` (no whole table is
-    built or cached) adds measure_r c_a c_b, for every pair a <= b of
-    stencil entries with diagonal pairs halved, into S or X (`_add_block`)
-    in table order, so each of their entries is summed in the same order
-    whatever the block sizes.  E and O are then formed a chunk of rows at a
-    time.
-    """
+    """(E, O, a): the even and odd blocks of L (module doc), and `a` from the
+    same table blocks, bit for bit `multiplier_a`'s.  Each block adds
+    measure_r c_a c_b, for every pair a <= b of stencil entries, diagonal
+    pairs halved, into S or X in table order, so the bits do not depend on
+    the block sizes; E and O are then formed a chunk of rows at a time."""
     n = grid.n
     m = n // 2
     fb = params.value(grid.nodes)
@@ -299,7 +244,7 @@ def _weak_form_matrix(params: RjParams, grid: Grid, interp: str):
     acc = np.zeros(2 * m * m)
     for tab in _packed_blocks(grid, interp):
         a += _add_block(acc, tab, params, fb)
-        del tab  # before the next block is built: the blocks alive set the peak
+        del tab  # before the next block is built
     S, X = acc.reshape(2, m, m)
     inv_fb = 1.0 / fb[:m]
     scale = -(grid.weight / 2.0)  # L = -(weight / 4) Q / (fb fb^T)
@@ -333,13 +278,8 @@ def _check_parity(even: np.ndarray, odd: np.ndarray, spectral_tol: float) -> Non
 
 def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperator:
     """Assemble L as its even and odd blocks, eigendecompose E, take O's
-    eigenvalues alone, and verify its spectral structure.
-
-    Raises ConfigError for gamma <= 0, n < 64 or an odd n (the blocks need
-    n even), and SpectralError (`_check_parity`) unless the even block holds
-    both conservation modes, exactly two eigenvalues within the spectral
-    tolerance and none above it, and the odd block lies strictly below it.
-    """
+    eigenvalues alone, and check the spectrum (`_check_parity`).  Raises
+    ConfigError for gamma <= 0, n < 64 or an odd n."""
     if params.gamma <= 0.0:
         raise ConfigError("the linearized analysis requires gamma > 0")
     if grid.n < 64:
@@ -368,9 +308,6 @@ def assemble(params: RjParams, grid: Grid, interp: str = "linear") -> LinOperato
                        interp=interp)
 
 
-# ---------------------------------------------------------------------------
-# semigroup, projections, decay measurement
-
 def _evolve(eigh: tuple, h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """V (exp(lambda t^T) * V^T h): one block's half h at every time t, one
     column per time, through the block's eigenpairs (lambda, V)."""
@@ -380,11 +317,10 @@ def _evolve(eigh: tuple, h: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def semigroup_apply(op: LinOperator, g0: Field, times) -> np.ndarray:
     """e^{tL} g0 for every t in `times`, exact in time: one row per time.
-    g0's even and odd parts each run through their block's
-    eigendecomposition (`_evolve`), in one product per block; a part that
-    is exactly zero is skipped, so even data never forms O's eigenvectors.
-    A row at t = 0 is g0 bit for bit.  Raises ValueError on a negative or
-    non-finite time."""
+    g0's even and odd parts each run through their block's eigenpairs; a
+    part that is exactly zero is skipped, so even data never forms O's
+    eigenvectors.  A row at t = 0 is g0 bit for bit.  Raises ValueError on
+    a negative or non-finite time."""
     t = np.asarray(times, dtype=float)
     bad = t[~((0.0 <= t) & (t < np.inf))]  # NaN included
     if bad.size:
@@ -406,13 +342,9 @@ def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def decay_initial_data(params: RjParams, grid: Grid) -> Field:
-    """Kernel-orthogonal data with the sharp omega^nu edge profile,
-    nu = DECAY_NU.
-
-    Orthogonality to {fb, omega*fb} is arranged with compensators one power
-    of omega steeper, so the edge vanishing rate omega^nu survives; plain
-    projection would add a multiple of fb and destroy it.
-    """
+    """Kernel-orthogonal data with the edge profile omega^DECAY_NU: the
+    compensators are one power of omega steeper, so the profile survives,
+    where a plain projection would add a multiple of fb."""
     nu = DECAY_NU
     p = grid.nodes
     om = grid.omega
@@ -456,15 +388,7 @@ def bulk_edge_functionals(g: Field, t: float, alpha: float):
     return m, n_edge, q
 
 
-# ---------------------------------------------------------------------------
-# binary cache
-
-# 01: sparse assembly, no checksum; 02: full table; 03: per-sub-block bincount,
-# whose L differs at rounding from the table-order np.add.at of 04
-# 05: W from the triple-product identity; L differs at rounding from 04
-# 06: the even and odd blocks from half of the table; L differs at rounding
-# 07: the blocks scattered straight from the folded nodes; E, O differ at rounding
-# 08: O's eigenvectors dropped, its eigenvalues by eigvalsh (they differ at rounding)
+# the cache format's tag: a file with any other is a miss
 _MAGIC = b"PHLNOP08"
 # magic tag, key (n, interp, beta, gamma), 4 diagnostics, crc32 of the payload
 _HEADER_BYTES = 8 + 32 + 40
@@ -472,10 +396,8 @@ _HEADER_BYTES = 8 + 32 + 40
 
 def save_operator(op: LinOperator, path) -> None:
     """Binary cache: key header plus little-endian float64 payload (a, E, O,
-    E's eigenpairs and O's eigenvalues; not O's eigenvectors, which a loaded
-    operator forms from O on first use).  It is written to a temporary file
-    beside `path` and renamed into place, so `path` never holds a partly
-    written file."""
+    E's eigenpairs and O's eigenvalues), written to a temporary file beside
+    `path` and renamed into place, so `path` never holds a partial file."""
     payload = [np.ascontiguousarray(arr, dtype="<f8")
                for arr in (op.a.values, *op.blocks, *op.even_eigh, op.odd_eigenvalues)]
     crc = 0

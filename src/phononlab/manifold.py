@@ -11,19 +11,12 @@ p1 = h(x, z) with
 
     h(x, z) = (z - x)/2 + 2 arcsin( tan(|z - x|/4) cos((z + x)/4) )
 
-taken mod 2pi, and p3 = hbar(x, z) = x - z + h(x, z) mod 2pi.
-
-Integrating out the delta constraints produces Jacobian radicands
-
-    F+(x, z) = [cos(x/2) + cos(z/2)]^2 + 4 sin(x/2) sin(z/2)   (z-variable)
-    F-(x, y) = [cos(x/2) + cos(y/2)]^2 - 4 sin(x/2) sin(y/2)   (y-variable)
-
-F+ is nonnegative and bounded below by 4 omega(x) omega(z); F-(x, .) is
-negative exactly on an interval (y', y'') straddling 2pi - x, and the map
-z -> h(x, z) covers the positivity set {F-(x, .) > 0} twice.
-
-All functions here are pure, vectorized over numpy arrays, and use double
-precision; tolerances below are calibrated to that.
+taken mod 2pi, and p3 = hbar(x, z) = x - z + h(x, z) mod 2pi.  Integrating
+out the delta constraints gives the Jacobian radicands F+ (`f_plus`, in the
+p2 variable), bounded below by 4 omega(x) omega(z), and F- (`f_minus`, in
+the p1 variable), negative exactly on an interval (y', y'') straddling
+2pi - x; z -> h(x, z) covers {F-(x, .) > 0} twice.  The functions are pure
+and vectorized, with tolerances set for float64.
 """
 
 from __future__ import annotations
@@ -36,26 +29,20 @@ from .errors import ConvergenceError, DomainError
 
 TWO_PI = 2.0 * np.pi
 
-# Floating-point arcsin arguments may exceed 1 by rounding noise at the
-# boundary of the admissible set; beyond this slack the input is rejected.
+# the slack by which a rounded arcsin argument may exceed 1 before it is refused
 ARCSIN_CLAMP_TOL = 1e-9
 
-# Inputs closer than this to the singular diagonal |z - x| = 2pi are nudged
-# inward; the diagonal itself is a measure-zero corner of the domain.
+# inputs closer than this to the singular diagonal |z - x| = 2pi are nudged in
 DIAGONAL_GUARD = 1e-9
 
 _ROOT_INTERVAL_TOL = 1e-13
 
 
 def canonicalize(p):
-    """Canonical representative of an angle in [0, 2pi).
-
-    Float64 angles in [-2pi, 4pi), where h and p3 always fall, are shifted
-    by at most one period without np.mod.
-    Inside that range fmod is exact and so is a - 2pi (Sterbenz), so the
-    bits are np.mod's, signed zeros included: a + 0.0 maps -0.0 to +0.0 as
-    np.mod does.  Every other input, NaN included, goes through np.mod.
-    """
+    """Canonical representative of an angle in [0, 2pi), with np.mod's bits:
+    float64 angles in [-2pi, 4pi), where h and p3 fall, are shifted by at
+    most one period, exact there (Sterbenz), and -0.0 maps to +0.0 as np.mod
+    does; other input, NaN included, goes through np.mod."""
     a = np.asarray(p)
     if a.dtype == np.float64 and a.size and -TWO_PI <= a.min() and a.max() < 2.0 * TWO_PI:
         q = a + ((a < 0.0) * TWO_PI - (a >= TWO_PI) * TWO_PI)
@@ -95,9 +82,8 @@ def _h_parts(x, z):
     z = np.asarray(z, dtype=float)
     d = z - x
     ad = np.abs(d)
-    # keep tan((z-x)/4) finite: nudge off the singular diagonal |z-x| = 2pi;
-    # the nudge acts only within DIAGONAL_GUARD of 2pi, so no mask is built
-    # when max|z-x| < 6 (a NaN hides the max and keeps the mask)
+    # keep tan((z-x)/4) finite off the diagonal |z-x| = 2pi; no mask is
+    # built when max|z-x| < 6 (a NaN hides the max and keeps the mask)
     if not np.max(ad, initial=0.0) < 6.0:
         near = np.abs(ad - TWO_PI) < DIAGONAL_GUARD
         if np.any(near):
@@ -109,16 +95,12 @@ def _h_parts(x, z):
     return canonicalize(val if val.ndim else float(val)), t, a
 
 
-# h_range widens its bound by this much on each side.  Its endpoint values
-# are computed by the same operations as h, and the rounding of z - x,
-# z + x and the final sum is monotone, so what the margin must cover is
-# that tan, cos, their product and arcsin are not exactly monotone in
-# floating point: each is within a few ulps of its exact value, so the
-# arcsin argument t c is within a few ulps of 1 (2^-52 each) of a monotone
-# one.  An argument error of k such ulps moves arcsin by at most
-# sqrt(2 k 2^-52), about 2.1e-8 sqrt(k) (the worst case, at +-1), and the sum
-# by twice that: 1e-6 covers k up to about 560.  canonicalize then adds at
-# most one rounding of 2pi (4.4e-16).
+# h_range widens its bound by this much on each side.  The rounding of
+# z - x, z + x and the sum is monotone, but tan, cos, their product and
+# arcsin are not: the arcsin argument is within a few ulps of 1 (2^-52 each)
+# of a monotone one, and k such ulps move arcsin by at most sqrt(2 k 2^-52),
+# about 2.1e-8 sqrt(k) (at +-1), and h by twice that: 1e-6 covers k up to
+# about 560.  canonicalize then adds at most 4.4e-16, one rounding of 2pi.
 H_RANGE_MARGIN = 1e-6
 # h_range leaves its bound open where |z - x| can come this close to the
 # tan pole 2pi, where the diagonal guard of `_h_parts` moves z - x
@@ -126,18 +108,14 @@ H_RANGE_POLE = 1e-6
 
 
 def h_range(x, z_lo, z_hi):
-    """(lo, hi) bounding, for every z in [z_lo, z_hi], the value that
-    h(x, z) reduces mod 2pi (the sum (z - x)/2 + 2 arcsin(t c) of
-    `_h_parts`, with t = tan(|z - x|/4), c = cos((z + x)/4)); inputs
-    broadcast.
+    """(lo, hi) bounding, for every z in [z_lo, z_hi], the sum
+    (z - x)/2 + 2 arcsin(t c) that h(x, z) reduces mod 2pi, t = tan(|z - x|/4)
+    and c = cos((z + x)/4); inputs broadcast.
 
-    On [0, 2pi]^2 tan(|z - x|/4) increases with |z - x|, whose lower end is
-    0 when x lies in [z_lo, z_hi]; cos((z + x)/4) decreases in z; and arcsin
-    increases.  So t c lies between the least and the greatest product of
-    the end values of t and c, and each term of the sum between its end
-    values; where (z + x)/4 can leave [0, pi], c is bounded by [-1, 1]
-    only.  The bound is widened by H_RANGE_MARGIN, and is (-inf, inf) where
-    |z - x| can come within H_RANGE_POLE of 2pi.
+    On [0, 2pi]^2, t increases with |z - x|, c decreases in z and arcsin
+    increases, so t c lies between the extreme products of the end values
+    of t and c (c in [-1, 1] where (z + x)/4 can leave [0, pi]).  The bound
+    is widened by H_RANGE_MARGIN, and open near the pole (H_RANGE_POLE).
     """
     x = np.asarray(x, dtype=float)
     d_lo, d_hi = z_lo - x, z_hi - x
@@ -181,25 +159,10 @@ def f_plus(x, z):
 
 
 def resonant_kernel(x, z):
-    """(p1, p3, W) on the nontrivial branch for base points x and p2 = z.
-
-    p1 = h(x, z), p3 = x + p1 - z (mod 2pi) and the weight
-    W = omega0 omega1 omega2 omega3 / sqrt(F+(x, z)); inputs broadcast.
-
-    By the triple-product identity |sin(p3/2) sin(p1/2)| =
-    tan^2(|z - x|/4) sin(z/2) sin(x/2), the omega product on [0, 2pi]^2 is
-    (sin(x/2) sin(z/2) tan(|z - x|/4))^2, with the tangent h is built from
-    (`_weight`); F+ reuses the half-angle sines, in the operation order of
-    `f_plus`.  So no sine of p1 or p3 is taken: a weight costs the
-    half-angle sines and cosines of x and z (`half_angles`), each computed
-    once along its own axis of a broadcast.  `collision.collision_at` calls
-    `_weight` too, with the half angles of its rows and p2 nodes taken once
-    per call and gathered onto its live terms.
-    This form is also the accurate one: within 1e-3 of 0 or 2pi, p1 and p3
-    carry an absolute error of 2pi's last bit, which their sines would turn
-    into a relative error of W up to 4e-8.  F+ is floored at 1e-300 so the
-    measure-zero corners where it vanishes give a finite weight.
-    """
+    """(p1, p3, W) on the nontrivial branch for base points x and p2 = z:
+    p1 = h(x, z), p3 = x + p1 - z (mod 2pi) and the weight `_weight`, from
+    the half angles of x and z, each taken once along its own axis of the
+    broadcast."""
     p1, t = _h_parts(x, z)[:2]
     p1 = np.asarray(p1)
     return p1, canonicalize(x + p1 - z), _weight(*half_angles(x), *half_angles(z), t)
@@ -215,8 +178,16 @@ def half_angles(p):
 
 def _weight(sx, cx, sz, cz, t):
     """W = omega0 omega1 omega2 omega3 / sqrt(F+(x, z)) from the half angles
-    (sx, cx) of x and (sz, cz) of z (`half_angles`) and t = tan(|z - x|/4)
-    (see `resonant_kernel`); inputs broadcast."""
+    (sx, cx) of x and (sz, cz) of z (`half_angles`) and t = tan(|z - x|/4),
+    the tangent h is built from; inputs broadcast.
+
+    By the triple-product identity |sin(p3/2) sin(p1/2)| =
+    tan^2(|z - x|/4) sin(z/2) sin(x/2), the omega product on [0, 2pi]^2 is
+    (sx sz t)^2, and F+ reuses the half-angle sines in `f_plus`'s order: no
+    sine of p1 or p3 is taken.  Within 1e-3 of 0 or 2pi, p1 and p3 carry an
+    absolute error of 2pi's last bit, which their sines would turn into a
+    relative error of W up to 4e-8.  F+ is floored at 1e-300, so the
+    measure-zero corners where it vanishes give a finite weight."""
     fp = (cx + cz) ** 2 + 4.0 * sx * sz
     return (sx * sz * t) ** 2 / np.sqrt(np.maximum(fp, 1e-300))
 
@@ -238,12 +209,11 @@ class FminusZeros:
 def f_minus_zeros(x) -> FminusZeros:
     """Locate both zeros of F-(x, .) by bracketed bisection plus one Newton polish.
 
-    The sign pattern F-(x, 0) > 0 > F-(x, 2pi - x) < 0 < F-(x, 2pi)
-    guarantees one zero in each of [0, 2pi - x] and [2pi - x, 2pi].  x may
-    be an array of base points: every interval halves at once, each until
-    it is _ROOT_INTERVAL_TOL wide, so each zero has the bits of its own
-    scalar call; a scalar x gets floats back.  The first point at which F-
-    degenerates is named in a ConvergenceError.
+    The sign pattern F-(x, 0) > 0 > F-(x, 2pi - x) < 0 < F-(x, 2pi) puts one
+    zero in each of [0, 2pi - x] and [2pi - x, 2pi].  For an array x every
+    interval halves at once until it is _ROOT_INTERVAL_TOL wide, so each
+    zero has the bits of its scalar call; a scalar x gets floats back.  The
+    first point at which F- degenerates is named in a ConvergenceError.
     """
     x = np.asarray(x, dtype=float)
     ok = (0.0 < x) & (x < TWO_PI)
@@ -256,11 +226,9 @@ def f_minus_zeros(x) -> FminusZeros:
         k = np.argmin(fmid < 0.0)
         raise ConvergenceError(f"F-({x.flat[k]}, 2pi - {x.flat[k]}) = {fmid.flat[k]}; "
                                "x is too close to a domain endpoint")
-    # endpoint signs are analytic: F-(x, 0) = (1 + cos(x/2))^2 > 0 and
-    # F-(x, 2pi) = (1 - cos(x/2))^2 > 0.  Evaluating at the endpoints instead
-    # would lose the sign to cancellation once the zero is within an ulp of
-    # the boundary (x -> 0 pushes y'' against 2pi).  Row 0 brackets y', where
-    # F- falls through zero, and row 1 y'', where it rises.
+    # endpoint signs are analytic, F-(x, 0) = (1 + cos(x/2))^2 > 0 and
+    # F-(x, 2pi) = (1 - cos(x/2))^2 > 0: evaluated, they would cancel once
+    # x -> 0 pushes y'' within an ulp of 2pi.  Row 0 brackets y', row 1 y''.
     a = np.stack([np.zeros_like(x), mid])
     b = np.stack([mid, np.full_like(x, TWO_PI)])
     rising = np.array([False, True]).reshape((2,) + (1,) * x.ndim)
@@ -272,7 +240,6 @@ def f_minus_zeros(x) -> FminusZeros:
         b = np.where(wide & ~same, m, b)
         wide = b - a > _ROOT_INTERVAL_TOL
     y = 0.5 * (a + b)
-    # one Newton polish; derivative by analytic formula
     d = -np.sin(y / 2.0) * (np.cos(x / 2.0) + np.cos(y / 2.0)) \
         - 2.0 * np.sin(x / 2.0) * np.cos(y / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -288,10 +255,8 @@ def omega_residual(p0, p1, p2):
 
 
 def triple_product_identity(x, z):
-    """Both sides of |sin(hbar/2) sin(h/2)| = tan^2((z-x)/4) sin(z/2) sin(x/2).
-
-    Returns (lhs, rhs); they agree on [0, 2pi]^2.
-    """
+    """(lhs, rhs) of |sin(hbar/2) sin(h/2)| = tan^2((z-x)/4) sin(z/2) sin(x/2),
+    which agree on [0, 2pi]^2."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     lhs = np.abs(np.sin(np.asarray(h_bar(x, z)) / 2.0) * np.sin(np.asarray(h(x, z)) / 2.0))

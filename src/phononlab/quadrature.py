@@ -1,12 +1,9 @@
 """Composite quadrature nodes for the production rules.
 
-The base rule is the composite midpoint rule: its nodes avoid the interval
-endpoints, where several kernels of this problem degenerate, and it is
-second order on smooth integrands.  Sharp but integrable peaks (the F+
-kernel near the corner of the torus) are handled by geometric panel
-grading toward the peak location, with Gauss-Legendre nodes on each graded
-panel.  `linearized.multiplier_at` and `experiments.blowup_p2_rule` build
-their p2 rules from these nodes.
+The composite midpoint rule avoids the interval endpoints, where several
+kernels degenerate; sharp integrable peaks get geometrically graded panels
+with Gauss-Legendre nodes.  `linearized.multiplier_at` and
+`experiments.blowup_p2_rule` build their p2 rules from these nodes.
 """
 
 from __future__ import annotations
@@ -44,14 +41,11 @@ def graded_midpoint_nodes(lo: float, hi: float, n_panels: int,
     Each point in refine_at gets its own base panel and
     max(zone_panels // 2, 1) base panels on each side of it (3 panels for
     zone_panels 1, 2 or 3, 5 for 4; fewer at an end of [lo, hi] or against
-    an earlier point's zone) replaced by geometrically shrinking panels
-    (ratio 2) down to min_scale, with local_order Gauss-Legendre nodes per
-    graded panel (the integrand's structure tracks the panel scale there,
-    so fixed-order Gauss nodes per octave converge where equally many
-    midpoint nodes stall).  Used for
-    integrands with sharp integrable peaks at known locations (e.g.
-    1/sqrt(F+) near the torus corner).  Points may coincide with lo or hi
-    for one-sided grading; overlapping zones are resolved first-come.
+    an earlier point's zone) replaced by panels halving down to min_scale,
+    with local_order Gauss-Legendre nodes each: the integrand's structure
+    tracks the panel scale there, so fixed-order nodes per octave converge
+    where midpoint nodes stall.  A point may sit at lo or hi for one-sided
+    grading; overlapping zones go to the first point.
     """
     base_w = (hi - lo) / n_panels
     nodes, wts = midpoint_nodes(lo, hi, n_panels)
@@ -80,7 +74,6 @@ def graded_midpoint_nodes(lo: float, hi: float, n_panels: int,
             span = b - a
             if span <= 0.0:
                 continue
-            # geometric distances from the refine point, halving down to min_scale
             dists = [span]
             while dists[-1] > min_scale:
                 dists.append(dists[-1] * 0.5)

@@ -2,8 +2,9 @@ import os
 
 import pytest
 
-THREAD_VARS = ("PHONON_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+from phononlab.cli import _THREAD_ENV_VARS
+
+THREAD_VARS = ("PHONON_THREADS",) + _THREAD_ENV_VARS
 
 
 @pytest.fixture(autouse=True)

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phononlab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, SUBCOMMANDS,
+from phononlab.cli import (_THREAD_ENV_VARS, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, SUBCOMMANDS,
                            build_parser, main, read_config_file, resolve_config)
 
 RUN_WIDE = ("seed", "output_dir", "threads")  # the settings every subcommand takes
 RJ_ARGS = ["rj-match", "--mass", "3.0", "--energy", "1.0"]
+THREAD_VARS = ("PHONON_THREADS",) + _THREAD_ENV_VARS  # what a thread cap writes
 
 
 def reject_constant(name):
@@ -24,9 +25,7 @@ def run_cli(args):
 
 def subprocess_env(**extra):
     """This environment without thread caps, with src/ importable, plus extra."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PHONON_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return {**env, **extra}
@@ -577,9 +576,7 @@ class TestRuns:
             "for line in open('/proc/self/status'):\n"
             "    if line.startswith('Threads:'):\n"
             "        print(code, line.split()[1])\n")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("PHONON_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS")}
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         args = ["--output-dir", str(tmp_path), "rj-match", "--mass", "3.0", "--energy", "1.0"]
