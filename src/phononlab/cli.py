@@ -16,7 +16,8 @@ error (an OSError; an output directory that cannot be made leaves no
 manifest).
 
 The thread cap must act before numpy is imported (`_apply_thread_cap`),
-so the heavy modules are imported lazily inside run().
+so the heavy modules, `experiments` and numpy, are imported only where a
+run needs them (`_run_subcommand`, `_environment`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .errors import ConfigError, NonFiniteError, PhononLabError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -193,7 +195,6 @@ def _refuse_nonfinite(path, value, where: str) -> None:
     """NonFiniteError (exit 3) naming the artifact and the column or key
     when `value` is a NaN or infinite number."""
     if isinstance(value, (int, float)) and not math.isfinite(value):
-        from .errors import NonFiniteError
         raise NonFiniteError(f"{path.name}: non-finite value {value!r} in {where}; "
                              "the artifact is not written")
 
@@ -283,8 +284,6 @@ def _run_subcommand(sub: str, cfg: dict, outdir, counters: dict) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    from .errors import ConfigError, PhononLabError
-
     manifest = {"subcommand": args.subcommand, "config": None, "config_hash": None,
                 "version": __version__, "env": None, "status": "running",
                 "wall_time_s": None}

@@ -18,7 +18,6 @@ Importing this module pins glibc's malloc (`_pin_malloc`).
 from __future__ import annotations
 
 import ctypes
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,31 +96,6 @@ def page_aligned(shape, dtype=float) -> np.ndarray:
     return padded[:, :int(m) * dtype.itemsize].view(dtype).reshape(*lead, int(m))
 
 
-def _row_starts(n: int, r: np.ndarray) -> np.ndarray:
-    """The packed index of the first entry (r, r + 1) of each row r."""
-    return r * (2 * n - 1 - r) // 2
-
-
-def _pairs(n: int, k: np.ndarray):
-    """Node pairs (i, j) of the ascending packed indices k, in the order of
-    np.triu_indices(n, 1), without forming the whole triangle."""
-    starts = _row_starts(n, np.arange(n))
-    i = np.searchsorted(starts, k, side="right") - 1
-    return i, k - starts[i] + i + 1
-
-
-def _half_entries(n: int, k0: int, k1: int) -> np.ndarray:
-    """Packed indices of the half table's entries k0 to k1 - 1: in each row
-    i < n // 2 a run of n - 1 - 2i entries from the row's first, ending at
-    the self-mirror pair (i, n - 1 - i).  The exchange brings each reflected
-    pair (n - 1 - j, n - 1 - i) back to the upper triangle."""
-    size = n - 1 - 2 * np.arange(n // 2)
-    first = np.cumsum(size) - size  # the half's index of each row's first entry
-    k = np.arange(k0, k1)
-    r = np.searchsorted(first, k, side="right") - 1
-    return _row_starts(n, r) + k - first[r]
-
-
 class ResonanceTable:
     """The tensor rule's geometry, one entry per node pair: the packed table,
     or a span of the half table.
@@ -131,55 +105,57 @@ class ResonanceTable:
     of P1 and i3 of P3 (`grid.interp_weights`): 72 bytes at either order.
     The exchange of the p0 and p2 nodes maps (p0, p1, p2, p3) onto
     (p2, p3, p0, p1), keeps W and flips the sign of the collision bracket,
-    so one entry serves both orders, and W = 0 on the diagonal.  The packed
-    table, the default, is the strict upper triangle in
-    np.triu_indices(n, 1) order.
+    so one entry serves both orders, and W = 0 on the diagonal.
 
     The reflection p -> 2pi - p maps node k onto n - 1 - k, the pairs
     i + j > n - 1 onto those with i + j < n - 1, and each self-mirror pair
     i + j = n - 1 onto itself.  The half table is the n^2 // 4 pairs
-    i + j <= n - 1 (`_half_entries`), W halved on the self-mirror ones:
-    summed and then reflected, it gives the whole rule's sums wherever the
-    integrand is reflection-invariant (L's, and Q + N's on even data).
-    `span` = (k0, k1) selects its entries k0 to k1 - 1.
+    i + j <= n - 1, W halved on the self-mirror ones: summed and then
+    reflected, it gives the whole rule's sums wherever the integrand is
+    reflection-invariant (L's, and Q + N's on even data).  `span` =
+    (k0, k1) selects its entries k0 to k1 - 1.
 
-    Both store `i` in sorted runs, one per row, and are built in blocks of
-    _TABLE_BLOCK entries on the calling thread, the only O(n^2)
-    trigonometric cost: a loop that applies C[f] or the perturbation
-    right-hand side owns a table (`collision_map`,
-    `dynamics.PerturbationTables`), and a pass that reads one once streams
-    it (`_packed_blocks`).
+    Both are laid out by rows, from one array of offsets, the index of
+    each row's first entry: row i holds j = i + 1, ..., n - 1 in the packed
+    table, the default (the np.triu_indices(n, 1) order), and
+    j = i + 1, ..., n - 1 - i, ending at its self-mirror pair, in the half
+    table.  The offsets give `i` and `j`, `runs` (the first entry here of
+    each row, in increasing order) and the half rows' self-mirror entries,
+    each its row's last.  Both are built in blocks of _TABLE_BLOCK entries
+    on the calling thread, the only O(n^2) trigonometric cost: a loop that
+    applies C[f] or the perturbation right-hand side owns a table
+    (`collision_map`, `dynamics.PerturbationTables`), and a pass that reads
+    one once streams it (`_packed_blocks`).
     """
 
     def __init__(self, grid: Grid, interp: str = "linear", span=None):
         self.grid = grid
         self.interp = interp
         n = grid.n
-        pairs = _pairs(n, np.arange(n * (n - 1) // 2) if span is None
-                       else _half_entries(n, *span))
-        size = pairs[0].size
         _stencil_shape(interp)  # checks interp
+        r = np.arange(n - 1 if span is None else n // 2)
+        first = np.concatenate(([0], np.cumsum(n - 1 - (r if span is None else 2 * r))))
+        k0, k1 = (0, int(first[-1])) if span is None else span
+        size = k1 - k0
+        bounds = np.clip(first, k0, k1) - k0  # row r's entries here start at bounds[r]
+        self.runs = bounds[np.flatnonzero(np.diff(bounds))]
         self.i, self.j = page_aligned((2, size), np.int64)
-        self.i[:], self.j[:] = pairs
         self.P1, self.P3, self.W = page_aligned((3, size))
         self.i1, self.i3 = ((page_aligned(size, np.int64), page_aligned(size))
                             for _ in range(2))
         nodes = grid.nodes
         for b in range(0, size, _TABLE_BLOCK):
             s = slice(b, b + _TABLE_BLOCK)
-            self.P1[s], self.P3[s], self.W[s] = resonant_kernel(nodes[self.i[s]],
-                                                                nodes[self.j[s]])
+            i = self.i[s]
+            i[:] = np.repeat(r, np.diff(np.clip(bounds, b, b + i.size)))
+            self.j[s] = np.arange(k0 + b + 1, k0 + b + 1 + i.size) - first[i] + i
+            self.P1[s], self.P3[s], self.W[s] = resonant_kernel(nodes[i], nodes[self.j[s]])
             for (q, t), p in ((self.i1, self.P1[s]), (self.i3, self.P3[s])):
                 q[s], t[s] = interp_weights(grid, p, interp)
         if span is not None:
-            self.W[self.i + self.j == n - 1] *= 0.5  # exact: the same bits halved
+            last = first[1:] - 1 - k0  # each half row's self-mirror pair
+            self.W[last[(last >= 0) & (last < size)]] *= 0.5  # exact: the same bits halved
         self._values = np.empty((5, 0))  # exchange_sum's, grown to the block in use
-
-    @functools.cached_property
-    def runs(self) -> np.ndarray:
-        """The first entry of each run of equal `i`, in increasing order;
-        computed on the first `exchange_sum`, so a streamed block never pays."""
-        return np.flatnonzero(np.diff(self.i, prepend=-1))
 
     def exchange_sum(self, v: np.ndarray, term) -> np.ndarray:
         """Row sums over the full rule of an integrand that flips sign under

@@ -55,6 +55,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+# the BLAS thread variables that the CLI caps, from this checkout's package
+# (importing `phononlab.cli` loads no numpy)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from phononlab.cli import _THREAD_ENV_VARS  # noqa: E402
+
 RUNS = {
     "multiplier": ["multiplier", "--grid-n", "256"],
     "spectrum": ["spectrum", "--grid-n", "128"],
@@ -67,12 +72,10 @@ RUNS = {
     "lp-blowup-pinf": ["lp-blowup", "--p", "inf"],
     "verify": ["verify"],
 }
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
 
 
 def run_tree(tree: Path, out: Path) -> None:
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_ENV_VARS}
     env.update(PYTHONPATH=str(tree / "src"), PHONON_THREADS="2")
     for name, args in RUNS.items():
         subprocess.run([sys.executable, "-m", "phononlab.cli",

@@ -32,7 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFECTS = [
     # the eleven first planted by hand
     ("self-mirror W not halved", "src/phononlab/collision.py",
-     "self.W[self.i + self.j == n - 1] *= 0.5", "self.W[self.i + self.j == n - 1] *= 1.0",
+     "self.W[last[(last >= 0) & (last < size)]] *= 0.5",
+     "self.W[last[(last >= 0) & (last < size)]] *= 1.0",
      ["tests/test_dynamics.py", "tests/test_linearized.py"]),
     ("half-table sums doubled, not reflected", "src/phononlab/dynamics.py",
      "h = h + h[::-1]", "h = 2.0 * h", ["tests/test_dynamics.py"]),
@@ -147,6 +148,13 @@ DEFECTS = [
     ("rows with f(p0) != 0 lose their f0 f2 terms", "src/phononlab/collision.py",
      "(True, np.flatnonzero(f0 != 0.0)", "(False, np.flatnonzero(f0 != 0.0)",
      ["tests/test_experiments.py"]),
+    # a table's layout read off its rows' first entries
+    ("half rows run on to n - 1", "src/phononlab/collision.py",
+     "(r if span is None else 2 * r)", "(r if span is None else r)",
+     ["tests/test_collision.py"]),
+    ("a span loses its leading run start", "src/phononlab/collision.py",
+     "self.runs = bounds[np.flatnonzero(np.diff(bounds))]",
+     "self.runs = first[(first >= k0) & (first < k1)] - k0", ["tests/test_collision.py"]),
 ]
 
 

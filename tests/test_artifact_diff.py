@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import struct
 
 import pytest
 
-from artifact_diff import CACHE_LAYOUTS, compare, main
+import artifact_diff
+from artifact_diff import CACHE_LAYOUTS, RUNS, compare, main
+from phononlab.cli import _THREAD_ENV_VARS
 
 
 def write_csv(path, rows):
@@ -54,6 +57,22 @@ def test_negative_bound_is_a_usage_error(tmp_path, capsys):
         main([str(tmp_path), str(tmp_path), "--max-scaled", "-1"])
     assert exc.value.code == 2
     assert "--max-scaled must be at least 0" in capsys.readouterr().err
+
+
+def test_runs_strip_the_cli_thread_variables(tmp_path, monkeypatch):
+    # every run's environment drops exactly the BLAS variables of the CLI's
+    # own tuple and pins the slab workers at 2
+    for var in _THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "7")
+    envs = []
+    monkeypatch.setattr(artifact_diff.subprocess, "run",
+                        lambda cmd, env, **kwargs: envs.append(env))
+    artifact_diff.run_tree(tmp_path, tmp_path)
+    assert len(envs) == len(RUNS)
+    for env in envs:
+        assert set(os.environ) - set(env) == set(_THREAD_ENV_VARS)
+        assert env["PHONON_THREADS"] == "2"
+        assert env["PYTHONPATH"] == str(tmp_path / "src")
 
 
 def write_cache(path, tag, a, eigenvalues, n=4, fill=0.5):

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,15 +130,16 @@ class TestCollisionOperator:
                 for a, b in zip(*(getattr(tab, side) for tab in (got, want))):
                     assert np.array_equal(a, b)
 
-    def test_packed_pairs_without_the_triangle(self):
-        # the node pairs of any run of packed indices, in np.triu_indices(n, 1)
-        # order
+    def test_packed_pairs_without_the_triangle(self, monkeypatch):
+        # the packed table's node pairs, in np.triu_indices(n, 1) order, filled
+        # from the row offsets in blocks of 7 entries, which start mid-row,
+        # on a row's first entry and on the last row's one entry
+        monkeypatch.setattr(collision, "_TABLE_BLOCK", 7)
         for n in (16, 17, 100):
             i, j = np.triu_indices(n, 1)
-            for k0, k1 in ((0, i.size), (0, 1), (5, 77), (i.size - 3, i.size)):
-                got_i, got_j = collision._pairs(n, np.arange(k0, k1))
-                assert np.array_equal(got_i, i[k0:k1])
-                assert np.array_equal(got_j, j[k0:k1])
+            tab = collision.ResonanceTable(Grid(n))
+            assert np.array_equal(tab.i, i)
+            assert np.array_equal(tab.j, j)
 
     @pytest.mark.parametrize("n", [16, 17, 100, 256, 384])
     def test_mirror_class(self, n):
@@ -145,19 +147,18 @@ class TestCollisionOperator:
         # self-mirror line i + j = n - 1 and outside the half is the mirror
         # of exactly one of them
         i, j = np.triu_indices(n, 1)
-        half = collision._half_entries(n, 0, n * n // 4)
-        k = half[i[half] + j[half] < n - 1]
-        assert np.array_equal(k, np.flatnonzero(i + j < n - 1))
-        mirrored = list(zip(n - 1 - j[k], n - 1 - i[k]))
+        tab = collision.ResonanceTable(Grid(n), "cubic", (0, n * n // 4))
+        whole = collision.ResonanceTable(Grid(n), "cubic")
+        on = tab.i + tab.j < n - 1
+        k = np.flatnonzero(i + j < n - 1)
+        assert np.array_equal(tab.i[on], i[k]) and np.array_equal(tab.j[on], j[k])
+        mirrored = list(zip(n - 1 - tab.j[on], n - 1 - tab.i[on]))
         outside = i + j > n - 1
         assert len(set(mirrored)) == len(mirrored) == np.count_nonzero(outside)
         assert set(mirrored) == set(zip(i[outside], j[outside]))
         if n % 2 == 0:
             assert k.size == n * (n - 2) // 4
         # the half table carries the whole table's bits on the mirror class
-        tab = collision.ResonanceTable(Grid(n), "cubic", (0, half.size))
-        whole = collision.ResonanceTable(Grid(n), "cubic")
-        on = np.isin(half, k)
         for name in ("i", "j", "P1", "P3", "W"):
             assert np.array_equal(getattr(tab, name)[on], getattr(whole, name)[k])
 
@@ -298,18 +299,56 @@ class TestPackedBlocks:
         # span of it is the same slice of the whole
         i, j = np.triu_indices(n, 1)
         half = np.flatnonzero(i + j <= n - 1)
-        assert np.array_equal(collision._half_entries(n, 0, half.size), half)
-        assert np.array_equal(collision._half_entries(n, 5, half.size - 3), half[5:-3])
+        tab = collision.ResonanceTable(Grid(n), "cubic", (0, half.size))
+        assert np.array_equal(tab.i, i[half]) and np.array_equal(tab.j, j[half])
+        part = collision.ResonanceTable(Grid(n), "linear", (5, half.size - 3))
+        assert np.array_equal(part.i, i[half][5:-3]) and np.array_equal(part.j, j[half][5:-3])
         assert half.size == (n // 2) * (n - n // 2) == n * n // 4
         # a half table carries the whole table's bits at those entries, W
         # exactly halved on the self-mirror pairs
-        tab = collision.ResonanceTable(Grid(n), "cubic", (0, half.size))
         whole = collision.ResonanceTable(Grid(n), "cubic")
         for name in ("i", "j", "P1", "P3"):
             assert np.array_equal(getattr(tab, name), getattr(whole, name)[half])
         mirror = i[half] + j[half] == n - 1
         assert np.array_equal(tab.W[~mirror], whole.W[half][~mirror])
         assert np.array_equal(tab.W[mirror], 0.5 * whole.W[half][mirror])
+
+    @pytest.mark.parametrize("n", [16, 17, 100, 101])
+    @pytest.mark.parametrize("where", ["whole", "half", "mid-row", "row-start", "one-entry"])
+    def test_layout_from_the_row_offsets(self, n, where):
+        # the pairs, the runs (against their old definition, a pass over i)
+        # and the halved self-mirror entries of the whole table and of half
+        # table spans that start mid-row (and end mid-row, dropping the last
+        # self-mirror pairs), on a row's first entry, or hold one entry
+        i, j = np.triu_indices(n, 1)
+        half = np.flatnonzero(i + j <= n - 1)
+        row1 = n - 1  # the half table's row 1 starts after row 0's n - 1 entries
+        span = {"whole": None, "half": (0, half.size), "mid-row": (row1 - 3, half.size - 2),
+                "row-start": (row1, row1 + n), "one-entry": (row1 + 1, row1 + 2)}[where]
+        k = np.arange(i.size) if span is None else half[slice(*span)]
+        tab = collision.ResonanceTable(Grid(n), "linear", span)
+        assert np.array_equal(tab.i, i[k]) and np.array_equal(tab.j, j[k])
+        assert np.array_equal(tab.runs, np.flatnonzero(np.diff(tab.i, prepend=-1)))
+        mirror = (i[k] + j[k] == n - 1) & (span is not None)
+        whole = collision.ResonanceTable(Grid(n))
+        assert np.array_equal(tab.W, np.where(mirror, 0.5, 1.0) * whole.W[k])
+
+    @pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
+    def test_traced_peak_of_an_owned_build(self, half):
+        # i and j are filled a block at a time from the row offsets, so an
+        # owned build holds little beside the table's own arrays (1.27 and
+        # 1.35 times their bytes, whole and half, when the pairs were formed
+        # whole first)
+        g = Grid(1024)
+        tracemalloc.start()
+        try:
+            tab = collision.ResonanceTable(g, "linear", (0, g.n ** 2 // 4) if half else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        owners = {id(a): a for a in map(_owner, (tab.i, tab.j, tab.P1, tab.P3, tab.W,
+                                                 *tab.i1, *tab.i3))}
+        assert peak <= 1.15 * sum(a.nbytes for a in owners.values())
 
 
 class TestExchangeSum:
@@ -325,6 +364,7 @@ class TestExchangeSum:
         grid = Grid(n)
         tab = collision.ResonanceTable(grid, interp, (0, n * n // 4) if half else None)
         assert tab.runs.size == (n // 2 if half else n - 1) and 99 in tab.runs
+        assert np.array_equal(tab.runs, np.flatnonzero(np.diff(tab.i, prepend=-1)))
         v = smooth_positive_field(grid, seed=8).values
         term = lambda s, *f4: tab.W[s] * collision._bracket(*f4)
         monkeypatch.setattr(collision, "_EXCHANGE_BLOCK", block)
